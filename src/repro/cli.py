@@ -387,23 +387,55 @@ def _parse_behavior_mix(args: argparse.Namespace):
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
+    """One campaign, two executors: ``--workers N`` runs it sharded on a
+    process pool (output bit-identical for every N, so the worker count is
+    purely a wall-clock knob; see docs/parallelism.md), otherwise it walks
+    the schedule serially in one evolving world."""
+    from repro.errors import BehaviorPlanError
+    from repro.netgen.ethereum import NetworkSpec
+
     if args.resume and not args.checkpoint:
         print("--resume requires --checkpoint", file=sys.stderr)
         return 2
-    if args.workers is not None:
-        return _cmd_measure_sharded(args)
-    from repro.errors import BehaviorPlanError
-
+    sharded = args.workers is not None
+    if sharded and (
+        args.byzantine_mix
+        or args.byzantine_frac is not None
+        or args.invariants
+        or args.cross_validate is not None
+    ):
+        print(
+            "--byzantine-mix/--byzantine-frac/--invariants/--cross-validate "
+            "are not supported with --workers: the sharded executor resets "
+            "shards from snapshots, which the invariant checker refuses and "
+            "cross-validation would invalidate. Run without --workers.",
+            file=sys.stderr,
+        )
+        return 2
+    if sharded and (
+        args.rpc_fault_rate
+        or args.rpc_rate_limit
+        or args.rpc_flap_rate
+        or args.rpc_raw_client
+        or args.adaptive_flood
+    ):
+        print(
+            "--rpc-* and --adaptive-flood are not supported with --workers: "
+            "the resilient RPC client and its fault plan keep per-endpoint "
+            "state (breakers, token buckets, health scores) that sharding "
+            "would reset mid-campaign. Run without --workers.",
+            file=sys.stderr,
+        )
+        return 2
     try:
         mix = _parse_behavior_mix(args)
     except (ValueError, BehaviorPlanError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     if args.preset:
-        network = generate_network(PRESETS[args.preset](seed=args.seed))
+        network_spec = PRESETS[args.preset](seed=args.seed)
     else:
-        network = quick_network(n_nodes=args.nodes, seed=args.seed)
-    prefill_mempools(network)
+        network_spec = NetworkSpec(n_nodes=args.nodes, seed=args.seed)
     rpc_plan = None
     if args.rpc_fault_rate or args.rpc_rate_limit or args.rpc_flap_rate:
         from repro.sim.faults import RpcFaultPlan
@@ -420,7 +452,6 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         rpc=rpc_plan,
     )
     if plan.enabled:
-        network.install_faults(plan)
         print(
             f"fault plan: loss={plan.loss_rate:.1%} "
             f"churn={plan.churn_rate}/s crash={plan.crash_rate}/s"
@@ -431,6 +462,42 @@ def _cmd_measure(args: argparse.Namespace) -> int:
                 f"rate-limit={rpc_plan.rate_limit_per_second}/s "
                 f"flap={rpc_plan.flap_rate}/s"
             )
+    obs = None
+    if args.metrics_out or args.trace_out:
+        from repro.obs import Observability
+
+        obs = Observability()
+    if sharded:
+        from repro.core.parallel_exec import CampaignSpec, run_campaign
+
+        campaign = CampaignSpec(
+            network=network_spec,
+            preprocess=not args.no_preprocess,
+            group_size=args.group_size,
+            repeats=args.repeats,
+            max_retries=args.max_retries or None,
+            fault_plan=plan if plan.enabled else None,
+            n_shards=args.shards,
+        )
+        print(
+            f"measuring {network_spec.n_nodes} nodes, sharded campaign "
+            f"(workers={args.workers}"
+            + (f", shards={args.shards}" if args.shards else "")
+            + ")"
+        )
+        measurement = run_campaign(
+            campaign,
+            workers=args.workers,
+            checkpoint_path=args.checkpoint,
+            resume=args.resume,
+            obs=obs,
+        )
+        return _report_measurement(args, measurement, obs)
+
+    network = generate_network(network_spec)
+    prefill_mempools(network)
+    if plan.enabled:
+        network.install_faults(plan)
     if args.rpc_raw_client:
         from repro.eth.rpc import RAW_POLICY
 
@@ -446,11 +513,6 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     checker = None
     if args.invariants:
         checker = network.install_invariants()
-    obs = None
-    if args.metrics_out or args.trace_out:
-        from repro.obs import Observability
-
-        obs = Observability()
     shot = TopoShot.attach(network, obs=obs)
     shot.config = shot.config.with_repeats(args.repeats)
     if args.max_retries:
@@ -472,88 +534,6 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     if checker is not None:
         print()
         print(checker.summary())
-    return _report_measurement(args, measurement, obs)
-
-
-def _cmd_measure_sharded(args: argparse.Namespace) -> int:
-    """The ``--workers N`` path: deterministic process-pool sharding.
-
-    Output is bit-identical for every N (including ``--workers 1``), so
-    the worker count is purely a wall-clock knob; see docs/parallelism.md.
-    """
-    from repro.core.parallel_exec import CampaignSpec, run_campaign
-    from repro.netgen.ethereum import NetworkSpec
-
-    if (
-        args.byzantine_mix
-        or args.byzantine_frac is not None
-        or args.invariants
-        or args.cross_validate is not None
-    ):
-        print(
-            "--byzantine-mix/--byzantine-frac/--invariants/--cross-validate "
-            "are not supported with --workers: the sharded executor resets "
-            "shards from snapshots, which the invariant checker refuses and "
-            "cross-validation would invalidate. Run without --workers.",
-            file=sys.stderr,
-        )
-        return 2
-    if (
-        args.rpc_fault_rate
-        or args.rpc_rate_limit
-        or args.rpc_flap_rate
-        or args.rpc_raw_client
-        or args.adaptive_flood
-    ):
-        print(
-            "--rpc-* and --adaptive-flood are not supported with --workers: "
-            "the resilient RPC client and its fault plan keep per-endpoint "
-            "state (breakers, token buckets, health scores) that sharding "
-            "would reset mid-campaign. Run without --workers.",
-            file=sys.stderr,
-        )
-        return 2
-    if args.preset:
-        network_spec = PRESETS[args.preset](seed=args.seed)
-    else:
-        network_spec = NetworkSpec(n_nodes=args.nodes, seed=args.seed)
-    plan = FaultPlan(
-        loss_rate=args.loss,
-        churn_rate=args.churn,
-        crash_rate=args.crash_rate,
-    )
-    if plan.enabled:
-        print(
-            f"fault plan: loss={plan.loss_rate:.1%} "
-            f"churn={plan.churn_rate}/s crash={plan.crash_rate}/s"
-        )
-    campaign = CampaignSpec(
-        network=network_spec,
-        preprocess=not args.no_preprocess,
-        group_size=args.group_size,
-        repeats=args.repeats,
-        max_retries=args.max_retries or None,
-        fault_plan=plan if plan.enabled else None,
-        n_shards=args.shards,
-    )
-    obs = None
-    if args.metrics_out or args.trace_out:
-        from repro.obs import Observability
-
-        obs = Observability()
-    print(
-        f"measuring {network_spec.n_nodes} nodes, sharded campaign "
-        f"(workers={args.workers}"
-        + (f", shards={args.shards}" if args.shards else "")
-        + ")"
-    )
-    measurement = run_campaign(
-        campaign,
-        workers=args.workers,
-        checkpoint_path=args.checkpoint,
-        resume=args.resume,
-        obs=obs,
-    )
     return _report_measurement(args, measurement, obs)
 
 

@@ -5,7 +5,10 @@ network, pre-processes targets, runs the parallel schedule, unions the
 per-iteration detections, and scores the measured topology against the
 simulator's ground truth.
 
-Two execution modes share this machinery:
+Two execution modes share this machinery — both (and the explicit pair
+lists of :meth:`TopoShot.measure_pairs`) walk their schedule items through
+the one iteration runner, :meth:`TopoShot._run_iterations`, into one
+:class:`~repro.core.results.NetworkMeasurement`:
 
 * **serial** — :meth:`TopoShot.measure_network` walks the schedule
   iterations in order inside one evolving simulated world (pools churn
@@ -25,13 +28,13 @@ output is bit-identical for any worker count.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from repro import io as repro_io
 from repro.core.config import MeasurementConfig
 from repro.core.gas_estimator import estimate_y
 from repro.core.parallel import ParallelProbeReport, measure_par_with_repeats
@@ -48,7 +51,6 @@ from repro.core.results import (
     CONFIDENCE_SUSPECT,
     Edge,
     LinkResult,
-    MeasurementFailure,
     NetworkMeasurement,
     ValidationScore,
     edge,
@@ -64,43 +66,38 @@ ProgressCallback = Callable[[int, int, ScheduleIteration, ParallelProbeReport], 
 
 PathLike = Union[str, Path]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+# One ``measurePar`` round of the runner: (schedule index, pairs to probe).
+WorkItem = Tuple[int, Sequence[Tuple[str, str]]]
+AfterIteration = Callable[[int, Optional[ParallelProbeReport]], None]
 
 
 @dataclass
-class CampaignCheckpoint:
+class CampaignCheckpoint(repro_io.CheckpointFile):
     """Everything needed to continue a measurement campaign after a kill.
 
+    A header (which campaign, how far along) plus the partial
+    :class:`NetworkMeasurement` of the completed iterations, whose
+    ``node_ids`` / ``skipped_nodes`` are the campaign's target list.
     Written atomically after every completed iteration, so the file on
     disk is always a consistent prefix of the campaign. Resuming replays
-    nothing: completed iterations contribute their recorded edges and the
+    nothing: the partial is merged into the new run's measurement and the
     schedule walk continues at ``completed_iterations``.
     """
 
     seed: int
-    targets: List[str]
     group_size: int
     completed_iterations: int
-    edges: Set[Edge] = field(default_factory=set)
-    transactions_sent: int = 0
-    setup_failures: int = 0
-    send_timeouts: int = 0
-    skipped_nodes: List[str] = field(default_factory=list)
-    failures: List[MeasurementFailure] = field(default_factory=list)
+    measurement: NetworkMeasurement
 
     def to_dict(self) -> dict:
         return {
             "format_version": CHECKPOINT_VERSION,
             "seed": self.seed,
-            "targets": list(self.targets),
             "group_size": self.group_size,
             "completed_iterations": self.completed_iterations,
-            "edges": sorted(sorted(e) for e in self.edges),
-            "transactions_sent": self.transactions_sent,
-            "setup_failures": self.setup_failures,
-            "send_timeouts": self.send_timeouts,
-            "skipped_nodes": list(self.skipped_nodes),
-            "failures": [f.to_dict() for f in self.failures],
+            "measurement": repro_io.measurement_to_dict(self.measurement),
         }
 
     @classmethod
@@ -111,61 +108,14 @@ class CampaignCheckpoint:
                 raise CheckpointError(
                     f"unsupported checkpoint format version {version}"
                 )
-            # to_dict serializes each edge as a sorted [a, b] pair; rebuild
-            # the canonical two-endpoint Edge explicitly instead of
-            # frozenset(e), which would silently accept (and collapse)
-            # malformed entries like ["a"] or ["a", "a", "b"].
-            edges: Set[Edge] = set()
-            for entry in payload["edges"]:
-                if len(entry) != 2 or not all(
-                    isinstance(endpoint, str) for endpoint in entry
-                ):
-                    raise ValueError(f"malformed edge entry {entry!r}")
-                a, b = entry
-                if a == b:
-                    raise ValueError(f"self-loop edge entry {entry!r}")
-                edges.add(edge(a, b))
-            checkpoint = cls(
+            return cls(
                 seed=int(payload["seed"]),
-                targets=list(payload["targets"]),
                 group_size=int(payload["group_size"]),
                 completed_iterations=int(payload["completed_iterations"]),
-                edges=edges,
-                transactions_sent=int(payload.get("transactions_sent", 0)),
-                setup_failures=int(payload.get("setup_failures", 0)),
-                send_timeouts=int(payload.get("send_timeouts", 0)),
-                skipped_nodes=list(payload.get("skipped_nodes", [])),
-                failures=[
-                    MeasurementFailure.from_dict(item)
-                    for item in payload.get("failures", [])
-                ],
+                measurement=repro_io.measurement_from_dict(payload["measurement"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, repro_io.SerializationError) as exc:
             raise CheckpointError(f"malformed checkpoint: {exc}") from exc
-        return checkpoint
-
-    def save(self, path: PathLike) -> Path:
-        """Atomic durable write (tmp + fsync + rename): a kill mid-save
-        leaves the old file, a power cut never surfaces a torn one."""
-        from repro.io import atomic_write_text
-
-        return atomic_write_text(
-            path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-
-    @classmethod
-    def load(cls, path: PathLike) -> "CampaignCheckpoint":
-        from repro.io import cleanup_orphan_tmp
-
-        # A crash mid-save may leave a partial sibling ``.tmp``; the real
-        # checkpoint (the last committed rename) is untouched, so reap the
-        # orphan before reading.
-        cleanup_orphan_tmp(path)
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-        return cls.from_dict(payload)
 
 
 class TopoShot:
@@ -404,23 +354,14 @@ class TopoShot:
                         f"this network runs seed {self.network.sim.seed}"
                     )
 
-        skipped: List[str] = []
         if checkpoint is not None:
-            targets = list(checkpoint.targets)
-            skipped = list(checkpoint.skipped_nodes)
+            targets = list(checkpoint.measurement.node_ids)
+            skipped = list(checkpoint.measurement.skipped_nodes)
             group_size = checkpoint.group_size
         else:
-            if targets is None:
-                targets = self.network.measurable_node_ids()
-            if preprocess:
-                report = self.preprocess(targets)
-                skipped = report.rejected
-                targets = report.accepted
-            targets = list(targets)
-            if len(targets) < 2:
-                raise MeasurementError("need at least two targets to measure")
-            if group_size is None:
-                group_size = self.config.group_size_for(len(targets))
+            targets, skipped, group_size = self._select_targets(
+                targets, group_size, preprocess
+            )
 
         schedule = build_schedule(targets, group_size)
         measurement = NetworkMeasurement(
@@ -437,149 +378,26 @@ class TopoShot:
                     f"completed iterations but the schedule has {len(schedule)}"
                 )
             completed = checkpoint.completed_iterations
-            measurement.add_edges(checkpoint.edges)
-            measurement.transactions_sent = checkpoint.transactions_sent
-            measurement.setup_failures = checkpoint.setup_failures
-            measurement.send_timeouts = checkpoint.send_timeouts
-            measurement.failures = list(checkpoint.failures)
+            measurement.merge(checkpoint.measurement)
 
-        obs = self.obs
-        if obs.enabled:
-            from repro.obs import wiring
+        def after(index: int, report: Optional[ParallelProbeReport]) -> None:
+            if progress is not None and report is not None:
+                progress(index, len(schedule), schedule[index], report)
+            if checkpoint_path is not None:
+                CampaignCheckpoint(
+                    seed=self.network.sim.seed,
+                    group_size=group_size,
+                    completed_iterations=index + 1,
+                    measurement=measurement,
+                ).save(checkpoint_path)
 
-            iterations_total = obs.metrics.counter(
-                wiring.CAMPAIGN_ITERATIONS, "Completed schedule iterations"
-            )
-            edges_gauge = obs.metrics.gauge(
-                wiring.CAMPAIGN_EDGES, "Distinct edges detected so far"
-            )
-            txs_total = obs.metrics.counter(
-                wiring.CAMPAIGN_TXS, "Measurement transactions injected"
-            )
-            setup_failures_total = obs.metrics.counter(
-                wiring.CAMPAIGN_SETUP_FAILURES, "Per-link setups that failed"
-            )
-            send_timeouts_total = obs.metrics.counter(
-                wiring.CAMPAIGN_SEND_TIMEOUTS, "Supernode injections timed out"
-            )
-            iter_sim_hist = obs.metrics.histogram(
-                wiring.CAMPAIGN_ITER_SIM_SECONDS,
-                "Simulated seconds consumed per iteration",
-            )
-            iter_wall_hist = obs.metrics.histogram(
-                wiring.CAMPAIGN_ITER_WALL_SECONDS,
-                "Wall-clock seconds spent per iteration",
-            )
-
-        refresh = self._refresh_pools if churn_between_iterations else None
-        for index, iteration in enumerate(schedule):
-            if index < completed:
-                continue  # already covered by the checkpoint
-            sim_start = self.network.sim.now
-            wall_start = perf_counter()
-            try:
-                report = measure_par_with_repeats(
-                    self.network,
-                    self.supernode,
-                    iteration.edges,
-                    self._config_for_iteration(iteration),
-                    self.wallet,
-                    refresh=refresh,
-                )
-            except MeasurementError as exc:
-                # One broken iteration must not kill the campaign; its
-                # pairs stay unmeasured and the failure is reported.
-                measurement.add_failure(
-                    "iteration_error", iteration=index, detail=str(exc)
-                )
-                if obs.enabled:
-                    obs.emit(
-                        self.network.sim.now,
-                        "campaign.iteration_error",
-                        index,
-                        str(exc),
-                    )
-                    obs.metrics.counter(
-                        wiring.CAMPAIGN_FAILURES,
-                        "Campaign failures by kind",
-                        labels={"kind": "iteration_error"},
-                    ).inc()
-                self.supernode.clear_observations()
-                self.network.forget_known_transactions()
-                if churn_between_iterations and index + 1 < len(schedule):
-                    self._refresh_pools()
-                self._save_checkpoint(
-                    checkpoint_path, targets, group_size, index + 1, measurement
-                )
-                continue
-            measurement.add_edges(report.detected)
-            for pair_edge, item in report.evidence.items():
-                if pair_edge not in measurement.evidence:
-                    measurement.evidence[pair_edge] = replace(item, iteration=index)
-            measurement.suspect_nodes.update(report.suspect_nodes)
-            measurement.transactions_sent += report.transactions_sent
-            measurement.setup_failures += report.setup_failures
-            measurement.send_timeouts += report.send_timeouts
-            for node_id in report.unreachable:
-                measurement.add_failure(
-                    "unreachable", node=node_id, iteration=index,
-                    detail="target was down; its pairs were skipped this iteration",
-                )
-            if report.send_timeouts:
-                measurement.add_failure(
-                    "send_timeout", iteration=index,
-                    detail=f"{report.send_timeouts} injection(s) timed out",
-                )
-            degraded = sum(
-                1 for outcome in report.outcomes if outcome.rpc_degraded
-            )
-            if degraded:
-                measurement.add_failure(
-                    "rpc_degraded", iteration=index,
-                    detail=(
-                        f"{degraded} probe(s) answered over a degraded RPC "
-                        "plane; their verdicts rest on gossip alone"
-                    ),
-                )
-            self.measurement_senders.extend(report.seed_senders)
-            if obs.enabled:
-                iterations_total.inc()
-                edges_gauge.set(len(measurement.edges))
-                txs_total.inc(report.transactions_sent)
-                setup_failures_total.inc(report.setup_failures)
-                send_timeouts_total.inc(report.send_timeouts)
-                iter_sim_hist.observe(self.network.sim.now - sim_start)
-                iter_wall_hist.observe(perf_counter() - wall_start)
-                if report.unreachable:
-                    obs.metrics.counter(
-                        wiring.CAMPAIGN_FAILURES,
-                        "Campaign failures by kind",
-                        labels={"kind": "unreachable"},
-                    ).inc(len(report.unreachable))
-                if degraded:
-                    obs.metrics.counter(
-                        wiring.CAMPAIGN_FAILURES,
-                        "Campaign failures by kind",
-                        labels={"kind": "rpc_degraded"},
-                    ).inc(degraded)
-                obs.emit(
-                    self.network.sim.now,
-                    "campaign.iteration",
-                    index,
-                    len(schedule),
-                    len(report.detected),
-                    report.transactions_sent,
-                )
-            if progress is not None:
-                progress(index, len(schedule), iteration, report)
-            # Bound memory and keep iterations independent.
-            self.supernode.clear_observations()
-            self.network.forget_known_transactions()
-            if churn_between_iterations and index + 1 < len(schedule):
-                self._refresh_pools()
-            self._save_checkpoint(
-                checkpoint_path, targets, group_size, index + 1, measurement
-            )
+        items = [(i, iteration.edges) for i, iteration in enumerate(schedule)]
+        self._run_iterations(
+            measurement,
+            items[completed:],  # the rest is covered by the checkpoint
+            churn=churn_between_iterations,
+            after=after,
+        )
         self._harden_measurement(measurement)
         measurement.sim_time_end = self.network.sim.now
 
@@ -587,6 +405,137 @@ class TopoShot:
             truth = self._truth_edges_among(targets)
             measurement.validate_against(truth)
         return measurement
+
+    def _select_targets(
+        self,
+        targets: Optional[Sequence[str]],
+        group_size: Optional[int],
+        preprocess: bool,
+    ) -> Tuple[List[str], List[str], int]:
+        """Campaign set-up: the target list (pre-processed unless disabled),
+        the nodes pre-processing rejected, and the schedule group size K."""
+        if targets is None:
+            targets = self.network.measurable_node_ids()
+        skipped: List[str] = []
+        if preprocess:
+            report = self.preprocess(targets)
+            skipped = report.rejected
+            targets = report.accepted
+        targets = list(targets)
+        if len(targets) < 2:
+            raise MeasurementError("need at least two targets to measure")
+        if group_size is None:
+            group_size = self.config.group_size_for(len(targets))
+        return targets, skipped, group_size
+
+    def _run_iterations(
+        self,
+        measurement: NetworkMeasurement,
+        items: Sequence[WorkItem],
+        churn: bool = True,
+        after: Optional[AfterIteration] = None,
+    ) -> None:
+        """The campaign loop: run each work item's ``measurePar`` round and
+        fold it into ``measurement``.
+
+        Serial campaigns, schedule shards and explicit pair lists all walk
+        their items through here. Pools churn between consecutive executed
+        items (and between repeats) unless ``churn`` is off; a round that
+        raises is recorded as an ``iteration_error`` and the walk
+        continues. ``after(index, report)`` runs once per item — ``report``
+        is ``None`` for a failed round — while the supernode's observations
+        of that round are still in place.
+        """
+        obs = self.obs
+        if obs.enabled:
+            from repro.obs import wiring
+
+            metrics = obs.metrics
+            iterations_total = metrics.counter(
+                wiring.CAMPAIGN_ITERATIONS, "Completed schedule iterations"
+            )
+            edges_gauge = metrics.gauge(
+                wiring.CAMPAIGN_EDGES, "Distinct edges detected so far"
+            )
+            txs_total = metrics.counter(
+                wiring.CAMPAIGN_TXS, "Measurement transactions injected"
+            )
+            setup_failures_total = metrics.counter(
+                wiring.CAMPAIGN_SETUP_FAILURES, "Per-link setups that failed"
+            )
+            send_timeouts_total = metrics.counter(
+                wiring.CAMPAIGN_SEND_TIMEOUTS, "Supernode injections timed out"
+            )
+            iter_sim_hist = metrics.histogram(
+                wiring.CAMPAIGN_ITER_SIM_SECONDS,
+                "Simulated seconds consumed per iteration",
+            )
+            iter_wall_hist = metrics.histogram(
+                wiring.CAMPAIGN_ITER_WALL_SECONDS,
+                "Wall-clock seconds spent per iteration",
+            )
+
+            def count_failures(kind: str, amount: int) -> None:
+                if amount:
+                    metrics.counter(
+                        wiring.CAMPAIGN_FAILURES,
+                        "Campaign failures by kind",
+                        labels={"kind": kind},
+                    ).inc(amount)
+
+        refresh = self._refresh_pools if churn else None
+        sim = self.network.sim
+        for position, (index, pairs) in enumerate(items):
+            if refresh is not None and position > 0:
+                refresh()
+            sim_start = sim.now
+            wall_start = perf_counter()
+            try:
+                report: Optional[ParallelProbeReport] = measure_par_with_repeats(
+                    self.network,
+                    self.supernode,
+                    pairs,
+                    self._config_for_iteration(pairs),
+                    self.wallet,
+                    refresh=refresh,
+                )
+            except MeasurementError as exc:
+                # One broken iteration must not kill the campaign; its
+                # pairs stay unmeasured and the failure is reported.
+                report = None
+                measurement.add_failure(
+                    "iteration_error", iteration=index, detail=str(exc)
+                )
+                if obs.enabled:
+                    obs.emit(sim.now, "campaign.iteration_error", index, str(exc))
+                    count_failures("iteration_error", 1)
+            else:
+                adverse = measurement.absorb(report, index)
+                self.measurement_senders.extend(report.seed_senders)
+                if obs.enabled:
+                    iterations_total.inc()
+                    edges_gauge.set(len(measurement.edges))
+                    txs_total.inc(report.transactions_sent)
+                    setup_failures_total.inc(report.setup_failures)
+                    send_timeouts_total.inc(report.send_timeouts)
+                    iter_sim_hist.observe(sim.now - sim_start)
+                    iter_wall_hist.observe(perf_counter() - wall_start)
+                    for kind, amount in adverse.items():
+                        count_failures(kind, amount)
+                    obs.emit(
+                        sim.now,
+                        "campaign.iteration",
+                        index,
+                        measurement.iterations,
+                        len(report.detected),
+                        report.transactions_sent,
+                    )
+            measurement.sim_time_end = sim.now
+            if after is not None:
+                after(index, report)
+            # Bound memory and keep iterations independent.
+            self.supernode.clear_observations()
+            self.network.forget_known_transactions()
 
     # ------------------------------------------------------------------
     # Precision hardening (Byzantine-aware post-pass)
@@ -700,29 +649,6 @@ class TopoShot:
                     return True
         return clean_positives >= needed
 
-    def _save_checkpoint(
-        self,
-        checkpoint_path: Optional[PathLike],
-        targets: Sequence[str],
-        group_size: int,
-        completed_iterations: int,
-        measurement: NetworkMeasurement,
-    ) -> None:
-        if checkpoint_path is None:
-            return
-        CampaignCheckpoint(
-            seed=self.network.sim.seed,
-            targets=list(targets),
-            group_size=group_size,
-            completed_iterations=completed_iterations,
-            edges=set(measurement.edges),
-            transactions_sent=measurement.transactions_sent,
-            setup_failures=measurement.setup_failures,
-            send_timeouts=measurement.send_timeouts,
-            skipped_nodes=list(measurement.skipped_nodes),
-            failures=list(measurement.failures),
-        ).save(checkpoint_path)
-
     def measure_pairs(
         self,
         pairs: Sequence[Tuple[str, str]],
@@ -731,50 +657,36 @@ class TopoShot:
         """Measure an explicit pair list (the mainnet critical-subnetwork
         study of Section 6.3) and return the detected undirected edges."""
         self._capture_ambient()
-        nodes: List[str] = []
-        for a, b in pairs:
-            for nid in (a, b):
-                if nid not in nodes:
-                    nodes.append(nid)
+        # Endpoints in order of first appearance.
+        nodes = list(dict.fromkeys(nid for pair in pairs for nid in pair))
         wanted = {edge(a, b) for a, b in pairs}
-        detected: Set[Edge] = set()
-        first_iteration = True
-        for iteration in build_schedule(nodes, group_size):
+        schedule = build_schedule(nodes, group_size)
+        items: List[WorkItem] = []
+        for index, iteration in enumerate(schedule):
             selected = [e for e in iteration.edges if edge(*e) in wanted]
-            if not selected:
-                continue
-            if not first_iteration:
-                self._refresh_pools()
-            first_iteration = False
-            config = self.config
-            if config.adaptive_flood:
-                involved = {nid for pair in selected for nid in pair}
-                config = self._apply_adaptive_flood(config, involved)
-            report = measure_par_with_repeats(
-                self.network,
-                self.supernode,
-                selected,
-                config,
-                self.wallet,
-                refresh=self._refresh_pools,
-            )
-            detected |= report.detected
-            self.measurement_senders.extend(report.seed_senders)
-            self.supernode.clear_observations()
-            self.network.forget_known_transactions()
-        return detected & wanted
+            if selected:
+                items.append((index, selected))
+        tally = NetworkMeasurement(
+            node_ids=nodes,
+            iterations=len(schedule),
+            sim_time_start=self.network.sim.now,
+        )
+        self._run_iterations(tally, items)
+        return tally.edges & wanted
 
     # ------------------------------------------------------------------
     # Flood-size calibration (Section 5.2.3)
     # ------------------------------------------------------------------
-    def _config_for_iteration(self, iteration: ScheduleIteration) -> MeasurementConfig:
-        """Apply per-target Z overrides: an iteration touching a node known
+    def _config_for_iteration(
+        self, pairs: Sequence[Tuple[str, str]]
+    ) -> MeasurementConfig:
+        """Apply per-target Z overrides: a round touching a node known
         to run a larger-than-default mempool uses a flood big enough for
         it (the pre-processing phase's "right parameter"). With
         ``config.adaptive_flood`` the static Z is then shrunk to what the
         involved pools actually need this round (storm-aware sizing)."""
         config = self.config
-        involved = set(iteration.sources) | set(iteration.sinks)
+        involved = {node_id for pair in pairs for node_id in pair}
         if self.z_overrides:
             needed = max(
                 (z for node, z in self.z_overrides.items() if node in involved),

@@ -42,29 +42,24 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro import io as repro_io
 from repro.core.campaign import TopoShot
-from repro.core.parallel import measure_par_with_repeats
-from repro.core.results import (
-    Edge,
-    MeasurementFailure,
-    NetworkMeasurement,
-    edge,
-)
+from repro.core.results import NetworkMeasurement
 from repro.core.schedule import build_schedule
 from repro.errors import CheckpointError, MeasurementError
 from repro.netgen.ethereum import NetworkSpec, generate_network
-from repro.obs import Observability
-from repro.sim.faults import FaultPlan, LinkFaults
+from repro.obs import NULL, Observability
+from repro.sim.faults import FaultPlan
 from repro.sim.rng import spawn_seed
 
 PathLike = Union[str, Path]
 
-PARALLEL_CHECKPOINT_VERSION = 1
+PARALLEL_CHECKPOINT_VERSION = 2
 
 # Default shard-plan granularity: enough slices to keep a typical pool busy
 # without shrinking slices below the per-shard reset cost. Deliberately NOT
@@ -84,48 +79,6 @@ def _hash_blake2b(payload: str) -> str:
 # ----------------------------------------------------------------------
 # Serializable specs
 # ----------------------------------------------------------------------
-def _fault_plan_to_dict(plan: FaultPlan) -> dict:
-    return {
-        "loss_rate": plan.loss_rate,
-        "extra_delay_mean": plan.extra_delay_mean,
-        "churn_rate": plan.churn_rate,
-        "churn_downtime": plan.churn_downtime,
-        "churn_supernode_links": plan.churn_supernode_links,
-        "crash_rate": plan.crash_rate,
-        "crash_downtime": plan.crash_downtime,
-        "send_timeout_rate": plan.send_timeout_rate,
-        "link_overrides": [
-            [
-                sorted(link),
-                {
-                    "loss_rate": faults.loss_rate,
-                    "extra_delay_mean": faults.extra_delay_mean,
-                },
-            ]
-            for link, faults in sorted(
-                plan.link_overrides.items(), key=lambda item: sorted(item[0])
-            )
-        ],
-    }
-
-
-def _fault_plan_from_dict(payload: dict) -> FaultPlan:
-    return FaultPlan(
-        loss_rate=payload["loss_rate"],
-        extra_delay_mean=payload["extra_delay_mean"],
-        churn_rate=payload["churn_rate"],
-        churn_downtime=payload["churn_downtime"],
-        churn_supernode_links=payload["churn_supernode_links"],
-        crash_rate=payload["crash_rate"],
-        crash_downtime=payload["crash_downtime"],
-        send_timeout_rate=payload["send_timeout_rate"],
-        link_overrides={
-            frozenset(pair): LinkFaults(**faults)
-            for pair, faults in payload["link_overrides"]
-        },
-    )
-
-
 @dataclass(frozen=True)
 class CampaignSpec:
     """Everything needed to rebuild a deterministic campaign replica.
@@ -163,50 +116,27 @@ class CampaignSpec:
         return self.network.seed
 
     def to_dict(self) -> dict:
+        """JSON form, derived from the dataclass fields so a field added
+        to the spec cannot be left out of the fingerprint."""
         if self.network.latency is not None:
             raise MeasurementError(
                 "CampaignSpec requires NetworkSpec.latency=None (latency "
                 "models are not serializable); use region_mix or the default"
             )
-        network = asdict(self.network)
-        network.pop("latency")
-        return {
-            "network": network,
-            "prefill": self.prefill,
-            "preprocess": self.preprocess,
-            "group_size": self.group_size,
-            "repeats": self.repeats,
-            "max_retries": self.max_retries,
-            "future_count": self.future_count,
-            "fault_plan": (
-                None
-                if self.fault_plan is None
-                else _fault_plan_to_dict(self.fault_plan)
-            ),
-            "validate": self.validate,
-            "n_shards": self.n_shards,
-            "supernode_id": self.supernode_id,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["network"] = asdict(self.network)
+        payload["network"].pop("latency")
+        if self.fault_plan is not None:
+            payload["fault_plan"] = self.fault_plan.to_dict()
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CampaignSpec":
-        return cls(
-            network=NetworkSpec(**payload["network"]),
-            prefill=payload["prefill"],
-            preprocess=payload["preprocess"],
-            group_size=payload["group_size"],
-            repeats=payload["repeats"],
-            max_retries=payload["max_retries"],
-            future_count=payload["future_count"],
-            fault_plan=(
-                None
-                if payload["fault_plan"] is None
-                else _fault_plan_from_dict(payload["fault_plan"])
-            ),
-            validate=payload["validate"],
-            n_shards=payload["n_shards"],
-            supernode_id=payload["supernode_id"],
-        )
+        values = dict(payload)
+        values["network"] = NetworkSpec(**payload["network"])
+        if payload.get("fault_plan") is not None:
+            values["fault_plan"] = FaultPlan.from_dict(payload["fault_plan"])
+        return cls(**values)
 
     def fingerprint(self) -> str:
         """Stable digest of the canonical JSON form (checkpoint identity)."""
@@ -234,31 +164,36 @@ class ShardSpec:
 
 @dataclass
 class ShardResult:
-    """Structured outcome of one shard, mergeable in shard-index order."""
+    """One shard's header plus the partial measurement of its slice.
+
+    Mergeable in shard-index order. The tally reads through, so
+    ``result.edges``, ``result.failures``, ``result.transactions_sent`` …
+    are the embedded measurement's.
+    """
 
     index: int
     start: int
     stop: int
-    edges: Set[Edge] = field(default_factory=set)
-    transactions_sent: int = 0
-    setup_failures: int = 0
-    send_timeouts: int = 0
-    failures: List[MeasurementFailure] = field(default_factory=list)
-    sim_time: float = 0.0
+    measurement: NetworkMeasurement
     wall_time: float = 0.0
     obs_snapshot: Optional[dict] = None
+
+    def __getattr__(self, name: str) -> object:
+        if name == "measurement":  # not set yet (copy/unpickle): no recursion
+            raise AttributeError(name)
+        return getattr(self.measurement, name)
+
+    @property
+    def sim_time(self) -> float:
+        """Simulated seconds the shard consumed."""
+        return self.measurement.duration
 
     def to_dict(self) -> dict:
         return {
             "index": self.index,
             "start": self.start,
             "stop": self.stop,
-            "edges": sorted(sorted(e) for e in self.edges),
-            "transactions_sent": self.transactions_sent,
-            "setup_failures": self.setup_failures,
-            "send_timeouts": self.send_timeouts,
-            "failures": [f.to_dict() for f in self.failures],
-            "sim_time": self.sim_time,
+            "measurement": repro_io.measurement_to_dict(self.measurement),
             "wall_time": self.wall_time,
             "obs_snapshot": self.obs_snapshot,
         }
@@ -269,15 +204,7 @@ class ShardResult:
             index=int(payload["index"]),
             start=int(payload["start"]),
             stop=int(payload["stop"]),
-            edges={edge(a, b) for a, b in payload["edges"]},
-            transactions_sent=int(payload["transactions_sent"]),
-            setup_failures=int(payload["setup_failures"]),
-            send_timeouts=int(payload["send_timeouts"]),
-            failures=[
-                MeasurementFailure.from_dict(item)
-                for item in payload["failures"]
-            ],
-            sim_time=float(payload["sim_time"]),
+            measurement=repro_io.measurement_from_dict(payload["measurement"]),
             wall_time=float(payload["wall_time"]),
             obs_snapshot=payload.get("obs_snapshot"),
         )
@@ -337,19 +264,8 @@ class CampaignReplica:
             config = config.with_future_count(campaign.future_count)
         self.shot.config = config
 
-        self.skipped: List[str] = []
-        if campaign.preprocess:
-            report = self.shot.preprocess()
-            self.targets: List[str] = list(report.accepted)
-            self.skipped = list(report.rejected)
-        else:
-            self.targets = self.network.measurable_node_ids()
-        if len(self.targets) < 2:
-            raise MeasurementError("need at least two targets to measure")
-        self.group_size = (
-            campaign.group_size
-            if campaign.group_size is not None
-            else config.group_size_for(len(self.targets))
+        self.targets, self.skipped, self.group_size = self.shot._select_targets(
+            None, campaign.group_size, campaign.preprocess
         )
         self.schedule = build_schedule(self.targets, self.group_size)
 
@@ -360,12 +276,7 @@ class CampaignReplica:
         # Ground truth is fixed at the snapshot point: per-shard churn
         # faults move links afterwards, but each shard starts from (and is
         # validated against) this pristine overlay.
-        target_set = set(self.targets)
-        self.truth_edges: Set[Edge] = {
-            link
-            for link in self.network.ground_truth_edges()
-            if set(link) <= target_set
-        }
+        self.truth_edges = self.shot._truth_edges_among(self.targets)
         self.base_sim_time = self.network.sim.now
         self._snapshot = self.shot.snapshot_state()
         self._pristine = True
@@ -400,118 +311,34 @@ class CampaignReplica:
         """
         wall_start = perf_counter()
         self._reset(shard.seed)
-        obs: Optional[Observability] = None
-        if collect_obs:
-            from repro.obs import wiring
-
-            obs = Observability()
-            self.network.install_observability(obs)
-        network = self.network
         shot = self.shot
-        sim_start = network.sim.now
-        result = ShardResult(
-            index=shard.index, start=shard.start, stop=shard.stop
+        shot.obs = Observability() if collect_obs else NULL
+        if collect_obs:
+            self.network.install_observability(shot.obs)
+        measurement = self.new_measurement(self.network.sim.now)
+        stop = min(shard.stop, len(self.schedule))
+        shot._run_iterations(
+            measurement,
+            [(i, self.schedule[i].edges) for i in range(shard.start, stop)],
         )
-        schedule = self.schedule
-        stop = min(shard.stop, len(schedule))
-        for index in range(shard.start, stop):
-            iteration = schedule[index]
-            iter_sim_start = network.sim.now
-            iter_wall_start = perf_counter()
-            try:
-                report = measure_par_with_repeats(
-                    network,
-                    shot.supernode,
-                    iteration.edges,
-                    shot._config_for_iteration(iteration),
-                    shot.wallet,
-                    refresh=shot._refresh_pools,
-                )
-            except MeasurementError as exc:
-                result.failures.append(
-                    MeasurementFailure(
-                        kind="iteration_error",
-                        iteration=index,
-                        detail=str(exc),
-                    )
-                )
-                if obs is not None:
-                    obs.metrics.counter(
-                        wiring.CAMPAIGN_FAILURES,
-                        "Campaign failures by kind",
-                        labels={"kind": "iteration_error"},
-                    ).inc()
-                shot.supernode.clear_observations()
-                network.forget_known_transactions()
-                if index + 1 < stop:
-                    shot._refresh_pools()
-                continue
-            result.edges |= report.detected
-            result.transactions_sent += report.transactions_sent
-            result.setup_failures += report.setup_failures
-            result.send_timeouts += report.send_timeouts
-            for node_id in report.unreachable:
-                result.failures.append(
-                    MeasurementFailure(
-                        kind="unreachable",
-                        node=node_id,
-                        iteration=index,
-                        detail=(
-                            "target was down; its pairs were skipped this "
-                            "iteration"
-                        ),
-                    )
-                )
-            if report.send_timeouts:
-                result.failures.append(
-                    MeasurementFailure(
-                        kind="send_timeout",
-                        iteration=index,
-                        detail=(
-                            f"{report.send_timeouts} injection(s) timed out"
-                        ),
-                    )
-                )
-            if obs is not None:
-                obs.metrics.counter(
-                    wiring.CAMPAIGN_ITERATIONS,
-                    "Completed schedule iterations",
-                ).inc()
-                obs.metrics.counter(
-                    wiring.CAMPAIGN_TXS,
-                    "Measurement transactions injected",
-                ).inc(report.transactions_sent)
-                obs.metrics.counter(
-                    wiring.CAMPAIGN_SETUP_FAILURES,
-                    "Per-link setups that failed",
-                ).inc(report.setup_failures)
-                obs.metrics.counter(
-                    wiring.CAMPAIGN_SEND_TIMEOUTS,
-                    "Supernode injections timed out",
-                ).inc(report.send_timeouts)
-                if report.unreachable:
-                    obs.metrics.counter(
-                        wiring.CAMPAIGN_FAILURES,
-                        "Campaign failures by kind",
-                        labels={"kind": "unreachable"},
-                    ).inc(len(report.unreachable))
-                obs.metrics.histogram(
-                    wiring.CAMPAIGN_ITER_SIM_SECONDS,
-                    "Simulated seconds consumed per iteration",
-                ).observe(network.sim.now - iter_sim_start)
-                obs.metrics.histogram(
-                    wiring.CAMPAIGN_ITER_WALL_SECONDS,
-                    "Wall-clock seconds spent per iteration",
-                ).observe(perf_counter() - iter_wall_start)
-            shot.supernode.clear_observations()
-            network.forget_known_transactions()
-            if index + 1 < stop:
-                shot._refresh_pools()
-        result.sim_time = network.sim.now - sim_start
-        result.wall_time = perf_counter() - wall_start
-        if obs is not None:
-            result.obs_snapshot = obs.snapshot()
-        return result
+        return ShardResult(
+            index=shard.index,
+            start=shard.start,
+            stop=shard.stop,
+            measurement=measurement,
+            wall_time=perf_counter() - wall_start,
+            obs_snapshot=shot.obs.snapshot() if collect_obs else None,
+        )
+
+    def new_measurement(self, start: float) -> NetworkMeasurement:
+        """An empty tally under the campaign's header, opening at ``start``."""
+        return NetworkMeasurement(
+            node_ids=list(self.targets),
+            iterations=len(self.schedule),
+            sim_time_start=start,
+            sim_time_end=start,
+            skipped_nodes=list(self.skipped),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -561,7 +388,7 @@ def _mp_context():
 # Checkpoint (shard-granular; boundaries ARE iteration boundaries)
 # ----------------------------------------------------------------------
 @dataclass
-class ParallelCheckpoint:
+class ParallelCheckpoint(repro_io.CheckpointFile):
     """Completed shards of a sharded campaign, written atomically.
 
     Shard boundaries are schedule-iteration ranges, so this checkpoint is
@@ -601,32 +428,10 @@ class ParallelCheckpoint:
                     for index, result in payload["completed"].items()
                 },
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, repro_io.SerializationError) as exc:
             raise CheckpointError(
                 f"malformed parallel checkpoint: {exc}"
             ) from exc
-
-    def save(self, path: PathLike) -> Path:
-        """Atomic durable write (tmp + fsync + rename), like the serial
-        checkpoint."""
-        from repro.io import atomic_write_text
-
-        return atomic_write_text(
-            path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-
-    @classmethod
-    def load(cls, path: PathLike) -> "ParallelCheckpoint":
-        from repro.io import cleanup_orphan_tmp
-
-        cleanup_orphan_tmp(path)
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(
-                f"cannot read parallel checkpoint {path}: {exc}"
-            ) from exc
-        return cls.from_dict(payload)
 
 
 # ----------------------------------------------------------------------
@@ -790,17 +595,16 @@ def run_campaign(
         try:
             return replica.run_shard(shard, collect_obs=collect_obs)
         except MeasurementError as exc:
-            result = ShardResult(
-                index=shard.index, start=shard.start, stop=shard.stop
+            failed = replica.new_measurement(replica.base_sim_time)
+            failed.add_failure(
+                "shard_error", iteration=shard.start, detail=str(exc)
             )
-            result.failures.append(
-                MeasurementFailure(
-                    kind="shard_error",
-                    iteration=shard.start,
-                    detail=str(exc),
-                )
+            return ShardResult(
+                index=shard.index,
+                start=shard.start,
+                stop=shard.stop,
+                measurement=failed,
             )
-            return result
 
     if workers <= 1 or len(pending) <= 1:
         for shard in pending:
@@ -858,21 +662,12 @@ def run_campaign(
             backoff *= config.retry_backoff_factor
             remaining = failed
 
-    measurement = NetworkMeasurement(
-        node_ids=list(replica.targets),
-        iterations=len(replica.schedule),
-        sim_time_start=replica.base_sim_time,
-        skipped_nodes=list(replica.skipped),
-    )
+    measurement = replica.new_measurement(replica.base_sim_time)
     sim_total = 0.0
     obs_snapshots: List[dict] = []
     for shard in shards:
         result = completed[shard.index]
-        measurement.add_edges(result.edges)
-        measurement.transactions_sent += result.transactions_sent
-        measurement.setup_failures += result.setup_failures
-        measurement.send_timeouts += result.send_timeouts
-        measurement.failures.extend(result.failures)
+        measurement.merge(result.measurement)
         sim_total += result.sim_time
         if result.obs_snapshot:
             obs_snapshots.append(result.obs_snapshot)
@@ -892,6 +687,10 @@ def run_campaign(
             wiring.CAMPAIGN_EDGES, "Distinct edges detected so far"
         ).set(len(measurement.edges))
 
+    # The serial path's tail: confidence labels from the merged evidence,
+    # then the score.
+    replica.shot.obs = obs if collect_obs else NULL
+    replica.shot._harden_measurement(measurement)
     if campaign.validate:
         measurement.validate_against(replica.truth_edges)
     return measurement

@@ -7,10 +7,13 @@ truth is the network's true link set, so every measurement can be scored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.parallel import ParallelProbeReport
 
 Edge = FrozenSet[str]
 
@@ -183,7 +186,9 @@ class MeasurementFailure:
 
     ``kind`` is one of ``"unreachable"`` (a target was down when its
     iteration ran), ``"send_timeout"`` (supernode injections timed out),
-    or ``"iteration_error"`` (a whole iteration failed and was skipped).
+    ``"rpc_degraded"`` (probes answered over a sick RPC plane),
+    ``"iteration_error"`` (a whole iteration failed and was skipped) or
+    ``"shard_error"`` (a whole shard failed on every executor).
     """
 
     kind: str
@@ -211,7 +216,14 @@ class MeasurementFailure:
 
 @dataclass
 class NetworkMeasurement:
-    """A measured topology snapshot plus metadata and optional validation."""
+    """A measured topology snapshot plus metadata and optional validation.
+
+    Also the campaign's one *partial-result record*: a checkpoint, a shard
+    result and a timed-out job's partial are all a measurement whose tally
+    covers only part of the schedule. :meth:`absorb` folds one
+    ``measurePar`` round into the tally, :meth:`merge` folds another
+    partial in, and :func:`repro.io.measurement_to_dict` is the only codec.
+    """
 
     node_ids: List[str]
     edges: Set[Edge] = field(default_factory=set)
@@ -258,6 +270,61 @@ class NetworkMeasurement:
         self.failures.append(
             MeasurementFailure(kind=kind, node=node, iteration=iteration, detail=detail)
         )
+
+    def absorb(self, report: "ParallelProbeReport", index: int) -> Dict[str, int]:
+        """Fold the ``measurePar`` round of schedule item ``index`` in.
+
+        Edges union, the first evidence record per edge wins (stamped with
+        ``index``), counters add, and every adverse event the round
+        survived becomes a failure record. Returns how many events were
+        recorded per failure kind, for the campaign's metrics.
+        """
+        self.edges |= report.detected
+        for pair_edge, item in report.evidence.items():
+            if pair_edge not in self.evidence:
+                self.evidence[pair_edge] = replace(item, iteration=index)
+        self.suspect_nodes |= report.suspect_nodes
+        self.transactions_sent += report.transactions_sent
+        self.setup_failures += report.setup_failures
+        self.send_timeouts += report.send_timeouts
+        for node_id in report.unreachable:
+            self.add_failure(
+                "unreachable", node=node_id, iteration=index,
+                detail="target was down; its pairs were skipped this iteration",
+            )
+        if report.send_timeouts:
+            self.add_failure(
+                "send_timeout", iteration=index,
+                detail=f"{report.send_timeouts} injection(s) timed out",
+            )
+        degraded = sum(1 for outcome in report.outcomes if outcome.rpc_degraded)
+        if degraded:
+            self.add_failure(
+                "rpc_degraded", iteration=index,
+                detail=(
+                    f"{degraded} probe(s) answered over a degraded RPC "
+                    "plane; their verdicts rest on gossip alone"
+                ),
+            )
+        return {"unreachable": len(report.unreachable), "rpc_degraded": degraded}
+
+    def merge(self, other: "NetworkMeasurement") -> None:
+        """Fold another partial's tally into this one.
+
+        Only what iterations accumulate is combined (same rules as
+        :meth:`absorb`); the campaign header — targets, schedule length,
+        sim window, score — stays this measurement's own, and confidence
+        labels are assigned once, by the hardening pass after the last
+        merge.
+        """
+        self.edges |= other.edges
+        for pair_edge, item in other.evidence.items():
+            self.evidence.setdefault(pair_edge, item)
+        self.suspect_nodes |= other.suspect_nodes
+        self.transactions_sent += other.transactions_sent
+        self.setup_failures += other.setup_failures
+        self.send_timeouts += other.send_timeouts
+        self.failures.extend(other.failures)
 
     def failed_nodes(self) -> List[str]:
         """Nodes that were unreachable at least once, sorted."""

@@ -17,12 +17,14 @@ from typing import Union
 import networkx as nx
 
 from repro.core.results import (
+    Edge,
     EdgeEvidence,
     MeasurementFailure,
     NetworkMeasurement,
     ValidationScore,
+    edge,
 )
-from repro.errors import ReproError
+from repro.errors import CheckpointError, ReproError
 
 PathLike = Union[str, Path]
 
@@ -94,12 +96,36 @@ def cleanup_orphan_tmp(path: PathLike) -> bool:
         return False
 
 
+class CheckpointFile:
+    """``save`` / ``load`` for a checkpoint with ``to_dict`` / ``from_dict``."""
+
+    def save(self, path: PathLike) -> Path:
+        """Atomic durable write: a kill mid-save leaves the old file, a
+        power cut never surfaces a torn one. Compact JSON: a partial with
+        evidence is rewritten after every iteration / shard, and only the
+        un-indented form runs on the C encoder."""
+        text = json.dumps(self.to_dict(), sort_keys=True)  # type: ignore[attr-defined]
+        return atomic_write_text(path, text + "\n")
+
+    @classmethod
+    def load(cls, path: PathLike):
+        # A crash mid-save may leave a partial sibling ``.tmp``; the real
+        # checkpoint (the last committed rename) is untouched, so reap the
+        # orphan before reading.
+        cleanup_orphan_tmp(path)
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+        return cls.from_dict(payload)  # type: ignore[attr-defined]
+
+
 def measurement_to_dict(measurement: NetworkMeasurement) -> dict:
     """JSON-safe representation of a measurement."""
     payload = {
         "format_version": FORMAT_VERSION,
         "node_ids": list(measurement.node_ids),
-        "edges": sorted(sorted(edge) for edge in measurement.edges),
+        "edges": sorted(sorted(e) for e in measurement.edges),
         "iterations": measurement.iterations,
         "sim_time_start": measurement.sim_time_start,
         "sim_time_end": measurement.sim_time_end,
@@ -137,8 +163,24 @@ def measurement_to_dict(measurement: NetworkMeasurement) -> dict:
     return payload
 
 
+def _edge_from_entry(entry: object) -> Edge:
+    """Rebuild one serialized ``[a, b]`` pair as a canonical edge.
+
+    Explicit rather than ``frozenset(entry)``, which would silently accept
+    (and collapse) malformed entries like ``["a"]`` or ``["a", "a", "b"]``.
+    """
+    if len(entry) != 2 or not all(isinstance(end, str) for end in entry):  # type: ignore[arg-type]
+        raise ValueError(f"malformed edge entry {entry!r}")
+    a, b = entry  # type: ignore[misc]
+    if a == b:
+        raise ValueError(f"self-loop edge entry {entry!r}")
+    return edge(a, b)
+
+
 def measurement_from_dict(payload: dict) -> NetworkMeasurement:
-    """Inverse of :func:`measurement_to_dict`."""
+    """Inverse of :func:`measurement_to_dict` — the only decoder of
+    measurements, whole or partial (checkpoints and shard results embed
+    this payload)."""
     try:
         version = payload["format_version"]
         if version != FORMAT_VERSION:
@@ -159,9 +201,7 @@ def measurement_from_dict(payload: dict) -> NetworkMeasurement:
                 for item in payload.get("failures", [])
             ],
         )
-        measurement.add_edges(
-            frozenset(edge) for edge in payload["edges"]
-        )
+        measurement.add_edges(_edge_from_entry(e) for e in payload["edges"])
         for item in payload.get("evidence", []):
             evidence = EdgeEvidence.from_dict(item)
             measurement.evidence[evidence.edge] = evidence
@@ -171,7 +211,7 @@ def measurement_from_dict(payload: dict) -> NetworkMeasurement:
                 confidence
             )
         measurement.quarantined.update(
-            frozenset(edge) for edge in payload.get("quarantined", [])
+            _edge_from_entry(e) for e in payload.get("quarantined", [])
         )
         measurement.suspect_nodes.update(
             str(node) for node in payload.get("suspect_nodes", [])

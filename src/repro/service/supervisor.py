@@ -257,7 +257,6 @@ def _execute_measure(record: JobRecord, ctx: ExecutionContext) -> dict:
     is never repeated and results are never duplicated.
     """
     from repro.core.parallel_exec import CampaignSpec, run_campaign
-    from repro.io import measurement_to_dict
 
     params = record.spec.params
     campaign = CampaignSpec.from_dict(params["campaign"])
@@ -277,9 +276,24 @@ def _execute_measure(record: JobRecord, ctx: ExecutionContext) -> dict:
         resume=ctx.checkpoint_path.exists(),
         progress=progress,
     )
-    summary: dict = {
+    # Degraded-but-complete: a campaign that survived adverse events
+    # reports which pairs are uncovered (NetworkMeasurement.failures).
+    summary = _measure_summary(
+        measurement,
+        CONFIDENCE_PARTIAL if measurement.failures else CONFIDENCE_COMPLETE,
+    )
+    if measurement.score is not None:
+        summary["score"] = str(measurement.score)
+    return summary
+
+
+def _measure_summary(measurement, confidence: str) -> dict:
+    """The result record of a measure job, finished or cut short."""
+    from repro.io import measurement_to_dict
+
+    return {
         "kind": KIND_MEASURE,
-        "confidence": CONFIDENCE_COMPLETE,
+        "confidence": confidence,
         "nodes": len(measurement.node_ids),
         "edges": len(measurement.edges),
         "iterations": measurement.iterations,
@@ -287,18 +301,14 @@ def _execute_measure(record: JobRecord, ctx: ExecutionContext) -> dict:
         "failure_count": len(measurement.failures),
         "measurement": measurement_to_dict(measurement),
     }
-    if measurement.failures:
-        # Degraded-but-complete: the campaign survived adverse events and
-        # reports which pairs are uncovered (NetworkMeasurement.failures).
-        summary["confidence"] = CONFIDENCE_PARTIAL
-    if measurement.score is not None:
-        summary["score"] = str(measurement.score)
-    return summary
 
 
 def _measure_partial(record: JobRecord, ctx: ExecutionContext) -> Optional[dict]:
-    """Best-effort partial result from the shard checkpoint on disk."""
+    """Best-effort partial result from the shard checkpoint on disk: the
+    completed shards merged into one measurement, reported in the same
+    record a finished job returns."""
     from repro.core.parallel_exec import ParallelCheckpoint
+    from repro.core.results import NetworkMeasurement
 
     path = ctx.checkpoint_path
     if not path.exists():
@@ -307,22 +317,24 @@ def _measure_partial(record: JobRecord, ctx: ExecutionContext) -> Optional[dict]
         checkpoint = ParallelCheckpoint.load(path)
     except Exception:
         return None
-    edges = set()
-    transactions = 0
-    failure_count = 0
-    for result in checkpoint.completed.values():
-        edges |= result.edges
-        transactions += result.transactions_sent
-        failure_count += len(result.failures)
+    shards = [
+        checkpoint.completed[index].measurement
+        for index in sorted(checkpoint.completed)
+    ]
+    if not shards:
+        return None
+    # Every shard partial carries the campaign's header.
+    merged = NetworkMeasurement(
+        node_ids=shards[0].node_ids,
+        iterations=shards[0].iterations,
+        skipped_nodes=shards[0].skipped_nodes,
+    )
+    for partial in shards:
+        merged.merge(partial)
     return {
-        "kind": KIND_MEASURE,
-        "confidence": CONFIDENCE_PARTIAL,
-        "completed_shards": len(checkpoint.completed),
+        **_measure_summary(merged, CONFIDENCE_PARTIAL),
+        "completed_shards": len(shards),
         "n_shards": checkpoint.n_shards,
-        "edges": len(edges),
-        "edge_list": sorted(sorted(e) for e in edges),
-        "transactions_sent": transactions,
-        "failure_count": failure_count,
         "resumable": True,
     }
 

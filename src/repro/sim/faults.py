@@ -34,7 +34,7 @@ Typical usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import FaultPlanError
@@ -53,8 +53,21 @@ def _check_non_negative(name: str, value: float) -> None:
         raise FaultPlanError(f"{name} must be non-negative, got {value}")
 
 
+class _FieldCodec:
+    """JSON codec derived from the dataclass fields, so a field added to
+    a plan cannot be forgotten by its serialized form (campaign specs and
+    their fingerprints carry plans across processes)."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)  # type: ignore[call-overload]
+
+    @classmethod
+    def from_dict(cls, payload: dict):
+        return cls(**payload)
+
+
 @dataclass(frozen=True)
-class LinkFaults:
+class LinkFaults(_FieldCodec):
     """Per-link override of the plan-wide loss/delay behaviour."""
 
     loss_rate: float = 0.0
@@ -66,7 +79,7 @@ class LinkFaults:
 
 
 @dataclass(frozen=True)
-class RpcFaultPlan:
+class RpcFaultPlan(_FieldCodec):
     """Adversity on the *measurement plane*: the JSON-RPC calls themselves.
 
     The wire faults above degrade the network under measurement; this plan
@@ -182,7 +195,7 @@ class RpcFaultPlan:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(_FieldCodec):
     """A complete, validated description of the adversity to inject.
 
     Attributes
@@ -260,6 +273,25 @@ class FaultPlan:
             or self.send_timeout_rate
             or (self.rpc is not None and self.rpc.enabled)
         )
+
+    def to_dict(self) -> dict:
+        payload = super().to_dict()  # nested plans are already plain dicts
+        payload["link_overrides"] = sorted(
+            [sorted(link), faults]
+            for link, faults in payload["link_overrides"].items()
+        )
+        return payload
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "FaultPlan":
+        values = dict(payload)
+        values["link_overrides"] = {
+            frozenset(link): LinkFaults.from_dict(faults)
+            for link, faults in payload.get("link_overrides", ())
+        }
+        if payload.get("rpc") is not None:
+            values["rpc"] = RpcFaultPlan.from_dict(payload["rpc"])
+        return cls(**values)
 
     def link_faults(self, a: str, b: str) -> Tuple[float, float]:
         """(loss_rate, extra_delay_mean) effective on link a--b."""

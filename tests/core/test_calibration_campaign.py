@@ -73,6 +73,27 @@ class TestZOverrides:
         from repro.core.schedule import build_schedule
 
         iteration = build_schedule(network.measurable_node_ids(), 2)[0]
-        assert shot._config_for_iteration(iteration).future_count == (
+        assert shot._config_for_iteration(iteration.edges).future_count == (
             shot.config.future_count
         )
+
+    def test_measure_pairs_floods_with_the_override(
+        self, network_with_big_pool_node
+    ):
+        """Pair-list rounds run on the campaign's runner, so a delta round
+        touching a calibrated node floods with its Z, not the default."""
+        from repro.obs import Observability, wiring
+
+        network = network_with_big_pool_node
+        obs = Observability()
+        shot = TopoShot.attach(network, obs=obs)
+        shot.set_z_override("big", 700)
+        big_links = [
+            tuple(sorted(link))
+            for link in network.ground_truth_edges()
+            if "big" in link
+        ]
+        detected = shot.measure_pairs(big_links)
+        assert detected == {frozenset(link) for link in big_links}
+        sent = obs.metrics.counter(wiring.CAMPAIGN_TXS).value
+        assert sent >= 700 > shot.config.future_count

@@ -141,51 +141,77 @@ class TestMeasurePairs:
 
 class TestCheckpointRoundTrip:
     """Regression: ``from_dict(to_dict(cp))`` must reproduce the checkpoint
-    exactly — edges, failures and skipped nodes included — and reject
-    malformed edge entries instead of silently collapsing them."""
+    exactly — the header and the whole embedded partial measurement,
+    evidence and suspects included — and reject malformed edge entries
+    instead of silently collapsing them."""
 
     def _checkpoint(self):
         from repro.core.campaign import CampaignCheckpoint
-        from repro.core.results import MeasurementFailure
+        from repro.core.results import (
+            EdgeEvidence,
+            MeasurementFailure,
+            NetworkMeasurement,
+        )
 
         return CampaignCheckpoint(
             seed=42,
-            targets=["node-0", "node-1", "node-2", "node-3"],
             group_size=2,
             completed_iterations=3,
-            edges={edge("node-0", "node-1"), edge("node-2", "node-3")},
-            transactions_sent=1234,
-            setup_failures=2,
-            send_timeouts=1,
-            skipped_nodes=["node-9"],
-            failures=[
-                MeasurementFailure(
-                    kind="unreachable", node="node-3", iteration=1,
-                    detail="target was down",
-                ),
-                MeasurementFailure(
-                    kind="iteration_error", iteration=2, detail="boom",
-                ),
-            ],
+            measurement=NetworkMeasurement(
+                node_ids=["node-0", "node-1", "node-2", "node-3"],
+                edges={edge("node-0", "node-1"), edge("node-2", "node-3")},
+                iterations=5,
+                sim_time_start=1.5,
+                sim_time_end=9.25,
+                transactions_sent=1234,
+                setup_failures=2,
+                send_timeouts=1,
+                skipped_nodes=["node-9"],
+                failures=[
+                    MeasurementFailure(
+                        kind="unreachable", node="node-3", iteration=1,
+                        detail="target was down",
+                    ),
+                    MeasurementFailure(
+                        kind="iteration_error", iteration=2, detail="boom",
+                    ),
+                ],
+                evidence={
+                    edge("node-0", "node-1"): EdgeEvidence(
+                        source="node-0", sink="node-1", tx_hash="0xaa",
+                        observed_at=3.0, kind="push", iteration=0,
+                    ),
+                    edge("node-2", "node-3"): EdgeEvidence(
+                        source="node-2", sink="node-3", tx_hash="0xbb",
+                        rpc_confirmed=False, extra_observers=("node-1",),
+                        iteration=2, rpc_degraded=True,
+                    ),
+                },
+                suspect_nodes={"node-1"},
+            ),
         )
 
     def test_round_trip_is_lossless(self):
-        from repro.core.campaign import CampaignCheckpoint
+        import json
+
+        from repro.core.campaign import CHECKPOINT_VERSION, CampaignCheckpoint
 
         original = self._checkpoint()
-        restored = CampaignCheckpoint.from_dict(original.to_dict())
-        assert restored.seed == original.seed
-        assert restored.targets == original.targets
-        assert restored.group_size == original.group_size
-        assert restored.completed_iterations == original.completed_iterations
-        assert restored.edges == original.edges
-        assert restored.transactions_sent == original.transactions_sent
-        assert restored.setup_failures == original.setup_failures
-        assert restored.send_timeouts == original.send_timeouts
-        assert restored.skipped_nodes == original.skipped_nodes
-        assert restored.failures == original.failures
+        payload = json.loads(json.dumps(original.to_dict()))  # through JSON
+        assert payload["format_version"] == CHECKPOINT_VERSION == 2
+        restored = CampaignCheckpoint.from_dict(payload)
+        assert restored == original
         # A second hop must be a fixed point.
         assert restored.to_dict() == original.to_dict()
+
+    def test_version_1_checkpoint_refused(self):
+        from repro.core.campaign import CampaignCheckpoint
+        from repro.errors import CheckpointError
+
+        payload = self._checkpoint().to_dict()
+        payload["format_version"] = 1
+        with pytest.raises(CheckpointError, match="version 1"):
+            CampaignCheckpoint.from_dict(payload)
 
     @pytest.mark.parametrize(
         "bad_entry",
@@ -196,6 +222,6 @@ class TestCheckpointRoundTrip:
         from repro.errors import CheckpointError
 
         payload = self._checkpoint().to_dict()
-        payload["edges"] = [bad_entry]
+        payload["measurement"]["edges"] = [bad_entry]
         with pytest.raises(CheckpointError):
             CampaignCheckpoint.from_dict(payload)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.campaign import CampaignCheckpoint
 from repro.core.parallel_exec import ParallelCheckpoint, ShardResult
+from repro.core.results import NetworkMeasurement
 from repro.errors import CheckpointError
 from repro.io import atomic_write_text, cleanup_orphan_tmp
 
@@ -23,9 +24,9 @@ from repro.io import atomic_write_text, cleanup_orphan_tmp
 def _serial_checkpoint(completed=3):
     return CampaignCheckpoint(
         seed=7,
-        targets=["a", "b", "c"],
         group_size=2,
         completed_iterations=completed,
+        measurement=NetworkMeasurement(node_ids=["a", "b", "c"]),
     )
 
 
@@ -33,7 +34,14 @@ def _parallel_checkpoint():
     return ParallelCheckpoint(
         fingerprint="f" * 64,
         n_shards=2,
-        completed={0: ShardResult(index=0, start=0, stop=1)},
+        completed={
+            0: ShardResult(
+                index=0,
+                start=0,
+                stop=1,
+                measurement=NetworkMeasurement(node_ids=["a", "b", "c"]),
+            )
+        },
     )
 
 
@@ -132,7 +140,7 @@ class TestCrashSimulation:
         # hand-truncated file must still fail typed, not with a stack of
         # JSON internals.
         path = tmp_path / "campaign.ckpt.json"
-        path.write_text('{"format_version": 1, "seed":', encoding="utf-8")
+        path.write_text('{"format_version": 2, "seed":', encoding="utf-8")
         with pytest.raises(CheckpointError):
             CampaignCheckpoint.load(path)
 

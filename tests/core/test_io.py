@@ -73,6 +73,23 @@ class TestRoundTrip:
         with pytest.raises(SerializationError):
             load_measurement(path)
 
+    @pytest.mark.parametrize("key", ["edges", "quarantined"])
+    @pytest.mark.parametrize(
+        "bad_entry",
+        [["n0"], ["n0", "n0"], ["n0", 7], [], ["a", "b", "c"]],
+    )
+    def test_malformed_edge_entries_rejected(
+        self, sample_measurement, tmp_path, key, bad_entry
+    ):
+        """The one decoder validates edge entries instead of collapsing
+        them through ``frozenset`` (a saved measurement is outside input)."""
+        payload = measurement_to_dict(sample_measurement)
+        payload[key] = [bad_entry]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SerializationError):
+            load_measurement(path)
+
 
 class TestRoundTripProperty:
     from hypothesis import given, settings

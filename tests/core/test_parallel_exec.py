@@ -12,10 +12,16 @@ from repro.core.parallel_exec import (
     merge_obs_snapshots,
     run_campaign,
 )
-from repro.core.results import MeasurementFailure, edge
+from repro.core.results import (
+    EdgeEvidence,
+    MeasurementFailure,
+    NetworkMeasurement,
+    edge,
+)
 from repro.errors import CheckpointError, MeasurementError
+from repro.io import measurement_to_dict
 from repro.netgen.ethereum import NetworkSpec
-from repro.sim.faults import FaultPlan, LinkFaults
+from repro.sim.faults import FaultPlan, LinkFaults, RpcFaultPlan
 from repro.sim.rng import spawn_seed
 
 
@@ -38,6 +44,34 @@ class TestDeterminism:
         assert pooled.duration == serial.duration
         assert pooled.transactions_sent == serial.transactions_sent
         assert pooled.failures == serial.failures
+
+    def test_worker_counts_agree_on_the_whole_payload(self):
+        """Shards ship their evidence, so the merged result is hardened
+        like a serial one: every edge is evidenced and labelled, and the
+        full serialized measurement is invariant under the worker count."""
+        serial = run_campaign(_spec(), workers=1)
+        pooled = run_campaign(_spec(), workers=2)
+        assert measurement_to_dict(pooled) == measurement_to_dict(serial)
+        assert serial.edges
+        assert set(serial.evidence) == serial.edges
+        assert set(serial.edge_confidence) == serial.edges
+
+    def test_rpc_degraded_failures_reported_like_the_serial_path(self):
+        """An RPC plane harsh enough to exhaust the client's retries must
+        surface as ``rpc_degraded`` failures from shards too."""
+        from repro.core.campaign import TopoShot
+        from repro.netgen.ethereum import generate_network
+
+        plan = FaultPlan(rpc=RpcFaultPlan(timeout_rate=0.9))
+        spec = _spec(fault_plan=plan)
+        sharded = run_campaign(spec, workers=1)
+        assert any(f.kind == "rpc_degraded" for f in sharded.failures)
+        assert any(item.rpc_degraded for item in sharded.evidence.values())
+
+        network = generate_network(spec.network)
+        network.install_faults(plan)
+        serial = TopoShot.attach(network).measure_network()
+        assert any(f.kind == "rpc_degraded" for f in serial.failures)
 
     def test_deterministic_under_faults(self):
         spec = _spec(
@@ -71,6 +105,15 @@ class TestSpecSerialization:
         restored = CampaignSpec.from_dict(payload)
         assert restored == spec
         assert restored.fingerprint() == spec.fingerprint()
+
+    def test_rpc_plan_survives_the_round_trip_and_the_fingerprint(self):
+        plan = FaultPlan(loss_rate=0.02, rpc=RpcFaultPlan.uniform(0.2))
+        spec = _spec(fault_plan=plan)
+        restored = CampaignSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert restored.fault_plan.rpc == plan.rpc
+        assert restored == spec
+        wire_only = _spec(fault_plan=FaultPlan(loss_rate=0.02))
+        assert spec.fingerprint() != wire_only.fingerprint()
 
     def test_different_campaigns_differ_in_fingerprint(self):
         assert _spec().fingerprint() != _spec(repeats=2).fingerprint()
@@ -118,27 +161,79 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError):
             run_campaign(other, workers=1, checkpoint_path=path, resume=True)
 
+    def test_resume_rejects_checkpoint_of_other_rpc_plan(self, tmp_path):
+        path = tmp_path / "parallel.ckpt.json"
+        wire_only = FaultPlan(loss_rate=0.02)
+        run_campaign(_spec(fault_plan=wire_only), workers=1, checkpoint_path=path)
+        with_rpc = FaultPlan(loss_rate=0.02, rpc=RpcFaultPlan.uniform(0.2))
+        with pytest.raises(CheckpointError):
+            run_campaign(
+                _spec(fault_plan=with_rpc),
+                workers=1,
+                checkpoint_path=path,
+                resume=True,
+            )
+
     def test_resume_requires_checkpoint_path(self):
         with pytest.raises(CheckpointError):
             run_campaign(_spec(), workers=1, resume=True)
 
-    def test_shard_result_round_trip(self):
-        result = ShardResult(
+    def _shard_result(self):
+        return ShardResult(
             index=1,
             start=2,
             stop=4,
-            edges={edge("a", "b")},
-            transactions_sent=10,
-            setup_failures=1,
-            send_timeouts=2,
-            failures=[MeasurementFailure(kind="unreachable", node="x")],
-            sim_time=1.5,
+            measurement=NetworkMeasurement(
+                node_ids=["a", "b", "x"],
+                edges={edge("a", "b")},
+                iterations=6,
+                sim_time_start=2.0,
+                sim_time_end=3.5,
+                transactions_sent=10,
+                setup_failures=1,
+                send_timeouts=2,
+                failures=[MeasurementFailure(kind="unreachable", node="x")],
+                evidence={
+                    edge("a", "b"): EdgeEvidence(
+                        source="a", sink="b", tx_hash="0x1", iteration=2,
+                        rpc_degraded=True,
+                    )
+                },
+                suspect_nodes={"x"},
+            ),
             wall_time=0.1,
         )
+
+    def test_shard_result_round_trip(self):
+        result = self._shard_result()
         restored = ShardResult.from_dict(
             json.loads(json.dumps(result.to_dict()))
         )
         assert restored == result
+        # The tally reads through the embedded measurement.
+        assert restored.edges == {edge("a", "b")}
+        assert restored.transactions_sent == 10
+        assert restored.failures == result.measurement.failures
+        assert restored.sim_time == 1.5
+
+    @pytest.mark.parametrize(
+        "bad_entry", [["a"], ["a", "a"], ["a", 7], [], ["a", "b", "c"]]
+    )
+    def test_malformed_shard_edge_entries_rejected(self, bad_entry):
+        result = self._shard_result()
+        payload = ParallelCheckpoint(
+            fingerprint="f" * 64, n_shards=2, completed={1: result}
+        ).to_dict()
+        payload["completed"]["1"]["measurement"]["edges"] = [bad_entry]
+        with pytest.raises(CheckpointError):
+            ParallelCheckpoint.from_dict(payload)
+
+    def test_version_1_checkpoint_refused(self):
+        payload = ParallelCheckpoint(fingerprint="f" * 64, n_shards=2).to_dict()
+        assert payload["format_version"] == 2
+        payload["format_version"] = 1
+        with pytest.raises(CheckpointError, match="version 1"):
+            ParallelCheckpoint.from_dict(payload)
 
 
 class TestObsMerge:

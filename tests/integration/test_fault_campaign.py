@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.core.campaign import CampaignCheckpoint, TopoShot
+from repro.core.results import NetworkMeasurement
 from repro.errors import CheckpointError
 from repro.io import measurement_to_dict
 from repro.netgen.ethereum import quick_network
@@ -85,15 +86,16 @@ class TestCheckpointResume:
         path = tmp_path / "ckpt.json"
         checkpoint = CampaignCheckpoint(
             seed=9,
-            targets=["n0", "n1", "n2"],
             group_size=2,
             completed_iterations=1,
-            edges={frozenset(("n0", "n1"))},
-            transactions_sent=42,
-            setup_failures=1,
-            send_timeouts=0,
-            skipped_nodes=["n3"],
-            failures=[],
+            measurement=NetworkMeasurement(
+                node_ids=["n0", "n1", "n2"],
+                edges={frozenset(("n0", "n1"))},
+                iterations=3,
+                transactions_sent=42,
+                setup_failures=1,
+                skipped_nodes=["n3"],
+            ),
         )
         checkpoint.save(path)
         loaded = CampaignCheckpoint.load(path)
@@ -151,9 +153,66 @@ class TestCheckpointResume:
         )
         assert resumed.edges == uninterrupted.edges
         assert resumed.iterations == uninterrupted.iterations
+        # The checkpoint carries the whole partial, so the hardening pass
+        # sees the pre-kill iterations exactly as the uninterrupted run did:
+        # one evidence record and one confidence label per detected edge.
+        assert partial.measurement.evidence
+        assert set(resumed.evidence) == resumed.edges
+        assert set(resumed.edge_confidence) == resumed.edges
+        assert resumed.suspect_nodes == uninterrupted.suspect_nodes
 
         final = CampaignCheckpoint.load(path)
         assert final.completed_iterations == uninterrupted.iterations
+
+    def test_resume_does_not_launder_suspect_edges(self, tmp_path):
+        """On a 30% Byzantine network, an edge that was doubtful when the
+        campaign was killed (unclean evidence, or an endpoint already
+        caught misbehaving) must still face cross-validation after the
+        resume — never come back labelled ``high``."""
+        from repro.core.results import (
+            CONFIDENCE_CROSS_VALIDATED,
+            CONFIDENCE_QUARANTINED,
+        )
+        from repro.eth.behaviors import BehaviorMix
+
+        def hardened_shot():
+            network = campaign_network(13, n_nodes=24)
+            network.install_behaviors(BehaviorMix.uniform(0.3))
+            shot = TopoShot.attach(network)
+            shot.config = shot.config.with_cross_validation(3)
+            return shot
+
+        class Killed(RuntimeError):
+            pass
+
+        def kill_near_the_end(index, total, iteration, report):
+            if index >= total - 2:
+                raise Killed
+
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(Killed):
+            hardened_shot().measure_network(
+                checkpoint_path=path, progress=kill_near_the_end
+            )
+        partial = CampaignCheckpoint.load(path).measurement
+        doubtful = {
+            e
+            for e in partial.edges
+            if not partial.evidence[e].clean or partial.suspect_nodes & e
+        }
+        assert doubtful, "seed no longer produces suspects before the kill"
+
+        resumed = hardened_shot().measure_network(
+            checkpoint_path=path, resume=True
+        )
+        assert partial.suspect_nodes <= resumed.suspect_nodes
+        for e in doubtful:
+            assert resumed.edge_confidence[e] in (
+                CONFIDENCE_CROSS_VALIDATED,
+                CONFIDENCE_QUARANTINED,
+            )
+        assert resumed.quarantined
+        assert resumed.score.precision >= 0.95
 
     def test_resume_of_finished_campaign_is_instant(self, tmp_path):
         path = tmp_path / "ckpt.json"

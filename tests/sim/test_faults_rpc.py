@@ -240,7 +240,7 @@ class TestCheckpointResumeUnderOutage:
         assert resumed.iterations == uninterrupted.iterations
         assert resumed.score.precision == 1.0
         # Every edge secured before the kill survives the restart.
-        assert partial.edges <= resumed.edges
+        assert partial.measurement.edges <= resumed.edges
 
         # Same seed, same kill point, fresh process: bit-identical resume.
         _, replay = killed_then_resumed(tmp_path / "b.json")
