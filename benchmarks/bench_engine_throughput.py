@@ -1,24 +1,23 @@
-"""Engine throughput: the optimized simulation hot path vs the pre-PR one.
+"""Engine throughput: events/sec of the simulation hot path, per scale.
 
-Runs the same transaction-propagation scenario on the optimized engine and
-— where the seed implementation can still reach the size — once more on the
-faithful seed hot paths from :mod:`benchmarks._legacy_engine`, reporting
-events/sec, wall time and peak RSS per scenario plus the speedup. Both legs
-draw from the same seeded RNG streams, so they execute the *identical*
-event sequence; the bench asserts that equivalence (event and message
-counts must match, and the generated topologies must hash to the same
-edge-set fingerprint) before trusting the timing.
+Runs a seeded transaction-propagation scenario and reports events/sec, wall
+time and peak RSS. Behaviour is pinned, not timed: every scenario must
+reproduce its ``PINNED`` triple — executed events, messages sent and the
+SHA-256 of the ground-truth edge set. The triples of smoke-300, 1k and 5k
+are what the retired seed-engine A/B proved equal on both engines (last
+run at the commit that deleted it); 20k and 50k were always single-engine
+and pin their committed full-matrix values. A hot-path change that alters
+simulated behaviour moves a triple and fails the run before any timing is
+reported.
 
-The full matrix is a 1k/5k/20k/50k scaling curve. The 1k and 5k rows are
-A/B compared against the legacy engine; 20k and 50k run optimized-only
-(the quadratic seed paths cannot reach them on one box) with lighter
+The full matrix is a 1k/5k/20k/50k scaling curve; 20k and 50k use lighter
 per-node knobs so generation picks the fast wiring path.
 
 Standalone (full matrix, writes benchmarks/results/BENCH_engine.json)::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py
 
-CI scale smoke (1k A/B + a short 20k-node TopoShot measurement)::
+CI scale smoke (pinned 1k run + a short 20k-node TopoShot measurement)::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py --scale-smoke
 
@@ -30,7 +29,6 @@ Pytest smoke (small scenario, same JSON artifact)::
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import platform
@@ -46,17 +44,12 @@ if __package__ in (None, ""):
     # repo root on sys.path so the `benchmarks` package resolves.
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from benchmarks._legacy_engine import legacy_hot_paths
 from benchmarks.harness import RESULTS_DIR, emit, emit_metrics_sidecar, run_once
 from repro.eth.account import Wallet
 from repro.eth.transaction import TransactionFactory, gwei
 from repro.netgen.ethereum import quick_network
 
 JSON_PATH = RESULTS_DIR / "BENCH_engine.json"
-
-# The 5k scenario is the acceptance gate: the optimized hot path must beat
-# the seed by >= MIN_SPEEDUP_5K on events/sec there.
-MIN_SPEEDUP_5K = 2.0
 
 # Lighter per-node knobs for the mainnet-scale rows: average degree ~12
 # instead of ~16, smaller routing tables. n >= FAST_WIRING_THRESHOLD means
@@ -68,14 +61,13 @@ SCALE_OVERRIDES = {
 }
 
 FULL_SCENARIOS = (
-    {"name": "1k", "n_nodes": 1_000, "txs": 150, "seed": 11, "compare": True},
-    {"name": "5k", "n_nodes": 5_000, "txs": 60, "seed": 11, "compare": True},
+    {"name": "1k", "n_nodes": 1_000, "txs": 150, "seed": 11},
+    {"name": "5k", "n_nodes": 5_000, "txs": 60, "seed": 11},
     {
         "name": "20k",
         "n_nodes": 20_000,
         "txs": 16,
         "seed": 11,
-        "compare": False,
         "overrides": SCALE_OVERRIDES,
     },
     {
@@ -83,12 +75,46 @@ FULL_SCENARIOS = (
         "n_nodes": 50_000,
         "txs": 6,
         "seed": 11,
-        "compare": False,
         "overrides": SCALE_OVERRIDES,
     },
 )
 
 SMOKE_SCENARIO = {"name": "smoke-300", "n_nodes": 300, "txs": 40, "seed": 11}
+
+# scenario name -> (events, messages, ground-truth edge SHA-256).
+PINNED = {
+    "smoke-300": (
+        91_500,
+        88_491,
+        "c71a75ecf89aac8875d1bcc526c311a27ca44be3727bc2ff97bec9c7f240e6c8",
+    ),
+    "1k": (
+        528_635,
+        514_650,
+        "764e889ccc48ed8833a34f7762b5ee2f7284ac9ab0e17d831cd0ca30a68cc624",
+    ),
+    "5k": (
+        1_831_583,
+        1_775_637,
+        "d92e46c0482f5ef199dcd2e32f455153f446d712079f85a6b1b992388f98b987",
+    ),
+    "20k": (
+        2_824_770,
+        2_682_193,
+        "b565fb92640c7513ab455ac96252365393b7a805e1762830776f9db683673a95",
+    ),
+    "50k": (
+        3_626_637,
+        3_421_105,
+        "80829653f0238f235d6986154f0348f5e3486db4c86382e04158166c8e02f225",
+    ),
+}
+
+# Historical: events/sec of the retired seed engine on the last committed
+# full A/B (python 3.11.7, one host, same run as the 22353 / 12340 ev/s
+# optimized rows: 2.55x @1k, 3.48x @5k). Not comparable to a number
+# measured anywhere else, so it is reported, never gated on.
+LEGACY_EVENTS_PER_SEC = {"1k": 8768.5, "5k": 3547.8}
 
 
 def _peak_rss_mb() -> float:
@@ -112,50 +138,47 @@ def edge_set_sha(network) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
-def run_scenario(
-    n_nodes: int,
-    txs: int,
-    seed: int,
-    legacy: bool = False,
-    obs=None,
-    overrides: dict = None,
-) -> dict:
-    """Build the network, inject ``txs`` transactions, settle, and time it.
+def solo_scenario(spec: dict, obs=None) -> dict:
+    """Build the network, inject the transactions, settle, time it — and
+    hold the run to the scenario's pinned equivalence triple.
 
     The timed region covers submission + propagation to quiescence — the
     event-loop work a measurement campaign is made of — not topology
-    generation (reported separately as ``build_s``). Identical seeds mean
-    the legacy and optimized runs execute the same events in the same
-    order.
+    generation (reported separately as ``build_s``).
 
     ``obs`` (a :class:`repro.obs.Observability`) is installed on the
     network before the timed region; the wiring is pull-only, so it reads
     nothing until its collectors run at export time and the timing stands.
     """
-    guard = legacy_hot_paths() if legacy else contextlib.nullcontext()
-    with guard:
-        build_start = perf_counter()
-        network = quick_network(n_nodes=n_nodes, seed=seed, **(overrides or {}))
-        build_elapsed = perf_counter() - build_start
-        edge_sha = edge_set_sha(network)
-        if obs is not None:
-            network.install_observability(obs)
-        wallet = Wallet("bench-engine")
-        factory = TransactionFactory()
-        ids = network.measurable_node_ids()
-        start = perf_counter()
-        for index in range(txs):
-            origin = network.node(ids[(index * 37) % len(ids)])
-            origin.submit_transaction(
-                factory.transfer(wallet.fresh_account(), gas_price=gwei(2.0) + index)
-            )
-        network.settle()
-        elapsed = perf_counter() - start
-        events = network.sim.executed_events
+    build_start = perf_counter()
+    network = quick_network(
+        n_nodes=spec["n_nodes"], seed=spec["seed"], **spec.get("overrides", {})
+    )
+    build_elapsed = perf_counter() - build_start
+    edge_sha = edge_set_sha(network)
+    if obs is not None:
+        network.install_observability(obs)
+    wallet = Wallet("bench-engine")
+    factory = TransactionFactory()
+    ids = network.measurable_node_ids()
+    start = perf_counter()
+    for index in range(spec["txs"]):
+        origin = network.node(ids[(index * 37) % len(ids)])
+        origin.submit_transaction(
+            factory.transfer(wallet.fresh_account(), gas_price=gwei(2.0) + index)
+        )
+    network.settle()
+    elapsed = perf_counter() - start
+    events = network.sim.executed_events
+    measured = (events, network.messages_sent, edge_sha)
+    assert measured == PINNED[spec["name"]], (
+        f"{spec['name']}: (events, messages, edge_sha) = {measured}, pinned "
+        f"{PINNED[spec['name']]} — the hot path changed simulated behaviour"
+    )
     return {
-        "mode": "legacy" if legacy else "optimized",
-        "n_nodes": n_nodes,
-        "txs": txs,
+        "name": spec["name"],
+        "n_nodes": spec["n_nodes"],
+        "txs": spec["txs"],
         "events": events,
         "messages": network.messages_sent,
         "edge_sha": edge_sha,
@@ -166,81 +189,12 @@ def run_scenario(
     }
 
 
-def compare_scenario(spec: dict, obs=None) -> dict:
-    """Run one scenario under both engines and cross-check equivalence.
-
-    ``obs`` instruments the *optimized* leg only (the legacy engine
-    predates the observability layer); the caller exports the sidecar.
-    """
-    overrides = spec.get("overrides")
-    optimized = run_scenario(
-        spec["n_nodes"], spec["txs"], spec["seed"], obs=obs, overrides=overrides
-    )
-    legacy = run_scenario(
-        spec["n_nodes"], spec["txs"], spec["seed"], legacy=True, overrides=overrides
-    )
-    # Same seed, same scenario: if the hot-path rewrite changed behaviour at
-    # all, the event/message counts diverge and the timing is meaningless.
-    assert optimized["events"] == legacy["events"], (
-        f"{spec['name']}: optimized executed {optimized['events']} events, "
-        f"legacy {legacy['events']} — engines are not equivalent"
-    )
-    assert optimized["messages"] == legacy["messages"]
-    # Golden edge sets: the integer-core network must generate the exact
-    # topology the seed engine sees (the string-at-the-API contract).
-    assert optimized["edge_sha"] == legacy["edge_sha"], (
-        f"{spec['name']}: ground-truth edge fingerprints diverge "
-        f"({optimized['edge_sha'][:12]} vs {legacy['edge_sha'][:12]})"
-    )
-    return {
-        "name": spec["name"],
-        "n_nodes": spec["n_nodes"],
-        "txs": spec["txs"],
-        "events": optimized["events"],
-        "edge_sha": optimized["edge_sha"],
-        "optimized": optimized,
-        "legacy": legacy,
-        "speedup": round(
-            optimized["events_per_sec"] / legacy["events_per_sec"], 2
-        ),
-    }
-
-
-def solo_scenario(spec: dict, obs=None) -> dict:
-    """Run one optimized-only scenario (sizes the seed engine cannot reach)."""
-    optimized = run_scenario(
-        spec["n_nodes"],
-        spec["txs"],
-        spec["seed"],
-        obs=obs,
-        overrides=spec.get("overrides"),
-    )
-    return {
-        "name": spec["name"],
-        "n_nodes": spec["n_nodes"],
-        "txs": spec["txs"],
-        "events": optimized["events"],
-        "edge_sha": optimized["edge_sha"],
-        "optimized": optimized,
-    }
-
-
 def write_results(rows: list, kind: str, extra: dict = None) -> dict:
     payload = {
         "benchmark": "engine_throughput",
         "kind": kind,
         "python": platform.python_version(),
-        "min_speedup_5k": MIN_SPEEDUP_5K,
-        "scaling_curve": [
-            {
-                "name": row["name"],
-                "n_nodes": row["n_nodes"],
-                "events_per_sec": row["optimized"]["events_per_sec"],
-                "peak_rss_mb": row["optimized"]["peak_rss_mb"],
-            }
-            for row in rows
-            if "optimized" in row
-        ],
+        "legacy_events_per_sec_historical": LEGACY_EVENTS_PER_SEC,
         "scenarios": rows,
     }
     if extra:
@@ -252,42 +206,38 @@ def write_results(rows: list, kind: str, extra: dict = None) -> dict:
 
 def format_table(rows: list) -> str:
     lines = [
-        f"{'scenario':<10} {'events':>9} {'seed ev/s':>10} {'opt ev/s':>10} "
-        f"{'speedup':>8} {'seed RSS':>9} {'opt RSS':>9}"
+        f"{'scenario':<10} {'events':>9} {'messages':>9} {'ev/s':>10} "
+        f"{'RSS':>7} {'seed ev/s (historical)':>23}"
     ]
     for row in rows:
-        legacy = row.get("legacy")
+        legacy = LEGACY_EVENTS_PER_SEC.get(row["name"])
         lines.append(
-            f"{row['name']:<10} {row['events']:>9} "
-            + (f"{legacy['events_per_sec']:>10.0f} " if legacy else f"{'—':>10} ")
-            + f"{row['optimized']['events_per_sec']:>10.0f} "
-            + (f"{row['speedup']:>7.2f}x " if legacy else f"{'—':>8} ")
-            + (f"{legacy['peak_rss_mb']:>8.0f}M " if legacy else f"{'—':>9} ")
-            + f"{row['optimized']['peak_rss_mb']:>8.0f}M"
+            f"{row['name']:<10} {row['events']:>9} {row['messages']:>9} "
+            f"{row['events_per_sec']:>10.0f} {row['peak_rss_mb']:>6.0f}M "
+            + (f"{legacy:>23.0f}" if legacy else f"{'—':>23}")
         )
     return "\n".join(lines)
 
 
 @pytest.mark.benchmark(group="engine-throughput")
 def test_engine_throughput_smoke(benchmark):
-    """CI smoke: a small scenario must already show a real speedup."""
+    """CI smoke: a small scenario must reproduce its pinned triple."""
     from repro.obs import Observability
 
     obs = Observability()
-    row = run_once(benchmark, lambda: compare_scenario(SMOKE_SCENARIO, obs=obs))
+    row = run_once(benchmark, lambda: solo_scenario(SMOKE_SCENARIO, obs=obs))
     write_results([row], kind="smoke")
     emit("engine_throughput_smoke", format_table([row]))
     emit_metrics_sidecar("BENCH_engine", obs)
-    assert row["speedup"] > 1.1
 
 
 def scale_smoke() -> int:
-    """CI ``scale-smoke`` job body: golden equivalence + a 20k measurement.
+    """CI ``scale-smoke`` job body: pinned equivalence + a 20k measurement.
 
     Two checks, sized for a CI box:
 
-    1. the 1k scenario A/B against the legacy engine, which asserts the
-       golden fingerprints (event/message counts and edge-set SHA); and
+    1. the 1k scenario, which asserts its pinned fingerprints (event and
+       message counts and edge-set SHA); and
     2. a short end-to-end TopoShot measurement on a 20k-node network —
        supernode join, preprocessing, parallel schedule and validation all
        exercised at mainnet scale, measuring a small target subset so the
@@ -297,11 +247,11 @@ def scale_smoke() -> int:
     from repro.obs import Observability
 
     obs = Observability()
-    print("[scale-smoke] 1k A/B equivalence ...")
-    row_1k = compare_scenario(FULL_SCENARIOS[0], obs=obs)
+    print("[scale-smoke] 1k pinned equivalence ...")
+    row_1k = solo_scenario(FULL_SCENARIOS[0], obs=obs)
     print(
-        f"  speedup {row_1k['speedup']:.2f}x, "
-        f"edge sha {row_1k['edge_sha'][:12]} (optimized == legacy)"
+        f"  {row_1k['events_per_sec']:,.0f} ev/s, "
+        f"edge sha {row_1k['edge_sha'][:12]} (== pinned)"
     )
 
     print("[scale-smoke] 20k-node short measurement ...")
@@ -369,33 +319,17 @@ def main(argv=None) -> int:
         # A fresh bundle per scenario: its collectors are bound to that
         # scenario's network, so one sidecar reflects one run.
         obs = Observability()
-        if spec["compare"]:
-            row = compare_scenario(spec, obs=obs)
-            print(
-                f"  legacy {row['legacy']['events_per_sec']:,.0f} ev/s -> "
-                f"optimized {row['optimized']['events_per_sec']:,.0f} ev/s "
-                f"({row['speedup']:.2f}x, {row['events']} events)"
-            )
-        else:
-            row = solo_scenario(spec, obs=obs)
-            print(
-                f"  optimized {row['optimized']['events_per_sec']:,.0f} ev/s "
-                f"({row['events']} events, "
-                f"build {row['optimized']['build_s']}s, "
-                f"settle {row['optimized']['elapsed_s']}s)"
-            )
+        row = solo_scenario(spec, obs=obs)
+        print(
+            f"  {row['events_per_sec']:,.0f} ev/s "
+            f"({row['events']} events == pinned, "
+            f"build {row['build_s']}s, settle {row['elapsed_s']}s)"
+        )
         emit_metrics_sidecar(f"BENCH_engine.{spec['name']}", obs)
         rows.append(row)
     write_results(rows, kind="full")
     emit("engine_throughput", format_table(rows))
-    gate = next(row for row in rows if row["name"] == "5k")
-    if gate["speedup"] < MIN_SPEEDUP_5K:
-        print(
-            f"FAIL: 5k speedup {gate['speedup']:.2f}x < {MIN_SPEEDUP_5K}x",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"OK: 5k speedup {gate['speedup']:.2f}x >= {MIN_SPEEDUP_5K}x")
+    print("OK: every scenario reproduced its pinned triple")
     return 0
 
 

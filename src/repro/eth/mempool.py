@@ -247,28 +247,9 @@ class Mempool:
         nonces = self._by_sender.get(sender)
         return nonces.get(nonce) if nonces is not None else None
 
-    def sender_count(self, sender: str) -> int:
-        """How many transactions from ``sender`` are buffered."""
-        nonces = self._by_sender.get(sender)
-        return len(nonces) if nonces is not None else 0
-
     def pending_prices(self) -> List[int]:
         """Bid prices of all pending transactions (unsorted)."""
         return [self._by_hash[h].bid_price(self.base_fee) for h in self._pending]
-
-    def stats_snapshot(self) -> Dict[str, int]:
-        """Point-in-time copy of admission counters plus occupancy.
-
-        ``stats`` itself is live (and deliberately never reset by
-        :meth:`clear`); this copy adds the current ``size``/``pending``/
-        ``future`` occupancy so one dict answers both "what happened" and
-        "what is buffered now" for observability collectors and tests.
-        """
-        snapshot = dict(self.stats)
-        snapshot["size"] = len(self._by_hash)
-        snapshot["pending"] = len(self._pending)
-        snapshot["future"] = len(self._future)
-        return snapshot
 
     def median_pending_price(self) -> Optional[int]:
         """Median bid price over pending transactions (Y estimation, §5.2.1)."""
@@ -624,14 +605,6 @@ class Mempool:
     # ------------------------------------------------------------------
     # Chain events
     # ------------------------------------------------------------------
-    def remove_transaction(self, tx_hash: str) -> Optional[Transaction]:
-        """Explicitly drop a transaction (test hook / RPC txpool eviction)."""
-        if tx_hash not in self._by_hash:
-            return None
-        tx = self._remove(tx_hash)
-        self._rebalance_sender(tx.sender)
-        return tx
-
     def apply_block(
         self, included: Iterable[Transaction], new_base_fee: Optional[int] = None
     ) -> List[Transaction]:

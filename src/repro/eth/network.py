@@ -46,50 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.sim.invariants import InvariantChecker
 
 
-class _LinkView:
-    """Set-of-frozensets façade over the integer adjacency lists.
-
-    The SoA refactor stores links as ``Network._adj[i] -> {j, ...}`` index
-    sets; this view keeps the historical ``network._links`` surface —
-    ``frozenset((a, b)) in net._links``, iteration, ``len`` — alive for
-    tests and the legacy A/B benchmark engine without materializing a
-    parallel set of 2-element frozensets per link.
-    """
-
-    __slots__ = ("_network",)
-
-    def __init__(self, network: "Network") -> None:
-        self._network = network
-
-    def __contains__(self, link: object) -> bool:
-        try:
-            a, b = link  # frozenset/tuple of two endpoint ids
-        except (TypeError, ValueError):
-            return False
-        net = self._network
-        index = net._index
-        ia = index.get(a)
-        if ia is None:
-            return False
-        ib = index.get(b)
-        return ib is not None and ib in net._adj[ia]
-
-    def __iter__(self) -> Iterator[FrozenSet[str]]:
-        net = self._network
-        names = net._names
-        for ia, peers in enumerate(net._adj):
-            a = names[ia]
-            for ib in peers:
-                if ia < ib:
-                    yield frozenset((a, names[ib]))
-
-    def __len__(self) -> int:
-        return self._network._link_count
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_LinkView({len(self)} links)"
-
-
 class Network:
     """A simulated Ethereum P2P network (one blockchain overlay).
 
@@ -127,9 +83,6 @@ class Network:
         self._node_list: List[Node] = []  # index -> Node
         self._adj: List[Set[int]] = []  # index -> neighbor indices
         self._link_count = 0
-        # Compat façade: the historical `_links` set-of-frozensets surface
-        # (membership/iteration/len), derived from `_adj` on the fly.
-        self._links = _LinkView(self)
         # Cached id tuples (satellite of the SoA refactor: node_ids and
         # measurable_node_ids used to rebuild O(N) lists inside campaign
         # hot loops). Invalidated on add_node; the length keys make the
@@ -292,8 +245,17 @@ class Network:
     def link_count(self) -> int:
         return self._link_count
 
+    def _iter_links(self) -> Iterator[Tuple[str, str]]:
+        """Each link once as ``(a, b)`` ids, lower intern index first."""
+        names = self._names
+        for ia, peers in enumerate(self._adj):
+            a = names[ia]
+            for ib in peers:
+                if ia < ib:
+                    yield a, names[ib]
+
     def links(self) -> List[FrozenSet[str]]:
-        return list(self._links)
+        return [frozenset(link) for link in self._iter_links()]
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -315,10 +277,6 @@ class Network:
         if self.faults is not None:
             self.faults.stop()
             self.faults = None
-
-    def node_is_up(self, node_id: str) -> bool:
-        """False while ``node_id`` is crashed (fault injection)."""
-        return not self.node(node_id).crashed
 
     def rpc_client(self, policy=None):
         """The network-wide resilient RPC client (lazily built, cached).
@@ -532,7 +490,7 @@ class Network:
         # The label tuple is built unconditionally — a tracer/profiler may
         # attach after this message is queued but before it delivers — and
         # the engine formats it to the exact legacy "kind:from->to" string
-        # only when someone is observing (see Simulator._execute).
+        # only when someone is observing (see Simulator._observed).
         # Deliveries are never cancelled, so the fire-and-forget entry
         # shape (no Event allocation) is safe here — and the schedule_call
         # frame itself is inlined (see the __init__ bindings).
@@ -845,30 +803,19 @@ class Network:
         for node_id in names:
             if include_supernodes or node_id not in supers:
                 graph.add_node(node_id)
-        for ia, peers in enumerate(self._adj):
-            a = names[ia]
-            for ib in peers:
-                if ia < ib:
-                    b = names[ib]
-                    if include_supernodes or (
-                        a not in supers and b not in supers
-                    ):
-                        graph.add_edge(a, b)
+        for a, b in self._iter_links():
+            if include_supernodes or (a not in supers and b not in supers):
+                graph.add_edge(a, b)
         return graph
 
     def ground_truth_edges(self) -> Set[FrozenSet[str]]:
         """True measurable links (both endpoints non-supernode)."""
-        names = self._names
         supers = self.supernode_ids
-        edges: Set[FrozenSet[str]] = set()
-        for ia, peers in enumerate(self._adj):
-            a = names[ia]
-            if a in supers:
-                continue
-            for ib in peers:
-                if ia < ib and names[ib] not in supers:
-                    edges.add(frozenset((a, names[ib])))
-        return edges
+        return {
+            frozenset(link)
+            for link in self._iter_links()
+            if link[0] not in supers and link[1] not in supers
+        }
 
     def forget_known_transactions(self) -> None:
         """Clear every node's known-tx state.
@@ -888,9 +835,6 @@ class Network:
             # per-behavior known-hash state surviving an iteration wipe
             # desyncs from the nodes' freshly-bumped tables.
             self.behaviors.reset_runtime_caches()
-
-    def total_mempool_size(self) -> int:
-        return sum(len(node.mempool) for node in self.nodes.values())
 
     def __repr__(self) -> str:
         return (

@@ -31,7 +31,7 @@ chains; see ``docs/performance.md``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import NodeDetachedError
@@ -113,9 +113,6 @@ class NodeConfig:
     network_id: int = 1
     known_tx_limit: Optional[int] = 32768
 
-    def with_policy(self, policy: MempoolPolicy) -> "NodeConfig":
-        return replace(self, policy=policy)
-
 
 # Generation stamp width of the known-tx table (low bits of each value).
 # 32 bits of generation wrap after 4G forget cycles — far beyond any
@@ -129,103 +126,16 @@ _GEN_BITS = 32
 _FORGET_COMPACT_THRESHOLD = 4096
 
 
-class PeerKnownView:
-    """Set-like façade over one peer's slice of the node's known-tx table.
-
-    The SoA refactor replaced per-peer :class:`KnownTxCache` dicts with one
-    per-node table ``hash -> (mask << 32) | generation`` where bit *i* of
-    ``mask`` means "the peer in slot *i* knows this hash". This view keeps
-    ``peer_state.known_txs`` working — membership, ``add``/``discard``,
-    iteration, ``len`` — for tests, tooling and the legacy benchmark
-    engine, reading and writing the shared table through the peer's slot
-    bit. Reads are O(1); ``len``/iteration scan the table (cold paths).
-    """
-
-    __slots__ = ("_node", "_bit", "_shifted")
-
-    def __init__(self, node: "Node", slot: int) -> None:
-        self._node = node
-        self._bit = 1 << slot
-        self._shifted = self._bit << _GEN_BITS
-
-    def __contains__(self, tx_hash: str) -> bool:
-        node = self._node
-        value = node._known.get(tx_hash)
-        return (
-            value is not None
-            and (value & _GEN_MASK) == node._known_gen
-            and bool(value & self._shifted)
-        )
-
-    def add(self, tx_hash: str) -> None:
-        """Mark the peer as knowing ``tx_hash`` (no table bound applied)."""
-        node = self._node
-        known = node._known
-        gen = node._known_gen
-        value = known.get(tx_hash)
-        if value is not None and (value & _GEN_MASK) == gen:
-            known[tx_hash] = value | self._shifted
-        else:
-            known[tx_hash] = self._shifted | gen
-
-    def discard(self, tx_hash: str) -> None:
-        node = self._node
-        value = node._known.get(tx_hash)
-        if value is not None and (value & _GEN_MASK) == node._known_gen:
-            node._known[tx_hash] = value & ~self._shifted
-
-    def clear(self) -> None:
-        """Strip this peer's bit from every live entry."""
-        node = self._node
-        shifted = self._shifted
-        gen = node._known_gen
-        known = node._known
-        for tx_hash, value in known.items():
-            if value & shifted and (value & _GEN_MASK) == gen:
-                known[tx_hash] = value & ~shifted
-
-    def __iter__(self):
-        node = self._node
-        shifted = self._shifted
-        gen = node._known_gen
-        for tx_hash, value in node._known.items():
-            if value & shifted and (value & _GEN_MASK) == gen:
-                yield tx_hash
-
-    def __len__(self) -> int:
-        node = self._node
-        shifted = self._shifted
-        gen = node._known_gen
-        return sum(
-            1
-            for value in node._known.values()
-            if value & shifted and (value & _GEN_MASK) == gen
-        )
-
-    def __bool__(self) -> bool:
-        node = self._node
-        shifted = self._shifted
-        gen = node._known_gen
-        for value in node._known.values():
-            if value & shifted and (value & _GEN_MASK) == gen:
-                return True
-        return False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PeerKnownView({len(self)} hashes, bit={self._bit:#x})"
-
-
 @dataclass(slots=True)
 class PeerState:
     """Per-peer bookkeeping.
 
     ``slot`` is the peer's bit position in the node's known-tx table
-    masks; ``known_txs`` is the :class:`PeerKnownView` over that bit.
+    masks (query it through :meth:`Node.knows`).
     """
 
     peer_id: str
     slot: int = 0
-    known_txs: Optional[PeerKnownView] = None
     known_blocks: Set[str] = field(default_factory=set)
     connected_at: float = 0.0
 
@@ -366,7 +276,6 @@ class Node:
             self.peers[peer_id] = PeerState(
                 peer_id=peer_id,
                 slot=slot,
-                known_txs=PeerKnownView(self, slot),
                 connected_at=self.sim.now,
             )
             bit = 1 << slot
@@ -459,25 +368,6 @@ class Node:
         if len(self._known) >= _FORGET_COMPACT_THRESHOLD:
             self._known.clear()
         self._announce_requested.clear()
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    def observability_sample(self) -> Dict[str, object]:
-        """One JSON-friendly dict describing this node's current state.
-
-        Used by per-node debugging/export paths (``repro.obs``); pulls the
-        mempool's counter snapshot rather than keeping parallel counters
-        here.
-        """
-        return {
-            "id": self.id,
-            "crashed": self.crashed,
-            "behavior": self.behavior,
-            "peers": len(self.peers),
-            "max_peers": self.config.max_peers,
-            "mempool": self.mempool.stats_snapshot(),
-        }
 
     # ------------------------------------------------------------------
     # Crash / restart (fault injection)
@@ -578,7 +468,6 @@ class Node:
             peer_id: PeerState(
                 peer_id=peer_id,
                 slot=slot,
-                known_txs=PeerKnownView(self, slot),
                 known_blocks=set(known_blocks),
                 connected_at=connected_at,
             )

@@ -33,7 +33,6 @@ Three layers:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
@@ -50,7 +49,7 @@ from repro.errors import (
 )
 from repro.eth.node import Node
 from repro.eth.transaction import Transaction
-from repro.service.supervisor import CircuitBreaker
+from repro.resilience import CircuitBreaker, backoff_delay
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.eth.network import Network
@@ -485,9 +484,14 @@ class ResilientRpcClient:
 
     def _backoff_delay(self, node_id: str, method: str, attempt: int) -> float:
         p = self.policy
-        base = min(p.backoff_max, p.backoff_base * p.backoff_factor ** (attempt - 1))
-        jitter = random.Random(f"{node_id}:{method}:{attempt}").random()
-        return base * (1.0 + p.jitter_frac * jitter)
+        return backoff_delay(
+            p.backoff_base,
+            p.backoff_factor,
+            p.backoff_max,
+            p.jitter_frac,
+            attempt,
+            f"{node_id}:{method}:{attempt}",
+        )
 
     # -- the call path -------------------------------------------------
     def call(self, node_id: str, method: str, *params: Any) -> Any:

@@ -14,7 +14,7 @@ Module map:
 - :mod:`repro.service.jobs`       job specs, records, lifecycle states
 - :mod:`repro.service.limiter`    token buckets, quotas, admission control
 - :mod:`repro.service.scheduler`  weighted-round-robin fair drain
-- :mod:`repro.service.supervisor` retries, deadlines, circuit breaker
+- :mod:`repro.service.supervisor` retries, deadlines (breaker: :mod:`repro.resilience`)
 - :mod:`repro.service.journal`    fsynced JSON-lines write-ahead log
 - :mod:`repro.service.server`     asyncio HTTP front end + dispatch
 - :mod:`repro.service.client`     stdlib blocking client
@@ -32,11 +32,10 @@ from repro.service.journal import JobJournal
 from repro.service.limiter import AdmissionController, TenantQuota, TokenBucket
 from repro.service.scheduler import FairScheduler
 from repro.service.server import MeasurementService, ServiceConfig, run_service
-from repro.service.supervisor import CircuitBreaker, JobSupervisor
+from repro.service.supervisor import JobSupervisor
 
 __all__ = [
     "AdmissionController",
-    "CircuitBreaker",
     "FairScheduler",
     "JobJournal",
     "JobRecord",

@@ -46,6 +46,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.obs import NULL, Observability
+from repro.resilience import CircuitBreaker
 from repro.service.jobs import (
     ACTIVE_STATES,
     CANCELLED,
@@ -60,12 +61,7 @@ from repro.service.jobs import (
 from repro.service.journal import JobJournal
 from repro.service.limiter import AdmissionController, TenantQuota
 from repro.service.scheduler import FairScheduler
-from repro.service.supervisor import (
-    CancelToken,
-    CircuitBreaker,
-    JOB_KINDS,
-    JobSupervisor,
-)
+from repro.service.supervisor import CancelToken, JOB_KINDS, JobSupervisor
 
 PathLike = Union[str, Path]
 

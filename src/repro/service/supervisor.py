@@ -23,7 +23,6 @@ result with confidence labels instead of erroring.
 from __future__ import annotations
 
 import json
-import random
 import threading
 import time
 from pathlib import Path
@@ -35,6 +34,7 @@ from repro.errors import (
     JobTimeout,
     ServiceError,
 )
+from repro.resilience import CircuitBreaker, Clock, backoff_delay
 from repro.service.jobs import (
     CANCELLED,
     DONE,
@@ -45,136 +45,11 @@ from repro.service.jobs import (
     JobRecord,
 )
 
-Clock = Callable[[], float]
-
 # Confidence label attached to partial results (extends the campaign's
 # high/cross_validated/suspect/quarantined edge-label vocabulary at the
 # whole-result level).
 CONFIDENCE_PARTIAL = "partial"
 CONFIDENCE_COMPLETE = "complete"
-
-
-# ----------------------------------------------------------------------
-# Circuit breaker
-# ----------------------------------------------------------------------
-class CircuitBreaker:
-    """Classic three-state breaker guarding the worker pool.
-
-    CLOSED counts consecutive infrastructure failures; at
-    ``failure_threshold`` it OPENs for ``cooldown`` seconds, during which
-    :meth:`allow` is False (jobs are requeued, not burned).  After the
-    cooldown one probe attempt is let through (HALF_OPEN): success closes
-    the breaker, failure re-opens it for another cooldown.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half_open"
-
-    def __init__(
-        self,
-        failure_threshold: int = 5,
-        cooldown: float = 30.0,
-        clock: Clock = time.monotonic,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ServiceError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        self.failure_threshold = int(failure_threshold)
-        self.cooldown = float(cooldown)
-        self._clock = clock
-        self._state = self.CLOSED
-        self._consecutive_failures = 0
-        self._opened_at = 0.0
-        self._probe_outstanding = False
-        self._lock = threading.Lock()
-        self.trips_total = 0
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            self._maybe_half_open()
-            return self._state
-
-    def _maybe_half_open(self) -> None:
-        if (
-            self._state == self.OPEN
-            and self._clock() - self._opened_at >= self.cooldown
-        ):
-            self._state = self.HALF_OPEN
-            self._probe_outstanding = False
-
-    def allow(self) -> bool:
-        """May an attempt proceed right now?  HALF_OPEN admits one probe."""
-        with self._lock:
-            self._maybe_half_open()
-            if self._state == self.CLOSED:
-                return True
-            if self._state == self.HALF_OPEN and not self._probe_outstanding:
-                self._probe_outstanding = True
-                return True
-            return False
-
-    def can_attempt(self) -> bool:
-        """Non-claiming view of :meth:`allow`: would an attempt be admitted?
-
-        The dispatch loop uses this to keep jobs queued while the breaker
-        is OPEN *or* while a HALF_OPEN probe is already in flight, instead
-        of popping jobs that the supervisor would immediately bounce back
-        with :class:`CircuitOpen`.
-        """
-        with self._lock:
-            self._maybe_half_open()
-            if self._state == self.CLOSED:
-                return True
-            return (
-                self._state == self.HALF_OPEN
-                and not self._probe_outstanding
-            )
-
-    def release_probe(self) -> None:
-        """Give back a probe slot claimed by :meth:`allow` without a verdict.
-
-        A probe attempt that ends via deadline or client cancel says
-        nothing about pool health; releasing the slot lets the next job
-        probe.  Without this the breaker wedges HALF_OPEN forever, with
-        ``allow()`` False for every job.
-        """
-        with self._lock:
-            self._probe_outstanding = False
-
-    def retry_after(self) -> float:
-        with self._lock:
-            self._maybe_half_open()
-            if self._state != self.OPEN:
-                return 0.0
-            return max(
-                0.0, self.cooldown - (self._clock() - self._opened_at)
-            )
-
-    def record_success(self) -> None:
-        with self._lock:
-            self._consecutive_failures = 0
-            self._probe_outstanding = False
-            self._state = self.CLOSED
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self._consecutive_failures += 1
-            if self._state == self.HALF_OPEN:
-                # The probe failed: straight back to OPEN.
-                self._state = self.OPEN
-                self._opened_at = self._clock()
-                self._probe_outstanding = False
-                self.trips_total += 1
-            elif (
-                self._state == self.CLOSED
-                and self._consecutive_failures >= self.failure_threshold
-            ):
-                self._state = self.OPEN
-                self._opened_at = self._clock()
-                self.trips_total += 1
 
 
 # ----------------------------------------------------------------------
@@ -459,12 +334,14 @@ class JobSupervisor:
     def backoff_delay(self, job_id: str, attempt: int) -> float:
         """The wait before retry ``attempt`` (1-based): exponential with
         deterministic per-(job, attempt) jitter."""
-        base = min(
+        return backoff_delay(
+            self.backoff_base,
+            self.backoff_factor,
             self.backoff_max,
-            self.backoff_base * (self.backoff_factor ** (attempt - 1)),
+            self.jitter_frac,
+            attempt,
+            f"{job_id}:{attempt}",
         )
-        jitter = random.Random(f"{job_id}:{attempt}").random()
-        return base * (1.0 + self.jitter_frac * jitter)
 
     def run(self, record: JobRecord, cancel: CancelToken) -> JobRecord:
         """Execute ``record`` to a terminal state (mutated in place).

@@ -13,7 +13,7 @@ Typical usage::
     sim.run()
 
 For a breakdown of where callback time goes, attach an
-:class:`~repro.core.profiler.EngineProfiler` via :meth:`Simulator.attach_profiler`.
+:class:`~repro.sim.tracing.EngineProfiler` via :meth:`Simulator.attach_profiler`.
 For operator-facing metrics and a bounded structured event log, attach a
 :class:`~repro.obs.Observability` via :meth:`Simulator.attach_observability`.
 The runtime invariant checker (:mod:`repro.sim.invariants`) rides the same
@@ -30,10 +30,9 @@ from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.errors import ScheduleInPastError, SimulationError
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import Tracer
+from repro.sim.tracing import EngineProfiler, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.profiler import EngineProfiler
     from repro.obs import EventLog, Observability
 
 
@@ -45,7 +44,10 @@ class Event:
     popped and discarded. ``daemon`` events (fault-injection processes,
     periodic maintenance) run normally but do not keep an open-ended
     :meth:`Simulator.run` alive: once only daemon events remain the
-    simulation is considered quiescent.
+    simulation is considered quiescent. A queued non-daemon event holds one
+    unit of its simulator's pending count through ``_pending_sim``;
+    :meth:`cancel` or the pop that fires it — whichever comes first —
+    releases the unit and clears the reference.
 
     Not every heap entry carries an :class:`Event`: fire-and-forget
     callbacks from :meth:`Simulator.schedule_call` are stored as plain
@@ -61,7 +63,16 @@ class Event:
     the (default) unobserved case is a measurable share of campaign time.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "label", "cancelled", "daemon")
+    __slots__ = (
+        "time",
+        "seq",
+        "callback",
+        "args",
+        "label",
+        "cancelled",
+        "daemon",
+        "_pending_sim",
+    )
 
     def __init__(
         self,
@@ -79,10 +90,20 @@ class Event:
         self.label = label
         self.cancelled = False
         self.daemon = daemon
+        self._pending_sim: Optional["Simulator"] = None
 
     def cancel(self) -> None:
-        """Mark the event so the engine skips it when popped."""
+        """Mark the event so the engine skips it when popped.
+
+        A cancelled event stops counting as pending work at once, not when
+        its heap entry finally surfaces: otherwise an open-ended run would
+        keep firing daemon events up to the dead entry's time.
+        """
         self.cancelled = True
+        sim = self._pending_sim
+        if sim is not None:
+            self._pending_sim = None
+            sim._non_daemon_pending -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "".join(
@@ -117,7 +138,7 @@ class Simulator:
         self.rng = RngRegistry(seed)
         self.seed = seed
         self.tracer: Optional[Tracer] = Tracer() if trace else None
-        self.profiler: Optional["EngineProfiler"] = None
+        self.profiler: Optional[EngineProfiler] = None
         self.event_log: Optional["EventLog"] = None
 
     # ------------------------------------------------------------------
@@ -140,7 +161,8 @@ class Simulator:
 
     @property
     def wants_labels(self) -> bool:
-        """Whether event labels are observable (tracer or profiler attached).
+        """Whether event labels are observable (tracer, profiler or event
+        log attached).
 
         Hot callers use this to skip building label strings nobody reads:
         with ~1 message per event, the f-string per send is a measurable
@@ -156,8 +178,8 @@ class Simulator:
     # Profiling
     # ------------------------------------------------------------------
     def attach_profiler(
-        self, profiler: Optional["EngineProfiler"] = None
-    ) -> "EngineProfiler":
+        self, profiler: Optional[EngineProfiler] = None
+    ) -> EngineProfiler:
         """Attach (and return) a profiler timing every executed callback.
 
         Wall-clock cost is aggregated by label category (the part before
@@ -167,8 +189,6 @@ class Simulator:
         simulated clock are unaffected.
         """
         if profiler is None:
-            from repro.core.profiler import EngineProfiler
-
             profiler = EngineProfiler()
         self.profiler = profiler
         return profiler
@@ -231,6 +251,7 @@ class Simulator:
         event = Event(when, next(self._seq), callback, args, label, daemon)
         heapq.heappush(self._queue, (when, event.seq, event))
         if not daemon:
+            event._pending_sim = self
             self._non_daemon_pending += 1
         return event
 
@@ -307,60 +328,46 @@ class Simulator:
             if len(entry) != 3:
                 # Fire-and-forget call entry: never daemon, never cancelled.
                 self._non_daemon_pending -= 1
-                if when < self._now:
-                    raise SimulationError(
-                        f"event at t={when} popped after clock t={self._now}"
-                    )
-                self._now = when
-                self._execute_call(entry)
-                return True
-            event = entry[2]
-            if not event.daemon:
-                self._non_daemon_pending -= 1
-            if event.cancelled:
-                continue
+                callback, args, label = entry[2], entry[3], entry[4]
+            else:
+                event = entry[2]
+                if event.cancelled:
+                    continue
+                if not event.daemon:
+                    event._pending_sim = None
+                    self._non_daemon_pending -= 1
+                callback, args, label = event.callback, event.args, event.label
             if when < self._now:
                 raise SimulationError(
                     f"event at t={when} popped after clock t={self._now}"
                 )
             self._now = when
-            self._execute(event)
+            self._observed(when, label, callback, args)
+            self._executed += 1
             return True
         return False
 
-    def _execute(self, event: Event) -> None:
-        """Run one event's callback under tracing/profiling."""
-        label = event.label
-        if label.__class__ is tuple:
-            label = "%s:%s->%s" % label
-        if self.tracer is not None:
-            self.tracer.record(self._now, "event", label)
-        if self.event_log is not None:
-            self.event_log.append(self._now, "event", label)
-        if self.profiler is not None:
-            start = perf_counter()
-            event.callback(*event.args)
-            self.profiler.account(label, perf_counter() - start)
-        else:
-            event.callback(*event.args)
-        self._executed += 1
+    def _observed(self, when: float, label, callback, args: Tuple) -> None:
+        """Run one callback under whichever sinks are attached.
 
-    def _execute_call(self, entry: Tuple) -> None:
-        """Run one fire-and-forget call entry under tracing/profiling."""
-        label = entry[4]
+        The one place a label is read: transport entries carry a lazy
+        ``(kind, from, to)`` tuple, formatted here — byte-identical to the
+        eager f-string — and fed to the tracer, the event log and the
+        profiler alike.
+        """
         if label.__class__ is tuple:
             label = "%s:%s->%s" % label
         if self.tracer is not None:
-            self.tracer.record(self._now, "event", label)
+            self.tracer.record(when, "event", label)
         if self.event_log is not None:
-            self.event_log.append(self._now, "event", label)
-        if self.profiler is not None:
+            self.event_log.append(when, "event", label)
+        profiler = self.profiler
+        if profiler is not None:
             start = perf_counter()
-            entry[2](*entry[3])
-            self.profiler.account(label, perf_counter() - start)
+            callback(*args)
+            profiler.account(label, perf_counter() - start)
         else:
-            entry[2](*entry[3])
-        self._executed += 1
+            callback(*args)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
@@ -381,12 +388,7 @@ class Simulator:
         # of paying an attribute store per event.
         queue = self._queue
         heappop = heapq.heappop
-        tracer = self.tracer
-        profiler = self.profiler
-        event_log = self.event_log
-        observed = (
-            tracer is not None or profiler is not None or event_log is not None
-        )
+        observed = self.wants_labels
         executed = 0
         try:
             while queue:
@@ -411,58 +413,25 @@ class Simulator:
                         )
                     self._now = when
                     if observed:
-                        # Lazy labels: transport entries carry a (kind,
-                        # from, to) tuple; format only under observation,
-                        # byte-identical to the eager f-string.
-                        label = head[4]
-                        if label.__class__ is tuple:
-                            label = "%s:%s->%s" % label
-                        if tracer is not None:
-                            tracer.record(when, "event", label)
-                        if event_log is not None:
-                            event_log.append(when, "event", label)
-                        if profiler is not None:
-                            start = perf_counter()
-                            head[2](*head[3])
-                            profiler.account(label, perf_counter() - start)
-                        else:
-                            head[2](*head[3])
+                        self._observed(when, head[4], head[2], head[3])
                     else:
                         head[2](*head[3])
                     executed += 1
                     continue
-                # Find the next live event, discarding cancelled heads.
-                # The quiescence check above intentionally happens once per
-                # live event, not per discarded one, matching step() runs.
                 event = head[2]
                 if event.cancelled:
-                    while True:
-                        heappop(queue)
-                        if not event.daemon:
-                            self._non_daemon_pending -= 1
-                        if not queue:
-                            if until is not None:
-                                self._now = max(self._now, until)
-                            return
-                        head = queue[0]
-                        if len(head) != 3:
-                            # A live call entry surfaced; it cannot be the
-                            # one that made pending hit zero (it is itself
-                            # counted as non-daemon pending), so looping
-                            # back to the quiescence check cannot skip it.
-                            event = None
-                            break
-                        event = head[2]
-                        if not event.cancelled:
-                            break
-                    if event is None:
-                        continue
+                    # cancel() already released the pending count, so
+                    # dropping the dead entry changes nothing the checks
+                    # at the top of the loop look at.
+                    heappop(queue)
+                    continue
                 when = head[0]
                 if until is not None and when > until:
                     self._now = max(self._now, until)
                     return
                 heappop(queue)
                 if not event.daemon:
+                    event._pending_sim = None
                     self._non_daemon_pending -= 1
                 if when < self._now:
                     raise SimulationError(
@@ -470,19 +439,7 @@ class Simulator:
                     )
                 self._now = when
                 if observed:
-                    label = event.label
-                    if label.__class__ is tuple:
-                        label = "%s:%s->%s" % label
-                    if tracer is not None:
-                        tracer.record(when, "event", label)
-                    if event_log is not None:
-                        event_log.append(when, "event", label)
-                    if profiler is not None:
-                        start = perf_counter()
-                        event.callback(*event.args)
-                        profiler.account(label, perf_counter() - start)
-                    else:
-                        event.callback(*event.args)
+                    self._observed(when, event.label, event.callback, event.args)
                 else:
                     event.callback(*event.args)
                 executed += 1

@@ -81,11 +81,16 @@ def restore_simulator(sim: "Simulator", snapshot: SimulatorSnapshot) -> None:
     bound references stay valid), the clock and sequence counter rewind to
     their captured values, and every RNG stream is put back to its captured
     state in place (streams created after the capture are re-seeded as a
-    fresh registry would have seeded them).
+    fresh registry would have seeded them). Discarded event handles are
+    cancelled first: a holder cancelling one later must not release a
+    pending count the rewound engine no longer carries.
 
     As with capture, ``sim._seq`` is replaced; bound references must be
     re-bound by the caller.
     """
+    for entry in sim._queue:
+        if len(entry) == 3:
+            entry[2].cancel()
     sim._queue.clear()
     sim._non_daemon_pending = 0
     sim._now = snapshot.now

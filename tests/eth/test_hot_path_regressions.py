@@ -109,11 +109,13 @@ class TestKnownTxCacheBound:
         a = network.create_node("a", config)
         network.create_node("b", config)
         network.connect("a", "b")
+        hashes = []
         for _ in range(20):
             tx = factory.transfer(wallet.fresh_account(), gas_price=gwei(1))
             a.receive_transaction("b", tx)
-        known = a.peers["b"].known_txs
-        assert len(known) == 8
+            hashes.append(tx.hash)
+        # FIFO bound: only the newest eight survive.
+        assert [a.knows("b", h) for h in hashes] == [False] * 12 + [True] * 8
 
     def test_unlimited_cache_when_configured(self, wallet, factory):
         network = Network(seed=12)
@@ -121,10 +123,12 @@ class TestKnownTxCacheBound:
         a = network.create_node("a", config)
         network.create_node("b", config)
         network.connect("a", "b")
+        hashes = []
         for _ in range(20):
             tx = factory.transfer(wallet.fresh_account(), gas_price=gwei(1))
             a.receive_transaction("b", tx)
-        assert len(a.peers["b"].known_txs) == 20
+            hashes.append(tx.hash)
+        assert all(a.knows("b", h) for h in hashes)
 
 
 class TestAnnounceHoldPruning:

@@ -13,11 +13,8 @@ from repro.service.jobs import (
     JobRecord,
     JobSpec,
 )
-from repro.service.supervisor import (
-    CancelToken,
-    CircuitBreaker,
-    JobSupervisor,
-)
+from repro.resilience import CircuitBreaker
+from repro.service.supervisor import CancelToken, JobSupervisor
 
 
 class FakeClock:

@@ -3,8 +3,12 @@
 import pytest
 
 from repro.errors import ScheduleInPastError
+from repro.eth.account import Wallet
+from repro.eth.network import Network, fully_connect
+from repro.eth.transaction import TransactionFactory, gwei
 from repro.sim.engine import Simulator
-from repro.sim.tracing import Tracer
+from repro.sim.snapshot import capture_simulator, restore_simulator
+from repro.sim.tracing import EngineProfiler, Tracer
 
 
 class TestScheduling:
@@ -74,6 +78,53 @@ class TestCancellation:
         event.cancel()
         sim.run()
         assert sim.executed_events == 0
+
+    def test_cancelled_event_does_not_delay_quiescence(self, sim):
+        """Regression: the cancelled entry counted as pending work until it
+        was popped, so an open-ended run fired daemon ticks up to its time."""
+        ticks = []
+
+        def tick():
+            ticks.append(sim.now)
+            sim.schedule(1.0, tick, daemon=True)
+
+        sim.schedule(1.0, tick, daemon=True)
+        sim.schedule(100.0, lambda: None).cancel()
+        sim.run(max_events=500)
+        assert ticks == []
+        assert sim.now == 0.0
+
+    def test_double_cancel_releases_pending_once(self, sim):
+        fired = []
+        event = sim.schedule(1.0, lambda: None)
+        event.cancel()
+        event.cancel()
+        sim.schedule(5.0, lambda: fired.append("work"))
+        sim.run()
+        assert fired == ["work"]
+
+    @pytest.mark.parametrize("drive", ["run", "step"])
+    def test_cancel_after_firing_releases_nothing(self, sim, drive):
+        fired = []
+        event = sim.schedule(1.0, lambda: fired.append("first"))
+        sim.schedule(5.0, lambda: fired.append("work"))
+        if drive == "run":
+            sim.run(until=2.0)
+        else:
+            sim.step()
+        event.cancel()  # PeriodicProcess.stop() from inside its own tick
+        sim.run()
+        assert fired == ["first", "work"]
+
+    def test_cancel_after_restore_releases_nothing(self, sim):
+        snapshot = capture_simulator(sim)
+        stale = sim.schedule(1.0, lambda: None)
+        restore_simulator(sim, snapshot)
+        stale.cancel()
+        fired = []
+        sim.schedule(5.0, lambda: fired.append("work"))
+        sim.run()
+        assert fired == ["work"]
 
 
 class TestRunControl:
@@ -219,6 +270,54 @@ class TestEngineProfiler:
         assert sim.wants_labels
         sim.detach_profiler()
         assert not sim.wants_labels
+
+
+class TestObservedDispatch:
+    """step() and run() feed the three sinks through one routine."""
+
+    @staticmethod
+    def _observe(drive):
+        wallet, factory = Wallet("obs"), TransactionFactory()
+        network = Network(seed=7)
+        for name in "abcde":
+            network.create_node(name)
+        fully_connect(network, "abcde")
+        sim = network.sim
+        sim.tracer = Tracer()
+        obs = sim.attach_observability(log_events=True)
+        profiler = sim.attach_profiler(EngineProfiler())
+        for index, name in enumerate("ace"):
+            network.node(name).submit_transaction(
+                factory.transfer(wallet.fresh_account(), gas_price=gwei(2.0) + index)
+            )
+        sim.schedule(0.5, lambda: None)  # unlabeled Event entry
+        sim.schedule(0.01, lambda: None, "never:fires").cancel()
+        drive(sim)
+        return (
+            [(r.time, r.kind, r.detail) for r in sim.tracer],
+            obs.events.records(),
+            profiler.counts,
+            sim.executed_events,
+            sim.now,
+        )
+
+    def test_step_and_run_observe_identically(self):
+        def stepped(sim):
+            while sim.step():
+                pass
+
+        by_step = self._observe(stepped)
+        by_run = self._observe(Simulator.run)
+        assert by_step == by_run
+        records, logged, counts, executed, _ = by_run
+        # Every sink saw every executed event, with the same formatted label
+        # (transport tuples, flush strings and the unlabeled event alike).
+        assert len(records) == len(logged) == sum(counts.values()) == executed
+        assert [(t, k, d) for t, k, d in logged] == records
+        assert {"Transactions", "flush", "Status", EngineProfiler.UNLABELED} <= set(
+            counts
+        )
+        assert "never" not in counts
 
 
 class TestScheduleCall:

@@ -178,7 +178,7 @@ class TestCrashRestart:
         network.run(5.0)
         node_b = network.node("b")
         assert tx.hash in node_b.mempool
-        assert any(state.known_txs for state in node_b.peers.values())
+        assert node_b.knows("a", tx.hash)
 
         node_b.crash()
         assert node_b.crashed
@@ -187,7 +187,7 @@ class TestCrashRestart:
         assert node_b.crash_count == 1
         assert len(node_b.mempool) == 0
         assert tx.hash not in node_b.mempool
-        assert all(not state.known_txs for state in node_b.peers.values())
+        assert not any(node_b.knows(peer, tx.hash) for peer in node_b.peers)
 
     def test_restart_keeps_the_chain_view(self):
         network = pair_network(seed=26)
