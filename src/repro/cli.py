@@ -32,14 +32,13 @@ from repro.core.profiler import profile_client
 from repro.core.schedule import build_schedule, expected_iteration_count
 from repro.eth.policies import ALETH, BESU, GETH, NETHERMIND, PARITY
 from repro.netgen.ethereum import (
-    generate_network,
     goerli_like,
     quick_network,
     rinkeby_like,
     ropsten_like,
 )
 from repro.netgen.workloads import SHAPES, prefill_mempools
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import FaultPlan, RpcFaultPlan
 
 PRESETS = {
     "ropsten": ropsten_like,
@@ -373,62 +372,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_behavior_mix(args: argparse.Namespace):
-    """Resolve the --byzantine-* flags to a BehaviorMix (or None)."""
-    from repro.eth.behaviors import BehaviorMix
-
-    if args.byzantine_mix and args.byzantine_frac is not None:
-        raise ValueError("--byzantine-mix and --byzantine-frac are mutually exclusive")
-    if args.byzantine_mix:
-        return BehaviorMix.from_spec(args.byzantine_mix)
-    if args.byzantine_frac is not None:
-        return BehaviorMix.uniform(args.byzantine_frac)
-    return None
-
-
 def _cmd_measure(args: argparse.Namespace) -> int:
-    """One campaign, two executors: ``--workers N`` runs it sharded on a
-    process pool (output bit-identical for every N, so the worker count is
-    purely a wall-clock knob; see docs/parallelism.md), otherwise it walks
-    the schedule serially in one evolving world."""
+    """One campaign spec, two executors: ``--workers N`` runs it sharded on
+    a process pool (output bit-identical for every N, so the worker count
+    is purely a wall-clock knob; see docs/parallelism.md), otherwise it
+    walks the schedule serially in one evolving world."""
+    from repro.core.parallel_exec import CampaignSpec, build_world, run_campaign
     from repro.errors import BehaviorPlanError
+    from repro.eth.behaviors import BehaviorMix
     from repro.netgen.ethereum import NetworkSpec
 
     if args.resume and not args.checkpoint:
         print("--resume requires --checkpoint", file=sys.stderr)
         return 2
     sharded = args.workers is not None
-    if sharded and (
-        args.byzantine_mix
-        or args.byzantine_frac is not None
-        or args.invariants
-        or args.cross_validate is not None
-    ):
+    if sharded and args.invariants:
         print(
-            "--byzantine-mix/--byzantine-frac/--invariants/--cross-validate "
-            "are not supported with --workers: the sharded executor resets "
-            "shards from snapshots, which the invariant checker refuses and "
-            "cross-validation would invalidate. Run without --workers.",
-            file=sys.stderr,
-        )
-        return 2
-    if sharded and (
-        args.rpc_fault_rate
-        or args.rpc_rate_limit
-        or args.rpc_flap_rate
-        or args.rpc_raw_client
-        or args.adaptive_flood
-    ):
-        print(
-            "--rpc-* and --adaptive-flood are not supported with --workers: "
-            "the resilient RPC client and its fault plan keep per-endpoint "
-            "state (breakers, token buckets, health scores) that sharding "
-            "would reset mid-campaign. Run without --workers.",
+            "--invariants is not supported with --workers: a checker is a "
+            "per-process observer with no merge codec, and Network.snapshot "
+            "refuses one. Run without --workers.",
             file=sys.stderr,
         )
         return 2
     try:
-        mix = _parse_behavior_mix(args)
+        mix = BehaviorMix.from_flags(args.byzantine_mix, args.byzantine_frac)
     except (ValueError, BehaviorPlanError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -438,8 +405,6 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         network_spec = NetworkSpec(n_nodes=args.nodes, seed=args.seed)
     rpc_plan = None
     if args.rpc_fault_rate or args.rpc_rate_limit or args.rpc_flap_rate:
-        from repro.sim.faults import RpcFaultPlan
-
         rpc_plan = RpcFaultPlan.uniform(
             args.rpc_fault_rate,
             rate_limit_per_second=args.rpc_rate_limit,
@@ -450,6 +415,19 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         churn_rate=args.churn,
         crash_rate=args.crash_rate,
         rpc=rpc_plan,
+    )
+    campaign = CampaignSpec(
+        network=network_spec,
+        preprocess=not args.no_preprocess,
+        group_size=args.group_size,
+        repeats=args.repeats,
+        max_retries=args.max_retries or None,
+        fault_plan=plan if plan.enabled else None,
+        n_shards=args.shards,
+        behaviors=mix,
+        rpc_raw=args.rpc_raw_client,
+        cross_validate=args.cross_validate,
+        adaptive_flood=args.adaptive_flood,
     )
     if plan.enabled:
         print(
@@ -462,23 +440,16 @@ def _cmd_measure(args: argparse.Namespace) -> int:
                 f"rate-limit={rpc_plan.rate_limit_per_second}/s "
                 f"flap={rpc_plan.flap_rate}/s"
             )
+    if campaign.rpc_raw:
+        print("rpc client: raw (single attempt, failures read as negatives)")
+    if mix is not None:
+        print(f"byzantine mix: {mix.describe()}")
     obs = None
     if args.metrics_out or args.trace_out:
         from repro.obs import Observability
 
         obs = Observability()
     if sharded:
-        from repro.core.parallel_exec import CampaignSpec, run_campaign
-
-        campaign = CampaignSpec(
-            network=network_spec,
-            preprocess=not args.no_preprocess,
-            group_size=args.group_size,
-            repeats=args.repeats,
-            max_retries=args.max_retries or None,
-            fault_plan=plan if plan.enabled else None,
-            n_shards=args.shards,
-        )
         print(
             f"measuring {network_spec.n_nodes} nodes, sharded campaign "
             f"(workers={args.workers}"
@@ -494,40 +465,19 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         )
         return _report_measurement(args, measurement, obs)
 
-    network = generate_network(network_spec)
-    prefill_mempools(network)
-    if plan.enabled:
-        network.install_faults(plan)
-    if args.rpc_raw_client:
-        from repro.eth.rpc import RAW_POLICY
-
-        network.rpc_client(RAW_POLICY)
-        print("rpc client: raw (single attempt, failures read as negatives)")
-    if mix is not None and mix.enabled:
-        behaviors = network.install_behaviors(mix)
-        counts = ", ".join(
-            f"{kind}={count}"
-            for kind, count in sorted(behaviors.kind_counts().items())
-        )
-        print(f"byzantine mix: {counts or 'none drawn'}")
-    checker = None
-    if args.invariants:
-        checker = network.install_invariants()
-    shot = TopoShot.attach(network, obs=obs)
-    shot.config = shot.config.with_repeats(args.repeats)
-    if args.max_retries:
-        shot.config = shot.config.with_retries(args.max_retries)
-    if args.cross_validate is not None:
-        shot.config = shot.config.with_cross_validation(args.cross_validate)
-    if args.adaptive_flood:
-        shot.config = shot.config.with_adaptive_flood()
+    network, supernode = build_world(campaign)
+    if campaign.fault_plan is not None:
+        network.install_faults(campaign.fault_plan)
+    checker = network.install_invariants() if args.invariants else None
+    shot = TopoShot(network, supernode, obs=obs)
+    shot.config = campaign.measurement_config(shot.config)
     print(
         f"measuring {len(network.measurable_node_ids())} nodes "
         f"(Z={shot.config.future_count}, R={shot.config.replace_bump:.1%})"
     )
     measurement = shot.measure_network(
-        group_size=args.group_size,
-        preprocess=not args.no_preprocess,
+        group_size=campaign.group_size,
+        preprocess=campaign.preprocess,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
     )
@@ -602,7 +552,6 @@ def _cmd_arena(args: argparse.Namespace) -> int:
             dethna_rounds=args.dethna_rounds,
             ethna_txs=args.ethna_txs,
         )
-        spec.behavior_mix()  # validate the spec string up front
     except (ValueError, BehaviorPlanError) as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -10,9 +10,10 @@ generated topology, seed, :class:`~repro.sim.faults.FaultPlan`, and
 ground truth over the same target set.
 
 Fairness and determinism rest on one construction rule: each protocol
-gets a **fresh network built from the identical spec** (same
-``NetworkSpec``, same seed, same prefill, same fault/behavior draws, a
-supernode joined the same way). Protocols therefore cannot contaminate
+gets a **fresh network built from the identical spec** — the
+:class:`~repro.core.parallel_exec.CampaignSpec` the arena spec derives,
+through :func:`~repro.core.parallel_exec.build_world` like every other
+caller. Protocols therefore cannot contaminate
 each other's mempools or observation logs, and every protocol sees the
 byte-identical starting state — so two arena runs with the same
 :class:`ArenaSpec` produce bit-identical results
@@ -34,17 +35,19 @@ and a worked read-through of ``BENCH_arena.json``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.parallel_exec import CampaignSpec, build_world
 from repro.core.results import Edge, ValidationScore, score_edges
 from repro.errors import MeasurementError
+from repro.eth.behaviors import BehaviorMix
 from repro.eth.network import Network
 from repro.eth.supernode import Supernode
 from repro.io import PathLike, atomic_write_text
-from repro.netgen.ethereum import NetworkSpec, generate_network
+from repro.netgen.ethereum import NetworkSpec
 from repro.obs import NULL, Observability
 from repro.sim.faults import FaultPlan
 
@@ -106,10 +109,7 @@ class ArenaSpec:
             raise ValueError(
                 f"unknown protocols {unknown}; choose from {list(PROTOCOLS)}"
             )
-        if self.byzantine_spec and self.byzantine_frac is not None:
-            raise ValueError(
-                "byzantine_spec and byzantine_frac are mutually exclusive"
-            )
+        self.campaign_spec()  # refuse a bad Byzantine/fault config up front
 
     @property
     def ordered_protocols(self) -> Tuple[str, ...]:
@@ -117,41 +117,30 @@ class ArenaSpec:
         requested = set(self.protocols)
         return tuple(p for p in PROTOCOLS if p in requested)
 
-    def fault_plan(self) -> FaultPlan:
-        return FaultPlan(
+    def campaign_spec(self) -> CampaignSpec:
+        """The world every protocol runs in, and TopoShot's overrides."""
+        overrides: Dict[str, object] = {}
+        if self.outbound_dials is not None:
+            overrides["outbound_dials"] = self.outbound_dials
+        plan = FaultPlan(
             loss_rate=self.loss_rate,
             churn_rate=self.churn_rate,
             crash_rate=self.crash_rate,
         )
-
-    def behavior_mix(self):
-        from repro.eth.behaviors import BehaviorMix
-
-        if self.byzantine_spec:
-            return BehaviorMix.from_spec(self.byzantine_spec)
-        if self.byzantine_frac is not None:
-            return BehaviorMix.uniform(self.byzantine_frac)
-        return None
+        return CampaignSpec(
+            network=NetworkSpec(n_nodes=self.n_nodes, seed=self.seed, **overrides),  # type: ignore[arg-type]
+            fault_plan=plan if plan.enabled else None,
+            behaviors=BehaviorMix.from_flags(
+                self.byzantine_spec, self.byzantine_frac
+            ),
+            repeats=self.toposhot_repeats,
+            cross_validate=self.toposhot_cross_validate,
+        )
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "n_nodes": self.n_nodes,
-            "seed": self.seed,
-            "n_targets": self.n_targets,
-            "outbound_dials": self.outbound_dials,
-            "protocols": list(self.ordered_protocols),
-            "loss_rate": self.loss_rate,
-            "churn_rate": self.churn_rate,
-            "crash_rate": self.crash_rate,
-            "byzantine_spec": self.byzantine_spec,
-            "byzantine_frac": self.byzantine_frac,
-            "toposhot_repeats": self.toposhot_repeats,
-            "toposhot_cross_validate": self.toposhot_cross_validate,
-            "txprobe_wait": self.txprobe_wait,
-            "timing_probes": self.timing_probes,
-            "dethna_rounds": self.dethna_rounds,
-            "ethna_txs": self.ethna_txs,
-        }
+        payload = asdict(self)
+        payload["protocols"] = list(self.ordered_protocols)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "ArenaSpec":
@@ -288,30 +277,13 @@ def write_arena_json(result: ArenaResult, path: PathLike) -> Path:
 # Network construction: one fresh, identical world per protocol
 # ----------------------------------------------------------------------
 
-def _build_world(spec: ArenaSpec) -> Tuple[Network, Supernode]:
-    """Build the shared starting state one protocol will run against.
-
-    Called once per protocol with the same spec: same topology draw, same
-    prefill, same fault/behavior installation, same supernode join and
-    handshake settle — the whole point of the arena's fairness claim.
-    """
-    from repro.netgen.workloads import prefill_mempools
-
-    overrides: Dict[str, object] = {}
-    if spec.outbound_dials is not None:
-        overrides["outbound_dials"] = spec.outbound_dials
-    network = generate_network(
-        NetworkSpec(n_nodes=spec.n_nodes, seed=spec.seed, **overrides)  # type: ignore[arg-type]
-    )
-    prefill_mempools(network)
-    plan = spec.fault_plan()
-    if plan.enabled:
-        network.install_faults(plan)
-    mix = spec.behavior_mix()
-    if mix is not None and mix.enabled:
-        network.install_behaviors(mix)
-    supernode = Supernode.join(network)
-    network.run(1.0)  # let Status handshakes land before anyone measures
+def _fresh_world(campaign: CampaignSpec) -> Tuple[Network, Supernode]:
+    """The shared starting state one protocol will run against: the
+    campaign's world, its fault plan armed, Status handshakes landed."""
+    network, supernode = build_world(campaign)
+    if campaign.fault_plan is not None:
+        network.install_faults(campaign.fault_plan)
+    network.run(1.0)
     return network, supernode
 
 
@@ -340,14 +312,10 @@ def _run_toposhot(network, supernode, targets, spec):
     from repro.core.campaign import TopoShot
 
     shot = TopoShot(network, supernode)
-    shot.config = shot.config.with_repeats(spec.toposhot_repeats)
-    if spec.toposhot_cross_validate > 0:
-        # On an honest network suspects never arise, so this is
-        # behavior-neutral; under a Byzantine mix it is the quarantine
-        # step that keeps the precision column honest (adversarial.md).
-        shot.config = shot.config.with_cross_validation(
-            spec.toposhot_cross_validate
-        )
+    # Cross-validation is behavior-neutral on an honest network (suspects
+    # never arise); under a Byzantine mix it is the quarantine step that
+    # keeps the precision column honest (adversarial.md).
+    shot.config = spec.campaign_spec().measurement_config(shot.config)
     measurement = shot.measure_network(targets=list(targets), validate=False)
     extras = {
         "iterations": measurement.iterations,
@@ -470,7 +438,8 @@ def run_arena(
     :mod:`repro.obs.wiring`).
     """
     obs = obs if obs is not None else NULL
-    reference_network, _ = _build_world(spec)
+    campaign = spec.campaign_spec()
+    reference_network, _ = _fresh_world(campaign)
     targets = _select_targets(reference_network, spec)
     truth = _universe_truth(reference_network, targets)
     result = ArenaResult(
@@ -483,7 +452,7 @@ def run_arena(
     for protocol in spec.ordered_protocols:
         if progress is not None:
             progress(protocol)
-        network, supernode = _build_world(spec)
+        network, supernode = _fresh_world(campaign)
         messages_before = network.messages_sent
         sim_before = network.sim.now
         wall_before = perf_counter()

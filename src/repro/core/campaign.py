@@ -182,7 +182,6 @@ class TopoShot:
         network: Network,
         config: Optional[MeasurementConfig] = None,
         targets: Optional[Sequence[str]] = None,
-        node_id: str = "supernode-M",
         obs: Optional[Observability] = None,
     ) -> "TopoShot":
         """Create and connect a measurement supernode, then wrap it.
@@ -190,7 +189,7 @@ class TopoShot:
         Pass ``obs=Observability()`` to wire metrics/events through the
         network, engine and the campaign loop in one step.
         """
-        supernode = Supernode.join(network, node_id=node_id, targets=targets)
+        supernode = Supernode.join(network, targets=targets)
         return cls(network, supernode, config=config, obs=obs)
 
     def _refresh_pools(self) -> None:

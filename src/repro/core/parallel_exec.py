@@ -17,18 +17,24 @@ shard's spawn seed), and the merge walks shards in index order. Hence the
 merged :class:`~repro.core.results.NetworkMeasurement` is **bit-identical
 for any worker count** — ``workers=4`` reproduces ``workers=1`` exactly,
 and a crashed worker's shard can be retried anywhere without changing the
-output.
+output. The contract covers every field of the spec: fault plans (wire and
+RPC), Byzantine mix, RPC client stance, cross-validation, adaptive floods.
 
-Two equivalent ways to reset the world before a shard:
+:func:`build_world` is the only place that knows the order a world is
+assembled in, and :meth:`CampaignReplica._reset` the only place that knows
+what a reset must rewind. Two equivalent ways into a shard's universe:
 
-* **fresh build** (a new worker process): run the canonical setup sequence
-  from the :class:`CampaignSpec`, then re-seed under the shard seed;
+* **fresh build** (a new worker process): :func:`build_world`, campaign
+  setup, then re-seed under the shard seed;
 * **snapshot restore** (a warm worker or the in-process path): restore the
-  post-setup snapshot taken right after the canonical setup, then re-seed.
+  post-setup snapshot, replace the RPC client, then re-seed.
 
-:mod:`repro.sim.snapshot` guarantees the restored world is bit-identical
-to the freshly built one, which is what lets warm workers skip the
-O(network build) setup and pay only O(state restore) per shard.
+:mod:`repro.sim.snapshot` guarantees the restored network is bit-identical
+to the freshly built one; the resilient RPC client's breakers, health
+scores, pacing and plausibility baselines live outside that snapshot, so
+the reset replaces it — a shard never inherits another shard's view of the
+measurement plane. That is what lets warm workers skip the O(network
+build) setup and pay only O(state restore) per shard.
 
 Relationship to the serial path: :meth:`TopoShot.measure_network` evolves
 one world across the whole schedule (pool churn carries over between
@@ -42,16 +48,21 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import io as repro_io
 from repro.core.campaign import TopoShot
+from repro.core.config import MeasurementConfig
 from repro.core.results import NetworkMeasurement
 from repro.core.schedule import build_schedule
 from repro.errors import CheckpointError, MeasurementError
+from repro.eth.behaviors import BehaviorMix
+from repro.eth.network import Network
+from repro.eth.rpc import HARDENED_POLICY, RAW_POLICY
+from repro.eth.supernode import Supernode
 from repro.netgen.ethereum import NetworkSpec, generate_network
 from repro.obs import NULL, Observability
 from repro.sim.faults import FaultPlan
@@ -83,17 +94,14 @@ def _hash_blake2b(payload: str) -> str:
 class CampaignSpec:
     """Everything needed to rebuild a deterministic campaign replica.
 
-    A worker process receives (a serialized form of) this spec, rebuilds
-    the network from ``network``, applies the setup sequence below in a
-    fixed order, and is then bit-identical to every other replica of the
-    same spec:
-
-    1. ``generate_network(network)``
-    2. ``prefill_mempools`` (if ``prefill``)
-    3. ``TopoShot.attach`` + config overrides (``repeats``/``max_retries``/
-       ``future_count``)
-    4. pre-processing (if ``preprocess``) — fixes the target list
-    5. drain the event queue, snapshot
+    Pure data with a JSON round trip: a worker process, a service job or
+    an arena protocol receives (a serialized form of) this spec and builds
+    the same world from it. :func:`build_world` turns ``network``,
+    ``prefill``, ``rpc_raw``, ``behaviors`` and ``supernode_id`` into a
+    network with a joined supernode; :meth:`measurement_config` applies
+    ``repeats``/``max_retries``/``future_count``/``cross_validate``/
+    ``adaptive_flood``; a :class:`CampaignReplica` then pre-processes (if
+    ``preprocess``), drains the event queue and snapshots.
 
     The fault plan is *not* part of setup: it is armed per shard, after the
     snapshot point, so faults draw from the shard's seed universe.
@@ -110,10 +118,31 @@ class CampaignSpec:
     validate: bool = True
     n_shards: Optional[int] = None
     supernode_id: str = "supernode-M"
+    behaviors: Optional[BehaviorMix] = None
+    rpc_raw: bool = False
+    cross_validate: Optional[int] = None
+    adaptive_flood: bool = False
+
+    def __post_init__(self) -> None:
+        # Specs arrive from service clients: refuse overrides no
+        # MeasurementConfig accepts here, not after the network is built.
+        self.measurement_config(MeasurementConfig())
 
     @property
     def seed(self) -> int:
         return self.network.seed
+
+    def measurement_config(self, base: MeasurementConfig) -> MeasurementConfig:
+        """``base`` with every override this spec carries applied (override
+        fields are named after the config fields they set)."""
+        overrides = {
+            name: getattr(self, name)
+            for name in ("repeats", "max_retries", "future_count", "cross_validate")
+            if getattr(self, name) is not None
+        }
+        if self.adaptive_flood:
+            overrides["adaptive_flood"] = True
+        return replace(base, **overrides)
 
     def to_dict(self) -> dict:
         """JSON form, derived from the dataclass fields so a field added
@@ -128,6 +157,8 @@ class CampaignSpec:
         payload["network"].pop("latency")
         if self.fault_plan is not None:
             payload["fault_plan"] = self.fault_plan.to_dict()
+        if self.behaviors is not None:
+            payload["behaviors"] = asdict(self.behaviors)
         return payload
 
     @classmethod
@@ -136,6 +167,8 @@ class CampaignSpec:
         values["network"] = NetworkSpec(**payload["network"])
         if payload.get("fault_plan") is not None:
             values["fault_plan"] = FaultPlan.from_dict(payload["fault_plan"])
+        if payload.get("behaviors") is not None:
+            values["behaviors"] = BehaviorMix(**payload["behaviors"])
         return cls(**values)
 
     def fingerprint(self) -> str:
@@ -144,6 +177,30 @@ class CampaignSpec:
             self.to_dict(), sort_keys=True, separators=(",", ":")
         )
         return _hash_blake2b(canonical)
+
+
+def build_world(spec: CampaignSpec) -> Tuple[Network, Supernode]:
+    """Assemble the world ``spec`` describes, in the one canonical order:
+    generate → prefill → RPC client → behaviors → supernode join.
+
+    The caller arms the fault plan *after* this returns — the only order a
+    snapshotting caller can use (a snapshot refuses an armed plan).
+    """
+    network = generate_network(spec.network)
+    if spec.prefill:
+        from repro.netgen.workloads import prefill_mempools
+
+        prefill_mempools(network)
+    _fresh_rpc_client(network, spec)
+    if spec.behaviors is not None and spec.behaviors.enabled:
+        network.install_behaviors(spec.behaviors)
+    return network, Supernode.join(network, node_id=spec.supernode_id)
+
+
+def _fresh_rpc_client(network: Network, spec: CampaignSpec) -> None:
+    """Replace the network's RPC client with a new one in the spec's
+    stance: no breaker, health score or pacing state carries over."""
+    network.rpc_client(RAW_POLICY if spec.rpc_raw else HARDENED_POLICY)
 
 
 @dataclass(frozen=True)
@@ -247,22 +304,9 @@ class CampaignReplica:
 
     def __init__(self, campaign: CampaignSpec) -> None:
         self.campaign = campaign
-        self.network = generate_network(campaign.network)
-        if campaign.prefill:
-            from repro.netgen.workloads import prefill_mempools
-
-            prefill_mempools(self.network)
-        self.shot = TopoShot.attach(
-            self.network, node_id=campaign.supernode_id
-        )
-        config = self.shot.config
-        if campaign.repeats is not None:
-            config = config.with_repeats(campaign.repeats)
-        if campaign.max_retries is not None:
-            config = config.with_retries(campaign.max_retries)
-        if campaign.future_count is not None:
-            config = config.with_future_count(campaign.future_count)
-        self.shot.config = config
+        self.network, supernode = build_world(campaign)
+        self.shot = TopoShot(self.network, supernode)
+        self.shot.config = campaign.measurement_config(self.shot.config)
 
         self.targets, self.skipped, self.group_size = self.shot._select_targets(
             None, campaign.group_size, campaign.preprocess
@@ -281,18 +325,21 @@ class CampaignReplica:
         self._snapshot = self.shot.snapshot_state()
         self._pristine = True
 
-    def _reset(self, shard_seed: int) -> None:
-        """Put the world into the shard's universe: pristine state + seed.
+    def _reset(self, seed: int) -> None:
+        """Put the world into the universe of ``seed``: pristine state + seed.
 
-        Fresh-build and restore paths converge here: both end with every
-        existing RNG stream re-seeded under ``shard_seed`` (streams created
-        later derive from it lazily) and the fault plan — if any — armed
-        *after* the pristine state is in place.
+        Fresh-build and restore paths converge here. The restore rewinds
+        everything :func:`build_world` and the setup installed (the RPC
+        client lives outside the snapshot, so it is replaced); both paths
+        end with every existing RNG stream re-seeded under ``seed``
+        (streams created later derive from it lazily) and the fault plan —
+        if any — armed *after* the pristine state is in place.
         """
         if not self._pristine:
             self.network.clear_faults()
             self.shot.restore_state(self._snapshot)
-        self.network.sim.rng.reseed(shard_seed)
+            _fresh_rpc_client(self.network, self.campaign)
+        self.network.sim.rng.reseed(seed)
         if self.campaign.fault_plan is not None:
             self.network.install_faults(self.campaign.fault_plan)
         self._pristine = False
@@ -688,9 +735,14 @@ def run_campaign(
         ).set(len(measurement.edges))
 
     # The serial path's tail: confidence labels from the merged evidence,
-    # then the score.
+    # then the score. Cross-validation probes the world, so it gets a seed
+    # universe of its own, whatever shards this replica ran in-process.
     replica.shot.obs = obs if collect_obs else NULL
+    if replica.shot.config.cross_validate > 0:
+        replica._reset(spawn_seed(campaign.seed, "harden"))
+    harden_start = replica.network.sim.now
     replica.shot._harden_measurement(measurement)
+    measurement.sim_time_end += replica.network.sim.now - harden_start
     if campaign.validate:
         measurement.validate_against(replica.truth_edges)
     return measurement

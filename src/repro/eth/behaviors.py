@@ -162,6 +162,20 @@ class BehaviorMix:
             raise BehaviorPlanError(f"empty behavior mix spec: {spec!r}")
         return cls(**values)  # type: ignore[arg-type]
 
+    @classmethod
+    def from_flags(
+        cls, spec: Optional[str], fraction: Optional[float]
+    ) -> Optional["BehaviorMix"]:
+        """The mix a ``--byzantine-mix`` / ``--byzantine-frac`` pair asks
+        for (``None`` when neither is given; giving both is an error)."""
+        if spec and fraction is not None:
+            raise ValueError("--byzantine-mix and --byzantine-frac are mutually exclusive")
+        if spec:
+            return cls.from_spec(spec)
+        if fraction is not None:
+            return cls.uniform(fraction)
+        return None
+
     def scaled(self, factor: float) -> "BehaviorMix":
         """Same relative kind weights at ``factor`` times the fractions."""
         if factor < 0:

@@ -19,9 +19,12 @@ from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.errors import ServiceError
+from repro.errors import BadRequest, ReproError, ServiceError
+
+if TYPE_CHECKING:  # pragma: no cover - imported at call time
+    from repro.core.parallel_exec import CampaignSpec
 
 # Lifecycle states (plain strings: they serialize as-is into the journal
 # and API payloads).
@@ -205,22 +208,33 @@ class JobRecord:
         }
 
 
+def measure_params(spec: JobSpec) -> Tuple["CampaignSpec", int]:
+    """A measure job's campaign and worker count, parsed from ``params``
+    — first at submission, so a malformed payload is the client's error (a
+    typed 400), not an executor crash retried against the pool breaker."""
+    from repro.core.parallel_exec import CampaignSpec
+
+    try:
+        campaign = CampaignSpec.from_dict(spec.params["campaign"])
+        return campaign, int(spec.params.get("workers", 1))
+    except (KeyError, TypeError, ValueError, ReproError) as exc:
+        raise BadRequest(
+            f"malformed measure params: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
 def node_seconds_cost(spec: JobSpec) -> float:
     """Admission-time cost estimate in *simulated node-seconds*.
 
     The tenant budget buckets are denominated in this unit so a tenant
     cannot sidestep a jobs/s limit by submitting few huge campaigns: a
     measure job costs ``n_nodes * repeats`` (the dominant simulation-cost
-    driver), a synthetic job its declared step count.
+    driver), a synthetic job its declared step count. Raises
+    :class:`~repro.errors.BadRequest` for a malformed measure job.
     """
     if spec.kind == KIND_MEASURE:
-        campaign = spec.params.get("campaign")
-        if isinstance(campaign, dict):
-            network = campaign.get("network", {})
-            nodes = int(network.get("n_nodes", 0)) or 1
-            repeats = campaign.get("repeats") or 1
-            return float(nodes * max(1, int(repeats)))
-        return 1.0
+        campaign, _ = measure_params(spec)
+        return float(max(1, campaign.network.n_nodes) * (campaign.repeats or 1))
     if spec.kind == KIND_SYNTHETIC:
         return float(max(1, int(spec.params.get("steps", 1))))
     return 1.0

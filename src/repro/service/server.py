@@ -312,6 +312,8 @@ class MeasurementService:
                 f"unknown job kind {spec.kind!r}; "
                 f"available: {sorted(JOB_KINDS)}"
             )
+        # Costing a measure job parses its campaign: a malformed one is a
+        # BadRequest here, before anything is admitted, journaled or run.
         self.admission.admit(
             spec.tenant,
             node_seconds_cost(spec),

@@ -43,6 +43,7 @@ from repro.service.jobs import (
     KIND_SYNTHETIC,
     TIMED_OUT,
     JobRecord,
+    measure_params,
 )
 
 # Confidence label attached to partial results (extends the campaign's
@@ -131,11 +132,9 @@ def _execute_measure(record: JobRecord, ctx: ExecutionContext) -> dict:
     job id; any retry or recovery resumes from completed shards, so work
     is never repeated and results are never duplicated.
     """
-    from repro.core.parallel_exec import CampaignSpec, run_campaign
+    from repro.core.parallel_exec import run_campaign
 
-    params = record.spec.params
-    campaign = CampaignSpec.from_dict(params["campaign"])
-    workers = int(params.get("workers", 1))
+    campaign, workers = measure_params(record.spec)
 
     ctx.heartbeat()
 

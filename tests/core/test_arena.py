@@ -74,6 +74,37 @@ class TestDeterminism:
         ]
         assert dumps[0] == dumps[1]
 
+    @pytest.mark.parametrize(
+        "byzantine_spec, digest",
+        [
+            (None, "34214f79e1d41d776d8dd71cfdece6289bd120b8d68a51f9b723aea8cecd6cd2"),
+            (
+                "spoof_relay:0.1,censor:0.1",
+                "6c86d2a9455ca180b4a964e9bb97870218fe6d9eb2a1ca3c9cd47d09628bf46d",
+            ),
+        ],
+    )
+    def test_no_fault_worlds_match_the_hand_assembled_arena(
+        self, byzantine_spec, digest
+    ):
+        """Digests recorded at c999a29, when the arena still assembled its
+        worlds itself: building them through ``build_world`` changes
+        nothing for a spec without a fault plan."""
+        import hashlib
+
+        spec = ArenaSpec(
+            n_nodes=24,
+            seed=7,
+            n_targets=8,
+            outbound_dials=3,
+            dethna_rounds=4,
+            ethna_txs=20,
+            timing_probes=2,
+            byzantine_spec=byzantine_spec,
+        )
+        canonical = json.dumps(run_arena(spec).canonical_dict(), sort_keys=True)
+        assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
     def test_canonical_dict_excludes_wall_clock(self, golden_result):
         canonical = json.dumps(golden_result.canonical_dict())
         assert "wall_clock_seconds" not in canonical

@@ -90,6 +90,51 @@ class TestMeasure:
             main(["frobnicate"])
 
 
+class TestOneAssemblyOrder:
+    def test_serial_cli_is_build_world_plus_measure_network(self, capsys, tmp_path):
+        """The CLI owns flag parsing, not the order a world is assembled
+        in: its serial path must produce what ``build_world`` + the spec's
+        config + ``measure_network`` produce for the same spec."""
+        import json
+
+        from repro.core.campaign import TopoShot
+        from repro.core.parallel_exec import CampaignSpec, build_world
+        from repro.eth.behaviors import BehaviorMix
+        from repro.io import measurement_to_dict
+        from repro.netgen.ethereum import NetworkSpec
+        from repro.sim.faults import FaultPlan, RpcFaultPlan
+
+        out_json = tmp_path / "m.json"
+        assert (
+            main(
+                [
+                    "measure", "--nodes", "12", "--seed", "3", "--repeats", "2",
+                    "--loss", "0.02", "--rpc-fault-rate", "0.2",
+                    "--byzantine-frac", "0.2", "--cross-validate", "2",
+                    "--adaptive-flood", "--max-retries", "1",
+                    "--output", str(out_json),
+                ]
+            )
+            == 0
+        )
+        spec = CampaignSpec(
+            network=NetworkSpec(n_nodes=12, seed=3),
+            repeats=2,
+            max_retries=1,
+            fault_plan=FaultPlan(loss_rate=0.02, rpc=RpcFaultPlan.uniform(0.2)),
+            behaviors=BehaviorMix.uniform(0.2),
+            cross_validate=2,
+            adaptive_flood=True,
+        )
+        network, supernode = build_world(spec)
+        network.install_faults(spec.fault_plan)
+        shot = TopoShot(network, supernode)
+        shot.config = spec.measurement_config(shot.config)
+        assert json.loads(out_json.read_text()) == measurement_to_dict(
+            shot.measure_network()
+        )
+
+
 class TestMeasureAdversarial:
     def test_byzantine_frac_with_invariants(self, capsys):
         assert (
@@ -145,17 +190,22 @@ class TestMeasureAdversarial:
             == 2
         )
 
-    def test_sharded_execution_rejects_adversarial_flags(self, capsys):
+    def test_sharded_execution_composes_adversarial_flags(self, capsys):
         assert (
             main(
                 [
-                    "measure", "--nodes", "10", "--workers", "2",
-                    "--byzantine-frac", "0.2",
+                    "measure", "--nodes", "10", "--seed", "3", "--workers", "2",
+                    "--byzantine-frac", "0.2", "--cross-validate", "2",
+                    "--rpc-fault-rate", "0.2", "--adaptive-flood",
                 ]
             )
-            == 2
+            == 0
         )
+        assert "edges detected" in capsys.readouterr().out
+
+    def test_sharded_execution_still_rejects_invariants(self, capsys):
         assert (
             main(["measure", "--nodes", "10", "--workers", "2", "--invariants"])
             == 2
         )
+        assert "per-process observer" in capsys.readouterr().err

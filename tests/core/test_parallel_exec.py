@@ -5,10 +5,12 @@ import json
 import pytest
 
 from repro.core.parallel_exec import (
+    CampaignReplica,
     CampaignSpec,
     ParallelCheckpoint,
     ShardResult,
     ShardSpec,
+    build_shard_plan,
     merge_obs_snapshots,
     run_campaign,
 )
@@ -23,6 +25,7 @@ from repro.io import measurement_to_dict
 from repro.netgen.ethereum import NetworkSpec
 from repro.sim.faults import FaultPlan, LinkFaults, RpcFaultPlan
 from repro.sim.rng import spawn_seed
+from tests.sim.test_faults_rpc import BYZANTINE_MIX, FULL_ZOO
 
 
 def _spec(**overrides):
@@ -33,6 +36,31 @@ def _spec(**overrides):
     )
     defaults.update(overrides)
     return CampaignSpec(**defaults)
+
+
+def full_zoo_spec(seed=91):
+    """Every knob at once: loss + churn + crash + RPC faults, a Byzantine
+    mix, cross-validation and adaptive floods."""
+    return CampaignSpec(
+        network=NetworkSpec(n_nodes=14, seed=seed),
+        n_shards=4,
+        fault_plan=FaultPlan(**FULL_ZOO),
+        behaviors=BYZANTINE_MIX,
+        cross_validate=3,
+        adaptive_flood=True,
+    )
+
+
+def _rpc_weather_spec(seed):
+    return CampaignSpec(
+        network=NetworkSpec(n_nodes=16, seed=seed),
+        n_shards=4,
+        fault_plan=FaultPlan(
+            rpc=RpcFaultPlan.uniform(
+                0.6, rate_limit_per_second=5.0, flap_rate=0.02
+            )
+        ),
+    )
 
 
 class TestDeterminism:
@@ -83,6 +111,44 @@ class TestDeterminism:
         assert pooled.edges == serial.edges
         assert pooled.duration == serial.duration
 
+    @pytest.mark.parametrize("seed", [3, 5, 11])
+    def test_warm_replica_equals_fresh_under_rpc_faults(self, seed):
+        """The resilient RPC client (breakers, health, pacing, plausibility
+        baselines) lives outside ``Network.snapshot``; a reset must replace
+        it, or a shard's result depends on which shards its replica ran
+        before."""
+        spec = _rpc_weather_spec(seed)
+        warm = CampaignReplica(spec)
+        plan = build_shard_plan(len(warm.schedule), spec.n_shards)
+        assert len(plan) == 4
+        for index, (start, stop) in enumerate(plan):
+            shard = ShardSpec(spec, index, len(plan), start, stop)
+            fresh = CampaignReplica(spec).run_shard(shard)
+            assert measurement_to_dict(
+                warm.run_shard(shard).measurement
+            ) == measurement_to_dict(fresh.measurement)
+
+    @pytest.mark.parametrize("seed", [3, 5, 11])
+    def test_worker_counts_agree_under_rpc_faults(self, seed):
+        spec = _rpc_weather_spec(seed)
+        serial = run_campaign(spec, workers=1)
+        assert any(f.kind == "rpc_degraded" for f in serial.failures)
+        assert measurement_to_dict(
+            run_campaign(spec, workers=4)
+        ) == measurement_to_dict(serial)
+
+    def test_full_zoo_is_invariant_under_the_worker_count(self):
+        """Cross-validation probes in the harden tail, so the tail resets
+        the driver replica into its own seed universe; everything hardening
+        adds is then the same bytes at any worker count."""
+        serial = run_campaign(full_zoo_spec(), workers=1)
+        pooled = run_campaign(full_zoo_spec(), workers=4)
+        assert measurement_to_dict(pooled) == measurement_to_dict(serial)
+        assert serial.quarantined and serial.suspect_nodes
+        assert set(serial.edge_confidence) == serial.edges | serial.quarantined
+        assert set(serial.evidence) >= serial.edges
+        assert any(f.kind == "rpc_degraded" for f in serial.failures)
+
     def test_shard_seeds_are_spawn_keys(self):
         spec = _spec()
         shard = ShardSpec(campaign=spec, index=3, n_shards=4, start=0, stop=1)
@@ -114,6 +180,26 @@ class TestSpecSerialization:
         assert restored == spec
         wire_only = _spec(fault_plan=FaultPlan(loss_rate=0.02))
         assert spec.fingerprint() != wire_only.fingerprint()
+
+    def test_full_zoo_round_trips_and_every_world_field_is_fingerprinted(self):
+        spec = full_zoo_spec()
+        restored = CampaignSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert restored == spec
+        assert restored.fingerprint() == spec.fingerprint()
+        variants = [
+            _spec(),
+            _spec(behaviors=BYZANTINE_MIX),
+            _spec(rpc_raw=True),
+            _spec(cross_validate=3),
+            _spec(adaptive_flood=True),
+        ]
+        assert len({variant.fingerprint() for variant in variants}) == len(variants)
+
+    def test_overrides_no_config_accepts_are_refused_at_construction(self):
+        with pytest.raises(MeasurementError):
+            _spec(cross_validate=-1)
+        with pytest.raises(MeasurementError):
+            _spec(repeats=0)
 
     def test_different_campaigns_differ_in_fingerprint(self):
         assert _spec().fingerprint() != _spec(repeats=2).fingerprint()

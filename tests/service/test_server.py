@@ -191,6 +191,94 @@ class TestRoundTrip:
         asyncio.run(main())
 
 
+def _campaign_payload(**changes):
+    from repro.core.parallel_exec import CampaignSpec
+    from repro.netgen.ethereum import NetworkSpec
+
+    payload = CampaignSpec(network=NetworkSpec(n_nodes=8, seed=1)).to_dict()
+    payload.update(changes)
+    return payload
+
+
+MALFORMED_CAMPAIGNS = {
+    "unknown key": {"campaign": _campaign_payload(gremlin=1)},
+    "missing network": {
+        "campaign": {
+            k: v for k, v in _campaign_payload().items() if k != "network"
+        }
+    },
+    "behaviors summing past 1": {
+        "campaign": _campaign_payload(
+            behaviors={"censor": 0.7, "spoof_relay": 0.7}
+        )
+    },
+    "no campaign at all": {"workers": 1},
+    "workers not a number": {"campaign": _campaign_payload(), "workers": "many"},
+}
+
+
+class TestMeasureJobs:
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_CAMPAIGNS))
+    def test_malformed_campaign_is_a_400_not_a_worker_failure(
+        self, tmp_path, shape
+    ):
+        """A bad campaign payload is the client's error: refused at submit
+        with nothing journaled or run — not retried against the worker-pool
+        breaker, where two of them could shut every tenant out."""
+
+        async def main():
+            async with service(tmp_path, breaker_failure_threshold=2) as (
+                svc,
+                client,
+            ):
+                for _ in range(3):
+                    with pytest.raises(ServiceClientError) as excinfo:
+                        await asyncio.to_thread(
+                            client.submit, "mallory", "measure",
+                            MALFORMED_CAMPAIGNS[shape],
+                        )
+                    assert excinfo.value.status == 400
+                    assert excinfo.value.error_type == "bad_request"
+                assert svc.records == {}
+                assert svc.journal.appends_total == 0
+                assert svc.breaker.state == "closed"
+                assert svc.breaker.trips_total == 0
+                assert svc.admission.admitted_total == 0
+                # The pool still serves everybody else.
+                job = await asyncio.to_thread(submit_sync, client, tenant="alice")
+                done = await asyncio.to_thread(
+                    client.wait, job["spec"]["job_id"], 20
+                )
+                assert done["state"] == "done"
+
+        asyncio.run(main())
+
+    def test_full_zoo_job_returns_the_librarys_edges(self, tmp_path):
+        """One spec, every executor: the payload the sharded runner takes is
+        the payload a service job carries."""
+        from repro.core.parallel_exec import run_campaign
+        from repro.io import measurement_to_dict
+        from tests.core.test_parallel_exec import full_zoo_spec
+
+        spec = full_zoo_spec()
+
+        async def main():
+            async with service(tmp_path) as (_svc, client):
+                job = await asyncio.to_thread(
+                    client.submit, "alice", "measure",
+                    {"campaign": spec.to_dict(), "workers": 1},
+                )
+                return await asyncio.to_thread(
+                    client.wait, job["spec"]["job_id"], 120
+                )
+
+        done = asyncio.run(main())
+        assert done["state"] == "done"
+        assert done["result"]["measurement"] == measurement_to_dict(
+            run_campaign(spec, workers=1)
+        )
+
+
 class TestOverloadShedding:
     def test_rate_quota_sheds_with_typed_429(self, tmp_path):
         async def main():
