@@ -25,6 +25,16 @@ Admission of an incoming transaction ``tx1`` follows the paper's model:
 
 EIP-1559 mode (Appendix E): the pool prices transactions by their max fee
 and drops transactions whose max fee falls below the block base fee.
+
+Bookkeeping. Admission classifies only the transaction that moved, in
+O(1) of its sender's queue length: a fresh future transaction joins the
+future set, a fresh pending one that extends its sender's run joins the
+pending set, a replacement inherits its occupant's class, and an evicted
+transaction re-classifies nobody unless it was pending with a queued
+successor. Only where a run can really move (a filled gap promotes the
+queued tail, an evicted pending transaction demotes it, a block, a
+base-fee drop or an expiry removes transactions) does
+:meth:`Mempool._rebalance_sender` rescan the sender's whole queue.
 """
 
 from __future__ import annotations
@@ -163,9 +173,10 @@ class Mempool:
         self._capacity = policy.capacity
         self._enforce_base_fee = policy.enforce_base_fee
         self._future_limit = policy.future_limit_per_account
-        # add_batch defers eviction-heap maintenance: while True,
-        # _rebalance_sender records no heap entries and draws no sequence
-        # numbers; the batch ends with one _rebuild_price_heaps().
+        self._eviction_floor = policy.eviction_pending_floor
+        # add_batch defers eviction-heap maintenance: while True, _place
+        # records no heap entries and draws no sequence numbers; the
+        # batch ends with one _rebuild_price_heaps().
         self._heaps_deferred = False
 
         self._by_hash: Dict[str, Transaction] = {}
@@ -188,13 +199,15 @@ class Mempool:
         The supported way to change a live pool's policy (the Byzantine
         behavior layer swaps in R=0 tables): assigning ``self.policy``
         directly would leave ``_capacity``/``_enforce_base_fee``/
-        ``_future_limit`` caching the old table. No transactions are
-        re-validated; the new policy governs from the next offer on.
+        ``_future_limit``/``_eviction_floor`` caching the old table. No
+        transactions are re-validated; the new policy governs from the
+        next offer on.
         """
         self.policy = policy
         self._capacity = policy.capacity
         self._enforce_base_fee = policy.enforce_base_fee
         self._future_limit = policy.future_limit_per_account
+        self._eviction_floor = policy.eviction_pending_floor
 
     # ------------------------------------------------------------------
     # Introspection
@@ -223,7 +236,7 @@ class Mempool:
 
     @property
     def free_slots(self) -> int:
-        return max(0, self.policy.capacity - len(self._by_hash))
+        return max(0, self._capacity - len(self._by_hash))
 
     def is_pending(self, tx_hash: str) -> bool:
         return tx_hash in self._pending
@@ -311,7 +324,7 @@ class Mempool:
         The fast path runs while the pool *cannot* fill mid-chunk
         (``len(pool) + chunk <= capacity``): no eviction is possible, so
         the lazy eviction heaps are not consulted and their maintenance —
-        the per-add heappush in ``_rebalance_sender`` — is deferred to a
+        the per-add heappush in ``_place`` — is deferred to a
         single :meth:`_rebuild_price_heaps` at the end. Once the pool can
         fill, the remainder falls back to sequential :meth:`add` (victim
         selection needs live heaps). ``stop_when_full=True`` instead
@@ -423,18 +436,18 @@ class Mempool:
                 return AddResult(
                     tx, AddOutcome.REJECTED_UNDERPRICED_REPLACEMENT, replaced=None
                 )
+            # Same (sender, nonce), so the sender's run is unchanged and
+            # the replacement inherits its occupant's class.
+            is_pending = occupant.hash in self._pending
             self._remove(occupant.hash)
             self._insert(tx)
-            promoted = self._rebalance_sender(sender)
+            self._place(tx_hash, bid, is_pending)
             return AddResult(
-                tx,
-                AddOutcome.REPLACED,
-                replaced=occupant,
-                promoted=[p for p in promoted if p.hash != tx_hash],
-                is_pending=tx_hash in self._pending,
+                tx, AddOutcome.REPLACED, replaced=occupant, is_pending=is_pending
             )
 
-        # _would_be_pending inlined on the `nonces` lookup already in hand.
+        # Would tx be executable right after insertion? Walk the sender's
+        # run from the confirmed nonce on the `nonces` lookup in hand.
         if nonces is None:
             will_be_pending = tx_nonce == confirmed
         else:
@@ -456,40 +469,53 @@ class Mempool:
             ) >= limit:
                 return AddResult(tx, AddOutcome.REJECTED_FUTURE_LIMIT)
 
+        # From here on only the transactions that move are classified. That
+        # rests on the pool agreeing with the confirmed nonces before the
+        # offer, which holds because their only writer (Node.receive_block)
+        # calls apply_block in the same step and restore_state restores
+        # both together.
+
         # --- Eviction path when the pool is full.
-        evicted: List[Transaction] = []
+        evicted: Optional[List[Transaction]] = None
+        rescan = False
         if len(self._by_hash) >= self._capacity:
             victim = self._select_victim(will_be_pending, bid)
             if victim is None:
                 return AddResult(tx, AddOutcome.REJECTED_POOL_FULL)
+            victim_was_pending = victim.hash in self._pending
             self._remove(victim.hash)
-            self._rebalance_sender(victim.sender)
-            evicted.append(victim)
+            # A removed future, or the last transaction of a run, leaves
+            # every other class as it was; a pending transaction with a
+            # queued successor demotes its tail.
+            if victim_was_pending and victim.nonce + 1 in self._by_sender.get(
+                victim.sender, ()
+            ):
+                self._rebalance_sender(victim.sender)
+            # will_be_pending and `nonces` predate the eviction: stale
+            # when the victim was one of the sender's own transactions.
+            rescan = victim.sender == sender
+            evicted = [victim]
 
         self._insert(tx)
-        promoted = self._rebalance_sender(sender)
-        is_pending = tx_hash in self._pending
+        # A fresh pending transaction moves others only when it fills a
+        # gap (its successor is already queued); a fresh future, never.
+        if rescan or (
+            will_be_pending and nonces is not None and tx_nonce + 1 in nonces
+        ):
+            promoted = [
+                p for p in self._rebalance_sender(sender) if p.hash != tx_hash
+            ]
+            is_pending = tx_hash in self._pending
+        else:
+            promoted = None
+            is_pending = will_be_pending
+            self._place(tx_hash, bid, is_pending)
         outcome = (
             AddOutcome.ADMITTED_PENDING if is_pending else AddOutcome.ADMITTED_FUTURE
         )
         return AddResult(
-            tx,
-            outcome,
-            evicted=evicted,
-            promoted=[p for p in promoted if p.hash != tx_hash],
-            is_pending=is_pending,
+            tx, outcome, evicted=evicted, promoted=promoted, is_pending=is_pending
         )
-
-    def _would_be_pending(self, tx: Transaction, confirmed: int) -> bool:
-        """Would ``tx`` be executable immediately after insertion?"""
-        nonces = self._by_sender.get(tx.sender, {})
-        nonce = confirmed
-        while True:
-            if nonce == tx.nonce:
-                return True
-            if nonce not in nonces:
-                return False
-            nonce += 1
 
     def _select_victim(
         self, incoming_is_pending: bool, incoming_bid: int
@@ -505,7 +531,7 @@ class Mempool:
         return self._pending_victim(incoming_bid)
 
     def _pending_victim(self, incoming_bid: int) -> Optional[Transaction]:
-        if self.pending_count <= self.policy.eviction_pending_floor:
+        if len(self._pending) <= self._eviction_floor:
             return None
         victim = self._peek_lowest(self._pending_heap, self._pending)
         if victim is None:
@@ -544,8 +570,29 @@ class Mempool:
         self._added_at.pop(tx_hash, None)
         return tx
 
+    def _place(self, tx_hash: str, bid: int, pending: bool) -> None:
+        """File one transaction under its class and its eviction heap."""
+        if pending:
+            self._pending.add(tx_hash)
+            heap = self._pending_heap
+        else:
+            self._future.add(tx_hash)
+            heap = self._future_heap
+        # Inside add_batch the heaps are rebuilt wholesale at the end, so
+        # per-transaction pushes (and their sequence draws) are skipped.
+        if not self._heaps_deferred:
+            heapq.heappush(heap, (bid, next(self._seq), tx_hash))
+
     def _rebalance_sender(self, sender: str) -> List[Transaction]:
-        """Recompute pending/future split for one sender.
+        """Recompute pending/future split for one sender (the full scan).
+
+        Needed only where a whole run can move: a filled gap, an evicted
+        pending transaction with queued successors, an eviction inside the
+        incoming sender's own queue, and removals by block, base fee or
+        expiry. Every other admission files its one transaction with
+        :meth:`_place`. Transactions that change class are re-filed in
+        ``_by_sender`` insertion order, which fixes their tie-break
+        sequence numbers.
 
         Returns transactions newly *promoted* to pending (they must be
         propagated by the owning node, like Geth's promoteExecutables).
@@ -560,46 +607,19 @@ class Mempool:
         while nonce in nonces:
             pending_run.add(nonces[nonce].hash)
             nonce += 1
-        # Inside add_batch the heaps are rebuilt wholesale at the end, so
-        # per-transaction pushes (and their sequence draws) are skipped.
-        deferred = self._heaps_deferred
         for tx in nonces.values():
-            currently_pending = tx.hash in self._pending
-            should_be_pending = tx.hash in pending_run
-            if should_be_pending and not currently_pending:
-                self._future.discard(tx.hash)
-                self._pending.add(tx.hash)
-                if not deferred:
-                    heapq.heappush(
-                        self._pending_heap,
-                        (tx.bid_price(self.base_fee), next(self._seq), tx.hash),
-                    )
+            tx_hash = tx.hash
+            should_be_pending = tx_hash in pending_run
+            if should_be_pending:
+                if tx_hash in self._pending:
+                    continue
+                self._future.discard(tx_hash)
                 promoted.append(tx)
-            elif not should_be_pending and currently_pending:
-                self._pending.discard(tx.hash)
-                self._future.add(tx.hash)
-                if not deferred:
-                    heapq.heappush(
-                        self._future_heap,
-                        (tx.bid_price(self.base_fee), next(self._seq), tx.hash),
-                    )
-            elif tx.hash not in self._pending and tx.hash not in self._future:
-                # Fresh insertion.
-                if should_be_pending:
-                    self._pending.add(tx.hash)
-                    if not deferred:
-                        heapq.heappush(
-                            self._pending_heap,
-                            (tx.bid_price(self.base_fee), next(self._seq), tx.hash),
-                        )
-                    promoted.append(tx)
-                else:
-                    self._future.add(tx.hash)
-                    if not deferred:
-                        heapq.heappush(
-                            self._future_heap,
-                            (tx.bid_price(self.base_fee), next(self._seq), tx.hash),
-                        )
+            else:
+                if tx_hash in self._future:
+                    continue
+                self._pending.discard(tx_hash)
+            self._place(tx_hash, tx.bid_price(self.base_fee), should_be_pending)
         return promoted
 
     # ------------------------------------------------------------------

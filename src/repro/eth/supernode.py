@@ -71,6 +71,9 @@ class Supernode(Node):
         self.observations: List[Observation] = []
         self._first_seen: Dict[Tuple[str, str], float] = {}
         self._first_kind: Dict[Tuple[str, str], str] = {}
+        # tx hash -> peers seen possessing it (the keys of _first_seen,
+        # indexed by hash for observers_of).
+        self._observers: Dict[str, Set[str]] = {}
         # Lifetime totals by evidence kind ("push"/"announce"). Unlike the
         # per-iteration log, these survive clear_observations(), so the
         # observability collectors can report campaign-wide counts.
@@ -95,6 +98,7 @@ class Supernode(Node):
         if key not in self._first_seen:
             self._first_seen[key] = self.sim.now
             self._first_kind[key] = kind
+            self._observers.setdefault(tx_hash, set()).add(peer)
             self.observations.append(
                 Observation(self.sim.now, peer, tx_hash, kind)
             )
@@ -124,7 +128,7 @@ class Supernode(Node):
 
     def observers_of(self, tx_hash: str) -> Set[str]:
         """Every peer seen possessing ``tx_hash``."""
-        return {peer for (peer, h) in self._first_seen if h == tx_hash}
+        return set(self._observers.get(tx_hash, ()))
 
     def observation_kind(self, peer: str, tx_hash: str) -> Optional[str]:
         """How ``peer`` first demonstrated possession: push/announce.
@@ -139,6 +143,7 @@ class Supernode(Node):
         self.observations.clear()
         self._first_seen.clear()
         self._first_kind.clear()
+        self._observers.clear()
 
     # ------------------------------------------------------------------
     # Snapshot/reset (see repro.sim.snapshot)
@@ -157,6 +162,9 @@ class Supernode(Node):
         self.observations = list(state["observations"])
         self._first_seen = dict(state["first_seen"])
         self._first_kind = dict(state.get("first_kind", {}))
+        self._observers = {}
+        for peer, tx_hash in self._first_seen:
+            self._observers.setdefault(tx_hash, set()).add(peer)
         self.observation_counts = dict(state["observation_counts"])
         self.neighbor_responses = dict(state["neighbor_responses"])
 

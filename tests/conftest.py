@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import settings
 
 from repro.eth.account import Wallet
 from repro.eth.network import Network
@@ -15,6 +16,25 @@ from repro.eth.transaction import TransactionFactory, gwei
 from repro.netgen.ethereum import quick_network
 from repro.netgen.workloads import prefill_mempools
 from repro.sim.engine import Simulator
+
+# `pytest --hypothesis-profile ci`: ten times the examples, derandomized so
+# a red CI run reproduces locally. The default profile (and with it the
+# tier-1 wall time) is untouched.
+_DEFAULT_EXAMPLES = settings.get_profile("default").max_examples
+settings.register_profile(
+    "ci", max_examples=10 * _DEFAULT_EXAMPLES, derandomize=True
+)
+
+
+def property_settings(max_examples: int) -> settings:
+    """``@settings`` for a property test with its own example budget.
+
+    An explicit ``max_examples`` overrides any profile, so the budget is
+    scaled here by the active profile's depth (1x by default, 10x under
+    ``ci``) instead of being passed to ``settings`` directly.
+    """
+    depth = settings().max_examples // _DEFAULT_EXAMPLES
+    return settings(max_examples=max_examples * max(1, depth), deadline=None)
 
 
 @pytest.fixture

@@ -187,6 +187,31 @@ class TestSupernode:
         assert supernode.observed_from("n0", tx.hash)
         assert supernode.observed_from("n1", tx.hash)  # hold bypassed
 
+    def test_observers_of_tracks_the_log_across_clear_and_restore(
+        self, triangle_network
+    ):
+        """observers_of reads a hash -> peers index: it must agree with
+        the observation log after recording, clearing and a state restore,
+        and hand out a set the caller may mutate."""
+        supernode = Supernode.join(triangle_network)
+        announce = NewPooledTransactionHashes(hashes=("0xaa", "0xbb"))
+        supernode.handle_message("n0", announce)
+        supernode.handle_message("n1", NewPooledTransactionHashes(hashes=("0xaa",)))
+        assert supernode.observers_of("0xaa") == {"n0", "n1"}
+        assert supernode.observers_of("0xbb") == {"n0"}
+        assert supernode.observers_of("0xcc") == set()
+        supernode.observers_of("0xaa").clear()
+        assert supernode.observers_of("0xaa") == {"n0", "n1"}
+
+        state = supernode.capture_state()
+        supernode.clear_observations()
+        assert supernode.observers_of("0xaa") == set()
+        supernode.handle_message("n2", NewPooledTransactionHashes(hashes=("0xbb",)))
+        assert supernode.observers_of("0xbb") == {"n2"}
+        supernode.restore_state(state)
+        assert supernode.observers_of("0xaa") == {"n0", "n1"}
+        assert supernode.observers_of("0xbb") == {"n0"}
+
     def test_never_relays(self, wallet, factory):
         network = Network(seed=8)
         config = NodeConfig(policy=GETH.scaled(32))

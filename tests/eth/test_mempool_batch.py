@@ -8,12 +8,13 @@ golden-fingerprint safety argument).
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.eth.mempool import AddOutcome, Mempool
 from repro.eth.policies import GETH, PARITY, MempoolPolicy
 from repro.eth.transaction import Transaction, TransactionFactory, gwei
+from tests.conftest import property_settings
 
 SENDERS = [f"0xbatch{i}" for i in range(6)]
 
@@ -52,7 +53,7 @@ def canonical_state(pool: Mempool):
     ids=["geth-16", "parity-24", "geth-128"],
 )
 @given(ops=operations)
-@settings(max_examples=60, deadline=None)
+@property_settings(60)
 def test_batch_matches_sequential_canonical_state(policy: MempoolPolicy, ops):
     txs = [build_tx(*op) for op in ops]
     sequential = Mempool(policy)
@@ -70,7 +71,7 @@ def test_batch_matches_sequential_canonical_state(policy: MempoolPolicy, ops):
 
 
 @given(ops=operations)
-@settings(max_examples=40, deadline=None)
+@property_settings(40)
 def test_batch_then_more_adds_stay_consistent(ops):
     """The rebuilt heaps must keep serving later sequential evictions."""
     policy = GETH.scaled(16)

@@ -6,12 +6,13 @@ covering pending/future sets, contiguous pending runs per sender.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.eth.mempool import AddOutcome, Mempool
 from repro.eth.policies import GETH, PARITY, MempoolPolicy
 from repro.eth.transaction import Transaction
+from tests.conftest import property_settings
 
 SENDERS = [f"0xsender{i}" for i in range(6)]
 
@@ -36,7 +37,7 @@ def build_tx(sender: str, nonce: int, price: int) -> Transaction:
     ids=["geth-16", "parity-24", "geth-64"],
 )
 @given(ops=operations)
-@settings(max_examples=60, deadline=None)
+@property_settings(60)
 def test_invariants_hold_under_arbitrary_adds(policy: MempoolPolicy, ops):
     pool = Mempool(policy)
     for sender, nonce, price in ops:
@@ -46,7 +47,7 @@ def test_invariants_hold_under_arbitrary_adds(policy: MempoolPolicy, ops):
 
 
 @given(ops=operations)
-@settings(max_examples=60, deadline=None)
+@property_settings(60)
 def test_capacity_is_never_exceeded(ops):
     policy = GETH.scaled(8)
     pool = Mempool(policy)
@@ -56,7 +57,7 @@ def test_capacity_is_never_exceeded(ops):
 
 
 @given(ops=operations)
-@settings(max_examples=60, deadline=None)
+@property_settings(60)
 def test_pending_and_future_partition_the_pool(ops):
     pool = Mempool(GETH.scaled(32))
     for sender, nonce, price in ops:
@@ -65,7 +66,7 @@ def test_pending_and_future_partition_the_pool(ops):
 
 
 @given(ops=operations)
-@settings(max_examples=60, deadline=None)
+@property_settings(60)
 def test_replacement_never_changes_pool_size(ops):
     """A REPLACED outcome swaps one transaction for another in place."""
     pool = Mempool(GETH.scaled(32))
@@ -76,7 +77,7 @@ def test_replacement_never_changes_pool_size(ops):
             assert len(pool) == before
 
 @given(ops=operations)
-@settings(max_examples=60, deadline=None)
+@property_settings(60)
 def test_admitted_transaction_is_queryable(ops):
     pool = Mempool(GETH.scaled(32))
     for sender, nonce, price in ops:
@@ -88,7 +89,7 @@ def test_admitted_transaction_is_queryable(ops):
 
 
 @given(ops=operations, confirmed=st.integers(min_value=0, max_value=5))
-@settings(max_examples=60, deadline=None)
+@property_settings(60)
 def test_no_stale_nonces_survive(ops, confirmed):
     pool = Mempool(GETH.scaled(32), confirmed_nonce=lambda s: confirmed)
     for sender, nonce, price in ops:
@@ -103,7 +104,7 @@ def test_no_stale_nonces_survive(ops, confirmed):
     ops=operations,
     block_senders=st.lists(st.sampled_from(SENDERS), max_size=3),
 )
-@settings(max_examples=40, deadline=None)
+@property_settings(40)
 def test_invariants_survive_block_application(ops, block_senders):
     nonces = {}
     pool = Mempool(GETH.scaled(32), confirmed_nonce=lambda s: nonces.get(s, 0))
