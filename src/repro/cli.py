@@ -38,6 +38,7 @@ from repro.netgen.ethereum import (
     ropsten_like,
 )
 from repro.netgen.workloads import SHAPES, prefill_mempools
+from repro.obs import Observability
 from repro.sim.faults import FaultPlan, RpcFaultPlan
 
 PRESETS = {
@@ -45,6 +46,66 @@ PRESETS = {
     "rinkeby": rinkeby_like,
     "goerli": goerli_like,
 }
+
+
+def _add_fault_flags(group) -> None:
+    group.add_argument("--loss", type=float, default=0.0, metavar="RATE",
+                       help="per-message loss probability on every link")
+    group.add_argument("--churn", type=float, default=0.0, metavar="RATE",
+                       help="link disconnect events per simulated second")
+    group.add_argument("--crash-rate", type=float, default=0.0, metavar="RATE",
+                       help="node crash events per simulated second")
+
+
+def _add_byzantine_flags(group) -> None:
+    group.add_argument(
+        "--byzantine-mix", type=str, default=None, metavar="SPEC",
+        help="install misbehaving peers, e.g. 'spoof_relay:0.05,censor:0.05' "
+             "(kinds: censor, lazy_relay, spoof_relay, nonconforming_replacer, "
+             "duplicate_spammer, stale_client)",
+    )
+    group.add_argument(
+        "--byzantine-frac", type=float, default=None, metavar="FRAC",
+        help="shorthand: spread FRAC of nodes evenly over all behavior kinds",
+    )
+
+
+def _add_obs_flags(group, trace: bool = True) -> None:
+    group.add_argument(
+        "--metrics-out", type=str, default=None, metavar="FILE",
+        help="write campaign metrics here; format from the suffix "
+             "(.jsonl/.json, .prom/.txt, .csv)",
+    )
+    group.add_argument(
+        "--metrics-format", choices=("jsonl", "prometheus", "csv"),
+        default=None,
+        help="override the metrics format inferred from --metrics-out",
+    )
+    if trace:
+        group.add_argument(
+            "--trace-out", type=str, default=None, metavar="FILE",
+            help="write the structured event log here as JSON-lines",
+        )
+    else:
+        group.set_defaults(trace_out=None)
+
+
+def _make_obs(args: argparse.Namespace) -> Optional[Observability]:
+    """A live bundle iff an export flag asks for one."""
+    return Observability() if args.metrics_out or args.trace_out else None
+
+
+def _export_obs(args: argparse.Namespace, obs) -> None:
+    """Write whatever ``--metrics-out`` / ``--trace-out`` asked for (``obs``
+    is :func:`_make_obs`'s, so it is live whenever either flag is set)."""
+    from repro.obs.export import write_events, write_metrics
+
+    if args.metrics_out:
+        Path(args.metrics_out).parent.mkdir(parents=True, exist_ok=True)
+        path = write_metrics(obs.metrics, args.metrics_out, fmt=args.metrics_format)
+        print(f"metrics written to {path}")
+    if args.trace_out:
+        print(f"event trace written to {write_events(obs.events, args.trace_out)}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,12 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     faults = measure.add_argument_group(
         "fault injection", "measure under adverse network conditions"
     )
-    faults.add_argument("--loss", type=float, default=0.0, metavar="RATE",
-                        help="per-message loss probability on every link")
-    faults.add_argument("--churn", type=float, default=0.0, metavar="RATE",
-                        help="link disconnect events per simulated second")
-    faults.add_argument("--crash-rate", type=float, default=0.0, metavar="RATE",
-                        help="node crash events per simulated second")
+    _add_fault_flags(faults)
     faults.add_argument("--max-retries", type=int, default=0,
                         help="retry budget for failed/ambiguous probes")
     faults.add_argument(
@@ -106,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="resize eviction floods from observed pool occupancy "
              "(storm-aware Z; see docs/rpc.md)")
     faults.add_argument("--checkpoint", type=str, default=None, metavar="FILE",
-                        help="write a resumable checkpoint after each iteration")
+                        help="write a resumable checkpoint after each shard")
     faults.add_argument("--resume", action="store_true",
                         help="continue from --checkpoint instead of starting over")
     adversarial = measure.add_argument_group(
@@ -114,16 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "Byzantine peers, runtime invariants and precision hardening "
         "(see docs/adversarial.md)",
     )
-    adversarial.add_argument(
-        "--byzantine-mix", type=str, default=None, metavar="SPEC",
-        help="install misbehaving peers, e.g. 'spoof_relay:0.05,censor:0.05' "
-             "(kinds: censor, lazy_relay, spoof_relay, nonconforming_replacer, "
-             "duplicate_spammer, stale_client)",
-    )
-    adversarial.add_argument(
-        "--byzantine-frac", type=float, default=None, metavar="FRAC",
-        help="shorthand: spread FRAC of nodes evenly over all behavior kinds",
-    )
+    _add_byzantine_flags(adversarial)
     adversarial.add_argument(
         "--invariants", action="store_true",
         help="install the runtime invariant checker and report violations",
@@ -138,9 +185,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "(see docs/parallelism.md)",
     )
     parallel.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="run the campaign sharded on N worker processes; output is "
-             "bit-identical for any N (use 1 for the in-process baseline)",
+        "--workers", type=int, default=1, metavar="N",
+        help="run the campaign's shards on N worker processes (default 1: "
+             "in this process); output is bit-identical for any N",
     )
     parallel.add_argument(
         "--shards", type=int, default=None, metavar="S",
@@ -150,20 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     observability = measure.add_argument_group(
         "observability", "export metrics and a structured event trace"
     )
-    observability.add_argument(
-        "--metrics-out", type=str, default=None, metavar="FILE",
-        help="write campaign metrics here; format from the suffix "
-             "(.jsonl/.json, .prom/.txt, .csv)",
-    )
-    observability.add_argument(
-        "--metrics-format", choices=("jsonl", "prometheus", "csv"),
-        default=None,
-        help="override the metrics format inferred from --metrics-out",
-    )
-    observability.add_argument(
-        "--trace-out", type=str, default=None, metavar="FILE",
-        help="write the structured event log here as JSON-lines",
-    )
+    _add_obs_flags(observability)
 
     arena = sub.add_parser(
         "arena",
@@ -200,18 +234,12 @@ def _build_parser() -> argparse.ArgumentParser:
     arena_faults = arena.add_argument_group(
         "fault injection", "every protocol runs under the same fault plan"
     )
-    arena_faults.add_argument("--loss", type=float, default=0.0, metavar="RATE")
-    arena_faults.add_argument("--churn", type=float, default=0.0, metavar="RATE")
-    arena_faults.add_argument("--crash-rate", type=float, default=0.0,
-                              metavar="RATE")
+    _add_fault_flags(arena_faults)
     arena_adv = arena.add_argument_group(
         "adversarial robustness",
         "every protocol faces the same Byzantine draw (docs/adversarial.md)",
     )
-    arena_adv.add_argument("--byzantine-mix", type=str, default=None,
-                           metavar="SPEC")
-    arena_adv.add_argument("--byzantine-frac", type=float, default=None,
-                           metavar="FRAC")
+    _add_byzantine_flags(arena_adv)
     arena.add_argument(
         "--output", type=str, default=None, metavar="FILE",
         help="write the scorecard JSON here (BENCH_arena.json convention)",
@@ -219,12 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     arena_obs = arena.add_argument_group(
         "observability", "export per-protocol arena metrics"
     )
-    arena_obs.add_argument("--metrics-out", type=str, default=None,
-                           metavar="FILE")
-    arena_obs.add_argument(
-        "--metrics-format", choices=("jsonl", "prometheus", "csv"),
-        default=None,
-    )
+    _add_obs_flags(arena_obs, trace=False)
 
     monitor = sub.add_parser(
         "monitor",
@@ -279,14 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     monitor_obs = monitor.add_argument_group(
         "observability", "export monitor metrics and an event trace"
     )
-    monitor_obs.add_argument("--metrics-out", type=str, default=None,
-                             metavar="FILE")
-    monitor_obs.add_argument(
-        "--metrics-format", choices=("jsonl", "prometheus", "csv"),
-        default=None,
-    )
-    monitor_obs.add_argument("--trace-out", type=str, default=None,
-                             metavar="FILE")
+    _add_obs_flags(monitor_obs)
 
     sub.add_parser("profile", help="Table 3: profile the five clients")
 
@@ -373,26 +389,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
-    """One campaign spec, two executors: ``--workers N`` runs it sharded on
-    a process pool (output bit-identical for every N, so the worker count
-    is purely a wall-clock knob; see docs/parallelism.md), otherwise it
-    walks the schedule serially in one evolving world."""
-    from repro.core.parallel_exec import CampaignSpec, build_world, run_campaign
-    from repro.errors import BehaviorPlanError
+    """Flags → :class:`CampaignSpec` → ``run_campaign`` → report;
+    ``--workers`` is purely a wall-clock knob (docs/parallelism.md)."""
+    from repro.core.parallel_exec import CampaignSpec, run_campaign
+    from repro.errors import BehaviorPlanError, CheckpointError
     from repro.eth.behaviors import BehaviorMix
     from repro.netgen.ethereum import NetworkSpec
+    from repro.sim.invariants import InvariantChecker
 
     if args.resume and not args.checkpoint:
         print("--resume requires --checkpoint", file=sys.stderr)
-        return 2
-    sharded = args.workers is not None
-    if sharded and args.invariants:
-        print(
-            "--invariants is not supported with --workers: a checker is a "
-            "per-process observer with no merge codec, and Network.snapshot "
-            "refuses one. Run without --workers.",
-            file=sys.stderr,
-        )
         return 2
     try:
         mix = BehaviorMix.from_flags(args.byzantine_mix, args.byzantine_frac)
@@ -444,43 +450,21 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         print("rpc client: raw (single attempt, failures read as negatives)")
     if mix is not None:
         print(f"byzantine mix: {mix.describe()}")
-    obs = None
-    if args.metrics_out or args.trace_out:
-        from repro.obs import Observability
-
-        obs = Observability()
-    if sharded:
-        print(
-            f"measuring {network_spec.n_nodes} nodes, sharded campaign "
-            f"(workers={args.workers}"
-            + (f", shards={args.shards}" if args.shards else "")
-            + ")"
-        )
+    obs = _make_obs(args)
+    checker = InvariantChecker() if args.invariants else None
+    print(f"measuring {network_spec.n_nodes} nodes")
+    try:
         measurement = run_campaign(
             campaign,
             workers=args.workers,
             checkpoint_path=args.checkpoint,
             resume=args.resume,
             obs=obs,
+            invariants=checker,
         )
-        return _report_measurement(args, measurement, obs)
-
-    network, supernode = build_world(campaign)
-    if campaign.fault_plan is not None:
-        network.install_faults(campaign.fault_plan)
-    checker = network.install_invariants() if args.invariants else None
-    shot = TopoShot(network, supernode, obs=obs)
-    shot.config = campaign.measurement_config(shot.config)
-    print(
-        f"measuring {len(network.measurable_node_ids())} nodes "
-        f"(Z={shot.config.future_count}, R={shot.config.replace_bump:.1%})"
-    )
-    measurement = shot.measure_network(
-        group_size=campaign.group_size,
-        preprocess=campaign.preprocess,
-        checkpoint_path=args.checkpoint,
-        resume=args.resume,
-    )
+    except CheckpointError as exc:
+        print(f"cannot resume from {args.checkpoint}: {exc}", file=sys.stderr)
+        return 2
     if checker is not None:
         print()
         print(checker.summary())
@@ -490,16 +474,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 def _report_measurement(args, measurement, obs) -> int:
     print()
     print(measurement.summary())
-    if obs is not None:
-        from repro.obs.export import write_events, write_metrics
-
-        if args.metrics_out:
-            path = write_metrics(
-                obs.metrics, args.metrics_out, fmt=args.metrics_format
-            )
-            print(f"\nmetrics written to {path}")
-        if args.trace_out:
-            print(f"event trace written to {write_events(obs.events, args.trace_out)}")
+    _export_obs(args, obs)
     if args.output:
         from repro.io import save_measurement
 
@@ -555,11 +530,7 @@ def _cmd_arena(args: argparse.Namespace) -> int:
     except (ValueError, BehaviorPlanError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    obs = None
-    if args.metrics_out:
-        from repro.obs import Observability
-
-        obs = Observability()
+    obs = _make_obs(args)
     print(
         f"arena: {len(spec.ordered_protocols)} protocols on {spec.n_nodes} "
         f"nodes (seed {spec.seed}"
@@ -573,12 +544,7 @@ def _cmd_arena(args: argparse.Namespace) -> int:
     print(result.summary())
     if args.output:
         print(f"\nscorecard written to {write_arena_json(result, args.output)}")
-    if obs is not None:
-        from repro.obs.export import write_metrics
-
-        Path(args.metrics_out).parent.mkdir(parents=True, exist_ok=True)
-        path = write_metrics(obs.metrics, args.metrics_out, fmt=args.metrics_format)
-        print(f"metrics written to {path}")
+    _export_obs(args, obs)
     return 0
 
 
@@ -590,11 +556,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     if args.fee_market:
         network.install_fee_market()
     prefill_mempools(network)
-    obs = None
-    if args.metrics_out or args.trace_out:
-        from repro.obs import Observability
-
-        obs = Observability()
+    obs = _make_obs(args)
     shot = TopoShot.attach(network, obs=obs)
     targets = list(network.measurable_node_ids())
     if args.targets is not None:
@@ -669,18 +631,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             f"fee market: floor={market.floor} quote={market.quote} "
             f"surge=x{market.surge:.2f} ({market.updates} updates)"
         )
-    if obs is not None:
-        from repro.obs.export import write_events, write_metrics
-
-        if args.metrics_out:
-            path = write_metrics(
-                obs.metrics, args.metrics_out, fmt=args.metrics_format
-            )
-            print(f"metrics written to {path}")
-        if args.trace_out:
-            print(
-                f"event trace written to {write_events(obs.events, args.trace_out)}"
-            )
+    _export_obs(args, obs)
     return 0
 
 
@@ -746,7 +697,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs import NULL, Observability
+    from repro.obs import NULL
     from repro.service import ServiceConfig, run_service
 
     if args.config:

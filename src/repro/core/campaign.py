@@ -5,36 +5,30 @@ network, pre-processes targets, runs the parallel schedule, unions the
 per-iteration detections, and scores the measured topology against the
 simulator's ground truth.
 
-Two execution modes share this machinery — both (and the explicit pair
-lists of :meth:`TopoShot.measure_pairs`) walk their schedule items through
-the one iteration runner, :meth:`TopoShot._run_iterations`, into one
-:class:`~repro.core.results.NetworkMeasurement`:
+Everything that probes — :meth:`TopoShot.measure_network`, the explicit
+pair lists of :meth:`TopoShot.measure_pairs`, and the schedule shards of
+:func:`repro.core.parallel_exec.run_campaign` — walks its work items
+through the one iteration runner, :meth:`TopoShot._run_iterations`, into
+one :class:`~repro.core.results.NetworkMeasurement`.
 
-* **serial** — :meth:`TopoShot.measure_network` walks the schedule
-  iterations in order inside one evolving simulated world (pools churn
-  between iterations, state carries over);
-* **sharded** — :func:`repro.core.parallel_exec.run_campaign` splits the
-  same schedule into shards, each replayed from a pristine post-setup
-  snapshot (optionally in worker processes), and deterministically merges
-  the per-shard results. :meth:`TopoShot.snapshot_state` /
-  :meth:`TopoShot.restore_state` provide the snapshot/reset layer the
-  sharded mode is built on.
-
-Both modes measure the same schedule; they differ in the background state
-each iteration sees, so their edge sets agree in the common case but are
-not defined to be bit-identical to each other. Within the sharded mode,
-output is bit-identical for any worker count.
+:meth:`TopoShot.measure_network` is the in-place library entry: it walks
+the whole schedule inside the caller's one evolving world (pools churn
+between iterations, state carries over). ``run_campaign`` is the executor
+behind the CLI and the job service: it replays schedule slices from a
+pristine post-setup snapshot (:meth:`TopoShot.snapshot_state` /
+:meth:`TopoShot.restore_state`), checkpoints per shard, and is
+bit-identical for any worker count. Both measure the same schedule; they
+differ in the background state each iteration sees, so their edge sets
+agree in the common case but are not defined to be bit-identical to each
+other.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from pathlib import Path
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro import io as repro_io
 from repro.core.config import MeasurementConfig
 from repro.core.gas_estimator import estimate_y
 from repro.core.parallel import ParallelProbeReport, measure_par_with_repeats
@@ -56,7 +50,7 @@ from repro.core.results import (
     edge,
 )
 from repro.core.schedule import ScheduleIteration, build_schedule
-from repro.errors import CheckpointError, MeasurementError
+from repro.errors import MeasurementError
 from repro.eth.account import Wallet
 from repro.eth.network import Network
 from repro.eth.supernode import Supernode
@@ -64,58 +58,9 @@ from repro.obs import NULL, Observability
 
 ProgressCallback = Callable[[int, int, ScheduleIteration, ParallelProbeReport], None]
 
-PathLike = Union[str, Path]
-
-CHECKPOINT_VERSION = 2
-
 # One ``measurePar`` round of the runner: (schedule index, pairs to probe).
 WorkItem = Tuple[int, Sequence[Tuple[str, str]]]
 AfterIteration = Callable[[int, Optional[ParallelProbeReport]], None]
-
-
-@dataclass
-class CampaignCheckpoint(repro_io.CheckpointFile):
-    """Everything needed to continue a measurement campaign after a kill.
-
-    A header (which campaign, how far along) plus the partial
-    :class:`NetworkMeasurement` of the completed iterations, whose
-    ``node_ids`` / ``skipped_nodes`` are the campaign's target list.
-    Written atomically after every completed iteration, so the file on
-    disk is always a consistent prefix of the campaign. Resuming replays
-    nothing: the partial is merged into the new run's measurement and the
-    schedule walk continues at ``completed_iterations``.
-    """
-
-    seed: int
-    group_size: int
-    completed_iterations: int
-    measurement: NetworkMeasurement
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": CHECKPOINT_VERSION,
-            "seed": self.seed,
-            "group_size": self.group_size,
-            "completed_iterations": self.completed_iterations,
-            "measurement": repro_io.measurement_to_dict(self.measurement),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CampaignCheckpoint":
-        try:
-            version = payload["format_version"]
-            if version != CHECKPOINT_VERSION:
-                raise CheckpointError(
-                    f"unsupported checkpoint format version {version}"
-                )
-            return cls(
-                seed=int(payload["seed"]),
-                group_size=int(payload["group_size"]),
-                completed_iterations=int(payload["completed_iterations"]),
-                measurement=repro_io.measurement_from_dict(payload["measurement"]),
-            )
-        except (KeyError, TypeError, ValueError, repro_io.SerializationError) as exc:
-            raise CheckpointError(f"malformed checkpoint: {exc}") from exc
 
 
 class TopoShot:
@@ -326,42 +271,21 @@ class TopoShot:
         validate: bool = True,
         churn_between_iterations: bool = True,
         progress: Optional[ProgressCallback] = None,
-        checkpoint_path: Optional[PathLike] = None,
-        resume: bool = False,
     ) -> NetworkMeasurement:
         """Measure the topology among ``targets`` (default: all nodes that
-        survive pre-processing) using the two-round parallel schedule.
+        survive pre-processing) using the two-round parallel schedule, in
+        place: the caller's network evolves across the whole walk.
 
         The campaign degrades gracefully instead of aborting: crashed or
         unreachable targets and failed iterations are recorded in
-        ``NetworkMeasurement.failures`` and the walk continues. With
-        ``checkpoint_path`` set, a JSON checkpoint is written atomically
-        after every iteration; ``resume=True`` continues an interrupted
-        campaign from the checkpoint (skipping pre-processing — the
-        checkpointed target list is reused so the schedule is identical).
+        ``NetworkMeasurement.failures`` and the walk continues. For a
+        killable, resumable campaign use
+        :func:`repro.core.parallel_exec.run_campaign`.
         """
         self._capture_ambient()
-        checkpoint: Optional[CampaignCheckpoint] = None
-        if resume:
-            if checkpoint_path is None:
-                raise CheckpointError("resume=True requires a checkpoint_path")
-            if Path(checkpoint_path).exists():
-                checkpoint = CampaignCheckpoint.load(checkpoint_path)
-                if checkpoint.seed != self.network.sim.seed:
-                    raise CheckpointError(
-                        f"checkpoint was recorded under seed {checkpoint.seed}, "
-                        f"this network runs seed {self.network.sim.seed}"
-                    )
-
-        if checkpoint is not None:
-            targets = list(checkpoint.measurement.node_ids)
-            skipped = list(checkpoint.measurement.skipped_nodes)
-            group_size = checkpoint.group_size
-        else:
-            targets, skipped, group_size = self._select_targets(
-                targets, group_size, preprocess
-            )
-
+        targets, skipped, group_size = self._select_targets(
+            targets, group_size, preprocess
+        )
         schedule = build_schedule(targets, group_size)
         measurement = NetworkMeasurement(
             node_ids=targets,
@@ -369,33 +293,16 @@ class TopoShot:
             sim_time_start=self.network.sim.now,
             skipped_nodes=skipped,
         )
-        completed = 0
-        if checkpoint is not None:
-            if checkpoint.completed_iterations > len(schedule):
-                raise CheckpointError(
-                    f"checkpoint claims {checkpoint.completed_iterations} "
-                    f"completed iterations but the schedule has {len(schedule)}"
-                )
-            completed = checkpoint.completed_iterations
-            measurement.merge(checkpoint.measurement)
 
         def after(index: int, report: Optional[ParallelProbeReport]) -> None:
-            if progress is not None and report is not None:
+            if report is not None:
                 progress(index, len(schedule), schedule[index], report)
-            if checkpoint_path is not None:
-                CampaignCheckpoint(
-                    seed=self.network.sim.seed,
-                    group_size=group_size,
-                    completed_iterations=index + 1,
-                    measurement=measurement,
-                ).save(checkpoint_path)
 
-        items = [(i, iteration.edges) for i, iteration in enumerate(schedule)]
         self._run_iterations(
             measurement,
-            items[completed:],  # the rest is covered by the checkpoint
+            [(i, iteration.edges) for i, iteration in enumerate(schedule)],
             churn=churn_between_iterations,
-            after=after,
+            after=after if progress is not None else None,
         )
         self._harden_measurement(measurement)
         measurement.sim_time_end = self.network.sim.now
@@ -437,7 +344,7 @@ class TopoShot:
         """The campaign loop: run each work item's ``measurePar`` round and
         fold it into ``measurement``.
 
-        Serial campaigns, schedule shards and explicit pair lists all walk
+        In-place campaigns, schedule shards and explicit pair lists all walk
         their items through here. Pools churn between consecutive executed
         items (and between repeats) unless ``churn`` is off; a round that
         raises is recorded as an ``iteration_error`` and the walk

@@ -14,6 +14,7 @@ from typing import Optional
 from repro.errors import MeasurementError, UnsupportedClientError
 from repro.eth.policies import GETH, MempoolPolicy
 from repro.eth.transaction import gwei
+from repro.resilience import backoff_delay
 
 
 @dataclass(frozen=True)
@@ -263,6 +264,13 @@ class MeasurementConfig:
         if factor is not None:
             updates["retry_backoff_factor"] = factor
         return replace(self, **updates)
+
+    def retry_delay(self, attempt: int) -> float:
+        """Seconds to wait before retry ``attempt`` (1-based): the uncapped,
+        unjittered geometric ``retry_backoff * retry_backoff_factor**(n-1)``."""
+        return backoff_delay(
+            self.retry_backoff, self.retry_backoff_factor, math.inf, 0.0, attempt, ""
+        )
 
     def with_hardening(self, enabled: bool) -> "MeasurementConfig":
         return replace(self, hardened=enabled)

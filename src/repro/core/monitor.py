@@ -218,33 +218,20 @@ class TopologyMonitor:
     def _poll_counts(self) -> Dict[str, int]:
         """Peer counts of every RPC-answering target (``admin_peers``).
 
-        With an RPC fault plan installed the poll goes through the
-        resilient client; a target whose plane is momentarily down
-        (timeout, throttle, flap) is simply *absent* from the result —
-        its last-known count stands, so a sick plane never fakes a churn
-        signal. Without faults this is the seed's direct-call path.
+        The poll goes through the network's RPC client; a target whose
+        plane is momentarily down (timeout, throttle, flap) or that serves
+        no RPC at all is simply *absent* from the result — its last-known
+        count stands, so a sick plane never fakes a churn signal.
         """
-        from repro.eth.rpc import RpcServer, RpcUnavailableError, rpc_faults_active
-
         counts: Dict[str, int] = {}
         network = self.shot.network
-        if rpc_faults_active(network):
-            client = network.rpc_client()
-            for node_id in self.targets:
-                if network.node(node_id).crashed:
-                    continue
-                count = client.peer_count(node_id)
-                if count is not None:
-                    counts[node_id] = count
-            return counts
+        client = network.rpc_client()
         for node_id in self.targets:
-            node = network.node(node_id)
-            if node.crashed:
+            if network.node(node_id).crashed:
                 continue
-            try:
-                counts[node_id] = len(RpcServer(node).call("admin_peers"))
-            except RpcUnavailableError:
-                continue
+            count = client.peer_count(node_id)
+            if count is not None:
+                counts[node_id] = count
         return counts
 
     def poll_peer_counts(self) -> Set[str]:
@@ -333,21 +320,14 @@ class TopologyMonitor:
         round_start = network.sim.now
         before = set(self.current_edges)
         pairs = self._candidate_pairs(round_start)
-        # Endpoint health (when the resilient RPC plane is active) demotes
-        # pairs whose endpoints keep timing out: spend the round's budget
-        # where the plane can actually confirm the probes.
-        from repro.eth.rpc import rpc_faults_active
-
-        health = (
-            network.rpc_client().health_report()
-            if rpc_faults_active(network)
-            else None
-        )
+        # Endpoint health (empty until the resilient RPC client has had to
+        # retry) demotes pairs whose endpoints keep timing out: spend the
+        # round's budget where the plane can actually confirm the probes.
         pairs = probe_priority(
             network,
             pairs,
             percentile=self.reprobe_percentile,
-            endpoint_health=health,
+            endpoint_health=network.rpc_client().health_report(),
         )
         if max_pairs is not None:
             pairs = pairs[:max_pairs]

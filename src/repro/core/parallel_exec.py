@@ -36,11 +36,13 @@ the reset replaces it — a shard never inherits another shard's view of the
 measurement plane. That is what lets warm workers skip the O(network
 build) setup and pay only O(state restore) per shard.
 
-Relationship to the serial path: :meth:`TopoShot.measure_network` evolves
-one world across the whole schedule (pool churn carries over between
-iterations), while shards each start from the pristine snapshot. Both are
-deterministic; their edge sets agree in the common case but the two modes
-are distinct execution semantics, not byte-for-byte interchangeable.
+:func:`run_campaign` is the only way a spec becomes a scored topology (CLI,
+job service, benchmarks; ``workers=1`` runs the same shards in-process);
+:meth:`TopoShot.measure_network` remains the in-place library entry for
+callers that already hold a network. Observers — an ``Observability``
+bundle, an ``InvariantChecker`` — are not part of the world, so they are
+arguments of :func:`run_campaign`, never spec fields: each shard runs under
+fresh ones and ships what they recorded in its :class:`ShardResult`.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from repro.eth.supernode import Supernode
 from repro.netgen.ethereum import NetworkSpec, generate_network
 from repro.obs import NULL, Observability
 from repro.sim.faults import FaultPlan
+from repro.sim.invariants import InvariantChecker
 from repro.sim.rng import spawn_seed
 
 PathLike = Union[str, Path]
@@ -234,6 +237,7 @@ class ShardResult:
     measurement: NetworkMeasurement
     wall_time: float = 0.0
     obs_snapshot: Optional[dict] = None
+    invariants: Optional[dict] = None  # an InvariantChecker.report()
 
     def __getattr__(self, name: str) -> object:
         if name == "measurement":  # not set yet (copy/unpickle): no recursion
@@ -246,7 +250,7 @@ class ShardResult:
         return self.measurement.duration
 
     def to_dict(self) -> dict:
-        return {
+        payload = {
             "index": self.index,
             "start": self.start,
             "stop": self.stop,
@@ -254,6 +258,9 @@ class ShardResult:
             "wall_time": self.wall_time,
             "obs_snapshot": self.obs_snapshot,
         }
+        if self.invariants is not None:
+            payload["invariants"] = self.invariants
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ShardResult":
@@ -264,6 +271,7 @@ class ShardResult:
             measurement=repro_io.measurement_from_dict(payload["measurement"]),
             wall_time=float(payload["wall_time"]),
             obs_snapshot=payload.get("obs_snapshot"),
+            invariants=payload.get("invariants"),
         )
 
 
@@ -315,7 +323,7 @@ class CampaignReplica:
 
         self.network.settle()
         # Pin the ambient fee level before any shard touches a pool, as
-        # the serial path does at the top of measure_network.
+        # measure_network does at its top.
         self.shot._capture_ambient()
         # Ground truth is fixed at the snapshot point: per-shard churn
         # faults move links afterwards, but each shard starts from (and is
@@ -325,39 +333,51 @@ class CampaignReplica:
         self._snapshot = self.shot.snapshot_state()
         self._pristine = True
 
-    def _reset(self, seed: int) -> None:
+    def _reset(
+        self, seed: int, checker: Optional[InvariantChecker] = None
+    ) -> None:
         """Put the world into the universe of ``seed``: pristine state + seed.
 
         Fresh-build and restore paths converge here. The restore rewinds
         everything :func:`build_world` and the setup installed (the RPC
         client lives outside the snapshot, so it is replaced); both paths
         end with every existing RNG stream re-seeded under ``seed``
-        (streams created later derive from it lazily) and the fault plan —
-        if any — armed *after* the pristine state is in place.
+        (streams created later derive from it lazily) and the fault plan
+        and ``checker`` — if any — armed *after* the pristine state is in
+        place (a restore refuses either, so both are cleared before it).
         """
         if not self._pristine:
             self.network.clear_faults()
+            self.network.clear_invariants()
             self.shot.restore_state(self._snapshot)
             _fresh_rpc_client(self.network, self.campaign)
         self.network.sim.rng.reseed(seed)
         if self.campaign.fault_plan is not None:
             self.network.install_faults(self.campaign.fault_plan)
+        if checker is not None:
+            self.network.install_invariants(checker)
         self._pristine = False
 
     def run_shard(
-        self, shard: ShardSpec, collect_obs: bool = False
+        self,
+        shard: ShardSpec,
+        collect_obs: bool = False,
+        check_invariants: bool = False,
     ) -> ShardResult:
         """Reset to the shard's universe and run its schedule slice.
 
         With ``collect_obs`` a fresh :class:`~repro.obs.Observability`
-        bundle is installed for the shard and its snapshot rides along in
-        the result (see :func:`merge_obs_snapshots`). Counter values mirror
-        the replica's cumulative simulation counters, which restore to
-        their post-setup baseline at every reset — so per-shard counts
-        include that shared baseline by construction.
+        bundle is installed for the shard and its snapshot (metrics plus
+        the retained event records) rides along in the result (see
+        :func:`merge_obs_snapshots`). Counter values mirror the replica's
+        cumulative simulation counters, which restore to their post-setup
+        baseline at every reset — so per-shard counts include that shared
+        baseline by construction. With ``check_invariants`` a fresh
+        ``InvariantChecker`` watches the shard; its report rides along too.
         """
         wall_start = perf_counter()
-        self._reset(shard.seed)
+        checker = InvariantChecker() if check_invariants else None
+        self._reset(shard.seed, checker)
         shot = self.shot
         shot.obs = Observability() if collect_obs else NULL
         if collect_obs:
@@ -368,13 +388,20 @@ class CampaignReplica:
             measurement,
             [(i, self.schedule[i].edges) for i in range(shard.start, stop)],
         )
+        obs_snapshot = None
+        if collect_obs:
+            obs_snapshot = shot.obs.snapshot()
+            obs_snapshot["events"]["records"] = [
+                list(record) for record in shot.obs.events.records()
+            ]
         return ShardResult(
             index=shard.index,
             start=shard.start,
             stop=shard.stop,
             measurement=measurement,
             wall_time=perf_counter() - wall_start,
-            obs_snapshot=shot.obs.snapshot() if collect_obs else None,
+            obs_snapshot=obs_snapshot,
+            invariants=checker.report() if checker is not None else None,
         )
 
     def new_measurement(self, start: float) -> NetworkMeasurement:
@@ -405,6 +432,7 @@ def _worker_run_shard(
     start: int,
     stop: int,
     collect_obs: bool,
+    check_invariants: bool,
 ) -> dict:
     replica = _REPLICA_CACHE.get(fingerprint)
     if replica is None:
@@ -419,7 +447,7 @@ def _worker_run_shard(
         start=start,
         stop=stop,
     )
-    return replica.run_shard(shard, collect_obs=collect_obs).to_dict()
+    return replica.run_shard(shard, collect_obs, check_invariants).to_dict()
 
 
 def _mp_context():
@@ -438,10 +466,11 @@ def _mp_context():
 class ParallelCheckpoint(repro_io.CheckpointFile):
     """Completed shards of a sharded campaign, written atomically.
 
-    Shard boundaries are schedule-iteration ranges, so this checkpoint is
-    aligned with the serial path's per-iteration checkpoints: a completed
-    shard covers exactly its ``[start, stop)`` iterations. Resume verifies
-    the campaign fingerprint and re-runs only the missing shards.
+    Shard boundaries are schedule-iteration ranges: a completed shard
+    covers exactly its ``[start, stop)`` iterations, so a kill loses at
+    most the shard in flight (``CampaignSpec.n_shards`` sets that
+    granularity). Resume verifies the campaign fingerprint and re-runs
+    only the missing shards.
     """
 
     fingerprint: str
@@ -462,6 +491,11 @@ class ParallelCheckpoint(repro_io.CheckpointFile):
     @classmethod
     def from_dict(cls, payload: dict) -> "ParallelCheckpoint":
         try:
+            if "completed_iterations" in payload and "fingerprint" not in payload:
+                raise CheckpointError(
+                    "checkpoint was written by the removed serial executor; "
+                    "re-run without --resume"
+                )
             version = payload["format_version"]
             if version != PARALLEL_CHECKPOINT_VERSION:
                 raise CheckpointError(
@@ -495,10 +529,12 @@ def merge_obs_snapshots(snapshots: Sequence[dict]) -> dict:
     * **histogram** — ``count``/``sum`` add, ``min``/``max`` combine;
       quantiles are dropped (reservoirs are not mergeable).
 
-    Event-log payloads carry counts only; they sum.
+    Event-log counts sum; the retained records concatenate in input
+    (shard) order, each keeping its own shard's simulated time.
     """
     merged_metrics: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], dict] = {}
     events = {"recorded": 0, "retained": 0, "dropped": 0}
+    records: List[list] = []
     for snapshot in snapshots:
         if not snapshot:
             continue
@@ -530,9 +566,10 @@ def merge_obs_snapshots(snapshots: Sequence[dict]) -> dict:
         shard_events = snapshot.get("events", {})
         for count_key in events:
             events[count_key] += shard_events.get(count_key, 0)
+        records.extend(shard_events.get("records", ()))
     return {
         "metrics": [merged_metrics[key] for key in sorted(merged_metrics)],
-        "events": events,
+        "events": {**events, "records": records},
     }
 
 
@@ -571,13 +608,19 @@ def run_campaign(
     resume: bool = False,
     obs: Optional[Observability] = None,
     progress: Optional[ShardProgress] = None,
+    invariants: Optional[InvariantChecker] = None,
 ) -> NetworkMeasurement:
     """Execute a sharded campaign and deterministically merge the shards.
 
     ``workers <= 1`` runs every shard in this process against one replica,
     resetting via snapshot restore between shards. ``workers > 1`` fans the
     shards out to a process pool; warm workers likewise reset via restore.
-    The merged measurement is bit-identical for every ``workers`` value.
+    The merged measurement is bit-identical for every ``workers`` value,
+    and so is what the observers receive: ``obs`` the merged metrics and
+    the shards' event records replayed in shard order, ``invariants`` (a
+    fresh, uninstalled checker) every shard's report, absorbed in shard
+    order; both then watch the cross-validation pass live. A shard resumed
+    from a checkpoint written without an observer contributes nothing.
 
     Worker-pool failures reuse the measurement config's retry machinery:
     a failed shard is retried up to ``max_retries`` times on a fresh pool
@@ -592,6 +635,7 @@ def run_campaign(
     campaign fingerprint and skips completed shards.
     """
     collect_obs = obs is not None and obs.enabled
+    check_invariants = invariants is not None
     replica = CampaignReplica(campaign)
     plan = build_shard_plan(len(replica.schedule), campaign.n_shards)
     fingerprint = campaign.fingerprint()
@@ -640,7 +684,7 @@ def run_campaign(
 
     def _run_inprocess(shard: ShardSpec) -> ShardResult:
         try:
-            return replica.run_shard(shard, collect_obs=collect_obs)
+            return replica.run_shard(shard, collect_obs, check_invariants)
         except MeasurementError as exc:
             failed = replica.new_measurement(replica.base_sim_time)
             failed.add_failure(
@@ -662,7 +706,6 @@ def run_campaign(
         context = _mp_context()
         remaining = list(pending)
         attempt = 0
-        backoff = config.retry_backoff
         while remaining:
             executor = ProcessPoolExecutor(
                 max_workers=min(workers, len(remaining)),
@@ -682,6 +725,7 @@ def run_campaign(
                             shard.start,
                             shard.stop,
                             collect_obs,
+                            check_invariants,
                         ),
                     )
                     for shard in remaining
@@ -705,8 +749,7 @@ def run_campaign(
                     _record(shard, _run_inprocess(shard))
                 break
             attempt += 1
-            time.sleep(backoff)
-            backoff *= config.retry_backoff_factor
+            time.sleep(config.retry_delay(attempt))
             remaining = failed
 
     measurement = replica.new_measurement(replica.base_sim_time)
@@ -718,6 +761,8 @@ def run_campaign(
         sim_total += result.sim_time
         if result.obs_snapshot:
             obs_snapshots.append(result.obs_snapshot)
+        if check_invariants and result.invariants is not None:
+            invariants.absorb(result.invariants)
     # Shards run in disjoint copies of the same simulated world, so the
     # campaign's simulated duration is the sum of per-shard durations laid
     # end to end after the shared setup.
@@ -728,21 +773,26 @@ def run_campaign(
 
         merged = merge_obs_snapshots(obs_snapshots)
         load_metrics_into_registry(obs.metrics, merged["metrics"])
+        for record in merged["events"]["records"]:
+            obs.emit(*record)
         # Distinct-edge count is a cross-shard fact, so the driver sets it
         # after the merge rather than trusting any shard's gauge.
         obs.metrics.gauge(
             wiring.CAMPAIGN_EDGES, "Distinct edges detected so far"
         ).set(len(measurement.edges))
 
-    # The serial path's tail: confidence labels from the merged evidence,
+    # The campaign's tail: confidence labels from the merged evidence,
     # then the score. Cross-validation probes the world, so it gets a seed
-    # universe of its own, whatever shards this replica ran in-process.
-    replica.shot.obs = obs if collect_obs else NULL
+    # universe of its own, whatever shards this replica ran in-process,
+    # and its push sites report straight to the caller's bundle (set, not
+    # installed: pull collectors would overwrite the merged totals).
+    replica.shot.obs = replica.network.obs = obs if collect_obs else NULL
     if replica.shot.config.cross_validate > 0:
-        replica._reset(spawn_seed(campaign.seed, "harden"))
+        replica._reset(spawn_seed(campaign.seed, "harden"), invariants)
     harden_start = replica.network.sim.now
     replica.shot._harden_measurement(measurement)
     measurement.sim_time_end += replica.network.sim.now - harden_start
+    replica.network.clear_invariants()  # hand the caller's checker back
     if campaign.validate:
         measurement.validate_against(replica.truth_edges)
     return measurement

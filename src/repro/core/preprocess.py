@@ -25,7 +25,6 @@ from repro.core.gas_estimator import estimate_y
 from repro.errors import RpcError, RpcUnavailableError
 from repro.eth.account import Wallet
 from repro.eth.network import Network
-from repro.eth.rpc import RpcServer, rpc_faults_active
 from repro.eth.supernode import Supernode
 from repro.eth.transaction import TransactionFactory
 
@@ -82,6 +81,7 @@ def preprocess_targets(
     wallet = wallet or Wallet("preprocess")
     factory = TransactionFactory()
     report = PreprocessReport()
+    client = network.rpc_client()
 
     survivors: List[str] = []
     for node_id in candidates:
@@ -93,38 +93,27 @@ def preprocess_targets(
             report.rejected_client.append(node_id)
             continue
         if check_responsiveness:
-            if rpc_faults_active(network):
-                # Route the probe through the resilient client so transient
-                # plane faults (timeouts, throttling, flaps) get retried
-                # instead of condemning a perfectly responsive node.
-                client = network.rpc_client()
-                try:
-                    client.call(node_id, "web3_clientVersion")
-                except RpcUnavailableError:
-                    report.rejected_unresponsive.append(node_id)
-                    continue
-                except RpcError:
-                    report.rejected_degraded.append(node_id)
-                    continue
-            else:
-                try:
-                    RpcServer(node).call("web3_clientVersion")
-                except RpcUnavailableError:
-                    report.rejected_unresponsive.append(node_id)
-                    continue
+            # Through the resilient client: transient plane faults get
+            # retried instead of condemning a perfectly responsive node.
+            try:
+                client.call(node_id, "web3_clientVersion")
+            except RpcUnavailableError:
+                report.rejected_unresponsive.append(node_id)
+                continue
+            except RpcError:
+                report.rejected_degraded.append(node_id)
+                continue
         survivors.append(node_id)
 
     # Endpoints whose health score or circuit breaker already flags them
     # (from earlier traffic through the shared resilient client) are skipped
     # up front: measuring through them yields degraded probes, not data.
-    if rpc_faults_active(network) and survivors:
-        client = network.rpc_client()
-        unhealthy = set(client.unhealthy_endpoints())
-        if unhealthy:
-            report.rejected_degraded.extend(
-                nid for nid in survivors if nid in unhealthy
-            )
-            survivors = [nid for nid in survivors if nid not in unhealthy]
+    unhealthy = set(client.unhealthy_endpoints())
+    if unhealthy:
+        report.rejected_degraded.extend(
+            nid for nid in survivors if nid in unhealthy
+        )
+        survivors = [nid for nid in survivors if nid not in unhealthy]
 
     if check_future_forwarding and survivors:
         forwarders = detect_future_forwarders(

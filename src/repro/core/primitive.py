@@ -397,7 +397,7 @@ def measure_link_with_repeats(
     reports: List[ProbeReport] = []
     repeats_left = config.repeats
     retries_left = config.max_retries
-    backoff = config.retry_backoff
+    setup_retries = 0
     while repeats_left > 0:
         report = measure_one_link(network, supernode, a_id, b_id, config, wallet)
         reports.append(report)
@@ -408,8 +408,8 @@ def measure_link_with_repeats(
             # target time to restart, a churned link time to return) and
             # try again without burning a repeat.
             retries_left -= 1
-            network.run(backoff)
-            backoff *= config.retry_backoff_factor
+            setup_retries += 1
+            network.run(config.retry_delay(setup_retries))
         elif retries_left > 0 and report.ambiguous:
             # The probe ran but its negative verdict is weak (txC never
             # confirmed on B): re-probe immediately.

@@ -131,9 +131,8 @@ class Network:
         # only consult an attached market, so the uninstalled network runs
         # the exact seed admission path (golden fingerprints).
         self.fee_market = None
-        # Lazily-built resilient RPC client (repro.eth.rpc). Only consulted
-        # when a fault plan carries an RpcFaultPlan; the fault-free path
-        # never touches it.
+        # Lazily-built resilient RPC client (repro.eth.rpc). With no
+        # RpcFaultPlan armed it forwards straight to the node's server.
         self._rpc_client = None
 
     # ------------------------------------------------------------------

@@ -595,9 +595,13 @@ class ResilientRpcClient:
             return False if self.policy.failure_means_negative else None
 
     def peer_count(self, node_id: str) -> Optional[int]:
-        """``len(admin_peers)``, or ``None`` when the plane won't answer."""
+        """``len(admin_peers)``, or ``None`` when the plane won't answer
+        (or the target serves no RPC at all)."""
         if not self.active:
-            return len(self.endpoint(node_id).call("admin_peers"))
+            try:
+                return len(self.endpoint(node_id).call("admin_peers"))
+            except RpcUnavailableError:
+                return None
         try:
             return len(self.call(node_id, "admin_peers"))
         except RpcError:
@@ -684,14 +688,10 @@ class ResilientRpcClient:
 # Inference-stack entry point
 # ----------------------------------------------------------------------
 def rpc_tx_in_pool(network: "Network", node_id: str, tx_hash: str) -> Optional[bool]:
-    """The cross-check every verdict leans on, routed through the plane.
-
-    With no RPC fault plan installed this is the seed's direct pool
-    membership test — zero overhead, zero draws. With one installed it
-    goes through the network's resilient client and may return ``None``
-    (*unknown*), which callers must degrade to suspect/re-probe, never to
-    a negative.
+    """The cross-check every verdict leans on, routed through the plane
+    (:meth:`ResilientRpcClient.tx_in_pool`): the seed's direct pool
+    membership test with no RPC fault plan installed, otherwise possibly
+    ``None`` (*unknown*), which callers must degrade to suspect/re-probe,
+    never to a negative.
     """
-    if not rpc_faults_active(network):
-        return tx_hash in network.node(node_id).mempool
     return network.rpc_client().tx_in_pool(node_id, tx_hash)

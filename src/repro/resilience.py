@@ -3,8 +3,8 @@
 Horizontal module (imports only :mod:`repro.errors`): the simulated
 measurement plane (:mod:`repro.eth.rpc`, on simulation time) and the job
 supervisor (:mod:`repro.service.supervisor`, on wall time) both need a
-circuit breaker and a jittered exponential backoff, and neither layer may
-import the other.
+circuit breaker, a token bucket and a jittered exponential backoff — each
+parameterised by its clock — and neither layer may import the other.
 """
 
 from __future__ import annotations
@@ -35,6 +35,76 @@ def backoff_delay(
     """
     delay = min(cap, base * factor ** (attempt - 1))
     return delay * (1.0 + jitter_frac * random.Random(key).random())
+
+
+class TokenBucket:
+    """Classic leaky token bucket: ``rate`` tokens/s up to ``capacity``.
+
+    ``rate <= 0`` disables the bucket (always full) so operators can turn
+    individual throttles off without special-casing call sites.
+    """
+
+    __slots__ = ("rate", "capacity", "_tokens", "_last", "_clock")
+
+    def __init__(
+        self, rate: float, capacity: float, clock: Clock = time.monotonic
+    ) -> None:
+        if capacity <= 0 and rate > 0:
+            raise ServiceError(
+                f"token bucket needs positive capacity, got {capacity}"
+            )
+        self.rate = float(rate)
+        self.capacity = float(capacity)
+        self._tokens = float(capacity)
+        self._clock = clock
+        self._last = clock()
+
+    @property
+    def enabled(self) -> bool:
+        return self.rate > 0
+
+    def _refill(self) -> None:
+        now = self._clock()
+        elapsed = now - self._last
+        self._last = now
+        if elapsed > 0:
+            self._tokens = min(self.capacity, self._tokens + elapsed * self.rate)
+
+    def available(self) -> float:
+        """Tokens on hand right now (after refill)."""
+        if not self.enabled:
+            return float("inf")
+        self._refill()
+        return self._tokens
+
+    def can_take(self, n: float = 1.0) -> bool:
+        return self.available() >= n
+
+    def take(self, n: float = 1.0) -> None:
+        """Debit ``n`` tokens; caller must have checked :meth:`can_take`."""
+        if not self.enabled:
+            return
+        self._refill()
+        self._tokens -= n
+
+    def try_take(self, n: float = 1.0) -> bool:
+        if not self.can_take(n):
+            return False
+        self.take(n)
+        return True
+
+    def retry_after(self, n: float = 1.0) -> float:
+        """Seconds until ``n`` tokens could be on hand (refill horizon).
+
+        Demands beyond ``capacity`` can never be satisfied; report the
+        full-bucket horizon rather than infinity so clients still get a
+        finite, honest backoff hint.
+        """
+        if not self.enabled:
+            return 0.0
+        self._refill()
+        deficit = min(n, self.capacity) - self._tokens
+        return max(0.0, deficit / self.rate)
 
 
 class CircuitBreaker:

@@ -10,7 +10,7 @@ attempt loop::
         except infra failure:
             breaker.record_failure()
             attempts exhausted -> FAILED (partial result if any)
-            else sleep(backoff * jitter); backoff *= factor; retry
+            else sleep(backoff_delay(attempt)); retry
 
 Cooperative stops (deadline, client cancel, service drain) surface at
 **shard boundaries**: the measure executor passes a heartbeat into

@@ -38,6 +38,7 @@ from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import FaultPlanError
+from repro.resilience import TokenBucket
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.eth.network import Network
@@ -329,8 +330,7 @@ class RpcFaultState:
         self.plan = plan
         self._rng = self.network.sim.rng.stream("rpc")
         self._active = True
-        # node -> (tokens, last refill stamp)
-        self._buckets: Dict[str, Tuple[float, float]] = {}
+        self._buckets: Dict[str, TokenBucket] = {}
         self._down_until: Dict[str, float] = {}
         # node -> (captured_at, bundle) lagged snapshot copy
         self._stale_cache: Dict[str, Tuple[float, dict]] = {}
@@ -354,23 +354,20 @@ class RpcFaultState:
         Returns ``None`` when admitted, else the ``retry_after`` horizon
         (seconds until one token refills). Deterministic — no RNG draw.
         """
-        rate = self.plan.rate_limit_per_second
-        if rate <= 0:
+        if self.plan.rate_limit_per_second <= 0:
             return None
-        now = self.network.sim.now
-        tokens, stamp = self._buckets.get(
-            node_id, (float(self.plan.rate_limit_burst), now)
-        )
-        tokens = min(
-            float(self.plan.rate_limit_burst), tokens + (now - stamp) * rate
-        )
-        if tokens >= 1.0:
-            self._buckets[node_id] = (tokens - 1.0, now)
+        bucket = self._buckets.get(node_id)
+        if bucket is None:
+            bucket = self._buckets[node_id] = TokenBucket(
+                self.plan.rate_limit_per_second,
+                self.plan.rate_limit_burst,
+                clock=lambda: self.network.sim.now,
+            )
+        if bucket.try_take():
             return None
-        self._buckets[node_id] = (tokens, now)
         self.rate_limited += 1
         self.injector._log("rpc_rate_limit", node_id)
-        return (1.0 - tokens) / rate
+        return bucket.retry_after()
 
     def transport_fault(self, node_id: str) -> Optional[str]:
         """One uniform draw deciding this attempt's transport fate.

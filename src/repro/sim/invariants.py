@@ -37,7 +37,8 @@ protocol is a simulator bug — in ``strict`` mode only the latter raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import InvariantViolationError, SimulationError
@@ -108,8 +109,8 @@ class InvariantChecker:
         self.strict = strict
         self.full_check_every = full_check_every
         self.network: Optional["Network"] = None
-        self.counts: Dict[str, int] = {}
-        self.honest_counts: Dict[str, int] = {}
+        self.counts: Counter = Counter()
+        self.honest_counts: Counter = Counter()
         self.violations: List[InvariantViolation] = []
         # Per-node: every hash the node ever admitted to its pool.
         self._ever_pooled: Dict[str, KnownTxCache] = {}
@@ -146,6 +147,25 @@ class InvariantChecker:
         return (
             f"invariants: {self.total_violations} violations "
             f"({self.honest_violations} honest): " + ", ".join(parts)
+        )
+
+    def report(self) -> dict:
+        """JSON form of everything recorded so far — what a campaign shard
+        ships to the driver (:meth:`absorb` is the inverse)."""
+        return {
+            "counts": dict(self.counts),
+            "honest_counts": dict(self.honest_counts),
+            "violations": [asdict(v) for v in self.violations],
+        }
+
+    def absorb(self, report: dict) -> None:
+        """Fold another checker's :meth:`report` into this one: counts sum,
+        violation records append (same retention cap)."""
+        self.counts.update(report["counts"])
+        self.honest_counts.update(report["honest_counts"])
+        room = MAX_VIOLATION_RECORDS - len(self.violations)
+        self.violations.extend(
+            InvariantViolation(**v) for v in report["violations"][:room]
         )
 
     # ------------------------------------------------------------------
@@ -201,9 +221,9 @@ class InvariantChecker:
         network = self.network
         behaviors = network.behaviors if network is not None else None
         byzantine = behaviors is not None and node_id in behaviors.assignments
-        self.counts[invariant] = self.counts.get(invariant, 0) + 1
+        self.counts[invariant] += 1
         if not byzantine:
-            self.honest_counts[invariant] = self.honest_counts.get(invariant, 0) + 1
+            self.honest_counts[invariant] += 1
         if len(self.violations) < MAX_VIOLATION_RECORDS:
             now = network.sim.now if network is not None else 0.0
             self.violations.append(

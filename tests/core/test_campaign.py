@@ -140,88 +140,141 @@ class TestMeasurePairs:
 
 
 class TestCheckpointRoundTrip:
-    """Regression: ``from_dict(to_dict(cp))`` must reproduce the checkpoint
-    exactly — the header and the whole embedded partial measurement,
-    evidence and suspects included — and reject malformed edge entries
-    instead of silently collapsing them."""
+    """Regression: ``from_dict(to_dict(cp))`` must reproduce the campaign's
+    one checkpoint record exactly — the header, every shard's whole
+    embedded partial measurement (evidence and suspects included) and what
+    the shard's observers recorded — refuse the removed serial executor's
+    format by name, and reject malformed edge entries instead of silently
+    collapsing them."""
 
-    def _checkpoint(self):
-        from repro.core.campaign import CampaignCheckpoint
+    def _measurement(self):
         from repro.core.results import (
             EdgeEvidence,
             MeasurementFailure,
             NetworkMeasurement,
         )
 
-        return CampaignCheckpoint(
-            seed=42,
-            group_size=2,
-            completed_iterations=3,
-            measurement=NetworkMeasurement(
-                node_ids=["node-0", "node-1", "node-2", "node-3"],
-                edges={edge("node-0", "node-1"), edge("node-2", "node-3")},
-                iterations=5,
-                sim_time_start=1.5,
-                sim_time_end=9.25,
-                transactions_sent=1234,
-                setup_failures=2,
-                send_timeouts=1,
-                skipped_nodes=["node-9"],
-                failures=[
-                    MeasurementFailure(
-                        kind="unreachable", node="node-3", iteration=1,
-                        detail="target was down",
-                    ),
-                    MeasurementFailure(
-                        kind="iteration_error", iteration=2, detail="boom",
-                    ),
-                ],
-                evidence={
-                    edge("node-0", "node-1"): EdgeEvidence(
-                        source="node-0", sink="node-1", tx_hash="0xaa",
-                        observed_at=3.0, kind="push", iteration=0,
-                    ),
-                    edge("node-2", "node-3"): EdgeEvidence(
-                        source="node-2", sink="node-3", tx_hash="0xbb",
-                        rpc_confirmed=False, extra_observers=("node-1",),
-                        iteration=2, rpc_degraded=True,
-                    ),
+        return NetworkMeasurement(
+            node_ids=["node-0", "node-1", "node-2", "node-3"],
+            edges={edge("node-0", "node-1"), edge("node-2", "node-3")},
+            iterations=5,
+            sim_time_start=1.5,
+            sim_time_end=9.25,
+            transactions_sent=1234,
+            setup_failures=2,
+            send_timeouts=1,
+            skipped_nodes=["node-9"],
+            failures=[
+                MeasurementFailure(
+                    kind="unreachable", node="node-3", iteration=1,
+                    detail="target was down",
+                ),
+                MeasurementFailure(
+                    kind="iteration_error", iteration=2, detail="boom",
+                ),
+            ],
+            evidence={
+                edge("node-0", "node-1"): EdgeEvidence(
+                    source="node-0", sink="node-1", tx_hash="0xaa",
+                    observed_at=3.0, kind="push", iteration=0,
+                ),
+                edge("node-2", "node-3"): EdgeEvidence(
+                    source="node-2", sink="node-3", tx_hash="0xbb",
+                    rpc_confirmed=False, extra_observers=("node-1",),
+                    iteration=2, rpc_degraded=True,
+                ),
+            },
+            suspect_nodes={"node-1"},
+        )
+
+    def _checkpoint(self):
+        from repro.core.parallel_exec import ParallelCheckpoint, ShardResult
+        from repro.core.results import NetworkMeasurement
+
+        observed = ShardResult(
+            index=0,
+            start=0,
+            stop=3,
+            measurement=self._measurement(),
+            wall_time=0.25,
+            obs_snapshot={
+                "metrics": [],
+                "events": {
+                    "recorded": 1,
+                    "retained": 1,
+                    "dropped": 0,
+                    "records": [[3.0, "campaign.iteration", 0, 5, 2, 1234]],
                 },
-                suspect_nodes={"node-1"},
-            ),
+            },
+            invariants={
+                "counts": {"relay_unpooled": 2},
+                "honest_counts": {},
+                "violations": [
+                    {
+                        "time": 2.5, "invariant": "relay_unpooled",
+                        "node": "node-1", "detail": "relayed never-pooled 0xcc",
+                        "byzantine": True,
+                    }
+                ],
+            },
+        )
+        unobserved = ShardResult(
+            index=2,
+            start=4,
+            stop=5,
+            measurement=NetworkMeasurement(node_ids=["node-0", "node-1"]),
+        )
+        return ParallelCheckpoint(
+            fingerprint="f" * 64, n_shards=3, completed={0: observed, 2: unobserved}
         )
 
     def test_round_trip_is_lossless(self):
         import json
 
-        from repro.core.campaign import CHECKPOINT_VERSION, CampaignCheckpoint
+        from repro.core.parallel_exec import (
+            PARALLEL_CHECKPOINT_VERSION,
+            ParallelCheckpoint,
+        )
 
         original = self._checkpoint()
         payload = json.loads(json.dumps(original.to_dict()))  # through JSON
-        assert payload["format_version"] == CHECKPOINT_VERSION == 2
-        restored = CampaignCheckpoint.from_dict(payload)
+        assert payload["format_version"] == PARALLEL_CHECKPOINT_VERSION == 2
+        # Observer payloads ride only when an observer ran.
+        assert "invariants" in payload["completed"]["0"]
+        assert "invariants" not in payload["completed"]["2"]
+        restored = ParallelCheckpoint.from_dict(payload)
         assert restored == original
         # A second hop must be a fixed point.
         assert restored.to_dict() == original.to_dict()
 
     def test_version_1_checkpoint_refused(self):
-        from repro.core.campaign import CampaignCheckpoint
+        """What the removed serial executor wrote (format 1, and format 2
+        with the embedded partial) is recognised and named, not reported
+        as a missing key."""
+        from repro.core.parallel_exec import ParallelCheckpoint
         from repro.errors import CheckpointError
+        from repro.io import measurement_to_dict
 
-        payload = self._checkpoint().to_dict()
-        payload["format_version"] = 1
-        with pytest.raises(CheckpointError, match="version 1"):
-            CampaignCheckpoint.from_dict(payload)
+        for version in (1, 2):
+            payload = {
+                "format_version": version,
+                "seed": 42,
+                "group_size": 2,
+                "completed_iterations": 3,
+                "measurement": measurement_to_dict(self._measurement()),
+            }
+            with pytest.raises(CheckpointError, match="removed serial executor"):
+                ParallelCheckpoint.from_dict(payload)
 
     @pytest.mark.parametrize(
         "bad_entry",
         [["node-0"], ["node-0", "node-0"], ["node-0", 7], [], ["a", "b", "c"]],
     )
     def test_malformed_edge_entries_rejected(self, bad_entry):
-        from repro.core.campaign import CampaignCheckpoint
+        from repro.core.parallel_exec import ParallelCheckpoint
         from repro.errors import CheckpointError
 
         payload = self._checkpoint().to_dict()
-        payload["measurement"]["edges"] = [bad_entry]
+        payload["completed"]["0"]["measurement"]["edges"] = [bad_entry]
         with pytest.raises(CheckpointError):
-            CampaignCheckpoint.from_dict(payload)
+            ParallelCheckpoint.from_dict(payload)

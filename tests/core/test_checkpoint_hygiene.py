@@ -14,33 +14,24 @@ import os
 
 import pytest
 
-from repro.core.campaign import CampaignCheckpoint
 from repro.core.parallel_exec import ParallelCheckpoint, ShardResult
 from repro.core.results import NetworkMeasurement
 from repro.errors import CheckpointError
 from repro.io import atomic_write_text, cleanup_orphan_tmp
 
 
-def _serial_checkpoint(completed=3):
-    return CampaignCheckpoint(
-        seed=7,
-        group_size=2,
-        completed_iterations=completed,
-        measurement=NetworkMeasurement(node_ids=["a", "b", "c"]),
-    )
-
-
-def _parallel_checkpoint():
+def _parallel_checkpoint(completed=1):
     return ParallelCheckpoint(
         fingerprint="f" * 64,
-        n_shards=2,
+        n_shards=4,
         completed={
-            0: ShardResult(
-                index=0,
-                start=0,
-                stop=1,
+            index: ShardResult(
+                index=index,
+                start=index,
+                stop=index + 1,
                 measurement=NetworkMeasurement(node_ids=["a", "b", "c"]),
             )
+            for index in range(completed)
         },
     )
 
@@ -67,19 +58,6 @@ class TestFsyncBeforeRename:
         assert "replace" in order
         assert order.index("fsync") < order.index("replace")
 
-    def test_serial_checkpoint_save_goes_through_atomic_writer(
-        self, tmp_path, monkeypatch
-    ):
-        fsyncs = []
-        real_fsync = os.fsync
-        monkeypatch.setattr(
-            os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))[1]
-        )
-        path = tmp_path / "campaign.ckpt.json"
-        _serial_checkpoint().save(path)
-        assert fsyncs, "checkpoint save must fsync before rename"
-        assert not path.with_suffix(path.suffix + ".tmp").exists()
-
     def test_parallel_checkpoint_save_goes_through_atomic_writer(
         self, tmp_path, monkeypatch
     ):
@@ -99,7 +77,7 @@ class TestCrashSimulation:
         self, tmp_path, monkeypatch
     ):
         path = tmp_path / "campaign.ckpt.json"
-        _serial_checkpoint(completed=3).save(path)
+        _parallel_checkpoint(completed=3).save(path)
 
         # Crash in the rename window: tmp written, rename never happened.
         def exploding_replace(src, dst):
@@ -107,14 +85,14 @@ class TestCrashSimulation:
 
         monkeypatch.setattr(os, "replace", exploding_replace)
         with pytest.raises(OSError):
-            _serial_checkpoint(completed=4).save(path)
+            _parallel_checkpoint(completed=4).save(path)
         monkeypatch.undo()
 
         # The orphan is on disk, the committed checkpoint is intact.
         tmp = path.with_suffix(path.suffix + ".tmp")
         assert tmp.exists()
-        restored = CampaignCheckpoint.load(path)
-        assert restored.completed_iterations == 3
+        restored = ParallelCheckpoint.load(path)
+        assert sorted(restored.completed) == [0, 1, 2]
         # load() reaped the orphan as part of resume hygiene.
         assert not tmp.exists()
 
@@ -125,7 +103,7 @@ class TestCrashSimulation:
         tmp.write_text("{torn partial json", encoding="utf-8")
 
         restored = ParallelCheckpoint.load(path)
-        assert restored.n_shards == 2
+        assert restored.n_shards == 4
         assert not tmp.exists()
 
     def test_orphan_cleanup_is_idempotent(self, tmp_path):
@@ -140,9 +118,9 @@ class TestCrashSimulation:
         # hand-truncated file must still fail typed, not with a stack of
         # JSON internals.
         path = tmp_path / "campaign.ckpt.json"
-        path.write_text('{"format_version": 2, "seed":', encoding="utf-8")
+        path.write_text('{"format_version": 2, "fingerprint":', encoding="utf-8")
         with pytest.raises(CheckpointError):
-            CampaignCheckpoint.load(path)
+            ParallelCheckpoint.load(path)
 
     def test_atomic_write_round_trips_content(self, tmp_path):
         path = tmp_path / "out.json"

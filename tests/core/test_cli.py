@@ -91,14 +91,13 @@ class TestMeasure:
 
 
 class TestOneAssemblyOrder:
-    def test_serial_cli_is_build_world_plus_measure_network(self, capsys, tmp_path):
+    def test_cli_is_flags_to_spec_to_run_campaign(self, capsys, tmp_path):
         """The CLI owns flag parsing, not the order a world is assembled
-        in: its serial path must produce what ``build_world`` + the spec's
-        config + ``measure_network`` produce for the same spec."""
+        in nor how a spec is executed: it must write what ``run_campaign``
+        returns for the spec its flags describe."""
         import json
 
-        from repro.core.campaign import TopoShot
-        from repro.core.parallel_exec import CampaignSpec, build_world
+        from repro.core.parallel_exec import CampaignSpec, run_campaign
         from repro.eth.behaviors import BehaviorMix
         from repro.io import measurement_to_dict
         from repro.netgen.ethereum import NetworkSpec
@@ -126,12 +125,8 @@ class TestOneAssemblyOrder:
             cross_validate=2,
             adaptive_flood=True,
         )
-        network, supernode = build_world(spec)
-        network.install_faults(spec.fault_plan)
-        shot = TopoShot(network, supernode)
-        shot.config = spec.measurement_config(shot.config)
         assert json.loads(out_json.read_text()) == measurement_to_dict(
-            shot.measure_network()
+            run_campaign(spec)
         )
 
 
@@ -203,9 +198,149 @@ class TestMeasureAdversarial:
         )
         assert "edges detected" in capsys.readouterr().out
 
-    def test_sharded_execution_still_rejects_invariants(self, capsys):
-        assert (
-            main(["measure", "--nodes", "10", "--workers", "2", "--invariants"])
-            == 2
+    def test_invariants_compose_with_any_worker_count(self, capsys):
+        """A seeded mix that does trip the checker merges to the same
+        per-invariant counts whether its shards ran here or on a pool."""
+        flags = [
+            "measure", "--nodes", "12", "--seed", "5", "--invariants",
+            "--byzantine-mix", "spoof_relay:0.2,duplicate_spammer:0.2",
+            "--cross-validate", "2",
+        ]
+        lines = []
+        for workers in ("1", "4"):
+            assert main(flags + ["--workers", workers]) == 0
+            out = capsys.readouterr().out
+            lines.append(
+                next(ln for ln in out.splitlines() if ln.startswith("invariants:"))
+            )
+        assert "violations (0 honest)" in lines[0]
+        assert lines[0] == lines[1]
+
+
+ZOO_FLAGS = [
+    "measure", "--nodes", "14", "--seed", "7",
+    "--loss", "0.02", "--churn", "0.01", "--crash-rate", "0.002",
+    "--rpc-fault-rate", "0.2", "--byzantine-frac", "0.3",
+    "--cross-validate", "3", "--adaptive-flood", "--invariants",
+]
+
+
+def _run_zoo(tmp_path, tag, extra, capsys):
+    """One full-zoo CLI run; returns (output bytes, trace bytes,
+    deterministic metrics lines, invariants line)."""
+    paths = {
+        kind: tmp_path / f"{tag}.{kind}.jsonl" for kind in ("out", "trace", "metrics")
+    }
+    assert (
+        main(
+            ZOO_FLAGS
+            + ["--output", str(paths["out"]), "--trace-out", str(paths["trace"]),
+               "--metrics-out", str(paths["metrics"])]
+            + extra
         )
-        assert "per-process observer" in capsys.readouterr().err
+        == 0
+    )
+    out = capsys.readouterr().out
+    return (
+        paths["out"].read_bytes(),
+        paths["trace"].read_bytes(),
+        # The one wall-clock histogram is the only nondeterministic sample.
+        [
+            ln
+            for ln in paths["metrics"].read_text().splitlines()
+            if "wall_seconds" not in ln
+        ],
+        next(ln for ln in out.splitlines() if ln.startswith("invariants:")),
+    )
+
+
+class TestOneExecutor:
+    """``--workers`` is a wall-clock knob, absent or not: every artefact of
+    a campaign is the same bytes for any worker count, under every world
+    knob and both observers at once."""
+
+    def test_full_zoo_is_worker_count_invariant(self, tmp_path, capsys):
+        reference = _run_zoo(tmp_path, "default", [], capsys)
+        assert reference[1], "event trace must not be empty"
+        for workers in ("1", "2"):
+            assert (
+                _run_zoo(tmp_path, f"w{workers}", ["--workers", workers], capsys)
+                == reference
+            )
+
+    def test_resume_from_truncated_checkpoint_matches_uninterrupted(
+        self, tmp_path, capsys
+    ):
+        """Kill-anywhere through the CLI: drop all but the first k shards
+        from a finished checkpoint (what a kill leaves on disk), resume,
+        and get the uninterrupted run's bytes."""
+        import json
+        import random
+
+        ckpt = tmp_path / "c.json"
+        reference = _run_zoo(tmp_path, "full", ["--checkpoint", str(ckpt)], capsys)
+        payload = json.loads(ckpt.read_text())
+        k = random.Random(7).randrange(1, payload["n_shards"])
+        payload["completed"] = {
+            index: shard
+            for index, shard in payload["completed"].items()
+            if int(index) < k
+        }
+        ckpt.write_text(json.dumps(payload))
+        resumed = _run_zoo(
+            tmp_path, "resumed", ["--checkpoint", str(ckpt), "--resume"], capsys
+        )
+        assert resumed == reference
+
+
+class TestResumeErrors:
+    """A checkpoint ``--resume`` cannot use is one line on stderr and exit
+    code 2, never a traceback."""
+
+    BASE = ["measure", "--nodes", "10", "--seed", "3"]
+
+    def _resume(self, ckpt, capsys, extra=()):
+        code = main(self.BASE + list(extra) + ["--checkpoint", str(ckpt), "--resume"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"cannot resume from {ckpt}: ")
+        assert len(err.splitlines()) == 1
+        return err
+
+    def test_resume_without_checkpoint_flag(self, capsys):
+        assert main(self.BASE + ["--resume"]) == 2
+        assert "--resume requires --checkpoint" in capsys.readouterr().err
+
+    def test_foreign_campaign(self, tmp_path, capsys):
+        ckpt = tmp_path / "c.json"
+        assert main(self.BASE + ["--checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert "different campaign" in self._resume(
+            ckpt, capsys, extra=["--repeats", "2"]
+        )
+
+    def test_malformed(self, tmp_path, capsys):
+        ckpt = tmp_path / "c.json"
+        ckpt.write_text("{not json")
+        assert "cannot read checkpoint" in self._resume(ckpt, capsys)
+        ckpt.write_text('{"format_version": 2, "n_shards": 4}')
+        assert "malformed parallel checkpoint" in self._resume(ckpt, capsys)
+
+    def test_version_1(self, tmp_path, capsys):
+        ckpt = tmp_path / "c.json"
+        ckpt.write_text(
+            '{"format_version": 1, "fingerprint": "f", "n_shards": 4, '
+            '"completed": {}}'
+        )
+        assert "version 1" in self._resume(ckpt, capsys)
+
+    def test_old_serial_format_is_named(self, tmp_path, capsys):
+        ckpt = tmp_path / "c.json"
+        ckpt.write_text(
+            '{"format_version": 2, "seed": 3, "group_size": 2, '
+            '"completed_iterations": 1, "measurement": {}}'
+        )
+        assert (
+            "written by the removed serial executor; re-run without --resume"
+            in self._resume(ckpt, capsys)
+        )

@@ -97,6 +97,26 @@ class TestChurnSignals:
         assert monitor.probe_savings["probed_pairs"] > 0
         assert len(report.added) + len(report.removed) > 0
 
+    def test_rpc_less_target_is_absent_from_the_poll(self):
+        """No fault plan installed: the poll goes through the RPC client's
+        direct path — no draw, no simulated time, no health bookkeeping —
+        and a target that serves no RPC is simply absent (its last-known
+        count stands, so its rewiring raises no signal)."""
+        from dataclasses import replace
+
+        network, _, monitor = build_monitor()
+        monitor.take_snapshot()
+        quiet = network.node(monitor.targets[0])
+        quiet.config = replace(quiet.config, responds_to_rpc=False)
+        before = (network.sim.now, network.sim.executed_events)
+        rewire_random_links(network, fraction=0.5)
+        flagged = monitor.poll_peer_counts()
+        assert flagged and quiet.id not in flagged
+        assert quiet.id not in monitor._poll_counts()
+        assert (network.sim.now, network.sim.executed_events) == before
+        assert network.rpc_client().health_report() == {}
+        assert network.rpc_client().counters()["calls"] == 0
+
     def test_delta_view_matches_full_resnapshot(self):
         network, shot, monitor = build_monitor()
         monitor.take_snapshot()

@@ -334,7 +334,10 @@ class TestObsMerge:
                     "p50": 1.5, "p90": 2.0, "p99": 2.0,
                 },
             ],
-            "events": {"recorded": 3, "retained": 3, "dropped": 0},
+            "events": {
+                "recorded": 3, "retained": 3, "dropped": 0,
+                "records": [[4.0, "x", 1], [5.0, "y"]],
+            },
         }
         b = {
             "metrics": [
@@ -357,6 +360,9 @@ class TestObsMerge:
         assert by_name["h"]["min"] == 1.0
         assert by_name["h"]["max"] == 4.0
         assert by_name["h"]["p50"] is None  # reservoirs are not mergeable
+        # Records concatenate in shard order (times are per-shard); a
+        # snapshot without records (an older checkpoint) adds none.
         assert merged["events"] == {
             "recorded": 4, "retained": 4, "dropped": 2,
+            "records": [[4.0, "x", 1], [5.0, "y"]],
         }

@@ -43,9 +43,7 @@ def _always_crash(*_args, **_kwargs):
     raise RuntimeError("injected worker crash")
 
 
-def _crash_once_per_shard(
-    payload, fingerprint, index, n_shards, start, stop, collect_obs
-):
+def _crash_once_per_shard(payload, fingerprint, index, *rest):
     """First execution of each shard crashes; retries run the real worker.
 
     ``O_CREAT|O_EXCL`` makes the crashed-marker claim atomic across the
@@ -62,9 +60,7 @@ def _crash_once_per_shard(
         raise RuntimeError(f"injected first-attempt crash for shard {index}")
     with open(base / f"ran-{index}", "ab") as handle:
         handle.write(b"x")
-    return _REAL_WORKER(
-        payload, fingerprint, index, n_shards, start, stop, collect_obs
-    )
+    return _REAL_WORKER(payload, fingerprint, index, *rest)
 
 
 def _run_count(base: Path, index: int) -> int:

@@ -224,3 +224,34 @@ class TestRebid:
         assert cheaper.nonce == original.nonce
         assert cheaper.gas_price == 950
         assert cheaper.hash != original.hash
+
+
+class TestRetryBackoff:
+    @pytest.mark.parametrize("backoff,factor", [(1.0, 2.0), (0.5, 3.0)])
+    def test_setup_retry_waits_are_the_geometric_schedule(
+        self, measured_network, monkeypatch, backoff, factor
+    ):
+        """The setup-failure retry loop waits ``backoff * factor**k`` via
+        ``resilience.backoff_delay``; for the factors in use the simulated
+        clock after three retries is float-identical to accumulating the
+        wait by repeated multiplication (what the loop used to spell)."""
+        import repro.core.primitive as primitive
+        from repro.core.primitive import ProbeReport
+
+        network, supernode, _ = measured_network
+        failed = ProbeReport(
+            a="a", b="b", outcome=LinkProbeOutcome.SETUP_FAILED_A, y=1,
+            tx_c_hash="", tx_a_hash="", tx_b_hash="",
+            flood_confirmed=False, setup_a_ok=False, setup_b_ok=True,
+        )
+        monkeypatch.setattr(
+            primitive, "measure_one_link", lambda *args, **kwargs: failed
+        )
+        config = MeasurementConfig().with_retries(3, backoff=backoff, factor=factor)
+        expected, wait = network.sim.now, backoff
+        for _ in range(3):
+            expected += wait
+            wait *= factor
+        reports = measure_link_with_repeats(network, supernode, "a", "b", config)
+        assert len(reports) == 4  # three retried setups + the one repeat
+        assert network.sim.now == expected

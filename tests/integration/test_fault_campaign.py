@@ -5,11 +5,13 @@ import json
 
 import pytest
 
-from repro.core.campaign import CampaignCheckpoint, TopoShot
+from repro.core import parallel_exec
+from repro.core.campaign import TopoShot
+from repro.core.parallel_exec import CampaignSpec, ParallelCheckpoint, ShardResult
 from repro.core.results import NetworkMeasurement
 from repro.errors import CheckpointError
 from repro.io import measurement_to_dict
-from repro.netgen.ethereum import quick_network
+from repro.netgen.ethereum import NetworkSpec, quick_network
 from repro.netgen.workloads import prefill_mempools
 from repro.sim.faults import FaultPlan
 
@@ -81,120 +83,136 @@ class TestGracefulDegradation:
         assert measurement.score.precision >= 0.95
 
 
+class Killed(RuntimeError):
+    pass
+
+
+def kill_after(k):
+    """A shard-progress hook that dies once ``k`` shards are durable (the
+    checkpoint is written before the hook runs)."""
+    done = []
+
+    def progress(index, total, result):
+        assert total > k, "plan too small to interrupt meaningfully"
+        done.append(index)
+        if len(done) >= k:
+            raise Killed
+
+    return progress
+
+
+def spec_for(seed, n_nodes=14, **overrides):
+    return CampaignSpec(network=NetworkSpec(n_nodes=n_nodes, seed=seed), **overrides)
+
+
 class TestCheckpointResume:
     def test_checkpoint_roundtrip(self, tmp_path):
         path = tmp_path / "ckpt.json"
-        checkpoint = CampaignCheckpoint(
-            seed=9,
-            group_size=2,
-            completed_iterations=1,
-            measurement=NetworkMeasurement(
-                node_ids=["n0", "n1", "n2"],
-                edges={frozenset(("n0", "n1"))},
-                iterations=3,
-                transactions_sent=42,
-                setup_failures=1,
-                skipped_nodes=["n3"],
-            ),
+        checkpoint = ParallelCheckpoint(
+            fingerprint="f" * 64,
+            n_shards=3,
+            completed={
+                1: ShardResult(
+                    index=1,
+                    start=1,
+                    stop=2,
+                    measurement=NetworkMeasurement(
+                        node_ids=["n0", "n1", "n2"],
+                        edges={frozenset(("n0", "n1"))},
+                        iterations=3,
+                        transactions_sent=42,
+                        setup_failures=1,
+                        skipped_nodes=["n3"],
+                    ),
+                )
+            },
         )
         checkpoint.save(path)
-        loaded = CampaignCheckpoint.load(path)
+        loaded = ParallelCheckpoint.load(path)
         assert loaded == checkpoint
 
     def test_corrupt_checkpoint_raises(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(CheckpointError):
-            CampaignCheckpoint.load(path)
+            ParallelCheckpoint.load(path)
 
     def test_seed_mismatch_refuses_resume(self, tmp_path):
         path = tmp_path / "ckpt.json"
-        run_campaign(82, checkpoint_path=path)
-        network = campaign_network(83)
-        shot = TopoShot.attach(network)
-        with pytest.raises(CheckpointError):
-            shot.measure_network(checkpoint_path=path, resume=True)
-
-    def test_resume_without_checkpoint_path_raises(self):
-        network = campaign_network(82)
-        shot = TopoShot.attach(network)
-        with pytest.raises(CheckpointError):
-            shot.measure_network(resume=True)
+        parallel_exec.run_campaign(spec_for(82), checkpoint_path=path)
+        with pytest.raises(CheckpointError, match="different campaign"):
+            parallel_exec.run_campaign(
+                spec_for(83), checkpoint_path=path, resume=True
+            )
 
     def test_killed_then_resumed_matches_uninterrupted(self, tmp_path):
-        """Acceptance bar: a campaign killed mid-run and resumed from its
-        checkpoint ends with the same edge set as an uninterrupted run."""
-        uninterrupted, _ = run_campaign(84, repeats=2)
-        assert uninterrupted.score.recall == 1.0  # fault-free baseline
+        """Acceptance bar, kill-anywhere: for a random k, a campaign killed
+        once k shards are durable and resumed from its checkpoint equals
+        the uninterrupted run — every field, not only the edge set."""
+        import random
 
-        path = tmp_path / "ckpt.json"
+        for seed in (84, 86):
+            spec = spec_for(seed, repeats=2)
+            uninterrupted = parallel_exec.run_campaign(spec)
+            assert uninterrupted.score.recall == 1.0  # fault-free baseline
 
-        class Killed(RuntimeError):
-            pass
-
-        def kill_after_first(index, total, iteration, report):
-            assert total > 1, "schedule too small to interrupt meaningfully"
-            if index >= 1:
-                raise Killed
-
-        network = campaign_network(84)
-        shot = TopoShot.attach(network)
-        shot.config = shot.config.with_repeats(2)
-        with pytest.raises(Killed):
-            shot.measure_network(
-                checkpoint_path=path, progress=kill_after_first
+            n_shards = len(
+                parallel_exec.build_shard_plan(uninterrupted.iterations)
             )
-        partial = CampaignCheckpoint.load(path)
-        assert 0 < partial.completed_iterations < uninterrupted.iterations
+            k = random.Random(seed).randrange(1, n_shards)
+            path = tmp_path / f"ckpt-{seed}.json"
+            with pytest.raises(Killed):
+                parallel_exec.run_campaign(
+                    spec, checkpoint_path=path, progress=kill_after(k)
+                )
+            partial = ParallelCheckpoint.load(path)
+            assert len(partial.completed) == k
 
-        # A fresh process: same seed, resume from the checkpoint.
-        resumed, _ = run_campaign(
-            84, repeats=2, checkpoint_path=path, resume=True
-        )
-        assert resumed.edges == uninterrupted.edges
-        assert resumed.iterations == uninterrupted.iterations
-        # The checkpoint carries the whole partial, so the hardening pass
-        # sees the pre-kill iterations exactly as the uninterrupted run did:
-        # one evidence record and one confidence label per detected edge.
-        assert partial.measurement.evidence
-        assert set(resumed.evidence) == resumed.edges
-        assert set(resumed.edge_confidence) == resumed.edges
-        assert resumed.suspect_nodes == uninterrupted.suspect_nodes
+            # A fresh process: same spec, resume from the checkpoint.
+            resumed = parallel_exec.run_campaign(
+                spec, checkpoint_path=path, resume=True
+            )
+            assert canonical(resumed) == canonical(uninterrupted)
+            # The checkpoint carries each shard's whole partial, so the
+            # hardening pass sees the pre-kill iterations exactly as the
+            # uninterrupted run did: one evidence record and one
+            # confidence label per detected edge.
+            assert any(
+                r.measurement.evidence for r in partial.completed.values()
+            )
+            assert set(resumed.evidence) == resumed.edges
+            assert set(resumed.edge_confidence) == resumed.edges
 
-        final = CampaignCheckpoint.load(path)
-        assert final.completed_iterations == uninterrupted.iterations
+            final = ParallelCheckpoint.load(path)
+            assert len(final.completed) == final.n_shards == n_shards
 
     def test_resume_does_not_launder_suspect_edges(self, tmp_path):
         """On a 30% Byzantine network, an edge that was doubtful when the
         campaign was killed (unclean evidence, or an endpoint already
         caught misbehaving) must still face cross-validation after the
-        resume — never come back labelled ``high``."""
+        resume — never come back labelled ``high``. (A resume that drops
+        the partial's evidence / suspects scores precision 0.848 here
+        instead of the uninterrupted run's.)"""
         from repro.core.results import (
             CONFIDENCE_CROSS_VALIDATED,
             CONFIDENCE_QUARANTINED,
         )
         from repro.eth.behaviors import BehaviorMix
 
-        def hardened_shot():
-            network = campaign_network(13, n_nodes=24)
-            network.install_behaviors(BehaviorMix.uniform(0.3))
-            shot = TopoShot.attach(network)
-            shot.config = shot.config.with_cross_validation(3)
-            return shot
-
-        class Killed(RuntimeError):
-            pass
-
-        def kill_near_the_end(index, total, iteration, report):
-            if index >= total - 2:
-                raise Killed
+        spec = spec_for(
+            13, n_nodes=24, behaviors=BehaviorMix.uniform(0.3), cross_validate=3
+        )
+        uninterrupted = parallel_exec.run_campaign(spec)
+        n_shards = len(parallel_exec.build_shard_plan(uninterrupted.iterations))
 
         path = tmp_path / "ckpt.json"
         with pytest.raises(Killed):
-            hardened_shot().measure_network(
-                checkpoint_path=path, progress=kill_near_the_end
+            parallel_exec.run_campaign(
+                spec, checkpoint_path=path, progress=kill_after(n_shards - 2)
             )
-        partial = CampaignCheckpoint.load(path).measurement
+        partial = NetworkMeasurement(node_ids=list(uninterrupted.node_ids))
+        for result in ParallelCheckpoint.load(path).completed.values():
+            partial.merge(result.measurement)
         doubtful = {
             e
             for e in partial.edges
@@ -202,8 +220,8 @@ class TestCheckpointResume:
         }
         assert doubtful, "seed no longer produces suspects before the kill"
 
-        resumed = hardened_shot().measure_network(
-            checkpoint_path=path, resume=True
+        resumed = parallel_exec.run_campaign(
+            spec, checkpoint_path=path, resume=True
         )
         assert partial.suspect_nodes <= resumed.suspect_nodes
         for e in doubtful:
@@ -213,10 +231,18 @@ class TestCheckpointResume:
             )
         assert resumed.quarantined
         assert resumed.score.precision >= 0.95
+        assert canonical(resumed) == canonical(uninterrupted)
 
     def test_resume_of_finished_campaign_is_instant(self, tmp_path):
         path = tmp_path / "ckpt.json"
-        first, _ = run_campaign(85, checkpoint_path=path)
-        resumed, _ = run_campaign(85, checkpoint_path=path, resume=True)
-        assert resumed.edges == first.edges
-        assert resumed.duration == 0.0  # nothing left to simulate
+        spec = spec_for(85)
+        first = parallel_exec.run_campaign(spec, checkpoint_path=path)
+        ran = []
+        resumed = parallel_exec.run_campaign(
+            spec,
+            checkpoint_path=path,
+            resume=True,
+            progress=lambda index, total, result: ran.append(index),
+        )
+        assert ran == []  # nothing left to simulate
+        assert canonical(resumed) == canonical(first)

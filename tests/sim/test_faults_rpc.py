@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.core.campaign import CampaignCheckpoint, TopoShot
+from repro.core.campaign import TopoShot
 from repro.errors import FaultPlanError
 from repro.eth.account import Wallet
 from repro.eth.behaviors import BehaviorMix
@@ -204,57 +204,60 @@ class TestFaultComposition:
 
 class TestCheckpointResumeUnderOutage:
     def test_killed_mid_outage_then_resumed_is_deterministic(self, tmp_path):
-        """Kill the campaign after its first iteration while the RPC plane
-        is faulting, then resume from the checkpoint on a fresh same-seed
-        network. The resumed run must itself be deterministic, finish the
-        full schedule, and keep the degraded-mode precision guarantee."""
-        plan = FaultPlan(rpc=RpcFaultPlan.uniform(0.2))
+        """Kill the campaign after its first shard while the RPC plane is
+        faulting, then resume from the checkpoint in a fresh replica. The
+        resumed run must equal the uninterrupted one (so it is itself
+        deterministic), finish the full schedule, and keep the
+        degraded-mode precision guarantee."""
+        from repro.core.parallel_exec import (
+            CampaignSpec,
+            ParallelCheckpoint,
+            run_campaign as run_spec,
+        )
+        from repro.netgen.ethereum import NetworkSpec
+        from tests.integration.test_fault_campaign import Killed, kill_after
 
-        class Killed(RuntimeError):
-            pass
-
-        def kill_after_first(index, total, iteration, report):
-            assert total > 1, "schedule too small to interrupt meaningfully"
-            if index >= 1:
-                raise Killed
+        spec = CampaignSpec(
+            network=NetworkSpec(n_nodes=14, seed=96),
+            fault_plan=FaultPlan(rpc=RpcFaultPlan.uniform(0.2)),
+        )
 
         def killed_then_resumed(path):
-            network = quick_network(n_nodes=14, seed=96)
-            prefill_mempools(network)
-            network.install_faults(plan)
-            shot = TopoShot.attach(network)
             with pytest.raises(Killed):
-                shot.measure_network(
-                    checkpoint_path=path, progress=kill_after_first
-                )
-            partial = CampaignCheckpoint.load(path)
-            assert partial.completed_iterations >= 1
-            resumed, _ = run_campaign(
-                96, plan=plan, checkpoint_path=path, resume=True
-            )
-            return partial, resumed
+                run_spec(spec, checkpoint_path=path, progress=kill_after(1))
+            partial = ParallelCheckpoint.load(path)
+            assert len(partial.completed) == 1
+            return partial, run_spec(spec, checkpoint_path=path, resume=True)
 
-        uninterrupted, _ = run_campaign(96, plan=plan)
+        uninterrupted = run_spec(spec)
         partial, resumed = killed_then_resumed(tmp_path / "a.json")
-        assert partial.completed_iterations < uninterrupted.iterations
+        assert partial.n_shards > 1
         assert resumed.iterations == uninterrupted.iterations
         assert resumed.score.precision == 1.0
         # Every edge secured before the kill survives the restart.
-        assert partial.measurement.edges <= resumed.edges
+        assert partial.completed[0].edges <= resumed.edges
+        assert canonical(resumed) == canonical(uninterrupted)
 
-        # Same seed, same kill point, fresh process: bit-identical resume.
+        # Same spec, same kill point, fresh process: bit-identical resume.
         _, replay = killed_then_resumed(tmp_path / "b.json")
         assert canonical(replay) == canonical(resumed)
 
     def test_resume_refuses_checkpoint_without_matching_seed(self, tmp_path):
+        from repro.core.parallel_exec import CampaignSpec, run_campaign as run_spec
+        from repro.errors import CheckpointError
+        from repro.netgen.ethereum import NetworkSpec
+
         plan = FaultPlan(rpc=RpcFaultPlan.uniform(0.1))
         path = tmp_path / "ckpt.json"
-        run_campaign(97, plan=plan, checkpoint_path=path)
-        from repro.errors import CheckpointError
-
-        network = quick_network(n_nodes=14, seed=98)
-        prefill_mempools(network)
-        network.install_faults(plan)
-        shot = TopoShot.attach(network)
+        run_spec(
+            CampaignSpec(network=NetworkSpec(n_nodes=14, seed=97), fault_plan=plan),
+            checkpoint_path=path,
+        )
         with pytest.raises(CheckpointError):
-            shot.measure_network(checkpoint_path=path, resume=True)
+            run_spec(
+                CampaignSpec(
+                    network=NetworkSpec(n_nodes=14, seed=98), fault_plan=plan
+                ),
+                checkpoint_path=path,
+                resume=True,
+            )
