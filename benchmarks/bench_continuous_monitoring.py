@@ -164,12 +164,9 @@ def bench_delta(scenario: dict, obs: Observability) -> dict:
     # so the base view should start from the same (high) recall.
     shot.config = shot.config.with_repeats(2)
     targets = list(network.measurable_node_ids())[: scenario["delta_targets"]]
-    target_set = set(targets)
 
     def truth() -> set:
-        return {
-            e for e in network.ground_truth_edges() if set(e) <= target_set
-        }
+        return network.ground_truth_edges(among=targets)
 
     workload = BatchedWorkload(
         network, SHAPES["nft-mint-storm"](rate_per_second=scenario["load_rate"])

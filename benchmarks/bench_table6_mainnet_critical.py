@@ -76,7 +76,7 @@ def run_study():
         for i in range(len(chosen))
         for j in range(i + 1, len(chosen))
     ]
-    detected = shot.measure_pairs(pairs)
+    detected = shot.measure_pairs(pairs).edges
     monitor.stop(network.sim.now)
     network.run(60.0)
     return network, selected, detected, monitor.verify()

@@ -68,7 +68,7 @@ def main() -> None:
         for i in range(len(chosen))
         for j in range(i + 1, len(chosen))
     ]
-    detected = shot.measure_pairs(pairs)
+    detected = shot.measure_pairs(pairs).edges
     monitor.stop(network.sim.now)
     # The last iteration's seeds stay buffered; as the pool drains, miners
     # eventually pick up the txA transactions (priced (1+R/2)Y > Y0, so V2

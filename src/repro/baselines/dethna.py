@@ -182,11 +182,7 @@ def run_dethna(
     report.votes = votes
     report.predicted = {e for e, count in votes.items() if count >= min_votes}
     if validate:
-        target_set = set(targets)
-        truth = {
-            link
-            for link in network.ground_truth_edges()
-            if set(link) <= target_set
-        }
-        report.score_vs_active = score_edges(report.predicted, truth)
+        report.score_vs_active = score_edges(
+            report.predicted, network.ground_truth_edges(among=targets)
+        )
     return report

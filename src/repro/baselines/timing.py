@@ -120,14 +120,6 @@ def timing_inference(
 
     result.scores = votes
     result.predicted = {e for e, score in votes.items() if score >= min_votes}
-    if subset:
-        target_set = set(targets)
-        truth = {
-            link
-            for link in network.ground_truth_edges()
-            if set(link) <= target_set
-        }
-    else:
-        truth = network.ground_truth_edges()
+    truth = network.ground_truth_edges(among=targets if subset else None)
     result.score_vs_active = score_edges(result.predicted, truth)
     return result

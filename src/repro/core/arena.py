@@ -38,10 +38,10 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.parallel_exec import CampaignSpec, build_world
-from repro.core.results import Edge, ValidationScore, score_edges
+from repro.core.results import ValidationScore, score_edges
 from repro.errors import MeasurementError
 from repro.eth.behaviors import BehaviorMix
 from repro.eth.network import Network
@@ -296,13 +296,6 @@ def _select_targets(network: Network, spec: ArenaSpec) -> List[str]:
     return measurable[: spec.n_targets]
 
 
-def _universe_truth(network: Network, targets: Sequence[str]) -> Set[Edge]:
-    target_set = set(targets)
-    return {
-        link for link in network.ground_truth_edges() if set(link) <= target_set
-    }
-
-
 # ----------------------------------------------------------------------
 # Protocol runners. Contract: run against (network, supernode, targets),
 # return (predicted_edges_or_None, transactions_sent, extras).
@@ -441,7 +434,7 @@ def run_arena(
     campaign = spec.campaign_spec()
     reference_network, _ = _fresh_world(campaign)
     targets = _select_targets(reference_network, spec)
-    truth = _universe_truth(reference_network, targets)
+    truth = reference_network.ground_truth_edges(among=targets)
     result = ArenaResult(
         spec=spec,
         targets=list(targets),

@@ -5,29 +5,29 @@ network, pre-processes targets, runs the parallel schedule, unions the
 per-iteration detections, and scores the measured topology against the
 simulator's ground truth.
 
-Everything that probes — :meth:`TopoShot.measure_network`, the explicit
-pair lists of :meth:`TopoShot.measure_pairs`, and the schedule shards of
-:func:`repro.core.parallel_exec.run_campaign` — walks its work items
-through the one iteration runner, :meth:`TopoShot._run_iterations`, into
-one :class:`~repro.core.results.NetworkMeasurement`.
-
-:meth:`TopoShot.measure_network` is the in-place library entry: it walks
-the whole schedule inside the caller's one evolving world (pools churn
-between iterations, state carries over). ``run_campaign`` is the executor
-behind the CLI and the job service: it replays schedule slices from a
-pristine post-setup snapshot (:meth:`TopoShot.snapshot_state` /
-:meth:`TopoShot.restore_state`), checkpoints per shard, and is
-bit-identical for any worker count. Both measure the same schedule; they
-differ in the background state each iteration sees, so their edge sets
-agree in the common case but are not defined to be bit-identical to each
-other.
+Every campaign walks three public stages — :meth:`TopoShot.open` (targets
+and schedule: the empty tally under the campaign header plus its work
+items, optionally restricted to a pair list), :meth:`TopoShot.run` (the one
+campaign loop) and :meth:`TopoShot.close` (hardening, sim window, score) —
+and every entry is a composition of them and nothing else.
+:meth:`TopoShot.measure_network` is open → run(all) → close inside the
+caller's one evolving world (pools churn between iterations, state carries
+over); :meth:`TopoShot.measure_pairs` is open(pairs) → run → close;
+:func:`repro.core.parallel_exec.run_campaign`, the executor behind the CLI
+and the job service, opens once, runs schedule slices from a pristine
+post-setup snapshot (:meth:`TopoShot.snapshot_state` /
+:meth:`TopoShot.restore_state`), merges them and closes. In-place and
+sharded campaigns measure the same schedule; they differ in the background
+state each iteration sees, so their edge sets agree in the common case but
+are not defined to be bit-identical to each other.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import MeasurementConfig
 from repro.core.gas_estimator import estimate_y
@@ -46,7 +46,6 @@ from repro.core.results import (
     Edge,
     LinkResult,
     NetworkMeasurement,
-    ValidationScore,
     edge,
 )
 from repro.core.schedule import ScheduleIteration, build_schedule
@@ -58,9 +57,12 @@ from repro.obs import NULL, Observability
 
 ProgressCallback = Callable[[int, int, ScheduleIteration, ParallelProbeReport], None]
 
-# One ``measurePar`` round of the runner: (schedule index, pairs to probe).
-WorkItem = Tuple[int, Sequence[Tuple[str, str]]]
-AfterIteration = Callable[[int, Optional[ParallelProbeReport]], None]
+# One ``measurePar`` round: (schedule index, the iteration — cut to the
+# wanted pairs when the campaign is a pair list).
+WorkItem = Tuple[int, ScheduleIteration]
+
+# K a pair list starts from; lowered only to stay inside the slot budget.
+PAIR_LIST_GROUP_SIZE = 4
 
 
 class TopoShot:
@@ -137,37 +139,28 @@ class TopoShot:
         supernode = Supernode.join(network, targets=targets)
         return cls(network, supernode, config=config, obs=obs)
 
-    def _refresh_pools(self) -> None:
-        """Compressed organic churn between iterations/repeats (see
-        :func:`repro.netgen.workloads.refresh_mempools`).
+    def restore_ambient(self) -> None:
+        """Compressed organic churn: drain every pool back to the ambient
+        fee level (see :func:`repro.netgen.workloads.refresh_mempools`).
 
-        The replacement background traffic keeps the *ambient* price level,
-        sampled from a target node's current pool — not the measurement
-        price Y, which may sit deliberately below it (Section 6.3 sets a
-        conservatively low Y on the mainnet).
+        The campaign applies it between iterations and repeats; a
+        continuous-monitoring loop calls it between a traffic window and
+        the next delta round — probing straight into a workload's own
+        (typically pricier) leftovers with a Y estimated against the
+        pre-workload ambient turns whole rounds into false negatives. The
+        refill keeps the *original* ambient price level, pinned from a
+        target node's pool — not the measurement price Y, which may sit
+        deliberately below it (Section 6.3's conservatively low mainnet Y).
         """
         from repro.netgen.workloads import refresh_mempools
 
-        self._capture_ambient()
+        self.pin_ambient()
         refresh_mempools(
             self.network,
             median_price=self.ambient_price or self.config.default_gas_price_y,
         )
 
-    def restore_ambient(self) -> None:
-        """Restore the measurement precondition after a traffic window.
-
-        A heavy workload leaves pools full of its own (typically pricier)
-        traffic; probing straight into that with a Y estimated against the
-        pre-workload ambient turns whole rounds into false negatives. A
-        continuous-monitoring loop calls this between the load window and
-        the next delta round — the same compressed drain the campaign
-        applies between schedule iterations, pinned to the *original*
-        ambient price level.
-        """
-        self._refresh_pools()
-
-    def _capture_ambient(self) -> None:
+    def pin_ambient(self) -> None:
         """Pin the ambient price from the first node with a priced pool.
 
         Called before the first measurement touches any pool, so later
@@ -218,7 +211,7 @@ class TopoShot:
     def measure_link(self, a: str, b: str) -> LinkResult:
         """Measure one undirected link with the serial primitive,
         ``config.repeats`` times, reporting the union of positives."""
-        self._capture_ambient()
+        self.pin_ambient()
         reports: List[ProbeReport] = measure_link_with_repeats(
             self.network,
             self.supernode,
@@ -226,7 +219,7 @@ class TopoShot:
             b,
             self.config,
             self.wallet,
-            refresh=self._refresh_pools,
+            refresh=self.restore_ambient,
         )
         for report in reports:
             self.measurement_senders.extend(report.measurement_senders)
@@ -261,7 +254,7 @@ class TopoShot:
         return self.last_preprocess
 
     # ------------------------------------------------------------------
-    # Whole networks (parallel schedule)
+    # Campaign entries: compositions of open -> run -> close
     # ------------------------------------------------------------------
     def measure_network(
         self,
@@ -282,75 +275,103 @@ class TopoShot:
         killable, resumable campaign use
         :func:`repro.core.parallel_exec.run_campaign`.
         """
-        self._capture_ambient()
-        targets, skipped, group_size = self._select_targets(
-            targets, group_size, preprocess
+        self.pin_ambient()
+        measurement, items = self.open(targets, group_size, preprocess)
+        self.run(
+            measurement, items, churn=churn_between_iterations, progress=progress
         )
-        schedule = build_schedule(targets, group_size)
+        return self.close(measurement, validate=validate)
+
+    def measure_pairs(self, pairs: Sequence[Tuple[str, str]]) -> NetworkMeasurement:
+        """Measure an explicit pair list (the mainnet critical-subnetwork
+        study of Section 6.3, the monitor's delta rounds) through the same
+        pipeline. Returns the hardened measurement — ``edges`` is a subset
+        of the listed pairs — unscored: what to list is the caller's call.
+        """
+        self.pin_ambient()
+        measurement, items = self.open(pairs=pairs)
+        self.run(measurement, items)
+        return self.close(measurement, validate=False)
+
+    # ------------------------------------------------------------------
+    # The three stages
+    # ------------------------------------------------------------------
+    def open(
+        self,
+        targets: Optional[Sequence[str]] = None,
+        group_size: Optional[int] = None,
+        preprocess: bool = True,
+        pairs: Optional[Sequence[Tuple[str, str]]] = None,
+    ) -> Tuple[NetworkMeasurement, List[WorkItem]]:
+        """Stage one: the empty tally under the campaign header, and the
+        work items :meth:`run` walks.
+
+        Targets default to every measurable node, pre-processed unless
+        disabled; K to the config's slot-budget fit. With ``pairs`` the
+        targets are the list's endpoints in order of first appearance, the
+        items the schedule cut to the wanted pairs, and K starts from
+        :data:`PAIR_LIST_GROUP_SIZE`, lowered only while the largest item
+        exceeds ``mempool_slots_budget``.
+        """
+        skipped: List[str] = []
+        if pairs is not None:
+            targets = list(dict.fromkeys(nid for pair in pairs for nid in pair))
+            wanted = {edge(a, b) for a, b in pairs}
+        else:
+            if targets is None:
+                targets = self.network.measurable_node_ids()
+            if preprocess:
+                report = self.preprocess(targets)
+                skipped = report.rejected
+                targets = report.accepted
+            targets = list(targets)
+            if len(targets) < 2:
+                raise MeasurementError("need at least two targets to measure")
+
+        def schedule_at(k: int) -> List[ScheduleIteration]:
+            schedule = build_schedule(targets, k)
+            if pairs is None:
+                return schedule
+            return [
+                replace(it, edges=tuple(e for e in it.edges if edge(*e) in wanted))
+                for it in schedule
+            ]
+
+        if group_size is None and pairs is None:
+            group_size = self.config.group_size_for(len(targets))
+        elif group_size is None:
+            group_size = self.config.fit_group_size(
+                PAIR_LIST_GROUP_SIZE,
+                lambda k: max((it.edge_count for it in schedule_at(k)), default=0),
+            )
+        schedule = schedule_at(group_size)
+        now = self.network.sim.now
         measurement = NetworkMeasurement(
             node_ids=targets,
             iterations=len(schedule),
-            sim_time_start=self.network.sim.now,
+            sim_time_start=now,
+            sim_time_end=now,
             skipped_nodes=skipped,
         )
+        return measurement, [item for item in enumerate(schedule) if item[1].edges]
 
-        def after(index: int, report: Optional[ParallelProbeReport]) -> None:
-            if report is not None:
-                progress(index, len(schedule), schedule[index], report)
-
-        self._run_iterations(
-            measurement,
-            [(i, iteration.edges) for i, iteration in enumerate(schedule)],
-            churn=churn_between_iterations,
-            after=after if progress is not None else None,
-        )
-        self._harden_measurement(measurement)
-        measurement.sim_time_end = self.network.sim.now
-
-        if validate:
-            truth = self._truth_edges_among(targets)
-            measurement.validate_against(truth)
-        return measurement
-
-    def _select_targets(
-        self,
-        targets: Optional[Sequence[str]],
-        group_size: Optional[int],
-        preprocess: bool,
-    ) -> Tuple[List[str], List[str], int]:
-        """Campaign set-up: the target list (pre-processed unless disabled),
-        the nodes pre-processing rejected, and the schedule group size K."""
-        if targets is None:
-            targets = self.network.measurable_node_ids()
-        skipped: List[str] = []
-        if preprocess:
-            report = self.preprocess(targets)
-            skipped = report.rejected
-            targets = report.accepted
-        targets = list(targets)
-        if len(targets) < 2:
-            raise MeasurementError("need at least two targets to measure")
-        if group_size is None:
-            group_size = self.config.group_size_for(len(targets))
-        return targets, skipped, group_size
-
-    def _run_iterations(
+    def run(
         self,
         measurement: NetworkMeasurement,
         items: Sequence[WorkItem],
         churn: bool = True,
-        after: Optional[AfterIteration] = None,
+        progress: Optional[ProgressCallback] = None,
     ) -> None:
-        """The campaign loop: run each work item's ``measurePar`` round and
-        fold it into ``measurement``.
+        """Stage two, the campaign loop: run each work item's ``measurePar``
+        round and fold it into ``measurement``.
 
         In-place campaigns, schedule shards and explicit pair lists all walk
         their items through here. Pools churn between consecutive executed
         items (and between repeats) unless ``churn`` is off; a round that
         raises is recorded as an ``iteration_error`` and the walk
-        continues. ``after(index, report)`` runs once per item — ``report``
-        is ``None`` for a failed round — while the supernode's observations
-        of that round are still in place.
+        continues. ``progress(index, iterations, iteration, report)`` runs
+        after every round that completed, while the supernode's
+        observations of that round are still in place.
         """
         obs = self.obs
         if obs.enabled:
@@ -389,9 +410,10 @@ class TopoShot:
                         labels={"kind": kind},
                     ).inc(amount)
 
-        refresh = self._refresh_pools if churn else None
+        refresh = self.restore_ambient if churn else None
         sim = self.network.sim
-        for position, (index, pairs) in enumerate(items):
+        for position, (index, iteration) in enumerate(items):
+            pairs = iteration.edges
             if refresh is not None and position > 0:
                 refresh()
             sim_start = sim.now
@@ -437,11 +459,31 @@ class TopoShot:
                         report.transactions_sent,
                     )
             measurement.sim_time_end = sim.now
-            if after is not None:
-                after(index, report)
+            if progress is not None and report is not None:
+                progress(index, measurement.iterations, iteration, report)
             # Bound memory and keep iterations independent.
             self.supernode.clear_observations()
             self.network.forget_known_transactions()
+
+    def close(
+        self,
+        measurement: NetworkMeasurement,
+        validate: bool = True,
+        truth: Optional[Iterable[Edge]] = None,
+    ) -> NetworkMeasurement:
+        """Stage three: harden the whole tally, extend its sim window by
+        what the hardening probes took, and score it — against ``truth``
+        if the caller fixed one earlier, else the live overlay among the
+        measurement's targets."""
+        sim = self.network.sim
+        harden_start = sim.now
+        self._harden_measurement(measurement)
+        measurement.sim_time_end += sim.now - harden_start
+        if validate:
+            if truth is None:
+                truth = self.network.ground_truth_edges(among=measurement.node_ids)
+            measurement.validate_against(truth)
+        return measurement
 
     # ------------------------------------------------------------------
     # Precision hardening (Byzantine-aware post-pass)
@@ -536,7 +578,7 @@ class TopoShot:
                 break  # can no longer reach k
             self.supernode.clear_observations()
             self.network.forget_known_transactions()
-            self._refresh_pools()
+            self.restore_ambient()
             try:
                 report = measure_one_link(
                     self.network, self.supernode, a, b, self.config, self.wallet
@@ -554,31 +596,6 @@ class TopoShot:
                 if clean_positives >= needed:
                     return True
         return clean_positives >= needed
-
-    def measure_pairs(
-        self,
-        pairs: Sequence[Tuple[str, str]],
-        group_size: int = 4,
-    ) -> Set[Edge]:
-        """Measure an explicit pair list (the mainnet critical-subnetwork
-        study of Section 6.3) and return the detected undirected edges."""
-        self._capture_ambient()
-        # Endpoints in order of first appearance.
-        nodes = list(dict.fromkeys(nid for pair in pairs for nid in pair))
-        wanted = {edge(a, b) for a, b in pairs}
-        schedule = build_schedule(nodes, group_size)
-        items: List[WorkItem] = []
-        for index, iteration in enumerate(schedule):
-            selected = [e for e in iteration.edges if edge(*e) in wanted]
-            if selected:
-                items.append((index, selected))
-        tally = NetworkMeasurement(
-            node_ids=nodes,
-            iterations=len(schedule),
-            sim_time_start=self.network.sim.now,
-        )
-        self._run_iterations(tally, items)
-        return tally.edges & wanted
 
     # ------------------------------------------------------------------
     # Flood-size calibration (Section 5.2.3)
@@ -663,24 +680,5 @@ class TopoShot:
             self.set_z_override(target_id, found)
         self.supernode.clear_observations()
         self.network.forget_known_transactions()
-        self._refresh_pools()
+        self.restore_ambient()
         return found
-
-    # ------------------------------------------------------------------
-    # Validation helpers
-    # ------------------------------------------------------------------
-    def _truth_edges_among(self, targets: Sequence[str]) -> Set[Edge]:
-        target_set = set(targets)
-        return {
-            link
-            for link in self.network.ground_truth_edges()
-            if set(link) <= target_set
-        }
-
-    def validate(
-        self, measurement: NetworkMeasurement
-    ) -> ValidationScore:
-        """(Re-)score a measurement against the simulator ground truth."""
-        return measurement.validate_against(
-            self._truth_edges_among(measurement.node_ids)
-        )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.errors import MeasurementError, UnsupportedClientError
 from repro.eth.policies import GETH, MempoolPolicy
@@ -205,6 +205,14 @@ class MeasurementConfig:
             return 1
         return max(1, math.ceil(self.future_count / self.future_per_account))
 
+    def fit_group_size(self, k: int, largest_item: Callable[[int], int]) -> int:
+        """Lower ``k`` (never below 2) while ``largest_item(k)`` — the edge
+        count of the schedule's largest ``measurePar`` round at that K —
+        exceeds the slot budget."""
+        while k > 2 and largest_item(k) > self.mempool_slots_budget:
+            k -= 1
+        return k
+
     def group_size_for(self, network_size: int) -> int:
         """``K = slots_budget / N``, shrunk until the first (largest)
         iteration's edge count ``K * (N - K)`` fits the slot budget
@@ -212,9 +220,10 @@ class MeasurementConfig:
         """
         if network_size <= 0:
             raise MeasurementError("network size must be positive")
-        k = max(2, self.mempool_slots_budget // network_size)
-        while k > 2 and k * (network_size - k) > self.mempool_slots_budget:
-            k -= 1
+        k = self.fit_group_size(
+            max(2, self.mempool_slots_budget // network_size),
+            lambda k: k * (network_size - k),
+        )
         if k * (network_size - k) > self.mempool_slots_budget:
             raise MeasurementError(
                 f"even K=2 needs {2 * (network_size - 2)} mempool slots, over "

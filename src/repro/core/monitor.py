@@ -15,7 +15,9 @@ Two modes:
   per-edge evidence has gone *stale* (older than ``staleness_ttl``) or
   whose endpoints' churn signals fired (peer-count polling over
   ``admin_peers``, or explicit :meth:`note_churn_hint`), via
-  :meth:`~repro.core.campaign.TopoShot.measure_pairs`. Probe order comes
+  :meth:`~repro.core.campaign.TopoShot.measure_pairs` — the pipeline of
+  a full snapshot, so a round is hardened, keeps K inside the slot budget
+  and records its real measurement. Probe order comes
   from the shared pool-waterline prioritizer
   (:func:`repro.core.adaptive.probe_priority`), and each round streams a
   :class:`ChurnReport` as one JSON line — O(churn) probe cost per tick,
@@ -196,18 +198,20 @@ class TopologyMonitor:
         :class:`~repro.core.results.EdgeEvidence` where available (PR 5's
         ``observed_at``), falling back to the snapshot time.
         """
-        measurement = snapshot.measurement
-        self.current_edges = set(measurement.edges)
-        self.targets = list(measurement.node_ids)
-        evidence = measurement.evidence
-        taken_at = snapshot.taken_at
+        self.targets = list(snapshot.measurement.node_ids)
+        self.current_edges = set()
         self.edge_state = {}
-        for e in self.current_edges:
-            proof = evidence.get(e)
-            observed = getattr(proof, "observed_at", None)
-            self.edge_state[e] = taken_at if observed is None else observed
+        self._confirm(snapshot.measurement, snapshot.taken_at)
         self._flagged.clear()
         self._peer_counts = self._poll_counts()
+
+    def _confirm(self, measurement: NetworkMeasurement, fallback: float) -> None:
+        """Track ``measurement.edges``, each confirmed when its evidence
+        says the probe saw it (``fallback`` where there is none)."""
+        for e in measurement.edges:
+            observed = getattr(measurement.evidence.get(e), "observed_at", None)
+            self.edge_state[e] = fallback if observed is None else observed
+        self.current_edges |= measurement.edges
 
     def note_churn_hint(self, node_id: str) -> None:
         """Flag a node for re-probing in the next delta round (external
@@ -301,12 +305,13 @@ class TopologyMonitor:
         Requires a base snapshot (:meth:`take_snapshot`). Candidate pairs
         are ordered by the shared pool-waterline prioritizer
         (:func:`repro.core.adaptive.probe_priority`) — cheapest price band
-        first — and optionally truncated to ``max_pairs`` (the rest stays
-        flagged-by-staleness for the next round). The confirmed edge set
-        patches ``current_edges``; the diff against the pre-round view is
-        returned as a :class:`ChurnReport`, appended to ``snapshots`` as a
-        lightweight snapshot, and streamed as one JSON line when a
-        ``stream`` is attached.
+        first — and optionally truncated to ``max_pairs``: flagged nodes
+        with a candidate pair the round did not reach stay flagged for the
+        next one (stale edges stay stale). The round's hardened edge set
+        patches ``current_edges``; its measurement, ``edges`` widened to
+        the tracked view, is appended to ``snapshots``; the diff against
+        the previous snapshot is returned as a :class:`ChurnReport` and
+        streamed as one JSON line when a ``stream`` is attached.
         """
         if not self.snapshots:
             raise MeasurementError(
@@ -317,9 +322,7 @@ class TopologyMonitor:
         network = self.shot.network
         if poll:
             self.poll_peer_counts()
-        round_start = network.sim.now
-        before = set(self.current_edges)
-        pairs = self._candidate_pairs(round_start)
+        pairs = self._candidate_pairs(network.sim.now)
         # Endpoint health (empty until the resilient RPC client has had to
         # retry) demotes pairs whose endpoints keep timing out: spend the
         # round's budget where the plane can actually confirm the probes.
@@ -329,51 +332,34 @@ class TopologyMonitor:
             percentile=self.reprobe_percentile,
             endpoint_health=network.rpc_client().health_report(),
         )
-        if max_pairs is not None:
-            pairs = pairs[:max_pairs]
+        unprobed = [] if max_pairs is None else pairs[max_pairs:]
+        pairs = pairs[:max_pairs]
 
-        detected: Set[Edge] = set()
-        if pairs:
-            detected = self.shot.measure_pairs(pairs)
+        measurement = self.shot.measure_pairs(pairs)
         now = network.sim.now
-        for a, b in pairs:
-            key = edge(a, b)
-            if key in detected:
-                self.edge_state[key] = now
-                self.current_edges.add(key)
-            else:
-                self.current_edges.discard(key)
-                self.edge_state.pop(key, None)
-        self._flagged.clear()
+        for key in {edge(*pair) for pair in pairs} - measurement.edges:
+            self.current_edges.discard(key)
+            self.edge_state.pop(key, None)
+        self._confirm(measurement, now)
+        self._flagged &= {node_id for pair in unprobed for node_id in pair}
 
+        # The round's own record, widened to the tracked view, is its snapshot.
         after = self.current_edges
-        report = ChurnReport(
-            from_time=self.snapshots[-1].taken_at,
-            to_time=now,
-            added=after - before,
-            removed=before - after,
-            stable=before & after,
-        )
-        universe = len(self.targets)
+        measurement.node_ids = list(self.targets)
+        measurement.edges = set(after)
+        self.snapshots.append(TopologySnapshot(taken_at=now, measurement=measurement))
+        report = self.churn_between(-2, -1)
+        universe_pairs = len(self.targets) * (len(self.targets) - 1) // 2
         savings = self.probe_savings
         savings["delta_rounds"] += 1
         savings["probed_pairs"] += len(pairs)
-        savings["universe_pairs"] += universe * (universe - 1) // 2
-        self.snapshots.append(
-            TopologySnapshot(
-                taken_at=now,
-                measurement=NetworkMeasurement(
-                    node_ids=list(self.targets),
-                    edges=set(after),
-                    sim_time_start=round_start,
-                    sim_time_end=now,
-                ),
-            )
-        )
+        savings["universe_pairs"] += universe_pairs
         if self.stream is not None:
             record = report.to_dict()
             record["probed_pairs"] = len(pairs)
             record["edge_count"] = len(after)
+            record["transactions_sent"] = measurement.transactions_sent
+            record["failures"] = len(measurement.failures)
             self.stream.write(json.dumps(record, sort_keys=True) + "\n")
         obs = self.shot.obs
         if obs.enabled:
@@ -386,13 +372,10 @@ class TopologyMonitor:
                 wiring.MONITOR_DELTA_PROBED,
                 "Pairs re-probed by incremental rounds",
             ).inc(len(pairs))
-            saved = max(
-                0, universe * (universe - 1) // 2 - len(pairs)
-            )
             obs.metrics.counter(
                 wiring.MONITOR_DELTA_SAVED,
                 "Pairs a full re-snapshot would have probed but delta mode skipped",
-            ).inc(saved)
+            ).inc(max(0, universe_pairs - len(pairs)))
             obs.metrics.gauge(
                 wiring.MONITOR_LAST_EDGES, "Edges in the latest snapshot"
             ).set(len(after))
@@ -439,14 +422,14 @@ class TopologyMonitor:
 
     def churn_between(self, earlier: int, later: int) -> ChurnReport:
         """Diff two snapshots by index (negative indices allowed)."""
-        first = self.snapshots[earlier]
-        second = self.snapshots[later]
+        first, second = self.snapshots[earlier], self.snapshots[later]
+        before, after = first.measurement.edges, second.measurement.edges
         return ChurnReport(
             from_time=first.taken_at,
             to_time=second.taken_at,
-            added=second.edges - first.edges,
-            removed=first.edges - second.edges,
-            stable=first.edges & second.edges,
+            added=after - before,
+            removed=before - after,
+            stable=before & after,
         )
 
     def churn_series(self) -> List[ChurnReport]:

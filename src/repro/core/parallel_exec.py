@@ -50,6 +50,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
+from copy import deepcopy
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from time import perf_counter
@@ -59,7 +60,6 @@ from repro import io as repro_io
 from repro.core.campaign import TopoShot
 from repro.core.config import MeasurementConfig
 from repro.core.results import NetworkMeasurement
-from repro.core.schedule import build_schedule
 from repro.errors import CheckpointError, MeasurementError
 from repro.eth.behaviors import BehaviorMix
 from repro.eth.network import Network
@@ -227,8 +227,8 @@ class ShardResult:
     """One shard's header plus the partial measurement of its slice.
 
     Mergeable in shard-index order. The tally reads through, so
-    ``result.edges``, ``result.failures``, ``result.transactions_sent`` …
-    are the embedded measurement's.
+    ``result.edges``, ``result.failures``, ``result.duration`` … are the
+    embedded measurement's.
     """
 
     index: int
@@ -243,11 +243,6 @@ class ShardResult:
         if name == "measurement":  # not set yet (copy/unpickle): no recursion
             raise AttributeError(name)
         return getattr(self.measurement, name)
-
-    @property
-    def sim_time(self) -> float:
-        """Simulated seconds the shard consumed."""
-        return self.measurement.duration
 
     def to_dict(self) -> dict:
         payload = {
@@ -273,6 +268,23 @@ class ShardResult:
             obs_snapshot=payload.get("obs_snapshot"),
             invariants=payload.get("invariants"),
         )
+
+
+def merge_shards(results: Sequence[ShardResult]) -> NetworkMeasurement:
+    """Fold ``results`` (at least one), in the order given, into one tally.
+
+    Every partial carries the campaign's header and opens at the shared
+    snapshot instant, so the first one seeds the merge. Shards run in
+    disjoint copies of the same simulated world, so their simulated
+    durations are laid end to end after the shared setup.
+    """
+    merged = deepcopy(results[0].measurement)
+    sim_total = merged.duration
+    for result in results[1:]:
+        merged.merge(result.measurement)
+        sim_total += result.duration
+    merged.sim_time_end = merged.sim_time_start + sim_total
+    return merged
 
 
 def build_shard_plan(
@@ -316,20 +328,22 @@ class CampaignReplica:
         self.shot = TopoShot(self.network, supernode)
         self.shot.config = campaign.measurement_config(self.shot.config)
 
-        self.targets, self.skipped, self.group_size = self.shot._select_targets(
-            None, campaign.group_size, campaign.preprocess
+        # The campaign's empty tally and its work items, one per iteration.
+        self.header, self.schedule = self.shot.open(
+            group_size=campaign.group_size, preprocess=campaign.preprocess
         )
-        self.schedule = build_schedule(self.targets, self.group_size)
-
         self.network.settle()
         # Pin the ambient fee level before any shard touches a pool, as
         # measure_network does at its top.
-        self.shot._capture_ambient()
+        self.shot.pin_ambient()
         # Ground truth is fixed at the snapshot point: per-shard churn
         # faults move links afterwards, but each shard starts from (and is
         # validated against) this pristine overlay.
-        self.truth_edges = self.shot._truth_edges_among(self.targets)
-        self.base_sim_time = self.network.sim.now
+        self.truth_edges = self.network.ground_truth_edges(
+            among=self.header.node_ids
+        )
+        # A reset rewinds the clock too: every shard's window opens here.
+        self.header.sim_time_start = self.header.sim_time_end = self.network.sim.now
         self._snapshot = self.shot.snapshot_state()
         self._pristine = True
 
@@ -382,12 +396,8 @@ class CampaignReplica:
         shot.obs = Observability() if collect_obs else NULL
         if collect_obs:
             self.network.install_observability(shot.obs)
-        measurement = self.new_measurement(self.network.sim.now)
-        stop = min(shard.stop, len(self.schedule))
-        shot._run_iterations(
-            measurement,
-            [(i, self.schedule[i].edges) for i in range(shard.start, stop)],
-        )
+        measurement = deepcopy(self.header)
+        shot.run(measurement, self.schedule[shard.start : shard.stop])
         obs_snapshot = None
         if collect_obs:
             obs_snapshot = shot.obs.snapshot()
@@ -402,16 +412,6 @@ class CampaignReplica:
             wall_time=perf_counter() - wall_start,
             obs_snapshot=obs_snapshot,
             invariants=checker.report() if checker is not None else None,
-        )
-
-    def new_measurement(self, start: float) -> NetworkMeasurement:
-        """An empty tally under the campaign's header, opening at ``start``."""
-        return NetworkMeasurement(
-            node_ids=list(self.targets),
-            iterations=len(self.schedule),
-            sim_time_start=start,
-            sim_time_end=start,
-            skipped_nodes=list(self.skipped),
         )
 
 
@@ -686,7 +686,7 @@ def run_campaign(
         try:
             return replica.run_shard(shard, collect_obs, check_invariants)
         except MeasurementError as exc:
-            failed = replica.new_measurement(replica.base_sim_time)
+            failed = deepcopy(replica.header)
             failed.add_failure(
                 "shard_error", iteration=shard.start, detail=str(exc)
             )
@@ -752,21 +752,13 @@ def run_campaign(
             time.sleep(config.retry_delay(attempt))
             remaining = failed
 
-    measurement = replica.new_measurement(replica.base_sim_time)
-    sim_total = 0.0
-    obs_snapshots: List[dict] = []
-    for shard in shards:
-        result = completed[shard.index]
-        measurement.merge(result.measurement)
-        sim_total += result.sim_time
-        if result.obs_snapshot:
-            obs_snapshots.append(result.obs_snapshot)
-        if check_invariants and result.invariants is not None:
-            invariants.absorb(result.invariants)
-    # Shards run in disjoint copies of the same simulated world, so the
-    # campaign's simulated duration is the sum of per-shard durations laid
-    # end to end after the shared setup.
-    measurement.sim_time_end = replica.base_sim_time + sim_total
+    results = [completed[shard.index] for shard in shards]
+    measurement = merge_shards(results)
+    obs_snapshots = [r.obs_snapshot for r in results if r.obs_snapshot]
+    if check_invariants:
+        for result in results:
+            if result.invariants is not None:
+                invariants.absorb(result.invariants)
 
     if collect_obs and obs_snapshots:
         from repro.obs import wiring
@@ -789,10 +781,8 @@ def run_campaign(
     replica.shot.obs = replica.network.obs = obs if collect_obs else NULL
     if replica.shot.config.cross_validate > 0:
         replica._reset(spawn_seed(campaign.seed, "harden"), invariants)
-    harden_start = replica.network.sim.now
-    replica.shot._harden_measurement(measurement)
-    measurement.sim_time_end += replica.network.sim.now - harden_start
+    replica.shot.close(
+        measurement, validate=campaign.validate, truth=replica.truth_edges
+    )
     replica.network.clear_invariants()  # hand the caller's checker back
-    if campaign.validate:
-        measurement.validate_against(replica.truth_edges)
     return measurement

@@ -40,7 +40,8 @@ Behavior catalog (one kind per node):
     pre-processing filters out).
 
 Installation patches node *instances* only — dispatch-table entries,
-the ``broadcast_transaction`` attribute, the mempool policy — so the
+the ``broadcast_transaction`` attribute, the node config, the mempool
+policy — so the
 hot paths of uninstalled nodes are untouched, and
 :meth:`BehaviorSet.uninstall_all` (via
 :meth:`repro.eth.network.Network.clear_behaviors`) restores the
@@ -56,7 +57,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 from repro.errors import BehaviorPlanError
 from repro.eth.mempool import Mempool
 from repro.eth.messages import GetPooledTransactions, Message, PooledTransactions, Transactions
-from repro.eth.node import _GEN_BITS, _GEN_MASK, KnownTxCache, Node
+from repro.eth.node import KnownTxCache, Node
 from repro.eth.policies import MempoolPolicy
 from repro.eth.transaction import Transaction
 
@@ -327,49 +328,15 @@ class BehaviorSet:
 
     # -- lazy relay ----------------------------------------------------
     def _install_lazy_relay(self, node: Node) -> None:
+        # The node's own announce-only path (every unaware peer gets the
+        # hash, nobody a body) plus never serving the bodies it announced.
         note = self._note
         node_id = node.id
-
-        def lazy_broadcast(tx: Transaction) -> None:
-            # Announce-only variant of Node.broadcast_transaction (same
-            # generation-stamped mask scan): every unaware peer gets the
-            # hash, nobody gets a body.
-            tx_hash = tx.hash
-            known = node._known
-            gen = node._known_gen
-            all_bits = node._all_bits
-            value = known.get(tx_hash)
-            if value is not None and (value & _GEN_MASK) == gen:
-                mask = value >> _GEN_BITS
-                if mask & all_bits == all_bits:
-                    return
-            else:
-                value = None
-                mask = 0
-            unaware = [item for item in node._peer_list if not mask & item[1]]
-            if not unaware:
-                return
-            if value is None:
-                known[tx_hash] = (all_bits << _GEN_BITS) | gen
-                limit = node._known_tx_limit
-                if limit is not None and len(known) > limit:
-                    node._prune_known()
-            else:
-                known[tx_hash] = value | (all_bits << _GEN_BITS)
-            announce_queue = node._announce_queue
-            for peer_id, _bit in unaware:
-                bucket = announce_queue.get(peer_id)
-                if bucket is None:
-                    announce_queue[peer_id] = [tx_hash]
-                else:
-                    bucket.append(tx_hash)
-            if not node._flush_scheduled:
-                node._schedule_flush()
 
         def drop_tx_request(from_id: str, msg: Message) -> None:
             note("lazy_relay", node_id, f"dropped request from {from_id}")
 
-        node.broadcast_transaction = lazy_broadcast  # type: ignore[method-assign]
+        node.config = replace(node.config, announce_only=True)
         node._dispatch[GetPooledTransactions] = drop_tx_request
 
     # -- spoofing relay ------------------------------------------------

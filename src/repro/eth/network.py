@@ -807,14 +807,21 @@ class Network:
                 graph.add_edge(a, b)
         return graph
 
-    def ground_truth_edges(self) -> Set[FrozenSet[str]]:
-        """True measurable links (both endpoints non-supernode)."""
+    def ground_truth_edges(
+        self, among: Optional[Iterable[str]] = None
+    ) -> Set[FrozenSet[str]]:
+        """True measurable links (both endpoints non-supernode), restricted
+        to those with both endpoints in ``among`` when a target set is given."""
         supers = self.supernode_ids
-        return {
+        links = {
             frozenset(link)
             for link in self._iter_links()
             if link[0] not in supers and link[1] not in supers
         }
+        if among is None:
+            return links
+        wanted = set(among)
+        return {link for link in links if link <= wanted}
 
     def forget_known_transactions(self) -> None:
         """Clear every node's known-tx state.

@@ -181,8 +181,7 @@ def _measure_partial(record: JobRecord, ctx: ExecutionContext) -> Optional[dict]
     """Best-effort partial result from the shard checkpoint on disk: the
     completed shards merged into one measurement, reported in the same
     record a finished job returns."""
-    from repro.core.parallel_exec import ParallelCheckpoint
-    from repro.core.results import NetworkMeasurement
+    from repro.core.parallel_exec import ParallelCheckpoint, merge_shards
 
     path = ctx.checkpoint_path
     if not path.exists():
@@ -191,22 +190,11 @@ def _measure_partial(record: JobRecord, ctx: ExecutionContext) -> Optional[dict]
         checkpoint = ParallelCheckpoint.load(path)
     except Exception:
         return None
-    shards = [
-        checkpoint.completed[index].measurement
-        for index in sorted(checkpoint.completed)
-    ]
+    shards = [checkpoint.completed[index] for index in sorted(checkpoint.completed)]
     if not shards:
         return None
-    # Every shard partial carries the campaign's header.
-    merged = NetworkMeasurement(
-        node_ids=shards[0].node_ids,
-        iterations=shards[0].iterations,
-        skipped_nodes=shards[0].skipped_nodes,
-    )
-    for partial in shards:
-        merged.merge(partial)
     return {
-        **_measure_summary(merged, CONFIDENCE_PARTIAL),
+        **_measure_summary(merge_shards(shards), CONFIDENCE_PARTIAL),
         "completed_shards": len(shards),
         "n_shards": checkpoint.n_shards,
         "resumable": True,
@@ -366,6 +354,16 @@ class JobSupervisor:
             clock=self.clock,
             deadline_at=record.deadline_at(),
         )
+
+        def stopped(state: str, error: dict) -> JobRecord:
+            """The one terminal transition of a job that did not finish."""
+            record.state = state
+            record.error = error
+            record.result = partial_builder(record, ctx)
+            record.partial = record.result is not None
+            record.finished_at = self.clock()
+            return record
+
         while True:
             if not self.breaker.allow():
                 raise CircuitOpen(
@@ -380,22 +378,12 @@ class JobSupervisor:
                 # slot this attempt may hold so the breaker cannot wedge
                 # HALF_OPEN with a probe that never reports.
                 self.breaker.release_probe()
-                record.state = TIMED_OUT
-                record.error = exc.to_dict()
-                record.result = partial_builder(record, ctx)
-                record.partial = record.result is not None
-                record.finished_at = self.clock()
-                return record
+                return stopped(TIMED_OUT, exc.to_dict())
             except JobCancelled as exc:
                 self.breaker.release_probe()
                 if exc.requeue:
                     raise  # drain: the service journals it back to queued
-                record.state = CANCELLED
-                record.error = exc.to_dict()
-                record.result = partial_builder(record, ctx)
-                record.partial = record.result is not None
-                record.finished_at = self.clock()
-                return record
+                return stopped(CANCELLED, exc.to_dict())
             except Exception as exc:
                 # Infrastructure failure (worker crash, broken pool,
                 # malformed campaign): counts against the breaker and the
@@ -403,33 +391,29 @@ class JobSupervisor:
                 self.breaker.record_failure()
                 detail = f"{type(exc).__name__}: {exc}"
                 if record.attempts >= record.spec.max_attempts:
-                    record.state = FAILED
-                    record.error = {
-                        "type": "attempts_exhausted",
-                        "detail": detail,
-                        "attempts": record.attempts,
-                    }
-                    record.result = partial_builder(record, ctx)
-                    record.partial = record.result is not None
-                    record.finished_at = self.clock()
-                    return record
+                    return stopped(
+                        FAILED,
+                        {
+                            "type": "attempts_exhausted",
+                            "detail": detail,
+                            "attempts": record.attempts,
+                        },
+                    )
                 delay = self.backoff_delay(record.job_id, record.attempts)
                 if (
                     ctx.deadline_at is not None
                     and self.clock() + delay >= ctx.deadline_at
                 ):
-                    record.state = TIMED_OUT
-                    record.error = {
-                        "type": JobTimeout.code,
-                        "detail": (
-                            "deadline would pass during retry backoff after: "
-                            + detail
-                        ),
-                    }
-                    record.result = partial_builder(record, ctx)
-                    record.partial = record.result is not None
-                    record.finished_at = self.clock()
-                    return record
+                    return stopped(
+                        TIMED_OUT,
+                        {
+                            "type": JobTimeout.code,
+                            "detail": (
+                                "deadline would pass during retry backoff after: "
+                                + detail
+                            ),
+                        },
+                    )
                 self.retries_total += 1
                 self.sleep(delay)
                 continue

@@ -93,7 +93,7 @@ class TestZOverrides:
             for link in network.ground_truth_edges()
             if "big" in link
         ]
-        detected = shot.measure_pairs(big_links)
+        detected = shot.measure_pairs(big_links).edges
         assert detected == {frozenset(link) for link in big_links}
         sent = obs.metrics.counter(wiring.CAMPAIGN_TXS).value
         assert sent >= 700 > shot.config.future_count

@@ -129,14 +129,79 @@ class TestPreprocessIntegration:
         assert len(measurement.node_ids) == 16
 
 
+def twin_world(n_nodes, seed, n_targets):
+    """One of any number of identical worlds: same spec, same bits."""
+    network = quick_network(n_nodes=n_nodes, seed=seed)
+    prefill_mempools(network)
+    shot = TopoShot.attach(network)
+    return network, shot, list(network.measurable_node_ids())[:n_targets]
+
+
+def outcome(network, measurement):
+    """Everything a campaign leaves behind: the whole record (edges,
+    evidence, confidence, failures, transactions) and the world's counters."""
+    from repro.io import measurement_to_dict
+
+    return (
+        measurement_to_dict(measurement),
+        network.sim.executed_events,
+        network.messages_sent,
+    )
+
+
 class TestMeasurePairs:
     def test_explicit_pairs_only(self, campaign_network):
         truth = campaign_network.ground_truth_graph()
         shot = TopoShot.attach(campaign_network)
         true_pairs = pairs_of(truth, connected=True, limit=3)
         false_pairs = pairs_of(truth, connected=False, limit=3)
-        detected = shot.measure_pairs(true_pairs + false_pairs)
+        detected = shot.measure_pairs(true_pairs + false_pairs).edges
         assert detected == {edge(a, b) for a, b in true_pairs}
+
+
+class TestPipelineLaws:
+    """Metamorphic laws of the one open -> run -> close pipeline: how a
+    campaign is *spelled* (whole network vs the list of all its pairs, one
+    ordering of a pair list vs another) cannot change what it measures."""
+
+    @pytest.mark.parametrize(
+        "n_nodes, seed, n_targets, group_size",
+        [
+            (24, 3, 14, 4),  # fits the slot budget at the pair-list K of 4
+            (24, 7, 14, 4),
+            # 4 * 16 = 64 > 50 slots: both entries must derive the same K=2
+            # (the pair list used to keep K=4 and lose the oversized rounds).
+            (32, 3, 20, None),
+        ],
+    )
+    def test_whole_network_equals_all_of_its_pairs(
+        self, n_nodes, seed, n_targets, group_size
+    ):
+        from itertools import combinations
+
+        network, shot, targets = twin_world(n_nodes, seed, n_targets)
+        whole = shot.measure_network(
+            targets, group_size=group_size, preprocess=False, validate=False
+        )
+        twin, twin_shot, _ = twin_world(n_nodes, seed, n_targets)
+        listed = twin_shot.measure_pairs(list(combinations(targets, 2)))
+        assert outcome(twin, listed) == outcome(network, whole)
+        assert whole.edges and whole.transactions_sent > 0
+        assert not [f for f in listed.failures if f.kind == "iteration_error"]
+
+    def test_pair_list_order_and_orientation_do_not_matter(self):
+        """Only the first-appearance order of the endpoints shapes the
+        schedule; within that, a pair list is a set of undirected pairs."""
+        network, shot, (a, b, c, d, e, f) = twin_world(16, 13, 6)
+        pairs = [(a, b), (c, d), (e, f), (a, c), (b, d), (a, e), (c, f), (b, f)]
+        permuted = [(a, b), (c, d), (e, f), (f, b), (a, e), (d, b), (f, c), (a, c)]
+        first = shot.measure_pairs(pairs)
+        twin, twin_shot, _ = twin_world(16, 13, 6)
+        second = twin_shot.measure_pairs(permuted)
+        assert outcome(twin, second) == outcome(network, first)
+        assert first.node_ids == [a, b, c, d, e, f]
+        assert first.edges <= {edge(*pair) for pair in pairs}
+        assert first.edges <= network.ground_truth_edges(among=first.node_ids)
 
 
 class TestCheckpointRoundTrip:

@@ -83,6 +83,11 @@ class TestChurnSignals:
         assert len(report.added & added_in_scope) >= int(
             0.7 * len(added_in_scope)
         )
+        # The round's snapshot is its real measurement, not a bare edge set.
+        record = monitor.snapshots[-1].measurement
+        assert record.transactions_sent > 0 and record.failures == []
+        assert record.edges == monitor.current_edges
+        assert set(record.evidence) >= report.added
 
     def test_peer_count_polling_flags_rewired_nodes(self):
         network, _, monitor = build_monitor()
@@ -138,6 +143,82 @@ class TestChurnSignals:
         monitor.delta_round(max_pairs=3)
         assert monitor.probe_savings["probed_pairs"] == 3
 
+    def test_max_pairs_overflow_stays_flagged(self):
+        """Regression: the round used to clear every flag after truncating,
+        so without a staleness TTL the cut pairs were never probed."""
+        network, _, monitor = build_monitor()
+        monitor.take_snapshot()
+        removed, added = rewire_random_links(network, fraction=0.2)
+        for e in removed | added:
+            for node_id in e:
+                monitor.note_churn_hint(node_id)
+        candidates = {edge(*p) for p in monitor._candidate_pairs(network.sim.now)}
+        assert len(candidates) > 3
+        monitor.delta_round(max_pairs=3, poll=False)
+        assert monitor.probe_savings["probed_pairs"] == 3
+        # Every pair the budget cut is a candidate again ...
+        leftover = {edge(*p) for p in monitor._candidate_pairs(network.sim.now)}
+        assert len(leftover & candidates) >= len(candidates) - 3
+        # ... and a round without a budget probes them and drains the flags.
+        monitor.delta_round(poll=False)
+        assert monitor.probe_savings["probed_pairs"] == 3 + len(leftover)
+        assert monitor._candidate_pairs(network.sim.now) == []
+
+
+class TestDeltaRoundsAreCampaigns:
+    """A delta round walks the same open -> run -> close pipeline as a
+    snapshot: it is hardened, and a round that fails says so."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_byzantine_round_does_not_readmit_quarantined_edges(self, seed):
+        """Regression: pair lists skipped the hardening pass, so one round
+        over a snapshot's quarantined edges took the tracked view from 0
+        false positives to 24 / 25 / 25 here (and from 1 / 1 / 0 to
+        56 / 58 / 67 over 16 targets, the scenario docs/adversarial.md
+        quotes)."""
+        from repro.eth.behaviors import BehaviorMix
+        from repro.netgen.ethereum import NetworkSpec, generate_network
+
+        network = generate_network(
+            NetworkSpec(n_nodes=24, seed=seed, outbound_dials=4)
+        )
+        prefill_mempools(network)
+        network.install_behaviors(
+            BehaviorMix(spoof_relay=0.15, nonconforming_replacer=0.1)
+        )
+        shot = TopoShot.attach(network)
+        shot.config = shot.config.with_cross_validation(3)
+        targets = list(network.measurable_node_ids())[:10]
+        truth = network.ground_truth_edges(among=targets)
+        monitor = TopologyMonitor(shot)
+        base = monitor.take_snapshot(targets=targets, preprocess=False)
+        assert base.measurement.quarantined
+        for e in base.measurement.quarantined:
+            for node_id in e:
+                monitor.note_churn_hint(node_id)
+        monitor.delta_round(poll=False)
+        record = monitor.snapshots[-1].measurement
+        assert record.quarantined
+        assert not record.quarantined & monitor.current_edges
+        assert len(monitor.current_edges - truth) <= len(base.edges - truth)
+
+    def test_failed_round_is_visible(self):
+        """A round over the slot budget even at K=2 is an
+        ``iteration_error`` in the round's record and in its stream line,
+        not a silent mass removal."""
+        from dataclasses import replace
+
+        network, shot, monitor = build_monitor(stream=io.StringIO())
+        monitor.take_snapshot()
+        shot.config = replace(shot.config, mempool_slots_budget=1)
+        for node_id in monitor.targets[:4]:
+            monitor.note_churn_hint(node_id)
+        monitor.delta_round(poll=False)
+        failures = monitor.snapshots[-1].measurement.failures
+        assert failures and {f.kind for f in failures} == {"iteration_error"}
+        line = json.loads(monitor.stream.getvalue().splitlines()[-1])
+        assert line["failures"] == len(failures)
+
 
 class TestStreamingAndAccounting:
     def test_json_lines_stream(self):
@@ -153,7 +234,10 @@ class TestStreamingAndAccounting:
         assert len(lines) == 2
         records = [json.loads(line) for line in lines]
         assert records[0]["probed_pairs"] == 0
+        assert records[0]["transactions_sent"] == 0
+        assert records[1]["transactions_sent"] > 0
         for record in records:
+            assert record["failures"] == 0
             assert set(record) >= {
                 "added",
                 "removed",

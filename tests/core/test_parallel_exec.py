@@ -300,7 +300,7 @@ class TestCheckpointResume:
         assert restored.edges == {edge("a", "b")}
         assert restored.transactions_sent == 10
         assert restored.failures == result.measurement.failures
-        assert restored.sim_time == 1.5
+        assert restored.duration == 1.5
 
     @pytest.mark.parametrize(
         "bad_entry", [["a"], ["a", "a"], ["a", 7], [], ["a", "b", "c"]]

@@ -176,6 +176,33 @@ class TestBehaviorEffects:
         assert tx.hash not in network.node("n1").mempool
         assert behavior_set.counts["lazy_relay"] >= 1  # dropped the request
 
+    def test_lazy_relay_campaign_is_pinned(self):
+        """``lazy_relay`` rides the node's own ``announce_only`` branch; this
+        triple was recorded with the hand-copied mask scan it replaced, so
+        the two are the same gossip, draw for draw."""
+        import hashlib
+        import json
+
+        from repro.core.campaign import TopoShot
+        from repro.netgen.workloads import prefill_mempools
+
+        network = quick_network(n_nodes=24, seed=1)
+        prefill_mempools(network)
+        network.install_behaviors(BehaviorMix(lazy_relay=0.3, censor=0.1))
+        measurement = TopoShot.attach(network).measure_network()
+        edges = sorted(sorted(e) for e in measurement.edges)
+        assert (
+            network.sim.executed_events,
+            network.messages_sent,
+            hashlib.sha256(json.dumps(edges).encode("utf-8")).hexdigest(),
+            network.behaviors.counts,
+        ) == (
+            38538,
+            36836,
+            "e17ce6e4cea7abce382abb18bc41eab0e91ea7ef33472ec7a77168c556a4719d",
+            {"censor": 956, "lazy_relay": 1314},
+        )
+
     def test_spoof_relay_carries_rejected_tx_to_nonconforming_peer(
         self, wallet, factory
     ):

@@ -37,3 +37,25 @@ def test_lower_layers_do_not_import_core_or_service():
                 if any(module == up or module.startswith(up + ".") for up in UPPER):
                     offenders.append(f"{path.relative_to(root)}:{lineno} {module}")
     assert not offenders, "upward imports:\n" + "\n".join(offenders)
+
+
+def test_campaign_stages_are_the_only_seam_into_toposhot():
+    """Other modules drive a campaign through ``TopoShot``'s public stages
+    (open / run / close): no ``shot._name`` / ``x.shot._name`` attribute
+    access anywhere under ``src/`` outside ``core/campaign.py``."""
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        if path == root / "core" / "campaign.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            owner = node.value
+            owner_name = getattr(owner, "id", None) or getattr(owner, "attr", None)
+            if owner_name == "shot" and node.attr.startswith("_"):
+                offenders.append(
+                    f"{path.relative_to(root)}:{node.lineno} shot.{node.attr}"
+                )
+    assert not offenders, "private TopoShot reach-ins:\n" + "\n".join(offenders)
