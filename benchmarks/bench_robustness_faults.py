@@ -3,9 +3,11 @@
 The paper's live campaigns (Sections 6-7) fought lossy links, churning
 peers and restarting nodes; recall losses there came from setup failures,
 not from the primitive. This benchmark characterizes the reproduction the
-same way: sweep message-loss and churn rates over a 24-node network and
-report the recall degradation curve, once with the bare campaign and once
-with the hardened loop (3 repeats + 2 retries with backoff).
+same way: sweep message-loss and churn rates over 24-node networks and
+report the recall degradation curve three ways — the bare campaign, the
+paper's union of three repeats, and the hardened loop (3 repeats + 2
+retries with backoff) — pooled over three seeds, because one retry shifts
+a single seed's RNG path either way while the pool shows what retries buy.
 
 Run a single fast smoke point (CI) with::
 
@@ -17,19 +19,20 @@ import pytest
 
 from benchmarks.harness import emit, emit_metrics_sidecar, run_once
 from repro.core.campaign import TopoShot
+from repro.core.results import ValidationScore
 from repro.netgen.ethereum import quick_network
 from repro.netgen.workloads import prefill_mempools
 from repro.obs import Observability
 from repro.sim.faults import FaultPlan
 
 N_NODES = 24
-SEED = 13
+SEEDS = (13, 14, 15)
 LOSS_SWEEP = (0.0, 0.02, 0.05, 0.10)
 CHURN_SWEEP = (0.0, 0.01, 0.02)
 
 
-def run_point(plan, repeats=1, retries=0, obs=None):
-    network = quick_network(n_nodes=N_NODES, seed=SEED)
+def run_point(plan, repeats=1, retries=0, obs=None, seed=SEEDS[0]):
+    network = quick_network(n_nodes=N_NODES, seed=seed)
     prefill_mempools(network)
     if plan.enabled:
         network.install_faults(plan)
@@ -41,19 +44,33 @@ def run_point(plan, repeats=1, retries=0, obs=None):
     return measurement
 
 
+def pooled(plan, **kwargs):
+    """(score, transactions sent) summed over ``SEEDS``."""
+    runs = [run_point(plan, seed=seed, **kwargs) for seed in SEEDS]
+    score = ValidationScore(
+        true_positives=sum(m.score.true_positives for m in runs),
+        false_positives=sum(m.score.false_positives for m in runs),
+        false_negatives=sum(m.score.false_negatives for m in runs),
+    )
+    return score, sum(m.transactions_sent for m in runs)
+
+
 def sweep(obs=None):
-    rows = []
-    for loss in LOSS_SWEEP:
-        plan = FaultPlan(loss_rate=loss)
-        bare = run_point(plan)
-        hardened = run_point(plan, repeats=3, retries=2, obs=obs)
-        rows.append(("loss", loss, bare.score, hardened.score))
-    for churn in CHURN_SWEEP[1:]:
-        plan = FaultPlan(churn_rate=churn, churn_downtime=5.0)
-        bare = run_point(plan)
-        hardened = run_point(plan, repeats=3, retries=2, obs=obs)
-        rows.append(("churn", churn, bare.score, hardened.score))
-    return rows
+    plans = [("loss", loss, FaultPlan(loss_rate=loss)) for loss in LOSS_SWEEP]
+    plans += [
+        ("churn", churn, FaultPlan(churn_rate=churn, churn_downtime=5.0))
+        for churn in CHURN_SWEEP[1:]
+    ]
+    return [
+        (
+            kind,
+            rate,
+            pooled(plan),
+            pooled(plan, repeats=3),
+            pooled(plan, repeats=3, retries=2, obs=obs),
+        )
+        for kind, rate, plan in plans
+    ]
 
 
 @pytest.mark.benchmark(group="robustness")
@@ -64,43 +81,50 @@ def test_robustness_recall_degradation(benchmark):
     rows = run_once(benchmark, lambda: sweep(obs=obs))
     emit_metrics_sidecar("robustness_faults", obs)
     lines = [
-        f"{'fault':>6} {'rate':>6} {'bare recall':>12} "
-        f"{'hardened recall':>16} {'hardened precision':>19}"
+        f"{'fault':>6} {'rate':>6} {'bare recall':>12} {'repeats recall':>15} "
+        f"{'hardened recall':>16} {'hardened precision':>19} {'retry txs':>10}"
     ]
-    for kind, rate, bare, hardened in rows:
+    for kind, rate, (bare, _), (repeats, repeats_txs), (hardened, txs) in rows:
         lines.append(
-            f"{kind:>6} {rate:>6.2f} {bare.recall:>12.3f} "
-            f"{hardened.recall:>16.3f} {hardened.precision:>19.3f}"
+            f"{kind:>6} {rate:>6.2f} {bare.recall:>12.3f} {repeats.recall:>15.3f} "
+            f"{hardened.recall:>16.3f} {hardened.precision:>19.3f} "
+            f"{txs / repeats_txs - 1:>+10.1%}"
         )
     lines.append("")
     lines.append(
-        "hardened = 3 repeats + 2 retries with exponential backoff; the "
-        "union of repeats recovers edges lost to dropped messages, "
-        "matching the paper's union-of-three-runs validation (Section 6.1)"
+        f"pooled over seeds {SEEDS}. repeats = the union of 3 repeats (the "
+        "paper's Section 6.1 validation), which recovers edges lost to "
+        "dropped messages; hardened = the same plus 2 retries with "
+        "exponential backoff for probes whose set-up never took hold; "
+        "retry txs = what the retries cost in transactions over repeats"
     )
     emit("robustness_faults", "\n".join(lines))
 
-    by_key = {(kind, rate): (bare, hardened) for kind, rate, bare, hardened in rows}
-    clean_bare, clean_hard = by_key[("loss", 0.0)]
-    assert clean_bare.precision == 1.0 and clean_hard.precision == 1.0
-    # Acceptance bar: loss <= 5% with retries enabled keeps recall >= 0.9.
-    for rate in LOSS_SWEEP:
-        if 0.0 < rate <= 0.05:
-            assert by_key[("loss", rate)][1].recall >= 0.9, rate
-    # The hardened loop never does worse than the bare one.
-    for key, (bare, hardened) in by_key.items():
-        assert hardened.recall >= bare.recall, key
+    by_key = {(kind, rate): row for kind, rate, *row in rows}
+    for score, _ in by_key[("loss", 0.0)]:
+        assert score.precision == 1.0
+    for (kind, rate), (bare, repeats, hardened) in by_key.items():
+        # The hardened loop never does worse than the bare one.
+        assert hardened[0].recall >= bare[0].recall, (kind, rate)
+        if kind == "loss" and rate > 0.0:
+            # The retry budget is live: it re-probes failed set-ups.
+            assert hardened[1] > repeats[1], rate
+        if kind == "loss" and 0.0 < rate <= 0.05:
+            # Acceptance bar: loss <= 5% with retries keeps recall >= 0.9.
+            assert hardened[0].recall >= 0.9, rate
+        if kind == "loss" and rate >= 0.05:
+            # ... and over the pool that buys back false negatives.
+            assert hardened[0].false_negatives < repeats[0].false_negatives, rate
+            assert hardened[0].precision >= 0.99, rate
 
 
 @pytest.mark.benchmark(group="robustness")
 def test_robustness_smoke(benchmark):
     """One fast fault point for CI: 5% loss, hardened loop, recall bar."""
     obs = Observability()
+    plan = FaultPlan(loss_rate=0.05)
     measurement = run_once(
-        benchmark,
-        lambda: run_point(
-            FaultPlan(loss_rate=0.05), repeats=3, retries=2, obs=obs
-        ),
+        benchmark, lambda: run_point(plan, repeats=3, retries=2, obs=obs)
     )
     emit(
         "robustness_smoke",
@@ -109,3 +133,5 @@ def test_robustness_smoke(benchmark):
     )
     emit_metrics_sidecar("robustness_smoke", obs)
     assert measurement.score.recall >= 0.9
+    # The retries ran: they re-probed set-ups the repeats-only loop left.
+    assert measurement.transactions_sent > run_point(plan, repeats=3).transactions_sent

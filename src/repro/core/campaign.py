@@ -32,9 +32,14 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 from repro.core.config import MeasurementConfig
 from repro.core.gas_estimator import estimate_y
 from repro.core.parallel import ParallelProbeReport, measure_par_with_repeats
-from repro.core.preprocess import PreprocessReport, preprocess_targets
+from repro.core.preprocess import (
+    PreprocessReport,
+    calibrate_future_count,
+    preprocess_targets,
+)
 from repro.core.primitive import (
     ProbeReport,
+    cleanup,
     measure_link_with_repeats,
     measure_one_link,
 )
@@ -217,7 +222,7 @@ class TopoShot:
             self.supernode,
             a,
             b,
-            self.config,
+            self._config_for_iteration([(a, b)]),
             self.wallet,
             refresh=self.restore_ambient,
         )
@@ -250,7 +255,7 @@ class TopoShot:
             self.wallet,
             **kwargs,  # type: ignore[arg-type]
         )
-        self.supernode.clear_observations()
+        cleanup(self.network, self.supernode)
         return self.last_preprocess
 
     # ------------------------------------------------------------------
@@ -462,8 +467,7 @@ class TopoShot:
             if progress is not None and report is not None:
                 progress(index, measurement.iterations, iteration, report)
             # Bound memory and keep iterations independent.
-            self.supernode.clear_observations()
-            self.network.forget_known_transactions()
+            cleanup(self.network, self.supernode)
 
     def close(
         self,
@@ -559,8 +563,9 @@ class TopoShot:
     def _cross_validate_edge(self, a: str, b: str) -> bool:
         """Serially re-probe one suspect edge: true iff at least
         ``config.cross_validate_k`` of up to ``config.cross_validate``
-        probes confirm direct adjacency. Probes that error count as
-        failed.
+        probes confirm direct adjacency, each under the per-round config
+        (Z overrides, adaptive flood) a campaign round on that pair gets.
+        Probes that error count as failed.
 
         A probe whose RPC cross-check came back *unknown* (degraded
         measurement plane) says nothing about the edge either way, so it
@@ -576,12 +581,15 @@ class TopoShot:
             remaining = self.config.cross_validate - attempts
             if clean_positives + remaining < needed:
                 break  # can no longer reach k
-            self.supernode.clear_observations()
-            self.network.forget_known_transactions()
-            self.restore_ambient()
+            cleanup(self.network, self.supernode, self.restore_ambient)
             try:
                 report = measure_one_link(
-                    self.network, self.supernode, a, b, self.config, self.wallet
+                    self.network,
+                    self.supernode,
+                    a,
+                    b,
+                    self._config_for_iteration([(a, b)]),
+                    self.wallet,
                 )
             except MeasurementError:
                 attempts += 1
@@ -665,20 +673,16 @@ class TopoShot:
     ) -> Optional[int]:
         """Run the speculative-B' calibration against one target and store
         the discovered flood size as an override. Returns the Z found."""
-        from repro.core.preprocess import calibrate_future_count
-
         found = calibrate_future_count(
             self.network,
             self.supernode,
             target_id,
             local_peer_id,
-            self.config,
+            self._config_for_iteration([(target_id, local_peer_id)]),
             z_values,
             self.wallet,
         )
         if found is not None and found > self.config.future_count:
             self.set_z_override(target_id, found)
-        self.supernode.clear_observations()
-        self.network.forget_known_transactions()
-        self.restore_ambient()
+        self.restore_ambient()  # every attempt already left through cleanup
         return found

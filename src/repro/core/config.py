@@ -58,10 +58,13 @@ class MeasurementConfig:
         Measurements per link; the union of positives is reported (§5.2.3's
         passive recall improvement, 3 in the paper's validation).
     max_retries:
-        Extra attempts granted when a probe reports a *setup failure* (the
-        injection never took hold — crashed target, lost packets, send
-        timeout) or an ambiguous low-confidence verdict. Retries do not
-        consume repeats; 0 (default) restores the seed behaviour exactly.
+        Extra rounds the one repeat/retry loop
+        (:func:`repro.core.primitive.probe_with_repeats`, under serial
+        links and ``measurePar`` rounds alike) grants when a still-
+        undetected pair reports a *setup failure* (the injection never
+        took hold — crashed target, lost packets, send timeout) or an
+        ambiguous verdict. Retries do not consume repeats; 0 (default)
+        restores the seed behaviour exactly.
     retry_backoff:
         Simulated seconds to wait before the first retry; each further
         retry multiplies the wait by ``retry_backoff_factor`` (exponential

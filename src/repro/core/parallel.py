@@ -33,10 +33,16 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import MeasurementConfig
 from repro.core.gas_estimator import estimate_y
-from repro.core.primitive import _known, build_future_flood, rebid
-from repro.core.results import Edge, EdgeEvidence, PairOutcome, edge
+from repro.core.primitive import (
+    _known,
+    build_future_flood,
+    inject,
+    probe_with_repeats,
+    rebid,
+)
+from repro.core.results import Edge, EdgeEvidence
 from repro.eth.rpc import rpc_tx_in_pool
-from repro.errors import MeasurementError, NotConnectedError, SendTimeoutError
+from repro.errors import MeasurementError
 from repro.eth.account import Wallet
 from repro.eth.network import Network
 from repro.eth.supernode import Supernode
@@ -49,7 +55,7 @@ class ParallelProbeReport:
 
     edges_probed: int
     detected: Set[Edge] = field(default_factory=set)
-    outcomes: List[PairOutcome] = field(default_factory=list)
+    outcomes: List[EdgeEvidence] = field(default_factory=list)
     y: int = 0
     seed_senders: List[str] = field(default_factory=list)
     flood_senders: List[str] = field(default_factory=list)
@@ -66,14 +72,11 @@ class ParallelProbeReport:
         return sum(1 for outcome in self.outcomes if not outcome.setup_ok)
 
 
-def _ordered_unique(items: Sequence[str]) -> List[str]:
-    seen: Set[str] = set()
-    out: List[str] = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
+def _setup_failed(pair: Tuple[str, str], tx_hash: str = "") -> EdgeEvidence:
+    """The record of a pair this round could not probe."""
+    return EdgeEvidence(
+        source=pair[0], sink=pair[1], tx_hash=tx_hash, detected=False, setup_ok=False
+    )
 
 
 def measure_par(
@@ -110,30 +113,17 @@ def measure_par(
     # probed this round. Their pairs are reported as setup failures (never
     # as negatives) so a later repeat — or the campaign's failure section —
     # picks them up.
-    down = sorted(
-        {nid for pair in pairs for nid in pair if network.node(nid).crashed}
-    )
+    down = {nid for pair in pairs for nid in pair if network.node(nid).crashed}
     if down:
-        report.unreachable = down
-        down_set = set(down)
-        for pair in pairs:
-            if pair[0] in down_set or pair[1] in down_set:
-                report.outcomes.append(
-                    PairOutcome(
-                        source=pair[0],
-                        sink=pair[1],
-                        detected=False,
-                        setup_ok=False,
-                    )
-                )
-        pairs = [
-            p for p in pairs if p[0] not in down_set and p[1] not in down_set
-        ]
+        report.unreachable = sorted(down)
+        skipped = {pair for pair in pairs if down.intersection(pair)}
+        report.outcomes.extend(_setup_failed(p) for p in pairs if p in skipped)
+        pairs = [pair for pair in pairs if pair not in skipped]
         if not pairs:
             return report
 
-    sources = _ordered_unique([a for a, _ in pairs])
-    sinks = _ordered_unique([b for _, b in pairs])
+    sources = list(dict.fromkeys(a for a, _ in pairs))
+    sinks = list(dict.fromkeys(b for _, b in pairs))
     overlap = set(sources) & set(sinks)
     if overlap:
         raise MeasurementError(
@@ -168,23 +158,12 @@ def measure_par(
     # sent to every peer: a node never pushes a transaction back to the
     # peer it came from, so direct-to-everyone seeding would leave the
     # supernode blind to whether the seeds took hold anywhere.
-    def inject(peer_id: str, batch: List[Transaction]) -> None:
-        """One injection that survives supernode-side faults: a timed-out
-        or unroutable send is counted, not raised, so the rest of the
-        round still runs and the pair surfaces as a setup failure."""
-        try:
-            supernode.send_transactions(peer_id, batch)
-        except (SendTimeoutError, NotConnectedError):
-            report.send_timeouts += 1
-        else:
-            report.transactions_sent += len(batch)
-
     seed_batch = [tx_c[pair] for pair in pairs]
     peer_ids = supernode.peer_ids
     step = max(1, len(peer_ids) // 3)
     entry_peers = peer_ids[::step][:3]
     for peer_id in entry_peers:
-        inject(peer_id, seed_batch)
+        inject(supernode, peer_id, seed_batch, report)
     network.run(config.seed_wait)
 
     # Isolation precondition: a txC that failed to take hold anywhere (e.g.
@@ -195,17 +174,9 @@ def measure_par(
     active = [
         pair for pair in pairs if supernode.observers_of(tx_c[pair].hash)
     ]
-    for pair in pairs:
-        if pair not in active:
-            report.outcomes.append(
-                PairOutcome(
-                    source=pair[0],
-                    sink=pair[1],
-                    detected=False,
-                    setup_ok=False,
-                    tx_a_hash=tx_a[pair].hash,
-                )
-            )
+    report.outcomes.extend(
+        _setup_failed(pair, tx_a[pair].hash) for pair in pairs if pair not in active
+    )
     if not active:
         return report
 
@@ -220,7 +191,7 @@ def measure_par(
         batch = [*flood, *others, *own]
         network.sim.schedule(
             index * gap,
-            lambda s=source, b=batch: inject(s, b),
+            lambda s=source, b=batch: inject(supernode, s, b, report),
             label=f"p2:{source}",
         )
 
@@ -233,7 +204,7 @@ def measure_par(
         batch = [*flood, *vector]
         network.sim.schedule(
             (offset + index) * gap,
-            lambda s=sink, b=batch: inject(s, b),
+            lambda s=sink, b=batch: inject(supernode, s, b, report),
             label=f"p3:{sink}",
         )
 
@@ -285,32 +256,23 @@ def measure_par(
         setup_check = rpc_tx_in_pool(network, source, a_hash)
         if setup_check is None:
             pair_degraded = True
-        outcome = PairOutcome(
+        outcome = EdgeEvidence(
             source=source,
             sink=sink,
-            detected=detected,
-            setup_ok=_known(setup_check, True),
-            tx_a_hash=a_hash,
+            tx_hash=a_hash,
             observed_at=supernode.first_observation_time(sink, a_hash),
+            kind=supernode.observation_kind(sink, a_hash) or "",
             rpc_confirmed=rpc_confirmed,
             extra_observers=extra_observers,
             rpc_degraded=pair_degraded,
+            detected=detected,
+            setup_ok=_known(setup_check, True),
         )
         report.outcomes.append(outcome)
         if detected:
-            pair_edge = edge(source, sink)
-            report.detected.add(pair_edge)
+            report.detected.add(outcome.edge)
             if hardened:
-                report.evidence[pair_edge] = EdgeEvidence(
-                    source=source,
-                    sink=sink,
-                    tx_hash=a_hash,
-                    observed_at=supernode.first_observation_time(sink, a_hash),
-                    kind=supernode.observation_kind(sink, a_hash) or "",
-                    rpc_confirmed=rpc_confirmed,
-                    extra_observers=extra_observers,
-                    rpc_degraded=pair_degraded,
-                )
+                report.evidence[outcome.edge] = outcome
     return report
 
 
@@ -322,28 +284,28 @@ def measure_par_with_repeats(
     wallet: Optional[Wallet] = None,
     refresh: Optional[Callable[[], None]] = None,
 ) -> ParallelProbeReport:
-    """Run ``measurePar`` ``config.repeats`` times and union the positives.
+    """:func:`repro.core.primitive.probe_with_repeats` over ``pairs`` with
+    ``measurePar``: positives union into one merged report whose
+    ``outcomes`` hold the strongest record per pair.
 
-    Between repeats the transient per-peer known-transaction state and the
-    observation log are cleared, ``refresh`` (typically pool churn, see
-    :func:`repro.netgen.workloads.refresh_mempools`) runs, and the source
-    configuration order is reshuffled so interference hits different edges.
+    Every round after the first reshuffles the source configuration order,
+    so interference hits different edges; ``refresh`` is typically pool
+    churn (:func:`repro.netgen.workloads.refresh_mempools`).
     """
     config = config or MeasurementConfig()
     shuffler = network.sim.rng.stream("parallel-shuffle")
     merged = ParallelProbeReport(edges_probed=len(pairs))
-    best_outcome: Dict[Tuple[str, str], PairOutcome] = {}
-    remaining = list(pairs)
-    for attempt in range(config.repeats):
-        if not remaining:
-            break
+
+    def probe_round(
+        remaining: List[Tuple[str, str]], round_index: int
+    ) -> List[EdgeEvidence]:
         report = measure_par(
             network,
             supernode,
             remaining,
             config,
             wallet,
-            source_order_rng=shuffler if attempt > 0 else None,
+            source_order_rng=shuffler if round_index > 0 else None,
         )
         merged.detected |= report.detected
         for pair_edge, item in report.evidence.items():
@@ -357,28 +319,8 @@ def measure_par_with_repeats(
             if node_id not in merged.unreachable:
                 merged.unreachable.append(node_id)
         merged.y = report.y
-        for outcome in report.outcomes:
-            key = (outcome.source, outcome.sink)
-            previous = best_outcome.get(key)
-            # Keep the strongest evidence seen: a detection beats anything,
-            # and a clean (setup-ok) probe beats an unreachable/failed one.
-            if (
-                previous is None
-                or (outcome.detected and not previous.detected)
-                or (
-                    not previous.detected
-                    and outcome.setup_ok
-                    and not previous.setup_ok
-                )
-            ):
-                best_outcome[key] = outcome
-        remaining = [
-            pair for pair in remaining if edge(*pair) not in merged.detected
-        ]
-        if remaining and attempt < config.repeats - 1:
-            supernode.clear_observations()
-            network.forget_known_transactions()
-            if refresh is not None:
-                refresh()
-    merged.outcomes = [best_outcome[(a, b)] for a, b in pairs if (a, b) in best_outcome]
+        return report.outcomes
+
+    best = probe_with_repeats(network, supernode, pairs, config, probe_round, refresh)
+    merged.outcomes = [best[pair] for pair in pairs if pair in best]
     return merged

@@ -104,7 +104,9 @@ class CampaignSpec:
     network with a joined supernode; :meth:`measurement_config` applies
     ``repeats``/``max_retries``/``future_count``/``cross_validate``/
     ``adaptive_flood``; a :class:`CampaignReplica` then pre-processes (if
-    ``preprocess``), drains the event queue and snapshots.
+    ``preprocess``), drains the event queue and snapshots. ``max_retries``
+    is the probe retry budget of every ``measurePar`` round and, read by
+    :func:`run_campaign`, of a crashed worker-pool shard.
 
     The fault plan is *not* part of setup: it is armed per shard, after the
     snapshot point, so faults draw from the shard's seed universe.

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import MeasurementConfig
 from repro.core.gas_estimator import estimate_y
+from repro.core.primitive import cleanup, inject, measure_one_link
 from repro.errors import RpcError, RpcUnavailableError
 from repro.eth.account import Wallet
 from repro.eth.network import Network
@@ -40,9 +41,10 @@ class PreprocessReport:
     rejected_unresponsive: List[str] = field(default_factory=list)
     rejected_future_forwarders: List[str] = field(default_factory=list)
     # Endpoints the resilient RPC client could not get an answer from (or
-    # whose health score / circuit breaker flags them): skipped for this
-    # campaign rather than measured through a plane that will turn their
-    # probes into noise.
+    # whose health score / circuit breaker flags them), and candidates
+    # whose forwarding probe never left M: skipped for this campaign
+    # rather than measured through a plane that will turn their probes
+    # into noise.
     rejected_degraded: List[str] = field(default_factory=list)
     z_overrides: Dict[str, int] = field(default_factory=dict)
 
@@ -116,11 +118,13 @@ def preprocess_targets(
         survivors = [nid for nid in survivors if nid not in unhealthy]
 
     if check_future_forwarding and survivors:
-        forwarders = detect_future_forwarders(
+        forwarders, unprobed = detect_future_forwarders(
             network, supernode, survivors, config, wallet, forwarding_probe_wait
         )
         report.rejected_future_forwarders.extend(forwarders)
-        survivors = [nid for nid in survivors if nid not in forwarders]
+        report.rejected_degraded.extend(unprobed)
+        dropped = {*forwarders, *unprobed}
+        survivors = [nid for nid in survivors if nid not in dropped]
 
     report.accepted = survivors
     return report
@@ -133,9 +137,11 @@ def detect_future_forwarders(
     config: MeasurementConfig,
     wallet: Wallet,
     wait: float = 2.0,
-) -> List[str]:
+) -> Tuple[List[str], List[str]]:
     """Send each candidate a throwaway future transaction and watch whether
-    it re-propagates (the Section 6.2.1 filter).
+    it re-propagates (the Section 6.2.1 filter). Returns the forwarders and
+    the candidates whose probe could not be injected (send timeout, churned
+    supernode link) — not proven harmless, so not to be measured either.
 
     A node never sends a transaction back to the peer it came from, so the
     measurement node cannot observe the forwarding itself; the paper
@@ -151,14 +157,17 @@ def detect_future_forwarders(
         targets=candidates,
     )
     probes: Dict[str, str] = {}
+    unprobed: List[str] = []
     for node_id in candidates:
         probe = factory.future(
             wallet.fresh_account(prefix="fwdprobe"),
             gas_price=config.price_future(y),
             nonce_gap=config.future_nonce_gap,
         )
-        probes[node_id] = probe.hash
-        supernode.send_transactions(node_id, [probe])
+        if inject(supernode, node_id, [probe]):
+            probes[node_id] = probe.hash
+        else:
+            unprobed.append(node_id)
     network.run(wait)
     forwarders = [
         node_id
@@ -167,7 +176,7 @@ def detect_future_forwarders(
     ]
     for node_id in list(monitor.peer_ids):
         network.disconnect(monitor.id, node_id)
-    return forwarders
+    return forwarders, unprobed
 
 
 def calibrate_future_count(
@@ -188,8 +197,6 @@ def calibrate_future_count(
     the discovered Z is then used for all measurements involving it.
     Returns None when no candidate Z succeeds.
     """
-    from repro.core.primitive import measure_one_link  # local import: cycle
-
     if not network.are_connected(target_id, local_peer_id):
         raise ValueError(
             "calibration requires a known-true link between the target and "
@@ -205,8 +212,7 @@ def calibrate_future_count(
             config.with_future_count(z),
             wallet,
         )
-        supernode.clear_observations()
-        network.forget_known_transactions()
+        cleanup(network, supernode)
         if attempt.connected:
             return z
     return None

@@ -21,10 +21,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import MeasurementConfig
 from repro.core.gas_estimator import estimate_y
+from repro.core.results import EdgeEvidence
 from repro.errors import NotConnectedError, SendTimeoutError
 from repro.eth.account import Wallet
 from repro.eth.network import Network
@@ -61,21 +62,6 @@ SETUP_FAILURES = (
 )
 
 
-class ProbeConfidence(enum.Enum):
-    """How much a verdict should be trusted under real-network adversity.
-
-    ``CONNECTED`` is always HIGH: txA's price band makes a false positive
-    structurally impossible, no matter the weather. A negative verdict is
-    HIGH only when every setup check passed *and* txC demonstrably flooded
-    to the sink — otherwise lost packets or a mid-probe crash could have
-    masked a real edge, the verdict is LOW, and the link is worth
-    re-probing (the paper's Section 6.1 false-negative discussion).
-    """
-
-    HIGH = "high"
-    LOW = "low"
-
-
 @dataclass
 class ProbeReport:
     """Everything observed while probing one directed pair A -> B."""
@@ -92,7 +78,6 @@ class ProbeReport:
     setup_b_ok: bool
     observed_at: Optional[float] = None
     measurement_senders: List[str] = field(default_factory=list)
-    confidence: ProbeConfidence = ProbeConfidence.HIGH
     # Hardened-verdict evidence (meaningful when config.hardened):
     # rpc_confirmed is the Section 6.1 cross-check (txA in the sink's
     # pool); extra_observers are third parties that demonstrated
@@ -115,21 +100,26 @@ class ProbeReport:
         return self.outcome in SETUP_FAILURES
 
     @property
-    def ambiguous(self) -> bool:
-        """A verdict weak enough to warrant an automatic re-probe."""
-        return self.confidence is ProbeConfidence.LOW
+    def evidence(self) -> EdgeEvidence:
+        """This probe as the per-pair record every probe shares."""
+        return EdgeEvidence(
+            source=self.a,
+            sink=self.b,
+            tx_hash=self.tx_a_hash,
+            observed_at=self.observed_at,
+            rpc_confirmed=self.rpc_confirmed,
+            extra_observers=self.extra_observers,
+            rpc_degraded=self.rpc_degraded,
+            detected=self.connected,
+            setup_ok=not self.setup_failed,
+            flood_confirmed=self.flood_confirmed,
+        )
 
     @property
     def clean(self) -> bool:
-        """A positive with an intact isolation envelope: RPC-confirmed
-        over a healthy plane, and nobody but the sink ever showed
-        ``txA``."""
-        return (
-            self.connected
-            and self.rpc_confirmed
-            and not self.rpc_degraded
-            and not self.extra_observers
-        )
+        """A positive with an intact isolation envelope (see
+        :attr:`EdgeEvidence.clean`)."""
+        return self.connected and self.evidence.clean
 
     @property
     def confirmed_direct(self) -> bool:
@@ -195,6 +185,42 @@ def rebid(factory: TransactionFactory, original: Transaction, price: int) -> Tra
     )
 
 
+def inject(
+    supernode: Supernode,
+    peer_id: str,
+    batch: Sequence[Transaction],
+    tally: Optional[object] = None,
+) -> bool:
+    """The one injection every probe sends through: did the packet leave M?
+
+    A timed-out send or a churned supernode link fails the set-up of
+    whatever was being planted, never the run: it is counted on ``tally``
+    (a round report), not raised.
+    """
+    try:
+        supernode.send_transactions(peer_id, batch)
+    except (SendTimeoutError, NotConnectedError):
+        if tally is not None:
+            tally.send_timeouts += 1
+        return False
+    if tally is not None:
+        tally.transactions_sent += len(batch)
+    return True
+
+
+def cleanup(
+    network: Network,
+    supernode: Supernode,
+    refresh: Optional[Callable[[], None]] = None,
+) -> None:
+    """The one clean-up between probes: drop the observation log and every
+    node's known-transaction table, then run ``refresh`` (pool churn)."""
+    supernode.clear_observations()
+    network.forget_known_transactions()
+    if refresh is not None:
+        refresh()
+
+
 def measure_one_link(
     network: Network,
     supernode: Supernode,
@@ -238,7 +264,6 @@ def measure_one_link(
             setup_a_ok=False,
             setup_b_ok=False,
             measurement_senders=senders,
-            confidence=ProbeConfidence.LOW,
         )
 
     # Step 1: plant txC on A; it floods to everyone, including B.
@@ -250,9 +275,7 @@ def measure_one_link(
         # replaced on the probed pair. The guard stays registered (the
         # property must hold for the rest of the run, not just the probe).
         network.invariants.guard_isolation(tx_c.hash, frozenset((a_id, b_id)))
-    try:
-        supernode.send_transactions(a_id, [tx_c])
-    except (SendTimeoutError, NotConnectedError):
+    if not inject(supernode, a_id, [tx_c]):
         return send_failed(tx_c.hash)
     network.run(config.flood_wait)
     flood_confirmed = supernode.observed_from(b_id, tx_c.hash)
@@ -261,9 +284,7 @@ def measure_one_link(
     flood_b = build_future_flood(wallet, factory, config, y)
     senders.extend({tx.sender for tx in flood_b})
     tx_b = rebid(factory, tx_c, config.price_b(y))
-    try:
-        supernode.send_transactions(b_id, [*flood_b, tx_b])
-    except (SendTimeoutError, NotConnectedError):
+    if not inject(supernode, b_id, [*flood_b, tx_b]):
         return send_failed(tx_c.hash, tx_b_hash=tx_b.hash,
                            flood_confirmed=flood_confirmed)
     network.run(config.settle_wait)
@@ -271,9 +292,7 @@ def measure_one_link(
     # Step 3: evict txC on A and slot txA in its place. The paper re-uses
     # the same future set {txO1..txOZ} for both targets.
     tx_a = rebid(factory, tx_c, config.price_a(y))
-    try:
-        supernode.send_transactions(a_id, [*flood_b, tx_a])
-    except (SendTimeoutError, NotConnectedError):
+    if not inject(supernode, a_id, [*flood_b, tx_a]):
         return send_failed(tx_c.hash, tx_a_hash=tx_a.hash, tx_b_hash=tx_b.hash,
                            flood_confirmed=flood_confirmed)
     network.run(config.propagation_wait)
@@ -333,24 +352,6 @@ def measure_one_link(
     else:
         outcome = LinkProbeOutcome.NOT_CONNECTED
 
-    # On a *conforming* network a positive is always trustworthy (the
-    # price band forbids false positives); against Byzantine relays the
-    # hardened verdict above adds the RPC cross-check, and the evidence
-    # fields let the campaign quarantine what remains. A negative is only
-    # trustworthy when the whole setup demonstrably worked end to end.
-    if outcome is LinkProbeOutcome.CONNECTED:
-        confidence = ProbeConfidence.HIGH
-    elif (
-        outcome is LinkProbeOutcome.NOT_CONNECTED
-        and flood_confirmed
-        and not rpc_degraded
-    ):
-        # A negative reached through an unanswerable plane is never HIGH:
-        # it gets the ambiguous/re-probe treatment, not a false negative.
-        confidence = ProbeConfidence.HIGH
-    else:
-        confidence = ProbeConfidence.LOW
-
     return ProbeReport(
         a=a_id,
         b=b_id,
@@ -364,12 +365,79 @@ def measure_one_link(
         setup_b_ok=setup_b_ok,
         observed_at=supernode.first_observation_time(b_id, tx_a.hash),
         measurement_senders=senders,
-        confidence=confidence,
         rpc_confirmed=rpc_confirmed,
         extra_observers=extra_observers,
         extra_observed_at=extra_observed_at,
         rpc_degraded=rpc_degraded,
     )
+
+
+Pair = Tuple[str, str]
+
+
+def probe_with_repeats(
+    network: Network,
+    supernode: Supernode,
+    pairs: Sequence[Pair],
+    config: MeasurementConfig,
+    probe_round: Callable[[List[Pair], int], Sequence[EdgeEvidence]],
+    refresh: Optional[Callable[[], None]] = None,
+) -> Dict[Pair, EdgeEvidence]:
+    """The one repeat/retry loop under every probe, serial or parallel.
+
+    ``probe_round(remaining, round_index)`` runs the primitive once on the
+    pairs still undetected and returns their records. Positives union
+    (Section 6.1 runs each pair three times), the strongest record per
+    pair is returned, and each round ends in one decision:
+
+    - a still-undetected pair failed set-up (crashed endpoint, lost
+      injection, send timeout) and retry budget is left: wait
+      ``config.retry_delay(n)`` (time for a restart, a reconnect) and go
+      again without consuming a repeat;
+    - else one came back ambiguous and budget is left: go again at once;
+    - else consume a repeat.
+
+    A retry round re-probes *every* still-undetected pair, not only the
+    failed ones: it pays its floods either way, and the extra look is a
+    free repeat for the rest. :func:`cleanup` runs between rounds, not
+    after the last; ``max_retries=0`` is exactly ``repeats`` rounds.
+    """
+    best: Dict[Pair, EdgeEvidence] = {}
+    remaining = list(pairs)
+    repeats_left = config.repeats
+    retries_left = config.max_retries
+    setup_retries = rounds = 0
+    while remaining:
+        outcomes = probe_round(remaining, rounds)
+        rounds += 1
+        for outcome in outcomes:
+            key = (outcome.source, outcome.sink)
+            held = best.get(key)
+            # A detection beats anything, and a probe that ran end to end
+            # beats an unreachable/failed one.
+            if held is None or (held.detected, held.setup_ok) < (
+                outcome.detected,
+                outcome.setup_ok,
+            ):
+                best[key] = outcome
+        remaining = [
+            pair for pair in remaining if not (pair in best and best[pair].detected)
+        ]
+        if not remaining:
+            break
+        missed = [outcome for outcome in outcomes if not outcome.detected]
+        if retries_left > 0 and not all(outcome.setup_ok for outcome in missed):
+            retries_left -= 1
+            setup_retries += 1
+            network.run(config.retry_delay(setup_retries))
+        elif retries_left > 0 and any(outcome.ambiguous for outcome in missed):
+            retries_left -= 1
+        else:
+            repeats_left -= 1
+            if repeats_left <= 0:
+                break
+        cleanup(network, supernode, refresh)
+    return best
 
 
 def measure_link_with_repeats(
@@ -381,43 +449,18 @@ def measure_link_with_repeats(
     wallet: Optional[Wallet] = None,
     refresh: Optional[Callable[[], None]] = None,
 ) -> List[ProbeReport]:
-    """Run the primitive ``config.repeats`` times (Section 6.1 runs each
-    pair three times and takes the union of positives), clearing transient
-    observation state — and running ``refresh`` (pool churn) — between
-    runs.
-
-    With ``config.max_retries > 0`` the loop additionally retries setup
-    failures (crashed target, lost injection, send timeout) after an
-    exponentially growing backoff wait, and re-probes ambiguous
-    low-confidence negatives immediately. Retries come out of a separate
-    budget and do not consume repeats, so the union semantics of the
-    paper's validation are unchanged.
-    """
+    """:func:`probe_with_repeats` over the one pair ``(a_id, b_id)`` with
+    the serial primitive; returns every round's report. An undetected pair
+    leaves through a trailing :func:`cleanup`, so back-to-back calls start
+    from a clean slate."""
     config = config or MeasurementConfig()
     reports: List[ProbeReport] = []
-    repeats_left = config.repeats
-    retries_left = config.max_retries
-    setup_retries = 0
-    while repeats_left > 0:
-        report = measure_one_link(network, supernode, a_id, b_id, config, wallet)
-        reports.append(report)
-        if report.connected:
-            break  # union semantics: one positive settles the question
-        if retries_left > 0 and report.setup_failed:
-            # The probe never ran end to end; back off (give a crashed
-            # target time to restart, a churned link time to return) and
-            # try again without burning a repeat.
-            retries_left -= 1
-            setup_retries += 1
-            network.run(config.retry_delay(setup_retries))
-        elif retries_left > 0 and report.ambiguous:
-            # The probe ran but its negative verdict is weak (txC never
-            # confirmed on B): re-probe immediately.
-            retries_left -= 1
-        else:
-            repeats_left -= 1
-        supernode.clear_observations()
-        network.forget_known_transactions()
-        if refresh is not None:
-            refresh()
+
+    def probe_round(remaining: List[Pair], round_index: int) -> List[EdgeEvidence]:
+        reports.append(measure_one_link(network, supernode, a_id, b_id, config, wallet))
+        return [reports[-1].evidence]
+
+    probe_with_repeats(network, supernode, [(a_id, b_id)], config, probe_round, refresh)
+    if not reports[-1].connected:
+        cleanup(network, supernode, refresh)
     return reports

@@ -62,6 +62,15 @@ class EdgeEvidence:
     # (degraded measurement plane): the edge stands on gossip alone and
     # is labeled suspect rather than silently trusted.
     rpc_degraded: bool = False
+    # The probe's verdict, for the repeat/retry loop and a round's
+    # diagnostics; a campaign keeps records of detected edges only, so
+    # these are neither serialized nor compared. ``setup_ok`` is False when
+    # the probe never ran end to end (endpoint down, seed or txA never took
+    # hold, injection lost), ``flood_confirmed`` when a serial probe never
+    # saw txC on the sink.
+    detected: bool = field(default=True, compare=False)
+    setup_ok: bool = field(default=True, compare=False)
+    flood_confirmed: bool = field(default=True, compare=False)
 
     @property
     def edge(self) -> Edge:
@@ -74,6 +83,14 @@ class EdgeEvidence:
             self.rpc_confirmed
             and not self.rpc_degraded
             and not self.extra_observers
+        )
+
+    @property
+    def ambiguous(self) -> bool:
+        """A negative too weak to trust — lost packets or a sick plane
+        could have masked a real edge (Section 6.1) — so worth a re-probe."""
+        return not self.detected and (
+            self.rpc_degraded or not self.flood_confirmed
         )
 
     def to_dict(self) -> Dict[str, object]:
@@ -364,27 +381,6 @@ class NetworkMeasurement:
                 f"suspect nodes  : {', '.join(sorted(self.suspect_nodes))}"
             )
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class PairOutcome:
-    """Per-pair record inside a parallel iteration (for diagnostics)."""
-
-    source: str
-    sink: str
-    detected: bool
-    setup_ok: bool
-    tx_a_hash: str = ""
-    observed_at: Optional[float] = None
-    # Hardened-pipeline fields (defaults match an honest positive).
-    rpc_confirmed: bool = True
-    extra_observers: Tuple[str, ...] = ()
-    # Any pool check behind this outcome came back unknown (sick plane).
-    rpc_degraded: bool = False
-
-    @property
-    def edge(self) -> Edge:
-        return edge(self.source, self.sink)
 
 
 def union_results(results: Iterable[Set[Edge]]) -> Set[Edge]:

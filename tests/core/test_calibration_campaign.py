@@ -97,3 +97,71 @@ class TestZOverrides:
         assert detected == {frozenset(link) for link in big_links}
         sent = obs.metrics.counter(wiring.CAMPAIGN_TXS).value
         assert sent >= 700 > shot.config.future_count
+
+
+class TestOnePerProbeConfig:
+    """Serial probes — cross-validation, ``measure_link`` — flood with the
+    same per-round config the campaign loop resolves, so a calibrated
+    target's override reaches them too."""
+
+    BIG, PEER = "testnet-0003", "testnet-0001"  # a true edge; BIG runs 281 slots
+
+    @staticmethod
+    def shot():
+        from repro.netgen.ethereum import NetworkSpec, generate_network
+
+        network = generate_network(
+            NetworkSpec(
+                n_nodes=16, seed=5, mempool_capacity=128,
+                fraction_custom_capacity=0.25,
+            )
+        )
+        prefill_mempools(network)
+        shot = TopoShot.attach(network)
+        shot.config = shot.config.with_cross_validation(3)
+        return shot
+
+    def suspect(self, shot):
+        """A campaign tally holding the one edge, claimed over a broken
+        isolation envelope — so hardening must cross-validate it."""
+        from repro.core.results import EdgeEvidence
+
+        assert shot.network.are_connected(self.BIG, self.PEER)
+        capacity = shot.network.node(self.BIG).config.policy.capacity
+        assert capacity == 281 > shot.config.future_count
+        measurement, _ = shot.open([self.PEER, self.BIG], preprocess=False)
+        claimed = EdgeEvidence(
+            source=self.PEER, sink=self.BIG, tx_hash="0xa",
+            extra_observers=("testnet-0002",),
+        )
+        measurement.edges.add(claimed.edge)
+        measurement.evidence[claimed.edge] = claimed
+        return measurement, claimed.edge, capacity
+
+    def test_cross_validation_honours_the_z_override(self):
+        from repro.core.results import CONFIDENCE_CROSS_VALIDATED
+
+        shot = self.shot()
+        measurement, suspect, capacity = self.suspect(shot)
+        shot.set_z_override(self.BIG, capacity)
+        shot.close(measurement, validate=False)
+        assert measurement.edge_confidence[suspect] == CONFIDENCE_CROSS_VALIDATED
+        assert suspect in measurement.edges and not measurement.quarantined
+
+    def test_without_the_override_the_true_edge_is_quarantined(self):
+        """The override, not luck, decides: Z=128 cannot evict txC from a
+        281-slot pool, so all three cross-validation probes fail."""
+        shot = self.shot()
+        measurement, suspect, _ = self.suspect(shot)
+        shot.close(measurement, validate=False)
+        assert measurement.quarantined == {suspect}
+
+    def test_measure_link_honours_the_z_override(self):
+        shot = self.shot()
+        assert not shot.measure_link(self.PEER, self.BIG).connected
+        shot.set_z_override(self.BIG, 281)
+        assert shot.measure_link(self.PEER, self.BIG).connected
+
+    def test_no_override_no_adaptive_flood_is_the_session_config(self):
+        shot = self.shot()
+        assert shot._config_for_iteration([(self.PEER, self.BIG)]) is shot.config

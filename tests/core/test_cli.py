@@ -222,6 +222,7 @@ ZOO_FLAGS = [
     "--loss", "0.02", "--churn", "0.01", "--crash-rate", "0.002",
     "--rpc-fault-rate", "0.2", "--byzantine-frac", "0.3",
     "--cross-validate", "3", "--adaptive-flood", "--invariants",
+    "--max-retries", "1",
 ]
 
 

@@ -137,3 +137,75 @@ class TestRepeats:
         )
         for outcome in report.outcomes:
             assert outcome.detected == (edge(outcome.source, outcome.sink) in report.detected)
+
+
+def scripted_rounds(monkeypatch, **fields):
+    """Replace ``measure_par`` with a stub that probes nothing and reports
+    every pair undetected with the given record fields; returns the list
+    of sim times at which each round ran."""
+    import repro.core.parallel as parallel
+    from repro.core.parallel import ParallelProbeReport
+    from repro.core.results import EdgeEvidence
+
+    rounds = []
+
+    def stub(network, supernode, pairs, *args, **kwargs):
+        rounds.append(network.sim.now)
+        return ParallelProbeReport(
+            edges_probed=len(pairs),
+            outcomes=[
+                EdgeEvidence(source=a, sink=b, tx_hash="", detected=False, **fields)
+                for a, b in pairs
+            ],
+        )
+
+    monkeypatch.setattr(parallel, "measure_par", stub)
+    return rounds
+
+
+class TestRetryBackoff:
+    """The parallel twin of ``test_primitive.py::TestRetryBackoff``: one
+    loop, so ``measurePar`` rounds retry by the serial rule."""
+
+    PAIRS = [("a", "b"), ("a", "c")]
+
+    @pytest.mark.parametrize("backoff,factor", [(1.0, 2.0), (0.5, 3.0)])
+    def test_setup_failures_wait_out_the_geometric_schedule(
+        self, measured_network, monkeypatch, backoff, factor
+    ):
+        network, supernode, _ = measured_network
+        rounds = scripted_rounds(monkeypatch, setup_ok=False)
+        config = (
+            MeasurementConfig()
+            .with_repeats(2)
+            .with_retries(3, backoff=backoff, factor=factor)
+        )
+        expected, wait = network.sim.now, backoff
+        for _ in range(3):
+            expected += wait
+            wait *= factor
+        report = measure_par_with_repeats(network, supernode, self.PAIRS, config)
+        assert len(rounds) == 3 + 2  # retries + repeats
+        assert network.sim.now == expected
+        assert report.setup_failures == len(self.PAIRS)
+
+    def test_degraded_round_retries_without_waiting(
+        self, measured_network, monkeypatch
+    ):
+        network, supernode, _ = measured_network
+        rounds = scripted_rounds(monkeypatch, rpc_degraded=True)
+        config = MeasurementConfig().with_repeats(2).with_retries(3, backoff=5.0)
+        measure_par_with_repeats(network, supernode, self.PAIRS, config)
+        assert len(rounds) == 3 + 2
+        assert set(rounds) == {network.sim.now}  # the clock never moved
+
+    def test_zero_retries_runs_exactly_repeats_rounds(
+        self, measured_network, monkeypatch
+    ):
+        network, supernode, _ = measured_network
+        rounds = scripted_rounds(monkeypatch, setup_ok=False)
+        measure_par_with_repeats(
+            network, supernode, self.PAIRS, MeasurementConfig().with_repeats(3)
+        )
+        assert len(rounds) == 3
+        assert set(rounds) == {network.sim.now}

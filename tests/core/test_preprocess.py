@@ -85,6 +85,52 @@ class TestPreprocess:
         assert all(network.node(m).degree == 0 for m in monitors)
 
 
+class TestInjectionFaults:
+    """A forwarding probe that cannot be injected rejects its candidate
+    (not proven harmless) instead of aborting the campaign."""
+
+    @staticmethod
+    def campaign(n_nodes, plan, warm_up=0.0):
+        from repro.core.campaign import TopoShot
+        from repro.netgen.ethereum import quick_network
+
+        network = quick_network(n_nodes=n_nodes, seed=13)
+        prefill_mempools(network)
+        shot = TopoShot.attach(network)
+        network.install_faults(plan)
+        network.run(warm_up)
+        return shot, shot.measure_network()
+
+    def check(self, shot, measurement, expected):
+        report = shot.last_preprocess
+        assert report.rejected_degraded == expected
+        assert measurement.skipped_nodes == expected
+        assert f"degraded-endpoint={len(expected)}" in report.summary()
+        assert not set(expected) & set(measurement.node_ids)
+        assert measurement.score is not None and measurement.edges
+
+    def test_send_timeouts_during_preprocessing(self):
+        from repro.sim.faults import FaultPlan
+
+        shot, measurement = self.campaign(24, FaultPlan(send_timeout_rate=0.1))
+        self.check(
+            shot,
+            measurement,
+            ["testnet-0000", "testnet-0014", "testnet-0020", "testnet-0021"],
+        )
+
+    def test_churned_supernode_link_during_preprocessing(self):
+        from repro.sim.faults import FaultPlan
+
+        plan = FaultPlan(
+            churn_rate=1.0, churn_downtime=60.0, churn_supernode_links=True
+        )
+        # 15 s of churn takes the supernode's link to testnet-0014 down
+        # before pre-processing starts.
+        shot, measurement = self.campaign(16, plan, warm_up=15.0)
+        self.check(shot, measurement, ["testnet-0014"])
+
+
 class TestCalibration:
     def test_finds_minimal_sufficient_z(self):
         """The speculative-B' calibration discovers a big custom pool."""

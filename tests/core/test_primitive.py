@@ -255,3 +255,89 @@ class TestRetryBackoff:
         reports = measure_link_with_repeats(network, supernode, "a", "b", config)
         assert len(reports) == 4  # three retried setups + the one repeat
         assert network.sim.now == expected
+
+
+class TestOneLoopAtKOne:
+    """The serial repeat/retry loop is the one-pair case of the loop
+    ``measurePar`` rounds run through: the same scripted verdicts cost the
+    same rounds, the same waits and the same refreshes either way."""
+
+    @staticmethod
+    def scripted(script):
+        """ProbeReports for a script of ``fail`` (set-up failure) /
+        ``weak`` (txC never confirmed on the sink) / ``no`` / ``yes``."""
+        from repro.core.primitive import ProbeReport
+
+        outcome = {
+            "fail": LinkProbeOutcome.SETUP_FAILED_SEND,
+            "weak": LinkProbeOutcome.NOT_CONNECTED,
+            "no": LinkProbeOutcome.NOT_CONNECTED,
+            "yes": LinkProbeOutcome.CONNECTED,
+        }
+        return [
+            ProbeReport(
+                a="a", b="b", outcome=outcome[step], y=1,
+                tx_c_hash="", tx_a_hash="", tx_b_hash="",
+                flood_confirmed=step != "weak",
+                setup_a_ok=step != "fail", setup_b_ok=step != "fail",
+            )
+            for step in script
+        ]
+
+    @staticmethod
+    def world():
+        network = Network(seed=3)
+        network.create_node("a", NodeConfig(policy=GETH.scaled(64)))
+        network.create_node("b", NodeConfig(policy=GETH.scaled(64)))
+        return network, Supernode.join(network)
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            ("fail", "weak", "no", "yes"),  # retry, retry, repeat, settled
+            ("fail", "weak", "fail", "no"),  # budget gone: failures cost repeats
+            ("no", "fail", "no"),  # a repeat first, then a retry
+        ],
+    )
+    def test_serial_and_one_pair_parallel_loops_agree(self, monkeypatch, script):
+        import repro.core.parallel as parallel
+        import repro.core.primitive as primitive
+
+        config = MeasurementConfig().with_repeats(2).with_retries(2, backoff=1.5)
+
+        def run(drive):
+            network, supernode = self.world()
+            pending = self.scripted(script)
+            rounds, refreshes = [], []
+
+            def next_report(*args, **kwargs):
+                rounds.append(network.sim.now)
+                return pending.pop(0)
+
+            drive(network, supernode, next_report, lambda: refreshes.append(network.sim.now))
+            assert not pending  # the whole script was consumed, no more
+            return rounds, refreshes, network.sim.now
+
+        def serial(network, supernode, next_report, refresh):
+            monkeypatch.setattr(primitive, "measure_one_link", next_report)
+            measure_link_with_repeats(network, supernode, "a", "b", config, refresh=refresh)
+
+        def one_pair(network, supernode, next_report, refresh):
+            def stub(*args, **kwargs):
+                record = next_report().evidence
+                return parallel.ParallelProbeReport(edges_probed=1, outcomes=[record])
+
+            monkeypatch.setattr(parallel, "measure_par", stub)
+            parallel.measure_par_with_repeats(
+                network, supernode, [("a", "b")], config, refresh=refresh
+            )
+
+        serial_rounds, serial_refreshes, serial_end = run(serial)
+        pair_rounds, pair_refreshes, pair_end = run(one_pair)
+        assert serial_rounds == pair_rounds
+        assert serial_end == pair_end
+        # Between rounds the clean-up is the loop's own; the serial entry
+        # adds its trailing one when the pair leaves undetected.
+        trailing = 0 if script[-1] == "yes" else 1
+        assert serial_refreshes[: len(serial_refreshes) - trailing] == pair_refreshes
+        assert len(pair_refreshes) == len(script) - 1

@@ -186,6 +186,29 @@ class TestCheckpointResume:
             final = ParallelCheckpoint.load(path)
             assert len(final.completed) == final.n_shards == n_shards
 
+    def test_probe_retries_reach_the_campaign_on_every_executor(self, tmp_path):
+        """``max_retries`` is live below ``TopoShot.run``: under 5% loss a
+        retry budget re-probes failed set-ups (more transactions than the
+        repeats-only run), and the retried campaign is the same bytes for
+        one worker, two workers and a kill-at-shard-k resume."""
+        lossy = dict(n_nodes=24, repeats=3, fault_plan=FaultPlan(loss_rate=0.05))
+        spec = spec_for(81, max_retries=2, **lossy)
+        retried = parallel_exec.run_campaign(spec)
+        repeats_only = parallel_exec.run_campaign(spec_for(81, **lossy))
+        assert retried.transactions_sent > repeats_only.transactions_sent
+        assert retried.score.precision >= 0.95
+
+        assert canonical(parallel_exec.run_campaign(spec, workers=2)) == canonical(
+            retried
+        )
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(Killed):
+            parallel_exec.run_campaign(
+                spec, checkpoint_path=path, progress=kill_after(2)
+            )
+        resumed = parallel_exec.run_campaign(spec, checkpoint_path=path, resume=True)
+        assert canonical(resumed) == canonical(retried)
+
     def test_resume_does_not_launder_suspect_edges(self, tmp_path):
         """On a 30% Byzantine network, an edge that was doubtful when the
         campaign was killed (unclean evidence, or an endpoint already

@@ -189,3 +189,21 @@ class TestObservabilityNeutrality:
         obs = Observability()
         assert metrics_to_jsonl(obs.metrics) == ""
         assert events_to_jsonl(obs.events) == ""
+
+
+class TestMetricCatalog:
+    def test_catalog_matches_the_names_wiring_defines(self):
+        """``docs/observability.md`` documents every ``toposhot_*`` metric
+        name ``wiring.py`` defines, and names none it does not."""
+        import re
+        from pathlib import Path
+
+        defined = {
+            value
+            for name, value in vars(wiring).items()
+            if name.isupper() and isinstance(value, str) and value.startswith("toposhot_")
+        }
+        doc = Path(__file__).parents[2] / "docs" / "observability.md"
+        documented = set(re.findall(r"toposhot_[a-z0-9_]+", doc.read_text("utf-8")))
+        assert defined - documented == set(), "metrics missing from the catalog"
+        assert documented - defined == set(), "catalog names wiring.py lacks"

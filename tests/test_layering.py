@@ -59,3 +59,45 @@ def test_campaign_stages_are_the_only_seam_into_toposhot():
                     f"{path.relative_to(root)}:{node.lineno} shot.{node.attr}"
                 )
     assert not offenders, "private TopoShot reach-ins:\n" + "\n".join(offenders)
+
+
+def _functions(tree: ast.AST):
+    """Every function in ``tree`` with its qualified name (nested
+    functions count as their outermost enclosing function)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for name, func in _functions(node):
+                yield f"{node.name}.{name}", func
+
+
+def test_probe_layer_has_one_injection_and_one_repeat_budget():
+    """Under ``core/``, a failed supernode send is caught in exactly one
+    function (``primitive.inject``) and the repeat/retry budget is spent in
+    exactly one (``primitive.probe_with_repeats``): every probe — serial,
+    ``measurePar`` round, cross-validation, calibration, pre-processing —
+    goes through those two and the one ``cleanup``."""
+    root = Path(repro.__file__).parent / "core"
+    catchers, spenders, cleaners = [], [], []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for name, func in _functions(tree):
+            where = f"{path.stem}.{name}"
+            for node in ast.walk(func):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    caught = {
+                        n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)
+                    }
+                    if "SendTimeoutError" in caught:
+                        catchers.append(where)
+                elif isinstance(node, ast.Name) and node.id == "retries_left":
+                    spenders.append(where)
+                elif isinstance(node, ast.Attribute) and node.attr == "repeats":
+                    if path.stem != "config":  # defines and validates the field
+                        spenders.append(where)
+                elif isinstance(node, ast.Attribute) and node.attr == "clear_observations":
+                    cleaners.append(where)
+    assert catchers == ["primitive.inject"]
+    assert set(spenders) == {"primitive.probe_with_repeats"}
+    assert cleaners == ["primitive.cleanup"]
