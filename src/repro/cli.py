@@ -38,7 +38,7 @@ from repro.netgen.ethereum import (
     ropsten_like,
 )
 from repro.netgen.workloads import SHAPES, prefill_mempools
-from repro.obs import Observability
+from repro.obs import Observability, wiring
 from repro.sim.faults import FaultPlan, RpcFaultPlan
 
 PRESETS = {
@@ -568,9 +568,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             network, SHAPES[args.workload](rate_per_second=args.workload_rate)
         )
         if obs is not None:
-            from repro.obs.wiring import instrument_workload
-
-            instrument_workload(obs, workload)
+            wiring.instrument_workload(obs, workload)
         print(
             f"workload: {args.workload} at {args.workload_rate:.0f} tx/s "
             f"for {args.load_window:.0f}s between rounds "

@@ -48,7 +48,7 @@ from repro.eth.network import Network
 from repro.eth.supernode import Supernode
 from repro.io import PathLike, atomic_write_text
 from repro.netgen.ethereum import NetworkSpec
-from repro.obs import NULL, Observability
+from repro.obs import NULL, Observability, wiring
 from repro.sim.faults import FaultPlan
 
 #: Canonical protocol order — arena output always lists protocols this way.
@@ -473,37 +473,18 @@ def _observe_outcome(obs: Observability, outcome: ProtocolOutcome) -> None:
     """Push one protocol's scorecard into the metrics registry."""
     if not obs.enabled:
         return
-    from repro.obs.wiring import (
-        ARENA_PREDICTED_EDGES,
-        ARENA_PROBE_MESSAGES,
-        ARENA_PROBE_TXS,
-        ARENA_PROTOCOLS_RUN,
-        ARENA_SIM_SECONDS,
-        ARENA_WALL_SECONDS,
-    )
-
     labels = {"protocol": outcome.protocol}
-    registry = obs.metrics
-    registry.counter(
-        ARENA_PROTOCOLS_RUN, "Arena protocol executions", labels=labels
-    ).inc()
-    registry.counter(
-        ARENA_PROBE_TXS, "Probe transactions sent per protocol", labels=labels
-    ).inc(outcome.transactions)
-    registry.counter(
-        ARENA_PROBE_MESSAGES,
-        "Network messages attributable to each protocol's run",
-        labels=labels,
-    ).inc(outcome.messages)
-    registry.histogram(
-        ARENA_SIM_SECONDS, "Simulated seconds per protocol run", labels=labels
-    ).observe(outcome.sim_seconds)
-    registry.histogram(
-        ARENA_WALL_SECONDS, "Wall-clock seconds per protocol run", labels=labels
-    ).observe(outcome.wall_clock_seconds)
+    metrics = obs.metrics
+    metrics.counter(wiring.ARENA_PROTOCOLS_RUN, labels=labels).inc()
+    metrics.counter(wiring.ARENA_PROBE_TXS, labels=labels).inc(outcome.transactions)
+    metrics.counter(wiring.ARENA_PROBE_MESSAGES, labels=labels).inc(outcome.messages)
+    metrics.histogram(wiring.ARENA_SIM_SECONDS, labels=labels).observe(
+        outcome.sim_seconds
+    )
+    metrics.histogram(wiring.ARENA_WALL_SECONDS, labels=labels).observe(
+        outcome.wall_clock_seconds
+    )
     if outcome.predicted_edges is not None:
-        registry.gauge(
-            ARENA_PREDICTED_EDGES,
-            "Edges predicted by each edge-measuring protocol",
-            labels=labels,
-        ).set(outcome.predicted_edges)
+        metrics.gauge(wiring.ARENA_PREDICTED_EDGES, labels=labels).set(
+            outcome.predicted_edges
+        )

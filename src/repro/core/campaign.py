@@ -58,7 +58,7 @@ from repro.errors import MeasurementError
 from repro.eth.account import Wallet
 from repro.eth.network import Network
 from repro.eth.supernode import Supernode
-from repro.obs import NULL, Observability
+from repro.obs import NULL, Observability, wiring
 
 ProgressCallback = Callable[[int, int, ScheduleIteration, ParallelProbeReport], None]
 
@@ -380,39 +380,19 @@ class TopoShot:
         """
         obs = self.obs
         if obs.enabled:
-            from repro.obs import wiring
-
             metrics = obs.metrics
-            iterations_total = metrics.counter(
-                wiring.CAMPAIGN_ITERATIONS, "Completed schedule iterations"
-            )
-            edges_gauge = metrics.gauge(
-                wiring.CAMPAIGN_EDGES, "Distinct edges detected so far"
-            )
-            txs_total = metrics.counter(
-                wiring.CAMPAIGN_TXS, "Measurement transactions injected"
-            )
-            setup_failures_total = metrics.counter(
-                wiring.CAMPAIGN_SETUP_FAILURES, "Per-link setups that failed"
-            )
-            send_timeouts_total = metrics.counter(
-                wiring.CAMPAIGN_SEND_TIMEOUTS, "Supernode injections timed out"
-            )
-            iter_sim_hist = metrics.histogram(
-                wiring.CAMPAIGN_ITER_SIM_SECONDS,
-                "Simulated seconds consumed per iteration",
-            )
-            iter_wall_hist = metrics.histogram(
-                wiring.CAMPAIGN_ITER_WALL_SECONDS,
-                "Wall-clock seconds spent per iteration",
-            )
+            iterations_total = metrics.counter(wiring.CAMPAIGN_ITERATIONS)
+            edges_gauge = metrics.gauge(wiring.CAMPAIGN_EDGES)
+            txs_total = metrics.counter(wiring.CAMPAIGN_TXS)
+            setup_failures_total = metrics.counter(wiring.CAMPAIGN_SETUP_FAILURES)
+            send_timeouts_total = metrics.counter(wiring.CAMPAIGN_SEND_TIMEOUTS)
+            iter_sim_hist = metrics.histogram(wiring.CAMPAIGN_ITER_SIM_SECONDS)
+            iter_wall_hist = metrics.histogram(wiring.CAMPAIGN_ITER_WALL_SECONDS)
 
             def count_failures(kind: str, amount: int) -> None:
                 if amount:
                     metrics.counter(
-                        wiring.CAMPAIGN_FAILURES,
-                        "Campaign failures by kind",
-                        labels={"kind": kind},
+                        wiring.CAMPAIGN_FAILURES, labels={"kind": kind}
                     ).inc(amount)
 
         refresh = self.restore_ambient if churn else None
@@ -540,18 +520,13 @@ class TopoShot:
                 measurement.quarantined.add(pair_edge)
                 measurement.edge_confidence[pair_edge] = CONFIDENCE_QUARANTINED
         if self.obs.enabled:
-            from repro.obs import wiring
-
+            metrics = self.obs.metrics
             if cross_validated:
-                self.obs.metrics.counter(
-                    wiring.CAMPAIGN_CROSS_VALIDATIONS,
-                    "Suspect edges re-probed by cross-validation",
-                ).inc(cross_validated)
+                metrics.counter(wiring.CAMPAIGN_CROSS_VALIDATIONS).inc(cross_validated)
             if measurement.quarantined:
-                self.obs.metrics.counter(
-                    wiring.CAMPAIGN_QUARANTINED,
-                    "Edges quarantined after failed cross-validation",
-                ).inc(len(measurement.quarantined))
+                metrics.counter(wiring.CAMPAIGN_QUARANTINED).inc(
+                    len(measurement.quarantined)
+                )
             self.obs.emit(
                 self.network.sim.now,
                 "campaign.hardening",

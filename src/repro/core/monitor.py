@@ -35,6 +35,7 @@ from typing import Callable, Dict, IO, List, Optional, Sequence, Set, Tuple
 from repro.core.campaign import TopoShot
 from repro.core.results import Edge, NetworkMeasurement, edge
 from repro.errors import MeasurementError
+from repro.obs import wiring
 
 
 @dataclass(frozen=True)
@@ -155,32 +156,18 @@ class TopologyMonitor:
         self._seed_delta_state(snapshot)
         obs = self.shot.obs
         if obs.enabled:
-            from repro.obs import wiring
-
-            obs.metrics.counter(
-                wiring.MONITOR_SNAPSHOTS, "Topology snapshots taken"
-            ).inc()
-            obs.metrics.gauge(
-                wiring.MONITOR_LAST_EDGES, "Edges in the latest snapshot"
-            ).set(len(snapshot.edges))
+            metrics = obs.metrics
+            metrics.counter(wiring.MONITOR_SNAPSHOTS).inc()
+            metrics.gauge(wiring.MONITOR_LAST_EDGES).set(len(snapshot.edges))
             obs.emit(
                 snapshot.taken_at, "monitor.snapshot",
                 len(self.snapshots) - 1, len(snapshot.edges),
             )
             if len(self.snapshots) >= 2:
                 report = self.churn_between(-2, -1)
-                obs.metrics.gauge(
-                    wiring.MONITOR_LAST_CHURN,
-                    "Churn rate between the two latest snapshots",
-                ).set(report.churn_rate)
-                obs.metrics.counter(
-                    wiring.MONITOR_EDGES_ADDED,
-                    "Edges that appeared between consecutive snapshots",
-                ).inc(len(report.added))
-                obs.metrics.counter(
-                    wiring.MONITOR_EDGES_REMOVED,
-                    "Edges that vanished between consecutive snapshots",
-                ).inc(len(report.removed))
+                metrics.gauge(wiring.MONITOR_LAST_CHURN).set(report.churn_rate)
+                metrics.counter(wiring.MONITOR_EDGES_ADDED).inc(len(report.added))
+                metrics.counter(wiring.MONITOR_EDGES_REMOVED).inc(len(report.removed))
                 obs.emit(
                     snapshot.taken_at, "monitor.churn",
                     report.from_time, report.to_time,
@@ -363,26 +350,13 @@ class TopologyMonitor:
             self.stream.write(json.dumps(record, sort_keys=True) + "\n")
         obs = self.shot.obs
         if obs.enabled:
-            from repro.obs import wiring
-
-            obs.metrics.counter(
-                wiring.MONITOR_DELTA_ROUNDS, "Incremental monitor rounds"
-            ).inc()
-            obs.metrics.counter(
-                wiring.MONITOR_DELTA_PROBED,
-                "Pairs re-probed by incremental rounds",
-            ).inc(len(pairs))
-            obs.metrics.counter(
-                wiring.MONITOR_DELTA_SAVED,
-                "Pairs a full re-snapshot would have probed but delta mode skipped",
-            ).inc(max(0, universe_pairs - len(pairs)))
-            obs.metrics.gauge(
-                wiring.MONITOR_LAST_EDGES, "Edges in the latest snapshot"
-            ).set(len(after))
-            obs.metrics.gauge(
-                wiring.MONITOR_LAST_CHURN,
-                "Churn rate between the two latest snapshots",
-            ).set(report.churn_rate)
+            metrics = obs.metrics
+            saved = max(0, universe_pairs - len(pairs))
+            metrics.counter(wiring.MONITOR_DELTA_ROUNDS).inc()
+            metrics.counter(wiring.MONITOR_DELTA_PROBED).inc(len(pairs))
+            metrics.counter(wiring.MONITOR_DELTA_SAVED).inc(saved)
+            metrics.gauge(wiring.MONITOR_LAST_EDGES).set(len(after))
+            metrics.gauge(wiring.MONITOR_LAST_CHURN).set(report.churn_rate)
             obs.emit(
                 now, "monitor.delta",
                 len(pairs), len(report.added), len(report.removed),

@@ -66,7 +66,7 @@ from repro.eth.network import Network
 from repro.eth.rpc import HARDENED_POLICY, RAW_POLICY
 from repro.eth.supernode import Supernode
 from repro.netgen.ethereum import NetworkSpec, generate_network
-from repro.obs import NULL, Observability
+from repro.obs import NULL, Observability, wiring
 from repro.sim.faults import FaultPlan
 from repro.sim.invariants import InvariantChecker
 from repro.sim.rng import spawn_seed
@@ -384,12 +384,13 @@ class CampaignReplica:
 
         With ``collect_obs`` a fresh :class:`~repro.obs.Observability`
         bundle is installed for the shard and its snapshot (metrics plus
-        the retained event records) rides along in the result (see
-        :func:`merge_obs_snapshots`). Counter values mirror the replica's
-        cumulative simulation counters, which restore to their post-setup
-        baseline at every reset — so per-shard counts include that shared
-        baseline by construction. With ``check_invariants`` a fresh
-        ``InvariantChecker`` watches the shard; its report rides along too.
+        the retained event records) rides along in the result (merged by
+        :meth:`~repro.obs.metrics.MetricsRegistry.absorb`). Counter values
+        mirror the replica's cumulative simulation counters, which restore
+        to their post-setup baseline at every reset — so per-shard counts
+        include that shared baseline by construction. With
+        ``check_invariants`` a fresh ``InvariantChecker`` watches the shard;
+        its report rides along too.
         """
         wall_start = perf_counter()
         checker = InvariantChecker() if check_invariants else None
@@ -515,89 +516,6 @@ class ParallelCheckpoint(repro_io.CheckpointFile):
             raise CheckpointError(
                 f"malformed parallel checkpoint: {exc}"
             ) from exc
-
-
-# ----------------------------------------------------------------------
-# Observability merging
-# ----------------------------------------------------------------------
-def merge_obs_snapshots(snapshots: Sequence[dict]) -> dict:
-    """Merge per-shard ``Observability.snapshot()`` payloads into one.
-
-    Merge rules per metric family, keyed by (name, labels):
-
-    * **counter** — values sum (each shard's count includes the replica's
-      shared post-setup baseline, see :meth:`CampaignReplica.run_shard`);
-    * **gauge** — last shard (highest position in the input) wins;
-    * **histogram** — ``count``/``sum`` add, ``min``/``max`` combine;
-      quantiles are dropped (reservoirs are not mergeable).
-
-    Event-log counts sum; the retained records concatenate in input
-    (shard) order, each keeping its own shard's simulated time.
-    """
-    merged_metrics: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], dict] = {}
-    events = {"recorded": 0, "retained": 0, "dropped": 0}
-    records: List[list] = []
-    for snapshot in snapshots:
-        if not snapshot:
-            continue
-        for sample in snapshot.get("metrics", []):
-            key = (
-                sample["name"],
-                tuple(sorted(sample.get("labels", {}).items())),
-            )
-            existing = merged_metrics.get(key)
-            if existing is None:
-                merged_metrics[key] = dict(sample)
-                if sample["type"] == "histogram":
-                    for quantile in ("p50", "p90", "p99"):
-                        merged_metrics[key][quantile] = None
-                continue
-            kind = sample["type"]
-            if kind == "counter":
-                existing["value"] += sample["value"]
-            elif kind == "gauge":
-                existing["value"] = sample["value"]
-            else:  # histogram
-                existing["count"] += sample["count"]
-                existing["sum"] += sample["sum"]
-                for bound, pick in (("min", min), ("max", max)):
-                    values = [
-                        v for v in (existing[bound], sample[bound]) if v is not None
-                    ]
-                    existing[bound] = pick(values) if values else None
-        shard_events = snapshot.get("events", {})
-        for count_key in events:
-            events[count_key] += shard_events.get(count_key, 0)
-        records.extend(shard_events.get("records", ()))
-    return {
-        "metrics": [merged_metrics[key] for key in sorted(merged_metrics)],
-        "events": {**events, "records": records},
-    }
-
-
-def load_metrics_into_registry(registry, samples: Sequence[dict]) -> None:
-    """Write merged metric samples into a live :class:`MetricsRegistry`.
-
-    Counters adopt the merged totals (``set_total``), gauges are set, and
-    histograms get their exact ``count``/``sum``/``min``/``max`` with an
-    empty reservoir (quantiles report ``None``). Used by
-    :func:`run_campaign` so ``--metrics-out`` exports work unchanged in
-    sharded mode.
-    """
-    for sample in samples:
-        name = sample["name"]
-        labels = sample.get("labels") or None
-        kind = sample["type"]
-        if kind == "counter":
-            registry.counter(name, labels=labels).set_total(sample["value"])
-        elif kind == "gauge":
-            registry.gauge(name, labels=labels).set(sample["value"])
-        else:
-            histogram = registry.histogram(name, labels=labels)
-            histogram.count = sample["count"]
-            histogram.sum = sample["sum"]
-            histogram.min = sample["min"]
-            histogram.max = sample["max"]
 
 
 # ----------------------------------------------------------------------
@@ -763,17 +681,13 @@ def run_campaign(
                 invariants.absorb(result.invariants)
 
     if collect_obs and obs_snapshots:
-        from repro.obs import wiring
-
-        merged = merge_obs_snapshots(obs_snapshots)
-        load_metrics_into_registry(obs.metrics, merged["metrics"])
-        for record in merged["events"]["records"]:
-            obs.emit(*record)
+        for snapshot in obs_snapshots:
+            obs.metrics.absorb(snapshot.get("metrics", ()))
+            for record in snapshot.get("events", {}).get("records", ()):
+                obs.emit(*record)
         # Distinct-edge count is a cross-shard fact, so the driver sets it
         # after the merge rather than trusting any shard's gauge.
-        obs.metrics.gauge(
-            wiring.CAMPAIGN_EDGES, "Distinct edges detected so far"
-        ).set(len(measurement.edges))
+        obs.metrics.gauge(wiring.CAMPAIGN_EDGES).set(len(measurement.edges))
 
     # The campaign's tail: confidence labels from the merged evidence,
     # then the score. Cross-validation probes the world, so it gets a seed

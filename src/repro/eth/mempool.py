@@ -327,9 +327,9 @@ class Mempool:
         the per-add heappush in ``_place`` — is deferred to a
         single :meth:`_rebuild_price_heaps` at the end. Once the pool can
         fill, the remainder falls back to sequential :meth:`add` (victim
-        selection needs live heaps). ``stop_when_full=True`` instead
-        replicates the legacy prefill loop exactly: stop offering the
-        moment the pool is full, never evict.
+        selection needs live heaps) — unless ``stop_when_full=True``, which
+        stops offering the moment the pool is full and never evicts (a
+        chunk never exceeds the free room, so the fast path already does).
 
         Equivalent to sequential :meth:`add` on every canonical observable
         (transaction set, pending/future split, per-sender views, stats).
@@ -352,47 +352,37 @@ class Mempool:
         mutated = False
         self._heaps_deferred = True
         try:
-            if stop_when_full:
-                for tx in txs:
-                    if len(by_hash) >= capacity:
-                        break
+            i = 0
+            n = len(txs)
+            while i < n:
+                room = capacity - len(by_hash)
+                if room <= 0:
+                    break
+                remaining = n - i
+                chunk_end = i + (remaining if room >= remaining else room)
+                for tx in txs[i:chunk_end]:
                     result = self._add_inner(tx)
                     key = _OUTCOME_KEY[result.outcome]
                     stats[key] += 1
                     counts[key] = counts.get(key, 0) + 1
                     mutated = mutated or result.admitted
-            else:
-                i = 0
-                n = len(txs)
-                while i < n:
-                    room = capacity - len(by_hash)
-                    if room <= 0:
-                        break
-                    remaining = n - i
-                    chunk_end = i + (remaining if room >= remaining else room)
-                    for tx in txs[i:chunk_end]:
-                        result = self._add_inner(tx)
-                        key = _OUTCOME_KEY[result.outcome]
-                        stats[key] += 1
-                        counts[key] = counts.get(key, 0) + 1
-                        mutated = mutated or result.admitted
-                    i = chunk_end
-                if i < n:
-                    # Pool can now fill: rebuild the heaps the deferred
-                    # chunks skipped, then let add() handle eviction.
-                    self._heaps_deferred = False
-                    if mutated:
-                        self._rebuild_price_heaps()
-                        mutated = False
-                    for tx in txs[i:]:
-                        result = self.add(tx)
-                        key = _OUTCOME_KEY[result.outcome]
-                        counts[key] = counts.get(key, 0) + 1
-                        if result.evicted:
-                            counts["evictions"] = counts.get(
-                                "evictions", 0
-                            ) + len(result.evicted)
-                    return counts
+                i = chunk_end
+            if i < n and not stop_when_full:
+                # Pool can now fill: rebuild the heaps the deferred
+                # chunks skipped, then let add() handle eviction.
+                self._heaps_deferred = False
+                if mutated:
+                    self._rebuild_price_heaps()
+                    mutated = False
+                for tx in txs[i:]:
+                    result = self.add(tx)
+                    key = _OUTCOME_KEY[result.outcome]
+                    counts[key] = counts.get(key, 0) + 1
+                    if result.evicted:
+                        counts["evictions"] = counts.get(
+                            "evictions", 0
+                        ) + len(result.evicted)
+                return counts
         finally:
             self._heaps_deferred = False
         if mutated:

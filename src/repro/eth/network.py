@@ -33,7 +33,7 @@ from repro.errors import (
 from repro.eth.chain import Chain
 from repro.eth.messages import Message
 from repro.eth.node import Node, NodeConfig
-from repro.obs import NULL, Observability
+from repro.obs import NULL, Observability, wiring
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.idmap import IdMap
@@ -426,14 +426,12 @@ class Network:
         bundle twice is a no-op; installing a different one replaces the
         hook but leaves the old bundle's collectors intact.
         """
-        from repro.obs.wiring import instrument_network
-
         if obs is None:
             obs = Observability()
         if obs is self.obs:
             return obs
         self.obs = obs
-        instrument_network(obs, self, per_node=per_node)
+        wiring.instrument_network(obs, self, per_node=per_node)
         return obs
 
     def clear_observability(self) -> None:

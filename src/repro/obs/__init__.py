@@ -6,8 +6,9 @@ One :class:`Observability` object bundles a
 switch.  The design contract, relied on by every instrumented module:
 
 - **disabled is free.**  :data:`NULL` (the module-wide disabled instance)
-  hands out shared no-op instruments and a no-op ``emit``, and hot paths
-  are wired *pull-style* (collectors read counters the simulation already
+  has ``enabled`` false and a pre-bound no-op ``emit``; push sites guard on
+  ``obs.enabled`` before they touch ``obs.metrics``, and hot paths are
+  wired *pull-style* (collectors read counters the simulation already
   keeps), so a run without observability executes the identical code it
   did before this layer existed.
 - **enabled is cheap.**  Push sites fire only on cold events (faults,
@@ -33,7 +34,7 @@ documentation is ``docs/observability.md``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Optional
 
 from repro.obs.events import DEFAULT_CAPACITY, EventLog
 from repro.obs.metrics import (
@@ -42,6 +43,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
+from repro.obs import wiring  # noqa: F401 - the catalog every registry reads
 
 __all__ = [
     "Counter",
@@ -58,36 +60,14 @@ def _noop(*_args: object, **_kwargs: object) -> None:
     """Shared pre-bound sink for disabled observability."""
 
 
-class _NoopInstrument:
-    """Counter/gauge/histogram stand-in whose every method does nothing."""
-
-    __slots__ = ()
-
-    inc = _noop
-    dec = _noop
-    set = _noop
-    set_total = _noop
-    observe = _noop
-
-    def quantile(self, _q: float) -> None:
-        return None
-
-    def sample(self) -> Dict[str, object]:  # pragma: no cover - debugging aid
-        return {"name": "<noop>", "type": "noop", "labels": {}, "value": None}
-
-
-_NOOP_INSTRUMENT = _NoopInstrument()
-
-
 class Observability:
     """Metrics registry + event log behind one switch.
 
     ``emit`` is pre-bound in ``__init__``: the enabled instance's ``emit``
     *is* ``EventLog.append`` (no wrapper frame), the disabled instance's is
-    a shared no-op.  Instrument factories behave the same way — a disabled
-    instance returns one shared do-nothing instrument, so call sites never
-    branch on ``enabled`` themselves unless they want to skip argument
-    construction too.
+    a shared no-op.  Instruments have no such stand-in: a site that pushes
+    to ``metrics`` checks ``enabled`` first, which also skips building the
+    arguments.
     """
 
     def __init__(
@@ -105,40 +85,6 @@ class Observability:
     @classmethod
     def disabled(cls) -> "Observability":
         return cls(enabled=False, event_capacity=1)
-
-    # ------------------------------------------------------------------
-    # Instrument factories (no-ops when disabled)
-    # ------------------------------------------------------------------
-    def counter(
-        self,
-        name: str,
-        help: str = "",
-        labels: Optional[Mapping[str, str]] = None,
-    ):
-        if not self.enabled:
-            return _NOOP_INSTRUMENT
-        return self.metrics.counter(name, help, labels)
-
-    def gauge(
-        self,
-        name: str,
-        help: str = "",
-        labels: Optional[Mapping[str, str]] = None,
-    ):
-        if not self.enabled:
-            return _NOOP_INSTRUMENT
-        return self.metrics.gauge(name, help, labels)
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labels: Optional[Mapping[str, str]] = None,
-        max_samples: int = 1024,
-    ):
-        if not self.enabled:
-            return _NOOP_INSTRUMENT
-        return self.metrics.histogram(name, help, labels, max_samples)
 
     # ------------------------------------------------------------------
     # Snapshots

@@ -109,7 +109,7 @@ def metrics_to_prometheus(registry: MetricsRegistry) -> str:
         name = _prom_name(instrument.name)
         if name not in seen_header:
             seen_header.add(name)
-            help_text = registry.help_for(instrument.name) or instrument.help
+            help_text = registry.help_for(instrument.name)
             if help_text:
                 out.append(f"# HELP {name} {help_text}")
             prom_type = (

@@ -13,7 +13,11 @@ types those observations need:
   latencies, batch sizes) exposing count/sum/min/max and quantiles.
 
 A :class:`MetricsRegistry` owns the instruments, keyed by (name, labels).
-Instrumentation is split into two disciplines so that hot paths stay hot:
+A name's type, help text and label keys are written down once, as a
+:class:`Metric` declaration (the stack's are in :mod:`repro.obs.wiring`);
+the registry reads them from there, so call sites pass the name and nothing
+else.  Instrumentation is split into two disciplines so that hot paths stay
+hot:
 
 - **push**: cold call sites hold an instrument and call ``inc``/``observe``
   directly (fault events, campaign iterations);
@@ -29,7 +33,7 @@ can never perturb a deterministic run (the golden fingerprints of
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Type, Union
 
 from repro.errors import ObservabilityError
 
@@ -49,11 +53,10 @@ class Counter:
     """A monotonically increasing count."""
 
     kind = "counter"
-    __slots__ = ("name", "help", "labels", "value")
+    __slots__ = ("name", "labels", "value")
 
-    def __init__(self, name: str, help: str = "", labels: LabelKey = ()) -> None:
+    def __init__(self, name: str, labels: LabelKey = ()) -> None:
         self.name = name
-        self.help = help
         self.labels = labels
         self.value: Number = 0
 
@@ -87,11 +90,10 @@ class Gauge:
     """A point-in-time value that can go up and down."""
 
     kind = "gauge"
-    __slots__ = ("name", "help", "labels", "value")
+    __slots__ = ("name", "labels", "value")
 
-    def __init__(self, name: str, help: str = "", labels: LabelKey = ()) -> None:
+    def __init__(self, name: str, labels: LabelKey = ()) -> None:
         self.name = name
-        self.help = help
         self.labels = labels
         self.value: Number = 0
 
@@ -127,7 +129,6 @@ class Histogram:
     kind = "histogram"
     __slots__ = (
         "name",
-        "help",
         "labels",
         "max_samples",
         "count",
@@ -141,7 +142,6 @@ class Histogram:
     def __init__(
         self,
         name: str,
-        help: str = "",
         labels: LabelKey = (),
         max_samples: int = DEFAULT_RESERVOIR,
     ) -> None:
@@ -150,7 +150,6 @@ class Histogram:
                 f"histogram {name!r} needs max_samples >= 2, got {max_samples}"
             )
         self.name = name
-        self.help = help
         self.labels = labels
         self.max_samples = max_samples
         self.count = 0
@@ -215,6 +214,29 @@ class Histogram:
 
 
 Instrument = Union[Counter, Gauge, Histogram]
+_FACTORIES = {cls.kind: cls for cls in (Counter, Gauge, Histogram)}
+
+#: Every declared metric by name, filled by :class:`Metric` itself.
+CATALOG: Dict[str, "Metric"] = {}
+
+
+class Metric(str):
+    """A declared metric: the name — a plain ``str`` to every consumer —
+    carrying the one kind, help text and set of label keys all its series
+    share. Declaring a name twice, or with an unknown kind, raises."""
+
+    __slots__ = ("kind", "help", "labels")
+
+    def __new__(cls, name: str, help: str, *labels: str, kind: str) -> "Metric":
+        if kind not in _FACTORIES or name in CATALOG:
+            raise ObservabilityError(
+                f"metric {name!r} declared twice or with unknown kind {kind!r}"
+            )
+        self = CATALOG[name] = super().__new__(cls, name)
+        self.kind = kind
+        self.help = help
+        self.labels = labels
+        return self
 
 
 class MetricsRegistry:
@@ -222,7 +244,10 @@ class MetricsRegistry:
 
     One metric *name* maps to one instrument type and one help string; the
     same name with different labels yields distinct instruments of the same
-    family (how Prometheus models labeled series).
+    family (how Prometheus models labeled series). For a declared name
+    (:data:`CATALOG`) type, help and the admissible label keys come from
+    the declaration; an undeclared one takes them from its first
+    registration.
     """
 
     def __init__(self) -> None:
@@ -236,32 +261,33 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def _get(
         self,
-        factory: type,
+        factory: Type[Instrument],
         name: str,
         help: str,
         labels: Optional[Mapping[str, str]],
-        **kwargs: object,
+        **kwargs: int,
     ) -> Instrument:
+        name = str(name)  # a declaration is a str subclass; samples carry str
         key = (name, _label_key(labels))
-        instrument = self._instruments.get(key)
-        if instrument is not None:
-            if not isinstance(instrument, factory):
-                raise ObservabilityError(
-                    f"metric {name!r} already registered as "
-                    f"{instrument.kind}, not {factory.kind}"  # type: ignore[attr-defined]
-                )
-            return instrument
-        registered_kind = self._kinds.get(name)
-        if registered_kind is not None and registered_kind != factory.kind:  # type: ignore[attr-defined]
+        declared = CATALOG.get(name)
+        kind = declared.kind if declared is not None else self._kinds.get(name)
+        if kind not in (None, factory.kind):
             raise ObservabilityError(
-                f"metric {name!r} already registered as {registered_kind}, "
-                f"not {factory.kind}"  # type: ignore[attr-defined]
+                f"metric {name!r} is a {kind}, not a {factory.kind}"
             )
-        instrument = factory(name, help=help, labels=key[1], **kwargs)
-        self._instruments[key] = instrument
-        self._kinds[name] = factory.kind  # type: ignore[attr-defined]
-        if help and name not in self._help:
-            self._help[name] = help
+        instrument = self._instruments.get(key)
+        if instrument is None:
+            if declared is not None:
+                help = declared.help
+                if not {k for k, _ in key[1]}.issubset(declared.labels):
+                    raise ObservabilityError(
+                        f"metric {name!r} declares labels {declared.labels}, "
+                        f"not {sorted(dict(key[1]))}"
+                    )
+            instrument = self._instruments[key] = factory(name, key[1], **kwargs)
+            self._kinds[name] = factory.kind
+            if help:
+                self._help.setdefault(name, help)
         return instrument
 
     def counter(
@@ -293,6 +319,38 @@ class MetricsRegistry:
 
     def help_for(self, name: str) -> str:
         return self._help.get(name, "")
+
+    def put(self, metric: Metric, value: Number, /, **labels: str) -> None:
+        """One row of pull wiring, series <- value: a declared counter
+        adopts ``value`` as its running total, a gauge as its level."""
+        if metric.kind == "counter":
+            self.counter(metric, labels=labels).set_total(value)
+        else:
+            self.gauge(metric, labels=labels).set(value)
+
+    def absorb(self, samples: List[dict]) -> None:
+        """Fold another registry's :meth:`snapshot` (one shard's, say) into
+        this one, series by series: counters sum, a gauge takes the
+        absorbed value (so the last absorbed wins), histograms add
+        ``count``/``sum`` and combine ``min``/``max``. Reservoirs are not
+        mergeable, so absorbed observations never reach the quantiles — a
+        histogram that was only absorbed into reports them as ``None``.
+        An undeclared name is created as the sample's own ``type``.
+        """
+        for sample in samples:
+            factory = _FACTORIES[sample["type"]]
+            into = self._get(factory, sample["name"], "", sample.get("labels"))
+            if factory is Counter:
+                into.value += sample["value"]
+            elif factory is Gauge:
+                into.value = sample["value"]
+            else:
+                into.count += sample["count"]
+                into.sum += sample["sum"]
+                for bound, pick in (("min", min), ("max", max)):
+                    seen = [getattr(into, bound), sample[bound]]
+                    seen = [value for value in seen if value is not None]
+                    setattr(into, bound, pick(seen) if seen else None)
 
     # ------------------------------------------------------------------
     # Pull collectors

@@ -1,11 +1,17 @@
-"""Pull-based instrumentation of the simulation stack (the metric catalog).
+"""The metric catalog, and pull-based instrumentation of the stack.
 
-This module is the single place where the stack's metric *names* are
-defined, so the catalog in ``docs/observability.md`` has one source of
-truth.  All wiring here is **pull**: collectors registered on the
-registry read counters the engine, transport, mempools and fault injector
-maintain anyway, and copy them into instruments at collect/export time.
-The instrumented hot paths therefore run the same machine code whether
+Every ``toposhot_*`` series is declared here and only here: one
+:class:`~repro.obs.metrics.Metric` per name, carrying its type, help text
+and label keys (``docs/observability.md`` renders the same table for
+operators; ``tests/obs/test_wiring.py`` holds the two together). To add a
+metric, declare it below, then look it up by its constant —
+``obs.metrics.counter(wiring.MY_METRIC).inc()`` at a push site, a
+``put(MY_METRIC, value)`` row in a collector — and add its row to the docs.
+
+All wiring here is **pull**: collectors registered on the registry read
+counters the engine, transport, mempools and fault injector maintain
+anyway, and copy them into instruments at collect/export time. The
+instrumented hot paths therefore run the same machine code whether
 observability is attached or not — which is what keeps the golden
 determinism fingerprints and the engine-throughput bench untouched.
 
@@ -18,222 +24,379 @@ snapshots) lives at the call sites in :mod:`repro.sim.faults`,
 
 from __future__ import annotations
 
+import collections
+from functools import partial
 from typing import TYPE_CHECKING
 
-from repro.obs import Observability
+from repro.obs.metrics import Metric
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.eth.network import Network
+    from repro.obs import Observability
     from repro.service.server import MeasurementService
     from repro.sim.engine import Simulator
 
-# Metric names (the catalog; keep docs/observability.md in sync).
-SIM_TIME = "toposhot_sim_time_seconds"
-SIM_EVENTS_EXECUTED = "toposhot_sim_events_executed_total"
-SIM_EVENTS_PENDING = "toposhot_sim_events_pending"
 
-MESSAGES_SENT = "toposhot_messages_sent_total"
-MESSAGES_BY_KIND = "toposhot_messages_total"
-MESSAGES_DROPPED = "toposhot_messages_dropped_total"
-DROPS_BY_REASON = "toposhot_message_drops_total"
-NODES = "toposhot_nodes"
-NODES_CRASHED = "toposhot_nodes_crashed"
-LINKS = "toposhot_links"
+_counter, _gauge, _histogram = (
+    partial(Metric, kind=kind) for kind in ("counter", "gauge", "histogram")
+)
 
-MEMPOOL_TRANSACTIONS = "toposhot_mempool_transactions"
-MEMPOOL_PENDING = "toposhot_mempool_pending_transactions"
-MEMPOOL_OUTCOMES = "toposhot_mempool_outcomes_total"
-MEMPOOL_EVICTIONS = "toposhot_mempool_evictions_total"
-MEMPOOL_REPLACEMENTS = "toposhot_mempool_replacements_total"
+SIM_TIME = _gauge("toposhot_sim_time_seconds", "Current simulated clock")
+SIM_EVENTS_EXECUTED = _counter(
+    "toposhot_sim_events_executed_total", "Events executed by the discrete-event engine"
+)
+SIM_EVENTS_PENDING = _gauge(
+    "toposhot_sim_events_pending", "Events still queued (including cancelled)"
+)
 
-SUPERNODE_OBSERVATIONS = "toposhot_supernode_observations_total"
+MESSAGES_SENT = _counter("toposhot_messages_sent_total", "Messages handed to transport")
+MESSAGES_BY_KIND = _counter(
+    "toposhot_messages_total", "Messages sent by message kind", "kind"
+)
+MESSAGES_DROPPED = _counter(
+    "toposhot_messages_dropped_total", "Messages that never reached their target"
+)
+DROPS_BY_REASON = _counter(
+    "toposhot_message_drops_total", "Message drops by reason", "reason"
+)
+NODES = _gauge("toposhot_nodes", "Nodes attached to the network")
+NODES_CRASHED = _gauge("toposhot_nodes_crashed", "Nodes currently down")
+LINKS = _gauge("toposhot_links", "Active overlay links")
 
-FAULTS_FIRED = "toposhot_faults_total"
-FAULT_MESSAGES_DROPPED = "toposhot_fault_messages_dropped_total"
-FAULT_SEND_TIMEOUTS = "toposhot_fault_send_timeouts_total"
-FAULT_CRASHES = "toposhot_fault_crashes_total"
-FAULT_CHURN = "toposhot_fault_churn_events_total"
+MEMPOOL_TRANSACTIONS = _gauge(
+    "toposhot_mempool_transactions", "Buffered transactions across all pools", "node"
+)
+MEMPOOL_PENDING = _gauge(
+    "toposhot_mempool_pending_transactions", "Executable transactions across all pools"
+)
+MEMPOOL_OUTCOMES = _counter(
+    "toposhot_mempool_outcomes_total", "Mempool admission outcomes", "outcome"
+)
+MEMPOOL_EVICTIONS = _counter(
+    "toposhot_mempool_evictions_total", "Transactions evicted from full pools", "node"
+)
+MEMPOOL_REPLACEMENTS = _counter(
+    "toposhot_mempool_replacements_total",
+    "Transactions replaced in a node's pool",
+    "node",
+)
 
-RPC_FAULTS_INJECTED = "toposhot_rpc_faults_injected_total"
-RPC_CALLS = "toposhot_rpc_calls_total"
-RPC_ATTEMPTS = "toposhot_rpc_attempts_total"
-RPC_RETRIES = "toposhot_rpc_retries_total"
-RPC_HEDGES = "toposhot_rpc_hedged_attempts_total"
-RPC_RATE_LIMITED = "toposhot_rpc_rate_limited_total"
-RPC_BREAKER_REJECTIONS = "toposhot_rpc_breaker_rejections_total"
-RPC_EXHAUSTED = "toposhot_rpc_exhausted_total"
-RPC_DEGRADED_LOOKUPS = "toposhot_rpc_degraded_lookups_total"
-RPC_SNAPSHOT_VERDICTS = "toposhot_rpc_snapshot_verdicts_total"
-RPC_ENDPOINT_HEALTH = "toposhot_rpc_endpoint_health"
+SUPERNODE_OBSERVATIONS = _counter(
+    "toposhot_supernode_observations_total",
+    "Supernode possession observations by evidence kind",
+    "kind",
+)
 
-CAMPAIGN_ITERATIONS = "toposhot_campaign_iterations_total"
-CAMPAIGN_EDGES = "toposhot_campaign_edges_detected"
-CAMPAIGN_TXS = "toposhot_campaign_transactions_sent_total"
-CAMPAIGN_SETUP_FAILURES = "toposhot_campaign_setup_failures_total"
-CAMPAIGN_SEND_TIMEOUTS = "toposhot_campaign_send_timeouts_total"
-CAMPAIGN_FAILURES = "toposhot_campaign_failures_total"
-CAMPAIGN_ITER_SIM_SECONDS = "toposhot_campaign_iteration_sim_seconds"
-CAMPAIGN_ITER_WALL_SECONDS = "toposhot_campaign_iteration_wall_seconds"
-CAMPAIGN_CROSS_VALIDATIONS = "toposhot_campaign_cross_validations_total"
-CAMPAIGN_QUARANTINED = "toposhot_campaign_quarantined_edges_total"
+FAULTS_FIRED = _counter("toposhot_faults_total", "Fault events fired by kind", "kind")
+FAULT_MESSAGES_DROPPED = _counter(
+    "toposhot_fault_messages_dropped_total", "Deliveries dropped by injected loss"
+)
+FAULT_SEND_TIMEOUTS = _counter(
+    "toposhot_fault_send_timeouts_total", "Supernode injections timed out"
+)
+FAULT_CRASHES = _counter(
+    "toposhot_fault_crashes_total", "Nodes crashed by fault injection"
+)
+FAULT_CHURN = _counter(
+    "toposhot_fault_churn_events_total", "Links churned by fault injection"
+)
 
-ARENA_PROTOCOLS_RUN = "toposhot_arena_protocols_run_total"
-ARENA_PREDICTED_EDGES = "toposhot_arena_predicted_edges"
-ARENA_PROBE_TXS = "toposhot_arena_probe_transactions_total"
-ARENA_PROBE_MESSAGES = "toposhot_arena_probe_messages_total"
-ARENA_SIM_SECONDS = "toposhot_arena_protocol_sim_seconds"
-ARENA_WALL_SECONDS = "toposhot_arena_protocol_wall_seconds"
+RPC_FAULTS_INJECTED = _counter(
+    "toposhot_rpc_faults_injected_total", "RPC-plane faults injected, by kind", "kind"
+)
+RPC_CALLS = _counter(
+    "toposhot_rpc_calls_total", "Logical RPC calls issued by the client"
+)
+RPC_ATTEMPTS = _counter(
+    "toposhot_rpc_attempts_total", "Physical RPC attempts (incl. retries)"
+)
+RPC_RETRIES = _counter(
+    "toposhot_rpc_retries_total", "RPC attempts beyond the first, per call"
+)
+RPC_HEDGES = _counter(
+    "toposhot_rpc_hedged_attempts_total", "Hedged re-attempts after a timed-out read"
+)
+RPC_RATE_LIMITED = _counter(
+    "toposhot_rpc_rate_limited_total", "Attempts deferred by endpoint throttling"
+)
+RPC_BREAKER_REJECTIONS = _counter(
+    "toposhot_rpc_breaker_rejections_total",
+    "Calls refused because the endpoint breaker was open",
+)
+RPC_EXHAUSTED = _counter(
+    "toposhot_rpc_exhausted_total", "Calls that ran out of attempts"
+)
+RPC_DEGRADED_LOOKUPS = _counter(
+    "toposhot_rpc_degraded_lookups_total",
+    "Pool lookups that returned unknown (degraded plane)",
+)
+RPC_SNAPSHOT_VERDICTS = _counter(
+    "toposhot_rpc_snapshot_verdicts_total",
+    "Snapshot validation verdicts, by verdict",
+    "verdict",
+)
+RPC_ENDPOINT_HEALTH = _gauge(
+    "toposhot_rpc_endpoint_health",
+    "EMA health score per RPC endpoint (1 = healthy)",
+    "node",
+)
 
-BEHAVIORS_INSTALLED = "toposhot_byzantine_nodes"
-BEHAVIOR_ACTIONS = "toposhot_byzantine_actions_total"
-INVARIANT_VIOLATIONS = "toposhot_invariant_violations_total"
+CAMPAIGN_ITERATIONS = _counter(
+    "toposhot_campaign_iterations_total", "Completed schedule iterations"
+)
+CAMPAIGN_EDGES = _gauge(
+    "toposhot_campaign_edges_detected", "Distinct edges detected so far"
+)
+CAMPAIGN_TXS = _counter(
+    "toposhot_campaign_transactions_sent_total", "Measurement transactions injected"
+)
+CAMPAIGN_SETUP_FAILURES = _counter(
+    "toposhot_campaign_setup_failures_total", "Per-link setups that failed"
+)
+CAMPAIGN_SEND_TIMEOUTS = _counter(
+    "toposhot_campaign_send_timeouts_total", "Supernode injections timed out"
+)
+CAMPAIGN_FAILURES = _counter(
+    "toposhot_campaign_failures_total", "Campaign failures by kind", "kind"
+)
+CAMPAIGN_ITER_SIM_SECONDS = _histogram(
+    "toposhot_campaign_iteration_sim_seconds",
+    "Simulated seconds consumed per iteration",
+)
+CAMPAIGN_ITER_WALL_SECONDS = _histogram(
+    "toposhot_campaign_iteration_wall_seconds", "Wall-clock seconds spent per iteration"
+)
+CAMPAIGN_CROSS_VALIDATIONS = _counter(
+    "toposhot_campaign_cross_validations_total",
+    "Suspect edges re-probed by cross-validation",
+)
+CAMPAIGN_QUARANTINED = _counter(
+    "toposhot_campaign_quarantined_edges_total",
+    "Edges quarantined after failed cross-validation",
+)
 
-MONITOR_SNAPSHOTS = "toposhot_monitor_snapshots_total"
-MONITOR_LAST_EDGES = "toposhot_monitor_last_edges"
-MONITOR_LAST_CHURN = "toposhot_monitor_last_churn_rate"
-MONITOR_EDGES_ADDED = "toposhot_monitor_edges_added_total"
-MONITOR_EDGES_REMOVED = "toposhot_monitor_edges_removed_total"
-MONITOR_DELTA_ROUNDS = "toposhot_monitor_delta_rounds_total"
-MONITOR_DELTA_PROBED = "toposhot_monitor_delta_probed_pairs_total"
-MONITOR_DELTA_SAVED = "toposhot_monitor_delta_saved_pairs_total"
+ARENA_PROTOCOLS_RUN = _counter(
+    "toposhot_arena_protocols_run_total", "Arena protocol executions", "protocol"
+)
+ARENA_PREDICTED_EDGES = _gauge(
+    "toposhot_arena_predicted_edges",
+    "Edges predicted by each edge-measuring protocol",
+    "protocol",
+)
+ARENA_PROBE_TXS = _counter(
+    "toposhot_arena_probe_transactions_total",
+    "Probe transactions sent per protocol",
+    "protocol",
+)
+ARENA_PROBE_MESSAGES = _counter(
+    "toposhot_arena_probe_messages_total",
+    "Network messages attributable to each protocol's run",
+    "protocol",
+)
+ARENA_SIM_SECONDS = _histogram(
+    "toposhot_arena_protocol_sim_seconds",
+    "Simulated seconds per protocol run",
+    "protocol",
+)
+ARENA_WALL_SECONDS = _histogram(
+    "toposhot_arena_protocol_wall_seconds",
+    "Wall-clock seconds per protocol run",
+    "protocol",
+)
 
-FEEMARKET_FLOOR = "toposhot_feemarket_floor_wei"
-FEEMARKET_SURGE = "toposhot_feemarket_surge_multiplier"
-FEEMARKET_OCCUPANCY = "toposhot_feemarket_sampled_occupancy"
-FEEMARKET_UPDATES = "toposhot_feemarket_updates_total"
-FEEMARKET_REJECTED = "toposhot_feemarket_rejected_total"
+BEHAVIORS_INSTALLED = _gauge(
+    "toposhot_byzantine_nodes",
+    "Nodes currently running each Byzantine behavior",
+    "kind",
+)
+BEHAVIOR_ACTIONS = _counter(
+    "toposhot_byzantine_actions_total",
+    "Misbehaving actions taken, by behavior kind",
+    "kind",
+)
+INVARIANT_VIOLATIONS = _counter(
+    "toposhot_invariant_violations_total",
+    "Runtime invariant violations, by invariant",
+    "invariant",
+)
 
-WORKLOAD_TICKS = "toposhot_workload_ticks_total"
-WORKLOAD_OFFERED = "toposhot_workload_offered_total"
-WORKLOAD_FLOOR_REJECTED = "toposhot_workload_floor_rejected_total"
-WORKLOAD_MATERIALIZED = "toposhot_workload_materialized_total"
-WORKLOAD_REPLACEMENTS = "toposhot_workload_replacements_total"
-WORKLOAD_OFFERED_RATE = "toposhot_workload_offered_tx_per_second"
+MONITOR_SNAPSHOTS = _counter(
+    "toposhot_monitor_snapshots_total", "Topology snapshots taken"
+)
+MONITOR_LAST_EDGES = _gauge(
+    "toposhot_monitor_last_edges", "Edges in the latest snapshot"
+)
+MONITOR_LAST_CHURN = _gauge(
+    "toposhot_monitor_last_churn_rate", "Churn rate between the two latest snapshots"
+)
+MONITOR_EDGES_ADDED = _counter(
+    "toposhot_monitor_edges_added_total",
+    "Edges that appeared between consecutive snapshots",
+)
+MONITOR_EDGES_REMOVED = _counter(
+    "toposhot_monitor_edges_removed_total",
+    "Edges that vanished between consecutive snapshots",
+)
+MONITOR_DELTA_ROUNDS = _counter(
+    "toposhot_monitor_delta_rounds_total", "Incremental monitor rounds"
+)
+MONITOR_DELTA_PROBED = _counter(
+    "toposhot_monitor_delta_probed_pairs_total", "Pairs re-probed by incremental rounds"
+)
+MONITOR_DELTA_SAVED = _counter(
+    "toposhot_monitor_delta_saved_pairs_total",
+    "Pairs a full re-snapshot would have probed but delta mode skipped",
+)
 
-SERVICE_QUEUE_DEPTH = "toposhot_service_queue_depth"
-SERVICE_RUNNING = "toposhot_service_running_jobs"
-SERVICE_JOBS_BY_STATE = "toposhot_service_jobs"
-SERVICE_ADMITTED = "toposhot_service_admitted_total"
-SERVICE_REJECTED = "toposhot_service_rejected_total"
-SERVICE_RECOVERED = "toposhot_service_recovered_jobs_total"
-SERVICE_RETRIES = "toposhot_service_retries_total"
-SERVICE_TENANT_TOKENS = "toposhot_service_tenant_tokens"
-SERVICE_BREAKER_STATE = "toposhot_service_breaker_state"
-SERVICE_BREAKER_TRIPS = "toposhot_service_breaker_trips_total"
-SERVICE_JOURNAL_APPENDS = "toposhot_service_journal_appends_total"
-SERVICE_QUEUE_SECONDS = "toposhot_service_queue_seconds"
-SERVICE_RUN_SECONDS = "toposhot_service_run_seconds"
-SERVICE_TOTAL_SECONDS = "toposhot_service_total_seconds"
+FEEMARKET_FLOOR = _gauge(
+    "toposhot_feemarket_floor_wei", "Current fee-market admission floor (wei)"
+)
+FEEMARKET_SURGE = _gauge(
+    "toposhot_feemarket_surge_multiplier", "Current surge multiplier"
+)
+FEEMARKET_OCCUPANCY = _gauge(
+    "toposhot_feemarket_sampled_occupancy", "Mean sampled pool occupancy"
+)
+FEEMARKET_UPDATES = _counter(
+    "toposhot_feemarket_updates_total", "Fee-market floor recomputations"
+)
+FEEMARKET_REJECTED = _counter(
+    "toposhot_feemarket_rejected_total",
+    "Transactions rejected below the fee-market floor",
+)
+
+WORKLOAD_TICKS = _counter(
+    "toposhot_workload_ticks_total", "Workload ticks executed", "shape"
+)
+WORKLOAD_OFFERED = _counter(
+    "toposhot_workload_offered_total", "Transactions offered by the workload", "shape"
+)
+WORKLOAD_FLOOR_REJECTED = _counter(
+    "toposhot_workload_floor_rejected_total",
+    "Offered transactions statistically rejected below the floor",
+    "shape",
+)
+WORKLOAD_MATERIALIZED = _counter(
+    "toposhot_workload_materialized_total",
+    "Transactions actually constructed and inserted",
+    "shape",
+)
+WORKLOAD_REPLACEMENTS = _counter(
+    "toposhot_workload_replacements_total",
+    "Replacement transactions submitted (MEV races)",
+    "shape",
+)
+WORKLOAD_OFFERED_RATE = _gauge(
+    "toposhot_workload_offered_tx_per_second", "Mean offered tx/s so far", "shape"
+)
+
+SERVICE_QUEUE_DEPTH = _gauge(
+    "toposhot_service_queue_depth", "Jobs queued across all tenants", "tenant"
+)
+SERVICE_RUNNING = _gauge("toposhot_service_running_jobs", "Jobs currently executing")
+SERVICE_JOBS_BY_STATE = _gauge(
+    "toposhot_service_jobs", "Jobs by lifecycle state", "state"
+)
+SERVICE_ADMITTED = _counter(
+    "toposhot_service_admitted_total", "Jobs that passed admission control"
+)
+SERVICE_REJECTED = _counter(
+    "toposhot_service_rejected_total", "Typed admission rejections, by reason", "reason"
+)
+SERVICE_RECOVERED = _counter(
+    "toposhot_service_recovered_jobs_total", "Jobs requeued by journal recovery"
+)
+SERVICE_RETRIES = _counter(
+    "toposhot_service_retries_total", "Attempt retries performed by the supervisor"
+)
+SERVICE_TENANT_TOKENS = _gauge(
+    "toposhot_service_tenant_tokens",
+    "Remaining tenant tokens, by currency",
+    "tenant",
+    "currency",
+)
+SERVICE_BREAKER_STATE = _gauge(
+    "toposhot_service_breaker_state",
+    "Circuit breaker state (0=closed, 1=half_open, 2=open)",
+)
+SERVICE_BREAKER_TRIPS = _counter(
+    "toposhot_service_breaker_trips_total", "Times the circuit breaker opened"
+)
+SERVICE_JOURNAL_APPENDS = _counter(
+    "toposhot_service_journal_appends_total", "Durable journal appends"
+)
+SERVICE_QUEUE_SECONDS = _histogram(
+    "toposhot_service_queue_seconds",
+    "Seconds from submission to first execution",
+    "tenant",
+)
+SERVICE_RUN_SECONDS = _histogram(
+    "toposhot_service_run_seconds",
+    "Seconds spent executing (including retries)",
+    "tenant",
+)
+SERVICE_TOTAL_SECONDS = _histogram(
+    "toposhot_service_total_seconds",
+    "Seconds from submission to terminal state",
+    "tenant",
+)
 
 
-def instrument_simulator(obs: Observability, sim: "Simulator") -> None:
+def instrument_simulator(obs: "Observability", sim: "Simulator") -> None:
     """Mirror the engine's own counters into the registry at collect time."""
     if not obs.enabled:
         return
-    registry = obs.metrics
-    time_gauge = registry.gauge(SIM_TIME, "Current simulated clock")
-    executed = registry.counter(
-        SIM_EVENTS_EXECUTED, "Events executed by the discrete-event engine"
-    )
-    pending = registry.gauge(
-        SIM_EVENTS_PENDING, "Events still queued (including cancelled)"
-    )
+    put = obs.metrics.put
 
     def collect() -> None:
-        time_gauge.set(sim.now)
-        executed.set_total(sim.executed_events)
-        pending.set(sim.pending_events)
+        put(SIM_TIME, sim.now)
+        put(SIM_EVENTS_EXECUTED, sim.executed_events)
+        put(SIM_EVENTS_PENDING, sim.pending_events)
 
-    registry.add_collector(collect)
+    obs.metrics.add_collector(collect)
 
 
-def instrument_service(
-    obs: Observability, service: "MeasurementService"
-) -> None:
-    """Mirror the measurement service's counters into the registry.
+def instrument_service(obs: "Observability", service: "MeasurementService") -> None:
+    """Mirror :meth:`MeasurementService.stats` into the registry.
 
     Pull-style like the rest of the stack: queue depths, admission and
     shed counters, per-tenant token levels and breaker state are read at
-    collect/export time from state the service maintains anyway.  The
+    collect/export time from the same view ``/v1/metrics`` serves.  The
     submit-to-result latency *histograms* (``SERVICE_*_SECONDS``) are the
     push exception — completions are cold events, observed directly in
     :meth:`MeasurementService._observe_completion`.
     """
     if not obs.enabled:
         return
-    from repro.service.jobs import STATES as service_states
-
-    registry = obs.metrics
-    queue_gauge = registry.gauge(
-        SERVICE_QUEUE_DEPTH, "Jobs queued across all tenants"
-    )
-    running_gauge = registry.gauge(
-        SERVICE_RUNNING, "Jobs currently executing"
-    )
-    admitted = registry.counter(
-        SERVICE_ADMITTED, "Jobs that passed admission control"
-    )
-    recovered = registry.counter(
-        SERVICE_RECOVERED, "Jobs requeued by journal recovery"
-    )
-    retries = registry.counter(
-        SERVICE_RETRIES, "Attempt retries performed by the supervisor"
-    )
-    breaker_gauge = registry.gauge(
-        SERVICE_BREAKER_STATE,
-        "Circuit breaker state (0=closed, 1=half_open, 2=open)",
-    )
-    trips = registry.counter(
-        SERVICE_BREAKER_TRIPS, "Times the circuit breaker opened"
-    )
-    journal_appends = registry.counter(
-        SERVICE_JOURNAL_APPENDS, "Durable journal appends"
-    )
+    put = obs.metrics.put
     breaker_levels = {"closed": 0, "half_open": 1, "open": 2}
 
     def collect() -> None:
-        scheduler = service.scheduler
-        admission = service.admission
-        queue_gauge.set(scheduler.queued_total())
-        for tenant, depth in scheduler.depths().items():
-            registry.gauge(
-                SERVICE_QUEUE_DEPTH, "Jobs queued across all tenants",
-                labels={"tenant": tenant},
-            ).set(depth)
-        running_gauge.set(sum(service._running.values()))
-        admitted.set_total(admission.admitted_total)
-        for reason, count in admission.rejected.items():
-            registry.counter(
-                SERVICE_REJECTED, "Typed admission rejections, by reason",
-                labels={"reason": reason},
-            ).set_total(count)
-        for tenant, levels in admission.token_levels().items():
+        stats = service.stats()
+        put(SERVICE_QUEUE_DEPTH, stats["queued"])
+        for tenant, depth in stats["queued_by_tenant"].items():
+            put(SERVICE_QUEUE_DEPTH, depth, tenant=tenant)
+        put(SERVICE_RUNNING, stats["running"])
+        put(SERVICE_ADMITTED, stats["admitted_total"])
+        for reason, count in stats["rejected"].items():
+            put(SERVICE_REJECTED, count, reason=reason)
+        for tenant, levels in stats["tokens"].items():
             for currency, value in levels.items():
-                registry.gauge(
-                    SERVICE_TENANT_TOKENS,
-                    "Remaining tenant tokens, by currency",
-                    labels={"tenant": tenant, "currency": currency},
-                ).set(value)
-        by_state = {state: 0 for state in service_states}
-        for record in service.records.values():
-            by_state[record.state] += 1
-        for state, count in by_state.items():
-            registry.gauge(
-                SERVICE_JOBS_BY_STATE, "Jobs by lifecycle state",
-                labels={"state": state},
-            ).set(count)
-        recovered.set_total(service.recovered_jobs)
-        retries.set_total(service.supervisor.retries_total)
-        breaker_gauge.set(breaker_levels.get(service.breaker.state, 0))
-        trips.set_total(service.breaker.trips_total)
-        if service.journal is not None:
-            journal_appends.set_total(service.journal.appends_total)
+                put(SERVICE_TENANT_TOKENS, value, tenant=tenant, currency=currency)
+        for state, count in stats["jobs_by_state"].items():
+            put(SERVICE_JOBS_BY_STATE, count, state=state)
+        put(SERVICE_RECOVERED, stats["recovered_jobs"])
+        put(SERVICE_RETRIES, stats["retries_total"])
+        breaker = stats["breaker"]
+        put(SERVICE_BREAKER_STATE, breaker_levels.get(breaker["state"], 0))
+        put(SERVICE_BREAKER_TRIPS, breaker["trips_total"])
+        put(SERVICE_JOURNAL_APPENDS, stats["journal"]["appends_total"])
 
-    registry.add_collector(collect)
+    obs.metrics.add_collector(collect)
 
 
 def instrument_network(
-    obs: Observability, network: "Network", per_node: bool = False
+    obs: "Observability", network: "Network", per_node: bool = False
 ) -> None:
     """Wire transport, mempool, supernode and fault-injector counters.
 
@@ -244,243 +407,116 @@ def instrument_network(
     if not obs.enabled:
         return
     instrument_simulator(obs, network.sim)
-    registry = obs.metrics
-    sent = registry.counter(MESSAGES_SENT, "Messages handed to transport")
-    dropped = registry.counter(
-        MESSAGES_DROPPED, "Messages that never reached their target"
-    )
-    nodes_gauge = registry.gauge(NODES, "Nodes attached to the network")
-    crashed_gauge = registry.gauge(NODES_CRASHED, "Nodes currently down")
-    links_gauge = registry.gauge(LINKS, "Active overlay links")
-    pool_gauge = registry.gauge(
-        MEMPOOL_TRANSACTIONS, "Buffered transactions across all pools"
-    )
-    pool_pending_gauge = registry.gauge(
-        MEMPOOL_PENDING, "Executable transactions across all pools"
-    )
+    put = obs.metrics.put
 
     def collect() -> None:
-        sent.set_total(network.messages_sent)
-        dropped.set_total(network.messages_dropped)
-        nodes_gauge.set(len(network.nodes))
-        crashed_gauge.set(network._crashed_count)
-        links_gauge.set(network.link_count)
+        put(MESSAGES_SENT, network.messages_sent)
+        put(MESSAGES_DROPPED, network.messages_dropped)
+        put(NODES, len(network.nodes))
+        put(NODES_CRASHED, network._crashed_count)
+        put(LINKS, network.link_count)
         for kind, count in network.messages_by_kind.items():
-            registry.counter(
-                MESSAGES_BY_KIND, "Messages sent by message kind",
-                labels={"kind": kind},
-            ).set_total(count)
+            put(MESSAGES_BY_KIND, count, kind=kind)
         for reason, count in network.drops_by_reason.items():
-            registry.counter(
-                DROPS_BY_REASON, "Message drops by reason",
-                labels={"reason": reason},
-            ).set_total(count)
+            put(DROPS_BY_REASON, count, reason=reason)
 
         # Mempool admission/replacement/eviction, aggregated over nodes
         # (the paper's replaced/evicted-per-target counters, §5.3).
-        totals: dict = {}
+        totals: collections.Counter = collections.Counter()
         pool_size = 0
         pool_pending = 0
-        observations: dict = {}
+        observations: collections.Counter = collections.Counter()
         for node in network.nodes.values():
             pool = node.mempool
             pool_size += len(pool)
             pool_pending += pool.pending_count
-            for key, value in pool.stats.items():
-                totals[key] = totals.get(key, 0) + value
-            counts = getattr(node, "observation_counts", None)
-            if counts:
-                for kind, value in counts.items():
-                    observations[kind] = observations.get(kind, 0) + value
+            totals.update(pool.stats)
+            observations.update(getattr(node, "observation_counts", None) or {})
             if per_node:
-                registry.gauge(
-                    MEMPOOL_TRANSACTIONS, labels={"node": node.id}
-                ).set(len(pool))
-                registry.counter(
-                    MEMPOOL_REPLACEMENTS, labels={"node": node.id}
-                ).set_total(pool.stats.get("replaced", 0))
-                registry.counter(
-                    MEMPOOL_EVICTIONS, labels={"node": node.id}
-                ).set_total(pool.stats.get("evictions", 0))
-        pool_gauge.set(pool_size)
-        pool_pending_gauge.set(pool_pending)
+                put(MEMPOOL_TRANSACTIONS, len(pool), node=node.id)
+                put(MEMPOOL_REPLACEMENTS, pool.stats.get("replaced", 0), node=node.id)
+                put(MEMPOOL_EVICTIONS, pool.stats.get("evictions", 0), node=node.id)
+        put(MEMPOOL_TRANSACTIONS, pool_size)
+        put(MEMPOOL_PENDING, pool_pending)
         for key, value in totals.items():
             if key == "evictions":
-                registry.counter(
-                    MEMPOOL_EVICTIONS, "Transactions evicted from full pools"
-                ).set_total(value)
+                put(MEMPOOL_EVICTIONS, value)
             else:
-                registry.counter(
-                    MEMPOOL_OUTCOMES, "Mempool admission outcomes",
-                    labels={"outcome": key},
-                ).set_total(value)
+                put(MEMPOOL_OUTCOMES, value, outcome=key)
         for kind, value in observations.items():
-            registry.counter(
-                SUPERNODE_OBSERVATIONS,
-                "Supernode possession observations by evidence kind",
-                labels={"kind": kind},
-            ).set_total(value)
+            put(SUPERNODE_OBSERVATIONS, value, kind=kind)
 
         faults = network.faults
         if faults is not None:
-            registry.counter(
-                FAULT_MESSAGES_DROPPED, "Deliveries dropped by injected loss"
-            ).set_total(faults.messages_dropped)
-            registry.counter(
-                FAULT_SEND_TIMEOUTS, "Supernode injections timed out"
-            ).set_total(faults.send_timeouts)
-            registry.counter(
-                FAULT_CRASHES, "Nodes crashed by fault injection"
-            ).set_total(faults.crashes)
-            registry.counter(
-                FAULT_CHURN, "Links churned by fault injection"
-            ).set_total(faults.churn_events)
+            put(FAULT_MESSAGES_DROPPED, faults.messages_dropped)
+            put(FAULT_SEND_TIMEOUTS, faults.send_timeouts)
+            put(FAULT_CRASHES, faults.crashes)
+            put(FAULT_CHURN, faults.churn_events)
             rpc_faults = faults.rpc
             if rpc_faults is not None:
-                for kind, total in (
-                    ("timeout", rpc_faults.timeouts),
-                    ("error", rpc_faults.transient_errors),
-                    ("rate_limit", rpc_faults.rate_limited),
-                    ("stale", rpc_faults.stale_served),
-                    ("truncate", rpc_faults.truncated),
-                    ("flap", rpc_faults.flaps),
-                ):
-                    registry.counter(
-                        RPC_FAULTS_INJECTED,
-                        "RPC-plane faults injected, by kind",
-                        labels={"kind": kind},
-                    ).set_total(total)
+                put(RPC_FAULTS_INJECTED, rpc_faults.timeouts, kind="timeout")
+                put(RPC_FAULTS_INJECTED, rpc_faults.transient_errors, kind="error")
+                put(RPC_FAULTS_INJECTED, rpc_faults.rate_limited, kind="rate_limit")
+                put(RPC_FAULTS_INJECTED, rpc_faults.stale_served, kind="stale")
+                put(RPC_FAULTS_INJECTED, rpc_faults.truncated, kind="truncate")
+                put(RPC_FAULTS_INJECTED, rpc_faults.flaps, kind="flap")
 
         # Resilient RPC client counters (only materialized once someone
         # actually called through the client — reading the private slot
         # avoids creating a client as an instrumentation side effect).
         client = getattr(network, "_rpc_client", None)
         if client is not None:
-            registry.counter(
-                RPC_CALLS, "Logical RPC calls issued by the client"
-            ).set_total(client.calls_total)
-            registry.counter(
-                RPC_ATTEMPTS, "Physical RPC attempts (incl. retries)"
-            ).set_total(client.attempts_total)
-            registry.counter(
-                RPC_RETRIES, "RPC attempts beyond the first, per call"
-            ).set_total(client.retries_total)
-            registry.counter(
-                RPC_HEDGES, "Hedged re-attempts after a timed-out read"
-            ).set_total(client.hedges_total)
-            registry.counter(
-                RPC_RATE_LIMITED, "Attempts deferred by endpoint throttling"
-            ).set_total(client.rate_limited_total)
-            registry.counter(
-                RPC_BREAKER_REJECTIONS,
-                "Calls refused because the endpoint breaker was open",
-            ).set_total(client.breaker_rejections_total)
-            registry.counter(
-                RPC_EXHAUSTED, "Calls that ran out of attempts"
-            ).set_total(client.exhausted_total)
-            registry.counter(
-                RPC_DEGRADED_LOOKUPS,
-                "Pool lookups that returned unknown (degraded plane)",
-            ).set_total(client.degraded_lookups_total)
+            put(RPC_CALLS, client.calls_total)
+            put(RPC_ATTEMPTS, client.attempts_total)
+            put(RPC_RETRIES, client.retries_total)
+            put(RPC_HEDGES, client.hedges_total)
+            put(RPC_RATE_LIMITED, client.rate_limited_total)
+            put(RPC_BREAKER_REJECTIONS, client.breaker_rejections_total)
+            put(RPC_EXHAUSTED, client.exhausted_total)
+            put(RPC_DEGRADED_LOOKUPS, client.degraded_lookups_total)
             for verdict, count in client.snapshot_verdicts.items():
-                registry.counter(
-                    RPC_SNAPSHOT_VERDICTS,
-                    "Snapshot validation verdicts, by verdict",
-                    labels={"verdict": verdict},
-                ).set_total(count)
+                put(RPC_SNAPSHOT_VERDICTS, count, verdict=verdict)
             for node_id, score in client.health_report().items():
-                registry.gauge(
-                    RPC_ENDPOINT_HEALTH,
-                    "EMA health score per RPC endpoint (1 = healthy)",
-                    labels={"node": node_id},
-                ).set(score)
+                put(RPC_ENDPOINT_HEALTH, score, node=node_id)
 
         behaviors = network.behaviors
         if behaviors is not None:
             for kind, count in behaviors.kind_counts().items():
-                registry.gauge(
-                    BEHAVIORS_INSTALLED,
-                    "Nodes currently running each Byzantine behavior",
-                    labels={"kind": kind},
-                ).set(count)
+                put(BEHAVIORS_INSTALLED, count, kind=kind)
             for kind, count in behaviors.counts.items():
-                registry.counter(
-                    BEHAVIOR_ACTIONS,
-                    "Misbehaving actions taken, by behavior kind",
-                    labels={"kind": kind},
-                ).set_total(count)
+                put(BEHAVIOR_ACTIONS, count, kind=kind)
 
         checker = network.invariants
         if checker is not None:
             for name, count in checker.counts.items():
-                registry.counter(
-                    INVARIANT_VIOLATIONS,
-                    "Runtime invariant violations, by invariant",
-                    labels={"invariant": name},
-                ).set_total(count)
+                put(INVARIANT_VIOLATIONS, count, invariant=name)
 
         market = network.fee_market
         if market is not None:
-            registry.gauge(
-                FEEMARKET_FLOOR, "Current fee-market admission floor (wei)"
-            ).set(market.floor)
-            registry.gauge(
-                FEEMARKET_SURGE, "Current surge multiplier"
-            ).set(market.surge)
-            registry.gauge(
-                FEEMARKET_OCCUPANCY, "Mean sampled pool occupancy"
-            ).set(market.occupancy)
-            registry.counter(
-                FEEMARKET_UPDATES, "Fee-market floor recomputations"
-            ).set_total(market.updates)
-            registry.counter(
-                FEEMARKET_REJECTED,
-                "Transactions rejected below the fee-market floor",
-            ).set_total(totals.get("rejected_fee_floor", 0))
+            put(FEEMARKET_FLOOR, market.floor)
+            put(FEEMARKET_SURGE, market.surge)
+            put(FEEMARKET_OCCUPANCY, market.occupancy)
+            put(FEEMARKET_UPDATES, market.updates)
+            put(FEEMARKET_REJECTED, totals.get("rejected_fee_floor", 0))
 
-    registry.add_collector(collect)
+    obs.metrics.add_collector(collect)
 
 
-def instrument_workload(obs: Observability, workload) -> None:
+def instrument_workload(obs: "Observability", workload) -> None:
     """Mirror a :class:`~repro.netgen.workloads.BatchedWorkload`'s tick
     accounting into the registry (pull-based, like the rest)."""
     if not obs.enabled:
         return
-    registry = obs.metrics
-    name = workload.shape.name
-    labels = {"shape": name}
-    ticks = registry.counter(
-        WORKLOAD_TICKS, "Workload ticks executed", labels=labels
-    )
-    offered = registry.counter(
-        WORKLOAD_OFFERED, "Transactions offered by the workload", labels=labels
-    )
-    floor_rejected = registry.counter(
-        WORKLOAD_FLOOR_REJECTED,
-        "Offered transactions statistically rejected below the floor",
-        labels=labels,
-    )
-    materialized = registry.counter(
-        WORKLOAD_MATERIALIZED,
-        "Transactions actually constructed and inserted",
-        labels=labels,
-    )
-    replacements = registry.counter(
-        WORKLOAD_REPLACEMENTS,
-        "Replacement transactions submitted (MEV races)",
-        labels=labels,
-    )
-    rate = registry.gauge(
-        WORKLOAD_OFFERED_RATE, "Mean offered tx/s so far", labels=labels
-    )
+    put = obs.metrics.put
+    shape = workload.shape.name
 
     def collect() -> None:
         stats = workload.stats
-        ticks.set_total(stats["ticks"])
-        offered.set_total(stats["offered"])
-        floor_rejected.set_total(stats["floor_rejected"])
-        materialized.set_total(stats["materialized"])
-        replacements.set_total(stats["replacements"])
-        rate.set(workload.offered_rate())
+        put(WORKLOAD_TICKS, stats["ticks"], shape=shape)
+        put(WORKLOAD_OFFERED, stats["offered"], shape=shape)
+        put(WORKLOAD_FLOOR_REJECTED, stats["floor_rejected"], shape=shape)
+        put(WORKLOAD_MATERIALIZED, stats["materialized"], shape=shape)
+        put(WORKLOAD_REPLACEMENTS, stats["replacements"], shape=shape)
+        put(WORKLOAD_OFFERED_RATE, workload.offered_rate(), shape=shape)
 
-    registry.add_collector(collect)
+    obs.metrics.add_collector(collect)

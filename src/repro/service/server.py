@@ -45,7 +45,7 @@ from repro.errors import (
     NotFound,
     ServiceError,
 )
-from repro.obs import NULL, Observability
+from repro.obs import NULL, Observability, wiring
 from repro.resilience import CircuitBreaker
 from repro.service.jobs import (
     ACTIVE_STATES,
@@ -68,6 +68,9 @@ PathLike = Union[str, Path]
 #: How long the dispatch loop naps when there is nothing to do (it is
 #: also woken eagerly by submissions and completions).
 _IDLE_TICK = 0.05
+
+#: Largest request body accepted (a measure job's campaign JSON is a few kB).
+MAX_BODY_BYTES = 1 << 20
 
 
 @dataclass
@@ -169,9 +172,7 @@ class MeasurementService:
         self._drained = asyncio.Event()
         self._server: Optional[asyncio.base_events.Server] = None
         self._dispatcher: Optional[asyncio.Task] = None
-        from repro.obs.wiring import instrument_service
-
-        instrument_service(obs, self)
+        wiring.instrument_service(obs, self)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -466,30 +467,15 @@ class MeasurementService:
     def _observe_completion(self, record: JobRecord) -> None:
         if not self.obs.enabled:
             return
-        from repro.obs import wiring
-
-        labels = {"tenant": record.tenant}
-        queue_seconds = record.queue_seconds()
-        if queue_seconds is not None:
-            self.obs.histogram(
-                wiring.SERVICE_QUEUE_SECONDS,
-                "Seconds from submission to first execution",
-                labels=labels,
-            ).observe(queue_seconds)
-        run_seconds = record.run_seconds()
-        if run_seconds is not None:
-            self.obs.histogram(
-                wiring.SERVICE_RUN_SECONDS,
-                "Seconds spent executing (including retries)",
-                labels=labels,
-            ).observe(run_seconds)
-        total_seconds = record.total_seconds()
-        if total_seconds is not None:
-            self.obs.histogram(
-                wiring.SERVICE_TOTAL_SECONDS,
-                "Seconds from submission to terminal state",
-                labels=labels,
-            ).observe(total_seconds)
+        for metric, seconds in (
+            (wiring.SERVICE_QUEUE_SECONDS, record.queue_seconds()),
+            (wiring.SERVICE_RUN_SECONDS, record.run_seconds()),
+            (wiring.SERVICE_TOTAL_SECONDS, record.total_seconds()),
+        ):
+            if seconds is not None:
+                self.obs.metrics.histogram(
+                    metric, labels={"tenant": record.tenant}
+                ).observe(seconds)
         self.obs.emit(
             self.clock(),
             "service.job_finished",
@@ -593,7 +579,16 @@ class MeasurementService:
                 break
             key, _, value = line.decode("ascii", "replace").partition(":")
             headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+        declared = headers.get("content-length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            raise BadRequest(
+                f"Content-Length must be an integer in [0, {MAX_BODY_BYTES}], "
+                f"got {declared[:32]!r}"
+            )
         raw = await reader.readexactly(length) if length else b""
         if raw:
             try:

@@ -38,6 +38,7 @@ from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import FaultPlanError
+from repro.obs import wiring
 from repro.resilience import TokenBucket
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -612,11 +613,7 @@ class FaultInjector:
         obs = self.network.obs
         if obs.enabled:
             obs.emit(now, "fault", kind, detail)
-            from repro.obs.wiring import FAULTS_FIRED
-
-            obs.metrics.counter(
-                FAULTS_FIRED, "Fault events fired by kind", labels={"kind": kind}
-            ).inc()
+            obs.metrics.counter(wiring.FAULTS_FIRED, labels={"kind": kind}).inc()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

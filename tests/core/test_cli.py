@@ -269,6 +269,23 @@ class TestOneExecutor:
                 == reference
             )
 
+    def test_prometheus_export_has_one_help_and_one_type_per_family(
+        self, tmp_path, capsys
+    ):
+        """Help is a property of the metric's name, so it survives the shard
+        merge: every exported family gets its ``# HELP`` and ``# TYPE``."""
+        path = tmp_path / "m.prom"
+        flags = ["measure", "--nodes", "12", "--seed", "3", "--metrics-out", str(path)]
+        assert main(flags) == 0
+        lines = path.read_text().splitlines()
+        helps = [ln.split()[2] for ln in lines if ln.startswith("# HELP ")]
+        types = [ln.split()[2] for ln in lines if ln.startswith("# TYPE ")]
+        assert helps == types and len(types) == len(set(types)) > 0
+        for line in lines:
+            if not line.startswith("#"):
+                series = line.split("{")[0].split(" ")[0]
+                assert series in types or series.rsplit("_", 1)[0] in types
+
     def test_resume_from_truncated_checkpoint_matches_uninterrupted(
         self, tmp_path, capsys
     ):

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.parallel_exec import (
     CampaignReplica,
@@ -11,7 +13,6 @@ from repro.core.parallel_exec import (
     ShardResult,
     ShardSpec,
     build_shard_plan,
-    merge_obs_snapshots,
     run_campaign,
 )
 from repro.core.results import (
@@ -23,6 +24,7 @@ from repro.core.results import (
 from repro.errors import CheckpointError, MeasurementError
 from repro.io import measurement_to_dict
 from repro.netgen.ethereum import NetworkSpec
+from repro.obs import MetricsRegistry
 from repro.sim.faults import FaultPlan, LinkFaults, RpcFaultPlan
 from repro.sim.rng import spawn_seed
 from tests.sim.test_faults_rpc import BYZANTINE_MIX, FULL_ZOO
@@ -322,47 +324,88 @@ class TestCheckpointResume:
             ParallelCheckpoint.from_dict(payload)
 
 
+def _absorbed(*shards):
+    """Snapshot of a fresh registry after absorbing ``shards`` in order."""
+    registry = MetricsRegistry()
+    for samples in shards:
+        registry.absorb(samples)
+    return registry.snapshot()
+
+
+def _scalar_sample(name, kind, value):
+    return {
+        "name": f"{kind[0]}{name}", "type": kind,
+        "labels": {"k": str(name)}, "value": value,
+    }
+
+
+def _histogram_sample(name, values):
+    return {
+        "name": f"h{name}", "type": "histogram", "labels": {},
+        "count": len(values), "sum": float(sum(values)),
+        "min": min(values, default=None), "max": max(values, default=None),
+        "p50": None, "p90": None, "p99": None,
+    }
+
+
+_SAMPLE = st.one_of(
+    st.builds(
+        _scalar_sample,
+        st.integers(0, 2), st.sampled_from(["counter", "gauge"]), st.integers(0, 9),
+    ),
+    st.builds(
+        _histogram_sample, st.integers(0, 1), st.lists(st.integers(0, 9), max_size=3)
+    ),
+)
+# A shard is one registry's snapshot: at most one sample per series.
+_SHARD = st.lists(_SAMPLE, max_size=6, unique_by=lambda sample: sample["name"])
+
+
 class TestObsMerge:
     def test_counters_sum_gauges_last_histograms_combine(self):
-        a = {
-            "metrics": [
-                {"name": "c", "type": "counter", "labels": {}, "value": 2},
-                {"name": "g", "type": "gauge", "labels": {}, "value": 5},
-                {
-                    "name": "h", "type": "histogram", "labels": {},
-                    "count": 2, "sum": 3.0, "min": 1.0, "max": 2.0,
-                    "p50": 1.5, "p90": 2.0, "p99": 2.0,
-                },
-            ],
-            "events": {
-                "recorded": 3, "retained": 3, "dropped": 0,
-                "records": [[4.0, "x", 1], [5.0, "y"]],
+        a = [
+            {"name": "c", "type": "counter", "labels": {}, "value": 2},
+            {"name": "g", "type": "gauge", "labels": {}, "value": 5},
+            {
+                "name": "h", "type": "histogram", "labels": {},
+                "count": 2, "sum": 3.0, "min": 1.0, "max": 2.0,
+                "p50": 1.5, "p90": 2.0, "p99": 2.0,
             },
-        }
-        b = {
-            "metrics": [
-                {"name": "c", "type": "counter", "labels": {}, "value": 5},
-                {"name": "g", "type": "gauge", "labels": {}, "value": 7},
-                {
-                    "name": "h", "type": "histogram", "labels": {},
-                    "count": 1, "sum": 4.0, "min": 4.0, "max": 4.0,
-                    "p50": 4.0, "p90": 4.0, "p99": 4.0,
-                },
-            ],
-            "events": {"recorded": 1, "retained": 1, "dropped": 2},
-        }
-        merged = merge_obs_snapshots([a, b])
-        by_name = {s["name"]: s for s in merged["metrics"]}
+        ]
+        b = [
+            {"name": "c", "type": "counter", "labels": {}, "value": 5},
+            {"name": "g", "type": "gauge", "labels": {}, "value": 7},
+            {
+                "name": "h", "type": "histogram", "labels": {},
+                "count": 1, "sum": 4.0, "min": 4.0, "max": 4.0,
+                "p50": 4.0, "p90": 4.0, "p99": 4.0,
+            },
+        ]
+        by_name = {s["name"]: s for s in _absorbed(a, b)}
         assert by_name["c"]["value"] == 7
-        assert by_name["g"]["value"] == 7
+        assert by_name["g"]["value"] == 7  # last absorbed wins ...
+        assert {s["name"]: s for s in _absorbed(b, a)}["g"]["value"] == 5  # ... so order matters
         assert by_name["h"]["count"] == 3
         assert by_name["h"]["sum"] == 7.0
         assert by_name["h"]["min"] == 1.0
         assert by_name["h"]["max"] == 4.0
         assert by_name["h"]["p50"] is None  # reservoirs are not mergeable
-        # Records concatenate in shard order (times are per-shard); a
-        # snapshot without records (an older checkpoint) adds none.
-        assert merged["events"] == {
-            "recorded": 4, "retained": 4, "dropped": 2,
-            "records": [[4.0, "x", 1], [5.0, "y"]],
-        }
+
+    @given(st.lists(_SHARD, max_size=4))
+    def test_one_by_one_equals_concatenation(self, shards):
+        concatenated = [sample for shard in shards for sample in shard]
+        assert _absorbed(*shards) == _absorbed(concatenated)
+
+    @given(_SHARD, _SHARD)
+    def test_counters_and_histograms_commute_gauges_do_not(self, a, b):
+        def gauges(samples):
+            return {s["name"]: s["value"] for s in samples if s["type"] == "gauge"}
+
+        def others(samples):
+            return [s for s in samples if s["type"] != "gauge"]
+
+        ab, ba = _absorbed(a, b), _absorbed(b, a)
+        assert others(ab) == others(ba)
+        # A gauge both shards report ends on the later shard's value.
+        assert gauges(ab) == {**gauges(a), **gauges(b)}
+        assert gauges(ba) == {**gauges(b), **gauges(a)}

@@ -3,7 +3,15 @@
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import wiring
+from repro.obs.metrics import (
+    CATALOG,
+    Counter,
+    Gauge,
+    Histogram,
+    Metric,
+    MetricsRegistry,
+)
 
 
 class TestCounter:
@@ -163,3 +171,51 @@ class TestRegistry:
         payload = registry.snapshot()
         assert json.dumps(payload)  # serializable
         assert {sample["name"] for sample in payload} == {"c", "h"}
+
+
+class TestDeclaredMetrics:
+    """A declared name brings its own type, help and label keys."""
+
+    def test_declaration_is_a_plain_str_to_consumers(self):
+        assert wiring.FAULTS_FIRED == "toposhot_faults_total"
+        assert type(str(wiring.FAULTS_FIRED)) is str
+        assert CATALOG["toposhot_faults_total"] is wiring.FAULTS_FIRED
+        assert (wiring.FAULTS_FIRED.kind, wiring.FAULTS_FIRED.labels) == (
+            "counter", ("kind",),
+        )
+
+    def test_registry_reads_help_and_type_from_the_declaration(self):
+        registry = MetricsRegistry()
+        # By constant or by bare name, with or without a call-site help.
+        registry.counter(wiring.FAULTS_FIRED, labels={"kind": "loss"}).inc()
+        registry.counter("toposhot_faults_total", "ignored", labels={"kind": "crash"})
+        assert registry.help_for("toposhot_faults_total") == wiring.FAULTS_FIRED.help
+        sample = registry.snapshot()[0]
+        assert type(sample["name"]) is str  # samples never carry the subclass
+        with pytest.raises(ObservabilityError, match="is a counter, not a gauge"):
+            registry.gauge(wiring.FAULTS_FIRED)
+        with pytest.raises(ObservabilityError, match="declares labels"):
+            registry.counter(wiring.FAULTS_FIRED, labels={"node": "n1"})
+
+    def test_put_adopts_totals_and_levels(self):
+        registry = MetricsRegistry()
+        registry.put(wiring.MESSAGES_SENT, 7)
+        registry.put(wiring.MESSAGES_SENT, 5)  # a running total, not an increment
+        registry.put(wiring.MESSAGES_BY_KIND, 3, kind="Transactions")
+        registry.put(wiring.NODES, 12)
+        values = {
+            (s["name"], tuple(s["labels"].items())): s["value"]
+            for s in registry.snapshot()
+        }
+        assert values == {
+            ("toposhot_messages_sent_total", ()): 5,
+            ("toposhot_messages_total", (("kind", "Transactions"),)): 3,
+            ("toposhot_nodes", ()): 12,
+        }
+
+    def test_a_name_is_declared_once_with_a_known_kind(self):
+        with pytest.raises(ObservabilityError, match="declared twice"):
+            Metric("toposhot_nodes", "again", kind="gauge")
+        with pytest.raises(ObservabilityError, match="unknown kind"):
+            Metric("tests_obs_never_declared", "help", kind="timer")
+        assert "tests_obs_never_declared" not in CATALOG

@@ -31,12 +31,7 @@ class TestNullBundle:
         assert NULL.enabled is False
         NULL.emit(0.0, "anything", 1, 2)  # must not record
         assert len(NULL.events) == 0
-        instrument = NULL.counter("c")
-        instrument.inc()
-        instrument.observe(1.0)
         assert len(NULL.metrics) == 0
-        # The shared no-op instrument is a singleton across factories.
-        assert NULL.gauge("g") is NULL.histogram("h")
 
     def test_disabled_wiring_registers_nothing(self):
         obs = Observability.disabled()
@@ -193,17 +188,36 @@ class TestObservabilityNeutrality:
 
 class TestMetricCatalog:
     def test_catalog_matches_the_names_wiring_defines(self):
-        """``docs/observability.md`` documents every ``toposhot_*`` metric
-        name ``wiring.py`` defines, and names none it does not."""
+        """Every row of the ``docs/observability.md`` catalog tables is a
+        metric ``wiring.py`` declares — same name, same *Type* column, same
+        ``{label}`` keys — every declaration has a row, and the prose names
+        no ``toposhot_*`` metric that is not declared."""
         import re
         from pathlib import Path
 
-        defined = {
-            value
+        from repro.obs.metrics import CATALOG, Metric
+
+        declared = {
+            value: (value.kind, value.labels)
             for name, value in vars(wiring).items()
-            if name.isupper() and isinstance(value, str) and value.startswith("toposhot_")
+            if name.isupper() and isinstance(value, Metric)
         }
+        assert set(declared) == set(CATALOG)
+        assert all(name.startswith("toposhot_") for name in declared)
+        assert all(metric.help for metric in CATALOG.values())
+
         doc = Path(__file__).parents[2] / "docs" / "observability.md"
-        documented = set(re.findall(r"toposhot_[a-z0-9_]+", doc.read_text("utf-8")))
-        assert defined - documented == set(), "metrics missing from the catalog"
-        assert documented - defined == set(), "catalog names wiring.py lacks"
+        text = doc.read_text("utf-8")
+        # A row is "| `name{a,b}` | type | ..."; a cell may hold several
+        # names ("`x` / `y`") and mark optional labels as "`x` (+`{a}`)".
+        documented = {}
+        for cell, kind in re.findall(r"^\| (`toposhot_.*?) \| (\w+) \|", text, re.M):
+            optional = re.search(r"\+`\{([a-z_,]+)\}`", cell)
+            for name, labels in re.findall(
+                r"`(toposhot_[a-z0-9_]+)(?:\{([a-z_,]+)\})?`", cell
+            ):
+                labels = labels or (optional.group(1) if optional else "")
+                documented[name] = (kind, tuple(filter(None, labels.split(","))))
+        assert documented == declared
+        mentioned = set(re.findall(r"toposhot_[a-z0-9_]+", text))
+        assert mentioned - set(declared) == set(), "docs name an undeclared metric"

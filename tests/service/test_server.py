@@ -9,6 +9,7 @@ of the fsync itself is covered in ``test_journal.py``).
 
 import asyncio
 import contextlib
+import json
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.service import (
     ServiceConfig,
     TenantQuota,
 )
+from repro.service.server import MAX_BODY_BYTES
 
 
 @contextlib.asynccontextmanager
@@ -117,6 +119,37 @@ class TestRoundTrip:
                     await asyncio.to_thread(client.cancel, "missing-id")
                 assert excinfo.value.status == 404
                 assert excinfo.value.error_type == "not_found"
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize(
+        "declared",
+        ["abc", "-5", str(MAX_BODY_BYTES + 1)],
+        ids=["text", "negative", "huge"],
+    )
+    def test_bad_content_length_is_a_400_and_the_server_keeps_answering(
+        self, tmp_path, declared
+    ):
+        """A Content-Length that is no integer, negative, or above the body
+        cap is the client's fault — a typed 400, never ``internal`` — and
+        the next request on a fresh connection is served as usual."""
+
+        async def main():
+            async with service(tmp_path) as (_svc, client):
+                reader, writer = await asyncio.open_connection(client.host, client.port)
+                writer.write(
+                    b"POST /v1/jobs HTTP/1.1\r\n"
+                    + f"Content-Length: {declared}\r\n\r\n".encode("ascii")
+                )
+                await writer.drain()
+                response = await asyncio.wait_for(reader.read(), timeout=10)
+                writer.close()
+                head, _, body = response.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 400 Bad Request")
+                error = json.loads(body)["error"]
+                assert error["type"] == "bad_request"
+                assert "Content-Length" in error["detail"]
+                assert await asyncio.to_thread(client.healthz) == {"status": "ok"}
 
         asyncio.run(main())
 

@@ -101,3 +101,35 @@ def test_probe_layer_has_one_injection_and_one_repeat_budget():
     assert catchers == ["primitive.inject"]
     assert set(spenders) == {"primitive.probe_with_repeats"}
     assert cleaners == ["primitive.cleanup"]
+
+
+def test_metrics_are_declared_once():
+    """A metric's name, type and help exist in one place, the catalog in
+    ``obs/wiring.py``: every string constant under ``src/`` that starts
+    with ``toposhot_`` lives there, each once, and outside ``repro/obs/`` no
+    instrument look-up passes a help string (a second positional argument
+    or ``help=``) — the registry reads it from the declaration."""
+    root = Path(repro.__file__).parent
+    names, offenders = [], []
+    for path in sorted(root.rglob("*.py")):
+        where = path.relative_to(root)
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and node.value.startswith("toposhot_")
+            ):
+                names.append(node.value)
+                if where != Path("obs/wiring.py"):
+                    offenders.append(f"{where}:{node.lineno} {node.value!r}")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("counter", "gauge", "histogram")
+                and where.parts[0] != "obs"
+                and (len(node.args) > 1 or any(k.arg == "help" for k in node.keywords))
+            ):
+                offenders.append(f"{where}:{node.lineno} .{node.func.attr}(.., help)")
+    assert not offenders, "metric facts outside the catalog:\n" + "\n".join(offenders)
+    assert names and len(names) == len(set(names))
