@@ -57,7 +57,9 @@ def run_study():
         selected[service] = discovered[service][:count]
     chosen = [node for nodes in selected.values() for node in nodes]
 
-    prefill_mempools(network, median_price=gwei(10.0), sigma=0.2)
+    # Full pools whose cheap tail sits below Y = 1 gwei (a price under
+    # every resident cannot enter a full pool), mining from 2 gwei up.
+    prefill_mempools(network, median_price=gwei(1.5))
     network.chain.gas_limit = 6 * INTRINSIC_GAS
     miner = Miner(
         network.node(discovered["SrvM1"][0]),

@@ -44,8 +44,11 @@ def main() -> None:
     chosen = [n for nodes in selected.values() for n in nodes]
     print(f"\nselected {len(chosen)} critical nodes for pairwise measurement")
 
-    # Mainnet realism: full pools, mining above the measurement price.
-    prefill_mempools(network, median_price=gwei(10.0), sigma=0.2)
+    # Mainnet realism: full pools, mining above the measurement price —
+    # and a cheap tail below it: Y = 1 gwei only gets into a full pool if
+    # it sits above the eviction waterline (§6.3). Every refresh between
+    # rounds refills to this same level, also after mined blocks.
+    prefill_mempools(network, median_price=gwei(1.5))
     network.chain.gas_limit = 6 * INTRINSIC_GAS
     miner = Miner(
         network.node(discovered["SrvM1"][0]),

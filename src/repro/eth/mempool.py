@@ -85,6 +85,17 @@ _OUTCOME_KEY = {outcome: outcome.value for outcome in AddOutcome}
 _NO_TXS: Tuple[Transaction, ...] = ()
 
 
+def _restamped(
+    heap: List[Tuple[int, int, str]], shift: int
+) -> List[Tuple[int, int, str]]:
+    """A copy of an eviction heap with ``shift`` added to every tie-break
+    number. A uniform shift keeps every comparison, so the copy is a valid
+    heap as it stands."""
+    if not shift:
+        return list(heap)
+    return [(bid, seq + shift, tx_hash) for bid, seq, tx_hash in heap]
+
+
 class AddResult:
     """Everything that happened when a transaction was offered to the pool.
 
@@ -728,12 +739,9 @@ class Mempool:
         """Capture full pool state for later :meth:`restore_state`.
 
         Transactions are immutable, so shallow container copies suffice.
-        The tie-break sequence counter is captured with the read-then-
-        recreate trick (a net no-op for the live pool) so that eviction
-        order among equal-priced transactions replays identically.
+        The tie-break sequence position is part of the capture so that
+        eviction order among equal-priced transactions replays identically.
         """
-        seq_value = next(self._seq)
-        self._seq = itertools.count(seq_value)
         return {
             "base_fee": self.base_fee,
             "by_hash": dict(self._by_hash),
@@ -743,23 +751,63 @@ class Mempool:
             "pending": set(self._pending),
             "future": set(self._future),
             "added_at": dict(self._added_at),
-            "seq": seq_value,
+            "seq": self._seq_position(),
             "pending_heap": list(self._pending_heap),
             "future_heap": list(self._future_heap),
             "stats": dict(self.stats),
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        """Restore a capture taken by :meth:`capture_state`.
-
-        The captured containers are copied, never adopted: one snapshot is
-        restored many times (once per shard/sweep point), so handing the
-        stored objects to the live pool would let the next run corrupt the
-        snapshot. Insertion order of ``_by_hash`` is part of the capture
-        (dict copies preserve it) because ``_rebuild_price_heaps`` iterates
-        it to assign deterministic tie-breakers.
-        """
+        """Restore a capture taken by :meth:`capture_state`."""
         self.base_fee = state["base_fee"]
+        self._copy_containers(state)
+        self._seq = itertools.count(state["seq"])
+        self.stats = dict(state["stats"])
+
+    def refill_from(self, image: Dict[str, object], counts: Dict[str, int]) -> None:
+        """Take by copy what one ``add_batch`` built in a pool like this one.
+
+        ``image`` is the :meth:`capture_state` of a donor that was empty,
+        was offered one ``add_batch(txs, stop_when_full=True)`` and
+        returned ``counts``. This pool must be indistinguishable from that
+        donor before the offer in everything :meth:`_add_inner` reads:
+        empty, the same policy, base fee, fee market and clock, and no
+        confirmed nonce for any sender of the batch. Offering it the same
+        batch would then walk to the donor's containers transaction by
+        transaction; copying them is that answer without the walk (see
+        :func:`repro.netgen.workloads.prefill_mempools`, the caller that
+        establishes the precondition).
+
+        Two things belong to the pool rather than to the batch and are
+        recomputed. The tie-break numbers: the closing
+        ``_rebuild_price_heaps`` draws one per stored transaction from the
+        pool's *own* ``_seq``, so the donor's heap entries are re-stamped by
+        the distance between the two pools' positions and ``_seq`` ends
+        where the rebuild would have left it — later equal-priced evictions
+        pick the same victims, and a capture of this pool is the one the
+        real offer would have produced. And ``stats``, bumped by the
+        batch's outcome counts, not overwritten.
+        """
+        if self._by_hash:
+            raise MempoolError("refill_from needs an empty pool")
+        end = self._seq_position() + len(image["by_hash"])
+        self._copy_containers(image, shift=end - image["seq"])
+        self._seq = itertools.count(end)
+        stats = self.stats
+        for key, count in counts.items():
+            stats[key] += count
+
+    def _copy_containers(self, state: Dict[str, object], shift: int = 0) -> None:
+        """Replace this pool's content with copies of a capture's containers.
+
+        Copied, never adopted: one capture is handed to many pools (every
+        shard/sweep restore, every sibling of a refresh donor), so a live
+        pool holding the stored objects would let the next run corrupt
+        them. Insertion order of ``_by_hash`` is part of the state (dict
+        copies preserve it) because ``_rebuild_price_heaps`` iterates it to
+        assign deterministic tie-breakers. ``shift`` moves every heap
+        entry's tie-break number (:func:`_restamped`).
+        """
         self._by_hash = dict(state["by_hash"])
         self._by_sender = {
             sender: dict(nonces) for sender, nonces in state["by_sender"].items()
@@ -767,10 +815,18 @@ class Mempool:
         self._pending = set(state["pending"])
         self._future = set(state["future"])
         self._added_at = dict(state["added_at"])
-        self._seq = itertools.count(state["seq"])
-        self._pending_heap = list(state["pending_heap"])
-        self._future_heap = list(state["future_heap"])
-        self.stats = dict(state["stats"])
+        self._pending_heap = _restamped(state["pending_heap"], shift)
+        self._future_heap = _restamped(state["future_heap"], shift)
+
+    def _seq_position(self) -> int:
+        """The next tie-break number, without consuming it.
+
+        ``itertools.count`` cannot be peeked, so read one and recreate the
+        counter there — a net no-op for the live pool.
+        """
+        position = next(self._seq)
+        self._seq = itertools.count(position)
+        return position
 
     # ------------------------------------------------------------------
     # Consistency check (used by property-based tests)

@@ -6,9 +6,13 @@ Three layers map to Section 6.2.1's field observations and the ROADMAP's
 - :func:`prefill_mempools` stuffs every pool with identically ordered
   background transactions before a measurement, so pools are *full* (a
   correctness precondition of the primitive) and the gas-price distribution
-  gives the median-Y estimate something to bite on. Bulk insertion goes
-  through :meth:`repro.eth.mempool.Mempool.add_batch`, one heap rebuild per
-  pool instead of one heappush per transaction;
+  gives the median-Y estimate something to bite on. One pool per (policy,
+  base fee, fee market) class admits the list through
+  :meth:`repro.eth.mempool.Mempool.add_batch`; every other empty pool of
+  the class copies the containers that built
+  (:meth:`~repro.eth.mempool.Mempool.refill_from`), so the whole-network
+  refresh between measurement rounds (:func:`refresh_mempools`) costs one
+  admission pass per class, not one per node;
 - :class:`BatchedWorkload` sustains heavy traffic at **O(ticks) engine
   cost**: one engine event per tick generates the whole tick's transactions
   from a precomputed price table (a single seeded RNG stream), counts the
@@ -53,15 +57,34 @@ def prefill_mempools(
 ) -> List[Transaction]:
     """Fill every node's pool with a shared background-transaction list.
 
-    The same transactions in the same order go to every node (as if they
-    had propagated), so the price rank of any later measurement transaction
-    is consistent network-wide. Each transaction uses its own fresh account
-    at nonce 0, making all of them immediately pending. Insertion stops per
-    node once its pool is full (``add_batch(stop_when_full=True)``, the
-    bulk equivalent of the legacy check-then-add loop — identical outcomes
-    and, on cleared pools, identical eviction-heap entries, which is what
-    keeps the golden fingerprints byte-stable). Returns the generated
-    transactions.
+    The same transactions in the same order are offered to every node (as
+    if they had propagated), so the price rank of any later measurement
+    transaction is consistent network-wide. Each transaction comes from its
+    own fresh account at that account's confirmed chain nonce, making all
+    of them immediately pending on a node at the chain head, and the offer
+    stops at a full pool (``add_batch(stop_when_full=True)``): background
+    traffic fills pools, it never evicts.
+
+    Who admits, who copies. What a pool makes of the offer depends only on
+    what admission reads: its ``policy``, ``base_fee`` and ``fee_market``,
+    its content, and its node's confirmed nonces for the batch's senders.
+    The first *blank* pool of each (policy, base fee, fee market) class —
+    empty, and its node has confirmed nothing from any sender of the batch
+    — takes the real ``add_batch``; every later blank pool of the class
+    would walk to the very same containers, so it copies them instead
+    (:meth:`~repro.eth.mempool.Mempool.refill_from`). The copy re-stamps
+    the eviction heaps' tie-break numbers from the copying pool's own
+    sequence position and bumps its ``stats`` by the batch's outcome
+    counts, so no later eviction, capture or counter can tell a copied
+    pool from an admitting one. A pool that is not blank (a prefill onto
+    pools already holding traffic; a node that has seen a block spending
+    from these accounts, whose view of them differs from a node's that has
+    not) takes the real ``add_batch``, as does a whole class whose first
+    blank pool admitted nothing. A refresh empties every pool first, so it
+    costs one admission pass per class plus N container copies, not N
+    passes.
+
+    Returns the generated transactions.
     """
     rng = network.sim.rng.stream("prefill")
     wallet = wallet or Wallet("background")
@@ -81,15 +104,30 @@ def prefill_mempools(
     floor = 0
     if network.fee_market is not None:
         floor = network.fee_market.floor_for(network.sim.now)
+    # A new wallet re-derives the same addresses on every call, so the
+    # nonce comes from the chain: once a block has spent from an account,
+    # its nonce 0 is stale on every node that saw the block.
+    confirmed_nonce = network.chain.confirmed_nonce
     txs = [
         factory.transfer(
-            wallet.fresh_account(prefix="bg"),
+            account,
             gas_price=max(floor, _price_sample(rng, median_price, sigma)),
+            nonce=confirmed_nonce(account.address),
         )
-        for _ in range(count)
+        for account in wallet.fresh_accounts(count, prefix="bg")
     ]
+    senders = {tx.sender for tx in txs}
+    images: Dict[tuple, tuple] = {}
     for node in nodes:
-        node.mempool.add_batch(txs, stop_when_full=True)
+        pool = node.mempool
+        blank = not len(pool) and node.confirmed_nonces.keys().isdisjoint(senders)
+        key = (pool.policy, pool.base_fee, pool.fee_market)
+        if blank and key in images:
+            pool.refill_from(*images[key])
+            continue
+        counts = pool.add_batch(txs, stop_when_full=True)
+        if blank and len(pool):
+            images[key] = (pool.capture_state(), counts)
     if network.fee_market is not None:
         # The refill compressed hours of organic traffic into one instant;
         # force the (otherwise rate-limited) oracle to price against the

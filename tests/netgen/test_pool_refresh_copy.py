@@ -1,0 +1,469 @@
+"""Pool refresh by copy: a copied pool is the pool admission would have built.
+
+``prefill_mempools`` lets the first blank pool of each (policy, base fee,
+fee market) class take the real ``add_batch`` and gives every later blank
+pool of the class a copy of its containers (``Mempool.refill_from``). The
+oracle here is a twin network on which the test itself runs the loop the
+copy replaced — clear, then ``add_batch`` on every node — compared with
+*exact* pool state: insertion orders, both eviction heaps entry for entry,
+the tie-break sequence position, ``stats`` and admission times.
+"""
+
+from contextlib import contextmanager
+from typing import Dict, List, Optional, Sequence
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.eth.account import Wallet
+from repro.eth.chain import Block
+from repro.eth.fee_market import FeeMarket
+from repro.eth.mempool import Mempool
+from repro.eth.miner import Miner
+from repro.eth.network import Network
+from repro.eth.node import NodeConfig
+from repro.eth.policies import ALETH, BESU, GETH, NETHERMIND, PARITY, MempoolPolicy
+from repro.eth.transaction import Transaction, TransactionFactory, gwei
+from repro.netgen.ethereum import NetworkSpec, generate_network
+from repro.netgen.workloads import prefill_mempools, refresh_mempools
+from tests.conftest import property_settings
+
+GETH_1559 = GETH.scaled(20).with_base_fee_enforcement()
+POLICIES = [
+    GETH.scaled(16),
+    PARITY.scaled(24),
+    NETHERMIND.scaled(16),
+    BESU.scaled(12),
+    ALETH.scaled(12),
+    GETH_1559,
+]
+# Around the 1 gwei background median, so a 1559 pool turns part of the
+# batch away (``rejected_base_fee``) and the counts are not all one key.
+BASE_FEES = [None, gwei(0.8), gwei(1.1)]
+
+
+def build(policies: Sequence[MempoolPolicy], fee_market: bool = False) -> Network:
+    """Unwired nodes, one per policy: a refresh never touches a link."""
+    network = Network(seed=11)
+    for index, policy in enumerate(policies):
+        network.create_node(f"n{index:02d}", NodeConfig(policy=policy))
+    if fee_market:
+        network.install_fee_market(FeeMarket())
+    return network
+
+
+def pools(network: Network) -> List[Mempool]:
+    return [network.node(node_id).mempool for node_id in network.node_ids]
+
+
+def exact_state(pool: Mempool) -> Dict[str, object]:
+    """``capture_state()`` with every insertion order made comparable
+    (dict equality ignores it; the heap rebuild and the fan-out do not)."""
+    state = pool.capture_state()
+    state["by_hash"] = list(state["by_hash"].items())
+    state["by_sender"] = [
+        (sender, list(nonces.items())) for sender, nonces in state["by_sender"].items()
+    ]
+    state["added_at"] = list(state["added_at"].items())
+    return state
+
+
+def exact_states(network: Network) -> List[Dict[str, object]]:
+    return [exact_state(pool) for pool in pools(network)]
+
+
+def reference_refresh(network: Network, txs: List[Transaction]) -> None:
+    """The refresh before pools copied: every node takes the real offer."""
+    for pool in pools(network):
+        pool.clear()
+    market = network.fee_market
+    if market is not None:
+        market.refresh(network.sim.now)
+    for pool in pools(network):
+        pool.add_batch(txs, stop_when_full=True)
+    if market is not None:
+        market.refresh(network.sim.now)
+
+
+@contextmanager
+def recorded_paths():
+    """Which pools admitted and which copied, in call order."""
+    admitted: List[Mempool] = []
+    copied: List[Mempool] = []
+    add_batch, refill_from = Mempool.add_batch, Mempool.refill_from
+
+    def counting_add_batch(self, txs, stop_when_full=False):
+        admitted.append(self)
+        return add_batch(self, txs, stop_when_full=stop_when_full)
+
+    def counting_refill_from(self, image, counts):
+        copied.append(self)
+        return refill_from(self, image, counts)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Mempool, "add_batch", counting_add_batch)
+        patch.setattr(Mempool, "refill_from", counting_refill_from)
+        yield admitted, copied
+
+
+@pytest.fixture
+def paths():
+    with recorded_paths() as recorded:
+        yield recorded
+
+
+def live_through(network: Network, index: int, adds, base_fee: Optional[int]) -> None:
+    """One node's private past: offers that overflow the pool (evictions,
+    replacements, futures), then a block — so its ``_seq`` position, stats,
+    stale heap entries and, on a 1559 pool, base fee are its own."""
+    node = network.node(network.node_ids[index])
+    pool = node.mempool
+    for sender, nonce, price in adds:
+        pool.add(
+            Transaction(sender=f"0xpast{sender}", nonce=nonce, gas_price=gwei(price))
+        )
+    included = sorted(pool.pending_transactions(), key=lambda tx: tx.hash)[:3]
+    for tx in included:
+        node.confirmed_nonces[tx.sender] = max(
+            node.confirmed_nonces.get(tx.sender, 0), tx.nonce + 1
+        )
+    if not pool.policy.enforce_base_fee:
+        base_fee = None
+    pool.apply_block(included, new_base_fee=base_fee)
+
+
+past = st.tuples(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=5),  # sender
+            st.integers(min_value=0, max_value=3),  # nonce
+            st.sampled_from([0.5, 1.0, 1.0, 1.5, 2.0, 3.0]),  # price, gwei
+        ),
+        max_size=40,
+    ),
+    st.sampled_from(BASE_FEES),
+)
+
+
+# ----------------------------------------------------------------------
+# (a) The oracle
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("fee_market", [False, True], ids=["no-market", "fee-market"])
+@given(pasts=st.lists(past, min_size=18, max_size=18))
+@property_settings(25)
+def test_refresh_equals_per_node_admission_exactly(fee_market: bool, pasts):
+    """Three pools per preset, interleaved, each with its own history."""
+    policies = POLICIES * 3
+    refreshed = build(policies, fee_market)
+    reference = build(policies, fee_market)
+    for network in (refreshed, reference):
+        for index, (adds, base_fee) in enumerate(pasts):
+            live_through(network, index, adds, base_fee)
+    assert exact_states(refreshed) == exact_states(reference)
+
+    with recorded_paths() as (admitted, copied):
+        txs = refresh_mempools(refreshed)
+    reference_refresh(reference, txs)
+
+    assert exact_states(refreshed) == exact_states(reference)
+    for pool in pools(refreshed):
+        pool.check_invariants()
+    if fee_market:
+        assert (
+            refreshed.fee_market.capture_state()
+            == reference.fee_market.capture_state()
+        )
+    # Not vacuous: the five legacy presets alone hold two copies each, and
+    # every pool took exactly one of the two paths.
+    assert len(copied) >= 10
+    assert len(admitted) + len(copied) == len(policies)
+
+
+def test_seq_positions_really_differ_and_heaps_are_restamped():
+    """The oracle's teeth, spelled out once: same heap shape, own numbers."""
+    network = build([GETH.scaled(16)] * 3)
+    for index, offers in enumerate((0, 7, 19)):
+        live_through(network, index, [(0, n, 1.0) for n in range(offers)], None)
+    starts = [pool.capture_state()["seq"] for pool in pools(network)]
+    assert len(set(starts)) == 3
+    refresh_mempools(network)
+    donor, *siblings = pools(network)
+    for start, pool in zip(starts, pools(network)):
+        seqs = sorted(seq for _, seq, _ in pool._pending_heap)
+        assert seqs == list(range(start, start + 16))
+        assert pool.capture_state()["seq"] == start + 16
+    for sibling in siblings:
+        assert [(bid, tx) for bid, _, tx in sibling._pending_heap] == [
+            (bid, tx) for bid, _, tx in donor._pending_heap
+        ]
+
+
+# ----------------------------------------------------------------------
+# (b) Every fallback is taken, and lands in the same state
+# ----------------------------------------------------------------------
+class TestFallbacks:
+    def twins(self, policies, prepare):
+        refreshed, reference = build(policies), build(policies)
+        for network in (refreshed, reference):
+            prepare(network)
+        return refreshed, reference
+
+    def check(self, refreshed, reference, paths, admitting: set, refresh=True):
+        """``admitting``: indices of the pools that must take ``add_batch``."""
+        admitted, copied = paths
+        all_pools = pools(refreshed)
+        txs = (refresh_mempools if refresh else prefill_mempools)(refreshed)
+        assert {all_pools.index(pool) for pool in admitted} == admitting
+        assert {all_pools.index(pool) for pool in copied} == (
+            set(range(len(all_pools))) - admitting
+        )
+        if refresh:
+            reference_refresh(reference, txs)
+        else:
+            for pool in pools(reference):
+                pool.add_batch(txs, stop_when_full=True)
+        assert exact_states(refreshed) == exact_states(reference)
+        for pool in all_pools:
+            pool.check_invariants()
+
+    def test_non_empty_pool(self, paths):
+        """A prefill (no drain first) onto a pool that already holds traffic."""
+
+        def prepare(network):
+            pool = network.node("n02").mempool
+            for nonce in range(5):
+                pool.add(Transaction(sender="0xbusy", nonce=nonce, gas_price=gwei(3)))
+
+        refreshed, reference = self.twins([GETH.scaled(16)] * 4, prepare)
+        self.check(refreshed, reference, paths, admitting={0, 2}, refresh=False)
+        assert len(refreshed.node("n02").mempool) == 16
+        assert refreshed.node("n02").mempool.sender_transaction("0xbusy", 4)
+
+    def test_sender_confirmed_on_that_node(self, paths):
+        """One node has seen a block spending from two background accounts:
+        to it those offers are stale, to everyone else they are pending."""
+        spent = [Wallet("background").account(f"bg-{i}").address for i in (0, 5)]
+
+        def prepare(network):
+            node = network.node("n01")
+            block = Block(
+                number=1,
+                miner="elsewhere",
+                timestamp=0.0,
+                txs=tuple(
+                    Transaction(sender=sender, nonce=0, gas_price=gwei(9))
+                    for sender in spent
+                ),
+            )
+            node.receive_block(None, block)
+
+        refreshed, reference = self.twins([GETH.scaled(16)] * 4, prepare)
+        self.check(refreshed, reference, paths, admitting={0, 1})
+        ahead = refreshed.node("n01").mempool
+        assert ahead.stats["rejected_stale_nonce"] == 2
+        assert all(ahead.sender_transaction(sender, 0) is None for sender in spent)
+        assert refreshed.node("n02").mempool.stats["rejected_stale_nonce"] == 0
+
+    def test_differing_base_fee(self, paths):
+        def prepare(network):
+            for node_id, base_fee in (("n00", 0.8), ("n01", 1.1), ("n02", 0.8)):
+                network.node(node_id).mempool.apply_block(
+                    [], new_base_fee=gwei(base_fee)
+                )
+
+        refreshed, reference = self.twins([GETH_1559] * 4, prepare)
+        # n00 and n02 share a base fee; n01 and n03 (base fee 0) stand alone.
+        self.check(refreshed, reference, paths, admitting={0, 1, 3})
+        rejected = [pool.stats["rejected_base_fee"] for pool in pools(refreshed)]
+        assert rejected[0] == rejected[2] > 0
+        assert rejected[1] > rejected[0] and rejected[3] == 0
+
+    def test_policy_swapped_on_a_live_pool(self, paths):
+        """``set_policy`` is how the nonconforming-replacer behaviour
+        installs R=0: same capacity, another class."""
+
+        def prepare(network):
+            pool = network.node("n01").mempool
+            pool.set_policy(pool.policy.with_bump(0.0))
+
+        refreshed, reference = self.twins([GETH.scaled(16)] * 4, prepare)
+        self.check(refreshed, reference, paths, admitting={0, 1})
+
+    def test_donor_that_admits_nothing(self, paths):
+        """A base fee above every offer: nothing to copy, so the class has
+        no donor and each pool answers for itself."""
+
+        def prepare(network):
+            for pool in pools(network)[:3]:
+                pool.apply_block([], new_base_fee=gwei(1000))
+
+        refreshed, reference = self.twins([GETH_1559] * 4, prepare)
+        self.check(refreshed, reference, paths, admitting={0, 1, 2, 3})
+        assert [len(pool) for pool in pools(refreshed)] == [0, 0, 0, 20]
+        assert pools(refreshed)[1].stats["rejected_base_fee"] == 20
+
+    def test_fee_market_exempt_supernode_pool_is_its_own_class(self, paths):
+        """``install_fee_market`` leaves ``fee_market`` None on supernodes."""
+
+        def prepare(network):
+            network.install_fee_market(FeeMarket())
+            network.node("n02").mempool.fee_market = None
+
+        refreshed, reference = self.twins([GETH.scaled(16)] * 4, prepare)
+        self.check(refreshed, reference, paths, admitting={0, 2})
+
+
+# ----------------------------------------------------------------------
+# (c) Cost: admissions per class, not per node
+# ----------------------------------------------------------------------
+def test_refresh_admits_once_per_class(paths):
+    admitted, copied = paths
+    network = build([GETH.scaled(32)] * 64)
+    prefill_mempools(network)
+    assert (len(admitted), len(copied)) == (1, 63)
+    del admitted[:], copied[:]
+    refresh_mempools(network)
+    assert (len(admitted), len(copied)) == (1, 63)
+    assert all(pool.is_full for pool in pools(network))
+
+
+def test_generated_testnet_admits_once_per_class(paths):
+    admitted, copied = paths
+    network = generate_network(
+        NetworkSpec(n_nodes=40, seed=2, mempool_capacity=32, parity_fraction=0.3)
+    )
+    prefill_mempools(network)
+    refresh_mempools(network)
+    classes = {pool.policy for pool in pools(network)}
+    assert len(classes) == 2
+    assert len(admitted) == 2 * len(classes)
+    assert len(copied) == 2 * (40 - len(classes))
+
+
+# ----------------------------------------------------------------------
+# (d) No container is shared
+# ----------------------------------------------------------------------
+def test_mutating_a_copied_pool_never_reaches_donor_or_sibling():
+    network = build([GETH.scaled(16)] * 3)
+    refresh_mempools(network)
+    donor, copied, sibling = pools(network)
+    for name in (
+        "_by_hash", "_by_sender", "_pending", "_future", "_added_at",
+        "_pending_heap", "_future_heap", "stats",
+    ):
+        containers = [getattr(pool, name) for pool in (donor, copied, sibling)]
+        assert len({id(container) for container in containers}) == 3, name
+    for sender in donor._by_sender:
+        assert donor._by_sender[sender] is not copied._by_sender[sender]
+        assert sibling._by_sender[sender] is not copied._by_sender[sender]
+    before = exact_state(donor), exact_state(sibling)
+
+    factory, wallet = TransactionFactory(), Wallet("mutator")
+    victim = min(copied.all_transactions(), key=lambda tx: tx.gas_price)
+    bumped = factory.replacement(copied.all_transactions()[3], 0.5)
+    assert copied.add(bumped).replaced is not None
+    flood = wallet.fresh_account()
+    for index in range(4):  # futures into a full pool evict pending ones
+        result = copied.add(factory.future(flood, gwei(50), index=index))
+        assert result.evicted
+    assert victim.hash not in copied
+    copied.check_invariants()
+    assert (exact_state(donor), exact_state(sibling)) == before
+
+    # ... and the other way round: the donor's later life is its own.
+    mid = exact_state(copied)
+    donor.add(factory.transfer(wallet.fresh_account(), gas_price=gwei(70)))
+    donor.clear()
+    assert exact_state(copied) == mid
+
+
+# ----------------------------------------------------------------------
+# (e) Snapshot / restore through the same container copy
+# ----------------------------------------------------------------------
+def test_snapshot_restore_round_trips_a_copied_refresh():
+    network = build(POLICIES * 2, fee_market=True)
+    prefill_mempools(network)
+    live_through(network, 4, [(0, n, 2.0) for n in range(9)], None)
+    refresh_mempools(network)
+    snapshot = network.snapshot()
+    before = exact_states(network)
+
+    refresh_mempools(network, median_price=gwei(3.0))
+    live_through(network, 1, [(1, n, 5.0) for n in range(30)], None)
+    assert exact_states(network) != before
+
+    network.restore(snapshot)
+    assert exact_states(network) == before
+    recapture = network.snapshot()
+    for node_id in network.node_ids:
+        assert (
+            recapture["nodes"][node_id]["mempool"]
+            == snapshot["nodes"][node_id]["mempool"]
+        )
+    # The snapshot is still nobody's live container.
+    refresh_mempools(network)
+    network.restore(snapshot)
+    assert exact_states(network) == before
+
+
+# ----------------------------------------------------------------------
+# Bugfix: a refresh after mined blocks refills the pools
+# ----------------------------------------------------------------------
+class TestRefreshAfterBlocks:
+    def mined_network(self, lagging: Sequence[str] = ()) -> Network:
+        network = generate_network(
+            NetworkSpec(n_nodes=12, seed=3, mempool_capacity=64)
+        )
+        prefill_mempools(network)
+        for node_id in lagging:
+            network.node(node_id).crash()
+        miner = Miner(
+            network.node(network.node_ids[0]),
+            network.chain,
+            block_interval=5,
+            poisson=False,
+        )
+        miner.start()
+        network.run(12.0)
+        miner.stop()
+        for node_id in lagging:
+            network.node(node_id).restart()
+        assert network.chain.height == 2
+        return network
+
+    def test_pools_are_full_of_pending_transactions_again(self):
+        """Background accounts are re-derived per call; before the fix
+        every refresh after a block offered their nonce 0 again and all 64
+        were ``rejected_stale_nonce`` on every node."""
+        network = self.mined_network()
+        txs = refresh_mempools(network)
+        assert {tx.nonce for tx in txs} == {1}
+        for pool in pools(network):
+            assert pool.is_full and pool.pending_count == 64
+            assert pool.stats["rejected_stale_nonce"] == 0
+            pool.check_invariants()
+
+    def test_node_behind_the_chain_head_is_not_copied_into(self, paths):
+        """Nodes at the head know the spent accounts, so none is blank and
+        each admits for itself; the node that slept through both blocks
+        sees nonce 1 from accounts it believes are at 0 — futures, which
+        no pool at the head could have donated."""
+        admitted, copied = paths
+        behind = "testnet-0007"
+        network = self.mined_network(lagging=[behind])
+        del admitted[:], copied[:]  # the set-up's own prefill
+        refresh_mempools(network)
+        assert copied == []
+        assert len(admitted) == 12
+        for node_id in network.node_ids:
+            pool = network.node(node_id).mempool
+            pool.check_invariants()
+            assert pool.is_full
+            expected = (0, 64) if node_id == behind else (64, 0)
+            assert (pool.pending_count, pool.future_count) == expected
+
+    def test_no_miner_no_change(self):
+        """Nonce 0 wherever nothing was mined: hashes and goldens stay."""
+        network = build([GETH.scaled(16)] * 2)
+        assert {tx.nonce for tx in refresh_mempools(network)} == {0}
