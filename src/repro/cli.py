@@ -30,6 +30,7 @@ from repro.core.campaign import TopoShot
 from repro.core.cost import MainnetEstimate, PAPER_COST_PER_PAIR_ETHER
 from repro.core.profiler import profile_client
 from repro.core.schedule import build_schedule, expected_iteration_count
+from repro.errors import MeasurementError
 from repro.eth.policies import ALETH, BESU, GETH, NETHERMIND, PARITY
 from repro.netgen.ethereum import (
     goerli_like,
@@ -157,10 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--rpc-raw-client", action="store_true",
         help="use the naive single-attempt RPC client (no deadlines, "
              "retries, hedging or validation) — for A/B degradation runs")
-    faults.add_argument(
-        "--adaptive-flood", action="store_true",
-        help="resize eviction floods from observed pool occupancy "
-             "(storm-aware Z; see docs/rpc.md)")
     faults.add_argument("--checkpoint", type=str, default=None, metavar="FILE",
                         help="write a resumable checkpoint after each shard")
     faults.add_argument("--resume", action="store_true",
@@ -433,7 +430,6 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         behaviors=mix,
         rpc_raw=args.rpc_raw_client,
         cross_validate=args.cross_validate,
-        adaptive_flood=args.adaptive_flood,
     )
     if plan.enabled:
         print(
@@ -779,7 +775,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve": _cmd_serve,
         "submit": _cmd_submit,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except MeasurementError as exc:
+        # A campaign that cannot run as asked (slot budget, no measurable
+        # client, ...) is a typed refusal, not a traceback.
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -119,39 +119,27 @@ def probe_priority(
     )
 
 
-def adaptive_flood_size(
-    network,
-    node_ids,
-    config,
-    y: int,
-) -> int:
-    """Flood size Z resized from observed pool occupancy (per round).
+def flood_room(node: Node, flood_bid: int) -> int:
+    """How many future transactions bidding ``flood_bid`` the node's pool
+    can admit right now — the one pool read behind flood trimming
+    (:func:`repro.core.primitive.trim_flood`).
 
-    The static worst case ``Z = L`` assumes the flood must fill an empty
-    pool by itself. After a traffic storm the pools are already near
-    capacity with ambient pending transactions, and the flood only has
-    to (a) fill the remaining free slots and (b) evict the pending
-    transactions priced *below* the flood price — eviction removes
-    exactly one resident per admitted future, so the requirement is
-    their sum. Pending priced at or above the flood price cannot be
-    evicted by it and must not be counted (the paper's primitive accepts
-    that such traffic survives; the replacement check still works).
-
-    Returns the max requirement across ``node_ids`` — every involved
-    pool must be cleared — plus a small safety margin for traffic that
-    lands mid-flood, clamped to ``[margin, config.future_count]`` so the
-    adaptive size never exceeds the configured static Z.
+    A future enters a pool through a free slot or by evicting the
+    lowest-bidding pending transaction, which must bid *under* it and
+    leave more than the policy's floor ``P`` of pending transactions
+    behind (``Mempool._pending_victim``). So the pool has room for its
+    free slots plus its pending transactions under the flood bid, the
+    latter capped by what stands above ``P``. An upper bound, never an
+    estimate: an evicted transaction with queued successors demotes its
+    tail and only shrinks the pending set, inflow under the flood bid
+    turns a free slot into an evictable resident (or evicts one), and
+    inflow at or above it takes room away. Once one future is refused for
+    want of a victim, every later one at the same bid is refused too.
     """
-    flood_price = config.price_future(y)
-    margin = max(4, config.future_count // 16)
-    required = 0
-    for node_id in node_ids:
-        pool = network.node(node_id).mempool
-        evictable = sum(
-            1 for price in pool.pending_prices() if price < flood_price
-        )
-        required = max(required, pool.free_slots + evictable)
-    return max(margin, min(config.future_count, required + margin))
+    pool = node.mempool
+    evictable = sum(1 for bid in pool.pending_prices() if bid < flood_bid)
+    above_floor = pool.pending_count - pool.policy.eviction_pending_floor
+    return pool.free_slots + max(0, min(evictable, above_floor))
 
 
 def choose_adaptive_y(

@@ -27,10 +27,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import MeasurementConfig
-from repro.core.gas_estimator import estimate_y
 from repro.core.parallel import ParallelProbeReport, measure_par_with_repeats
 from repro.core.preprocess import (
     PreprocessReport,
@@ -384,6 +383,8 @@ class TopoShot:
             iterations_total = metrics.counter(wiring.CAMPAIGN_ITERATIONS)
             edges_gauge = metrics.gauge(wiring.CAMPAIGN_EDGES)
             txs_total = metrics.counter(wiring.CAMPAIGN_TXS)
+            trimmed_total = metrics.counter(wiring.CAMPAIGN_FLOOD_TRIMMED)
+            short_total = metrics.counter(wiring.CAMPAIGN_FLOOD_SHORT)
             setup_failures_total = metrics.counter(wiring.CAMPAIGN_SETUP_FAILURES)
             send_timeouts_total = metrics.counter(wiring.CAMPAIGN_SEND_TIMEOUTS)
             iter_sim_hist = metrics.histogram(wiring.CAMPAIGN_ITER_SIM_SECONDS)
@@ -429,6 +430,8 @@ class TopoShot:
                     iterations_total.inc()
                     edges_gauge.set(len(measurement.edges))
                     txs_total.inc(report.transactions_sent)
+                    trimmed_total.inc(report.flood_trimmed)
+                    short_total.inc(report.flood_short)
                     setup_failures_total.inc(report.setup_failures)
                     send_timeouts_total.inc(report.send_timeouts)
                     iter_sim_hist.observe(sim.now - sim_start)
@@ -539,7 +542,7 @@ class TopoShot:
         """Serially re-probe one suspect edge: true iff at least
         ``config.cross_validate_k`` of up to ``config.cross_validate``
         probes confirm direct adjacency, each under the per-round config
-        (Z overrides, adaptive flood) a campaign round on that pair gets.
+        (Z overrides) a campaign round on that pair gets.
         Probes that error count as failed.
 
         A probe whose RPC cross-check came back *unknown* (degraded
@@ -587,10 +590,10 @@ class TopoShot:
         self, pairs: Sequence[Tuple[str, str]]
     ) -> MeasurementConfig:
         """Apply per-target Z overrides: a round touching a node known
-        to run a larger-than-default mempool uses a flood big enough for
-        it (the pre-processing phase's "right parameter"). With
-        ``config.adaptive_flood`` the static Z is then shrunk to what the
-        involved pools actually need this round (storm-aware sizing)."""
+        to run a larger-than-default mempool builds a flood big enough for
+        it (the pre-processing phase's "right parameter"); its
+        default-sized neighbours are still sent only what their pools can
+        admit (:func:`repro.core.primitive.trim_flood`)."""
         config = self.config
         involved = {node_id for pair in pairs for node_id in pair}
         if self.z_overrides:
@@ -600,40 +603,7 @@ class TopoShot:
             )
             if needed > config.future_count:
                 config = config.with_future_count(needed)
-        if config.adaptive_flood:
-            config = self._apply_adaptive_flood(config, involved)
         return config
-
-    def _apply_adaptive_flood(
-        self, config: MeasurementConfig, involved: Set[str]
-    ) -> MeasurementConfig:
-        """Resize the flood from observed occupancy of the involved pools.
-
-        After a traffic storm the target pools sit near capacity, so the
-        static worst-case ``Z = L`` overshoots: the flood only needs to
-        fill the free slots and evict the cheap residents. The adaptive
-        size never exceeds the configured (or overridden) Z, so it can
-        only reduce interference, never recall.
-        """
-        from repro.core.adaptive import adaptive_flood_size
-
-        present = [nid for nid in sorted(involved) if nid in self.network]
-        if not present:
-            return config
-        y = config.gas_price_y
-        if y is None:
-            y = estimate_y(self.supernode, config)
-        z = adaptive_flood_size(self.network, present, config, y)
-        if z >= config.future_count:
-            return config
-        if self.obs.enabled:
-            self.obs.emit(
-                self.network.sim.now,
-                "campaign.adaptive_flood",
-                config.future_count,
-                z,
-            )
-        return config.with_future_count(z)
 
     def set_z_override(self, node_id: str, future_count: int) -> None:
         """Record that measurements involving ``node_id`` need a flood of

@@ -103,17 +103,6 @@ class MeasurementConfig:
     cross_validate_k:
         Confirming probes required to keep a suspect edge (``k``,
         default 1 — see ``with_cross_validation``).
-    adaptive_flood:
-        Resize each eviction flood from *observed* target occupancy
-        instead of the static worst case ``Z = L``. After a traffic
-        storm leaves pools persistently oversized, the static flood is
-        exactly large enough for an *empty* pool; with the pool full of
-        ambient pending transactions a correct flood needs only
-        ``free_slots + (pending priced below the flood)`` — the adaptive
-        sizing queries each involved node's pool and uses that, bounded
-        above by the configured ``future_count``. Off by default: in the
-        ambient case it shrinks Z, changing transaction counts (and so
-        the run fingerprint) without changing verdicts.
     """
 
     flood_wait: float = 10.0
@@ -136,7 +125,6 @@ class MeasurementConfig:
     hardened: bool = True
     cross_validate: int = 0
     cross_validate_k: int = 1
-    adaptive_flood: bool = False
 
     def __post_init__(self) -> None:
         if self.replace_bump <= 0:
@@ -306,7 +294,3 @@ class MeasurementConfig:
 
     def with_gas_price(self, y: Optional[int]) -> "MeasurementConfig":
         return replace(self, gas_price_y=y)
-
-    def with_adaptive_flood(self, enabled: bool = True) -> "MeasurementConfig":
-        """Copy with occupancy-driven per-round flood sizing toggled."""
-        return replace(self, adaptive_flood=enabled)

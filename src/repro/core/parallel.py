@@ -11,6 +11,10 @@ Measures ``r`` designated (source, sink) pairs in one pass:
 - **p4** edge (Ak, Bl) is detected iff the measurement node observes
   ``txA(k, .)`` from ``Bl``.
 
+Every node is sent the part of the round's one Z-future flood that its pool
+has room for (:func:`repro.core.primitive.trim_flood`); the futures cut are
+the ones it would have refused.
+
 Isolation among measured nodes holds because every node other than the
 edge's own source/sink holds that edge's ``txC`` at price Y, which
 ``txA`` (price ``(1+R/2)Y``) cannot replace.
@@ -60,6 +64,11 @@ class ParallelProbeReport:
     seed_senders: List[str] = field(default_factory=list)
     flood_senders: List[str] = field(default_factory=list)
     transactions_sent: int = 0
+    # Flood trimming (primitive.trim_flood): futures not sent because the
+    # pool had no room for them (sent + trimmed = the static-Z cost), and
+    # node-floods whose pool had room for more than the whole flood.
+    flood_trimmed: int = 0
+    flood_short: int = 0
     send_timeouts: int = 0
     unreachable: List[str] = field(default_factory=list)
     # Hardened-pipeline evidence: per detected edge, and the nodes whose
@@ -188,10 +197,9 @@ def measure_par(
     for index, source in enumerate(sources):
         own = [tx_a[pair] for pair in active if pair[0] == source]
         others = [tx_c[pair] for pair in active if pair[0] != source]
-        batch = [*flood, *others, *own]
         network.sim.schedule(
             index * gap,
-            lambda s=source, b=batch: inject(supernode, s, b, report),
+            lambda s=source, b=[*others, *own]: inject(supernode, s, b, report, flood),
             label=f"p2:{source}",
         )
 
@@ -201,10 +209,9 @@ def measure_par(
         vector = [
             tx_b[pair] if pair[1] == sink else tx_c[pair] for pair in active
         ]
-        batch = [*flood, *vector]
         network.sim.schedule(
             (offset + index) * gap,
-            lambda s=sink, b=batch: inject(supernode, s, b, report),
+            lambda s=sink, b=vector: inject(supernode, s, b, report, flood),
             label=f"p3:{sink}",
         )
 
@@ -312,6 +319,8 @@ def measure_par_with_repeats(
             merged.evidence.setdefault(pair_edge, item)
         merged.suspect_nodes |= report.suspect_nodes
         merged.transactions_sent += report.transactions_sent
+        merged.flood_trimmed += report.flood_trimmed
+        merged.flood_short += report.flood_short
         merged.seed_senders.extend(report.seed_senders)
         merged.flood_senders.extend(report.flood_senders)
         merged.send_timeouts += report.send_timeouts

@@ -102,9 +102,9 @@ class CampaignSpec:
     the same world from it. :func:`build_world` turns ``network``,
     ``prefill``, ``rpc_raw``, ``behaviors`` and ``supernode_id`` into a
     network with a joined supernode; :meth:`measurement_config` applies
-    ``repeats``/``max_retries``/``future_count``/``cross_validate``/
-    ``adaptive_flood``; a :class:`CampaignReplica` then pre-processes (if
-    ``preprocess``), drains the event queue and snapshots. ``max_retries``
+    ``repeats``/``max_retries``/``future_count``/``cross_validate``; a
+    :class:`CampaignReplica` then pre-processes (if ``preprocess``),
+    drains the event queue and snapshots. ``max_retries``
     is the probe retry budget of every ``measurePar`` round and, read by
     :func:`run_campaign`, of a crashed worker-pool shard.
 
@@ -126,7 +126,6 @@ class CampaignSpec:
     behaviors: Optional[BehaviorMix] = None
     rpc_raw: bool = False
     cross_validate: Optional[int] = None
-    adaptive_flood: bool = False
 
     def __post_init__(self) -> None:
         # Specs arrive from service clients: refuse overrides no
@@ -145,8 +144,6 @@ class CampaignSpec:
             for name in ("repeats", "max_retries", "future_count", "cross_validate")
             if getattr(self, name) is not None
         }
-        if self.adaptive_flood:
-            overrides["adaptive_flood"] = True
         return replace(base, **overrides)
 
     def to_dict(self) -> dict:

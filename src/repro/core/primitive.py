@@ -11,6 +11,9 @@ Four steps, exactly as Figure 2a:
 4. conclude A--B is an active link iff the measurement node receives
    ``txA`` *from node B*.
 
+A node is sent the part of the Z-future flood its pool has room for
+(:func:`trim_flood`): the futures cut are the ones it would have refused.
+
 Isolation: txA's bump over txC is R/2 < R, so no other node ever accepts
 (or re-propagates) txA; its bump over txB is (1+R/2)/(1-R/2)-1 >= R, so B —
 and only B — replaces and forwards it.
@@ -21,14 +24,17 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.adaptive import flood_room
 from repro.core.config import MeasurementConfig
 from repro.core.gas_estimator import estimate_y
 from repro.core.results import EdgeEvidence
 from repro.errors import NotConnectedError, SendTimeoutError
 from repro.eth.account import Wallet
 from repro.eth.network import Network
+from repro.eth.node import Node
 from repro.eth.rpc import rpc_tx_in_pool
 from repro.eth.supernode import Supernode
 from repro.eth.transaction import Transaction, TransactionFactory
@@ -185,26 +191,74 @@ def rebid(factory: TransactionFactory, original: Transaction, price: int) -> Tra
     )
 
 
+def flood_margin(z: int) -> int:
+    """Futures sent beyond a pool's room: the read is a bound at the
+    instant of sending, and a block mined before the packet lands frees
+    slots (futures fill them without evicting) the read did not see."""
+    return max(4, z // 16)
+
+
+def trim_flood(
+    node: Node, flood: Sequence[Transaction]
+) -> Tuple[Sequence[Transaction], bool]:
+    """The prefix of the round's ``flood`` worth sending to ``node``, and
+    whether its pool had room for more futures than the whole flood holds
+    (a pool larger than Z: the false-negative mechanism of Figure 4a).
+
+    The flood is one price from fresh accounts, so a pool admits the first
+    :func:`~repro.core.adaptive.flood_room` futures it does not hold yet
+    and refuses the rest as no-ops: the prefix holding that many, plus
+    :func:`flood_margin`, leaves the pool in the state the full flood
+    would. Futures it holds already can only be this round's, leaked by a
+    misbehaving peer of a node flooded earlier; the prefix looks past
+    them. The one exception is a pool whose own U is below the flood's
+    per-account run — it admits the head of every account's run, not a
+    prefix — which gets the whole flood.
+    """
+    z = len(flood)
+    pool = node.mempool
+    room = flood_room(node, flood[0].bid_price(pool.base_fee))
+    keep = room + flood_margin(z)
+    limit = pool.policy.future_limit_per_account
+    if limit is not None and limit < z and flood[limit].sender == flood[0].sender:
+        keep = z
+    elif pool.future_count:
+        # Up to and including the keep-th future the pool does not hold.
+        fresh = (i for i, tx in enumerate(flood, 1) if tx.hash not in pool)
+        keep = next(islice(fresh, keep - 1, None), z)
+    return flood[:keep], room > z
+
+
 def inject(
     supernode: Supernode,
     peer_id: str,
     batch: Sequence[Transaction],
     tally: Optional[object] = None,
+    flood: Sequence[Transaction] = (),
 ) -> bool:
     """The one injection every probe sends through: did the packet leave M?
+
+    ``flood`` is the round's eviction flood, to arrive immediately ahead
+    of ``batch`` in the same packet; the peer is sent the part of it its
+    pool can admit (:func:`trim_flood`).
 
     A timed-out send or a churned supernode link fails the set-up of
     whatever was being planted, never the run: it is counted on ``tally``
     (a round report), not raised.
     """
+    kept, short = (
+        trim_flood(supernode.network.node(peer_id), flood) if flood else ((), False)
+    )
     try:
-        supernode.send_transactions(peer_id, batch)
+        supernode.send_transactions(peer_id, [*kept, *batch])
     except (SendTimeoutError, NotConnectedError):
         if tally is not None:
             tally.send_timeouts += 1
         return False
     if tally is not None:
-        tally.transactions_sent += len(batch)
+        tally.transactions_sent += len(kept) + len(batch)
+        tally.flood_trimmed += len(flood) - len(kept)
+        tally.flood_short += short
     return True
 
 
@@ -284,7 +338,7 @@ def measure_one_link(
     flood_b = build_future_flood(wallet, factory, config, y)
     senders.extend({tx.sender for tx in flood_b})
     tx_b = rebid(factory, tx_c, config.price_b(y))
-    if not inject(supernode, b_id, [*flood_b, tx_b]):
+    if not inject(supernode, b_id, [tx_b], flood=flood_b):
         return send_failed(tx_c.hash, tx_b_hash=tx_b.hash,
                            flood_confirmed=flood_confirmed)
     network.run(config.settle_wait)
@@ -292,7 +346,7 @@ def measure_one_link(
     # Step 3: evict txC on A and slot txA in its place. The paper re-uses
     # the same future set {txO1..txOZ} for both targets.
     tx_a = rebid(factory, tx_c, config.price_a(y))
-    if not inject(supernode, a_id, [*flood_b, tx_a]):
+    if not inject(supernode, a_id, [tx_a], flood=flood_b):
         return send_failed(tx_c.hash, tx_a_hash=tx_a.hash, tx_b_hash=tx_b.hash,
                            flood_confirmed=flood_confirmed)
     network.run(config.propagation_wait)

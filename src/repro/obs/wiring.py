@@ -150,6 +150,12 @@ CAMPAIGN_EDGES = _gauge(
 CAMPAIGN_TXS = _counter(
     "toposhot_campaign_transactions_sent_total", "Measurement transactions injected"
 )
+CAMPAIGN_FLOOD_TRIMMED = _counter(
+    "toposhot_campaign_flood_trimmed_total", "Flood futures a full pool was spared"
+)
+CAMPAIGN_FLOOD_SHORT = _counter(
+    "toposhot_campaign_flood_short_total", "Floods into a pool with room beyond Z"
+)
 CAMPAIGN_SETUP_FAILURES = _counter(
     "toposhot_campaign_setup_failures_total", "Per-link setups that failed"
 )

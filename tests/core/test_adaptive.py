@@ -1,25 +1,29 @@
 """Tests for workload-adaptive Y selection (Section 6.3) and the
-occupancy-driven flood sizing that rides on top of it."""
+occupancy-driven flood trimming that reads the same pools."""
+
+from dataclasses import replace
 
 import pytest
 
+from repro.core import primitive
 from repro.core.adaptive import (
     AdaptiveYController,
-    adaptive_flood_size,
     choose_adaptive_y,
+    flood_room,
     inclusion_floor,
     pool_waterline,
 )
 from repro.core.campaign import TopoShot
 from repro.core.config import MeasurementConfig
 from repro.core.noninterference import check_conditions
+from repro.core.primitive import build_future_flood, flood_margin, trim_flood
 from repro.errors import MeasurementError
 from repro.eth.account import Wallet
 from repro.eth.chain import Chain
 from repro.eth.network import Network
 from repro.eth.node import NodeConfig
-from repro.eth.policies import GETH
-from repro.eth.transaction import INTRINSIC_GAS, Transaction, gwei
+from repro.eth.policies import GETH, PARITY
+from repro.eth.transaction import INTRINSIC_GAS, Transaction, TransactionFactory, gwei
 from repro.netgen.ethereum import quick_network
 from repro.netgen.workloads import prefill_mempools
 
@@ -129,88 +133,103 @@ class TestController:
 
 
 # ----------------------------------------------------------------------
-# Occupancy-driven flood sizing (the Section 5.2.3 "right parameter"
-# reused per round: a storm-inflated pool needs a smaller flood)
+# Per-node flood trimming: a pool is sent the futures it has room for
+# (the law itself — trimmed == full flood, state for state — is
+# tests/core/test_flood_trim.py)
 # ----------------------------------------------------------------------
-FLOOD_CONFIG = MeasurementConfig(future_count=64)
+POLICY = GETH.scaled(64)
+FLOOD_CONFIG = MeasurementConfig.for_policy(POLICY)
 Y = gwei(2.0)
 FLOOD_PRICE = FLOOD_CONFIG.price_future(Y)
-MARGIN = max(4, FLOOD_CONFIG.future_count // 16)
+MARGIN = flood_margin(FLOOD_CONFIG.future_count)
+FLOOD = build_future_flood(Wallet("flood"), TransactionFactory(), FLOOD_CONFIG, Y)
 
 
-def pool_network(prices, capacity=64, seed=74):
-    network = Network(seed=seed)
-    network.create_node("t", NodeConfig(policy=GETH.scaled(capacity)))
+def pool_node(prices, policy=POLICY, seed=74):
+    node = Network(seed=seed).create_node("t", NodeConfig(policy=policy))
     wallet = Wallet("flood-size")
     for price in prices:
-        result = network.node("t").mempool.add(
+        result = node.mempool.add(
             Transaction(
                 sender=wallet.fresh_account().address, nonce=0, gas_price=price
             )
         )
         assert result.admitted
-    return network
+    return node
+
+
+def futures_sent(node):
+    kept, _ = trim_flood(node, FLOOD)
+    assert list(kept) == FLOOD[: len(kept)]
+    return len(kept)
 
 
 class TestAdaptiveFloodSize:
     def test_empty_pool_needs_the_full_static_flood(self):
-        network = pool_network([])
-        assert adaptive_flood_size(network, ["t"], FLOOD_CONFIG, Y) == 64
+        node = pool_node([])
+        assert flood_room(node, FLOOD_PRICE) == 64
+        assert futures_sent(node) == FLOOD_CONFIG.future_count == 64
 
     def test_storm_residue_above_flood_price_shrinks_z(self):
         """48 of 64 slots hold storm transactions the flood cannot evict:
-        only the 16 free slots (plus margin) need filling."""
-        network = pool_network([gwei(50.0)] * 48)
-        z = adaptive_flood_size(network, ["t"], FLOOD_CONFIG, Y)
-        assert z == 16 + MARGIN
-        assert z < FLOOD_CONFIG.future_count
+        only the 16 free slots (plus margin) are worth sending."""
+        node = pool_node([gwei(50.0)] * 48)
+        assert flood_room(node, FLOOD_PRICE) == 16
+        assert futures_sent(node) == 16 + MARGIN < FLOOD_CONFIG.future_count
 
     def test_cheap_residents_still_need_evicting(self):
         """Residents priced below the flood price are displaced one-for-one
-        by admitted futures, so they count toward the requirement — a pool
-        full of cheap traffic gets no discount."""
+        by admitted futures, so they count as room — a pool full of cheap
+        traffic gets no discount."""
         assert gwei(1.0) < FLOOD_PRICE
-        network = pool_network([gwei(1.0)] * 48)
-        assert (
-            adaptive_flood_size(network, ["t"], FLOOD_CONFIG, Y)
-            == FLOOD_CONFIG.future_count
-        )
+        node = pool_node([gwei(1.0)] * 48)
+        assert flood_room(node, FLOOD_PRICE) == 64
+        assert futures_sent(node) == FLOOD_CONFIG.future_count
+
+    def test_a_resident_at_the_flood_price_is_not_evictable(self):
+        """``_pending_victim`` needs a strictly lower bid."""
+        node = pool_node([FLOOD_PRICE] * 32 + [FLOOD_PRICE - 1] * 32)
+        assert flood_room(node, FLOOD_PRICE) == 32
 
     def test_saturated_pool_floors_at_the_margin(self):
-        network = pool_network([gwei(50.0)] * 64)
-        assert adaptive_flood_size(network, ["t"], FLOOD_CONFIG, Y) == MARGIN
+        node = pool_node([gwei(50.0)] * 64)
+        assert flood_room(node, FLOOD_PRICE) == 0
+        assert futures_sent(node) == MARGIN
 
-    def test_requirement_is_the_max_over_involved_pools(self):
-        """Every involved pool must be cleared, so the emptiest binds."""
-        network = pool_network([gwei(50.0)] * 48)
-        network.create_node("empty", NodeConfig(policy=GETH.scaled(64)))
-        assert (
-            adaptive_flood_size(network, ["t", "empty"], FLOOD_CONFIG, Y)
-            == FLOOD_CONFIG.future_count
-        )
+    def test_pending_floor_caps_the_evictable(self):
+        """Parity-style P: futures evict only while more than P pending
+        transactions are buffered."""
+        policy = PARITY.scaled(64)
+        floor = policy.eviction_pending_floor
+        assert 0 < floor < 40
+        node = pool_node([gwei(1.0)] * 40, policy=policy)
+        assert flood_room(node, FLOOD_PRICE) == 24 + (40 - floor)
 
     def test_never_exceeds_the_configured_z(self):
-        """A pool larger than the static Z must not inflate the flood."""
-        network = pool_network([], capacity=128)
-        assert (
-            adaptive_flood_size(network, ["t"], FLOOD_CONFIG, Y)
-            == FLOOD_CONFIG.future_count
-        )
+        """A pool larger than the static Z gets the whole flood — and is
+        counted as short (the Figure 4a mechanism)."""
+        node = pool_node([], policy=GETH.scaled(128))
+        kept, short = trim_flood(node, FLOOD)
+        assert len(kept) == FLOOD_CONFIG.future_count and short
+        assert not trim_flood(pool_node([]), FLOOD)[1]
+
+    def test_a_pool_with_a_smaller_u_gets_the_whole_flood(self):
+        """Its own U cuts every account's run short, so what it admits is
+        not a prefix of the list: no trimming."""
+        policy = replace(POLICY, future_limit_per_account=8)
+        node = pool_node([gwei(50.0)] * 60, policy=policy)
+        assert flood_room(node, FLOOD_PRICE) == 4
+        assert futures_sent(node) == FLOOD_CONFIG.future_count
 
 
 class TestAdaptiveFloodCampaign:
-    def test_off_by_default(self):
-        assert MeasurementConfig().adaptive_flood is False
-        assert MeasurementConfig().with_adaptive_flood().adaptive_flood
-        assert not MeasurementConfig().with_adaptive_flood(False).adaptive_flood
-
-    def test_storm_residue_shrinks_floods_without_losing_links(self):
+    def test_storm_residue_shrinks_floods_without_losing_links(self, monkeypatch):
         """Acceptance bar (ROADMAP, PR 9 leftover): after a storm leaves
-        the pools mostly full of high-priced residue, the adaptive
-        campaign sends measurably fewer transactions than the static one
-        and still finds the same edges."""
+        the pools mostly full of high-priced residue, the campaign sends
+        measurably fewer transactions than one flooding every node with
+        the whole static Z, and finds the same edges."""
 
-        def measure(adaptive):
+        def measure():
             network = quick_network(n_nodes=10, seed=55)
             prefill_mempools(network)
             wallet = Wallet("storm-residue")
@@ -224,13 +243,11 @@ class TestAdaptiveFloodCampaign:
                             gas_price=gwei(50.0),
                         )
                     )
-            shot = TopoShot.attach(network)
-            if adaptive:
-                shot.config = shot.config.with_adaptive_flood()
-            return shot.measure_network()
+            return TopoShot.attach(network).measure_network()
 
-        static = measure(False)
-        adaptive = measure(True)
-        assert adaptive.edges == static.edges
-        assert str(adaptive.score) == str(static.score)
-        assert adaptive.transactions_sent < static.transactions_sent
+        trimmed = measure()
+        monkeypatch.setattr(primitive, "trim_flood", lambda node, flood: (flood, False))
+        static = measure()
+        assert trimmed.edges == static.edges
+        assert str(trimmed.score) == str(static.score)
+        assert trimmed.transactions_sent < static.transactions_sent

@@ -165,3 +165,57 @@ class TestOnePerProbeConfig:
     def test_no_override_no_adaptive_flood_is_the_session_config(self):
         shot = self.shot()
         assert shot._config_for_iteration([(self.PEER, self.BIG)]) is shot.config
+
+    def test_the_override_floods_only_the_overridden_pool(self, monkeypatch):
+        """A round touching the calibrated 281-slot node builds the large
+        flood, but its 128-slot neighbours are sent only what their pools
+        have room for (before flood trimming every node of such a round
+        received all 281 futures) — and the edges are the ones the large
+        flood sent to everybody finds."""
+        from repro.core import primitive
+        from repro.core.adaptive import flood_room
+
+        def campaign():
+            shot = self.shot()
+            shot.set_z_override(self.BIG, 281)
+            network, supernode = shot.network, shot.supernode
+            default = [
+                nid
+                for nid in network.measurable_node_ids()
+                if network.node(nid).config.policy.capacity == 128
+            ]
+            rounds = {}  # whole sim second -> {node: (futures sent, its room)}
+            send = supernode.send_transactions
+
+            def recording_send(peer_id, txs):
+                futures = [
+                    tx for tx in txs if tx.nonce >= shot.config.future_nonce_gap
+                ]
+                if futures:
+                    room = flood_room(network.node(peer_id), futures[0].gas_price)
+                    this_round = rounds.setdefault(int(network.sim.now), {})
+                    this_round[peer_id] = (len(futures), room)
+                send(peer_id, txs)
+
+            supernode.send_transactions = recording_send
+            others = [nid for nid in default if nid != self.PEER][:4]
+            measurement = shot.measure_network(
+                targets=[self.BIG, self.PEER, *others], preprocess=False
+            )
+            return measurement, [r for r in rounds.values() if self.BIG in r]
+
+        measurement, big_rounds = campaign()
+        assert measurement.score.recall == 1.0
+        assert big_rounds
+        margin = primitive.flood_margin(281)
+        for floods in big_rounds:
+            sent, room = floods.pop(self.BIG)
+            assert sent == min(281, room + margin) > 128  # its large flood
+            assert len(floods) == 5
+            for sent, room in floods.values():
+                assert sent == room + margin < 128
+        monkeypatch.setattr(primitive, "trim_flood", lambda node, flood: (flood, False))
+        untrimmed, everyone = campaign()
+        assert {sent for floods in everyone for sent, _ in floods.values()} == {281}
+        assert untrimmed.edges == measurement.edges
+        assert untrimmed.transactions_sent > measurement.transactions_sent

@@ -110,7 +110,7 @@ class TestOneAssemblyOrder:
                     "measure", "--nodes", "12", "--seed", "3", "--repeats", "2",
                     "--loss", "0.02", "--rpc-fault-rate", "0.2",
                     "--byzantine-frac", "0.2", "--cross-validate", "2",
-                    "--adaptive-flood", "--max-retries", "1",
+                    "--max-retries", "1",
                     "--output", str(out_json),
                 ]
             )
@@ -123,7 +123,6 @@ class TestOneAssemblyOrder:
             fault_plan=FaultPlan(loss_rate=0.02, rpc=RpcFaultPlan.uniform(0.2)),
             behaviors=BehaviorMix.uniform(0.2),
             cross_validate=2,
-            adaptive_flood=True,
         )
         assert json.loads(out_json.read_text()) == measurement_to_dict(
             run_campaign(spec)
@@ -191,7 +190,7 @@ class TestMeasureAdversarial:
                 [
                     "measure", "--nodes", "10", "--seed", "3", "--workers", "2",
                     "--byzantine-frac", "0.2", "--cross-validate", "2",
-                    "--rpc-fault-rate", "0.2", "--adaptive-flood",
+                    "--rpc-fault-rate", "0.2",
                 ]
             )
             == 0
@@ -221,7 +220,7 @@ ZOO_FLAGS = [
     "measure", "--nodes", "14", "--seed", "7",
     "--loss", "0.02", "--churn", "0.01", "--crash-rate", "0.002",
     "--rpc-fault-rate", "0.2", "--byzantine-frac", "0.3",
-    "--cross-validate", "3", "--adaptive-flood", "--invariants",
+    "--cross-validate", "3", "--invariants",
     "--max-retries", "1",
 ]
 
@@ -309,6 +308,28 @@ class TestOneExecutor:
             tmp_path, "resumed", ["--checkpoint", str(ckpt), "--resume"], capsys
         )
         assert resumed == reference
+
+
+class TestCampaignRefusals:
+    """A campaign that cannot run as asked is one typed line on stderr and
+    exit code 2 — ``MeasurementError`` is caught once, in ``main``."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["measure"],
+            ["monitor", "--rounds", "1"],
+            ["arena", "--protocols", "toposhot"],
+        ],
+        ids=["measure", "monitor", "arena"],
+    )
+    def test_slot_budget_overflow_is_one_line(self, command, capsys):
+        """Every quick network of 28+ nodes overflows the 50-slot budget
+        even at K = 2 (this used to be a 20-line traceback)."""
+        assert main(command + ["--nodes", "30", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command[0]}: even K=2 needs 56 mempool slots")
+        assert len(err.splitlines()) == 1
 
 
 class TestResumeErrors:

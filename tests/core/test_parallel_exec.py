@@ -42,14 +42,13 @@ def _spec(**overrides):
 
 def full_zoo_spec(seed=91):
     """Every knob at once: loss + churn + crash + RPC faults, a Byzantine
-    mix, cross-validation and adaptive floods."""
+    mix and cross-validation."""
     return CampaignSpec(
         network=NetworkSpec(n_nodes=14, seed=seed),
         n_shards=4,
         fault_plan=FaultPlan(**FULL_ZOO),
         behaviors=BYZANTINE_MIX,
         cross_validate=3,
-        adaptive_flood=True,
     )
 
 
@@ -193,7 +192,6 @@ class TestSpecSerialization:
             _spec(behaviors=BYZANTINE_MIX),
             _spec(rpc_raw=True),
             _spec(cross_validate=3),
-            _spec(adaptive_flood=True),
         ]
         assert len({variant.fingerprint() for variant in variants}) == len(variants)
 
