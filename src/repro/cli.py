@@ -27,6 +27,7 @@ from repro.analysis.randomgraphs import (
 )
 from repro.analysis.report import render_comparison
 from repro.core.campaign import TopoShot
+from repro.core.config import MeasurementConfig
 from repro.core.cost import MainnetEstimate, PAPER_COST_PER_PAIR_ETHER
 from repro.core.profiler import profile_client
 from repro.core.schedule import build_schedule, expected_iteration_count
@@ -643,17 +644,22 @@ def _cmd_profile(_args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    n = args.nodes
-    k = args.group_size or max(2, args.budget // n)
+    n, budget = args.nodes, args.budget
+    config = MeasurementConfig(mempool_slots_budget=budget)
+    k = args.group_size or config.group_size_for(n)
     ids = [f"n{i}" for i in range(n)]
-    iterations = build_schedule(ids, k)
-    pairs = n * (n - 1) // 2
-    print(f"N={n} nodes, K={k} (budget {args.budget} slots)")
-    print(f"pairs to cover     : {pairs}")
-    print(f"iterations         : {len(iterations)}")
+    uncut = [it.edge_count for it in build_schedule(ids, k)]
+    rounds = build_schedule(ids, k, budget)
+    print(f"N={n} nodes, K={k} (budget {budget} slots)")
+    print(f"pairs to cover     : {n * (n - 1) // 2}")
+    print(f"iterations         : {len(rounds)}")
     print(f"paper formula      : N/K + log K = {expected_iteration_count(n, k)}")
-    largest = max(it.edge_count for it in iterations)
+    largest = max((it.edge_count for it in rounds), default=0)
     print(f"largest iteration  : {largest} edges")
+    cut = sum(edges > budget for edges in uncut)
+    if cut:
+        into = len(rounds) - len(uncut) + cut
+        print(f"cut to the budget  : {cut} iterations into {into} rounds")
     return 0
 
 

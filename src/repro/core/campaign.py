@@ -25,7 +25,6 @@ are not defined to be bit-identical to each other.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -50,7 +49,6 @@ from repro.core.results import (
     Edge,
     LinkResult,
     NetworkMeasurement,
-    edge,
 )
 from repro.core.schedule import ScheduleIteration, build_schedule
 from repro.errors import MeasurementError
@@ -61,11 +59,11 @@ from repro.obs import NULL, Observability, wiring
 
 ProgressCallback = Callable[[int, int, ScheduleIteration, ParallelProbeReport], None]
 
-# One ``measurePar`` round: (schedule index, the iteration — cut to the
-# wanted pairs when the campaign is a pair list).
+# One ``measurePar`` round: (schedule index, the round — cut to the wanted
+# pairs when the campaign is a pair list, and to the slot budget always).
 WorkItem = Tuple[int, ScheduleIteration]
 
-# K a pair list starts from; lowered only to stay inside the slot budget.
+# K of a pair list, unless the caller passes one.
 PAIR_LIST_GROUP_SIZE = 4
 
 
@@ -311,16 +309,16 @@ class TopoShot:
         work items :meth:`run` walks.
 
         Targets default to every measurable node, pre-processed unless
-        disabled; K to the config's slot-budget fit. With ``pairs`` the
-        targets are the list's endpoints in order of first appearance, the
-        items the schedule cut to the wanted pairs, and K starts from
-        :data:`PAIR_LIST_GROUP_SIZE`, lowered only while the largest item
-        exceeds ``mempool_slots_budget``.
+        disabled; K to the config's ``budget // N``. With ``pairs`` the
+        targets are the list's endpoints in order of first appearance, K
+        defaults to :data:`PAIR_LIST_GROUP_SIZE` and the schedule is cut to
+        the wanted pairs. Either way no item exceeds
+        ``mempool_slots_budget``: :func:`~repro.core.schedule.build_schedule`
+        splits an iteration that would.
         """
         skipped: List[str] = []
         if pairs is not None:
             targets = list(dict.fromkeys(nid for pair in pairs for nid in pair))
-            wanted = {edge(a, b) for a, b in pairs}
         else:
             if targets is None:
                 targets = self.network.measurable_node_ids()
@@ -332,23 +330,13 @@ class TopoShot:
             if len(targets) < 2:
                 raise MeasurementError("need at least two targets to measure")
 
-        def schedule_at(k: int) -> List[ScheduleIteration]:
-            schedule = build_schedule(targets, k)
-            if pairs is None:
-                return schedule
-            return [
-                replace(it, edges=tuple(e for e in it.edges if edge(*e) in wanted))
-                for it in schedule
-            ]
-
-        if group_size is None and pairs is None:
-            group_size = self.config.group_size_for(len(targets))
+        if group_size is None and pairs is not None:
+            group_size = PAIR_LIST_GROUP_SIZE
         elif group_size is None:
-            group_size = self.config.fit_group_size(
-                PAIR_LIST_GROUP_SIZE,
-                lambda k: max((it.edge_count for it in schedule_at(k)), default=0),
-            )
-        schedule = schedule_at(group_size)
+            group_size = self.config.group_size_for(len(targets))
+        schedule = build_schedule(
+            targets, group_size, self.config.mempool_slots_budget, wanted=pairs
+        )
         now = self.network.sim.now
         measurement = NetworkMeasurement(
             node_ids=targets,

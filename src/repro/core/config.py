@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import MeasurementError, UnsupportedClientError
 from repro.eth.policies import GETH, MempoolPolicy
@@ -77,7 +77,8 @@ class MeasurementConfig:
     mempool_slots_budget:
         Max mempool slots the measurement may occupy on targets; the paper
         bounds interference with 2000 of 5120 slots and derives the group
-        size ``K = budget / N`` from it (§5.3.2).
+        size ``K = budget / N`` from it (§5.3.2). The schedule emits no
+        ``measurePar`` round with more edges than this.
     future_nonce_gap:
         Nonce distance guaranteeing flood transactions stay future.
     hardened:
@@ -196,32 +197,16 @@ class MeasurementConfig:
             return 1
         return max(1, math.ceil(self.future_count / self.future_per_account))
 
-    def fit_group_size(self, k: int, largest_item: Callable[[int], int]) -> int:
-        """Lower ``k`` (never below 2) while ``largest_item(k)`` — the edge
-        count of the schedule's largest ``measurePar`` round at that K —
-        exceeds the slot budget."""
-        while k > 2 and largest_item(k) > self.mempool_slots_budget:
-            k -= 1
-        return k
-
     def group_size_for(self, network_size: int) -> int:
-        """``K = slots_budget / N``, shrunk until the first (largest)
-        iteration's edge count ``K * (N - K)`` fits the slot budget
-        (Section 5.3.2: "we only use no more than 2000 transaction slots").
+        """``K = slots_budget / N`` (Section 5.3.2: "we only use no more
+        than 2000 transaction slots"), at least 2. At ``K = budget // N``
+        every iteration fits the budget (``K * (N - K) < budget``); where
+        only the floor of 2 applies, the schedule cuts what does not
+        (:func:`repro.core.schedule.build_schedule`).
         """
         if network_size <= 0:
             raise MeasurementError("network size must be positive")
-        k = self.fit_group_size(
-            max(2, self.mempool_slots_budget // network_size),
-            lambda k: k * (network_size - k),
-        )
-        if k * (network_size - k) > self.mempool_slots_budget:
-            raise MeasurementError(
-                f"even K=2 needs {2 * (network_size - 2)} mempool slots, over "
-                f"the budget of {self.mempool_slots_budget}; measure a larger-"
-                "mempool network or raise mempool_slots_budget"
-            )
-        return k
+        return max(2, self.mempool_slots_budget // network_size)
 
     # ------------------------------------------------------------------
     # Builders

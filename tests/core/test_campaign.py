@@ -169,9 +169,11 @@ class TestPipelineLaws:
         [
             (24, 3, 14, 4),  # fits the slot budget at the pair-list K of 4
             (24, 7, 14, 4),
-            # 4 * 16 = 64 > 50 slots: both entries must derive the same K=2
-            # (the pair list used to keep K=4 and lose the oversized rounds).
-            (32, 3, 20, None),
+            # 4 * 16 = 64 > 50 slots on both spellings: the one schedule
+            # cuts the same iterations into the same rounds.
+            (32, 3, 20, 4),
+            # Every node of a network where even K = 2 overflows the budget.
+            (40, 7, None, 4),
         ],
     )
     def test_whole_network_equals_all_of_its_pairs(
@@ -187,7 +189,19 @@ class TestPipelineLaws:
         listed = twin_shot.measure_pairs(list(combinations(targets, 2)))
         assert outcome(twin, listed) == outcome(network, whole)
         assert whole.edges and whole.transactions_sent > 0
-        assert not [f for f in listed.failures if f.kind == "iteration_error"]
+        assert not whole.failures and not listed.failures
+
+    def test_empty_pair_list_is_an_empty_campaign(self):
+        """Zero pairs: zero work items, no error — a monitor delta round
+        with no candidates is exactly this."""
+        network, shot, _ = twin_world(16, 13, 6)
+        measurement, items = shot.open(pairs=[])
+        assert items == [] and measurement.iterations == 0
+        events = network.sim.executed_events
+        listed = shot.measure_pairs([])
+        assert not listed.edges and not listed.failures
+        assert listed.transactions_sent == 0
+        assert network.sim.executed_events == events
 
     def test_pair_list_order_and_orientation_do_not_matter(self):
         """Only the first-appearance order of the endpoints shapes the

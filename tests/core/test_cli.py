@@ -18,6 +18,22 @@ class TestSchedule:
         assert "pairs to cover     : 28" in out
 
 
+    def test_schedule_respects_the_budget_it_was_given(self, capsys):
+        """40 nodes in 50 slots: K = 2 still needs 76, so the plan printed
+        is the cut one ``measure --nodes 40`` runs, not the paper's."""
+        assert main(["schedule", "--nodes", "40", "--budget", "50"]) == 0
+        out = capsys.readouterr().out
+        assert "N=40 nodes, K=2" in out
+        assert "iterations         : 27" in out
+        assert "largest iteration  : 50 edges" in out
+        assert "cut to the budget  : 7 iterations into 14 rounds" in out
+        assert "N/K + log K = 21" in out  # the uncut schedule's formula
+
+    def test_schedule_within_budget_reports_no_cut(self, capsys):
+        assert main(["schedule", "--nodes", "588", "--budget", "2000"]) == 0
+        assert "cut to the budget" not in capsys.readouterr().out
+
+
 class TestEstimateCost:
     def test_paper_defaults(self, capsys):
         assert main(["estimate-cost"]) == 0
@@ -310,26 +326,43 @@ class TestOneExecutor:
         assert resumed == reference
 
 
+CAMPAIGN_COMMANDS = pytest.mark.parametrize(
+    "command",
+    [
+        ["measure"],
+        ["monitor", "--rounds", "1"],
+        ["arena", "--protocols", "toposhot"],
+    ],
+    ids=["measure", "monitor", "arena"],
+)
+
+
 class TestCampaignRefusals:
     """A campaign that cannot run as asked is one typed line on stderr and
     exit code 2 — ``MeasurementError`` is caught once, in ``main``."""
 
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["measure"],
-            ["monitor", "--rounds", "1"],
-            ["arena", "--protocols", "toposhot"],
-        ],
-        ids=["measure", "monitor", "arena"],
-    )
-    def test_slot_budget_overflow_is_one_line(self, command, capsys):
-        """Every quick network of 28+ nodes overflows the 50-slot budget
-        even at K = 2 (this used to be a 20-line traceback)."""
-        assert main(command + ["--nodes", "30", "--seed", "1"]) == 2
+    @CAMPAIGN_COMMANDS
+    def test_too_few_targets_is_one_line(self, command, capsys):
+        """(This used to be a 20-line traceback.)"""
+        assert main(command + ["--nodes", "1", "--seed", "1"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"{command[0]}: even K=2 needs 56 mempool slots")
-        assert len(err.splitlines()) == 1
+        assert err == f"{command[0]}: need at least two targets to measure\n"
+
+    @CAMPAIGN_COMMANDS
+    def test_network_over_the_slot_budget_measures(self, command, capsys):
+        """Every quick network of 28+ nodes overflows the 50-slot budget
+        even at K = 2; the schedule cuts the oversized iterations into
+        rounds that fit."""
+        assert main(command + ["--nodes", "30", "--seed", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        scored = {
+            "measure": "precision=1.000 recall=0.9",
+            "monitor": "edges among 30 targets",
+            "arena": "active_edges      1.000  0.9",
+        }
+        assert scored[command[0]] in captured.out
+        assert "iteration_error" not in captured.out
 
 
 class TestResumeErrors:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import MeasurementConfig
 from repro.core.campaign import TopoShot
-from repro.core.schedule import build_schedule
+from repro.core.schedule import build_schedule, verify_schedule_coverage
 from repro.eth.network import Network
 from repro.eth.node import NodeConfig
 from repro.eth.policies import GETH, MempoolPolicy
@@ -64,8 +64,8 @@ class TestScheduleBoundsProperty:
     def test_first_iteration_dominates_for_sane_k(self, n, k):
         """For K <= 3N/4 (every practical setting — the budget rule yields
         far smaller K), the first round-1 iteration is the largest, which
-        is why ``group_size_for`` only needs to bound K*(N-K). Beyond that
-        regime the runtime guard in ``measure_par`` still applies."""
+        is why K = budget // N keeps a whole schedule within budget. Beyond
+        that regime the schedule cuts the oversized iterations."""
         ids = [f"n{i}" for i in range(n)]
         schedule = build_schedule(ids, k)
         if not schedule:
@@ -83,19 +83,17 @@ class TestScheduleBoundsProperty:
     def test_budgeted_group_size_keeps_every_iteration_within_budget(
         self, n, budget
     ):
-        """The end-to-end guarantee: the K chosen from the slot budget
-        never produces an iteration that needs more txC slots than the
-        budget allows."""
-        from repro.errors import MeasurementError
-
+        """The end-to-end guarantee: the schedule built from the slot
+        budget — K chosen from it, iterations cut to it where even K = 2
+        overflows — has no round that needs more txC slots than the budget
+        allows, and still covers every pair exactly once."""
         config = MeasurementConfig(mempool_slots_budget=budget)
-        try:
-            k = config.group_size_for(n)
-        except MeasurementError:
-            return  # budget too small for this network: rejected upfront
+        k = config.group_size_for(n)
         ids = [f"n{i}" for i in range(n)]
-        for iteration in build_schedule(ids, k):
-            assert iteration.edge_count <= budget
+        schedule = build_schedule(ids, k, budget)
+        verify_schedule_coverage(ids, schedule, budget=budget)
+        if k > 2:  # K = budget // N fits on its own: nothing is cut
+            assert schedule == build_schedule(ids, k)
 
 
 class TestDominantPolicyRegression:

@@ -202,20 +202,26 @@ class TestDeltaRoundsAreCampaigns:
         assert not record.quarantined & monitor.current_edges
         assert len(monitor.current_edges - truth) <= len(base.edges - truth)
 
-    def test_failed_round_is_visible(self):
-        """A round over the slot budget even at K=2 is an
-        ``iteration_error`` in the round's record and in its stream line,
-        not a silent mass removal."""
-        from dataclasses import replace
+    def test_failed_round_is_visible(self, monkeypatch):
+        """A round whose ``measurePar`` raises is an ``iteration_error`` in
+        the round's record and in its stream line, not a silent mass
+        removal. (The schedule no longer builds a round over the slot
+        budget, so the failure is injected.)"""
+        from repro.errors import MeasurementError
 
         network, shot, monitor = build_monitor(stream=io.StringIO())
         monitor.take_snapshot()
-        shot.config = replace(shot.config, mempool_slots_budget=1)
+
+        def broken_round(*args, **kwargs):
+            raise MeasurementError("injected: this round cannot run")
+
+        monkeypatch.setattr("repro.core.parallel.measure_par", broken_round)
         for node_id in monitor.targets[:4]:
             monitor.note_churn_hint(node_id)
         monitor.delta_round(poll=False)
         failures = monitor.snapshots[-1].measurement.failures
         assert failures and {f.kind for f in failures} == {"iteration_error"}
+        assert "injected" in failures[0].detail
         line = json.loads(monitor.stream.getvalue().splitlines()[-1])
         assert line["failures"] == len(failures)
 

@@ -133,3 +133,43 @@ def test_metrics_are_declared_once():
                 offenders.append(f"{where}:{node.lineno} .{node.func.attr}(.., help)")
     assert not offenders, "metric facts outside the catalog:\n" + "\n".join(offenders)
     assert names and len(names) == len(set(names))
+
+
+def test_slot_budget_is_enforced_by_the_schedule_alone():
+    """The slot budget bounds a round where the round is built
+    (``schedule.build_schedule``): nothing under ``src/`` searches for a K
+    that fits (``fit_group_size``) or refuses a network over the budget
+    (the ``even K=2 needs ...`` message), and under ``core/`` a pair count
+    is compared with ``mempool_slots_budget`` in exactly one function, the
+    safety check in ``parallel.measure_par``."""
+    root = Path(repro.__file__).parent
+    offenders, comparers = [], []
+    for path in sorted(root.rglob("*.py")):
+        where = path.relative_to(root)
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            named = (
+                getattr(node, "name", None),
+                getattr(node, "attr", None),
+                getattr(node, "id", None),
+            )
+            if "fit_group_size" in named:
+                offenders.append(f"{where}:{node.lineno} fit_group_size")
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and ("even K=2" in node.value or "fit_group_size" in node.value)
+            ):
+                offenders.append(f"{where}:{node.lineno} {node.value[:40]!r}")
+        if where.parts[0] != "core":
+            continue
+        for name, func in _functions(tree):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Compare) and any(
+                    isinstance(part, ast.Attribute)
+                    and part.attr == "mempool_slots_budget"
+                    for part in ast.walk(node)
+                ):
+                    comparers.append(f"{path.stem}.{name}")
+    assert not offenders, "a second slot-budget rule:\n" + "\n".join(offenders)
+    assert comparers == ["parallel.measure_par"]
