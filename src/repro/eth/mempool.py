@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-import itertools
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import MempoolError
@@ -85,15 +84,12 @@ _OUTCOME_KEY = {outcome: outcome.value for outcome in AddOutcome}
 _NO_TXS: Tuple[Transaction, ...] = ()
 
 
-def _restamped(
-    heap: List[Tuple[int, int, str]], shift: int
-) -> List[Tuple[int, int, str]]:
-    """A copy of an eviction heap with ``shift`` added to every tie-break
-    number. A uniform shift keeps every comparison, so the copy is a valid
-    heap as it stands."""
-    if not shift:
-        return list(heap)
-    return [(bid, seq + shift, tx_hash) for bid, seq, tx_hash in heap]
+def _copy_runs(by_sender: Dict[str, dict], long_runs: Iterable[str]) -> Dict[str, dict]:
+    """A per-sender table copy: the runs of ``long_runs`` (more than one
+    transaction) are copied, every other run is shared by reference."""
+    copy = dict(by_sender)
+    copy.update((sender, dict(copy[sender])) for sender in long_runs)
+    return copy
 
 
 class AddResult:
@@ -172,7 +168,7 @@ class Mempool:
         confirmed_nonce: Optional[NonceProvider] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        self.policy = policy
+        self.set_policy(policy)  # and the hot-path caches of its attributes
         self._confirmed_nonce: NonceProvider = confirmed_nonce or (lambda sender: 0)
         self._clock: Callable[[], float] = clock or (lambda: 0.0)
         self.base_fee: int = 0
@@ -180,11 +176,6 @@ class Mempool:
         # Network.install_fee_market. None keeps admission on the exact
         # seed code path (golden fingerprints).
         self.fee_market = None
-        # Hot-path caches of (immutable) policy attributes.
-        self._capacity = policy.capacity
-        self._enforce_base_fee = policy.enforce_base_fee
-        self._future_limit = policy.future_limit_per_account
-        self._eviction_floor = policy.eviction_pending_floor
         # add_batch defers eviction-heap maintenance: while True, _place
         # records no heap entries and draws no sequence numbers; the
         # batch ends with one _rebuild_price_heaps().
@@ -195,7 +186,7 @@ class Mempool:
         self._pending: Set[str] = set()
         self._future: Set[str] = set()
         self._added_at: Dict[str, float] = {}
-        self._seq = itertools.count()
+        self._seq = 0  # next tie-break number
         # Lazy min-heaps keyed by (price, seq); entries are validated on pop.
         self._pending_heap: List[Tuple[int, int, str]] = []
         self._future_heap: List[Tuple[int, int, str]] = []
@@ -557,15 +548,24 @@ class Mempool:
     # ------------------------------------------------------------------
     def _insert(self, tx: Transaction) -> None:
         self._by_hash[tx.hash] = tx
-        self._by_sender.setdefault(tx.sender, {})[tx.nonce] = tx
+        run = self._by_sender.get(tx.sender)
+        if run is None:
+            self._by_sender[tx.sender] = {tx.nonce: tx}
+        elif len(run) == 1:
+            # A one-transaction run is never written in place: captures and
+            # the pools copied from them hold the same dict (_copy_containers).
+            self._by_sender[tx.sender] = {**run, tx.nonce: tx}
+        else:
+            run[tx.nonce] = tx
         self._added_at[tx.hash] = self._clock()
 
     def _remove(self, tx_hash: str) -> Transaction:
         tx = self._by_hash.pop(tx_hash)
-        sender_txs = self._by_sender[tx.sender]
-        del sender_txs[tx.nonce]
-        if not sender_txs:
+        run = self._by_sender[tx.sender]
+        if len(run) == 1:  # shared, see _insert: drop the key, not the entry
             del self._by_sender[tx.sender]
+        else:
+            del run[tx.nonce]
         self._pending.discard(tx_hash)
         self._future.discard(tx_hash)
         self._added_at.pop(tx_hash, None)
@@ -582,7 +582,8 @@ class Mempool:
         # Inside add_batch the heaps are rebuilt wholesale at the end, so
         # per-transaction pushes (and their sequence draws) are skipped.
         if not self._heaps_deferred:
-            heapq.heappush(heap, (bid, next(self._seq), tx_hash))
+            heapq.heappush(heap, (bid, self._seq, tx_hash))
+            self._seq += 1
 
     def _rebalance_sender(self, sender: str) -> List[Transaction]:
         """Recompute pending/future split for one sender (the full scan).
@@ -678,12 +679,13 @@ class Mempool:
         pending_entries: List[Tuple[int, int, str]] = []
         future_entries: List[Tuple[int, int, str]] = []
         pending = self._pending
-        for tx_hash, tx in self._by_hash.items():
-            entry = (tx.bid_price(base_fee), next(self._seq), tx_hash)
+        for seq, (tx_hash, tx) in enumerate(self._by_hash.items(), self._seq):
+            entry = (tx.bid_price(base_fee), seq, tx_hash)
             if tx_hash in pending:
                 pending_entries.append(entry)
             else:
                 future_entries.append(entry)
+        self._seq += len(self._by_hash)
         heapq.heapify(pending_entries)
         heapq.heapify(future_entries)
         self._pending_heap = pending_entries
@@ -706,7 +708,9 @@ class Mempool:
 
         Used by experiment harnesses to model organic pool churn (mining,
         expiry, new traffic) compressed into an instant between measurement
-        iterations.
+        iterations. The tie-break counter restarts too: both heaps are
+        empty and ``(bid, seq)`` is only compared inside one heap, so later
+        tie-breaks keep their order and the pool is :attr:`is_blank` again.
         """
         dropped = len(self._by_hash)
         self._by_hash.clear()
@@ -716,6 +720,7 @@ class Mempool:
         self._added_at.clear()
         self._pending_heap.clear()
         self._future_heap.clear()
+        self._seq = 0
         return dropped
 
     def evict_expired(self, now: float) -> List[Transaction]:
@@ -739,19 +744,20 @@ class Mempool:
         """Capture full pool state for later :meth:`restore_state`.
 
         Transactions are immutable, so shallow container copies suffice.
-        The tie-break sequence position is part of the capture so that
-        eviction order among equal-priced transactions replays identically.
+        The tie-break position is captured so that eviction order among
+        equal-priced transactions replays identically; ``long_runs`` (senders
+        holding several transactions) so that no copy has to look for them.
         """
+        long_runs = [s for s, run in self._by_sender.items() if len(run) > 1]
         return {
             "base_fee": self.base_fee,
             "by_hash": dict(self._by_hash),
-            "by_sender": {
-                sender: dict(nonces) for sender, nonces in self._by_sender.items()
-            },
+            "by_sender": _copy_runs(self._by_sender, long_runs),
+            "long_runs": long_runs,
             "pending": set(self._pending),
             "future": set(self._future),
             "added_at": dict(self._added_at),
-            "seq": self._seq_position(),
+            "seq": self._seq,
             "pending_heap": list(self._pending_heap),
             "future_heap": list(self._future_heap),
             "stats": dict(self.stats),
@@ -761,72 +767,55 @@ class Mempool:
         """Restore a capture taken by :meth:`capture_state`."""
         self.base_fee = state["base_fee"]
         self._copy_containers(state)
-        self._seq = itertools.count(state["seq"])
         self.stats = dict(state["stats"])
+
+    @property
+    def is_blank(self) -> bool:
+        """Empty at tie-break position 0: new or cleared, not merely drained."""
+        return not self._by_hash and not self._seq
 
     def refill_from(self, image: Dict[str, object], counts: Dict[str, int]) -> None:
         """Take by copy what one ``add_batch`` built in a pool like this one.
 
-        ``image`` is the :meth:`capture_state` of a donor that was empty,
+        ``image`` is the :meth:`capture_state` of a donor that was blank,
         was offered one ``add_batch(txs, stop_when_full=True)`` and
         returned ``counts``. This pool must be indistinguishable from that
         donor before the offer in everything :meth:`_add_inner` reads:
-        empty, the same policy, base fee, fee market and clock, and no
-        confirmed nonce for any sender of the batch. Offering it the same
-        batch would then walk to the donor's containers transaction by
-        transaction; copying them is that answer without the walk (see
-        :func:`repro.netgen.workloads.prefill_mempools`, the caller that
-        establishes the precondition).
-
-        Two things belong to the pool rather than to the batch and are
-        recomputed. The tie-break numbers: the closing
-        ``_rebuild_price_heaps`` draws one per stored transaction from the
-        pool's *own* ``_seq``, so the donor's heap entries are re-stamped by
-        the distance between the two pools' positions and ``_seq`` ends
-        where the rebuild would have left it — later equal-priced evictions
-        pick the same victims, and a capture of this pool is the one the
-        real offer would have produced. And ``stats``, bumped by the
+        blank, the same policy, base fee, fee market and clock, and no
+        confirmed nonce for any sender of the batch
+        (:func:`repro.netgen.workloads.prefill_mempools` establishes it).
+        The same offer would then walk to the donor's containers, tie-break
+        numbers (drawn from 0 in both) included; copying them is that
+        answer without the walk. ``stats`` is the pool's own: bumped by the
         batch's outcome counts, not overwritten.
         """
-        if self._by_hash:
-            raise MempoolError("refill_from needs an empty pool")
-        end = self._seq_position() + len(image["by_hash"])
-        self._copy_containers(image, shift=end - image["seq"])
-        self._seq = itertools.count(end)
+        if not self.is_blank:
+            raise MempoolError("refill_from needs a blank pool")
+        self._copy_containers(image)
         stats = self.stats
         for key, count in counts.items():
             stats[key] += count
 
-    def _copy_containers(self, state: Dict[str, object], shift: int = 0) -> None:
+    def _copy_containers(self, state: Dict[str, object]) -> None:
         """Replace this pool's content with copies of a capture's containers.
 
-        Copied, never adopted: one capture is handed to many pools (every
-        shard/sweep restore, every sibling of a refresh donor), so a live
-        pool holding the stored objects would let the next run corrupt
-        them. Insertion order of ``_by_hash`` is part of the state (dict
-        copies preserve it) because ``_rebuild_price_heaps`` iterates it to
-        assign deterministic tie-breakers. ``shift`` moves every heap
-        entry's tie-break number (:func:`_restamped`).
+        Seven C-level copies that share what nobody writes in place:
+        transactions, heap entries and one-transaction sender runs
+        (:meth:`_insert` / :meth:`_remove` replace those, never edit them).
+        The rest is copied, never adopted: one capture is handed to many
+        pools (every shard/sweep restore, every sibling of a refresh
+        donor), and a live pool would corrupt it for the next. Insertion
+        order of ``_by_hash`` is state (dict copies preserve it):
+        ``_rebuild_price_heaps`` iterates it to assign tie-breakers.
         """
         self._by_hash = dict(state["by_hash"])
-        self._by_sender = {
-            sender: dict(nonces) for sender, nonces in state["by_sender"].items()
-        }
+        self._by_sender = _copy_runs(state["by_sender"], state["long_runs"])
         self._pending = set(state["pending"])
         self._future = set(state["future"])
         self._added_at = dict(state["added_at"])
-        self._pending_heap = _restamped(state["pending_heap"], shift)
-        self._future_heap = _restamped(state["future_heap"], shift)
-
-    def _seq_position(self) -> int:
-        """The next tie-break number, without consuming it.
-
-        ``itertools.count`` cannot be peeked, so read one and recreate the
-        counter there — a net no-op for the live pool.
-        """
-        position = next(self._seq)
-        self._seq = itertools.count(position)
-        return position
+        self._seq = state["seq"]
+        self._pending_heap = list(state["pending_heap"])
+        self._future_heap = list(state["future_heap"])
 
     # ------------------------------------------------------------------
     # Consistency check (used by property-based tests)
@@ -839,7 +828,15 @@ class Mempool:
             raise MempoolError("transaction both pending and future")
         if set(self._by_hash) != self._pending | self._future:
             raise MempoolError("pending/future sets do not cover the pool")
+        if sum(map(len, self._by_sender.values())) != len(self._by_hash):
+            raise MempoolError("per-sender table and pool differ in size")
+        classes = (self._pending, self._pending_heap), (self._future, self._future_heap)
+        for live, heap in classes:
+            if not live <= {tx_hash for _, _, tx_hash in heap}:
+                raise MempoolError("live transaction without an eviction-heap entry")
         for sender, nonces in self._by_sender.items():
+            if not nonces:
+                raise MempoolError("empty sender run retained")
             confirmed = self._confirmed_nonce(sender) or 0
             run = confirmed
             while run in nonces:
@@ -850,6 +847,9 @@ class Mempool:
                     )
                 run += 1
             for nonce, tx in nonces.items():
+                filed = (sender, nonce) == (tx.sender, tx.nonce)
+                if not filed or self._by_hash.get(tx.hash) is not tx:
+                    raise MempoolError(f"tx {tx.short_hash()} misfiled by sender")
                 if nonce >= run and tx.hash not in self._future:
                     raise MempoolError(
                         f"tx {tx.short_hash()} beyond pending run but not "

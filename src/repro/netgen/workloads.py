@@ -69,20 +69,21 @@ def prefill_mempools(
     what admission reads: its ``policy``, ``base_fee`` and ``fee_market``,
     its content, and its node's confirmed nonces for the batch's senders.
     The first *blank* pool of each (policy, base fee, fee market) class —
-    empty, and its node has confirmed nothing from any sender of the batch
-    — takes the real ``add_batch``; every later blank pool of the class
-    would walk to the very same containers, so it copies them instead
-    (:meth:`~repro.eth.mempool.Mempool.refill_from`). The copy re-stamps
-    the eviction heaps' tie-break numbers from the copying pool's own
-    sequence position and bumps its ``stats`` by the batch's outcome
-    counts, so no later eviction, capture or counter can tell a copied
-    pool from an admitting one. A pool that is not blank (a prefill onto
-    pools already holding traffic; a node that has seen a block spending
-    from these accounts, whose view of them differs from a node's that has
-    not) takes the real ``add_batch``, as does a whole class whose first
-    blank pool admitted nothing. A refresh empties every pool first, so it
-    costs one admission pass per class plus N container copies, not N
-    passes.
+    new or cleared (:attr:`~repro.eth.mempool.Mempool.is_blank`: empty and
+    drawing tie-break numbers from 0), and its node has confirmed nothing
+    from any sender of the batch — takes the real ``add_batch``; every
+    later blank pool of the class would walk to the very same containers,
+    heap entries included, so it copies them instead
+    (:meth:`~repro.eth.mempool.Mempool.refill_from`) and bumps its
+    ``stats`` by the batch's outcome counts: no later eviction, capture or
+    counter can tell a copied pool from an admitting one. A pool that is
+    not blank (a prefill onto pools already holding traffic; a pool that
+    blocks or evictions drained, empty but further along in its tie-break
+    numbers; a node that has seen a block spending from these accounts,
+    whose view of them differs from a node's that has not) takes the real
+    ``add_batch``, as does a whole class whose first blank pool admitted
+    nothing. A refresh clears every pool first, so it costs one admission
+    pass per class plus N container copies, not N passes.
 
     Returns the generated transactions.
     """
@@ -120,7 +121,7 @@ def prefill_mempools(
     images: Dict[tuple, tuple] = {}
     for node in nodes:
         pool = node.mempool
-        blank = not len(pool) and node.confirmed_nonces.keys().isdisjoint(senders)
+        blank = pool.is_blank and node.confirmed_nonces.keys().isdisjoint(senders)
         key = (pool.policy, pool.base_fee, pool.fee_market)
         if blank and key in images:
             pool.refill_from(*images[key])

@@ -2,13 +2,16 @@
 
 A random sequence of operations must never break the structural invariants
 checked by :meth:`Mempool.check_invariants`: capacity bound, disjoint and
-covering pending/future sets, contiguous pending runs per sender.
+covering pending/future sets, contiguous pending runs per sender, a
+per-sender table that agrees with the pool both ways and holds no empty
+run, and an eviction-heap entry for every live transaction.
 """
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.errors import MempoolError
 from repro.eth.mempool import AddOutcome, Mempool
 from repro.eth.policies import GETH, PARITY, MempoolPolicy
 from repro.eth.transaction import Transaction
@@ -120,3 +123,39 @@ def test_invariants_survive_block_application(ops, block_senders):
     pool.check_invariants()
     for tx in included:
         assert tx.hash not in pool
+
+
+def _ghost_sender(pool: Mempool) -> None:
+    pool._by_sender["0xghost"] = {}
+
+
+def _forgotten_sender(pool: Mempool) -> None:
+    del pool._by_sender[SENDERS[1]]
+
+
+def _stranger_in_a_run(pool: Mempool) -> None:
+    pool._by_sender[SENDERS[2]] = {3: build_tx(SENDERS[2], 3, 999)}
+
+
+def _lost_heap_entries(pool: Mempool) -> None:
+    pool._future_heap.clear()
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_ghost_sender, "empty sender run"),
+        (_forgotten_sender, "differ in size"),
+        (_stranger_in_a_run, "misfiled"),
+        (_lost_heap_entries, "eviction-heap entry"),
+    ],
+    ids=["ghost-sender", "forgotten-sender", "stranger-in-a-run", "lost-heap-entries"],
+)
+def test_check_invariants_sees_corruption(corrupt, message):
+    pool = Mempool(GETH.scaled(16))
+    for sender, nonce in zip(SENDERS, (0, 0, 3)):
+        assert pool.add(build_tx(sender, nonce, 10 + nonce)).admitted
+    pool.check_invariants()
+    corrupt(pool)
+    with pytest.raises(MempoolError, match=message):
+        pool.check_invariants()

@@ -7,8 +7,14 @@ oracle here is a twin network on which the test itself runs the loop the
 copy replaced — clear, then ``add_batch`` on every node — compared with
 *exact* pool state: insertion orders, both eviction heaps entry for entry,
 the tie-break sequence position, ``stats`` and admission times.
+
+A copy shares with its image what no pool writes in place (transactions,
+heap entries, one-transaction sender runs); section (d) holds the law that
+makes the sharing invisible, and its cost in tracked containers.
 """
 
+import copy
+import gc
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence
 
@@ -17,6 +23,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.eth.account import Wallet
+from repro.errors import MempoolError
 from repro.eth.chain import Block
 from repro.eth.fee_market import FeeMarket
 from repro.eth.mempool import Mempool
@@ -28,6 +35,7 @@ from repro.eth.transaction import Transaction, TransactionFactory, gwei
 from repro.netgen.ethereum import NetworkSpec, generate_network
 from repro.netgen.workloads import prefill_mempools, refresh_mempools
 from tests.conftest import property_settings
+from tests.eth.test_mempool_reference import PRICE_STEP, SENDERS, LockStep
 
 GETH_1559 = GETH.scaled(20).with_base_fee_enforcement()
 POLICIES = [
@@ -57,16 +65,20 @@ def pools(network: Network) -> List[Mempool]:
     return [network.node(node_id).mempool for node_id in network.node_ids]
 
 
-def exact_state(pool: Mempool) -> Dict[str, object]:
-    """``capture_state()`` with every insertion order made comparable
-    (dict equality ignores it; the heap rebuild and the fan-out do not)."""
-    state = pool.capture_state()
+def exact(capture: Dict[str, object]) -> Dict[str, object]:
+    """A capture with every insertion order made comparable (dict equality
+    ignores it; the heap rebuild and the fan-out do not)."""
+    state = dict(capture)
     state["by_hash"] = list(state["by_hash"].items())
     state["by_sender"] = [
         (sender, list(nonces.items())) for sender, nonces in state["by_sender"].items()
     ]
     state["added_at"] = list(state["added_at"].items())
     return state
+
+
+def exact_state(pool: Mempool) -> Dict[str, object]:
+    return exact(pool.capture_state())
 
 
 def exact_states(network: Network) -> List[Dict[str, object]]:
@@ -180,23 +192,20 @@ def test_refresh_equals_per_node_admission_exactly(fee_market: bool, pasts):
     assert len(admitted) + len(copied) == len(policies)
 
 
-def test_seq_positions_really_differ_and_heaps_are_restamped():
-    """The oracle's teeth, spelled out once: same heap shape, own numbers."""
+def test_a_refresh_rewinds_every_tie_break_counter():
+    """The oracle's teeth, spelled out once: pools with different pasts
+    draw from 0 again after ``clear()``, so one heap serves them all."""
     network = build([GETH.scaled(16)] * 3)
     for index, offers in enumerate((0, 7, 19)):
         live_through(network, index, [(0, n, 1.0) for n in range(offers)], None)
-    starts = [pool.capture_state()["seq"] for pool in pools(network)]
-    assert len(set(starts)) == 3
+    assert len({pool.capture_state()["seq"] for pool in pools(network)}) == 3
     refresh_mempools(network)
     donor, *siblings = pools(network)
-    for start, pool in zip(starts, pools(network)):
-        seqs = sorted(seq for _, seq, _ in pool._pending_heap)
-        assert seqs == list(range(start, start + 16))
-        assert pool.capture_state()["seq"] == start + 16
+    for pool in pools(network):
+        assert sorted(seq for _, seq, _ in pool._pending_heap) == list(range(16))
+        assert pool.capture_state()["seq"] == 16
     for sibling in siblings:
-        assert [(bid, tx) for bid, _, tx in sibling._pending_heap] == [
-            (bid, tx) for bid, _, tx in donor._pending_heap
-        ]
+        assert sibling._pending_heap == donor._pending_heap
 
 
 # ----------------------------------------------------------------------
@@ -239,6 +248,35 @@ class TestFallbacks:
         self.check(refreshed, reference, paths, admitting={0, 2}, refresh=False)
         assert len(refreshed.node("n02").mempool) == 16
         assert refreshed.node("n02").mempool.sender_transaction("0xbusy", 4)
+
+    def test_pool_drained_by_a_mined_block(self, paths):
+        """Empty, but not blank: its tie-break numbers have moved on, so a
+        copy would hand it foreign ones. No ``clear()`` here — a prefill."""
+
+        def prepare(network):
+            node = network.node("n01")
+            txs = [
+                Transaction(sender=f"0xmined{i}", nonce=0, gas_price=gwei(2 + i))
+                for i in range(5)
+            ]
+            for tx in txs:
+                assert node.mempool.add(tx).admitted
+            block = Block(number=1, miner="elsewhere", timestamp=0.0, txs=tuple(txs))
+            node.receive_block(None, block)
+            assert len(node.mempool) == 0 and not node.mempool.is_blank
+
+        refreshed, reference = self.twins([GETH.scaled(16)] * 4, prepare)
+        self.check(refreshed, reference, paths, admitting={0, 1}, refresh=False)
+        drained, copied = pools(refreshed)[1:3]
+        assert drained.capture_state()["seq"] == copied.capture_state()["seq"] + 5
+        # ... and ``refill_from`` itself refuses such a pool.
+        pool = Mempool(GETH.scaled(16))
+        tx = Transaction(sender="0xonly", nonce=0, gas_price=gwei(1))
+        pool.add(tx)
+        pool.apply_block([tx])
+        assert len(pool) == 0
+        with pytest.raises(MempoolError, match="blank"):
+            pool.refill_from(copied.capture_state(), {})
 
     def test_sender_confirmed_on_that_node(self, paths):
         """One node has seen a block spending from two background accounts:
@@ -342,9 +380,110 @@ def test_generated_testnet_admits_once_per_class(paths):
 
 
 # ----------------------------------------------------------------------
-# (d) No container is shared
+# (d) What copies share is never written in place
 # ----------------------------------------------------------------------
+BACKGROUND = [f"0xbg{i}" for i in range(12)]
+EVERYBODY = BACKGROUND + SENDERS
+LAW_POLICIES = [
+    GETH.scaled(8),
+    PARITY.scaled(12),
+    ALETH.scaled(6),
+    GETH.scaled(8).with_base_fee_enforcement(),
+]
+LAW_POLICY_IDS = ["geth", "parity", "aleth", "geth-1559"]
+MUTATED_IDS = ["donor", "copy", "sibling", "restored"]
+
+# Offers as in the PR 15 lock-step, with the background senders in the
+# draw: ``None`` puts a second nonce into a shared one-transaction run, 0
+# replaces (or fails to replace) its only transaction, and the pools start
+# full, so every admission evicts.
+shared_offer = st.tuples(
+    st.sampled_from(EVERYBODY),
+    st.one_of(st.none(), st.integers(min_value=-1, max_value=4)),
+    st.integers(min_value=1, max_value=40),
+    st.booleans(),
+)
+law_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("offer"), shared_offer),
+        st.tuples(st.just("again"), st.integers(min_value=0, max_value=63)),
+        st.tuples(
+            st.just("batch"),
+            st.lists(shared_offer, min_size=1, max_size=6),
+            st.booleans(),
+        ),
+        st.tuples(
+            st.just("block"),
+            st.lists(st.sampled_from(EVERYBODY), max_size=3, unique=True),
+            st.one_of(st.none(), st.integers(min_value=0, max_value=30)),
+        ),
+        st.tuples(st.just("clear")),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class SharedLockStep(LockStep):
+    """Four pools holding one image — the donor, two copies of it and a
+    pool restored from its capture — one of them (``mutated``) in lock-step
+    with the reference pool, the other three and the capture watched."""
+
+    def __init__(self, policy: MempoolPolicy, mutated: int) -> None:
+        super().__init__(policy)
+        group = [
+            Mempool(policy, confirmed_nonce=self._confirmed if i == mutated else None)
+            for i in range(4)
+        ]
+        donor, copied, sibling, restored = group
+        # Serial 0 of each price level: never drawn by ``LockStep.build``.
+        txs = [
+            Transaction(sender=sender, nonce=0, gas_price=(10 + i) * PRICE_STEP)
+            for i, sender in enumerate(BACKGROUND)
+        ]
+        counts = donor.add_batch(txs, stop_when_full=True)
+        assert counts == self.reference.add_batch(txs, stop_when_full=True)
+        assert donor.is_full
+        self.image = donor.capture_state()
+        copied.refill_from(self.image, counts)
+        sibling.refill_from(self.image, counts)
+        restored.restore_state(self.image)
+        self.pool = group.pop(mutated)
+        self.others = group
+        self.before = copy.deepcopy(self.watched())
+
+    def watched(self):
+        return [exact(self.image)] + [exact_state(pool) for pool in self.others]
+
+    def clear(self) -> None:
+        self.pool.clear()
+        del self.reference.txs[:]
+
+    def compare(self) -> None:
+        super().compare()
+        assert self.watched() == self.before
+
+
+@pytest.mark.parametrize("mutated", range(4), ids=MUTATED_IDS)
+@pytest.mark.parametrize("policy", LAW_POLICIES, ids=LAW_POLICY_IDS)
+@given(ops=law_steps)
+@property_settings(10)
+def test_mutating_one_pool_reaches_no_other(policy: MempoolPolicy, mutated: int, ops):
+    run = SharedLockStep(policy, mutated)
+    run.compare()
+    for kind, *args in ops:
+        getattr(run, kind)(*args)
+        run.compare()
+    # The capture still restores to what it captured.
+    fresh = Mempool(policy)
+    fresh.restore_state(run.image)
+    assert exact_state(fresh) == run.before[0]
+    fresh.check_invariants()
+
+
 def test_mutating_a_copied_pool_never_reaches_donor_or_sibling():
+    """One walk through the law, spelled out: no top-level container is
+    shared, and a replacement, four evictions and a ``clear()`` stay home."""
     network = build([GETH.scaled(16)] * 3)
     refresh_mempools(network)
     donor, copied, sibling = pools(network)
@@ -354,9 +493,6 @@ def test_mutating_a_copied_pool_never_reaches_donor_or_sibling():
     ):
         containers = [getattr(pool, name) for pool in (donor, copied, sibling)]
         assert len({id(container) for container in containers}) == 3, name
-    for sender in donor._by_sender:
-        assert donor._by_sender[sender] is not copied._by_sender[sender]
-        assert sibling._by_sender[sender] is not copied._by_sender[sender]
     before = exact_state(donor), exact_state(sibling)
 
     factory, wallet = TransactionFactory(), Wallet("mutator")
@@ -376,6 +512,50 @@ def test_mutating_a_copied_pool_never_reaches_donor_or_sibling():
     donor.add(factory.transfer(wallet.fresh_account(), gas_price=gwei(70)))
     donor.clear()
     assert exact_state(copied) == mid
+
+
+def test_the_law_above_is_about_shared_objects():
+    """Not vacuous: one-transaction runs and heap entries of donor, copies
+    and image are the same objects; runs longer than one are not."""
+    network = build([GETH.scaled(16)] * 3)
+    factory, flooder = TransactionFactory(), Wallet("flooder").fresh_account()
+    long_run = [factory.future(flooder, gwei(50), index=index) for index in range(3)]
+    prefill_mempools(network, count=13)
+    donor, copied, sibling = pools(network)
+    for tx in long_run:
+        assert donor.add(tx).admitted
+    image = donor.capture_state()
+    copied.clear()
+    copied.refill_from(image, {})
+    sibling.restore_state(image)
+
+    assert image["long_runs"] == [flooder.address]
+    for pool in (donor, copied, sibling):
+        for sender, run in pool._by_sender.items():
+            assert (run is image["by_sender"][sender]) == (len(run) == 1), sender
+        assert len(pool._by_sender[flooder.address]) == 3
+        assert all(a is b for a, b in zip(pool._future_heap, image["future_heap"]))
+    assert exact_state(sibling) == exact(image)
+
+
+def test_a_copy_tracks_a_constant_number_of_containers():
+    """The collector walks what it tracks. A copy's share of it is its own
+    top-level containers, the same few whatever the pools hold — not one
+    dict per resident sender."""
+
+    def tracked_growth(n_pools: int, capacity: int) -> int:
+        network = build([GETH.scaled(capacity)] * n_pools)
+        gc.collect()
+        blank = len(gc.get_objects())
+        refresh_mempools(network)
+        gc.collect()
+        return len(gc.get_objects()) - blank
+
+    def per_copied_pool(capacity: int) -> float:
+        # One pool: the donor and the batch. 64 pools: that, and 63 copies.
+        return (tracked_growth(64, capacity) - tracked_growth(1, capacity)) / 63
+
+    assert per_copied_pool(16) == per_copied_pool(128) <= 7
 
 
 # ----------------------------------------------------------------------
