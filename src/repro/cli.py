@@ -31,7 +31,7 @@ from repro.core.config import MeasurementConfig
 from repro.core.cost import MainnetEstimate, PAPER_COST_PER_PAIR_ETHER
 from repro.core.profiler import profile_client
 from repro.core.schedule import build_schedule, expected_iteration_count
-from repro.errors import MeasurementError
+from repro.errors import ReproError
 from repro.eth.policies import ALETH, BESU, GETH, NETHERMIND, PARITY
 from repro.netgen.ethereum import (
     goerli_like,
@@ -390,7 +390,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     """Flags → :class:`CampaignSpec` → ``run_campaign`` → report;
     ``--workers`` is purely a wall-clock knob (docs/parallelism.md)."""
     from repro.core.parallel_exec import CampaignSpec, run_campaign
-    from repro.errors import BehaviorPlanError, CheckpointError
+    from repro.errors import CheckpointError
     from repro.eth.behaviors import BehaviorMix
     from repro.netgen.ethereum import NetworkSpec
     from repro.sim.invariants import InvariantChecker
@@ -400,7 +400,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         return 2
     try:
         mix = BehaviorMix.from_flags(args.byzantine_mix, args.byzantine_frac)
-    except (ValueError, BehaviorPlanError) as exc:
+    except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     if args.preset:
@@ -499,7 +499,6 @@ def _report_measurement(args, measurement, obs) -> int:
 
 def _cmd_arena(args: argparse.Namespace) -> int:
     from repro.core.arena import PROTOCOLS, ArenaSpec, run_arena, write_arena_json
-    from repro.errors import BehaviorPlanError
 
     protocols = PROTOCOLS
     if args.protocols:
@@ -524,7 +523,7 @@ def _cmd_arena(args: argparse.Namespace) -> int:
             dethna_rounds=args.dethna_rounds,
             ethna_txs=args.ethna_txs,
         )
-    except (ValueError, BehaviorPlanError) as exc:
+    except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     obs = _make_obs(args)
@@ -783,9 +782,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except MeasurementError as exc:
-        # A campaign that cannot run as asked (slot budget, no measurable
-        # client, ...) is a typed refusal, not a traceback.
+    except ReproError as exc:
+        # Whatever the package itself refuses (a campaign that cannot run
+        # as asked, a malformed fault plan, behavior mix or snapshot file)
+        # is one typed line, not a traceback.
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -166,11 +166,12 @@ def measure_par(
     # them ("propagates them to the Ethereum network"). Deliberately NOT
     # sent to every peer: a node never pushes a transaction back to the
     # peer it came from, so direct-to-everyone seeding would leave the
-    # supernode blind to whether the seeds took hold anywhere.
+    # supernode blind to whether the seeds took hold anywhere — which is
+    # why even a supernode with three peers or fewer leaves one unseeded.
     seed_batch = [tx_c[pair] for pair in pairs]
     peer_ids = supernode.peer_ids
     step = max(1, len(peer_ids) // 3)
-    entry_peers = peer_ids[::step][:3]
+    entry_peers = peer_ids[::step][: max(1, min(3, len(peer_ids) - 1))]
     for peer_id in entry_peers:
         inject(supernode, peer_id, seed_batch, report)
     network.run(config.seed_wait)

@@ -368,6 +368,8 @@ class NetworkMeasurement:
         ]
         if self.score is not None:
             lines.append(f"validation     : {self.score}")
+        if self.setup_failures:
+            lines.append(f"setup failures : {self.setup_failures}")
         if self.failures:
             kinds: Dict[str, int] = {}
             for failure in self.failures:

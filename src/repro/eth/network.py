@@ -8,7 +8,6 @@ scored (the simulator-equivalent of the paper's local-node validation).
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -101,13 +100,7 @@ class Network:
         # same epoch at send and delivery time, yet must still drop.
         self._crashed_count = 0
         self._latency_rng = self.sim.rng.stream("latency")
-        # Bound once: these run once per message. The queue/seq bindings
-        # let send() inline Simulator.schedule_call's heap push — one
-        # Python frame per message saved; safe because the simulator never
-        # reassigns either object and transport latency is strictly
-        # positive (no schedule-in-the-past check needed).
-        self._sim_queue = self.sim._queue
-        self._next_seq = self.sim._seq.__next__
+        # Bound once: these run once per message.
         self._latency_random = self._latency_rng.random
         self._deliver_cb = self._deliver
         self.supernode_ids: Set[str] = set()
@@ -447,91 +440,58 @@ class Network:
         The message can still die en route: a lossy link may drop it at
         send time, and a link or endpoint that disappears while it is in
         flight drops it at delivery time (with a ``drop`` trace record).
+
+        A batch of one. It enters :meth:`_transmit` directly, not through
+        :meth:`send_batch`: that public name is the flush hand-off, and a
+        tracer wrapping it must not count request/reply traffic.
         """
-        index = self._index
-        fi = index.get(from_id)
-        ti = index.get(to_id)
-        if fi is None or ti is None or ti not in self._adj[fi]:
-            if to_id not in self.nodes:
-                raise UnknownNodeError(to_id)
-            raise NotConnectedError(
-                f"{from_id} is not connected to {to_id}; cannot send {msg.kind}"
-            )
-        if self._node_list[fi].crashed:
-            self._drop(from_id, to_id, msg, "sender_crashed")
-            return
-        self.messages_sent += 1
-        kind = type(msg).__name__
-        by_kind = self.messages_by_kind
-        try:
-            by_kind[kind] += 1
-        except KeyError:
-            by_kind[kind] = 1
-        # Inlined LatencyModel.__call__: same sample + positivity guard,
-        # one Python call less on a once-per-message path. The uniform
-        # model (the default) is additionally expanded in place — the type
-        # check is exact so subclasses still get their own sample().
-        latency = self.latency
-        if type(latency) is UniformLatency:
-            delay = latency.low + latency._span * self._latency_random()
-        else:
-            delay = latency.sample(self._latency_rng, from_id, to_id)
-        if delay <= 0:
-            raise ValueError(f"latency model produced non-positive delay {delay}")
-        if self.faults is not None:
-            if self.faults.should_drop(from_id, to_id):
-                # The injector already traced this as fault:loss.
-                self._drop(from_id, to_id, msg, "loss", trace=False)
-                return
-            delay += self.faults.extra_delay(from_id, to_id)
-        # The label tuple is built unconditionally — a tracer/profiler may
-        # attach after this message is queued but before it delivers — and
-        # the engine formats it to the exact legacy "kind:from->to" string
-        # only when someone is observing (see Simulator._observed).
-        # Deliveries are never cancelled, so the fire-and-forget entry
-        # shape (no Event allocation) is safe here — and the schedule_call
-        # frame itself is inlined (see the __init__ bindings).
-        sim = self.sim
-        heappush(
-            self._sim_queue,
-            (
-                sim._now + delay,
-                self._next_seq(),
-                self._deliver_cb,
-                (fi, ti, msg, self._epoch),
-                (kind, from_id, to_id),
-            ),
-        )
-        sim._non_daemon_pending += 1
+        self._transmit(from_id, ((to_id, msg),))
 
     def send_batch(
-        self, from_id: str, entries: List[Tuple[str, Message]]
+        self, from_id: str, entries: Iterable[Tuple[str, Message]]
     ) -> None:
         """Send several messages from one node in one transport pass.
 
-        Semantically a ``send`` per ``(to_id, msg)`` entry, in order — the
-        same counters, the same per-entry latency draws from the same RNG
-        stream, the same fault hooks — but the sender is resolved once and
-        the heap entries go to the engine in a single
-        :meth:`~repro.sim.engine.Simulator.push_entries` call. This is the
-        flush path: one call per node per broadcast tick.
+        Exactly a ``send`` per ``(to_id, msg)`` entry, in order. This is
+        the flush path: one call per node per broadcast tick.
         """
-        fi = self._index.get(from_id)
-        if fi is None:
+        if from_id not in self._index:
             raise UnknownNodeError(from_id)
-        adj = self._adj[fi]
+        self._transmit(from_id, entries)
+
+    def _transmit(
+        self, from_id: str, entries: Iterable[Tuple[str, Message]]
+    ) -> None:
+        """The one transport routine: every message is queued here.
+
+        Per entry, in order: resolve the target, count the message, draw
+        its latency from the ``"latency"`` stream, consult the fault hooks
+        (loss, then extra delay) and build its heap entry; the engine gets
+        the whole pass in one
+        :meth:`~repro.sim.engine.Simulator.push_entries` call. A pass that
+        raises queues nothing.
+        """
         index = self._index
-        sender_crashed = self._node_list[fi].crashed
+        fi = index.get(from_id)
+        # A sender the network does not know has no links.
+        adj = self._adj[fi] if fi is not None else ()
+        sender_crashed = fi is not None and self._node_list[fi].crashed
         by_kind = self.messages_by_kind
+        # LatencyModel.__call__ expanded in place (same sample, same
+        # positivity guard), and the default uniform model expanded once
+        # more — the type check is exact so subclasses still get their own
+        # sample().
         latency = self.latency
         uniform = type(latency) is UniformLatency
         latency_random = self._latency_random
-        next_seq = self._next_seq
         deliver_cb = self._deliver_cb
         epoch = self._epoch
         faults = self.faults
         sim = self.sim
         now = sim._now
+        # Read per pass, never held: snapshot capture and restore replace
+        # the simulator's counter object.
+        next_seq = sim._seq.__next__
         sent = 0
         heap_entries = []
         for to_id, msg in entries:
@@ -548,10 +508,7 @@ class Network:
                 continue
             sent += 1
             kind = type(msg).__name__
-            try:
-                by_kind[kind] += 1
-            except KeyError:
-                by_kind[kind] = 1
+            by_kind[kind] = by_kind.get(kind, 0) + 1
             if uniform:
                 delay = latency.low + latency._span * latency_random()
             else:
@@ -562,9 +519,16 @@ class Network:
                 )
             if faults is not None:
                 if faults.should_drop(from_id, to_id):
+                    # The injector already traced this as fault:loss.
                     self._drop(from_id, to_id, msg, "loss", trace=False)
                     continue
                 delay += faults.extra_delay(from_id, to_id)
+            # Deliveries are never cancelled, so the fire-and-forget entry
+            # shape (no Event allocation) is safe. The label tuple is built
+            # unconditionally — a tracer/profiler may attach after this
+            # message is queued but before it delivers — and the engine
+            # formats it to "kind:from->to" only when someone is observing
+            # (see Simulator._observed).
             heap_entries.append(
                 (
                     now + delay,
@@ -669,12 +633,6 @@ class Network:
                 "clear_invariants() first and re-install after restoring"
             )
         sim_state = capture_simulator(self.sim)
-        # capture_simulator replaced sim._seq; re-bind the inlined-send
-        # reference or future sends would keep drawing from the *old*
-        # counter while step()/run() draws from the new one — duplicate
-        # sequence numbers, and heap ties falling through to comparing
-        # callables.
-        self._next_seq = self.sim._seq.__next__
         return {
             "sim": sim_state,
             "chain_height": self.chain.height,
@@ -766,7 +724,6 @@ class Network:
                 "misinterpreted — rebuild instead of restoring"
             )
         restore_simulator(self.sim, snapshot["sim"])
-        self._next_seq = self.sim._seq.__next__
         for node_id, node_state in snapshot["nodes"].items():
             self.nodes[node_id].restore_state(node_state)
         self._adj = [set(peers) for peers in snapshot["adjacency"]]

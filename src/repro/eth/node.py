@@ -213,8 +213,7 @@ class Node:
         # Per-type message handler table, consulted by handle_message and
         # directly by Network._deliver's fast path. Built from bound
         # methods, so subclass overrides (Supernode) resolve through the
-        # MRO as usual. Subclassed *message* types fall back to
-        # handle_message's isinstance chain.
+        # MRO as usual. The table is keyed by exact message class.
         self._dispatch: Dict[type, Callable[[str, Message], None]] = {
             Transactions: self._handle_txs,
             PooledTransactions: self._handle_txs,
@@ -501,30 +500,12 @@ class Node:
         delivery — override the handler, or the dispatch table entry.
         """
         handler = self._dispatch.get(msg.__class__)
-        if handler is not None:
-            handler(from_id, msg)
-            return
-        # Subclassed message types miss the exact-type table; route them
-        # by isinstance like the table's construction implies.
-        if isinstance(msg, (Transactions, PooledTransactions)):
-            self._handle_txs(from_id, msg)
-        elif isinstance(msg, NewPooledTransactionHashes):
-            self._handle_announcement(from_id, msg)
-        elif isinstance(msg, GetPooledTransactions):
-            self._handle_tx_request(from_id, msg)
-        elif isinstance(msg, NewBlock):
-            self._handle_new_block(from_id, msg)
-        elif isinstance(msg, FindNode):
-            self._handle_find_node(from_id, msg)
-        elif isinstance(msg, Status):
-            self._handle_status(from_id, msg)
-        elif isinstance(msg, Neighbors):
-            self._handle_neighbors(from_id, msg)
-        else:  # pragma: no cover - defensive
+        if handler is None:
             raise TypeError(f"unhandled message type {type(msg).__name__}")
+        handler(from_id, msg)
 
     def _handle_txs(self, from_id: str, msg: Message) -> None:
-        receive = self._receive_gossip
+        receive = self._receive
         for tx in msg.txs:
             receive(from_id, tx)
 
@@ -545,72 +526,40 @@ class Node:
     # ------------------------------------------------------------------
     def receive_transaction(self, from_id: Optional[str], tx: Transaction) -> AddResult:
         """Admit a transaction arriving from ``from_id`` (None = local RPC)."""
-        tx_hash = tx.hash
-        if from_id is not None:
-            # _mark_known inlined: this runs once per received transaction.
-            shifted = self._peer_shifted.get(from_id)
-            if shifted is not None:
-                known = self._known
-                gen = self._known_gen
-                value = known.get(tx_hash)
-                if value is not None and (value & _GEN_MASK) == gen:
-                    known[tx_hash] = value | shifted
-                else:
-                    known[tx_hash] = shifted | gen
-                    limit = self._known_tx_limit
-                    if limit is not None and len(known) > limit:
-                        self._prune_known()
-        pool = self.mempool
-        if tx_hash in pool._by_hash:
-            # Duplicate fast path: during gossip most deliveries carry a
-            # transaction the pool already holds. Equivalent to pool.add()
-            # for a known hash (same stats bump, same result), minus the
-            # admission machinery that cannot apply to a duplicate.
-            pool.stats["rejected_known"] += 1
-            result = AddResult(tx, AddOutcome.REJECTED_KNOWN)
-            if self.tx_observers:
-                for observer in self.tx_observers:
-                    observer(from_id or "", tx, result)
-            return result
-        return self._admit(from_id, tx)
+        return self._receive(from_id, tx, want_result=True)
 
-    def _receive_gossip(self, from_id: str, tx: Transaction) -> None:
-        """Per-transaction body of a Transactions/PooledTransactions batch.
+    def _receive(
+        self, from_id: Optional[str], tx: Transaction, want_result: bool = False
+    ) -> Optional[AddResult]:
+        """The one receive step: mark the sender, short-cut a duplicate, admit.
 
-        Identical to :meth:`receive_transaction` except that the duplicate
-        path — the bulk of gossip traffic — builds no :class:`AddResult`
-        unless an observer is registered to see it; the dispatch loop
-        discards the result either way.
+        During gossip most deliveries carry a transaction the pool already
+        holds. For a known hash this is equivalent to ``pool.add()`` (same
+        stats bump, same result) minus the admission machinery that cannot
+        apply to a duplicate — and the :class:`AddResult` is only built
+        when somebody reads it: a registered observer, or a caller passing
+        ``want_result`` (the packet loop of ``_handle_txs`` discards it).
         """
         tx_hash = tx.hash
-        shifted = self._peer_shifted.get(from_id)
-        if shifted is not None:
-            known = self._known
-            gen = self._known_gen
-            value = known.get(tx_hash)
-            if value is not None and (value & _GEN_MASK) == gen:
-                known[tx_hash] = value | shifted
-            else:
-                known[tx_hash] = shifted | gen
-                limit = self._known_tx_limit
-                if limit is not None and len(known) > limit:
-                    self._prune_known()
+        if from_id is not None:
+            self._mark_known(from_id, tx_hash)
         pool = self.mempool
         if tx_hash in pool._by_hash:
             pool.stats["rejected_known"] += 1
-            if self.tx_observers:
-                result = AddResult(tx, AddOutcome.REJECTED_KNOWN)
-                for observer in self.tx_observers:
-                    observer(from_id, tx, result)
-            return
-        self._admit(from_id, tx)
+            observers = self.tx_observers
+            if not (observers or want_result):
+                return None
+            result = AddResult(tx, AddOutcome.REJECTED_KNOWN)
+            for observer in observers:
+                observer(from_id or "", tx, result)
+            return result
+        return self._admit(from_id, tx)
 
     def _admit(self, from_id: Optional[str], tx: Transaction) -> AddResult:
         """Offer a not-yet-known transaction to the pool; echo and relay."""
         result = self.mempool.add(tx)
-        if self.tx_observers:
-            for observer in self.tx_observers:
-                observer(from_id or "", tx, result)
+        for observer in self.tx_observers:
+            observer(from_id or "", tx, result)
         if (
             self._echoes_future
             and from_id is not None
@@ -709,13 +658,10 @@ class Node:
                 else:
                     bucket.append(tx_hash)
         if not self._flush_scheduled:
-            self._schedule_flush()
-
-    def _schedule_flush(self) -> None:
-        if self._flush_scheduled:
-            return
-        self._flush_scheduled = True
-        self.sim.schedule(self._broadcast_interval, self._flush, self._flush_label)
+            self._flush_scheduled = True
+            self.sim.schedule(
+                self._broadcast_interval, self._flush, self._flush_label
+            )
 
     def _flush(self) -> None:
         self._flush_scheduled = False
@@ -757,7 +703,9 @@ class Node:
     def _handle_announcement(
         self, from_id: str, msg: NewPooledTransactionHashes
     ) -> None:
-        shifted = self._peer_shifted.get(from_id)
+        # A sender that is not a peer has no bit to set: shifted == 0 and
+        # nothing is written.
+        shifted = self._peer_shifted.get(from_id, 0)
         wanted: List[str] = []
         now = self.sim.now
         hold = self._announce_hold
@@ -766,37 +714,29 @@ class Node:
         # Membership against the mempool's primary hash index directly:
         # Mempool.__contains__ is one Python frame per announced hash.
         pool_txs = self.mempool._by_hash
-        if shifted is not None:
-            known = self._known
-            known_get = known.get
-            gen = self._known_gen
-            inserted = False
-            for tx_hash in msg.hashes:
+        known = self._known
+        known_get = known.get
+        gen = self._known_gen
+        inserted = False
+        for tx_hash in msg.hashes:
+            if shifted:
                 value = known_get(tx_hash)
                 if value is not None and (value & _GEN_MASK) == gen:
                     known[tx_hash] = value | shifted
                 else:
                     known[tx_hash] = shifted | gen
                     inserted = True
-                if tx_hash in pool_txs:
-                    continue
-                # Within the hold window we do not respond to other
-                # announcements of the same transaction (Section 2).
-                if requested_get(tx_hash, -1.0) > now:
-                    continue
-                requested[tx_hash] = now + hold
-                wanted.append(tx_hash)
-            limit = self._known_tx_limit
-            if inserted and limit is not None and len(known) > limit:
-                self._prune_known()
-        else:
-            for tx_hash in msg.hashes:
-                if tx_hash in pool_txs:
-                    continue
-                if requested_get(tx_hash, -1.0) > now:
-                    continue
-                requested[tx_hash] = now + hold
-                wanted.append(tx_hash)
+            if tx_hash in pool_txs:
+                continue
+            # Within the hold window we do not respond to other
+            # announcements of the same transaction (Section 2).
+            if requested_get(tx_hash, -1.0) > now:
+                continue
+            requested[tx_hash] = now + hold
+            wanted.append(tx_hash)
+        limit = self._known_tx_limit
+        if inserted and limit is not None and len(known) > limit:
+            self._prune_known()
         if wanted:
             self._send(from_id, GetPooledTransactions(hashes=tuple(wanted)))
 
@@ -806,20 +746,8 @@ class Node:
             tx for tx_hash in msg.hashes if (tx := pool_get(tx_hash)) is not None
         )
         if available:
-            shifted = self._peer_shifted.get(from_id)
-            if shifted is not None:
-                known = self._known
-                gen = self._known_gen
-                for tx in available:
-                    tx_hash = tx.hash
-                    value = known.get(tx_hash)
-                    if value is not None and (value & _GEN_MASK) == gen:
-                        known[tx_hash] = value | shifted
-                    else:
-                        known[tx_hash] = shifted | gen
-                limit = self._known_tx_limit
-                if limit is not None and len(known) > limit:
-                    self._prune_known()
+            for tx in available:
+                self._mark_known(from_id, tx.hash)
             self._send(from_id, PooledTransactions(txs=available))
 
     # ------------------------------------------------------------------

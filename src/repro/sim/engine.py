@@ -50,7 +50,7 @@ class Event:
     releases the unit and clears the reference.
 
     Not every heap entry carries an :class:`Event`: fire-and-forget
-    callbacks from :meth:`Simulator.schedule_call` are stored as plain
+    callbacks from :meth:`Simulator.push_entries` are stored as plain
     ``(time, seq, callback, args, label)`` 5-tuples with no handle at all.
     The two shapes share one heap — ``(time, seq)`` prefixes are unique,
     so ordering never compares the payloads.
@@ -255,40 +255,18 @@ class Simulator:
             self._non_daemon_pending += 1
         return event
 
-    def schedule_call(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        label: str = "",
-        args: Tuple = (),
-    ) -> None:
-        """Fire-and-forget scheduling for the per-message hot path.
-
-        Semantically identical to :meth:`schedule` with ``daemon=False``,
-        except that no :class:`Event` handle is created or returned — the
-        heap entry is the plain 5-tuple ``(time, seq, callback, args,
-        label)``. Use only when the caller will never cancel: transport
-        deliveries are the canonical case (roughly one call per simulated
-        message, the single most frequent allocation in a campaign).
-        """
-        if delay < 0:
-            raise ScheduleInPastError(
-                f"cannot schedule {delay:.6f}s in the past (now={self._now:.6f})"
-            )
-        when = self._now + delay
-        heapq.heappush(self._queue, (when, next(self._seq), callback, args, label))
-        self._non_daemon_pending += 1
-
     def push_entries(self, entries: list) -> None:
-        """Bulk fire-and-forget push: per-tick batched event delivery.
+        """Fire-and-forget scheduling for the per-message hot path.
 
         ``entries`` is a list of fully formed heap 5-tuples ``(time, seq,
         callback, args, label)`` with strictly positive-offset times and
-        sequence numbers drawn from this simulator's counter (callers hold
-        the bound ``_seq.__next__``; :class:`repro.eth.network.Network`
-        does). One call amortizes the scheduling overhead of a whole
-        broadcast-flush tick — one pending-counter update and one bound
-        heappush loop instead of a ``schedule_call`` frame per message.
+        sequence numbers drawn from this simulator's counter (``_seq``,
+        read afresh for each list: snapshots replace the object). Each counts as a non-daemon event, but no :class:`Event`
+        handle exists, so use it only for what is never cancelled:
+        transport deliveries are the canonical case (roughly one entry per
+        simulated message, the single most frequent allocation in a
+        campaign). One call queues a whole transport pass with one
+        pending-counter update.
         """
         queue = self._queue
         push = heapq.heappush

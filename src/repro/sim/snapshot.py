@@ -13,14 +13,11 @@ drain the queue with ``network.settle()`` first. Capturing mid-flight would
 have to serialize arbitrary queued callbacks/closures, which is neither
 possible in general nor needed for the campaign workflow.
 
-Two sharp edges, handled here and by :meth:`repro.eth.network.Network.snapshot`:
-
-* Reading the next value of ``itertools.count`` consumes it, so capture
-  replaces ``sim._seq`` with a fresh ``count`` starting at the observed
-  value — a net no-op for the live run, but anything holding a bound
-  reference to the old counter (``Network._next_seq``) must re-bind.
-* ``sim._queue`` is cleared *in place* on restore: ``Network`` keeps a
-  direct reference to the list object for its inlined heap pushes.
+One sharp edge: reading the next value of ``itertools.count`` consumes it,
+so capture replaces ``sim._seq`` with a fresh ``count`` starting at the
+observed value — a net no-op for the live run, as long as nobody holds a
+reference to the old counter across a capture or restore (the transport
+reads ``sim._seq`` once per pass).
 
 The tracer, profiler, and event log are deliberately *not* part of the
 snapshot: they are observers of execution, not inputs to it, and resetting
@@ -56,8 +53,7 @@ def capture_simulator(sim: "Simulator") -> SimulatorSnapshot:
     queued — run ``sim.run()`` / ``network.settle()`` to drain first.
 
     Side effect: ``sim._seq`` is replaced by an equivalent counter (same
-    next value). Callers holding a bound ``__next__`` reference must
-    re-bind it; :meth:`repro.eth.network.Network.snapshot` does.
+    next value), so nothing may hold a reference to it across this call.
     """
     if sim._queue:
         raise SnapshotError(
@@ -77,16 +73,14 @@ def capture_simulator(sim: "Simulator") -> SimulatorSnapshot:
 def restore_simulator(sim: "Simulator", snapshot: SimulatorSnapshot) -> None:
     """Rewind the engine to a captured instant.
 
-    Pending events are discarded (the queue list is cleared in place so
-    bound references stay valid), the clock and sequence counter rewind to
+    Pending events are discarded, the clock and sequence counter rewind to
     their captured values, and every RNG stream is put back to its captured
     state in place (streams created after the capture are re-seeded as a
     fresh registry would have seeded them). Discarded event handles are
     cancelled first: a holder cancelling one later must not release a
     pending count the rewound engine no longer carries.
 
-    As with capture, ``sim._seq`` is replaced; bound references must be
-    re-bound by the caller.
+    As with capture, ``sim._seq`` is replaced.
     """
     for entry in sim._queue:
         if len(entry) == 3:

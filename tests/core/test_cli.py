@@ -338,8 +338,8 @@ CAMPAIGN_COMMANDS = pytest.mark.parametrize(
 
 
 class TestCampaignRefusals:
-    """A campaign that cannot run as asked is one typed line on stderr and
-    exit code 2 — ``MeasurementError`` is caught once, in ``main``."""
+    """What the package refuses is one typed line on stderr and exit code
+    2 — ``ReproError`` is caught once, in ``main``."""
 
     @CAMPAIGN_COMMANDS
     def test_too_few_targets_is_one_line(self, command, capsys):
@@ -347,6 +347,35 @@ class TestCampaignRefusals:
         assert main(command + ["--nodes", "1", "--seed", "1"]) == 2
         err = capsys.readouterr().err
         assert err == f"{command[0]}: need at least two targets to measure\n"
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (
+                ["measure", "--nodes", "8", "--loss", "1.5"],
+                "measure: loss_rate must be a probability in [0, 1], got 1.5",
+            ),
+            (
+                ["measure", "--nodes", "8", "--rpc-fault-rate", "2"],
+                "measure: rate must be a probability in [0, 1], got 2.0",
+            ),
+            (
+                ["arena", "--nodes", "8", "--loss", "1.5"],
+                "arena: loss_rate must be a probability in [0, 1], got 1.5",
+            ),
+            (["analyze", "MALFORMED"], "analyze: not valid JSON: "),
+        ],
+        ids=["measure-loss", "measure-rpc-fault-rate", "arena-loss", "analyze"],
+    )
+    def test_bad_input_is_one_line(self, argv, line, capsys, tmp_path):
+        """(``FaultPlanError`` / ``SerializationError`` are not
+        ``MeasurementError``: each of these was a traceback.)"""
+        malformed = tmp_path / "snap.json"
+        malformed.write_text("{not json")
+        argv = [str(malformed) if arg == "MALFORMED" else arg for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(line) and len(err.splitlines()) == 1
 
     @CAMPAIGN_COMMANDS
     def test_network_over_the_slot_budget_measures(self, command, capsys):

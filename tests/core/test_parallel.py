@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.core.campaign import TopoShot
 from repro.core.config import MeasurementConfig
 from repro.core.parallel import measure_par, measure_par_with_repeats
 from repro.core.results import edge
 from repro.core.schedule import build_schedule
 from repro.errors import MeasurementError
+from repro.netgen.ethereum import quick_network
+from repro.netgen.workloads import prefill_mempools
 from tests.conftest import pairs_of
 
 
@@ -209,3 +212,28 @@ class TestRetryBackoff:
         )
         assert len(rounds) == 3
         assert set(rounds) == {network.sim.now}
+
+
+class TestFewPeerSupernode:
+    """p1 used to seed txC at ``peer_ids[::step][:3]`` — *every* peer of a
+    supernode with three or fewer. No node then gossips a seed back, the
+    supernode sees no txC take hold and every pair was dropped as a set-up
+    failure: a 2-node network scored recall 0.000, a 3-node one 0.333."""
+
+    @pytest.mark.parametrize("n_nodes", [2, 3, 4])
+    def test_whole_tiny_network(self, n_nodes):
+        network = quick_network(n_nodes=n_nodes, seed=0)
+        prefill_mempools(network)
+        measurement = TopoShot.attach(network).measure_network()
+        assert measurement.edges == network.ground_truth_edges()
+        assert measurement.edges  # quick networks this small are cliques
+        assert measurement.setup_failures == 0
+
+    def test_supernode_joined_to_two_targets(self):
+        network = quick_network(n_nodes=8, seed=0)
+        prefill_mempools(network)
+        a, b = sorted(next(iter(network.ground_truth_edges())))
+        shot = TopoShot.attach(network, targets=[a, b])
+        measurement = shot.measure_network(targets=[a, b])
+        assert measurement.edges == {edge(a, b)}
+        assert measurement.setup_failures == 0

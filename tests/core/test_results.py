@@ -96,6 +96,9 @@ class TestNetworkMeasurement:
         m.add_edges({edge("a", "b")})
         m.validate_against({edge("a", "b")})
         assert "precision=1.000" in m.summary()
+        assert "setup failures" not in m.summary()
+        m.setup_failures = 2
+        assert "setup failures : 2" in m.summary()
 
 
 class TestUnion:

@@ -173,3 +173,49 @@ def test_slot_budget_is_enforced_by_the_schedule_alone():
                     comparers.append(f"{path.stem}.{name}")
     assert not offenders, "a second slot-budget rule:\n" + "\n".join(offenders)
     assert comparers == ["parallel.measure_par"]
+
+
+def _named(node: ast.AST):
+    return getattr(node, "attr", None) or getattr(node, "id", None)
+
+
+def test_a_message_has_one_transport_and_one_receive():
+    """Each step of a message's way has one implementation. In
+    ``eth/network.py`` latency is sampled and the loss hook consulted in
+    exactly one function (``send`` and ``send_batch`` both enter it); in
+    ``eth/node.py`` the duplicate short-cut builds its ``REJECTED_KNOWN``
+    result in exactly one function, and the known-table is written
+    per transaction by ``_mark_known`` alone — ``_handle_announcement``
+    (per packet), ``broadcast_transaction`` (all peers at once) and
+    ``remove_peer`` (the slot sweep) are its three batch forms."""
+    root = Path(repro.__file__).parent / "eth"
+    samplers, droppers, rejecters, writers = set(), set(), set(), set()
+    tree = ast.parse((root / "network.py").read_text(encoding="utf-8"))
+    for name, func in _functions(tree):
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            called = _named(node.func)
+            if called in ("sample", "latency_random", "_latency_random"):
+                samplers.add(name)
+            elif called == "should_drop":
+                droppers.add(name)
+    tree = ast.parse((root / "node.py").read_text(encoding="utf-8"))
+    for name, func in _functions(tree):
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute) and node.attr == "REJECTED_KNOWN":
+                rejecters.add(name)
+            elif (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, ast.Store)
+                and _named(node.value) in ("known", "_known")
+            ):
+                writers.add(name)
+    assert samplers == droppers == {"Network._transmit"}
+    assert rejecters == {"Node._receive"}
+    assert writers == {
+        "Node._mark_known",
+        "Node._handle_announcement",
+        "Node.broadcast_transaction",
+        "Node.remove_peer",
+    }
