@@ -1,7 +1,7 @@
 """Measurement-service load test: throughput, tail latency under abuse,
-typed load shedding, and crash recovery.
+typed load shedding, crash recovery, and real cores.
 
-Four phases, all against a real service instance on a loopback socket:
+Five phases, all against a real service instance on a loopback socket:
 
 1. **Uncontended baseline** — N simulated clients (threads, one tenant
    each) submit synthetic jobs and wait for results; reports jobs/s and
@@ -19,10 +19,15 @@ Four phases, all against a real service instance on a loopback socket:
    gates: the restarted service recovers every journaled job (none lost,
    none duplicated) and finishes them, reporting the wall-clock recovery
    time.
+5. **Concurrency** — two closed-loop clients run the same measure jobs
+   against ``max_concurrent`` 1 and 2 worker processes; the results must
+   be equal job for job, and on a host with two cores the second run must
+   be >= ``MIN_CONCURRENCY_SPEEDUP``x faster.
 
-Standalone (full load, writes benchmarks/results/BENCH_service.json)::
+Standalone (full load, writes benchmarks/results/BENCH_service.json;
+``--smoke`` runs the small fleet instead)::
 
-    PYTHONPATH=src python benchmarks/bench_service.py
+    python3 benchmarks/bench_service.py [--smoke]
 
 Pytest smoke (small fleet, same JSON artifact)::
 
@@ -32,6 +37,7 @@ Pytest smoke (small fleet, same JSON artifact)::
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import contextlib
 import json
@@ -45,10 +51,13 @@ from time import perf_counter, sleep
 import pytest
 
 if __package__ in (None, ""):
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    _ROOT = Path(__file__).resolve().parent.parent
+    sys.path[:0] = [str(_ROOT / "src"), str(_ROOT)]
 
 from benchmarks.harness import RESULTS_DIR, emit, run_once
+from repro.core.parallel_exec import CampaignSpec
 from repro.errors import ServiceError
+from repro.netgen.ethereum import NetworkSpec
 from repro.service import (
     MeasurementService,
     ServiceClient,
@@ -63,6 +72,7 @@ JSON_PATH = RESULTS_DIR / "BENCH_service.json"
 MAX_P99_RATIO = 2.0     # honest p99 under abuse vs uncontended baseline
 P99_FLOOR_S = 0.75      # absolute floor: ratios on tiny baselines are noise
 MAX_RECOVERY_S = 30.0   # restart -> every journaled job terminal
+MIN_CONCURRENCY_SPEEDUP = 1.4  # 2 worker processes vs 1, given two cores
 
 SMOKE_SCENARIO = {
     "name": "smoke",
@@ -73,6 +83,8 @@ SMOKE_SCENARIO = {
     "abusive_threads": 3,
     "recovery_queued": 6,
     "max_concurrent": 4,
+    "concurrency_jobs": 8,
+    "concurrency_nodes": 20,
 }
 FULL_SCENARIO = {
     "name": "full",
@@ -83,6 +95,8 @@ FULL_SCENARIO = {
     "abusive_threads": 8,
     "recovery_queued": 40,
     "max_concurrent": max(4, (os.cpu_count() or 4)),
+    "concurrency_jobs": 24,
+    "concurrency_nodes": 24,
 }
 
 _JOB_PARAMS = {"steps": 1, "step_duration": 0.005}
@@ -95,9 +109,10 @@ class ServiceThread:
     """Run a MeasurementService on its own event loop in a daemon thread.
 
     ``stop("graceful")`` is the SIGTERM path (drain + journal);
-    ``stop("crash")`` kills the coroutines without any drain courtesy —
-    the closest single-process stand-in for SIGKILL (journal appends are
-    already fsynced, nothing else is written).
+    ``stop("crash")`` kills the coroutines and the worker processes without
+    any drain courtesy — the closest single-process stand-in for SIGKILL
+    (journal appends are already fsynced, nothing else is written, and no
+    worker runs on into the next incarnation).
     """
 
     def __init__(self, config: ServiceConfig) -> None:
@@ -131,6 +146,7 @@ class ServiceThread:
                 svc._dispatcher.cancel()
                 with contextlib.suppress(asyncio.CancelledError):
                     await svc._dispatcher
+            svc.workers.kill()
             if svc._tasks:
                 await asyncio.gather(*list(svc._tasks), return_exceptions=True)
             svc._server.close()
@@ -374,6 +390,59 @@ def bench_recovery(state_dir, scenario) -> dict:
 
 
 # ----------------------------------------------------------------------
+# Phase 5: concurrency on real cores
+# ----------------------------------------------------------------------
+def bench_concurrency(root: Path, scenario) -> dict:
+    """The same closed-loop measure jobs on 1 and on 2 worker processes."""
+    specs = [
+        CampaignSpec(
+            network=NetworkSpec(n_nodes=scenario["concurrency_nodes"], seed=seed),
+            n_shards=4,
+        )
+        for seed in range(scenario["concurrency_jobs"])
+    ]
+    clients = 2
+    runs, results = [], []
+    for slots in (1, 2):
+        state_dir = root / f"concurrency-{slots}"
+        harness = ServiceThread(
+            _generous_config(state_dir, {**scenario, "max_concurrent": slots})
+        )
+        try:
+            def client_worker(index: int, out: list) -> None:
+                client = ServiceClient.from_state_dir(state_dir)
+                for n in range(index, len(specs), clients):
+                    job = client.submit(
+                        tenant=f"client-{index}", kind="measure",
+                        params={"campaign": specs[n].to_dict(), "workers": 1},
+                    )
+                    record = client.wait(job["spec"]["job_id"], timeout=300, poll=0.01)
+                    assert record["state"] == "done", record
+                    out.append((n, record["result"]["measurement"]))
+
+            start = perf_counter()
+            outputs = _run_clients(clients, client_worker)
+            wall = perf_counter() - start
+        finally:
+            harness.stop("graceful")
+        results.append(dict(item for out in outputs for item in out))
+        runs.append({
+            "max_concurrent": slots,
+            "wall_s": round(wall, 3),
+            "jobs_per_second": round(len(specs) / wall, 2),
+        })
+    assert len(results[0]) == len(specs)
+    assert results[0] == results[1], "results differ between 1 and 2 workers"
+    return {
+        "jobs": len(specs),
+        "clients": clients,
+        "nodes": scenario["concurrency_nodes"],
+        "runs": runs,
+        "speedup": round(runs[0]["wall_s"] / runs[1]["wall_s"], 2),
+    }
+
+
+# ----------------------------------------------------------------------
 # Reporting / gates
 # ----------------------------------------------------------------------
 def write_results(sections: dict, kind: str) -> dict:
@@ -386,6 +455,7 @@ def write_results(sections: dict, kind: str) -> dict:
             "max_p99_ratio": MAX_P99_RATIO,
             "p99_floor_s": P99_FLOOR_S,
             "max_recovery_s": MAX_RECOVERY_S,
+            "min_concurrency_speedup": MIN_CONCURRENCY_SPEEDUP,
         },
         **sections,
     }
@@ -398,6 +468,7 @@ def format_report(sections: dict) -> str:
     baseline = sections["baseline"]
     overload = sections["overload"]
     recovery = sections["recovery"]
+    concurrency = sections["concurrency"]
     lines = [
         f"baseline : {baseline['jobs']} jobs from {baseline['clients']} "
         f"clients at {baseline['jobs_per_second']:.1f} jobs/s "
@@ -411,6 +482,12 @@ def format_report(sections: dict) -> str:
         f"({overload['fairness']['completed_total']} jobs completed)",
         f"recovery : {recovery['recovered']}/{recovery['queued_at_crash']} "
         f"journaled jobs recovered in {recovery['recovery_s']:.2f}s",
+        f"concurrency: {concurrency['jobs']} measure jobs "
+        + ", ".join(
+            f"{run['wall_s']:.2f}s on {run['max_concurrent']} worker(s)"
+            for run in concurrency["runs"]
+        )
+        + f" ({concurrency['speedup']:.2f}x)",
     ]
     return "\n".join(lines)
 
@@ -434,6 +511,12 @@ def check_gates(sections: dict) -> None:
     )
     assert recovery["recovered"] == recovery["queued_at_crash"]
     assert recovery["recovery_s"] <= MAX_RECOVERY_S
+    speedup = sections["concurrency"]["speedup"]
+    if (os.cpu_count() or 1) >= 2:
+        assert speedup >= MIN_CONCURRENCY_SPEEDUP, (
+            f"2 worker processes are only {speedup}x faster than 1 "
+            f"(need {MIN_CONCURRENCY_SPEEDUP}x on {os.cpu_count()} cores)"
+        )
 
 
 def run_scenario(scenario: dict, root: Path) -> dict:
@@ -443,13 +526,15 @@ def run_scenario(scenario: dict, root: Path) -> dict:
         root / "overload", scenario, sections["baseline"]
     )
     sections["recovery"] = bench_recovery(root / "recovery", scenario)
+    sections["concurrency"] = bench_concurrency(root, scenario)
     return sections
 
 
 @pytest.mark.benchmark(group="service")
 def test_service_smoke(benchmark, tmp_path):
     """CI smoke: shed the flood with typed 429s, keep the honest tenant's
-    tail latency bounded, and recover every journaled job after a crash."""
+    tail latency bounded, recover every journaled job after a crash, and
+    run two measure jobs at once on two cores."""
     sections = run_once(
         benchmark, lambda: run_scenario(SMOKE_SCENARIO, tmp_path)
     )
@@ -458,10 +543,13 @@ def test_service_smoke(benchmark, tmp_path):
     check_gates(sections)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     import tempfile
 
-    scenario = FULL_SCENARIO
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--smoke", action="store_true", help="the CI-sized fleet")
+    args = parser.parse_args(argv)
+    scenario = SMOKE_SCENARIO if args.smoke else FULL_SCENARIO
     print(
         f"[service] load test: {scenario['baseline_clients']} baseline "
         f"clients, {scenario['abusive_threads']} abuse threads, "
@@ -469,8 +557,8 @@ def main() -> int:
     )
     with tempfile.TemporaryDirectory(prefix="bench-service-") as tmp:
         sections = run_scenario(scenario, Path(tmp))
-    write_results(sections, kind="full")
-    emit("service", format_report(sections))
+    write_results(sections, kind=scenario["name"])
+    emit("service_smoke" if args.smoke else "service", format_report(sections))
     try:
         check_gates(sections)
     except AssertionError as exc:

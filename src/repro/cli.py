@@ -345,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="journal, checkpoints and endpoint file live here",
     )
     serve.add_argument("--max-concurrent", type=int, default=2,
-                       help="executor slots (jobs running at once)")
+                       help="worker processes (jobs running at once)")
     serve.add_argument(
         "--config", type=str, default=None, metavar="FILE",
         help="JSON ServiceConfig overriding the flags (quotas, breaker, "

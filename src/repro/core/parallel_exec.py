@@ -48,6 +48,7 @@ fresh ones and ships what they recorded in its :class:`ShardResult`.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from copy import deepcopy
@@ -459,6 +460,25 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
+def _die_with_parent(parent_pid: int) -> None:
+    """Pool initializer: the worker is killed with the process that forked
+    it (Linux ``PR_SET_PDEATHSIG``). An idle pool worker blocks on its task
+    queue for good once its parent is SIGKILLed; this ends it instead."""
+    import signal
+
+    try:
+        import ctypes
+
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+        prctl.restype = ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    except (AttributeError, OSError):  # pragma: no cover - not Linux
+        pass
+    if os.getppid() != parent_pid:  # the parent died before prctl took
+        os._exit(1)
+
+
 # ----------------------------------------------------------------------
 # Checkpoint (shard-granular; boundaries ARE iteration boundaries)
 # ----------------------------------------------------------------------
@@ -627,6 +647,8 @@ def run_campaign(
             executor = ProcessPoolExecutor(
                 max_workers=min(workers, len(remaining)),
                 mp_context=context,
+                initializer=_die_with_parent,
+                initargs=(os.getpid(),),
             )
             failed: List[ShardSpec] = []
             try:

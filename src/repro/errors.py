@@ -6,9 +6,22 @@ catch everything raised by this library with a single ``except`` clause.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class ReproError(Exception):
-    """Base class for all errors raised by the ``repro`` package."""
+    """Base class for all errors raised by the ``repro`` package.
+
+    Every subclass pickles — so it crosses a process boundary as itself:
+    the copy is rebuilt from ``args`` and ``__dict__`` without re-running
+    the subclass ``__init__``, whose signature is not ``args`` (the default
+    ``Exception`` reduction would call ``cls(*args)``, which fails for
+    constructors taking several fields and formats a message twice for the
+    rest).
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class SimulationError(ReproError):

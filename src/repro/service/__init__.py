@@ -14,7 +14,8 @@ Module map:
 - :mod:`repro.service.jobs`       job specs, records, lifecycle states
 - :mod:`repro.service.limiter`    token buckets, quotas, admission control
 - :mod:`repro.service.scheduler`  weighted-round-robin fair drain
-- :mod:`repro.service.supervisor` retries, deadlines (breaker: :mod:`repro.resilience`)
+- :mod:`repro.service.supervisor` retries, deadlines (breaker: :mod:`repro.resilience`),
+                                  the warm worker-process pool
 - :mod:`repro.service.journal`    fsynced JSON-lines write-ahead log
 - :mod:`repro.service.server`     asyncio HTTP front end + dispatch
 - :mod:`repro.service.client`     stdlib blocking client
@@ -32,7 +33,7 @@ from repro.service.journal import JobJournal
 from repro.service.limiter import AdmissionController, TenantQuota, TokenBucket
 from repro.service.scheduler import FairScheduler
 from repro.service.server import MeasurementService, ServiceConfig, run_service
-from repro.service.supervisor import JobSupervisor
+from repro.service.supervisor import JobSupervisor, WorkerPool
 
 __all__ = [
     "AdmissionController",
@@ -49,6 +50,7 @@ __all__ = [
     "ServiceConfig",
     "TenantQuota",
     "TokenBucket",
+    "WorkerPool",
     "node_seconds_cost",
     "run_service",
 ]

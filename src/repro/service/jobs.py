@@ -10,8 +10,9 @@ A job walks the supervised lifecycle::
 
 ``queued`` means the job passed admission control and sits in its tenant's
 fair-share queue; ``admitted`` means the weighted-round-robin drain picked
-it and it is waiting on an executor slot; ``running`` means an executor
-thread owns it.  Every transition is journaled (:mod:`repro.service.journal`)
+it and it is waiting on an executor slot; ``running`` means its attempt
+loop owns it and an attempt runs on a worker process of the service's
+pool.  Every transition is journaled (:mod:`repro.service.journal`)
 so a crashed service recovers each job into a well-defined state.
 """
 

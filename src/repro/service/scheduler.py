@@ -22,7 +22,7 @@ class FairScheduler:
     """Per-tenant FIFO queues + weighted round-robin drain.
 
     Not thread-safe by design: it is owned by the service's asyncio loop
-    (the executor threads never touch it).
+    (the attempt-loop threads never touch it).
     """
 
     def __init__(

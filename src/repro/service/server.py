@@ -4,9 +4,12 @@
 measurement jobs over a local JSON/HTTP API, admits them through the
 token-bucket :class:`~repro.service.limiter.AdmissionController`, queues
 them in the weighted-round-robin
-:class:`~repro.service.scheduler.FairScheduler`, and executes them in
-worker threads under the retrying, circuit-broken
-:class:`~repro.service.supervisor.JobSupervisor`.  Every state transition
+:class:`~repro.service.scheduler.FairScheduler`, and executes them on a
+warm pool of ``max_concurrent`` forked worker processes
+(:class:`~repro.service.supervisor.WorkerPool`) under the retrying,
+circuit-broken :class:`~repro.service.supervisor.JobSupervisor`, whose
+attempt loops wait on the pool from one thread per running job.  Every
+state transition
 is journaled to a fsynced JSON-lines WAL so a SIGKILL recovers cleanly,
 and SIGTERM drains gracefully: running jobs stop at their next shard
 checkpoint and are requeued (journaled) for the next incarnation.
@@ -61,7 +64,12 @@ from repro.service.jobs import (
 from repro.service.journal import JobJournal
 from repro.service.limiter import AdmissionController, TenantQuota
 from repro.service.scheduler import FairScheduler
-from repro.service.supervisor import CancelToken, JOB_KINDS, JobSupervisor
+from repro.service.supervisor import (
+    JOB_KINDS,
+    CancelToken,
+    JobSupervisor,
+    WorkerPool,
+)
 
 PathLike = Union[str, Path]
 
@@ -117,9 +125,10 @@ class MeasurementService:
     """Supervised, multi-tenant measurement-job service (one event loop).
 
     All mutable scheduling state (queues, records, token buckets) is owned
-    by the asyncio loop; executor threads only touch their own
-    :class:`JobRecord` and the supervisor, and hand control back via
-    ``asyncio.to_thread``.
+    by the asyncio loop; a running job's attempt loop (in a thread, via
+    ``asyncio.to_thread``) only touches its own :class:`JobRecord` and the
+    supervisor, and the campaign itself runs in a worker process of the
+    service's :class:`WorkerPool`, forked by :meth:`start`.
     """
 
     def __init__(
@@ -148,8 +157,10 @@ class MeasurementService:
             failure_threshold=self.config.breaker_failure_threshold,
             cooldown=self.config.breaker_cooldown,
         )
+        self.workers = WorkerPool(self.config.max_concurrent)
         self.supervisor = JobSupervisor(
             state_dir=self.state_dir,
+            executor=self.workers,
             breaker=self.breaker,
             clock=self.clock,
             backoff_base=self.config.backoff_base,
@@ -214,10 +225,13 @@ class MeasurementService:
         self._appends_at_compact = self.journal.appends_total
 
     async def start(self) -> None:
-        """Recover state, bind the socket, start dispatching."""
+        """Fork the worker pool, recover state, bind the socket, start
+        dispatching. The fork comes first: workers inherit no journal,
+        listening socket or job thread."""
+        self.workers.start()
         self._wake = asyncio.Event()
         self._recover()
-        self._slots = max(1, int(self.config.max_concurrent))
+        self._slots = self.workers.size
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -254,12 +268,14 @@ class MeasurementService:
                 self._wake.set()
 
     async def shutdown(self) -> None:
-        """Drain: stop intake, checkpoint running jobs, journal the queue."""
+        """Drain: stop intake, checkpoint running jobs, journal the queue,
+        close the worker pool."""
         self.request_shutdown()
         if self._dispatcher is not None:
             await self._dispatcher
         if self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
+        self.workers.shutdown()
         # Journal still-queued jobs in their queued state: the next
         # incarnation recovers and finishes them.
         for record in self.scheduler.drain_all():
@@ -340,7 +356,7 @@ class MeasurementService:
         token = self._cancel_tokens.get(job_id)
         if token is not None:
             token.request("cancel")
-            return record  # the executor thread finishes the transition
+            return record  # the job's attempt loop finishes the transition
         queued = self.scheduler.remove(job_id)
         if queued is not None:
             queued.state = CANCELLED

@@ -1,12 +1,13 @@
 """Supervised job execution: retries, deadlines, circuit breaking.
 
-The supervisor runs inside an executor *thread* (the asyncio loop stays
-responsive); everything here is synchronous.  One job execution is the
-attempt loop::
+The supervisor's attempt loop runs in a service thread (the asyncio loop
+stays responsive); each attempt runs on an :class:`~concurrent.futures.
+Executor` — the service's :class:`WorkerPool` of forked processes — and
+the loop waits for it::
 
     while True:
         breaker.allow() or raise CircuitOpen        # fail fast, requeue
-        try: result = kind_executor(record, ctx)    # cooperative stops
+        try: result = pool.submit(kind_executor, record, ctx).result()
         except infra failure:
             breaker.record_failure()
             attempts exhausted -> FAILED (partial result if any)
@@ -17,14 +18,24 @@ Cooperative stops (deadline, client cancel, service drain) surface at
 ``run_campaign``'s per-shard progress hook, so by the time a stop raises,
 a shard-granular checkpoint is already durable on disk — which is what
 makes a timed-out or drained job resumable and lets it report a partial
-result with confidence labels instead of erroring.
+result with confidence labels instead of erroring. A stop request crosses
+into the worker as the job's *stop file*; the typed stop comes back as
+itself (every ``ReproError`` pickles).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
+from concurrent.futures import (
+    BrokenExecutor,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    TimeoutError as FutureTimeout,
+)
 from pathlib import Path
 from typing import Callable, Dict, Optional
 
@@ -52,14 +63,22 @@ from repro.service.jobs import (
 CONFIDENCE_PARTIAL = "partial"
 CONFIDENCE_COMPLETE = "complete"
 
+#: How often the attempt loop, waiting on a worker, passes a new stop
+#: request on (a finished attempt is picked up at once, not on this tick).
+_STOP_POLL_S = 0.05
+
+#: Exit status of a worker that found its service gone at a heartbeat.
+ORPHANED_EXIT = 70
+
 
 # ----------------------------------------------------------------------
 # Cooperative stop plumbing
 # ----------------------------------------------------------------------
 class CancelToken:
-    """Thread-safe stop request carried from the asyncio loop into the
-    executor thread.  ``reason`` distinguishes a client cancel (terminal)
-    from a service drain (requeue-for-recovery)."""
+    """Thread-safe stop request carried from the asyncio loop to the
+    attempt loop, which hands it to the worker as the job's stop file.
+    ``reason`` distinguishes a client cancel (terminal) from a service
+    drain (requeue-for-recovery)."""
 
     def __init__(self) -> None:
         self._event = threading.Event()
@@ -80,40 +99,58 @@ class CancelToken:
 class ExecutionContext:
     """What a kind-executor needs: checkpoint path + a heartbeat.
 
-    ``heartbeat()`` is the cooperative stop point — kind executors call it
-    at every resumable boundary (the measure executor wires it into the
-    per-shard progress hook)."""
+    Plain data, so it pickles into the worker process that runs the
+    attempt. ``heartbeat()`` is the cooperative stop point — kind
+    executors call it at every resumable boundary (the measure executor
+    wires it into the per-shard progress hook)."""
 
     def __init__(
         self,
         record: JobRecord,
-        cancel: CancelToken,
         state_dir: Path,
         clock: Clock,
         deadline_at: Optional[float],
     ) -> None:
         self.record = record
-        self.cancel = cancel
         self.state_dir = state_dir
         self.clock = clock
         self.deadline_at = deadline_at
+        #: The service process: a worker whose parent it no longer is has
+        #: been orphaned by a killed service.
+        self.service_pid = os.getpid()
 
     @property
     def checkpoint_path(self) -> Path:
         return self.state_dir / f"job-{self.record.job_id}.ckpt.json"
 
+    @property
+    def stop_path(self) -> Path:
+        """Holds ``cancel`` or ``drain`` once a stop is requested."""
+        return self.state_dir / f"job-{self.record.job_id}.stop"
+
     def heartbeat(self) -> None:
         """Raise the appropriate stop if one is pending (checkpoint is
-        already durable when this is called from a shard boundary)."""
-        if self.cancel.requested:
+        already durable when this is called from a shard boundary).
+
+        A worker orphaned by a killed service exits here instead of
+        writing on: nobody reads its result, and the next incarnation
+        resumes the job from the checkpoint just written.
+        """
+        if os.getpid() != self.service_pid and os.getppid() != self.service_pid:
+            os._exit(ORPHANED_EXIT)
+        try:
+            reason = self.stop_path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            reason = None
+        if reason is not None:
             raise JobCancelled(
                 f"job {self.record.job_id} "
                 + (
                     "requeued by service drain"
-                    if self.cancel.reason == "drain"
+                    if reason == "drain"
                     else "cancelled by client"
                 ),
-                requeue=self.cancel.reason == "drain",
+                requeue=reason == "drain",
             )
         if self.deadline_at is not None and self.clock() >= self.deadline_at:
             raise JobTimeout(
@@ -250,6 +287,7 @@ def _execute_synthetic(record: JobRecord, ctx: ExecutionContext) -> dict:
         "steps": steps,
         "resumed_from": completed,
         "payload": params.get("payload"),
+        "worker_pid": os.getpid(),
     }
 
 
@@ -285,10 +323,77 @@ JOB_KINDS: Dict[str, tuple] = {
 
 
 # ----------------------------------------------------------------------
+# Worker pool
+# ----------------------------------------------------------------------
+class WorkerPool(Executor):
+    """The service's warm pool: ``size`` forked processes running job
+    attempts, one attempt per process at a time.
+
+    :meth:`start` imports the executor modules and then forks every
+    worker, so each one starts warm and none is forked from a process that
+    already runs job threads. A worker that dies (an OOM kill, a signal)
+    breaks a process pool for good; the next submit replaces it, and the
+    attempt that saw it break is retried by the supervisor like any other
+    infrastructure failure.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = max(1, int(size))
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._lock = threading.Lock()
+
+    def _forked(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            # Imports the whole campaign stack, which the forks inherit.
+            from repro.core.parallel_exec import _die_with_parent, _mp_context
+
+            pool = ProcessPoolExecutor(
+                max_workers=self.size,
+                mp_context=_mp_context(),
+                initializer=_die_with_parent,
+                initargs=(os.getpid(),),
+            )
+            # The fork start method forks every worker on the first submit.
+            pool.submit(int).result()
+            self._pool = pool
+        return self._pool
+
+    def start(self) -> None:
+        with self._lock:
+            self._forked()
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        with self._lock:
+            try:
+                return self._forked().submit(fn, *args, **kwargs)
+            except BrokenExecutor:
+                self._pool.shutdown(wait=False, cancel_futures=True)
+                self._pool = None
+                return self._forked().submit(fn, *args, **kwargs)
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        with self._lock:
+            if self._pool is not None:
+                self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
+                self._pool = None
+
+    def kill(self) -> None:
+        """SIGKILL every worker and drop the pool: what the death of the
+        service does to it (in-process crash stand-ins use this)."""
+        with self._lock:
+            if self._pool is not None:
+                for process in list(self._pool._processes.values()):
+                    process.kill()
+                self._pool.shutdown(wait=False, cancel_futures=True)
+                self._pool = None
+
+
+# ----------------------------------------------------------------------
 # Supervisor
 # ----------------------------------------------------------------------
 class JobSupervisor:
-    """Runs one job's attempt loop to a terminal state (thread context).
+    """Runs one job's attempt loop to a terminal state (thread context),
+    each attempt on ``executor``.
 
     Backoff between attempts is exponential with deterministic jitter:
     the jitter fraction is drawn from a RNG seeded by ``(job_id, attempt)``
@@ -299,6 +404,7 @@ class JobSupervisor:
     def __init__(
         self,
         state_dir: Path,
+        executor: Executor,
         breaker: Optional[CircuitBreaker] = None,
         clock: Clock = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
@@ -309,6 +415,7 @@ class JobSupervisor:
     ) -> None:
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
+        self.executor = executor
         self.breaker = breaker or CircuitBreaker(clock=clock)
         self.clock = clock
         self.sleep = sleep
@@ -339,29 +446,33 @@ class JobSupervisor:
         """
         kind = record.spec.kind
         if kind not in JOB_KINDS:
-            record.state = FAILED
             record.error = {
                 "type": "unknown_kind",
                 "detail": f"no executor registered for job kind {kind!r}",
             }
             record.finished_at = self.clock()
+            record.state = FAILED
             return record
         executor, partial_builder = JOB_KINDS[kind]
         ctx = ExecutionContext(
             record=record,
-            cancel=cancel,
             state_dir=self.state_dir,
             clock=self.clock,
             deadline_at=record.deadline_at(),
         )
+        # A stop request an earlier incarnation left behind is not ours.
+        ctx.stop_path.unlink(missing_ok=True)
 
         def stopped(state: str, error: dict) -> JobRecord:
-            """The one terminal transition of a job that did not finish."""
-            record.state = state
+            """The one terminal transition of a job that did not finish.
+            The state is published last: the API reads the record from
+            another thread, and a terminal state means the result is in."""
             record.error = error
             record.result = partial_builder(record, ctx)
             record.partial = record.result is not None
             record.finished_at = self.clock()
+            record.state = state
+            ctx.stop_path.unlink(missing_ok=True)
             return record
 
         while True:
@@ -372,7 +483,7 @@ class JobSupervisor:
                 )
             record.attempts += 1
             try:
-                result = executor(record, ctx)
+                result = self._attempt(executor, record, ctx, cancel)
             except JobTimeout as exc:
                 # A timeout is no verdict on pool health: free the probe
                 # slot this attempt may hold so the breaker cannot wedge
@@ -419,19 +530,44 @@ class JobSupervisor:
                 continue
             else:
                 self.breaker.record_success()
-                record.state = DONE
                 record.result = result
                 record.partial = (
                     result.get("confidence") == CONFIDENCE_PARTIAL
                 )
                 record.finished_at = self.clock()
+                record.state = DONE  # last, as in stopped()
                 self._cleanup_checkpoints(ctx)
                 return record
+
+    def _attempt(
+        self,
+        executor: Callable[[JobRecord, ExecutionContext], dict],
+        record: JobRecord,
+        ctx: ExecutionContext,
+        cancel: CancelToken,
+    ) -> dict:
+        """Run one attempt on ``self.executor`` and wait for it, handing a
+        stop request on to the worker as the job's stop file (the worker
+        reads it at its next heartbeat)."""
+        from repro.io import atomic_write_text
+
+        def pass_stop_on() -> None:
+            if cancel.requested and not ctx.stop_path.exists():
+                atomic_write_text(ctx.stop_path, cancel.reason)
+
+        pass_stop_on()
+        future = self.executor.submit(executor, record, ctx)
+        while True:
+            try:
+                return future.result(timeout=_STOP_POLL_S)
+            except FutureTimeout:
+                pass_stop_on()
 
     def _cleanup_checkpoints(self, ctx: ExecutionContext) -> None:
         """Completed jobs do not need their resume state any more."""
         for path in (
             ctx.checkpoint_path,
+            ctx.stop_path,
             _synthetic_checkpoint(ctx),
         ):
             try:

@@ -10,9 +10,16 @@ of the fsync itself is covered in ``test_journal.py``).
 import asyncio
 import contextlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.service import (
     MeasurementService,
     ServiceClient,
@@ -39,12 +46,14 @@ async def service(tmp_path, **overrides):
 
 async def hard_kill(svc):
     """SIGKILL stand-in: stop all service coroutines without any of the
-    drain/journal-closing courtesy of shutdown()."""
+    drain/journal-closing courtesy of shutdown(); the worker pool dies
+    with the service."""
     svc._stopping = True
     if svc._dispatcher is not None:
         svc._dispatcher.cancel()
         with contextlib.suppress(asyncio.CancelledError):
             await svc._dispatcher
+    svc.workers.kill()
     if svc._tasks:
         await asyncio.gather(*list(svc._tasks), return_exceptions=True)
     svc._server.close()
@@ -312,6 +321,226 @@ class TestMeasureJobs:
         )
 
 
+def _long_campaign(seed: int):
+    """A measure job of ~1.5 s in eight shards: long enough to stop mid-run."""
+    from repro.core.parallel_exec import CampaignSpec
+    from repro.netgen.ethereum import NetworkSpec
+
+    return CampaignSpec(
+        network=NetworkSpec(n_nodes=32, seed=seed), n_shards=8, repeats=2
+    )
+
+
+def _library(spec) -> dict:
+    from repro.core.parallel_exec import run_campaign
+    from repro.io import measurement_to_dict
+
+    return measurement_to_dict(run_campaign(spec))
+
+
+def _measure(spec) -> dict:
+    return {"campaign": spec.to_dict(), "workers": 1}
+
+
+def _completed_shards(state_dir, job_id) -> int:
+    try:
+        checkpoint = json.loads(
+            (Path(state_dir) / f"job-{job_id}.ckpt.json").read_text(encoding="utf-8")
+        )
+    except (FileNotFoundError, ValueError):
+        return 0
+    return len(checkpoint["completed"])
+
+
+async def _until_shards(state_dir, job_id, count=1, timeout=60.0) -> None:
+    deadline = time.monotonic() + timeout
+    while _completed_shards(state_dir, job_id) < count:
+        assert time.monotonic() < deadline, f"{job_id}: no shard checkpointed"
+        await asyncio.sleep(0.01)
+
+
+class TestWorkerProcesses:
+    """Job attempts run on the service's forked worker pool."""
+
+    def test_concurrent_jobs_run_in_different_worker_processes(self, tmp_path):
+        async def main():
+            async with service(tmp_path, max_concurrent=2) as (_svc, client):
+                jobs = [
+                    await asyncio.to_thread(
+                        submit_sync, client, tenant=tenant,
+                        params={"steps": 5, "step_duration": 0.05},
+                    )
+                    for tenant in ("a", "b")
+                ]
+                return [
+                    await asyncio.to_thread(client.wait, job["spec"]["job_id"], 30)
+                    for job in jobs
+                ]
+
+        records = asyncio.run(main())
+        pids = {record["result"]["worker_pid"] for record in records}
+        assert len(pids) == 2
+        assert os.getpid() not in pids
+
+    def test_a_worker_killed_by_the_os_costs_the_pool_not_the_service(
+        self, tmp_path
+    ):
+        """A dead worker breaks a process pool for good; the next attempt
+        runs on a freshly forked one."""
+
+        async def main():
+            async with service(tmp_path) as (_svc, client):
+                first = await asyncio.to_thread(submit_sync, client, tenant="a")
+                first = await asyncio.to_thread(client.wait, first["spec"]["job_id"], 30)
+                os.kill(first["result"]["worker_pid"], signal.SIGKILL)
+                second = await asyncio.to_thread(submit_sync, client, tenant="a")
+                return await asyncio.to_thread(client.wait, second["spec"]["job_id"], 30)
+
+        record = asyncio.run(main())
+        assert record["state"] == "done", record
+
+    def test_two_measure_jobs_run_at_once_and_return_the_librarys_results(
+        self, tmp_path
+    ):
+        """Their run windows overlap, so they ran in two worker processes
+        (a worker runs one attempt at a time); each result is the one the
+        library computes in this process."""
+        from repro.core.parallel_exec import CampaignSpec
+        from repro.netgen.ethereum import NetworkSpec
+
+        specs = [
+            CampaignSpec(network=NetworkSpec(n_nodes=24, seed=seed), n_shards=4)
+            for seed in (3, 4)
+        ]
+
+        async def main():
+            async with service(tmp_path, max_concurrent=2) as (_svc, client):
+                jobs = [
+                    await asyncio.to_thread(
+                        client.submit, tenant, "measure", _measure(spec)
+                    )
+                    for tenant, spec in zip(("a", "b"), specs)
+                ]
+                return [
+                    await asyncio.to_thread(client.wait, job["spec"]["job_id"], 120)
+                    for job in jobs
+                ]
+
+        records = asyncio.run(main())
+        assert [record["state"] for record in records] == ["done", "done"]
+        assert max(r["started_at"] for r in records) < min(
+            r["finished_at"] for r in records
+        )
+        for record, spec in zip(records, specs):
+            assert record["result"]["measurement"] == _library(spec)
+
+    def test_client_cancel_of_a_running_measure_job_stops_at_a_shard_boundary(
+        self, tmp_path
+    ):
+        async def main():
+            async with service(tmp_path) as (_svc, client):
+                await asyncio.to_thread(
+                    client.submit, "alice", "measure",
+                    _measure(_long_campaign(5)), job_id="alice-cancel",
+                )
+                await _until_shards(tmp_path, "alice-cancel")
+                await asyncio.to_thread(client.cancel, "alice-cancel")
+                return await asyncio.to_thread(client.wait, "alice-cancel", 60)
+
+        record = asyncio.run(main())
+        assert record["state"] == "cancelled"
+        assert record["error"]["type"] == "job_cancelled"
+        assert record["partial"]
+        result = record["result"]
+        assert result["confidence"] == "partial"
+        assert 1 <= result["completed_shards"] < result["n_shards"] == 8
+        assert not (tmp_path / "job-alice-cancel.stop").exists()
+
+    def test_drain_requeues_and_the_next_incarnation_resumes_to_the_librarys_result(
+        self, tmp_path
+    ):
+        spec = _long_campaign(6)
+
+        async def main():
+            async with service(tmp_path) as (svc, client):
+                await asyncio.to_thread(
+                    client.submit, "alice", "measure", _measure(spec),
+                    job_id="alice-drain",
+                )
+                await _until_shards(tmp_path, "alice-drain")
+                await svc.shutdown()  # the SIGTERM handler calls this
+            drained = _completed_shards(tmp_path, "alice-drain")
+            async with service(tmp_path) as (svc2, client2):
+                assert svc2.recovered_jobs == 1
+                return drained, await asyncio.to_thread(
+                    client2.wait, "alice-drain", 120
+                )
+
+        drained, record = asyncio.run(main())
+        assert 1 <= drained < 8  # stopped mid-job, at a shard boundary
+        assert record["state"] == "done" and record["recovered"]
+        assert record["result"]["measurement"] == _library(spec)
+
+    def test_deadline_expiring_in_the_worker_times_out_with_a_partial(
+        self, tmp_path
+    ):
+        """Two shards of the job are on disk (an earlier incarnation ran
+        them); the worker's first heartbeat finds the deadline passed and
+        the partial result carries those two shards."""
+        from repro.core.parallel_exec import ParallelCheckpoint, run_campaign
+
+        spec = _long_campaign(7)
+        path = tmp_path / "job-alice-late.ckpt.json"
+        run_campaign(spec, checkpoint_path=path)
+        checkpoint = ParallelCheckpoint.load(path)
+        checkpoint.completed = {i: checkpoint.completed[i] for i in (0, 1)}
+        checkpoint.save(path)
+
+        async def main():
+            async with service(tmp_path) as (_svc, client):
+                await asyncio.to_thread(
+                    client.submit, "alice", "measure", _measure(spec),
+                    deadline=0.001, job_id="alice-late",
+                )
+                return await asyncio.to_thread(client.wait, "alice-late", 60)
+
+        record = asyncio.run(main())
+        assert record["state"] == "timed_out"
+        assert record["error"]["type"] == "job_timeout"
+        assert record["partial"]
+        assert record["result"]["completed_shards"] == 2
+        assert record["result"]["confidence"] == "partial"
+
+    def test_drain_raised_in_the_worker_reaches_run_job_as_a_requeue(self, tmp_path):
+        """The worker raises ``JobCancelled(requeue=True)`` at its first
+        heartbeat; it crosses the pool as itself, so ``_run_job`` puts the
+        job back at the head of the queue instead of cancelling it."""
+
+        async def main():
+            config = ServiceConfig(state_dir=tmp_path, journal_fsync=False)
+            svc = MeasurementService(config)
+            await svc.start()
+            svc._slots = 0  # the test dispatches by hand
+            try:
+                record, _ = svc.submit(
+                    {"tenant": "a", "kind": "synthetic",
+                     "params": {"steps": 3}, "job_id": "a-requeue"}
+                )
+                popped = svc.scheduler.pop(svc._running)
+                token = svc._admit_for_run(popped)
+                token.request("drain")
+                await svc._run_job(popped, token)
+                return record, svc.scheduler.queued_total()
+            finally:
+                await svc.shutdown()
+
+        record, queued = asyncio.run(main())
+        assert record.state == "queued"
+        assert record.attempts == 1 and record.error is None
+        assert queued == 1
+        assert not (tmp_path / "job-a-requeue.steps.json").exists()
+
+
 class TestOverloadShedding:
     def test_rate_quota_sheds_with_typed_429(self, tmp_path):
         async def main():
@@ -472,6 +701,124 @@ class TestCrashRecovery:
         asyncio.run(main())
 
 
+def _serve(state_dir) -> subprocess.Popen:
+    """``cli serve`` as its own process, found through its endpoint file."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )}
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve",
+         "--state-dir", str(state_dir), "--no-fsync"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    deadline = time.monotonic() + 60
+    while not (Path(state_dir) / "endpoint.json").exists():
+        assert process.poll() is None, "cli serve exited"
+        assert time.monotonic() < deadline, "cli serve never bound"
+        time.sleep(0.02)
+    return process
+
+
+def _stat(pid: int):
+    """``(state, ppid)`` from ``/proc``, or None once the pid is gone."""
+    try:
+        fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+    return fields[0], int(fields[1])
+
+
+def _children(pid: int):
+    return [
+        int(entry.name)
+        for entry in Path("/proc").iterdir()
+        if entry.name.isdigit() and (_stat(int(entry.name)) or ("", 0))[1] == pid
+    ]
+
+
+def _running(pid: int) -> bool:
+    stat = _stat(pid)
+    return stat is not None and stat[0] != "Z"  # a zombie has exited
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_sigkilled_cli_serve_leaves_no_worker_and_its_restart_finishes_every_job(
+    tmp_path,
+):
+    specs = {"a-kill0": _long_campaign(11), "a-kill1": _long_campaign(12)}
+    serve = _serve(tmp_path)
+    workers = []
+    try:
+        client = ServiceClient.from_state_dir(tmp_path)
+        for job_id, spec in specs.items():
+            client.submit("a", "measure", _measure(spec), job_id=job_id)
+        asyncio.run(_until_shards(tmp_path, "a-kill0"))
+        workers = _children(serve.pid)
+        assert len(workers) == 2  # the pool: max_concurrent processes
+        serve.send_signal(signal.SIGKILL)
+        serve.wait(timeout=30)
+        deadline = time.monotonic() + 30
+        while any(_running(pid) for pid in workers):
+            assert time.monotonic() < deadline, "a worker outlived its service"
+            time.sleep(0.02)
+    finally:
+        if serve.poll() is None:
+            serve.kill()
+        for pid in workers:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+    (tmp_path / "endpoint.json").unlink()  # the dead incarnation's
+
+    restarted = _serve(tmp_path)
+    try:
+        client = ServiceClient.from_state_dir(tmp_path)
+        records = {job_id: client.wait(job_id, 120) for job_id in specs}
+        listed = client.jobs()
+    finally:
+        restarted.send_signal(signal.SIGTERM)
+        restarted.wait(timeout=60)
+    assert len(listed) == len(specs)
+    for job_id, spec in specs.items():
+        assert records[job_id]["state"] == "done", records[job_id]
+        assert records[job_id]["recovered"]
+        assert records[job_id]["result"]["measurement"] == _library(spec)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_sigkilled_sharded_campaign_leaves_no_shard_worker():
+    """The shard pool of ``run_campaign(workers=2)`` — a ``measure
+    --workers 2`` run, or a service job's own pool — dies with its driver
+    instead of blocking on its task queue for good."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    driver = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "measure", "--nodes", "32",
+         "--seed", "3", "--repeats", "2", "--workers", "2"],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2:
+            assert driver.poll() is None, "the campaign ended before forking"
+            assert time.monotonic() < deadline, "no shard pool forked"
+            workers = _children(driver.pid)
+            time.sleep(0.01)
+        driver.send_signal(signal.SIGKILL)
+        driver.wait(timeout=30)
+        deadline = time.monotonic() + 30
+        while any(_running(pid) for pid in workers):
+            assert time.monotonic() < deadline, "a shard worker outlived its driver"
+            time.sleep(0.02)
+    finally:
+        if driver.poll() is None:
+            driver.kill()
+        for pid in workers:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+
+
 class TestDispatchBookkeeping:
     def test_single_dispatch_pass_respects_tenant_running_cap(self, tmp_path):
         """Regression: the running count must be visible to scheduler.pop
@@ -529,7 +876,10 @@ class TestDispatchBookkeeping:
             token = svc._admit_for_run(popped)
             svc.cancel("a-admitted")  # lands while ADMITTED
             assert token.requested and token.reason == "cancel"
-            await svc._run_job(popped, token)
+            try:
+                await svc._run_job(popped, token)
+            finally:
+                await svc.shutdown()  # closes the pool the attempt forked
             assert record.state == "cancelled"
             assert record.error["type"] == "job_cancelled"
 

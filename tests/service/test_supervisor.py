@@ -1,6 +1,13 @@
-"""Supervised execution: circuit breaker, retries, deadlines, partials."""
+"""Supervised execution: circuit breaker, retries, deadlines, partials.
+
+The attempt loop is driven on a thread executor so a fake clock can stand
+in for wall time; it is the same submit-and-wait code the service runs on
+its worker processes.
+"""
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -14,7 +21,12 @@ from repro.service.jobs import (
     JobSpec,
 )
 from repro.resilience import CircuitBreaker
-from repro.service.supervisor import CancelToken, JobSupervisor
+from repro.service.supervisor import (
+    ORPHANED_EXIT,
+    CancelToken,
+    ExecutionContext,
+    JobSupervisor,
+)
 
 
 class FakeClock:
@@ -35,10 +47,14 @@ def _job(tenant="t", params=None, **spec_kwargs) -> JobRecord:
     return JobRecord(spec=spec)
 
 
+ATTEMPTS = ThreadPoolExecutor(max_workers=2, thread_name_prefix="attempt")
+
+
 def _supervisor(tmp_path, clock=None, **kwargs):
     sleeps = []
     supervisor = JobSupervisor(
         state_dir=tmp_path,
+        executor=ATTEMPTS,
         clock=clock or FakeClock(),
         sleep=sleeps.append,
         **kwargs,
@@ -309,3 +325,28 @@ class TestBreakerIntegration:
         with pytest.raises(JobCancelled):
             supervisor.run(record, token)
         assert breaker.can_attempt()
+
+
+class TestWorkerSideHeartbeat:
+    def _context(self, tmp_path, service_pid):
+        ctx = ExecutionContext(
+            record=_job(), state_dir=tmp_path, clock=FakeClock(), deadline_at=None
+        )
+        ctx.service_pid = service_pid
+        return ctx
+
+    def _exit_code(self, ctx) -> int:
+        from repro.core.parallel_exec import _mp_context
+
+        worker = _mp_context().Process(target=ctx.heartbeat)
+        worker.start()
+        worker.join(timeout=30)
+        return worker.exitcode
+
+    def test_a_worker_of_a_live_service_carries_on(self, tmp_path):
+        assert self._exit_code(self._context(tmp_path, os.getpid())) == 0
+
+    def test_an_orphaned_worker_exits_instead_of_writing_on(self, tmp_path):
+        # Its parent is not the service that built the context: the
+        # service was killed and the worker re-parented.
+        assert self._exit_code(self._context(tmp_path, -1)) == ORPHANED_EXIT
