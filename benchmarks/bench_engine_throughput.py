@@ -83,13 +83,15 @@ FULL_SCENARIOS = (
 )
 
 # The whole-network refresh gates of the scale smoke. A copied pool shares
-# its one-transaction sender runs and heap entries with the donor's image
-# (seven C-level container copies), so 20k pools refill in about two
-# seconds even when the copy first has to free what a measurement left in
-# them, and the paper's Ropsten — 588 nodes, Geth's real 5120 slots — holds
-# about 410 MiB prefilled. A copy that goes back to building one dict per
-# resident sender trips both ceilings.
-REFRESH_20K_CEILING_S = 3.0
+# its transactions and heap entries with the donor's image (six C-level
+# container copies; a sender's only transaction is its whole run), so 20k
+# pools refill in about a second even when the copy first has to free what
+# a measurement left in them, and the paper's Ropsten — 588 nodes, Geth's
+# real 5120 slots — holds about 410 MiB prefilled. A pool that goes back to
+# building one dict per resident sender, whether by copy or by admission,
+# trips the ceilings.
+REFRESH_20K_CEILING_S = 2.0
+REFRESH_20K_RSS_CEILING_MB = 1600.0
 PAPER_SCALE = {"n_nodes": 588, "mempool_capacity": 5120}
 PAPER_SCALE_RSS_CEILING_MB = 600.0
 
@@ -299,7 +301,8 @@ def scale_smoke() -> int:
        job stays under a few minutes — followed by one timed whole-network
        ``refresh_mempools`` (seconds, pools that admitted against pools
        that copied, peak RSS with 20k full pools), gated: at most
-       ``REFRESH_20K_CEILING_S`` and every pool but one per class copied.
+       ``REFRESH_20K_CEILING_S`` and ``REFRESH_20K_RSS_CEILING_MB``, and
+       every pool but one per class copied.
 
     Before both, one paper-scale row (``PAPER_SCALE``): refresh seconds and
     prefilled peak RSS, held under ``PAPER_SCALE_RSS_CEILING_MB``.
@@ -396,6 +399,13 @@ def scale_smoke() -> int:
         print(
             f"FAIL: 20k refresh took {smoke['refresh_s']}s "
             f"> {REFRESH_20K_CEILING_S}s",
+            file=sys.stderr,
+        )
+        return 1
+    if smoke["refresh_peak_rss_mb"] > REFRESH_20K_RSS_CEILING_MB:
+        print(
+            f"FAIL: 20k refresh peak RSS {smoke['refresh_peak_rss_mb']} MiB "
+            f"> {REFRESH_20K_RSS_CEILING_MB} MiB",
             file=sys.stderr,
         )
         return 1

@@ -269,12 +269,15 @@ class NetworkMeasurement:
 
     @property
     def graph(self) -> nx.Graph:
-        """The measured overlay as a networkx graph."""
+        """The measured overlay as a networkx graph.
+
+        Nodes and edges go in sorted: Louvain (the Modularity statistic,
+        the community table) follows insertion order, and ``edges`` is a
+        set whose order follows string hashing (``PYTHONHASHSEED``).
+        """
         g = nx.Graph()
-        g.add_nodes_from(self.node_ids)
-        for e in self.edges:
-            a, b = tuple(e)
-            g.add_edge(a, b)
+        g.add_nodes_from(sorted(self.node_ids))
+        g.add_edges_from(sorted(tuple(sorted(e)) for e in self.edges))
         return g
 
     def add_edges(self, edges: Iterable[Edge]) -> None:

@@ -26,13 +26,18 @@ Admission of an incoming transaction ``tx1`` follows the paper's model:
 EIP-1559 mode (Appendix E): the pool prices transactions by their max fee
 and drops transactions whose max fee falls below the block base fee.
 
-Bookkeeping. Admission classifies only the transaction that moved, in
-O(1) of its sender's queue length: a fresh future transaction joins the
-future set, a fresh pending one that extends its sender's run joins the
-pending set, a replacement inherits its occupant's class, and an evicted
-transaction re-classifies nobody unless it was pending with a queued
-successor. Only where a run can really move (a filled gap promotes the
-queued tail, an evicted pending transaction demotes it, a block, a
+Bookkeeping. Each resident transaction is filed once: by hash, and in its
+sender's run — the transaction itself while it is the sender's only one
+(at most one transaction per (sender, nonce) makes it a complete run), a
+``{nonce: tx}`` dict of two or more otherwise. The pending set is the only
+class container; *future* is whatever is resident and not pending.
+Admission classifies only the transaction that moved, in O(1) of its
+sender's queue length: a fresh future transaction needs no filing beyond
+its heap entry, a fresh pending one that extends its sender's run joins
+the pending set, a replacement inherits its occupant's class, and an
+evicted transaction re-classifies nobody unless it was pending with a
+queued successor. Only where a run can really move (a filled gap promotes
+the queued tail, an evicted pending transaction demotes it, a block, a
 base-fee drop or an expiry removes transactions) does
 :meth:`Mempool._rebalance_sender` rescan the sender's whole queue.
 """
@@ -41,7 +46,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.errors import MempoolError
 from repro.eth.policies import GETH, MempoolPolicy
@@ -68,12 +73,6 @@ class AddOutcome(enum.Enum):
     __hash__ = object.__hash__
 
 
-_ADMITTED = {
-    AddOutcome.ADMITTED_PENDING,
-    AddOutcome.ADMITTED_FUTURE,
-    AddOutcome.REPLACED,
-}
-
 # Pre-resolved outcome -> stats-key strings: AddOutcome.value goes through
 # enum's DynamicClassAttribute descriptor, far too slow for once-per-add.
 _OUTCOME_KEY = {outcome: outcome.value for outcome in AddOutcome}
@@ -84,9 +83,20 @@ _OUTCOME_KEY = {outcome: outcome.value for outcome in AddOutcome}
 _NO_TXS: Tuple[Transaction, ...] = ()
 
 
-def _copy_runs(by_sender: Dict[str, dict], long_runs: Iterable[str]) -> Dict[str, dict]:
-    """A per-sender table copy: the runs of ``long_runs`` (more than one
-    transaction) are copied, every other run is shared by reference."""
+#: A sender's run: its only transaction, or ``{nonce: tx}`` of two or more.
+Run = Union[Transaction, Dict[int, Transaction]]
+
+
+def _run_txs(run: Optional[Run]) -> Iterable[Transaction]:
+    """A run's transactions in filing order."""
+    if run.__class__ is dict:
+        return run.values()
+    return () if run is None else (run,)
+
+
+def _copy_runs(by_sender: Dict[str, Run], long_runs: Iterable[str]) -> Dict[str, Run]:
+    """A per-sender table copy: the dict runs of ``long_runs`` are copied,
+    a sole transaction is itself."""
     copy = dict(by_sender)
     copy.update((sender, dict(copy[sender])) for sender in long_runs)
     return copy
@@ -102,14 +112,8 @@ class AddResult:
     """
 
     __slots__ = (
-        "tx",
-        "outcome",
-        "replaced",
-        "evicted",
-        "promoted",
-        "is_pending",
-        "admitted",
-        "propagatable",
+        "tx", "outcome", "replaced", "evicted", "promoted",
+        "is_pending", "admitted", "propagatable",
     )
 
     def __init__(
@@ -182,9 +186,8 @@ class Mempool:
         self._heaps_deferred = False
 
         self._by_hash: Dict[str, Transaction] = {}
-        self._by_sender: Dict[str, Dict[int, Transaction]] = {}
-        self._pending: Set[str] = set()
-        self._future: Set[str] = set()
+        self._by_sender: Dict[str, Run] = {}
+        self._pending: Set[str] = set()  # future: in _by_hash, not in here
         self._added_at: Dict[str, float] = {}
         self._seq = 0  # next tie-break number
         # Lazy min-heaps keyed by (price, seq); entries are validated on pop.
@@ -230,7 +233,7 @@ class Mempool:
 
     @property
     def future_count(self) -> int:
-        return len(self._future)
+        return len(self._by_hash) - len(self._pending)
 
     @property
     def is_full(self) -> bool:
@@ -244,23 +247,27 @@ class Mempool:
         return tx_hash in self._pending
 
     def is_future(self, tx_hash: str) -> bool:
-        return tx_hash in self._future
+        return tx_hash in self._by_hash and tx_hash not in self._pending
 
     def pending_transactions(self) -> List[Transaction]:
-        """All executable transactions (unordered)."""
-        return [self._by_hash[h] for h in self._pending]
+        """All executable transactions, in pool (arrival) order."""
+        pending = self._pending
+        return [tx for h, tx in self._by_hash.items() if h in pending]
 
     def future_transactions(self) -> List[Transaction]:
-        """All non-executable transactions (unordered)."""
-        return [self._by_hash[h] for h in self._future]
+        """All non-executable transactions, in pool (arrival) order."""
+        pending = self._pending
+        return [tx for h, tx in self._by_hash.items() if h not in pending]
 
     def all_transactions(self) -> List[Transaction]:
         return list(self._by_hash.values())
 
     def sender_transaction(self, sender: str, nonce: int) -> Optional[Transaction]:
         """The stored transaction occupying (sender, nonce), if any."""
-        nonces = self._by_sender.get(sender)
-        return nonces.get(nonce) if nonces is not None else None
+        run = self._by_sender.get(sender)
+        if run.__class__ is dict:
+            return run.get(nonce)
+        return run if run is not None and run.nonce == nonce else None
 
     def pending_prices(self) -> List[int]:
         """Bid prices of all pending transactions (unsorted)."""
@@ -381,9 +388,8 @@ class Mempool:
                     key = _OUTCOME_KEY[result.outcome]
                     counts[key] = counts.get(key, 0) + 1
                     if result.evicted:
-                        counts["evictions"] = counts.get(
-                            "evictions", 0
-                        ) + len(result.evicted)
+                        evictions = counts.get("evictions", 0) + len(result.evicted)
+                        counts["evictions"] = evictions
                 return counts
         finally:
             self._heaps_deferred = False
@@ -417,17 +423,19 @@ class Mempool:
         if market is not None and bid < market.floor_for(self._clock()):
             return AddResult(tx, AddOutcome.REJECTED_FEE_FLOOR)
 
-        nonces = self._by_sender.get(sender)
+        run = self._by_sender.get(sender)
+        long_run = run.__class__ is dict
 
         # --- Replacement path: a stored transaction occupies (sender, nonce).
-        occupant = nonces.get(tx_nonce) if nonces is not None else None
+        if long_run:
+            occupant = run.get(tx_nonce)
+        else:
+            occupant = run if run is not None and run.nonce == tx_nonce else None
         if occupant is not None:
             if not self.policy.replacement_allowed(
                 occupant.bid_price(self.base_fee), bid
             ):
-                return AddResult(
-                    tx, AddOutcome.REJECTED_UNDERPRICED_REPLACEMENT, replaced=None
-                )
+                return AddResult(tx, AddOutcome.REJECTED_UNDERPRICED_REPLACEMENT)
             # Same (sender, nonce), so the sender's run is unchanged and
             # the replacement inherits its occupant's class.
             is_pending = occupant.hash in self._pending
@@ -439,25 +447,22 @@ class Mempool:
             )
 
         # Would tx be executable right after insertion? Walk the sender's
-        # run from the confirmed nonce on the `nonces` lookup in hand.
-        if nonces is None:
-            will_be_pending = tx_nonce == confirmed
-        else:
+        # run from the confirmed nonce on the `run` lookup in hand.
+        if long_run:
             nonce = confirmed
-            while True:
-                if nonce == tx_nonce:
-                    will_be_pending = True
-                    break
-                if nonce not in nonces:
-                    will_be_pending = False
-                    break
+            while nonce != tx_nonce and nonce in run:
                 nonce += 1
+            will_be_pending = nonce == tx_nonce
+        else:
+            will_be_pending = tx_nonce == confirmed or (
+                run is not None and run.nonce == confirmed == tx_nonce - 1
+            )
 
         # --- Per-account future limit U.
         if not will_be_pending:
             limit = self._future_limit
             if limit is not None and (
-                len(nonces) if nonces is not None else 0
+                len(run) if long_run else run is not None
             ) >= limit:
                 return AddResult(tx, AddOutcome.REJECTED_FUTURE_LIMIT)
 
@@ -479,12 +484,12 @@ class Mempool:
             # A removed future, or the last transaction of a run, leaves
             # every other class as it was; a pending transaction with a
             # queued successor demotes its tail.
-            if victim_was_pending and victim.nonce + 1 in self._by_sender.get(
-                victim.sender, ()
-            ):
+            if victim_was_pending and self.sender_transaction(
+                victim.sender, victim.nonce + 1
+            ) is not None:
                 self._rebalance_sender(victim.sender)
-            # will_be_pending and `nonces` predate the eviction: stale
-            # when the victim was one of the sender's own transactions.
+            # will_be_pending and `run` predate the eviction: stale when
+            # the victim was one of the sender's own transactions.
             rescan = victim.sender == sender
             evicted = [victim]
 
@@ -492,12 +497,19 @@ class Mempool:
         # A fresh pending transaction moves others only when it fills a
         # gap (its successor is already queued); a fresh future, never.
         if rescan or (
-            will_be_pending and nonces is not None and tx_nonce + 1 in nonces
+            will_be_pending
+            and run is not None
+            and (tx_nonce + 1 in run if long_run else run.nonce == tx_nonce + 1)
         ):
             promoted = [
                 p for p in self._rebalance_sender(sender) if p.hash != tx_hash
             ]
             is_pending = tx_hash in self._pending
+            if not is_pending:
+                # The scan took tx, not yet filed, for a resident future and
+                # left it alone; it is the run's last, so filing it now
+                # draws the number the scan would have.
+                self._place(tx_hash, bid, False)
         else:
             promoted = None
             is_pending = will_be_pending
@@ -514,32 +526,29 @@ class Mempool:
     ) -> Optional[Transaction]:
         """Pick the transaction a full pool sheds for the incoming one."""
         if incoming_is_pending:
-            future_victim = self._peek_lowest(self._future_heap, self._future)
-            if future_victim is not None:
-                return future_victim
-            return self._pending_victim(incoming_bid)
+            # Lowest-priced live future: resident and not pending.
+            heap, by_hash, pending = self._future_heap, self._by_hash, self._pending
+            while heap:
+                tx_hash = heap[0][2]
+                if tx_hash in by_hash and tx_hash not in pending:
+                    return by_hash[tx_hash]
+                heapq.heappop(heap)
         # Incoming future transactions may only displace pending ones
         # (the paper's eviction template), and only above the P floor.
         return self._pending_victim(incoming_bid)
 
     def _pending_victim(self, incoming_bid: int) -> Optional[Transaction]:
-        if len(self._pending) <= self._eviction_floor:
+        pending = self._pending
+        if len(pending) <= self._eviction_floor:
             return None
-        victim = self._peek_lowest(self._pending_heap, self._pending)
-        if victim is None:
-            return None
-        if victim.bid_price(self.base_fee) >= incoming_bid:
-            return None
-        return victim
-
-    def _peek_lowest(
-        self, heap: List[Tuple[int, int, str]], live: Set[str]
-    ) -> Optional[Transaction]:
-        """Lowest-priced live transaction in a lazy heap."""
+        heap = self._pending_heap
         while heap:
-            _, _, tx_hash = heap[0]
-            if tx_hash in live:
-                return self._by_hash[tx_hash]
+            tx_hash = heap[0][2]
+            if tx_hash in pending:
+                victim = self._by_hash[tx_hash]
+                if victim.bid_price(self.base_fee) >= incoming_bid:
+                    return None
+                return victim
             heapq.heappop(heap)
         return None
 
@@ -548,26 +557,27 @@ class Mempool:
     # ------------------------------------------------------------------
     def _insert(self, tx: Transaction) -> None:
         self._by_hash[tx.hash] = tx
-        run = self._by_sender.get(tx.sender)
+        by_sender, sender = self._by_sender, tx.sender
+        run = by_sender.get(sender)
         if run is None:
-            self._by_sender[tx.sender] = {tx.nonce: tx}
-        elif len(run) == 1:
-            # A one-transaction run is never written in place: captures and
-            # the pools copied from them hold the same dict (_copy_containers).
-            self._by_sender[tx.sender] = {**run, tx.nonce: tx}
-        else:
+            by_sender[sender] = tx
+        elif run.__class__ is dict:
             run[tx.nonce] = tx
+        else:  # a second nonce: the run becomes a dict, occupant first
+            by_sender[sender] = {run.nonce: run, tx.nonce: tx}
         self._added_at[tx.hash] = self._clock()
 
     def _remove(self, tx_hash: str) -> Transaction:
         tx = self._by_hash.pop(tx_hash)
-        run = self._by_sender[tx.sender]
-        if len(run) == 1:  # shared, see _insert: drop the key, not the entry
-            del self._by_sender[tx.sender]
+        by_sender, sender = self._by_sender, tx.sender
+        run = by_sender[sender]
+        if run.__class__ is not dict:
+            del by_sender[sender]
         else:
             del run[tx.nonce]
+            if len(run) == 1:  # back to the survivor, in the sender's slot
+                by_sender[sender] = next(iter(run.values()))
         self._pending.discard(tx_hash)
-        self._future.discard(tx_hash)
         self._added_at.pop(tx_hash, None)
         return tx
 
@@ -577,7 +587,6 @@ class Mempool:
             self._pending.add(tx_hash)
             heap = self._pending_heap
         else:
-            self._future.add(tx_hash)
             heap = self._future_heap
         # Inside add_batch the heaps are rebuilt wholesale at the end, so
         # per-transaction pushes (and their sequence draws) are skipped.
@@ -593,34 +602,35 @@ class Mempool:
         incoming sender's own queue, and removals by block, base fee or
         expiry. Every other admission files its one transaction with
         :meth:`_place`. Transactions that change class are re-filed in
-        ``_by_sender`` insertion order, which fixes their tie-break
-        sequence numbers.
+        run order, which fixes their tie-break sequence numbers; a
+        resident transaction not yet filed counts as future here, so the
+        caller files it if it stays one.
 
         Returns transactions newly *promoted* to pending (they must be
         propagated by the owning node, like Geth's promoteExecutables).
         """
-        nonces = self._by_sender.get(sender)
+        run = self._by_sender.get(sender)
         promoted: List[Transaction] = []
-        if not nonces:
+        if run is None:
             return promoted
         confirmed = self._confirmed_nonce(sender) or 0
-        pending_run: Set[str] = set()
-        nonce = confirmed
-        while nonce in nonces:
-            pending_run.add(nonces[nonce].hash)
-            nonce += 1
-        for tx in nonces.values():
+        # The pending run is the nonces confirmed .. end - 1.
+        end = confirmed
+        if run.__class__ is dict:
+            while end in run:
+                end += 1
+        elif run.nonce == confirmed:
+            end += 1
+        pending = self._pending
+        for tx in _run_txs(run):
             tx_hash = tx.hash
-            should_be_pending = tx_hash in pending_run
+            should_be_pending = confirmed <= tx.nonce < end
+            if (tx_hash in pending) is should_be_pending:
+                continue
             if should_be_pending:
-                if tx_hash in self._pending:
-                    continue
-                self._future.discard(tx_hash)
                 promoted.append(tx)
             else:
-                if tx_hash in self._future:
-                    continue
-                self._pending.discard(tx_hash)
+                pending.discard(tx_hash)
             self._place(tx_hash, tx.bid_price(self.base_fee), should_be_pending)
         return promoted
 
@@ -638,21 +648,16 @@ class Mempool:
         transactions are dropped as well (Appendix E).
         """
         dropped: List[Transaction] = []
-        touched_senders: Set[str] = set()
+        included = list(included)
         for tx in included:
-            touched_senders.add(tx.sender)
             if tx.hash in self._by_hash:
                 dropped.append(self._remove(tx.hash))
-        # Drop now-stale nonces of every touched sender.
-        for sender in touched_senders:
+        # Drop now-stale nonces of every touched sender, then re-file it.
+        for sender in dict.fromkeys(tx.sender for tx in included):
             confirmed = self._confirmed_nonce(sender) or 0
-            stale = [
-                tx
-                for nonce, tx in self._by_sender.get(sender, {}).items()
-                if nonce < confirmed
-            ]
-            for tx in stale:
-                dropped.append(self._remove(tx.hash))
+            run = self._by_sender.get(sender)
+            stale = [tx for tx in _run_txs(run) if tx.nonce < confirmed]
+            dropped.extend([self._remove(tx.hash) for tx in stale])
             self._rebalance_sender(sender)
         if new_base_fee is not None:
             base_fee_changed = new_base_fee != self.base_fee
@@ -662,18 +667,28 @@ class Mempool:
             if base_fee_changed:
                 # The lazy eviction heaps are keyed by bid_price(base_fee)
                 # at push time; a base-fee change invalidates every stored
-                # key, so _peek_lowest could hand eviction a non-lowest
-                # victim and break the isolation argument (Appendix E).
+                # key, so victim selection could pick a non-lowest victim
+                # and break the isolation argument (Appendix E).
                 self._rebuild_price_heaps()
         return dropped
+
+    def _drop(self, doomed: List[Transaction]) -> List[Transaction]:
+        """Remove ``doomed``, then re-file their senders in first-seen
+        order: the order their re-filed transactions draw tie-break
+        numbers in, so it must not follow string hashing."""
+        for tx in doomed:
+            self._remove(tx.hash)
+        for sender in dict.fromkeys(tx.sender for tx in doomed):
+            self._rebalance_sender(sender)
+        return doomed
 
     def _rebuild_price_heaps(self) -> None:
         """Re-key both eviction heaps under the current ``base_fee``.
 
-        Iterates ``_by_hash`` (insertion-ordered) rather than the
-        pending/future hash *sets* so that re-assigned tie-breaker
-        sequence numbers — and therefore victim selection among
-        equal-priced transactions — stay identical across processes.
+        Iterates ``_by_hash`` (insertion-ordered) rather than the pending
+        hash *set* so that re-assigned tie-breaker sequence numbers — and
+        therefore victim selection among equal-priced transactions — stay
+        identical across processes.
         """
         base_fee = self.base_fee
         pending_entries: List[Tuple[int, int, str]] = []
@@ -692,16 +707,8 @@ class Mempool:
         self._future_heap = future_entries
 
     def _drop_underpriced(self, base_fee: int) -> List[Transaction]:
-        doomed = [
-            tx
-            for tx in self._by_hash.values()
-            if tx.is_underpriced_for_base_fee(base_fee)
-        ]
-        for tx in doomed:
-            self._remove(tx.hash)
-        for sender in {tx.sender for tx in doomed}:
-            self._rebalance_sender(sender)
-        return doomed
+        txs = self._by_hash.values()
+        return self._drop([t for t in txs if t.is_underpriced_for_base_fee(base_fee)])
 
     def clear(self) -> int:
         """Drop every buffered transaction; returns how many were dropped.
@@ -716,7 +723,6 @@ class Mempool:
         self._by_hash.clear()
         self._by_sender.clear()
         self._pending.clear()
-        self._future.clear()
         self._added_at.clear()
         self._pending_heap.clear()
         self._future_heap.clear()
@@ -726,16 +732,9 @@ class Mempool:
     def evict_expired(self, now: float) -> List[Transaction]:
         """Drop transactions older than the policy expiry ``e`` (3h in Geth)."""
         cutoff = now - self.policy.expiry_seconds
-        doomed = [
-            self._by_hash[h]
-            for h, added in self._added_at.items()
-            if added < cutoff
-        ]
-        for tx in doomed:
-            self._remove(tx.hash)
-        for sender in {tx.sender for tx in doomed}:
-            self._rebalance_sender(sender)
-        return doomed
+        return self._drop(
+            [self._by_hash[h] for h, added in self._added_at.items() if added < cutoff]
+        )
 
     # ------------------------------------------------------------------
     # Snapshot/reset (see repro.sim.snapshot)
@@ -746,16 +745,15 @@ class Mempool:
         Transactions are immutable, so shallow container copies suffice.
         The tie-break position is captured so that eviction order among
         equal-priced transactions replays identically; ``long_runs`` (senders
-        holding several transactions) so that no copy has to look for them.
+        whose run is a dict) so that no copy has to look for them.
         """
-        long_runs = [s for s, run in self._by_sender.items() if len(run) > 1]
+        long_runs = [s for s, run in self._by_sender.items() if run.__class__ is dict]
         return {
             "base_fee": self.base_fee,
             "by_hash": dict(self._by_hash),
             "by_sender": _copy_runs(self._by_sender, long_runs),
             "long_runs": long_runs,
             "pending": set(self._pending),
-            "future": set(self._future),
             "added_at": dict(self._added_at),
             "seq": self._seq,
             "pending_heap": list(self._pending_heap),
@@ -799,19 +797,17 @@ class Mempool:
     def _copy_containers(self, state: Dict[str, object]) -> None:
         """Replace this pool's content with copies of a capture's containers.
 
-        Seven C-level copies that share what nobody writes in place:
-        transactions, heap entries and one-transaction sender runs
-        (:meth:`_insert` / :meth:`_remove` replace those, never edit them).
-        The rest is copied, never adopted: one capture is handed to many
-        pools (every shard/sweep restore, every sibling of a refresh
-        donor), and a live pool would corrupt it for the next. Insertion
-        order of ``_by_hash`` is state (dict copies preserve it):
+        Six C-level copies that share what is immutable: transactions
+        (a sender's only one is its whole run) and heap entries. The rest
+        is copied, never adopted: one capture is handed to many pools
+        (every shard/sweep restore, every sibling of a refresh donor), and
+        a live pool would corrupt it for the next. Insertion order of
+        ``_by_hash`` is state (dict copies preserve it):
         ``_rebuild_price_heaps`` iterates it to assign tie-breakers.
         """
         self._by_hash = dict(state["by_hash"])
         self._by_sender = _copy_runs(state["by_sender"], state["long_runs"])
         self._pending = set(state["pending"])
-        self._future = set(state["future"])
         self._added_at = dict(state["added_at"])
         self._seq = state["seq"]
         self._pending_heap = list(state["pending_heap"])
@@ -822,38 +818,42 @@ class Mempool:
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Raise :class:`MempoolError` if internal state is inconsistent."""
-        if len(self._by_hash) > self.policy.capacity:
+        by_hash, pending = self._by_hash, self._pending
+        if len(by_hash) > self.policy.capacity:
             raise MempoolError("pool exceeds capacity L")
-        if self._pending & self._future:
-            raise MempoolError("transaction both pending and future")
-        if set(self._by_hash) != self._pending | self._future:
-            raise MempoolError("pending/future sets do not cover the pool")
-        if sum(map(len, self._by_sender.values())) != len(self._by_hash):
-            raise MempoolError("per-sender table and pool differ in size")
-        classes = (self._pending, self._pending_heap), (self._future, self._future_heap)
-        for live, heap in classes:
-            if not live <= {tx_hash for _, _, tx_hash in heap}:
-                raise MempoolError("live transaction without an eviction-heap entry")
-        for sender, nonces in self._by_sender.items():
-            if not nonces:
-                raise MempoolError("empty sender run retained")
+        if not pending <= by_hash.keys():
+            raise MempoolError("pending transaction not resident")
+        heaps = self._future_heap, self._pending_heap  # indexed by "is pending"
+        entries = [{entry[2] for entry in heap} for heap in heaps]
+        if any(h not in entries[h in pending] for h in by_hash):
+            raise MempoolError("live transaction without an eviction-heap entry")
+        size = 0
+        for sender, run in self._by_sender.items():
+            if run.__class__ is not dict:
+                nonces = {run.nonce: run}
+            elif len(run) < 2:
+                raise MempoolError(f"dict run of {len(run)} retained for {sender}")
+            else:
+                nonces = run
+            size += len(nonces)
             confirmed = self._confirmed_nonce(sender) or 0
-            run = confirmed
-            while run in nonces:
-                if nonces[run].hash not in self._pending:
+            end = confirmed
+            while end in nonces:
+                if nonces[end].hash not in pending:
                     raise MempoolError(
-                        f"tx {nonces[run].short_hash()} in pending run but "
+                        f"tx {nonces[end].short_hash()} in pending run but "
                         "not marked pending"
                     )
-                run += 1
+                end += 1
             for nonce, tx in nonces.items():
                 filed = (sender, nonce) == (tx.sender, tx.nonce)
-                if not filed or self._by_hash.get(tx.hash) is not tx:
+                if not filed or by_hash.get(tx.hash) is not tx:
                     raise MempoolError(f"tx {tx.short_hash()} misfiled by sender")
-                if nonce >= run and tx.hash not in self._future:
+                if nonce >= end and tx.hash in pending:
                     raise MempoolError(
-                        f"tx {tx.short_hash()} beyond pending run but not "
-                        "marked future"
+                        f"tx {tx.short_hash()} beyond pending run but marked pending"
                     )
                 if nonce < confirmed:
                     raise MempoolError("stale nonce retained")
+        if size != len(by_hash):
+            raise MempoolError("per-sender table and pool differ in size")

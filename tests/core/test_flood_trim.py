@@ -57,10 +57,15 @@ def live_heaps(state: Dict[str, object]) -> Dict[str, object]:
     refused future, so with the margin off — a device of this test, the
     shipped margin always leaves refusals — the twins may differ in such
     left-overs. Each resident's latest entry is what its admission filed."""
-    for heap, live in (("pending_heap", "pending"), ("future_heap", "future")):
+    resident = {tx_hash for tx_hash, _ in state["by_hash"]}
+    classes = (
+        ("pending_heap", state["pending"]),
+        ("future_heap", resident - state["pending"]),
+    )
+    for heap, live in classes:
         latest: Dict[str, tuple] = {}
         for entry in state[heap]:
-            if entry[2] in state[live]:
+            if entry[2] in live:
                 held = latest.get(entry[2], entry)
                 latest[entry[2]] = max(held, entry, key=lambda e: e[1])
         state[heap] = sorted(latest.values())

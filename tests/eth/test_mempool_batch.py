@@ -37,11 +37,10 @@ def canonical_state(pool: Mempool):
     return (
         sorted(pool._by_hash),
         sorted(pool._pending),
-        sorted(pool._future),
+        sorted(tx.hash for tx in pool.future_transactions()),
         {
-            sender: sorted(txs)
-            for sender, txs in pool._by_sender.items()
-            if txs
+            sender: sorted(run) if isinstance(run, dict) else [run.nonce]
+            for sender, run in pool._by_sender.items()
         },
         pool.stats,
     )

@@ -1,10 +1,11 @@
 """Property-based tests of mempool invariants (hypothesis).
 
 A random sequence of operations must never break the structural invariants
-checked by :meth:`Mempool.check_invariants`: capacity bound, disjoint and
-covering pending/future sets, contiguous pending runs per sender, a
-per-sender table that agrees with the pool both ways and holds no empty
-run, and an eviction-heap entry for every live transaction.
+checked by :meth:`Mempool.check_invariants`: capacity bound, a pending set
+of resident transactions, contiguous pending runs per sender, a per-sender
+table that agrees with the pool both ways (a sender's only transaction
+filed as itself, a dict run holding two or more), and an eviction-heap
+entry of its class for every live transaction.
 """
 
 import pytest
@@ -134,22 +135,53 @@ def _forgotten_sender(pool: Mempool) -> None:
 
 
 def _stranger_in_a_run(pool: Mempool) -> None:
-    pool._by_sender[SENDERS[2]] = {3: build_tx(SENDERS[2], 3, 999)}
+    pool._by_sender[SENDERS[2]] = build_tx(SENDERS[2], 3, 999)
 
 
 def _lost_heap_entries(pool: Mempool) -> None:
     pool._future_heap.clear()
 
 
+def _one_entry_dict_run(pool: Mempool) -> None:
+    tx = pool._by_sender[SENDERS[0]]
+    pool._by_sender[SENDERS[0]] = {tx.nonce: tx}
+
+
+def _sole_tx_under_another_sender(pool: Mempool) -> None:
+    pool._by_sender[SENDERS[0]] = pool._by_sender[SENDERS[1]]
+
+
+def _pending_not_resident(pool: Mempool) -> None:
+    pool._pending.add(build_tx(SENDERS[3], 0, 1).hash)
+
+
+def _heap_entry_of_the_wrong_class(pool: Mempool) -> None:
+    pool._future_heap.extend(pool._pending_heap)
+    pool._pending_heap.clear()
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_ghost_sender, "empty sender run"),
+        (_ghost_sender, "dict run of 0"),
         (_forgotten_sender, "differ in size"),
         (_stranger_in_a_run, "misfiled"),
         (_lost_heap_entries, "eviction-heap entry"),
+        (_one_entry_dict_run, "dict run of 1"),
+        (_sole_tx_under_another_sender, "misfiled"),
+        (_pending_not_resident, "not resident"),
+        (_heap_entry_of_the_wrong_class, "eviction-heap entry"),
     ],
-    ids=["ghost-sender", "forgotten-sender", "stranger-in-a-run", "lost-heap-entries"],
+    ids=[
+        "ghost-sender",
+        "forgotten-sender",
+        "stranger-in-a-run",
+        "lost-heap-entries",
+        "one-entry-dict-run",
+        "sole-tx-under-another-sender",
+        "pending-not-resident",
+        "heap-entry-of-the-wrong-class",
+    ],
 )
 def test_check_invariants_sees_corruption(corrupt, message):
     pool = Mempool(GETH.scaled(16))

@@ -71,7 +71,8 @@ def exact(capture: Dict[str, object]) -> Dict[str, object]:
     state = dict(capture)
     state["by_hash"] = list(state["by_hash"].items())
     state["by_sender"] = [
-        (sender, list(nonces.items())) for sender, nonces in state["by_sender"].items()
+        (sender, list(run.items()) if isinstance(run, dict) else run)
+        for sender, run in state["by_sender"].items()
     ]
     state["added_at"] = list(state["added_at"].items())
     return state
@@ -488,7 +489,7 @@ def test_mutating_a_copied_pool_never_reaches_donor_or_sibling():
     refresh_mempools(network)
     donor, copied, sibling = pools(network)
     for name in (
-        "_by_hash", "_by_sender", "_pending", "_future", "_added_at",
+        "_by_hash", "_by_sender", "_pending", "_added_at",
         "_pending_heap", "_future_heap", "stats",
     ):
         containers = [getattr(pool, name) for pool in (donor, copied, sibling)]
@@ -515,8 +516,9 @@ def test_mutating_a_copied_pool_never_reaches_donor_or_sibling():
 
 
 def test_the_law_above_is_about_shared_objects():
-    """Not vacuous: one-transaction runs and heap entries of donor, copies
-    and image are the same objects; runs longer than one are not."""
+    """Not vacuous: a sender's only transaction is its run, so donor, copies
+    and image file the same object, and share heap entries; dict runs (two
+    or more transactions) are copied."""
     network = build([GETH.scaled(16)] * 3)
     factory, flooder = TransactionFactory(), Wallet("flooder").fresh_account()
     long_run = [factory.future(flooder, gwei(50), index=index) for index in range(3)]
@@ -532,7 +534,9 @@ def test_the_law_above_is_about_shared_objects():
     assert image["long_runs"] == [flooder.address]
     for pool in (donor, copied, sibling):
         for sender, run in pool._by_sender.items():
-            assert (run is image["by_sender"][sender]) == (len(run) == 1), sender
+            sole = not isinstance(run, dict)
+            assert sole == (sender != flooder.address), sender
+            assert (run is image["by_sender"][sender]) == sole, sender
         assert len(pool._by_sender[flooder.address]) == 3
         assert all(a is b for a, b in zip(pool._future_heap, image["future_heap"]))
     assert exact_state(sibling) == exact(image)
@@ -541,7 +545,8 @@ def test_the_law_above_is_about_shared_objects():
 def test_a_copy_tracks_a_constant_number_of_containers():
     """The collector walks what it tracks. A copy's share of it is its own
     top-level containers, the same few whatever the pools hold — not one
-    dict per resident sender."""
+    dict per resident sender. Real admissions of fresh senders track none:
+    a sender's only transaction is its own run."""
 
     def tracked_growth(n_pools: int, capacity: int) -> int:
         network = build([GETH.scaled(capacity)] * n_pools)
@@ -555,7 +560,32 @@ def test_a_copy_tracks_a_constant_number_of_containers():
         # One pool: the donor and the batch. 64 pools: that, and 63 copies.
         return (tracked_growth(64, capacity) - tracked_growth(1, capacity)) / 63
 
-    assert per_copied_pool(16) == per_copied_pool(128) <= 7
+    assert per_copied_pool(16) == per_copied_pool(128) <= 6
+
+    def admitted_growth(n_pools: int, n_txs: int, batch: bool) -> int:
+        txs = [
+            Transaction(sender=f"0xfresh{i}", nonce=0, gas_price=gwei(1 + i % 5))
+            for i in range(n_txs)
+        ]
+        pools = [Mempool(GETH.scaled(128)) for _ in range(n_pools)]
+        gc.collect()
+        blank = len(gc.get_objects())
+        for pool in pools:
+            if batch:
+                pool.add_batch(txs)
+            else:
+                for tx in txs:
+                    assert pool.add(tx).admitted
+        gc.collect()
+        return len(gc.get_objects()) - blank
+
+    def per_admitting_pool(n_txs: int, batch: bool) -> float:
+        return (admitted_growth(9, n_txs, batch) - admitted_growth(1, n_txs, batch)) / 8
+
+    # The 2: ``_by_hash`` and ``_by_sender`` themselves, which the collector
+    # starts tracking once they hold a transaction.
+    for batch in (False, True):
+        assert per_admitting_pool(16, batch) == per_admitting_pool(128, batch) <= 2
 
 
 # ----------------------------------------------------------------------
