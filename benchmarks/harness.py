@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence
 
@@ -51,7 +50,9 @@ def default_bench_workers() -> int:
 def parallel_map(
     fn: Callable, items: Sequence, workers: Optional[int] = None
 ) -> List:
-    """Map ``fn`` over sweep points, optionally on a process pool.
+    """Map ``fn`` over sweep points, optionally on a forked process pool
+    (:class:`repro.core.parallel_exec.WorkerPool`: its workers die with
+    the sweep that forked them).
 
     Results come back in input order regardless of completion order, so a
     sweep's output is identical for any worker count — each point must be
@@ -65,16 +66,10 @@ def parallel_map(
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    import multiprocessing
+    from repro.core.parallel_exec import WorkerPool
 
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - platform-dependent
-        context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(items)), mp_context=context
-    ) as executor:
-        return list(executor.map(fn, items))
+    with WorkerPool(min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 def run_once(benchmark, fn):

@@ -64,7 +64,8 @@ class MeasurementConfig:
         undetected pair reports a *setup failure* (the injection never
         took hold — crashed target, lost packets, send timeout) or an
         ambiguous verdict. Retries do not consume repeats; 0 (default)
-        restores the seed behaviour exactly.
+        restores the seed behaviour exactly. Probe retries only: a crashed
+        shard worker is not retried (its shard runs in the driver).
     retry_backoff:
         Simulated seconds to wait before the first retry; each further
         retry multiplies the wait by ``retry_backoff_factor`` (exponential
@@ -251,8 +252,9 @@ class MeasurementConfig:
         return replace(self, **updates)
 
     def retry_delay(self, attempt: int) -> float:
-        """Seconds to wait before retry ``attempt`` (1-based): the uncapped,
-        unjittered geometric ``retry_backoff * retry_backoff_factor**(n-1)``."""
+        """Simulated seconds to wait before probe retry ``attempt``
+        (1-based): the uncapped, unjittered geometric ``retry_backoff *
+        retry_backoff_factor**(n-1)``. Never a wall-clock sleep."""
         return backoff_delay(
             self.retry_backoff, self.retry_backoff_factor, math.inf, 0.0, attempt, ""
         )

@@ -12,29 +12,28 @@ Determinism contract
 
 The shard plan is a function of the campaign alone (never of the worker
 count), each shard is a pure function of its :class:`ShardSpec` (the world
-is rebuilt or snapshot-restored to the same bits, then re-seeded under the
+is pristine or snapshot-restored to the same bits, then re-seeded under the
 shard's spawn seed), and the merge walks shards in index order. Hence the
 merged :class:`~repro.core.results.NetworkMeasurement` is **bit-identical
 for any worker count** — ``workers=4`` reproduces ``workers=1`` exactly,
-and a crashed worker's shard can be retried anywhere without changing the
-output. The contract covers every field of the spec: fault plans (wire and
-RPC), Byzantine mix, RPC client stance, cross-validation, adaptive floods.
+and a crashed worker's shard can be run again in the driver without
+changing the output. The contract covers every field of the spec: fault
+plans (wire and RPC), Byzantine mix, RPC client stance, cross-validation.
 
 :func:`build_world` is the only place that knows the order a world is
 assembled in, and :meth:`CampaignReplica._reset` the only place that knows
-what a reset must rewind. Two equivalent ways into a shard's universe:
-
-* **fresh build** (a new worker process): :func:`build_world`, campaign
-  setup, then re-seed under the shard seed;
-* **snapshot restore** (a warm worker or the in-process path): restore the
-  post-setup snapshot, replace the RPC client, then re-seed.
+what a reset must rewind. The driver builds the one replica; shard workers
+are forked from it (:class:`WorkerPool`) and inherit it copy-on-write,
+still pristine. A replica's first shard runs on the pristine world, every
+later one on a snapshot restore: the post-setup snapshot, a new RPC client,
+then the re-seed.
 
 :mod:`repro.sim.snapshot` guarantees the restored network is bit-identical
-to the freshly built one; the resilient RPC client's breakers, health
-scores, pacing and plausibility baselines live outside that snapshot, so
-the reset replaces it — a shard never inherits another shard's view of the
-measurement plane. That is what lets warm workers skip the O(network
-build) setup and pay only O(state restore) per shard.
+to the pristine one; the resilient RPC client's breakers, health scores,
+pacing and plausibility baselines live outside that snapshot, so the reset
+replaces it — a shard never inherits another shard's view of the
+measurement plane. A shard therefore pays O(state restore), never
+O(network build), wherever it runs.
 
 :func:`run_campaign` is the only way a spec becomes a scored topology (CLI,
 job service, benchmarks; ``workers=1`` runs the same shards in-process);
@@ -48,9 +47,10 @@ fresh ones and ships what they recorded in its :class:`ShardResult`.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
-import time
-from concurrent.futures import Future, ProcessPoolExecutor
+import threading
+from concurrent.futures import BrokenExecutor, Executor, Future, ProcessPoolExecutor
 from copy import deepcopy
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -98,16 +98,17 @@ def _hash_blake2b(payload: str) -> str:
 class CampaignSpec:
     """Everything needed to rebuild a deterministic campaign replica.
 
-    Pure data with a JSON round trip: a worker process, a service job or
-    an arena protocol receives (a serialized form of) this spec and builds
-    the same world from it. :func:`build_world` turns ``network``,
+    Pure data with a JSON round trip: a service job or an arena protocol
+    receives (a serialized form of) this spec and builds the same world
+    from it. :func:`build_world` turns ``network``,
     ``prefill``, ``rpc_raw``, ``behaviors`` and ``supernode_id`` into a
     network with a joined supernode; :meth:`measurement_config` applies
     ``repeats``/``max_retries``/``future_count``/``cross_validate``; a
     :class:`CampaignReplica` then pre-processes (if ``preprocess``),
     drains the event queue and snapshots. ``max_retries``
-    is the probe retry budget of every ``measurePar`` round and, read by
-    :func:`run_campaign`, of a crashed worker-pool shard.
+    is the probe retry budget of every ``measurePar`` round (simulated
+    rounds inside a shard; a crashed shard worker is no retry, its shard
+    simply runs in the driver).
 
     The fault plan is *not* part of setup: it is armed per shard, after the
     snapshot point, so faults draw from the shard's seed universe.
@@ -417,53 +418,16 @@ class CampaignReplica:
 
 
 # ----------------------------------------------------------------------
-# Worker entry point (module-level: must be picklable under spawn)
+# The fork pool
 # ----------------------------------------------------------------------
-# One replica per worker process, keyed by the campaign fingerprint: the
-# first shard a worker receives pays the canonical build, every later shard
-# of the same campaign pays only the snapshot restore.
-_REPLICA_CACHE: Dict[str, CampaignReplica] = {}
-
-
-def _worker_run_shard(
-    campaign_payload: dict,
-    fingerprint: str,
-    index: int,
-    n_shards: int,
-    start: int,
-    stop: int,
-    collect_obs: bool,
-    check_invariants: bool,
-) -> dict:
-    replica = _REPLICA_CACHE.get(fingerprint)
-    if replica is None:
-        campaign = CampaignSpec.from_dict(campaign_payload)
-        replica = CampaignReplica(campaign)
-        _REPLICA_CACHE.clear()  # one campaign at a time per worker
-        _REPLICA_CACHE[fingerprint] = replica
-    shard = ShardSpec(
-        campaign=replica.campaign,
-        index=index,
-        n_shards=n_shards,
-        start=start,
-        stop=stop,
-    )
-    return replica.run_shard(shard, collect_obs, check_invariants).to_dict()
-
-
-def _mp_context():
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - platform-dependent
-        return multiprocessing.get_context("spawn")
-
-
-def _die_with_parent(parent_pid: int) -> None:
-    """Pool initializer: the worker is killed with the process that forked
-    it (Linux ``PR_SET_PDEATHSIG``). An idle pool worker blocks on its task
-    queue for good once its parent is SIGKILLed; this ends it instead."""
+def _worker_init(
+    parent_pid: int, initializer: Optional[Callable], initargs: tuple
+) -> None:
+    """First code in every pool worker: it is killed with the process that
+    forked it (Linux ``PR_SET_PDEATHSIG``), then runs the pool's own
+    ``initializer``. An idle worker blocks on its task queue for good once
+    its parent is SIGKILLed; this ends it instead, and a worker's own pool
+    dies with it in turn."""
     import signal
 
     try:
@@ -477,6 +441,91 @@ def _die_with_parent(parent_pid: int) -> None:
         pass
     if os.getppid() != parent_pid:  # the parent died before prctl took
         os._exit(1)
+    if initializer is not None:
+        initializer(*initargs)
+
+
+class WorkerPool(Executor):
+    """The one process pool: ``size`` workers forked from this process.
+
+    The ``fork`` start method is required (there is no fallback): a worker
+    inherits what its parent held when the pool forked — the service's
+    imported campaign stack, :func:`run_campaign`'s built replica — by
+    copy-on-write, with no pickle on the way. Every worker dies with its
+    parent (see :func:`_worker_init`), nested pools included, and runs
+    ``initializer(*initargs)`` before its first task.
+
+    Every worker forks on the first submit (or :meth:`start`), from the
+    thread that calls it. A worker that dies (an OOM kill, a signal)
+    breaks a process pool for good; the next submit forks a fresh one.
+    """
+
+    def __init__(
+        self,
+        size: int,
+        initializer: Optional[Callable] = None,
+        initargs: tuple = (),
+    ) -> None:
+        self.size = max(1, int(size))
+        self._init = (initializer, tuple(initargs))
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._lock = threading.Lock()
+
+    def _forked(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            pool = ProcessPoolExecutor(
+                max_workers=self.size,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_worker_init,
+                initargs=(os.getpid(), *self._init),
+            )
+            pool.submit(int).result()  # forks every worker, now
+            self._pool = pool
+        return self._pool
+
+    def start(self) -> None:
+        with self._lock:
+            self._forked()
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        with self._lock:
+            try:
+                return self._forked().submit(fn, *args, **kwargs)
+            except BrokenExecutor:
+                self._pool.shutdown(wait=False, cancel_futures=True)
+                self._pool = None
+                return self._forked().submit(fn, *args, **kwargs)
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        with self._lock:
+            if self._pool is not None:
+                self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
+                self._pool = None
+
+    def kill(self) -> None:
+        """SIGKILL every worker and drop the pool: what the death of its
+        parent does to it (in-process crash stand-ins use this)."""
+        with self._lock:
+            if self._pool is not None:
+                for process in list(self._pool._processes.values()):
+                    process.kill()
+                self._pool.shutdown(wait=False, cancel_futures=True)
+                self._pool = None
+
+
+#: The replica a shard worker was forked with (set in the worker only).
+_inherited: Optional[CampaignReplica] = None
+
+
+def _inherit(replica: CampaignReplica) -> None:
+    global _inherited
+    _inherited = replica
+
+
+def _run_inherited_shard(
+    shard: ShardSpec, collect_obs: bool, check_invariants: bool
+) -> ShardResult:
+    return _inherited.run_shard(shard, collect_obs, check_invariants)
 
 
 # ----------------------------------------------------------------------
@@ -550,8 +599,9 @@ def run_campaign(
     """Execute a sharded campaign and deterministically merge the shards.
 
     ``workers <= 1`` runs every shard in this process against one replica,
-    resetting via snapshot restore between shards. ``workers > 1`` fans the
-    shards out to a process pool; warm workers likewise reset via restore.
+    resetting via snapshot restore between shards. ``workers > 1`` forks a
+    :class:`WorkerPool` once the replica is built, and each worker runs
+    shards on the copy it inherited, likewise resetting via restore.
     The merged measurement is bit-identical for every ``workers`` value,
     and so is what the observers receive: ``obs`` the merged metrics and
     the shards' event records replayed in shard order, ``invariants`` (a
@@ -559,13 +609,10 @@ def run_campaign(
     order; both then watch the cross-validation pass live. A shard resumed
     from a checkpoint written without an observer contributes nothing.
 
-    Worker-pool failures reuse the measurement config's retry machinery:
-    a failed shard is retried up to ``max_retries`` times on a fresh pool
-    with geometric wall-clock backoff (``retry_backoff`` /
-    ``retry_backoff_factor``); shards that keep failing fall back to
-    in-process execution on the driver's replica, and only if that also
-    fails does the shard surface as a ``shard_error`` failure in the
-    merged result (the campaign never aborts).
+    A shard whose worker fails (a crash, an OOM kill, a broken pool) runs
+    in this process on the driver's replica; only if that fails too does
+    it surface as a ``shard_error`` failure in the merged result (the
+    campaign never aborts).
 
     With ``checkpoint_path`` set a :class:`ParallelCheckpoint` is written
     atomically after every completed shard; ``resume=True`` verifies the
@@ -638,58 +685,27 @@ def run_campaign(
         for shard in pending:
             _record(shard, _run_inprocess(shard))
     else:
-        config = replica.shot.config
-        payload = campaign.to_dict()
-        context = _mp_context()
-        remaining = list(pending)
-        attempt = 0
-        while remaining:
-            executor = ProcessPoolExecutor(
-                max_workers=min(workers, len(remaining)),
-                mp_context=context,
-                initializer=_die_with_parent,
-                initargs=(os.getpid(),),
-            )
-            failed: List[ShardSpec] = []
-            try:
-                futures: List[Tuple[ShardSpec, Future]] = [
-                    (
-                        shard,
-                        executor.submit(
-                            _worker_run_shard,
-                            payload,
-                            fingerprint,
-                            shard.index,
-                            shard.n_shards,
-                            shard.start,
-                            shard.stop,
-                            collect_obs,
-                            check_invariants,
-                        ),
-                    )
-                    for shard in remaining
-                ]
-                for shard, future in futures:
-                    try:
-                        result = ShardResult.from_dict(future.result())
-                    except Exception:
-                        # BrokenProcessPool, pickling trouble, a worker
-                        # OOM-kill — the shard is retried, the campaign
-                        # continues either way.
-                        failed.append(shard)
-                        continue
-                    _record(shard, result)
-            finally:
-                executor.shutdown(wait=False, cancel_futures=True)
-            if not failed:
-                break
-            if attempt >= config.max_retries:
-                for shard in failed:
-                    _record(shard, _run_inprocess(shard))
-                break
-            attempt += 1
-            time.sleep(config.retry_delay(attempt))
-            remaining = failed
+        pool = WorkerPool(min(workers, len(pending)), _inherit, (replica,))
+        try:
+            futures: List[Tuple[ShardSpec, Future]] = [
+                (
+                    shard,
+                    pool.submit(
+                        _run_inherited_shard, shard, collect_obs, check_invariants
+                    ),
+                )
+                for shard in pending
+            ]
+            for shard, future in futures:
+                try:
+                    result = future.result()
+                except Exception:
+                    # A broken pool, a worker OOM-kill, pickling trouble:
+                    # the driver runs the shard itself.
+                    result = _run_inprocess(shard)
+                _record(shard, result)
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
 
     results = [completed[shard.index] for shard in shards]
     measurement = merge_shards(results)

@@ -14,13 +14,15 @@ Module map:
 - :mod:`repro.service.jobs`       job specs, records, lifecycle states
 - :mod:`repro.service.limiter`    token buckets, quotas, admission control
 - :mod:`repro.service.scheduler`  weighted-round-robin fair drain
-- :mod:`repro.service.supervisor` retries, deadlines (breaker: :mod:`repro.resilience`),
-                                  the warm worker-process pool
+- :mod:`repro.service.supervisor` retries, deadlines, stop files (breaker:
+                                  :mod:`repro.resilience`)
 - :mod:`repro.service.journal`    fsynced JSON-lines write-ahead log
-- :mod:`repro.service.server`     asyncio HTTP front end + dispatch
+- :mod:`repro.service.server`     asyncio HTTP front end + dispatch on a
+                                  :class:`~repro.core.parallel_exec.WorkerPool`
 - :mod:`repro.service.client`     stdlib blocking client
 """
 
+from repro.core.parallel_exec import WorkerPool
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.jobs import (
     JobRecord,
@@ -33,7 +35,7 @@ from repro.service.journal import JobJournal
 from repro.service.limiter import AdmissionController, TenantQuota, TokenBucket
 from repro.service.scheduler import FairScheduler
 from repro.service.server import MeasurementService, ServiceConfig, run_service
-from repro.service.supervisor import JobSupervisor, WorkerPool
+from repro.service.supervisor import JobSupervisor
 
 __all__ = [
     "AdmissionController",

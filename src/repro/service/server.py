@@ -6,7 +6,7 @@ token-bucket :class:`~repro.service.limiter.AdmissionController`, queues
 them in the weighted-round-robin
 :class:`~repro.service.scheduler.FairScheduler`, and executes them on a
 warm pool of ``max_concurrent`` forked worker processes
-(:class:`~repro.service.supervisor.WorkerPool`) under the retrying,
+(:class:`~repro.core.parallel_exec.WorkerPool`) under the retrying,
 circuit-broken :class:`~repro.service.supervisor.JobSupervisor`, whose
 attempt loops wait on the pool from one thread per running job.  Every
 state transition
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
+from repro.core.parallel_exec import WorkerPool
 from repro.errors import (
     BadRequest,
     CircuitOpen,
@@ -52,6 +53,7 @@ from repro.obs import NULL, Observability, wiring
 from repro.resilience import CircuitBreaker
 from repro.service.jobs import (
     ACTIVE_STATES,
+    ADMITTED,
     CANCELLED,
     FAILED,
     QUEUED,
@@ -64,12 +66,7 @@ from repro.service.jobs import (
 from repro.service.journal import JobJournal
 from repro.service.limiter import AdmissionController, TenantQuota
 from repro.service.scheduler import FairScheduler
-from repro.service.supervisor import (
-    JOB_KINDS,
-    CancelToken,
-    JobSupervisor,
-    WorkerPool,
-)
+from repro.service.supervisor import JOB_KINDS, JobSupervisor
 
 PathLike = Union[str, Path]
 
@@ -175,7 +172,6 @@ class MeasurementService:
         self.compactions_total = 0
         self._appends_at_compact = 0
         self._running: Dict[str, int] = {}  # tenant -> executing jobs
-        self._cancel_tokens: Dict[str, CancelToken] = {}
         self._tasks: Set[asyncio.Task] = set()
         self._slots = 0
         self._wake: Optional[asyncio.Event] = None
@@ -259,11 +255,13 @@ class MeasurementService:
             )
 
     def request_shutdown(self) -> None:
-        """Signal-handler entry: begin the graceful drain."""
+        """Signal-handler entry: begin the graceful drain (every dispatched
+        job gets a ``drain`` stop file)."""
         if not self._stopping:
             self._stopping = True
-            for token in self._cancel_tokens.values():
-                token.request("drain")
+            for record in self.records.values():
+                if record.state in (ADMITTED, RUNNING):
+                    self.supervisor.request_stop(record.job_id, "drain")
             if self._wake is not None:
                 self._wake.set()
 
@@ -349,22 +347,21 @@ class MeasurementService:
         record = self.records.get(job_id)
         if record is None:
             raise NotFound(f"unknown job id {job_id!r}")
-        if record.terminal:
-            return record
-        # A token exists from dispatch time on, so this covers ADMITTED
-        # (popped, executor not yet started) as well as RUNNING jobs.
-        token = self._cancel_tokens.get(job_id)
-        if token is not None:
-            token.request("cancel")
-            return record  # the job's attempt loop finishes the transition
-        queued = self.scheduler.remove(job_id)
-        if queued is not None:
-            queued.state = CANCELLED
-            queued.error = JobCancelled("cancelled while queued").to_dict()
-            queued.finished_at = self.clock()
-            self._journal(queued)
+        if record.state in (ADMITTED, RUNNING):
+            # Popped (executor perhaps not started yet) or running: the
+            # job's attempt loop finishes the transition.
+            self.supervisor.request_stop(job_id, "cancel")
+        elif self.scheduler.remove(job_id) is not None:
+            self._cancel_unrun(record)
             self._enforce_retention()
         return record
+
+    def _cancel_unrun(self, record: JobRecord) -> None:
+        """End a job that is out of the queue and not running as cancelled."""
+        record.state = CANCELLED
+        record.error = JobCancelled("cancelled while queued").to_dict()
+        record.finished_at = self.clock()
+        self._journal(record)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -380,8 +377,8 @@ class MeasurementService:
                 record = self.scheduler.pop(self._running)
                 if record is not None:
                     self._slots -= 1
-                    token = self._admit_for_run(record)
-                    task = asyncio.create_task(self._run_job(record, token))
+                    self._admit_for_run(record)
+                    task = asyncio.create_task(self._run_job(record))
                     self._tasks.add(task)
                     task.add_done_callback(self._tasks.discard)
                     dispatched = True
@@ -392,29 +389,25 @@ class MeasurementService:
                     pass
                 self._wake.clear()
 
-    def _admit_for_run(self, record: JobRecord) -> CancelToken:
+    def _admit_for_run(self, record: JobRecord) -> None:
         """Bookkeeping that must happen synchronously with scheduler.pop.
 
-        The cancel token and the tenant's running count exist before the
-        event loop yields, so a cancel landing while the job is ADMITTED
-        is honored, and a single dispatch pass popping several jobs can
-        never overfill ``max_running_per_tenant`` (the scheduler would
-        otherwise see a stale running map).
+        The tenant's running count exists before the event loop yields, so
+        a single dispatch pass popping several jobs can never overfill
+        ``max_running_per_tenant`` (the scheduler would otherwise see a
+        stale running map). A stop file an earlier incarnation left behind
+        is not this run's: it goes before a cancel can land.
         """
-        token = CancelToken()
-        if self._stopping:
-            token.request("drain")
-        self._cancel_tokens[record.job_id] = token
+        self.supervisor.clear_stop(record.job_id)
         self._running[record.tenant] = self._running.get(record.tenant, 0) + 1
-        return token
 
-    async def _run_job(self, record: JobRecord, token: CancelToken) -> None:
+    async def _run_job(self, record: JobRecord) -> None:
         record.state = RUNNING
         record.started_at = self.clock()
         self._journal(record)
         requeue_front = False
         try:
-            await asyncio.to_thread(self.supervisor.run, record, token)
+            await asyncio.to_thread(self.supervisor.run, record)
         except CircuitOpen:
             # Fail fast without burning the job: back to the queue head.
             record.state = QUEUED
@@ -427,16 +420,21 @@ class MeasurementService:
             record.state = QUEUED
             requeue_front = True
         finally:
-            self._cancel_tokens.pop(record.job_id, None)
             count = self._running.get(record.tenant, 1) - 1
             if count > 0:
                 self._running[record.tenant] = count
             else:
                 self._running.pop(record.tenant, None)
             self._slots += 1
-            self._journal(record)
-            if requeue_front and not self._stopping:
-                self.scheduler.push(record, front=True)
+            stop = self.supervisor.clear_stop(record.job_id)
+            if requeue_front and stop == "cancel":
+                # Cancelled while dispatched, then bounced by the breaker
+                # before any attempt read the stop: it ends here.
+                self._cancel_unrun(record)
+            else:
+                self._journal(record)
+                if requeue_front and not self._stopping:
+                    self.scheduler.push(record, front=True)
             if self._wake is not None:
                 self._wake.set()
         if record.terminal:

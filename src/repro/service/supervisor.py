@@ -2,8 +2,8 @@
 
 The supervisor's attempt loop runs in a service thread (the asyncio loop
 stays responsive); each attempt runs on an :class:`~concurrent.futures.
-Executor` — the service's :class:`WorkerPool` of forked processes — and
-the loop waits for it::
+Executor` — the service's :class:`~repro.core.parallel_exec.WorkerPool` of
+forked processes — and the loop waits for it::
 
     while True:
         breaker.allow() or raise CircuitOpen        # fail fast, requeue
@@ -18,24 +18,18 @@ Cooperative stops (deadline, client cancel, service drain) surface at
 ``run_campaign``'s per-shard progress hook, so by the time a stop raises,
 a shard-granular checkpoint is already durable on disk — which is what
 makes a timed-out or drained job resumable and lets it report a partial
-result with confidence labels instead of erroring. A stop request crosses
-into the worker as the job's *stop file*; the typed stop comes back as
-itself (every ``ReproError`` pickles).
+result with confidence labels instead of erroring. A stop request is the
+job's *stop file* (:meth:`JobSupervisor.request_stop`), the one channel
+into the worker; the typed stop comes back as itself (every
+``ReproError`` pickles).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    TimeoutError as FutureTimeout,
-)
+from concurrent.futures import Executor
 from pathlib import Path
 from typing import Callable, Dict, Optional
 
@@ -63,37 +57,20 @@ from repro.service.jobs import (
 CONFIDENCE_PARTIAL = "partial"
 CONFIDENCE_COMPLETE = "complete"
 
-#: How often the attempt loop, waiting on a worker, passes a new stop
-#: request on (a finished attempt is picked up at once, not on this tick).
-_STOP_POLL_S = 0.05
-
-#: Exit status of a worker that found its service gone at a heartbeat.
-ORPHANED_EXIT = 70
-
 
 # ----------------------------------------------------------------------
 # Cooperative stop plumbing
 # ----------------------------------------------------------------------
-class CancelToken:
-    """Thread-safe stop request carried from the asyncio loop to the
-    attempt loop, which hands it to the worker as the job's stop file.
-    ``reason`` distinguishes a client cancel (terminal) from a service
-    drain (requeue-for-recovery)."""
+def _stop_path(state_dir: Path, job_id: str) -> Path:
+    """Holds ``cancel`` or ``drain`` once a stop is requested."""
+    return Path(state_dir) / f"job-{job_id}.stop"
 
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self.reason = ""
 
-    def request(self, reason: str) -> None:
-        # First reason wins: a drain broadcast must not overwrite an
-        # earlier client cancel (which would requeue a cancelled job).
-        if not self._event.is_set():
-            self.reason = reason
-        self._event.set()
-
-    @property
-    def requested(self) -> bool:
-        return self._event.is_set()
+def _read_stop(path: Path) -> Optional[str]:
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return None
 
 
 class ExecutionContext:
@@ -115,33 +92,15 @@ class ExecutionContext:
         self.state_dir = state_dir
         self.clock = clock
         self.deadline_at = deadline_at
-        #: The service process: a worker whose parent it no longer is has
-        #: been orphaned by a killed service.
-        self.service_pid = os.getpid()
 
     @property
     def checkpoint_path(self) -> Path:
         return self.state_dir / f"job-{self.record.job_id}.ckpt.json"
 
-    @property
-    def stop_path(self) -> Path:
-        """Holds ``cancel`` or ``drain`` once a stop is requested."""
-        return self.state_dir / f"job-{self.record.job_id}.stop"
-
     def heartbeat(self) -> None:
         """Raise the appropriate stop if one is pending (checkpoint is
-        already durable when this is called from a shard boundary).
-
-        A worker orphaned by a killed service exits here instead of
-        writing on: nobody reads its result, and the next incarnation
-        resumes the job from the checkpoint just written.
-        """
-        if os.getpid() != self.service_pid and os.getppid() != self.service_pid:
-            os._exit(ORPHANED_EXIT)
-        try:
-            reason = self.stop_path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            reason = None
+        already durable when this is called from a shard boundary)."""
+        reason = _read_stop(_stop_path(self.state_dir, self.record.job_id))
         if reason is not None:
             raise JobCancelled(
                 f"job {self.record.job_id} "
@@ -323,72 +282,6 @@ JOB_KINDS: Dict[str, tuple] = {
 
 
 # ----------------------------------------------------------------------
-# Worker pool
-# ----------------------------------------------------------------------
-class WorkerPool(Executor):
-    """The service's warm pool: ``size`` forked processes running job
-    attempts, one attempt per process at a time.
-
-    :meth:`start` imports the executor modules and then forks every
-    worker, so each one starts warm and none is forked from a process that
-    already runs job threads. A worker that dies (an OOM kill, a signal)
-    breaks a process pool for good; the next submit replaces it, and the
-    attempt that saw it break is retried by the supervisor like any other
-    infrastructure failure.
-    """
-
-    def __init__(self, size: int) -> None:
-        self.size = max(1, int(size))
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._lock = threading.Lock()
-
-    def _forked(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            # Imports the whole campaign stack, which the forks inherit.
-            from repro.core.parallel_exec import _die_with_parent, _mp_context
-
-            pool = ProcessPoolExecutor(
-                max_workers=self.size,
-                mp_context=_mp_context(),
-                initializer=_die_with_parent,
-                initargs=(os.getpid(),),
-            )
-            # The fork start method forks every worker on the first submit.
-            pool.submit(int).result()
-            self._pool = pool
-        return self._pool
-
-    def start(self) -> None:
-        with self._lock:
-            self._forked()
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        with self._lock:
-            try:
-                return self._forked().submit(fn, *args, **kwargs)
-            except BrokenExecutor:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-                return self._forked().submit(fn, *args, **kwargs)
-
-    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
-        with self._lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
-                self._pool = None
-
-    def kill(self) -> None:
-        """SIGKILL every worker and drop the pool: what the death of the
-        service does to it (in-process crash stand-ins use this)."""
-        with self._lock:
-            if self._pool is not None:
-                for process in list(self._pool._processes.values()):
-                    process.kill()
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-
-
-# ----------------------------------------------------------------------
 # Supervisor
 # ----------------------------------------------------------------------
 class JobSupervisor:
@@ -437,7 +330,26 @@ class JobSupervisor:
             f"{job_id}:{attempt}",
         )
 
-    def run(self, record: JobRecord, cancel: CancelToken) -> JobRecord:
+    def request_stop(self, job_id: str, reason: str) -> None:
+        """Ask a dispatched job to stop: ``reason`` — ``cancel`` (terminal)
+        or ``drain`` (requeue for the next incarnation) — goes into the
+        job's stop file, which its worker reads at every heartbeat. Only
+        the first reason counts: a drain must not overwrite an earlier
+        client cancel (which would requeue a cancelled job)."""
+        from repro.io import atomic_write_text
+
+        path = _stop_path(self.state_dir, job_id)
+        if not path.exists():
+            atomic_write_text(path, reason)
+
+    def clear_stop(self, job_id: str) -> Optional[str]:
+        """Remove the job's stop file; returns the reason it held, if any."""
+        path = _stop_path(self.state_dir, job_id)
+        reason = _read_stop(path)
+        path.unlink(missing_ok=True)
+        return reason
+
+    def run(self, record: JobRecord) -> JobRecord:
         """Execute ``record`` to a terminal state (mutated in place).
 
         Raises :class:`CircuitOpen` (requeue) or propagates
@@ -460,8 +372,6 @@ class JobSupervisor:
             clock=self.clock,
             deadline_at=record.deadline_at(),
         )
-        # A stop request an earlier incarnation left behind is not ours.
-        ctx.stop_path.unlink(missing_ok=True)
 
         def stopped(state: str, error: dict) -> JobRecord:
             """The one terminal transition of a job that did not finish.
@@ -472,7 +382,6 @@ class JobSupervisor:
             record.partial = record.result is not None
             record.finished_at = self.clock()
             record.state = state
-            ctx.stop_path.unlink(missing_ok=True)
             return record
 
         while True:
@@ -483,7 +392,7 @@ class JobSupervisor:
                 )
             record.attempts += 1
             try:
-                result = self._attempt(executor, record, ctx, cancel)
+                result = self.executor.submit(executor, record, ctx).result()
             except JobTimeout as exc:
                 # A timeout is no verdict on pool health: free the probe
                 # slot this attempt may hold so the breaker cannot wedge
@@ -539,38 +448,7 @@ class JobSupervisor:
                 self._cleanup_checkpoints(ctx)
                 return record
 
-    def _attempt(
-        self,
-        executor: Callable[[JobRecord, ExecutionContext], dict],
-        record: JobRecord,
-        ctx: ExecutionContext,
-        cancel: CancelToken,
-    ) -> dict:
-        """Run one attempt on ``self.executor`` and wait for it, handing a
-        stop request on to the worker as the job's stop file (the worker
-        reads it at its next heartbeat)."""
-        from repro.io import atomic_write_text
-
-        def pass_stop_on() -> None:
-            if cancel.requested and not ctx.stop_path.exists():
-                atomic_write_text(ctx.stop_path, cancel.reason)
-
-        pass_stop_on()
-        future = self.executor.submit(executor, record, ctx)
-        while True:
-            try:
-                return future.result(timeout=_STOP_POLL_S)
-            except FutureTimeout:
-                pass_stop_on()
-
     def _cleanup_checkpoints(self, ctx: ExecutionContext) -> None:
         """Completed jobs do not need their resume state any more."""
-        for path in (
-            ctx.checkpoint_path,
-            ctx.stop_path,
-            _synthetic_checkpoint(ctx),
-        ):
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
+        for path in (ctx.checkpoint_path, _synthetic_checkpoint(ctx)):
+            path.unlink(missing_ok=True)

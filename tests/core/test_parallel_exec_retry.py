@@ -1,32 +1,43 @@
-"""Worker-crash resilience of the sharded executor.
+"""The sharded executor's fork pool: inherited worlds, failed workers.
 
-Covers the pool retry loop in :func:`repro.core.parallel_exec.run_campaign`:
-the deterministic exponential backoff schedule, recovery when a crashed
-shard succeeds on retry, the in-process fallback once the retry budget is
-exhausted, and checkpoint-verified resume when the driver dies mid-retry.
+:func:`repro.core.parallel_exec.run_campaign` forks its
+:class:`~repro.core.parallel_exec.WorkerPool` once the driver's replica is
+built, so every shard worker inherits that world instead of building its
+own; a shard whose worker fails runs in the driver, and a killed driver
+takes its workers with it.
 
-Crash injection is a monkeypatched ``_worker_run_shard``: the pool uses a
-fork multiprocessing context, so worker processes inherit the patched
-module attribute, and cross-process coordination happens through
-``O_CREAT|O_EXCL`` marker files in a directory passed via the environment
-(both survive the fork).
+Crash injection is a monkeypatched ``_run_inherited_shard`` (or
+``build_world`` / ``CampaignReplica.run_shard`` for counting): the pool
+forks, so worker processes inherit the patched attributes, and
+cross-process bookkeeping happens through marker files in a directory
+passed via the environment (both survive the fork).
 """
 
+import contextlib
 import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import repro
 import repro.core.parallel_exec as parallel_exec
 from repro.core.parallel_exec import (
+    CampaignReplica,
     CampaignSpec,
     ParallelCheckpoint,
     run_campaign,
 )
 from repro.netgen.ethereum import NetworkSpec
+from tests.service.test_server import _children, _running
 
-_REAL_WORKER = parallel_exec._worker_run_shard
-_ENV_DIR = "TOPOSHOT_RETRY_TEST_DIR"
+_REAL_WORKER = parallel_exec._run_inherited_shard
+_REAL_BUILD = parallel_exec.build_world
+_REAL_RUN_SHARD = CampaignReplica.run_shard
+_ENV_DIR = "TOPOSHOT_POOL_TEST_DIR"
 
 
 def _spec(**overrides):
@@ -39,105 +50,105 @@ def _spec(**overrides):
     return CampaignSpec(**defaults)
 
 
-def _always_crash(*_args, **_kwargs):
+def _note(name: str, text: str) -> None:
+    """Append ``text`` to marker ``name`` (small appends are atomic)."""
+    with open(Path(os.environ[_ENV_DIR]) / name, "a", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+def _notes(base: Path, name: str) -> list:
+    path = base / name
+    return path.read_text(encoding="utf-8").split() if path.exists() else []
+
+
+def _always_crash(shard, *_args):
+    _note("crashed", f"{os.getpid()}:{shard.index}\n")
     raise RuntimeError("injected worker crash")
 
 
-def _crash_once_per_shard(payload, fingerprint, index, *rest):
-    """First execution of each shard crashes; retries run the real worker.
+def _die(*_args):
+    os._exit(1)  # what an OOM kill looks like to the pool
 
-    ``O_CREAT|O_EXCL`` makes the crashed-marker claim atomic across the
-    pool's processes; the run log appends one byte per real execution so
-    tests can assert a shard ran exactly N times.
-    """
+
+def _crash_once_per_shard(shard, *rest):
+    """First execution of each shard crashes; later ones run the real
+    worker. ``O_CREAT|O_EXCL`` makes the claim atomic across processes."""
     base = Path(os.environ[_ENV_DIR])
     try:
-        fd = os.open(base / f"crashed-{index}", os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd = os.open(base / f"crashed-{shard.index}", os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        pass
-    else:
-        os.close(fd)
-        raise RuntimeError(f"injected first-attempt crash for shard {index}")
-    with open(base / f"ran-{index}", "ab") as handle:
-        handle.write(b"x")
-    return _REAL_WORKER(payload, fingerprint, index, *rest)
+        return _REAL_WORKER(shard, *rest)
+    os.close(fd)
+    raise RuntimeError(f"injected first-attempt crash for shard {shard.index}")
 
 
-def _run_count(base: Path, index: int) -> int:
-    runlog = base / f"ran-{index}"
-    return runlog.stat().st_size if runlog.exists() else 0
+def _counted_build(spec):
+    _note("builds", f"{os.getpid()}\n")
+    return _REAL_BUILD(spec)
+
+
+def _counted_run_shard(self, shard, *args):
+    _note(f"ran-{shard.index}", "x ")
+    return _REAL_RUN_SHARD(self, shard, *args)
 
 
 @pytest.fixture()
-def sleeps(monkeypatch):
-    """Record (instead of performing) the retry loop's backoff waits."""
-    recorded = []
-    monkeypatch.setattr(parallel_exec.time, "sleep", recorded.append)
-    return recorded
+def markers(monkeypatch, tmp_path):
+    monkeypatch.setenv(_ENV_DIR, str(tmp_path))
+    return tmp_path
 
 
-class TestRetryBackoff:
-    def test_crashed_shards_recover_on_retry(self, monkeypatch, tmp_path, sleeps):
+class TestInheritedWorld:
+    def test_shard_workers_inherit_the_world(self, monkeypatch, markers):
+        """``workers=2`` builds the world once, in the driver: the workers
+        fork from its replica instead of rebuilding it."""
         baseline = run_campaign(_spec(), workers=1)
-        monkeypatch.setenv(_ENV_DIR, str(tmp_path))
-        monkeypatch.setattr(
-            parallel_exec, "_worker_run_shard", _crash_once_per_shard
-        )
-        result = run_campaign(_spec(max_retries=2), workers=2)
-        # Every shard crashed exactly once, then succeeded on the retry
-        # pool, so exactly one backoff wait happened: the base 1.0s.
-        assert sleeps == [1.0]
-        assert all(
-            (tmp_path / f"crashed-{index}").exists() for index in range(4)
-        )
-        assert all(_run_count(tmp_path, index) == 1 for index in range(4))
-        # The recovered run is bit-identical to the uncrashed baseline.
+        monkeypatch.setattr(parallel_exec, "build_world", _counted_build)
+        result = run_campaign(_spec(), workers=2)
+        assert _notes(markers, "builds") == [str(os.getpid())]
         assert result.edges == baseline.edges
         assert result.transactions_sent == baseline.transactions_sent
-        assert result.failures == baseline.failures
         assert str(result.score) == str(baseline.score)
 
-    def test_backoff_schedule_is_deterministic(self, monkeypatch, sleeps):
-        """max_retries=2 with permanently crashing workers waits exactly
-        [base, base*factor] = [1.0, 2.0] before giving up on the pool."""
-        monkeypatch.setattr(parallel_exec, "_worker_run_shard", _always_crash)
-        run_campaign(_spec(max_retries=2), workers=2)
-        assert sleeps == [1.0, 2.0]
 
-    def test_inprocess_fallback_after_max_retries(self, monkeypatch, sleeps):
+class TestFailedWorkers:
+    def test_a_failed_shard_runs_in_the_driver(self, monkeypatch, markers):
         baseline = run_campaign(_spec(), workers=1)
-        monkeypatch.setattr(parallel_exec, "_worker_run_shard", _always_crash)
-        result = run_campaign(_spec(max_retries=1), workers=2)
-        # One retry round, then the driver's replica runs the shards
-        # itself: the campaign completes with no shard_error failures.
-        assert sleeps == [1.0]
+        monkeypatch.setattr(parallel_exec, "_run_inherited_shard", _always_crash)
+        result = run_campaign(_spec(), workers=2)
+        crashes = [note.split(":") for note in _notes(markers, "crashed")]
+        # Every shard failed once, in a worker; the driver ran each one.
+        assert sorted(int(index) for _, index in crashes) == [0, 1, 2, 3]
+        assert str(os.getpid()) not in {pid for pid, _ in crashes}
         assert result.failures == baseline.failures
         assert result.edges == baseline.edges
         assert str(result.score) == str(baseline.score)
 
-    def test_zero_retries_falls_back_immediately(self, monkeypatch, sleeps):
+    def test_a_killed_worker_costs_its_shards_not_the_campaign(self, monkeypatch):
+        """A dead worker breaks the pool; every shard it left unfinished
+        runs in the driver."""
         baseline = run_campaign(_spec(), workers=1)
-        monkeypatch.setattr(parallel_exec, "_worker_run_shard", _always_crash)
-        result = run_campaign(_spec(), workers=2)  # default max_retries=0
-        assert sleeps == []
+        monkeypatch.setattr(parallel_exec, "_run_inherited_shard", _die)
+        result = run_campaign(_spec(), workers=2)
+        assert result.failures == baseline.failures
         assert result.edges == baseline.edges
+        assert str(result.score) == str(baseline.score)
 
 
 class TestResumeMidRetry:
     def test_driver_death_mid_retry_resumes_from_checkpoint(
-        self, monkeypatch, tmp_path, sleeps
+        self, monkeypatch, tmp_path, markers
     ):
-        """Driver dies after two shards of a retry round; the restarted
-        campaign verifies the checkpoint and re-runs only the missing
-        shards, landing on the bit-identical result."""
+        """Driver dies after two shards (both run in the driver after
+        their workers crashed); the restarted campaign verifies the
+        checkpoint and re-runs only the missing shards, landing on the
+        bit-identical result."""
         baseline = run_campaign(_spec(), workers=1)
         checkpoint_path = tmp_path / "campaign.ckpt.json"
-        markers = tmp_path / "markers"
-        markers.mkdir()
-        monkeypatch.setenv(_ENV_DIR, str(markers))
         monkeypatch.setattr(
-            parallel_exec, "_worker_run_shard", _crash_once_per_shard
+            parallel_exec, "_run_inherited_shard", _crash_once_per_shard
         )
+        monkeypatch.setattr(CampaignReplica, "run_shard", _counted_run_shard)
 
         class DriverDied(Exception):
             pass
@@ -151,7 +162,7 @@ class TestResumeMidRetry:
 
         with pytest.raises(DriverDied):
             run_campaign(
-                _spec(max_retries=1),
+                _spec(),
                 workers=2,
                 checkpoint_path=checkpoint_path,
                 progress=die_after_two,
@@ -161,20 +172,54 @@ class TestResumeMidRetry:
         assert len(checkpoint.completed) == 2
 
         resumed = run_campaign(
-            _spec(max_retries=1),
-            workers=2,
-            checkpoint_path=checkpoint_path,
-            resume=True,
+            _spec(), workers=2, checkpoint_path=checkpoint_path, resume=True
         )
         # The checkpointed shards were not executed again (one run across
         # both incarnations).  The other shards may have executed in pool
         # workers before the driver died without being recorded — those
         # legitimately run again on resume.
-        assert all(
-            _run_count(markers, index) == 1 for index in checkpoint.completed
-        )
-        assert all(_run_count(markers, index) >= 1 for index in range(4))
+        runs = {index: len(_notes(markers, f"ran-{index}")) for index in range(4)}
+        assert all(runs[index] == 1 for index in checkpoint.completed)
+        assert all(count >= 1 for count in runs.values())
         assert resumed.edges == baseline.edges
         assert resumed.transactions_sent == baseline.transactions_sent
         assert str(resumed.score) == str(baseline.score)
         assert resumed.failures == baseline.failures
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_sigkilled_parallel_map_sweep_leaves_no_worker():
+    """``benchmarks.harness.parallel_map`` runs on the same pool, so a
+    killed ``REPRO_BENCH_WORKERS=2`` sweep takes its workers with it
+    instead of leaving them to finish (and then block) on their own."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    root = str(Path(__file__).resolve().parents[2])
+    driver = subprocess.Popen(
+        [sys.executable, "-c",
+         "import time; from benchmarks.harness import parallel_map; "
+         "parallel_map(time.sleep, [60, 60])"],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, root]),
+             "REPRO_BENCH_WORKERS": "2"},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2:
+            assert driver.poll() is None, "the sweep ended before forking"
+            assert time.monotonic() < deadline, "no sweep pool forked"
+            workers = _children(driver.pid)
+            time.sleep(0.01)
+        driver.send_signal(signal.SIGKILL)
+        driver.wait(timeout=30)
+        deadline = time.monotonic() + 30
+        while any(_running(pid) for pid in workers):
+            assert time.monotonic() < deadline, "a sweep worker outlived its driver"
+            time.sleep(0.02)
+    finally:
+        if driver.poll() is None:
+            driver.kill()
+        for pid in workers:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)

@@ -527,9 +527,9 @@ class TestWorkerProcesses:
                      "params": {"steps": 3}, "job_id": "a-requeue"}
                 )
                 popped = svc.scheduler.pop(svc._running)
-                token = svc._admit_for_run(popped)
-                token.request("drain")
-                await svc._run_job(popped, token)
+                svc._admit_for_run(popped)
+                svc.supervisor.request_stop(popped.job_id, "drain")
+                await svc._run_job(popped)
                 return record, svc.scheduler.queued_total()
             finally:
                 await svc.shutdown()
@@ -819,6 +819,44 @@ def test_sigkilled_sharded_campaign_leaves_no_shard_worker():
                 os.kill(pid, signal.SIGKILL)
 
 
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_sigkilled_cli_serve_leaves_no_shard_worker_of_its_jobs(tmp_path):
+    """A ``"workers": 2`` measure job forks its shard pool from its service
+    worker. SIGKILL the service while those shards run: every process below
+    it dies, two levels down, because each is killed with its parent."""
+    serve = _serve(tmp_path)
+    family = []
+    try:
+        client = ServiceClient.from_state_dir(tmp_path)
+        client.submit(
+            "a", "measure",
+            {"campaign": _long_campaign(13).to_dict(), "workers": 2},
+            job_id="a-nested",
+        )
+        deadline = time.monotonic() + 60
+        shard_workers = []
+        while len(shard_workers) < 2:
+            assert serve.poll() is None, "cli serve exited"
+            assert time.monotonic() < deadline, "no shard pool forked"
+            shard_workers = [
+                pid for worker in _children(serve.pid) for pid in _children(worker)
+            ]
+            time.sleep(0.01)
+        family = _children(serve.pid) + shard_workers
+        serve.send_signal(signal.SIGKILL)
+        serve.wait(timeout=30)
+        deadline = time.monotonic() + 30
+        while any(_running(pid) for pid in family):
+            assert time.monotonic() < deadline, "a process outlived its service"
+            time.sleep(0.02)
+    finally:
+        if serve.poll() is None:
+            serve.kill()
+        for pid in family:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+
+
 class TestDispatchBookkeeping:
     def test_single_dispatch_pass_respects_tenant_running_cap(self, tmp_path):
         """Regression: the running count must be visible to scheduler.pop
@@ -873,17 +911,64 @@ class TestDispatchBookkeeping:
             popped = svc.scheduler.pop(svc._running)
             assert popped is record
             assert popped.state == "admitted"
-            token = svc._admit_for_run(popped)
+            svc._admit_for_run(popped)
             svc.cancel("a-admitted")  # lands while ADMITTED
-            assert token.requested and token.reason == "cancel"
+            assert (tmp_path / "job-a-admitted.stop").read_text() == "cancel"
             try:
-                await svc._run_job(popped, token)
+                await svc._run_job(popped)
             finally:
                 await svc.shutdown()  # closes the pool the attempt forked
             assert record.state == "cancelled"
             assert record.error["type"] == "job_cancelled"
+            assert not (tmp_path / "job-a-admitted.stop").exists()
 
         asyncio.run(main())
+
+    def test_cancel_of_an_admitted_job_survives_a_breaker_bounce(self, tmp_path):
+        """Regression: the breaker opens between pop and run, so the job is
+        bounced back to the queue before any attempt reads its stop file;
+        the cancel it was acknowledged must end it instead of the job
+        running to completion later."""
+
+        async def main():
+            config = ServiceConfig(state_dir=tmp_path, journal_fsync=False)
+            svc = MeasurementService(config)
+            record, _ = svc.submit(
+                {"tenant": "a", "kind": "synthetic", "params": {"steps": 3},
+                 "job_id": "a-bounced"}
+            )
+            popped = svc.scheduler.pop(svc._running)
+            svc._admit_for_run(popped)
+            svc.cancel("a-bounced")  # 202 to the client
+            for _ in range(config.breaker_failure_threshold):
+                svc.breaker.record_failure()
+            try:
+                await svc._run_job(popped)
+            finally:
+                await svc.shutdown()
+            return record, svc.scheduler.queued_total()
+
+        record, queued = asyncio.run(main())
+        assert record.state == "cancelled"
+        assert record.error["type"] == "job_cancelled"
+        assert record.attempts == 0
+        assert queued == 0
+        assert not (tmp_path / "job-a-bounced.stop").exists()
+
+    def test_a_stale_stop_file_is_removed_when_the_job_is_popped(self, tmp_path):
+        """A dead incarnation's cancel is not this run's."""
+
+        async def main():
+            async with service(tmp_path) as (svc, client):
+                svc._slots = 0  # freeze dispatch
+                await asyncio.to_thread(submit_sync, client, tenant="a", job_id="a-stale")
+                (tmp_path / "job-a-stale.stop").write_text("cancel", encoding="utf-8")
+                svc._slots = 1
+                svc._wake.set()
+                return await asyncio.to_thread(client.wait, "a-stale", 30)
+
+        record = asyncio.run(main())
+        assert record["state"] == "done", record
 
 
 class TestRetention:

@@ -6,7 +6,6 @@ its worker processes.
 """
 
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -21,12 +20,7 @@ from repro.service.jobs import (
     JobSpec,
 )
 from repro.resilience import CircuitBreaker
-from repro.service.supervisor import (
-    ORPHANED_EXIT,
-    CancelToken,
-    ExecutionContext,
-    JobSupervisor,
-)
+from repro.service.supervisor import JobSupervisor
 
 
 class FakeClock:
@@ -153,7 +147,7 @@ class TestRunLifecycle:
     def test_success_first_try(self, tmp_path):
         supervisor, sleeps = _supervisor(tmp_path)
         record = _job(params={"steps": 3})
-        supervisor.run(record, CancelToken())
+        supervisor.run(record)
         assert record.state == DONE
         assert record.attempts == 1
         assert record.result["steps"] == 3
@@ -163,7 +157,7 @@ class TestRunLifecycle:
     def test_retries_until_success_with_deterministic_backoff(self, tmp_path):
         supervisor, sleeps = _supervisor(tmp_path)
         record = _job(params={"steps": 1, "fail_attempts": 2}, max_attempts=5)
-        supervisor.run(record, CancelToken())
+        supervisor.run(record)
         assert record.state == DONE
         assert record.attempts == 3
         assert sleeps == [
@@ -175,7 +169,7 @@ class TestRunLifecycle:
     def test_attempts_exhausted_fails_with_typed_error(self, tmp_path):
         supervisor, sleeps = _supervisor(tmp_path)
         record = _job(params={"steps": 1, "fail_attempts": 99}, max_attempts=2)
-        supervisor.run(record, CancelToken())
+        supervisor.run(record)
         assert record.state == FAILED
         assert record.attempts == 2
         assert record.error["type"] == "attempts_exhausted"
@@ -184,14 +178,14 @@ class TestRunLifecycle:
     def test_completed_job_cleans_its_checkpoints(self, tmp_path):
         supervisor, _ = _supervisor(tmp_path)
         record = _job(params={"steps": 2})
-        supervisor.run(record, CancelToken())
+        supervisor.run(record)
         assert not list(tmp_path.glob(f"job-{record.job_id}*"))
 
     def test_unknown_kind_fails_immediately(self, tmp_path):
         supervisor, _ = _supervisor(tmp_path)
         record = JobRecord(spec=JobSpec(tenant="t", kind="measure"))
         record.spec.kind = "no-such-kind"  # bypass registry-aware callers
-        supervisor.run(record, CancelToken())
+        supervisor.run(record)
         assert record.state == FAILED
         assert record.error["type"] == "unknown_kind"
 
@@ -207,7 +201,7 @@ class TestDeadlines:
         (tmp_path / f"job-{record.job_id}.steps.json").write_text(
             json.dumps({"completed_steps": 4}), encoding="utf-8"
         )
-        supervisor.run(record, CancelToken())
+        supervisor.run(record)
         assert record.state == TIMED_OUT
         assert record.error["type"] == "job_timeout"
         assert record.partial
@@ -226,7 +220,7 @@ class TestDeadlines:
             max_attempts=5,
         )
         record.submitted_at = 0.0
-        supervisor.run(record, CancelToken())
+        supervisor.run(record)
         # Retrying would sleep past the deadline: time out now rather
         # than waste the wait.
         assert record.state == TIMED_OUT
@@ -236,10 +230,9 @@ class TestDeadlines:
 class TestCancellation:
     def test_client_cancel_is_terminal(self, tmp_path):
         supervisor, _ = _supervisor(tmp_path)
-        token = CancelToken()
-        token.request("cancel")
         record = _job(params={"steps": 3})
-        supervisor.run(record, token)
+        supervisor.request_stop(record.job_id, "cancel")
+        supervisor.run(record)
         assert record.state == CANCELLED
         assert record.error["type"] == "job_cancelled"
 
@@ -247,13 +240,23 @@ class TestCancellation:
         from repro.errors import JobCancelled
 
         supervisor, _ = _supervisor(tmp_path)
-        token = CancelToken()
-        token.request("drain")
         record = _job(params={"steps": 3})
+        supervisor.request_stop(record.job_id, "drain")
         with pytest.raises(JobCancelled) as excinfo:
-            supervisor.run(record, token)
+            supervisor.run(record)
         assert excinfo.value.requeue
         assert not record.terminal
+
+    def test_only_the_first_stop_reason_counts(self, tmp_path):
+        """A drain after a client cancel must not requeue the job."""
+        supervisor, _ = _supervisor(tmp_path)
+        record = _job(params={"steps": 3})
+        supervisor.request_stop(record.job_id, "cancel")
+        supervisor.request_stop(record.job_id, "drain")
+        supervisor.run(record)
+        assert record.state == CANCELLED
+        assert supervisor.clear_stop(record.job_id) == "cancel"
+        assert supervisor.clear_stop(record.job_id) is None
 
 
 class TestBreakerIntegration:
@@ -264,7 +267,7 @@ class TestBreakerIntegration:
         supervisor, _ = _supervisor(tmp_path, breaker=breaker)
         record = _job(params={"steps": 1})
         with pytest.raises(CircuitOpen) as excinfo:
-            supervisor.run(record, CancelToken())
+            supervisor.run(record)
         assert excinfo.value.retry_after > 0
         assert not record.terminal
 
@@ -273,7 +276,7 @@ class TestBreakerIntegration:
         breaker = CircuitBreaker(failure_threshold=2, cooldown=30.0, clock=clock)
         supervisor, _ = _supervisor(tmp_path, breaker=breaker)
         record = _job(params={"steps": 1, "fail_attempts": 99}, max_attempts=2)
-        supervisor.run(record, CancelToken())
+        supervisor.run(record)
         assert record.state == FAILED
         assert breaker.state == CircuitBreaker.OPEN
 
@@ -293,12 +296,12 @@ class TestBreakerIntegration:
         supervisor, _ = _supervisor(tmp_path, clock=clock, breaker=breaker)
         record = _job(params={"steps": 10}, deadline=5.0)
         record.submitted_at = 0.0  # deadline long past: first heartbeat raises
-        supervisor.run(record, CancelToken())
+        supervisor.run(record)
         assert record.state == TIMED_OUT
         assert breaker.can_attempt()
         # The pool itself is fine: the next job probes and closes it.
         healthy = _job(params={"steps": 1})
-        supervisor.run(healthy, CancelToken())
+        supervisor.run(healthy)
         assert healthy.state == DONE
         assert breaker.state == CircuitBreaker.CLOSED
 
@@ -306,10 +309,9 @@ class TestBreakerIntegration:
         clock = FakeClock(100.0)
         breaker = self._half_open_breaker(clock)
         supervisor, _ = _supervisor(tmp_path, clock=clock, breaker=breaker)
-        token = CancelToken()
-        token.request("cancel")
         record = _job(params={"steps": 3})
-        supervisor.run(record, token)
+        supervisor.request_stop(record.job_id, "cancel")
+        supervisor.run(record)
         assert record.state == CANCELLED
         assert breaker.can_attempt()
 
@@ -319,34 +321,9 @@ class TestBreakerIntegration:
         clock = FakeClock(100.0)
         breaker = self._half_open_breaker(clock)
         supervisor, _ = _supervisor(tmp_path, clock=clock, breaker=breaker)
-        token = CancelToken()
-        token.request("drain")
         record = _job(params={"steps": 3})
+        supervisor.request_stop(record.job_id, "drain")
         with pytest.raises(JobCancelled):
-            supervisor.run(record, token)
+            supervisor.run(record)
         assert breaker.can_attempt()
 
-
-class TestWorkerSideHeartbeat:
-    def _context(self, tmp_path, service_pid):
-        ctx = ExecutionContext(
-            record=_job(), state_dir=tmp_path, clock=FakeClock(), deadline_at=None
-        )
-        ctx.service_pid = service_pid
-        return ctx
-
-    def _exit_code(self, ctx) -> int:
-        from repro.core.parallel_exec import _mp_context
-
-        worker = _mp_context().Process(target=ctx.heartbeat)
-        worker.start()
-        worker.join(timeout=30)
-        return worker.exitcode
-
-    def test_a_worker_of_a_live_service_carries_on(self, tmp_path):
-        assert self._exit_code(self._context(tmp_path, os.getpid())) == 0
-
-    def test_an_orphaned_worker_exits_instead_of_writing_on(self, tmp_path):
-        # Its parent is not the service that built the context: the
-        # service was killed and the worker re-parented.
-        assert self._exit_code(self._context(tmp_path, -1)) == ORPHANED_EXIT

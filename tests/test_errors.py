@@ -7,13 +7,12 @@ breaks the whole pool instead (``BrokenProcessPool``).
 """
 
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 import repro.io  # noqa: F401 - defines SerializationError
 import repro.service.client  # noqa: F401 - defines ServiceClientError
-from repro.core.parallel_exec import _mp_context
+from repro.core.parallel_exec import WorkerPool
 from repro.errors import ReproError, RpcTimeoutError
 
 #: Constructor arguments for every class that defines its own ``__init__``
@@ -80,7 +79,7 @@ def test_pickle_round_trip_keeps_type_message_and_fields(cls):
 
 
 def test_errors_raised_in_a_forked_worker_reach_the_caller_as_themselves():
-    with ProcessPoolExecutor(max_workers=1, mp_context=_mp_context()) as pool:
+    with WorkerPool(1) as pool:
         for cls in ERRORS:
             error = _sample(cls)
             with pytest.raises(cls) as excinfo:

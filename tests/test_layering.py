@@ -219,3 +219,19 @@ def test_a_message_has_one_transport_and_one_receive():
         "Node.broadcast_transaction",
         "Node.remove_peer",
     }
+
+
+
+def test_one_fork_pool():
+    """Every process pool is a ``parallel_exec.WorkerPool``: a
+    ``ProcessPoolExecutor`` is constructed once under ``src/`` (the pool's
+    fork) and never under ``benchmarks/``."""
+    src = Path(repro.__file__).parent
+    benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
+    constructors = []
+    for path in sorted(src.rglob("*.py")) + sorted(benchmarks.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _named(node.func) == "ProcessPoolExecutor":
+                constructors.append(path)
+    assert constructors == [src / "core" / "parallel_exec.py"]
