@@ -20,12 +20,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.degrees import degree_distribution
-from repro.analysis.randomgraphs import (
-    comparison_table,
-    modularity_lower_than_baselines,
-)
-from repro.analysis.report import render_comparison
 from repro.core.campaign import TopoShot
 from repro.core.config import MeasurementConfig
 from repro.core.cost import MainnetEstimate, PAPER_COST_PER_PAIR_ETHER
@@ -484,17 +478,30 @@ def _report_measurement(args, measurement, obs) -> int:
             f"{export_graph(measurement.graph, args.export_graph)}"
         )
     if args.analyze:
-        graph = measurement.graph
-        print("\ndegree distribution:")
-        print(degree_distribution(graph).ascii_plot(width=36, max_rows=20))
-        table = comparison_table(graph, "Measured", trials=5, seed=args.seed)
-        print()
-        print(render_comparison(table, title="graph statistics vs ER/CM/BA"))
+        from repro.analysis.randomgraphs import modularity_lower_than_baselines
+
+        table = _print_graph_statistics(measurement.graph, seed=args.seed)
         print(
             "\nmodularity below all baselines: "
             f"{modularity_lower_than_baselines(table)}"
         )
     return 0
+
+
+def _print_graph_statistics(graph, seed: int):
+    """Degree distribution and the ER/CM/BA comparison; returns the table.
+    ``repro.analysis`` (and with it networkx) is imported on first use, so
+    commands that do not analyse never load a graph library."""
+    from repro.analysis.degrees import degree_distribution
+    from repro.analysis.randomgraphs import comparison_table
+    from repro.analysis.report import render_comparison
+
+    print("\ndegree distribution:")
+    print(degree_distribution(graph).ascii_plot(width=36, max_rows=20))
+    table = comparison_table(graph, "Measured", trials=5, seed=seed)
+    print()
+    print(render_comparison(table, title="graph statistics vs ER/CM/BA"))
+    return table
 
 
 def _cmd_arena(args: argparse.Namespace) -> int:
@@ -668,11 +675,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     measurement = load_measurement(args.measurement)
     print(measurement.summary())
     graph = measurement.graph
-    print("\ndegree distribution:")
-    print(degree_distribution(graph).ascii_plot(width=36, max_rows=20))
-    table = comparison_table(graph, "Measured", trials=5, seed=0)
-    print()
-    print(render_comparison(table, title="graph statistics vs ER/CM/BA"))
+    _print_graph_statistics(graph, seed=0)
     if args.communities:
         from repro.analysis.communities import community_table, detect_communities
 

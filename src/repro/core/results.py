@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
 if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
     from repro.core.parallel import ParallelProbeReport
 
 Edge = FrozenSet[str]
@@ -275,6 +275,8 @@ class NetworkMeasurement:
         the community table) follows insertion order, and ``edges`` is a
         set whose order follows string hashing (``PYTHONHASHSEED``).
         """
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(sorted(self.node_ids))
         g.add_edges_from(sorted(tuple(sorted(e)) for e in self.edges))

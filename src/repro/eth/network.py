@@ -20,8 +20,6 @@ from typing import (
     Tuple,
 )
 
-import networkx as nx
-
 from repro.errors import (
     LinkExistsError,
     NetworkError,
@@ -40,6 +38,8 @@ from repro.sim.latency import LatencyModel, UniformLatency
 from repro.sim.snapshot import capture_simulator, restore_simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
+    import networkx as nx
+
     from repro.eth.behaviors import BehaviorMix, BehaviorSet
     from repro.eth.policies import MempoolPolicy
     from repro.sim.invariants import InvariantChecker
@@ -751,6 +751,8 @@ class Network:
     # ------------------------------------------------------------------
     def ground_truth_graph(self, include_supernodes: bool = False) -> nx.Graph:
         """The true overlay graph (the hidden information TopoShot infers)."""
+        import networkx as nx
+
         graph = nx.Graph()
         names = self._names
         supers = self.supernode_ids

@@ -12,9 +12,7 @@ import csv
 import json
 import os
 from pathlib import Path
-from typing import Union
-
-import networkx as nx
+from typing import TYPE_CHECKING, Union
 
 from repro.core.results import (
     Edge,
@@ -25,6 +23,9 @@ from repro.core.results import (
     edge,
 )
 from repro.errors import CheckpointError, ReproError
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 PathLike = Union[str, Path]
 
@@ -262,6 +263,8 @@ def export_graph(graph: nx.Graph, path: PathLike, fmt: str = "edgelist") -> Path
             for a, b in sorted(tuple(sorted(e)) for e in graph.edges()):
                 handle.write(f"{a} {b}\n")
     elif fmt == "graphml":
+        import networkx as nx
+
         nx.write_graphml(graph, target)
     elif fmt == "json":
         payload = {

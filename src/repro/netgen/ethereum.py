@@ -208,10 +208,7 @@ def _wire_active_links(
             network.connect(node_id, candidate, force=candidate in hub_ids)
             dialled += 1
 
-    if fast:
-        _bridge_components_fast(network, rng)
-    else:
-        _bridge_components(network, rng)
+    _bridge_components(network, rng)
 
 
 def _bounded_hop2_buffer(
@@ -245,19 +242,14 @@ def _bounded_hop2_buffer(
 
 
 def _bridge_components(network: Network, rng) -> None:
-    graph = network.ground_truth_graph()
-    import networkx as nx
+    """Link each connected component to the next with one random edge.
 
-    components = [sorted(c) for c in nx.connected_components(graph)]
-    for previous, current in zip(components, components[1:]):
-        network.connect(rng.choice(previous), rng.choice(current), force=True)
-
-
-def _bridge_components_fast(network: Network, rng) -> None:
-    """Union-find over the integer adjacency instead of building an
-    nx.Graph of the whole overlay (which would briefly double memory at
-    50k nodes). Components are bridged in min-name order, so the result
-    is seed-deterministic like the legacy path."""
+    Union-find over the integer adjacency. Components are bridged in
+    min-name order, each one's names sorted before ``rng.choice``.
+    ``NetworkSpec.node_id`` pads indices to four digits, so below 10 000
+    nodes min-name order is creation order, the order the golden
+    topologies were bridged in (``wiring="auto"`` picks legacy wiring only
+    below ``FAST_WIRING_THRESHOLD``)."""
     adj = network._adj
     names = network._names
     n = len(names)

@@ -13,18 +13,12 @@ stripped, as is standard when the CM multigraph is used for statistics).
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.errors import AnalysisError
 
-
-def _simplify(graph: nx.Graph) -> nx.Graph:
-    simple = nx.Graph()
-    simple.add_nodes_from(graph.nodes())
-    simple.add_edges_from((u, v) for u, v in graph.edges() if u != v)
-    return simple
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 def er_graph(n_nodes: int, n_edges: int, seed: int = 0) -> nx.Graph:
@@ -34,6 +28,8 @@ def er_graph(n_nodes: int, n_edges: int, seed: int = 0) -> nx.Graph:
     max_edges = n_nodes * (n_nodes - 1) // 2
     if n_edges > max_edges:
         raise AnalysisError(f"{n_edges} edges exceed the {max_edges} possible")
+    import networkx as nx
+
     return nx.gnm_random_graph(n_nodes, n_edges, seed=seed)
 
 
@@ -50,8 +46,14 @@ def configuration_model_graph(
         raise AnalysisError("empty degree sequence")
     if sum(degrees) % 2 == 1:
         degrees[0] += 1
-    multigraph = nx.configuration_model(degrees, seed=seed)
-    return _simplify(nx.Graph(multigraph))
+    import networkx as nx
+
+    # Parallel edges collapse in the conversion; self-loops are dropped here.
+    collapsed = nx.Graph(nx.configuration_model(degrees, seed=seed))
+    simple = nx.Graph()
+    simple.add_nodes_from(collapsed.nodes())
+    simple.add_edges_from((u, v) for u, v in collapsed.edges() if u != v)
+    return simple
 
 
 def ba_graph(n_nodes: int, average_degree: float, seed: int = 0) -> nx.Graph:
@@ -63,6 +65,8 @@ def ba_graph(n_nodes: int, average_degree: float, seed: int = 0) -> nx.Graph:
     if n_nodes < 2:
         raise AnalysisError("BA graph needs at least two nodes")
     m = max(1, min(n_nodes - 1, round(average_degree / 2)))
+    import networkx as nx
+
     return nx.barabasi_albert_graph(n_nodes, m, seed=seed)
 
 
@@ -95,6 +99,8 @@ def matched_baselines(
 def ensure_connected(graph: nx.Graph, rng) -> int:
     """Bridge disconnected components with random edges; returns the number
     of edges added. Mutates ``graph`` in place."""
+    import networkx as nx
+
     components = [sorted(c) for c in nx.connected_components(graph)]
     added = 0
     for previous, current in zip(components, components[1:]):

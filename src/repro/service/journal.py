@@ -37,6 +37,13 @@ class JobJournal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self._handle = open(self.path, "a", encoding="utf-8")
+        if self._handle.tell():
+            # A crash mid-append leaves an unterminated last line; end it,
+            # or the next append is glued onto it and lost on replay.
+            with open(self.path, "rb") as tail:
+                tail.seek(-1, os.SEEK_END)
+                if tail.read(1) != b"\n":
+                    self._handle.write("\n")
         self.appends_total = 0
 
     def append(self, record: JobRecord) -> None:

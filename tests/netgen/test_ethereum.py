@@ -1,16 +1,23 @@
 """Tests for the Ethereum-like topology generator."""
 
+import random
+
 import networkx as nx
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.eth.network import Network
 from repro.netgen.ethereum import (
     NetworkSpec,
+    _bridge_components,
     generate_network,
     goerli_like,
     quick_network,
     rinkeby_like,
     ropsten_like,
 )
+from tests.conftest import property_settings
 
 
 class TestGeneration:
@@ -125,3 +132,55 @@ class TestPresets:
         spec = ropsten_like(seed=3, n_nodes=30)
         assert spec.n_nodes == 30
         assert spec.name == "ropsten"
+
+
+def _overlay(names, links) -> Network:
+    network = Network(seed=0)
+    for name in names:
+        network.create_node(name)
+    for a, b in links:
+        network.connect(a, b, force=True)
+    return network
+
+
+def _networkx_bridge(network: Network, rng) -> None:
+    """The bridge union-find replaced: networkx components in node order."""
+    graph = network.ground_truth_graph()
+    components = [sorted(c) for c in nx.connected_components(graph)]
+    for previous, current in zip(components, components[1:]):
+        network.connect(rng.choice(previous), rng.choice(current), force=True)
+
+
+class TestBridge:
+    @property_settings(40)
+    @given(
+        n_nodes=st.integers(2, 300),
+        link_share=st.floats(0.0, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_union_find_adds_the_networkx_bridge_links(
+        self, n_nodes, link_share, seed
+    ):
+        """Under ``NetworkSpec`` names, bridging in min-name order is the
+        networkx order (creation order) link for link and draw for draw."""
+        draw = random.Random(seed)
+        names = [NetworkSpec(name="law").node_id(i) for i in range(n_nodes)]
+        links = set()
+        for _ in range(int(link_share * (n_nodes - 1))):
+            a, b = draw.sample(names, 2)
+            links.add(tuple(sorted((a, b))))
+        ours, oracle = _overlay(names, links), _overlay(names, links)
+        _bridge_components(ours, random.Random(seed))
+        _networkx_bridge(oracle, random.Random(seed))
+        assert ours.ground_truth_edges() == oracle.ground_truth_edges()
+        assert nx.is_connected(ours.ground_truth_graph())
+
+    def test_min_name_order_past_the_four_digit_padding(self):
+        """``n-10000`` sorts before ``n-9998``: past 9 999 nodes, components
+        are bridged by name, not by creation order."""
+        network = _overlay(["n-9998", "n-9999", "n-10000"], [])
+        _bridge_components(network, random.Random(0))
+        assert network.ground_truth_edges() == {
+            frozenset(("n-10000", "n-9998")),
+            frozenset(("n-9998", "n-9999")),
+        }

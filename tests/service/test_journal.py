@@ -67,6 +67,19 @@ class TestTornTail:
         assert skipped == 1
         assert records["j1"].state == DONE
 
+    def test_append_after_a_torn_only_journal_replays(self, tmp_path):
+        """A crash during the very first append leaves nothing to replay, so
+        recovery does not compact; the next incarnation's append must still
+        start on a line of its own."""
+        path = tmp_path / "journal.jsonl"
+        path.write_text('{"v":1,"record":{"spec":{"tenant"', encoding="utf-8")
+        journal = JobJournal(path)
+        journal.append(_record("j1", QUEUED))
+        journal.close()
+        records, skipped = JobJournal.replay(path)
+        assert skipped == 1
+        assert records["j1"].state == QUEUED
+
     def test_garbage_line_in_the_middle_is_skipped(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         journal = JobJournal(path)

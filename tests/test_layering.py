@@ -6,6 +6,9 @@ without the measurement logic or the job service on the import path.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
@@ -235,3 +238,88 @@ def test_one_fork_pool():
             if isinstance(node, ast.Call) and _named(node.func) == "ProcessPoolExecutor":
                 constructors.append(path)
     assert constructors == [src / "core" / "parallel_exec.py"]
+
+
+def _import_time_imports(tree: ast.AST):
+    """The imports that run when the module is imported: everything outside
+    function bodies and ``if TYPE_CHECKING:`` blocks."""
+    stack = list(ast.iter_child_nodes(tree))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and _named(node.test) == "TYPE_CHECKING":
+            stack.extend(node.orelse)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from _imported_modules(node)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_graph_library_only_where_graphs_are_drawn():
+    """Outside ``analysis/`` and ``attacks/``, ``networkx`` is imported only
+    inside the functions that draw a graph (or for type checking), and
+    nothing imports ``repro.analysis`` / ``repro.attacks`` at module level:
+    measuring, serving and benchmarking never load a graph library."""
+    root = Path(repro.__file__).parent
+    graph_side = ("networkx", "repro.analysis", "repro.attacks")
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        where = path.relative_to(root)
+        if where.parts[0] in ("analysis", "attacks"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for lineno, module in _import_time_imports(tree):
+            if any(module == m or module.startswith(m + ".") for m in graph_side):
+                offenders.append(f"{where}:{lineno} {module}")
+    assert not offenders, "module-level graph imports:\n" + "\n".join(offenders)
+
+
+_MEASUREMENT_PATH = """
+import sys, tempfile
+from pathlib import Path
+
+import repro, repro.cli, repro.service, repro.core.parallel_exec
+from repro.core.campaign import TopoShot
+from repro.core.monitor import TopologyMonitor, rewire_random_links
+from repro.core.parallel_exec import CampaignSpec, run_campaign
+from repro.io import measurement_to_dict, save_measurement
+from repro.netgen.ethereum import NetworkSpec, quick_network
+from repro.netgen.workloads import prefill_mempools
+
+for wiring in ("legacy", "fast"):
+    for workers in (1, 2):
+        spec = CampaignSpec(network=NetworkSpec(n_nodes=8, seed=3, wiring=wiring))
+        run_campaign(spec, workers=workers)
+network = quick_network(n_nodes=14, seed=57)
+prefill_mempools(network)
+shot = TopoShot.attach(network)
+measurement = shot.measure_network()
+monitor = TopologyMonitor(shot)
+monitor.take_snapshot()
+rewire_random_links(network, fraction=0.2)
+monitor.delta_round()
+assert monitor.probe_savings["probed_pairs"] > 0
+measurement_to_dict(measurement)
+with tempfile.TemporaryDirectory() as tmp:
+    save_measurement(measurement, Path(tmp) / "m.json")
+assert "networkx" not in sys.modules, "networkx loaded on the measurement path"
+assert measurement.graph.number_of_edges() == len(measurement.edges)
+assert "networkx" in sys.modules
+"""
+
+
+def test_measurement_path_never_loads_networkx():
+    """Imports, campaigns (legacy and fast wiring, one and two workers), a
+    monitor round and serialization run without ``networkx``; only asking
+    for ``measurement.graph`` loads it. A fresh interpreter, so no other
+    test's imports can mask a stray one."""
+    src = Path(repro.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _MEASUREMENT_PATH],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
