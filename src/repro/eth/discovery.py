@@ -24,20 +24,23 @@ DEFAULT_TABLE_CAPACITY = 272
 BUCKET_COUNT = 16
 
 
-# node id -> 64-bit Kademlia id. Table fills hash the same few thousand
-# short strings millions of times during generation; the cache turns each
-# into a dict hit. Entries are ~100 bytes each and node-id populations are
-# small (50k ids ≈ 5 MB), so the cache is deliberately unbounded.
-_KAD_ID_CACHE: Dict[str, int] = {}
-
-
 def kademlia_id(node_id: str) -> int:
     """Stable 64-bit Kademlia identifier for a node id string."""
-    cached = _KAD_ID_CACHE.get(node_id)
-    if cached is None:
-        digest = hashlib.blake2b(node_id.encode("utf-8"), digest_size=8).digest()
-        cached = _KAD_ID_CACHE[node_id] = int.from_bytes(digest, "big")
-    return cached
+    digest = hashlib.blake2b(node_id.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
+class KademliaIds(dict):
+    """node id -> Kademlia id, each hashed on first look-up.
+
+    :func:`build_routing_tables` shares one among a build's tables (fills
+    bucket the same names many times over) and drops it with them; a
+    process-wide cache would keep every name any world was ever built with.
+    """
+
+    def __missing__(self, node_id: str) -> int:
+        value = self[node_id] = kademlia_id(node_id)
+        return value
 
 
 def xor_distance(a: str, b: str) -> int:
@@ -60,15 +63,21 @@ def bucket_index(owner: str, other: str) -> int:
 
 @dataclass
 class RoutingTable:
-    """A node's DHT routing table of inactive neighbours."""
+    """A node's DHT routing table of inactive neighbours.
+
+    ``ids`` resolves Kademlia ids. The owner's id and the per-bucket
+    capacity are fixed at construction, so bucketing a candidate
+    (:func:`bucket_index`) is one XOR.
+    """
 
     owner_id: str
     capacity: int = DEFAULT_TABLE_CAPACITY
     buckets: Dict[int, List[str]] = field(default_factory=dict)
+    ids: Dict[str, int] = field(default_factory=KademliaIds, repr=False, compare=False)
 
-    @property
-    def bucket_capacity(self) -> int:
-        return max(1, self.capacity // BUCKET_COUNT)
+    def __post_init__(self) -> None:
+        self.owner_kid = self.ids[self.owner_id]
+        self.bucket_capacity = max(1, self.capacity // BUCKET_COUNT)
 
     def entries(self) -> List[str]:
         """All table entries, bucket order."""
@@ -81,21 +90,39 @@ class RoutingTable:
         return sum(len(bucket) for bucket in self.buckets.values())
 
     def __contains__(self, node_id: str) -> bool:
-        index = bucket_index(self.owner_id, node_id)
+        index = (self.ids[node_id] ^ self.owner_kid) % BUCKET_COUNT
         return node_id in self.buckets.get(index, [])
 
     def add(self, node_id: str) -> bool:
         """Insert ``node_id``; returns False when its bucket is full."""
-        if node_id == self.owner_id:
-            return False
-        index = bucket_index(self.owner_id, node_id)
-        bucket = self.buckets.setdefault(index, [])
-        if node_id in bucket:
-            return False
-        if len(bucket) >= self.bucket_capacity:
-            return False
-        bucket.append(node_id)
-        return True
+        return self._take((node_id,), len(self) + 1) == 1
+
+    def _take(self, candidates: Iterable[str], target: int) -> int:
+        """Insert ``candidates`` in order until the table holds ``target``
+        entries, passing over the owner, entries and full buckets.
+
+        Returns the number of entries inserted.
+        """
+        size = start = len(self)
+        if size >= target:
+            return 0
+        owner, owner_kid, ids = self.owner_id, self.owner_kid, self.ids
+        buckets, bucket_capacity = self.buckets, self.bucket_capacity
+        for candidate in candidates:
+            if candidate == owner:
+                continue
+            index = (ids[candidate] ^ owner_kid) % BUCKET_COUNT
+            bucket = buckets.get(index)
+            if bucket is None:
+                buckets[index] = [candidate]
+            elif len(bucket) >= bucket_capacity or candidate in bucket:
+                continue
+            else:
+                bucket.append(candidate)
+            size += 1
+            if size >= target:
+                break
+        return size - start
 
     def fill_from(
         self,
@@ -110,13 +137,7 @@ class RoutingTable:
         target = self.capacity if target_size is None else target_size
         candidates = [nid for nid in population if nid != self.owner_id]
         rng.shuffle(candidates)
-        inserted = 0
-        for candidate in candidates:
-            if len(self) >= target:
-                break
-            if self.add(candidate):
-                inserted += 1
-        return inserted
+        return self._take(candidates, target)
 
     def fill_from_sampled(
         self,
@@ -137,26 +158,16 @@ class RoutingTable:
         Returns the number of entries actually inserted.
         """
         target = self.capacity if target_size is None else target_size
-        size = len(self)
-        if size >= target:
+        if len(self) >= target:
             return 0
         k = min(len(population), 3 * target + 8)
-        inserted = 0
-        for candidate in rng.sample(population, k):
-            if candidate == self.owner_id:
-                continue
-            if self.add(candidate):
-                inserted += 1
-                size += 1
-                if size >= target:
-                    break
-        return inserted
+        return self._take(rng.sample(population, k), target)
 
     def closest(self, target: str, count: int = 16) -> List[str]:
         """The ``count`` entries closest to ``target`` in XOR distance."""
-        return sorted(self.entries(), key=lambda nid: xor_distance(nid, target))[
-            :count
-        ]
+        ids = self.ids
+        target_kid = ids[target]
+        return sorted(self.entries(), key=lambda nid: ids[nid] ^ target_kid)[:count]
 
 
 def build_routing_tables(
@@ -172,9 +183,10 @@ def build_routing_tables(
     *different* (equally seed-deterministic) draw sequence. Keep the
     default for golden/fingerprinted topologies.
     """
+    ids = KademliaIds()
     tables: Dict[str, RoutingTable] = {}
     for node_id in node_ids:
-        table = RoutingTable(owner_id=node_id, capacity=capacity)
+        table = RoutingTable(owner_id=node_id, capacity=capacity, ids=ids)
         if fast:
             table.fill_from_sampled(node_ids, rng)
         else:

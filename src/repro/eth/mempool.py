@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.errors import MempoolError
@@ -665,10 +666,11 @@ class Mempool:
             if self.policy.enforce_base_fee:
                 dropped.extend(self._drop_underpriced(new_base_fee))
             if base_fee_changed:
-                # The lazy eviction heaps are keyed by bid_price(base_fee)
-                # at push time; a base-fee change invalidates every stored
-                # key, so victim selection could pick a non-lowest victim
-                # and break the isolation argument (Appendix E).
+                # No heap key is stale: bid_price ignores the base fee in
+                # both transaction classes (a 1559 transaction bids its max
+                # fee). The re-key only renumbers tie-breaks, which moves
+                # victim choice among equal prices, so it stays until the
+                # golden fingerprints are next rotated on purpose.
                 self._rebuild_price_heaps()
         return dropped
 
@@ -793,6 +795,44 @@ class Mempool:
         stats = self.stats
         for key, count in counts.items():
             stats[key] += count
+
+    def take_share(
+        self, image: Dict[str, object], counts: Dict[str, int]
+    ) -> Optional[Dict[str, int]]:
+        """Take by copy what ``add_batch(txs, stop_when_full=True)`` admits
+        into this pool, blank or not.
+
+        ``image`` and ``counts`` are a blank donor's answer to that offer
+        (as for :meth:`refill_from`), and the same conditions hold but
+        blankness: same policy, base fee, fee market and clock, and no
+        confirmed nonce for any sender of the batch. When the donor admitted
+        every offer as pending, as separate one-transaction runs, and this
+        pool holds none of their senders, then each offer is pending here
+        too until the pool is full: residents cannot reach a fresh sender's
+        run, and an offer that stops at a full pool never evicts. So the
+        pool takes the donor's first ``free_slots`` transactions, bumps
+        ``stats`` by their count and ends as ``add_batch`` ends, re-keying
+        both heaps. Returns the outcome counts of the share, or None, having
+        changed nothing, where the copy would not be the offer's answer.
+        """
+        by_hash = image["by_hash"]
+        if (
+            counts.keys() != {"admitted_pending"}
+            or image["long_runs"]
+            or not self._by_sender.keys().isdisjoint(image["by_sender"])
+        ):
+            return None
+        room = self.free_slots
+        hashes = list(islice(by_hash, room))
+        if not hashes:
+            return {}
+        self._by_hash.update(islice(by_hash.items(), room))
+        self._by_sender.update(islice(image["by_sender"].items(), room))
+        self._pending.update(hashes)
+        self._added_at.update(dict.fromkeys(hashes, self._clock()))
+        self.stats["admitted_pending"] += len(hashes)
+        self._rebuild_price_heaps()
+        return {"admitted_pending": len(hashes)}
 
     def _copy_containers(self, state: Dict[str, object]) -> None:
         """Replace this pool's content with copies of a capture's containers.

@@ -6,13 +6,16 @@ Three layers map to Section 6.2.1's field observations and the ROADMAP's
 - :func:`prefill_mempools` stuffs every pool with identically ordered
   background transactions before a measurement, so pools are *full* (a
   correctness precondition of the primitive) and the gas-price distribution
-  gives the median-Y estimate something to bite on. One pool per (policy,
-  base fee, fee market) class admits the list through
-  :meth:`repro.eth.mempool.Mempool.add_batch`; every other empty pool of
+  gives the median-Y estimate something to bite on. The list is admitted
+  once per (policy, base fee, fee market) class through
+  :meth:`repro.eth.mempool.Mempool.add_batch` — on the class's first blank
+  pool, or on a detached one when none is blank; every other blank pool of
   the class copies the containers that built
-  (:meth:`~repro.eth.mempool.Mempool.refill_from`), so the whole-network
-  refresh between measurement rounds (:func:`refresh_mempools`) costs one
-  admission pass per class, not one per node;
+  (:meth:`~repro.eth.mempool.Mempool.refill_from`) and every live one takes
+  the prefix it has room for (:meth:`~repro.eth.mempool.Mempool.take_share`),
+  so a prefill after traffic has propagated, and the whole-network refresh
+  between measurement rounds (:func:`refresh_mempools`), cost one admission
+  pass per class, not one per node;
 - :class:`BatchedWorkload` sustains heavy traffic at **O(ticks) engine
   cost**: one engine event per tick generates the whole tick's transactions
   from a precomputed price table (a single seeded RNG stream), counts the
@@ -36,6 +39,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.errors import MeasurementError
 from repro.eth.account import Wallet
+from repro.eth.mempool import Mempool
 from repro.eth.network import Network
 from repro.eth.node import Node
 from repro.eth.transaction import Transaction, TransactionFactory, gwei
@@ -68,22 +72,35 @@ def prefill_mempools(
     Who admits, who copies. What a pool makes of the offer depends only on
     what admission reads: its ``policy``, ``base_fee`` and ``fee_market``,
     its content, and its node's confirmed nonces for the batch's senders.
-    The first *blank* pool of each (policy, base fee, fee market) class —
-    new or cleared (:attr:`~repro.eth.mempool.Mempool.is_blank`: empty and
-    drawing tie-break numbers from 0), and its node has confirmed nothing
-    from any sender of the batch — takes the real ``add_batch``; every
-    later blank pool of the class would walk to the very same containers,
-    heap entries included, so it copies them instead
-    (:meth:`~repro.eth.mempool.Mempool.refill_from`) and bumps its
-    ``stats`` by the batch's outcome counts: no later eviction, capture or
-    counter can tell a copied pool from an admitting one. A pool that is
-    not blank (a prefill onto pools already holding traffic; a pool that
-    blocks or evictions drained, empty but further along in its tie-break
-    numbers; a node that has seen a block spending from these accounts,
-    whose view of them differs from a node's that has not) takes the real
-    ``add_batch``, as does a whole class whose first blank pool admitted
-    nothing. A refresh clears every pool first, so it costs one admission
-    pass per class plus N container copies, not N passes.
+    The offer is admitted for real once per (policy, base fee, fee market)
+    class, by the first pool of the class whose node has confirmed nothing
+    from any sender of the batch:
+
+    - a *blank* one (new or cleared, :attr:`~repro.eth.mempool.Mempool.is_blank`:
+      empty and drawing tie-break numbers from 0) takes the real
+      ``add_batch``; every later blank pool of the class would walk to the
+      very same containers, heap entries included, so it copies them
+      (:meth:`~repro.eth.mempool.Mempool.refill_from`) and bumps its
+      ``stats`` by the batch's outcome counts;
+    - a *live* one (holding traffic, or drained by blocks or evictions and
+      further along in its tie-break numbers) first has the class's pass
+      run on a detached blank pool of the class, one that belongs to no
+      node; it, and every later live pool of the class, then takes its
+      share of that pass (:meth:`~repro.eth.mempool.Mempool.take_share`):
+      when the pass admitted every offer as pending and the pool holds none
+      of the batch's senders, its own ``add_batch`` would admit exactly the
+      pass's first ``free_slots`` transactions, pending, and re-key its
+      heaps, and the share does just that.
+
+    No later eviction, capture or counter can tell a copied pool or a share
+    from an admitting pool. The real ``add_batch`` stays for a pool whose
+    node has seen a block spending from these accounts (its view of them
+    differs from a node's that has not), for a live pool that holds one of
+    the senders or whose class pass did anything but admit every offer as
+    pending, and for a blank pool whose class pass admitted nothing. A
+    refresh clears every pool first, so it costs one admission pass per
+    class plus N container copies; a prefill onto live pools, one pass per
+    class plus N shares.
 
     Returns the generated transactions.
     """
@@ -118,17 +135,27 @@ def prefill_mempools(
         for account in wallet.fresh_accounts(count, prefix="bg")
     ]
     senders = {tx.sender for tx in txs}
-    images: Dict[tuple, tuple] = {}
+    passes: Dict[tuple, tuple] = {}
     for node in nodes:
         pool = node.mempool
-        blank = pool.is_blank and node.confirmed_nonces.keys().isdisjoint(senders)
-        key = (pool.policy, pool.base_fee, pool.fee_market)
-        if blank and key in images:
-            pool.refill_from(*images[key])
-            continue
-        counts = pool.add_batch(txs, stop_when_full=True)
-        if blank and len(pool):
-            images[key] = (pool.capture_state(), counts)
+        if node.confirmed_nonces.keys().isdisjoint(senders):
+            key = (pool.policy, pool.base_fee, pool.fee_market)
+            class_pass = passes.get(key)
+            if pool.is_blank:
+                if class_pass and class_pass[0]["by_hash"]:
+                    pool.refill_from(*class_pass)
+                    continue
+                counts = pool.add_batch(txs, stop_when_full=True)
+                passes[key] = (pool.capture_state(), counts)
+                continue
+            if class_pass is None:
+                donor = Mempool(pool.policy, clock=lambda: network.sim.now)
+                donor.base_fee, donor.fee_market = pool.base_fee, pool.fee_market
+                counts = donor.add_batch(txs, stop_when_full=True)
+                class_pass = passes[key] = (donor.capture_state(), counts)
+            if pool.take_share(*class_pass) is not None:
+                continue
+        pool.add_batch(txs, stop_when_full=True)
     if network.fee_market is not None:
         # The refill compressed hours of organic traffic into one instant;
         # force the (otherwise rate-limited) oracle to price against the

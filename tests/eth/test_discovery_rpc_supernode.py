@@ -1,8 +1,14 @@
 """Tests for discovery tables, the RPC facade and the supernode."""
 
+import gc
 import random
+import tracemalloc
+from dataclasses import dataclass, field
+from typing import Dict, List
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.eth.discovery import (
@@ -20,6 +26,8 @@ from repro.eth.policies import GETH
 from repro.eth.rpc import RpcServer, RpcUnavailableError
 from repro.eth.supernode import Supernode
 from repro.eth.transaction import Transaction, gwei
+from repro.netgen.ethereum import NetworkSpec, generate_network
+from tests.conftest import property_settings
 
 
 class TestKademlia:
@@ -73,6 +81,158 @@ class TestRoutingTable:
         assert set(tables) == set(ids)
         for owner, table in tables.items():
             assert owner not in table.entries()
+
+
+@dataclass
+class ParentTable:
+    """The table's insertion rules as they were before fills bucketed in one
+    loop: a frame per candidate, ``len(self)`` per candidate, two id
+    look-ups per XOR. Kept as the oracle."""
+
+    owner_id: str
+    capacity: int
+    buckets: Dict[int, List[str]] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return sum(len(bucket) for bucket in self.buckets.values())
+
+    def add(self, node_id: str) -> bool:
+        if node_id == self.owner_id:
+            return False
+        index = bucket_index(self.owner_id, node_id)
+        bucket = self.buckets.setdefault(index, [])
+        if node_id in bucket:
+            return False
+        if len(bucket) >= max(1, self.capacity // BUCKET_COUNT):
+            return False
+        bucket.append(node_id)
+        return True
+
+    def fill_from(self, population, rng, target_size=None) -> int:
+        target = self.capacity if target_size is None else target_size
+        candidates = [nid for nid in population if nid != self.owner_id]
+        rng.shuffle(candidates)
+        inserted = 0
+        for candidate in candidates:
+            if len(self) >= target:
+                break
+            if self.add(candidate):
+                inserted += 1
+        return inserted
+
+    def fill_from_sampled(self, population, rng, target_size=None) -> int:
+        target = self.capacity if target_size is None else target_size
+        size = len(self)
+        if size >= target:
+            return 0
+        k = min(len(population), 3 * target + 8)
+        inserted = 0
+        for candidate in rng.sample(population, k):
+            if candidate == self.owner_id:
+                continue
+            if self.add(candidate):
+                inserted += 1
+                size += 1
+                if size >= target:
+                    break
+        return inserted
+
+    def entries(self) -> List[str]:
+        return [nid for index in sorted(self.buckets) for nid in self.buckets[index]]
+
+
+fill_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["fill_from", "fill_from_sampled"]),
+            st.one_of(st.none(), st.integers(0, 300)),
+        ),
+        st.tuples(st.just("add"), st.integers(0, 599)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestParentFills:
+    """Routing tables are the parent's, draw for draw: the same buckets in
+    the same order, the same return values, the same RNG state after."""
+
+    @property_settings(30)
+    @given(
+        n_names=st.integers(2, 600),
+        capacity=st.integers(1, 300),
+        owner=st.integers(0, 599),
+        steps=fill_steps,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fills_equal_the_parent_rules(self, n_names, capacity, owner, steps, seed):
+        names = [NetworkSpec(name="law").node_id(i) for i in range(n_names)]
+        owner_id = names[owner % n_names]
+        ours = RoutingTable(owner_id=owner_id, capacity=capacity)
+        oracle = ParentTable(owner_id=owner_id, capacity=capacity)
+        ours_rng, oracle_rng = random.Random(seed), random.Random(seed)
+        for kind, arg in steps:
+            if kind == "add":
+                name = names[arg % n_names]
+                assert ours.add(name) == oracle.add(name)
+                continue
+            got = getattr(ours, kind)(names, ours_rng, target_size=arg)
+            assert got == getattr(oracle, kind)(names, oracle_rng, target_size=arg)
+            assert ours.buckets == oracle.buckets
+            assert [list(b) for b in ours.buckets.values()] == [
+                list(b) for b in oracle.buckets.values()
+            ]
+            assert ours.entries() == oracle.entries()
+            assert len(ours) == len(oracle)
+            assert ours_rng.getstate() == oracle_rng.getstate()
+        for name in names:
+            index = bucket_index(owner_id, name)
+            assert (name in ours) == (name in oracle.buckets.get(index, []))
+
+    @property_settings(15)
+    @given(
+        n_names=st.integers(2, 600),
+        capacity=st.integers(1, 300),
+        fast=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_build_equals_the_parent_build(self, n_names, capacity, fast, seed):
+        names = [NetworkSpec(name="law").node_id(i) for i in range(n_names)]
+        ours_rng, oracle_rng = random.Random(seed), random.Random(seed)
+        tables = build_routing_tables(names, ours_rng, capacity=capacity, fast=fast)
+        for name in names:
+            oracle = ParentTable(owner_id=name, capacity=capacity)
+            if fast:
+                oracle.fill_from_sampled(names, oracle_rng)
+            else:
+                oracle.fill_from(names, oracle_rng)
+            assert tables[name].buckets == oracle.buckets
+            assert tables[name].entries() == oracle.entries()
+        assert ours_rng.getstate() == oracle_rng.getstate()
+
+
+def test_builds_with_new_names_leave_no_kademlia_ids_behind():
+    """A tenant names its world (``CampaignSpec.from_dict`` builds the
+    ``NetworkSpec`` it sends), so a warm service worker builds worlds of
+    ever new names. Ids resolved for one build go with it; a process-wide
+    cache kept ~2 KB per 16-node world (~420 KB after these 200)."""
+
+    def build(index: int) -> None:
+        generate_network(NetworkSpec(n_nodes=16, seed=index, name=f"tenant-{index}"))
+
+    build(-1)  # imports and first-use caches of the build itself
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for index in range(200):
+            build(index)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 50_000
 
 
 @pytest.fixture

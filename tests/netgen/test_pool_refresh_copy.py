@@ -2,11 +2,13 @@
 
 ``prefill_mempools`` lets the first blank pool of each (policy, base fee,
 fee market) class take the real ``add_batch`` and gives every later blank
-pool of the class a copy of its containers (``Mempool.refill_from``). The
-oracle here is a twin network on which the test itself runs the loop the
-copy replaced — clear, then ``add_batch`` on every node — compared with
-*exact* pool state: insertion orders, both eviction heaps entry for entry,
-the tie-break sequence position, ``stats`` and admission times.
+pool of the class a copy of its containers (``Mempool.refill_from``); a
+live pool takes its share of the class's pass (``Mempool.take_share``), run
+on a detached pool when the class has no blank one. The oracle here is a
+twin network on which the test itself runs the loop the copies replaced —
+(clear, then) ``add_batch`` on every node — compared with *exact* pool
+state: insertion orders, both eviction heaps entry for entry, the
+tie-break sequence position, ``stats`` and admission times.
 
 A copy shares with its image what no pool writes in place (transactions,
 heap entries, one-transaction sender runs); section (d) holds the law that
@@ -33,6 +35,7 @@ from repro.eth.node import NodeConfig
 from repro.eth.policies import ALETH, BESU, GETH, NETHERMIND, PARITY, MempoolPolicy
 from repro.eth.transaction import Transaction, TransactionFactory, gwei
 from repro.netgen.ethereum import NetworkSpec, generate_network
+from repro.netgen import workloads
 from repro.netgen.workloads import prefill_mempools, refresh_mempools
 from tests.conftest import property_settings
 from tests.eth.test_mempool_reference import PRICE_STEP, SENDERS, LockStep
@@ -101,23 +104,42 @@ def reference_refresh(network: Network, txs: List[Transaction]) -> None:
 
 @contextmanager
 def recorded_paths():
-    """Which pools admitted and which copied, in call order."""
+    """Which pools admitted and which copied, in call order: ``admitted``
+    ran ``add_batch``, ``copied`` took a copy, whole (``refill_from``) or
+    their share (``take_share``); ``detached`` are the class passes run on
+    a pool of no node."""
     admitted: List[Mempool] = []
     copied: List[Mempool] = []
+    detached: List[Mempool] = []
     add_batch, refill_from = Mempool.add_batch, Mempool.refill_from
+    take_share = Mempool.take_share
 
     def counting_add_batch(self, txs, stop_when_full=False):
-        admitted.append(self)
+        if not any(self is pool for pool in detached):
+            admitted.append(self)
         return add_batch(self, txs, stop_when_full=stop_when_full)
 
     def counting_refill_from(self, image, counts):
         copied.append(self)
         return refill_from(self, image, counts)
 
+    def counting_take_share(self, image, counts):
+        taken = take_share(self, image, counts)
+        if taken is not None:
+            copied.append(self)
+        return taken
+
+    def detached_pool(*args, **kwargs):
+        pool = Mempool(*args, **kwargs)
+        detached.append(pool)
+        return pool
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Mempool, "add_batch", counting_add_batch)
         patch.setattr(Mempool, "refill_from", counting_refill_from)
-        yield admitted, copied
+        patch.setattr(Mempool, "take_share", counting_take_share)
+        patch.setattr(workloads, "Mempool", detached_pool)
+        yield admitted, copied, detached
 
 
 @pytest.fixture
@@ -175,7 +197,7 @@ def test_refresh_equals_per_node_admission_exactly(fee_market: bool, pasts):
             live_through(network, index, adds, base_fee)
     assert exact_states(refreshed) == exact_states(reference)
 
-    with recorded_paths() as (admitted, copied):
+    with recorded_paths() as (admitted, copied, detached):
         txs = refresh_mempools(refreshed)
     reference_refresh(reference, txs)
 
@@ -189,7 +211,7 @@ def test_refresh_equals_per_node_admission_exactly(fee_market: bool, pasts):
         )
     # Not vacuous: the five legacy presets alone hold two copies each, and
     # every pool took exactly one of the two paths.
-    assert len(copied) >= 10
+    assert len(copied) >= 10 and detached == []
     assert len(admitted) + len(copied) == len(policies)
 
 
@@ -220,8 +242,9 @@ class TestFallbacks:
         return refreshed, reference
 
     def check(self, refreshed, reference, paths, admitting: set, refresh=True):
-        """``admitting``: indices of the pools that must take ``add_batch``."""
-        admitted, copied = paths
+        """``admitting``: indices of the pools that must take ``add_batch``;
+        the class pass always runs on a blank pool of the network here."""
+        admitted, copied, detached = paths
         all_pools = pools(refreshed)
         txs = (refresh_mempools if refresh else prefill_mempools)(refreshed)
         assert {all_pools.index(pool) for pool in admitted} == admitting
@@ -236,9 +259,11 @@ class TestFallbacks:
         assert exact_states(refreshed) == exact_states(reference)
         for pool in all_pools:
             pool.check_invariants()
+        assert detached == []
 
     def test_non_empty_pool(self, paths):
-        """A prefill (no drain first) onto a pool that already holds traffic."""
+        """A prefill (no drain first) onto a pool that already holds traffic
+        from other senders: it takes its share of the class's pass."""
 
         def prepare(network):
             pool = network.node("n02").mempool
@@ -246,13 +271,14 @@ class TestFallbacks:
                 pool.add(Transaction(sender="0xbusy", nonce=nonce, gas_price=gwei(3)))
 
         refreshed, reference = self.twins([GETH.scaled(16)] * 4, prepare)
-        self.check(refreshed, reference, paths, admitting={0, 2}, refresh=False)
+        self.check(refreshed, reference, paths, admitting={0}, refresh=False)
         assert len(refreshed.node("n02").mempool) == 16
         assert refreshed.node("n02").mempool.sender_transaction("0xbusy", 4)
 
     def test_pool_drained_by_a_mined_block(self, paths):
         """Empty, but not blank: its tie-break numbers have moved on, so a
-        copy would hand it foreign ones. No ``clear()`` here — a prefill."""
+        whole copy would hand it foreign ones; its share is re-keyed from
+        its own position. No ``clear()`` here — a prefill."""
 
         def prepare(network):
             node = network.node("n01")
@@ -267,7 +293,7 @@ class TestFallbacks:
             assert len(node.mempool) == 0 and not node.mempool.is_blank
 
         refreshed, reference = self.twins([GETH.scaled(16)] * 4, prepare)
-        self.check(refreshed, reference, paths, admitting={0, 1}, refresh=False)
+        self.check(refreshed, reference, paths, admitting={0}, refresh=False)
         drained, copied = pools(refreshed)[1:3]
         assert drained.capture_state()["seq"] == copied.capture_state()["seq"] + 5
         # ... and ``refill_from`` itself refuses such a pool.
@@ -354,10 +380,109 @@ class TestFallbacks:
 
 
 # ----------------------------------------------------------------------
+# (b') A live pool's share is its own admission
+# ----------------------------------------------------------------------
+BACKGROUND_SENDERS = [Wallet("background").account(f"bg-{i}").address for i in range(3)]
+
+live_pool = st.tuples(
+    st.sampled_from(range(len(POLICIES))),
+    past,
+    # After the block: more of the pool's own traffic, up to overflowing it,
+    # so rooms run from 0 to the whole capacity.
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=7),
+            st.integers(min_value=0, max_value=3),
+            st.sampled_from([0.5, 1.0, 2.0]),
+        ),
+        max_size=30,
+    ),
+    st.one_of(st.none(), st.sampled_from(range(len(BACKGROUND_SENDERS)))),
+)
+
+
+def reference_prefill(network: Network, txs: List[Transaction]) -> None:
+    """The prefill before live pools took shares: the real offer everywhere."""
+    market = network.fee_market
+    if market is not None:
+        market.floor_for(network.sim.now)
+    for pool in pools(network):
+        pool.add_batch(txs, stop_when_full=True)
+    if market is not None:
+        market.refresh(network.sim.now)
+
+
+@pytest.mark.parametrize("fee_market", [False, True], ids=["no-market", "fee-market"])
+@given(
+    specs=st.lists(live_pool, min_size=1, max_size=8),
+    blank=st.lists(st.sampled_from(range(len(POLICIES))), max_size=3),
+    count=st.one_of(st.none(), st.integers(min_value=1, max_value=30)),
+)
+@property_settings(25)
+def test_a_live_pool_takes_what_its_own_admission_takes(
+    fee_market: bool, specs, blank, count
+):
+    """Live pools (pending and future residents, long runs, a base fee, a
+    tie-break position and stats of their own) next to blank pools of the
+    same class or none, prefilled together: exactly the pools a real
+    ``add_batch`` on every node builds. A pool holding one background
+    sender shows the fallback."""
+    policies = [POLICIES[index] for index, *_ in specs] + [POLICIES[i] for i in blank]
+    prefilled, reference = build(policies, fee_market), build(policies, fee_market)
+    for network in (prefilled, reference):
+        for index, (_, (adds, base_fee), after, held) in enumerate(specs):
+            live_through(network, index, adds, base_fee)
+            pool = network.node(network.node_ids[index]).mempool
+            for sender, nonce, price in after:
+                pool.add(
+                    Transaction(
+                        sender=f"0xlate{sender}", nonce=nonce, gas_price=gwei(price)
+                    )
+                )
+            if held is not None:
+                sender = BACKGROUND_SENDERS[held]
+                pool.add(Transaction(sender=sender, nonce=0, gas_price=gwei(5)))
+    assert exact_states(prefilled) == exact_states(reference)
+
+    txs = prefill_mempools(prefilled, count=count)
+    reference_prefill(reference, txs)
+
+    assert exact_states(prefilled) == exact_states(reference)
+    for pool in pools(prefilled):
+        pool.check_invariants()
+    if fee_market:
+        assert (
+            prefilled.fee_market.capture_state()
+            == reference.fee_market.capture_state()
+        )
+
+
+def test_a_live_network_admits_once_per_class(paths):
+    """No pool is blank once traffic has propagated: one detached pass per
+    class, and every pool takes its share of it."""
+    admitted, copied, detached = paths
+    network = generate_network(
+        NetworkSpec(n_nodes=40, seed=2, mempool_capacity=32, parity_fraction=0.3)
+    )
+    factory, wallet = TransactionFactory(), Wallet("propagate")
+    for index, node_id in enumerate(network.node_ids[:6]):
+        network.node(node_id).submit_transaction(
+            factory.transfer(wallet.fresh_account(), gas_price=gwei(1) + index)
+        )
+    network.settle()
+    assert not any(pool.is_blank for pool in pools(network))
+    prefill_mempools(network)
+    classes = {pool.policy for pool in pools(network)}
+    assert (len(admitted), len(detached)) == (0, len(classes)) == (0, 2)
+    assert copied == pools(network)
+    assert all(pool.is_full for pool in pools(network))
+
+
+# ----------------------------------------------------------------------
 # (c) Cost: admissions per class, not per node
 # ----------------------------------------------------------------------
 def test_refresh_admits_once_per_class(paths):
-    admitted, copied = paths
+    admitted, copied, _ = paths
     network = build([GETH.scaled(32)] * 64)
     prefill_mempools(network)
     assert (len(admitted), len(copied)) == (1, 63)
@@ -368,7 +493,7 @@ def test_refresh_admits_once_per_class(paths):
 
 
 def test_generated_testnet_admits_once_per_class(paths):
-    admitted, copied = paths
+    admitted, copied, _ = paths
     network = generate_network(
         NetworkSpec(n_nodes=40, seed=2, mempool_capacity=32, parity_fraction=0.3)
     )
@@ -659,7 +784,7 @@ class TestRefreshAfterBlocks:
         each admits for itself; the node that slept through both blocks
         sees nonce 1 from accounts it believes are at 0 — futures, which
         no pool at the head could have donated."""
-        admitted, copied = paths
+        admitted, copied, _ = paths
         behind = "testnet-0007"
         network = self.mined_network(lagging=[behind])
         del admitted[:], copied[:]  # the set-up's own prefill
