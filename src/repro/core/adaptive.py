@@ -127,7 +127,7 @@ def flood_room(node: Node, flood_bid: int) -> int:
     A future enters a pool through a free slot or by evicting the
     lowest-bidding pending transaction, which must bid *under* it and
     leave more than the policy's floor ``P`` of pending transactions
-    behind (``Mempool._pending_victim``). So the pool has room for its
+    behind (``Mempool._offer``'s victim rule). So the pool has room for its
     free slots plus its pending transactions under the flood bid, the
     latter capped by what stands above ``P``. An upper bound, never an
     estimate: an evicted transaction with queued successors demotes its

@@ -26,6 +26,15 @@ Admission of an incoming transaction ``tx1`` follows the paper's model:
 EIP-1559 mode (Appendix E): the pool prices transactions by their max fee
 and drops transactions whose max fee falls below the block base fee.
 
+One loop. :meth:`Mempool._offer` applies these rules to a sequence of
+offers with its locals bound once: it alone checks R, U, P, L and the fee
+floor, picks victims, and files and unfiles what an offer moves.
+:meth:`Mempool.add` is one offer through it, :meth:`Mempool.add_batch`
+hands it the batch past the fill point, and a node hands it a whole
+``Transactions`` packet with its mark-known and relay steps as per-offer
+hooks. A packet therefore never passes through :meth:`Mempool.add`, and
+an :class:`AddResult` is built only where somebody reads one.
+
 Bookkeeping. Each resident transaction is filed once: by hash, and in its
 sender's run — the transaction itself while it is the sender's only one
 (at most one transaction per (sender, nonce) makes it a complete run), a
@@ -77,6 +86,7 @@ class AddOutcome(enum.Enum):
 # Pre-resolved outcome -> stats-key strings: AddOutcome.value goes through
 # enum's DynamicClassAttribute descriptor, far too slow for once-per-add.
 _OUTCOME_KEY = {outcome: outcome.value for outcome in AddOutcome}
+_ADMITTED_KEYS = ("admitted_pending", "admitted_future", "replaced")
 
 # Shared immutable default for AddResult.evicted/.promoted: results are
 # read-only, and two fresh lists per offered transaction was the second
@@ -106,10 +116,12 @@ def _copy_runs(by_sender: Dict[str, Run], long_runs: Iterable[str]) -> Dict[str,
 class AddResult:
     """Everything that happened when a transaction was offered to the pool.
 
-    A ``__slots__`` class (one is allocated per ``Mempool.add``, the
-    hottest allocation in a campaign) with ``admitted``/``propagatable``
-    computed eagerly instead of via properties: the relay path reads them
-    for every received transaction.
+    A ``__slots__`` class with ``admitted``/``propagatable`` computed
+    eagerly instead of via properties. One is allocated per
+    :meth:`Mempool.add` and per duplicate an observed node receives
+    (``Node._receive``); never for ``add_batch`` offers or for a packet
+    into a node that neither is observed nor echoes futures, which the
+    admission loop answers without one.
     """
 
     __slots__ = (
@@ -316,12 +328,9 @@ class Mempool:
     # ------------------------------------------------------------------
     def add(self, tx: Transaction) -> AddResult:
         """Offer one transaction to the pool and apply the policy."""
-        result = self._add_inner(tx)
-        stats = self.stats
-        stats[_OUTCOME_KEY[result.outcome]] += 1
-        if result.evicted:
-            stats["evictions"] += len(result.evicted)
-        return result
+        results: List[AddResult] = []
+        self._offer((tx,), results=results)
+        return results[0]
 
     def add_batch(
         self,
@@ -334,12 +343,13 @@ class Mempool:
         The fast path runs while the pool *cannot* fill mid-chunk
         (``len(pool) + chunk <= capacity``): no eviction is possible, so
         the lazy eviction heaps are not consulted and their maintenance —
-        the per-add heappush in ``_place`` — is deferred to a
-        single :meth:`_rebuild_price_heaps` at the end. Once the pool can
-        fill, the remainder falls back to sequential :meth:`add` (victim
-        selection needs live heaps) — unless ``stop_when_full=True``, which
-        stops offering the moment the pool is full and never evicts (a
-        chunk never exceeds the free room, so the fast path already does).
+        the per-offer heappush — is deferred to a single
+        :meth:`_rebuild_price_heaps`. Once the pool can fill, the rest of
+        the batch meets the rebuilt heaps in one pass of the loop that
+        serves :meth:`add`, exactly as one ``add`` per offer would —
+        unless ``stop_when_full=True``, which stops offering the moment
+        the pool is full and never evicts (a chunk never exceeds the free
+        room, so the fast path already does).
 
         Equivalent to sequential :meth:`add` on every canonical observable
         (transaction set, pending/future split, per-sender views, stats).
@@ -349,225 +359,257 @@ class Mempool:
         :meth:`apply_block`.
 
         Returns this batch's outcome counts (stats-key strings, plus
-        ``"evictions"`` when the fallback path evicted).
+        ``"evictions"`` when the batch evicted).
         """
         if not isinstance(txs, (list, tuple)):
             txs = list(txs)
-        counts: Dict[str, int] = {}
         if not txs:
-            return counts
+            return {}
         stats = self.stats
+        before = dict(stats)
         by_hash = self._by_hash
         capacity = self._capacity
-        mutated = False
+        i = 0
+        n = len(txs)
         self._heaps_deferred = True
         try:
-            i = 0
-            n = len(txs)
             while i < n:
                 room = capacity - len(by_hash)
                 if room <= 0:
                     break
-                remaining = n - i
-                chunk_end = i + (remaining if room >= remaining else room)
-                for tx in txs[i:chunk_end]:
-                    result = self._add_inner(tx)
-                    key = _OUTCOME_KEY[result.outcome]
-                    stats[key] += 1
-                    counts[key] = counts.get(key, 0) + 1
-                    mutated = mutated or result.admitted
-                i = chunk_end
-            if i < n and not stop_when_full:
-                # Pool can now fill: rebuild the heaps the deferred
-                # chunks skipped, then let add() handle eviction.
-                self._heaps_deferred = False
-                if mutated:
-                    self._rebuild_price_heaps()
-                    mutated = False
-                for tx in txs[i:]:
-                    result = self.add(tx)
-                    key = _OUTCOME_KEY[result.outcome]
-                    counts[key] = counts.get(key, 0) + 1
-                    if result.evicted:
-                        evictions = counts.get("evictions", 0) + len(result.evicted)
-                        counts["evictions"] = evictions
-                return counts
+                end = i + room if room < n - i else n
+                self._offer(txs[i:end])
+                i = end
         finally:
             self._heaps_deferred = False
-        if mutated:
+        if any(stats[key] != before[key] for key in _ADMITTED_KEYS):
             self._rebuild_price_heaps()
-        return counts
+        if i < n and not stop_when_full:
+            self._offer(txs[i:])
+        return {
+            key: count - before[key]
+            for key, count in stats.items()
+            if count != before[key]
+        }
 
-    def _add_inner(self, tx: Transaction) -> AddResult:
-        tx_hash = tx.hash
-        if tx_hash in self._by_hash:
-            return AddResult(tx, AddOutcome.REJECTED_KNOWN)
+    def _offer(
+        self,
+        txs: Iterable[Transaction],
+        mark: Optional[Callable[[str], None]] = None,
+        relay: Optional[Callable[[Transaction], None]] = None,
+        relay_future: Optional[Callable[[Transaction], None]] = None,
+        results: Optional[List[AddResult]] = None,
+    ) -> None:
+        """The admission loop: every offer meets the pool's rules here.
 
-        sender = tx.sender
-        tx_nonce = tx.nonce
-        confirmed = self._confirmed_nonce(sender) or 0
-        if tx_nonce < confirmed:
-            return AddResult(tx, AddOutcome.REJECTED_STALE_NONCE)
-
-        if self._enforce_base_fee and tx.is_underpriced_for_base_fee(
-            self.base_fee
-        ):
-            return AddResult(tx, AddOutcome.REJECTED_BASE_FEE)
-
-        bid = tx.bid_price(self.base_fee)
-
-        # Live fee-market floor (opt-in; see repro.eth.fee_market). Applied
-        # to every offer including replacements, like Geth's underpriced
-        # check — which is why measurement prices are clamped so that even
-        # txB at (1 - R/2) * Y clears the floor (min_measurement_y).
-        market = self.fee_market
-        if market is not None and bid < market.floor_for(self._clock()):
-            return AddResult(tx, AddOutcome.REJECTED_FEE_FLOOR)
-
-        run = self._by_sender.get(sender)
-        long_run = run.__class__ is dict
-
-        # --- Replacement path: a stored transaction occupies (sender, nonce).
-        if long_run:
-            occupant = run.get(tx_nonce)
-        else:
-            occupant = run if run is not None and run.nonce == tx_nonce else None
-        if occupant is not None:
-            if not self.policy.replacement_allowed(
-                occupant.bid_price(self.base_fee), bid
-            ):
-                return AddResult(tx, AddOutcome.REJECTED_UNDERPRICED_REPLACEMENT)
-            # Same (sender, nonce), so the sender's run is unchanged and
-            # the replacement inherits its occupant's class.
-            is_pending = occupant.hash in self._pending
-            self._remove(occupant.hash)
-            self._insert(tx)
-            self._place(tx_hash, bid, is_pending)
-            return AddResult(
-                tx, AddOutcome.REPLACED, replaced=occupant, is_pending=is_pending
-            )
-
-        # Would tx be executable right after insertion? Walk the sender's
-        # run from the confirmed nonce on the `run` lookup in hand.
-        if long_run:
-            nonce = confirmed
-            while nonce != tx_nonce and nonce in run:
-                nonce += 1
-            will_be_pending = nonce == tx_nonce
-        else:
-            will_be_pending = tx_nonce == confirmed or (
-                run is not None and run.nonce == confirmed == tx_nonce - 1
-            )
-
-        # --- Per-account future limit U.
-        if not will_be_pending:
-            limit = self._future_limit
-            if limit is not None and (
-                len(run) if long_run else run is not None
-            ) >= limit:
-                return AddResult(tx, AddOutcome.REJECTED_FUTURE_LIMIT)
-
-        # From here on only the transactions that move are classified. That
-        # rests on the pool agreeing with the confirmed nonces before the
-        # offer, which holds because their only writer (Node.receive_block)
-        # calls apply_block in the same step and restore_state restores
-        # both together.
-
-        # --- Eviction path when the pool is full.
-        evicted: Optional[List[Transaction]] = None
-        rescan = False
-        if len(self._by_hash) >= self._capacity:
-            victim = self._select_victim(will_be_pending, bid)
-            if victim is None:
-                return AddResult(tx, AddOutcome.REJECTED_POOL_FULL)
-            victim_was_pending = victim.hash in self._pending
-            self._remove(victim.hash)
-            # A removed future, or the last transaction of a run, leaves
-            # every other class as it was; a pending transaction with a
-            # queued successor demotes its tail.
-            if victim_was_pending and self.sender_transaction(
-                victim.sender, victim.nonce + 1
-            ) is not None:
-                self._rebalance_sender(victim.sender)
-            # will_be_pending and `run` predate the eviction: stale when
-            # the victim was one of the sender's own transactions.
-            rescan = victim.sender == sender
-            evicted = [victim]
-
-        self._insert(tx)
-        # A fresh pending transaction moves others only when it fills a
-        # gap (its successor is already queued); a fresh future, never.
-        if rescan or (
-            will_be_pending
-            and run is not None
-            and (tx_nonce + 1 in run if long_run else run.nonce == tx_nonce + 1)
-        ):
-            promoted = [
-                p for p in self._rebalance_sender(sender) if p.hash != tx_hash
-            ]
-            is_pending = tx_hash in self._pending
-            if not is_pending:
-                # The scan took tx, not yet filed, for a resident future and
-                # left it alone; it is the run's last, so filing it now
-                # draws the number the scan would have.
-                self._place(tx_hash, bid, False)
-        else:
-            promoted = None
-            is_pending = will_be_pending
-            self._place(tx_hash, bid, is_pending)
-        outcome = (
-            AddOutcome.ADMITTED_PENDING if is_pending else AddOutcome.ADMITTED_FUTURE
-        )
-        return AddResult(
-            tx, outcome, evicted=evicted, promoted=promoted, is_pending=is_pending
-        )
-
-    def _select_victim(
-        self, incoming_is_pending: bool, incoming_bid: int
-    ) -> Optional[Transaction]:
-        """Pick the transaction a full pool sheds for the incoming one."""
-        if incoming_is_pending:
-            # Lowest-priced live future: resident and not pending.
-            heap, by_hash, pending = self._future_heap, self._by_hash, self._pending
-            while heap:
-                tx_hash = heap[0][2]
-                if tx_hash in by_hash and tx_hash not in pending:
-                    return by_hash[tx_hash]
-                heapq.heappop(heap)
-        # Incoming future transactions may only displace pending ones
-        # (the paper's eviction template), and only above the P floor.
-        return self._pending_victim(incoming_bid)
-
-    def _pending_victim(self, incoming_bid: int) -> Optional[Transaction]:
+        The one place that checks R/U/P/L and the fee floor, picks victims,
+        and files and unfiles what an offer moves; :meth:`add`,
+        :meth:`add_batch` and a node's transaction packets
+        (``Node._handle_txs``) are its callers. Each offer runs, in order:
+        ``mark(hash)`` (the node's known-table write), its admission, then
+        ``relay(tx)`` if it was admitted pending (``relay_future(tx)`` if
+        admitted future) and ``relay`` of every transaction it promoted.
+        ``results`` collects one :class:`AddResult` per offer; without it
+        none is built.
+        """
+        by_hash = self._by_hash
+        by_sender = self._by_sender
         pending = self._pending
-        if len(pending) <= self._eviction_floor:
-            return None
-        heap = self._pending_heap
-        while heap:
-            tx_hash = heap[0][2]
-            if tx_hash in pending:
-                victim = self._by_hash[tx_hash]
-                if victim.bid_price(self.base_fee) >= incoming_bid:
-                    return None
-                return victim
-            heapq.heappop(heap)
-        return None
+        added_at = self._added_at
+        stats = self.stats
+        confirmed_nonce = self._confirmed_nonce
+        clock = self._clock
+        base_fee = self.base_fee
+        enforce_base_fee = self._enforce_base_fee
+        market = self.fee_market
+        replacement_allowed = self.policy.replacement_allowed
+        limit = self._future_limit
+        floor = self._eviction_floor
+        capacity = self._capacity
+        deferred = self._heaps_deferred
+        # Only a re-key rebinds the heaps, and none happens inside an offer.
+        pending_heap = self._pending_heap
+        future_heap = self._future_heap
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        for tx in txs:
+            tx_hash = tx.hash
+            if mark is not None:
+                mark(tx_hash)
+            if tx_hash in by_hash:
+                stats["rejected_known"] += 1
+                if results is not None:
+                    results.append(AddResult(tx, AddOutcome.REJECTED_KNOWN))
+                continue
+            sender = tx.sender
+            tx_nonce = tx.nonce
+            confirmed = confirmed_nonce(sender) or 0
+            bid = tx.bid_price(base_fee)
+            run = by_sender.get(sender)
+            long_run = run.__class__ is dict
+            if long_run:
+                occupant = run.get(tx_nonce)
+            else:
+                occupant = run if run is not None and run.nonce == tx_nonce else None
+            victim = rejected = None
+            if tx_nonce < confirmed:
+                rejected = AddOutcome.REJECTED_STALE_NONCE
+            elif enforce_base_fee and tx.is_underpriced_for_base_fee(base_fee):
+                rejected = AddOutcome.REJECTED_BASE_FEE
+            # Live fee-market floor (opt-in; see repro.eth.fee_market), on
+            # every offer including replacements, like Geth's underpriced
+            # check — which is why measurement prices are clamped so that
+            # even txB at (1 - R/2) * Y clears it (min_measurement_y).
+            elif market is not None and bid < market.floor_for(clock()):
+                rejected = AddOutcome.REJECTED_FEE_FLOOR
+            elif occupant is not None:
+                if not replacement_allowed(occupant.bid_price(base_fee), bid):
+                    rejected = AddOutcome.REJECTED_UNDERPRICED_REPLACEMENT
+            else:
+                # Would tx be executable right after insertion? Walk the
+                # sender's run from the confirmed nonce.
+                if long_run:
+                    nonce = confirmed
+                    while nonce != tx_nonce and nonce in run:
+                        nonce += 1
+                    will_be_pending = nonce == tx_nonce
+                else:
+                    will_be_pending = tx_nonce == confirmed or (
+                        run is not None and run.nonce == confirmed == tx_nonce - 1
+                    )
+                if (
+                    not will_be_pending
+                    and limit is not None
+                    and (len(run) if long_run else run is not None) >= limit
+                ):
+                    rejected = AddOutcome.REJECTED_FUTURE_LIMIT
+                elif len(by_hash) >= capacity:
+                    # A full pool sheds a victim: for an incoming pending
+                    # transaction the lowest-priced live future; lacking
+                    # one, and for an incoming future always (the paper's
+                    # eviction template), the lowest-priced pending one if
+                    # more than P are pending and it bids strictly less.
+                    # Dead heap entries are popped; the victim's stays.
+                    if will_be_pending:
+                        while future_heap:
+                            head = future_heap[0][2]
+                            if head in by_hash and head not in pending:
+                                victim = by_hash[head]
+                                break
+                            heappop(future_heap)
+                    if victim is None and len(pending) > floor:
+                        while pending_heap:
+                            head = pending_heap[0][2]
+                            if head in pending:
+                                if by_hash[head].bid_price(base_fee) < bid:
+                                    victim = by_hash[head]
+                                break
+                            heappop(pending_heap)
+                    if victim is None:
+                        rejected = AddOutcome.REJECTED_POOL_FULL
+            if rejected is not None:
+                stats[_OUTCOME_KEY[rejected]] += 1
+                if results is not None:
+                    results.append(AddResult(tx, rejected))
+                continue
+
+            # From here on only the transactions that move are classified.
+            # That rests on the pool agreeing with the confirmed nonces
+            # before the offer, which holds because their only writer
+            # (Node.receive_block) calls apply_block in the same step and
+            # restore_state restores both together.
+            rescan = False
+            if occupant is not None:
+                # Same (sender, nonce): the sender's run is unchanged and
+                # the replacement inherits its occupant's class.
+                is_pending = occupant.hash in pending
+                self._remove(occupant.hash)
+                run = by_sender.get(sender)
+            else:
+                is_pending = will_be_pending
+                # A fresh pending transaction moves others only when it
+                # fills a gap (its successor is already queued); a fresh
+                # future, never.
+                rescan = will_be_pending and run is not None and (
+                    tx_nonce + 1 in run if long_run else run.nonce == tx_nonce + 1
+                )
+            if victim is not None:
+                victim_hash = victim.hash
+                victim_sender = victim.sender
+                victim_nonce = victim.nonce
+                victim_was_pending = victim_hash in pending
+                del by_hash[victim_hash]
+                victim_run = by_sender[victim_sender]
+                if victim_run.__class__ is not dict:
+                    del by_sender[victim_sender]
+                else:
+                    del victim_run[victim_nonce]
+                    if len(victim_run) == 1:  # back to the survivor
+                        by_sender[victim_sender] = next(iter(victim_run.values()))
+                pending.discard(victim_hash)
+                added_at.pop(victim_hash, None)
+                stats["evictions"] += 1
+                # A pending victim with a queued successor demotes its
+                # tail; any other leaves every class as it was.
+                if (
+                    victim_was_pending
+                    and victim_run.__class__ is dict
+                    and victim_nonce + 1 in victim_run
+                ):
+                    self._rebalance_sender(victim_sender)
+                # will_be_pending and `run` predate the eviction: stale
+                # when the victim was one of the sender's own.
+                if victim_sender == sender:
+                    rescan = True
+                    run = by_sender.get(sender)
+            by_hash[tx_hash] = tx
+            if run is None:
+                by_sender[sender] = tx
+            elif run.__class__ is dict:
+                run[tx_nonce] = tx
+            else:  # a second nonce: the run becomes a dict, occupant first
+                by_sender[sender] = {run.nonce: run, tx_nonce: tx}
+            added_at[tx_hash] = clock()
+            promoted = None
+            if rescan:
+                promoted = [
+                    p for p in self._rebalance_sender(sender) if p.hash != tx_hash
+                ]
+                is_pending = tx_hash in pending
+            # The scan files whatever it promotes; it took tx, not yet
+            # filed, for a resident future and left it alone, so filing tx
+            # now as the run's last draws the number the scan would have.
+            if not (rescan and is_pending):
+                if is_pending:
+                    pending.add(tx_hash)
+                if not deferred:  # add_batch's fast path re-keys at its end
+                    heap = pending_heap if is_pending else future_heap
+                    heappush(heap, (bid, self._seq, tx_hash))
+                    self._seq += 1
+            if occupant is not None:
+                outcome = AddOutcome.REPLACED
+            elif is_pending:
+                outcome = AddOutcome.ADMITTED_PENDING
+            else:
+                outcome = AddOutcome.ADMITTED_FUTURE
+            stats[_OUTCOME_KEY[outcome]] += 1
+            if results is not None:
+                evicted = None if victim is None else [victim]
+                results.append(
+                    AddResult(tx, outcome, occupant, evicted, promoted, is_pending)
+                )
+            if is_pending:
+                if relay is not None:
+                    relay(tx)
+            elif relay_future is not None:
+                relay_future(tx)
+            if promoted and relay is not None:
+                for promoted_tx in promoted:
+                    relay(promoted_tx)
 
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------
-    def _insert(self, tx: Transaction) -> None:
-        self._by_hash[tx.hash] = tx
-        by_sender, sender = self._by_sender, tx.sender
-        run = by_sender.get(sender)
-        if run is None:
-            by_sender[sender] = tx
-        elif run.__class__ is dict:
-            run[tx.nonce] = tx
-        else:  # a second nonce: the run becomes a dict, occupant first
-            by_sender[sender] = {run.nonce: run, tx.nonce: tx}
-        self._added_at[tx.hash] = self._clock()
-
     def _remove(self, tx_hash: str) -> Transaction:
         tx = self._by_hash.pop(tx_hash)
         by_sender, sender = self._by_sender, tx.sender
@@ -780,7 +822,7 @@ class Mempool:
         ``image`` is the :meth:`capture_state` of a donor that was blank,
         was offered one ``add_batch(txs, stop_when_full=True)`` and
         returned ``counts``. This pool must be indistinguishable from that
-        donor before the offer in everything :meth:`_add_inner` reads:
+        donor before the offer in everything :meth:`_offer` reads:
         blank, the same policy, base fee, fee market and clock, and no
         confirmed nonce for any sender of the batch
         (:func:`repro.netgen.workloads.prefill_mempools` establishes it).

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import NodeDetachedError
@@ -505,9 +506,29 @@ class Node:
         handler(from_id, msg)
 
     def _handle_txs(self, from_id: str, msg: Message) -> None:
-        receive = self._receive
-        for tx in msg.txs:
-            receive(from_id, tx)
+        """Admit a ``Transactions`` / ``PooledTransactions`` packet.
+
+        The packet is one pass of the pool's admission loop, with this
+        node's mark-known and relay steps as its per-offer hooks (the same
+        order ``_receive`` keeps for one transaction). A node whose offers
+        somebody reads — a registered observer — or that echoes futures
+        back to their sender takes ``_receive`` per transaction instead.
+        """
+        if self.tx_observers or self._echoes_future:
+            receive = self._receive
+            for tx in msg.txs:
+                receive(from_id, tx)
+            return
+        mark = None
+        if from_id in self._peer_shifted:
+            mark = partial(self._mark_known, from_id)
+        relay = relay_future = None
+        if self._relays_transactions:
+            relay = self.broadcast_transaction
+            if self._forwards_future:
+                # Misbehaving node: relays futures too (Section 6.2.1).
+                relay_future = relay
+        self.mempool._offer(msg.txs, mark, relay, relay_future)
 
     def _handle_new_block(self, from_id: str, msg: NewBlock) -> None:
         self.receive_block(from_id, msg.block)
@@ -531,14 +552,16 @@ class Node:
     def _receive(
         self, from_id: Optional[str], tx: Transaction, want_result: bool = False
     ) -> Optional[AddResult]:
-        """The one receive step: mark the sender, short-cut a duplicate, admit.
+        """The receive step of one transaction: mark the sender, short-cut
+        a duplicate, admit.
 
         During gossip most deliveries carry a transaction the pool already
         holds. For a known hash this is equivalent to ``pool.add()`` (same
         stats bump, same result) minus the admission machinery that cannot
         apply to a duplicate — and the :class:`AddResult` is only built
         when somebody reads it: a registered observer, or a caller passing
-        ``want_result`` (the packet loop of ``_handle_txs`` discards it).
+        ``want_result`` (an echoing node's packet loop discards it). A
+        packet into any other node is one pass of ``Mempool._offer``.
         """
         tx_hash = tx.hash
         if from_id is not None:

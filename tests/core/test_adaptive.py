@@ -187,7 +187,7 @@ class TestAdaptiveFloodSize:
         assert futures_sent(node) == FLOOD_CONFIG.future_count
 
     def test_a_resident_at_the_flood_price_is_not_evictable(self):
-        """``_pending_victim`` needs a strictly lower bid."""
+        """A pending victim must bid strictly less (``Mempool._offer``)."""
         node = pool_node([FLOOD_PRICE] * 32 + [FLOOD_PRICE - 1] * 32)
         assert flood_room(node, FLOOD_PRICE) == 32
 

@@ -1,12 +1,15 @@
 """Admission classifies the one transaction that moved.
 
-``Mempool._add_inner`` files a fresh or replacing transaction in O(1) of
-its sender's queue and hands the full per-sender scan
-(``_rebalance_sender``) only the cases where a whole run moves. One test
-per hand-over, plus two guards that pin the complexity and the tie-break
-bookkeeping rather than the clock: the flood path never scans, and a
-seeded operation stream leaves exactly the eviction-heap entries and
-sequence position recorded from the scan-on-every-add implementation.
+The admission loop (``Mempool._offer``) files a fresh or replacing
+transaction in O(1) of its sender's queue and hands the full per-sender
+scan (``_rebalance_sender``) only the cases where a whole run moves. One
+test per hand-over, plus guards that pin the complexity and the tie-break
+bookkeeping rather than the clock: the flood path never scans, and two
+seeded streams leave exactly the eviction-heap entries and sequence
+position recorded from earlier implementations — one from the
+scan-on-every-add pool, one (full-pool batches and packets) from the pool
+that offered every transaction through its own ``Mempool.add``. A last
+test pins a victim's stale heap entry as it is.
 """
 
 import hashlib
@@ -15,6 +18,9 @@ import random
 import pytest
 
 from repro.eth.mempool import AddOutcome, Mempool
+from repro.eth.messages import Transactions
+from repro.eth.network import Network
+from repro.eth.node import NodeConfig
 from repro.eth.policies import GETH, MempoolPolicy
 from repro.eth.transaction import Transaction
 
@@ -216,3 +222,97 @@ class TestWorkGuards:
         )
         assert pool.capture_state()["seq"] == 971
         assert pool.stats["evictions"] == 373 and pool.stats["replaced"] == 114
+
+    def test_seeded_full_pool_stream_reproduces_the_recorded_heaps(self):
+        """600 seeded steps into a node whose pool starts full of pending
+        background: ``add_batch`` calls of 8–40 offers past the fill
+        point, ``Transactions`` packets of 1–40 from peers, single adds and
+        blocks. The digests (eviction heaps; the node's known table, push
+        and announce queues and RNG) and counters were recorded at commit
+        99d70c7, where every offer past the fill point, and every offer of
+        a packet, was its own ``Mempool.add``."""
+        rng = random.Random(29)
+        network = Network(seed=5)
+        config = NodeConfig(policy=GETH.scaled(48))
+        receiver = network.create_node("r", config)
+        for peer in ("p0", "p1", "p2"):
+            network.create_node(peer, config)
+            network.connect("r", peer)
+        network.settle()
+        pool = receiver.mempool
+        confirmed = receiver.confirmed_nonces
+        background = [tx(f"0xbg{i}", 0, 8 + i % 5) for i in range(48)]
+        pool.add_batch(background, stop_when_full=True)
+        assert pool.is_full
+        senders = [f"0xstream{i}" for i in range(16)]
+        handle = receiver._dispatch[Transactions]
+
+        def draw(step: int) -> Transaction:
+            sender = rng.choice(senders)
+            nonce = confirmed.get(sender, 0) + rng.randrange(12)
+            return tx(sender, nonce, rng.randint(6, 14) + step // 60)
+
+        for step in range(600):
+            roll = rng.random()
+            if roll < 0.45:
+                peer = rng.choice(["p0", "p1", "p2"])
+                size = rng.randint(1, 40)
+                handle(peer, Transactions(tuple(draw(step) for _ in range(size))))
+            elif roll < 0.75:
+                pool.add_batch([draw(step) for _ in range(rng.randint(8, 40))])
+            elif roll < 0.9:
+                pool.add(draw(step))
+            else:
+                included = []
+                for sender in rng.sample(senders, 2):
+                    mined = pool.sender_transaction(sender, confirmed.get(sender, 0))
+                    if mined is not None:
+                        confirmed[sender] = mined.nonce + 1
+                        included.append(mined)
+                pool.apply_block(included)
+        pool.check_invariants()
+
+        heaps = repr((pool._pending_heap, pool._future_heap)).encode()
+        assert hashlib.sha256(heaps).hexdigest() == (
+            "874557f7f6905fd85a18372451d8f5c7775a5561ae8529cfd2e62eb33315b959"
+        )
+        node = repr(
+            (
+                receiver._known,
+                receiver._push_queue,
+                receiver._announce_queue,
+                receiver._rng.getstate(),
+            )
+        ).encode()
+        assert hashlib.sha256(node).hexdigest() == (
+            "305fae5d8353d04453a8d3679a0ebb28544084f357c29c04dccf0b3c9ea809be"
+        )
+        assert pool.capture_state()["seq"] == 2878
+        assert pool.stats["evictions"] == 1822 and pool.stats["replaced"] == 16
+        assert pool.stats["rejected_pool_full"] == 5868
+
+
+class TestStaleHeapEntry:
+    def test_a_readmitted_victim_is_ranked_by_its_old_entry(self):
+        """Pinned as it is, not as it should be (ROADMAP item 7). A
+        victim's ``(bid, seq, hash)`` entry stays in its lazy heap; when
+        the same hash is admitted again before that entry is popped, the
+        entry is live again and ranks the transaction at its *old*
+        arrival. Among equal prices the next victim is then the re-admitted
+        transaction, not the oldest arrival. The admission loop must keep
+        the entry where it is: no ``heapreplace``, no early removal."""
+        pool = Mempool(POLICY)
+        a, b = tx("0xa", 0, 10), tx("0xb", 0, 10)
+        admit(pool, a, b, tx("0xc", 0, 10), tx("0xd", 0, 10))
+        first = tx("0xf", 5, 20)  # a future may only displace a pending tx
+        assert pool.add(first).evicted == [a]
+        assert pool._pending_heap[0] == (10, 0, a.hash)
+        comeback = pool.add(a)  # pending again: it sheds the future
+        assert comeback.outcome is AddOutcome.ADMITTED_PENDING
+        assert comeback.evicted == [first]
+        assert (10, 0, a.hash) in pool._pending_heap
+        assert (10, 5, a.hash) in pool._pending_heap
+        # b arrived before a's comeback; the old entry ranks a first.
+        assert pool.add(tx("0xg", 5, 20)).evicted == [a]
+        assert pool.is_pending(b.hash)
+        pool.check_invariants()

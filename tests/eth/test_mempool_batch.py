@@ -7,13 +7,22 @@ identical *heap entries* to the legacy prefill loop on cleared pools (the
 golden-fingerprint safety argument).
 """
 
+import itertools
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.eth.fee_market import FeeMarket, FeeMarketConfig
 from repro.eth.mempool import AddOutcome, Mempool
 from repro.eth.policies import GETH, PARITY, MempoolPolicy
-from repro.eth.transaction import Transaction, TransactionFactory, gwei
+from repro.eth.transaction import (
+    DynamicFeeTransaction,
+    Transaction,
+    TransactionFactory,
+    gwei,
+)
 from tests.conftest import property_settings
 
 SENDERS = [f"0xbatch{i}" for i in range(6)]
@@ -189,3 +198,123 @@ class TestEvictionFallback:
         assert counts["rejected_fee_floor"] == 5
         assert counts["admitted_pending"] == 3
         assert len(pool) == 3
+
+
+# ----------------------------------------------------------------------
+# Past the fill point: add_batch is its fill chunk, then one add per offer
+# ----------------------------------------------------------------------
+LAW_POLICIES = {
+    "geth-12": GETH.scaled(12),
+    # P = 3 and U = 2: futures evict only above the floor, runs stop at U.
+    "tight": MempoolPolicy(
+        name="tight",
+        replace_bump=0.10,
+        future_limit_per_account=2,
+        eviction_pending_floor=3,
+        capacity=10,
+    ),
+    # EIP-1559 mode: the pool drops offers under the base fee.
+    "tight-1559": MempoolPolicy(
+        name="tight",
+        replace_bump=0.10,
+        future_limit_per_account=3,
+        eviction_pending_floor=2,
+        capacity=10,
+        enforce_base_fee=True,
+    ),
+}
+
+offer_spec = st.tuples(
+    st.integers(0, 9),  # sender
+    st.integers(0, 5),  # nonce: gaps queue futures, repeats replace
+    st.sampled_from([40, 50, 50, 55, 60, 90, 200]),  # price (max fee)
+    st.sampled_from([None, None, 0, 10]),  # None: legacy, else a 1559 tip
+)
+
+
+def law_tx(sender: int, nonce: int, price: int, tip) -> Transaction:
+    if tip is None:
+        return Transaction(sender=f"0xlaw{sender}", nonce=nonce, gas_price=price)
+    return DynamicFeeTransaction(
+        sender=f"0xlaw{sender}", nonce=nonce, gas_price=price, max_fee=price,
+        priority_fee=tip,
+    )
+
+
+def law_pool(policy: MempoolPolicy, confirmed, with_market: bool) -> Mempool:
+    ticks = itertools.count()
+    # A clock that ticks on every read: expiry stamps record where it is read.
+    pool = Mempool(policy, confirmed_nonce=confirmed.get, clock=lambda: next(ticks))
+    pool.base_fee = 45
+    if with_market:
+        # Every read moves the clock a full interval on, so the floor is
+        # recomputed from this very pool at each offer.
+        market = FeeMarket(FeeMarketConfig(min_floor=1, floor_percentile=0.5))
+        market._sample_nodes = [SimpleNamespace(mempool=pool)]
+        pool.fee_market = market
+    return pool
+
+
+def full_state(pool: Mempool):
+    """``capture_state()`` with every container in its order."""
+    state = pool.capture_state()
+    runs = state["by_sender"].items()
+    state["by_sender"] = [
+        (s, list(run.items()) if isinstance(run, dict) else run) for s, run in runs
+    ]
+    for key in ("by_hash", "added_at"):
+        state[key] = list(state[key].items())
+    state["pending"] = sorted(state["pending"])
+    market = pool.fee_market
+    return state, None if market is None else market.capture_state()
+
+
+@pytest.mark.parametrize("policy", list(LAW_POLICIES), ids=list(LAW_POLICIES))
+@given(
+    background=st.integers(0, 12),
+    resident=st.lists(offer_spec, max_size=14),
+    batch=st.lists(offer_spec, min_size=1, max_size=30),
+    repeats=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=6),
+    confirmed=st.dictionaries(st.integers(0, 9), st.integers(0, 2), max_size=3),
+    with_market=st.booleans(),
+)
+@property_settings(60)
+def test_a_batch_past_the_fill_point_is_one_add_per_offer(
+    policy, background, resident, batch, repeats, confirmed, with_market
+):
+    """Full state, tie-break numbers and stats included: ``add_batch``
+    equals a twin that takes the batch's fill chunk
+    (``stop_when_full=True``) and then one :meth:`Mempool.add` per
+    remaining offer — over resident futures and dict runs, P and U, a fee
+    floor recomputed at every offer, duplicate hashes inside the batch and
+    1559 transactions."""
+    policy = LAW_POLICIES[policy]
+    confirmed = {f"0xlaw{s}": n for s, n in confirmed.items()}
+    pools = [law_pool(policy, confirmed, with_market) for _ in range(2)]
+    batched, twin = pools
+    # Pending background from senders of its own, then the drawn residents.
+    fill = [
+        Transaction(sender=f"0xbg{i}", nonce=0, gas_price=50 + 5 * (i % 3))
+        for i in range(background)
+    ]
+    for pool in pools:
+        for tx in fill + [law_tx(*spec) for spec in resident]:
+            pool.add(tx)
+    assert full_state(batched) == full_state(twin)
+    txs = [law_tx(*spec) for spec in batch]
+    for source, position in repeats:  # the same hash twice in one batch
+        txs.insert(position % (len(txs) + 1), txs[source % len(txs)])
+
+    counts = batched.add_batch(txs)
+    chunk = twin.add_batch(txs, stop_when_full=True)
+    taken = sum(chunk.values())
+    expected = dict(chunk)
+    for tx in txs[taken:]:
+        result = twin.add(tx)
+        key = result.outcome.value
+        expected[key] = expected.get(key, 0) + 1
+        if result.evicted:
+            expected["evictions"] = expected.get("evictions", 0) + 1
+    batched.check_invariants()
+    assert full_state(batched) == full_state(twin)
+    assert counts == expected

@@ -1,15 +1,22 @@
 """One message path: a batch is its sends, a packet is its receives.
 
-``Network.send`` is a batch of one through ``Network._transmit`` and
-``Node._handle_txs`` loops the ``Node._receive`` that
-``receive_transaction`` wraps. These properties hold the two claims the
-routines make about themselves — nothing a pass binds once (the clock, the
-epoch, the sender's liveness, the fault injector) may differ from what a
-message sent alone would have seen, and nothing a packet's loop skips (the
+``Network.send`` is a batch of one through ``Network._transmit``, and
+``Node._handle_txs`` hands a whole packet to the pool's admission loop
+(``Mempool._offer``) with the node's mark-known and relay steps as
+per-offer hooks — or, for an observed or echoing node, loops the
+``Node._receive`` that ``receive_transaction`` wraps. These properties
+hold the two claims the routines make about themselves — nothing a pass
+binds once (the clock, the epoch, the sender's liveness, the fault
+injector, the pool's locals) may differ from what a message or an offer
+alone would have seen, and nothing a packet's loop skips (the
 ``AddResult`` nobody reads) may be observable — against twin worlds: one
 driven as drawn, one where every message is its own ``send`` and every
-transaction its own ``receive_transaction``.
+transaction its own ``receive_transaction``. Flood-shaped packets (up to
+40 futures into a full pool, past U, through the known table's limit)
+are drawn for plain, future-forwarding and echoing receivers.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -194,11 +201,11 @@ def test_a_send_that_cannot_be_made_raises_the_same_from_a_batch(
 PEERS = ["p0", "p1", "p2"]
 
 
-def build_receiver(observed: bool):
+def build_receiver(observed: bool, policy=GETH.scaled(8), **receiver_fields):
     network = Network(seed=3)
     # A known-table limit small enough that the stream overflows it.
-    config = NodeConfig(policy=GETH.scaled(8), known_tx_limit=6)
-    receiver = network.create_node("r", config)
+    config = NodeConfig(policy=policy, known_tx_limit=6)
+    receiver = network.create_node("r", replace(config, **receiver_fields))
     for peer in PEERS:
         network.create_node(peer, config)
         network.connect("r", peer)
@@ -264,6 +271,65 @@ def test_a_packet_equals_a_receive_per_transaction(observed, packets):
             world[0].run(0.001)
         assert receiver_state(*by_packet) == receiver_state(*by_receive)
     for world in (by_packet, by_receive):
+        world[0].run(2.0)
+    assert receiver_state(*by_packet) == receiver_state(*by_receive)
+    assert node_states(by_packet[0]) == node_states(by_receive[0])
+
+
+# Flood-shaped packets: up to 40 offers into a pool full of pending
+# background, from accounts whose runs reach and pass U, with the known
+# table (6 entries) overflowing inside one packet.
+FLOOD_POLICY = replace(
+    GETH.scaled(16), future_limit_per_account=4, eviction_pending_floor=2
+)
+RECEIVERS = {
+    "plain": {},
+    "forwards-future": {"forwards_future": True},
+    "echoing": {"echoes_future_to_sender": True},
+}
+
+flood = st.tuples(
+    st.sampled_from(PEERS + ["stranger"]),
+    st.lists(
+        st.tuples(
+            st.integers(0, 2),  # sender
+            st.integers(0, 15),  # nonce: mostly futures; 0 fills the gap
+            st.sampled_from([90, 110, 110, 150, 200]),  # vs background 100-102
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+
+
+@pytest.mark.parametrize("kind", list(RECEIVERS), ids=list(RECEIVERS))
+@pytest.mark.parametrize("observed", [False, True], ids=["unobserved", "observed"])
+@given(background=st.integers(0, 16), packets=st.lists(flood, min_size=1, max_size=6))
+@property_settings(30)
+def test_a_flood_packet_equals_a_receive_per_transaction(
+    observed, kind, background, packets
+):
+    worlds = [
+        build_receiver(observed, FLOOD_POLICY, **RECEIVERS[kind]) for _ in range(2)
+    ]
+    by_packet, by_receive = worlds
+    fill = [
+        Transaction(sender=f"0xbg{i}", nonce=0, gas_price=100 + i % 3)
+        for i in range(background)
+    ]
+    for world in worlds:
+        world[1].mempool.add_batch(fill, stop_when_full=True)
+    for from_id, specs in packets:
+        txs = tuple(
+            Transaction(sender=f"0xflood{s}", nonce=n, gas_price=p) for s, n, p in specs
+        )
+        by_packet[1]._dispatch[Transactions](from_id, Transactions(txs))
+        for tx in txs:
+            by_receive[1].receive_transaction(from_id, tx)
+        for world in worlds:
+            world[0].run(0.001)
+        assert receiver_state(*by_packet) == receiver_state(*by_receive)
+    for world in worlds:
         world[0].run(2.0)
     assert receiver_state(*by_packet) == receiver_state(*by_receive)
     assert node_states(by_packet[0]) == node_states(by_receive[0])
