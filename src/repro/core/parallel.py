@@ -32,7 +32,7 @@ nodes {A}").
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import MeasurementConfig
@@ -43,6 +43,7 @@ from repro.core.primitive import (
     inject,
     probe_with_repeats,
     rebid,
+    verdict,
 )
 from repro.core.results import Edge, EdgeEvidence
 from repro.eth.rpc import rpc_tx_in_pool
@@ -55,10 +56,10 @@ from repro.eth.transaction import Transaction, TransactionFactory
 
 @dataclass
 class ParallelProbeReport:
-    """Result of one ``measurePar`` call."""
+    """Result of one ``measurePar`` call: one record per probed pair in
+    ``outcomes``, detected or not, plus the round's tallies."""
 
     edges_probed: int
-    detected: Set[Edge] = field(default_factory=set)
     outcomes: List[EdgeEvidence] = field(default_factory=list)
     y: int = 0
     seed_senders: List[str] = field(default_factory=list)
@@ -71,10 +72,12 @@ class ParallelProbeReport:
     flood_short: int = 0
     send_timeouts: int = 0
     unreachable: List[str] = field(default_factory=list)
-    # Hardened-pipeline evidence: per detected edge, and the nodes whose
-    # observed behavior was provably nonconforming during this round.
-    evidence: Dict[Edge, EdgeEvidence] = field(default_factory=dict)
+    # Nodes whose observed behavior was provably nonconforming this round.
     suspect_nodes: Set[str] = field(default_factory=set)
+
+    @property
+    def detected(self) -> Set[Edge]:
+        return {outcome.edge for outcome in self.outcomes if outcome.detected}
 
     @property
     def setup_failures(self) -> int:
@@ -218,69 +221,34 @@ def measure_par(
 
     network.run((offset + len(sinks)) * gap + config.propagation_wait)
 
-    # p4: detection.
-    hardened = config.hardened
+    # p4: detection, by the one verdict (repro.core.primitive.verdict).
     for pair in active:
         source, sink = pair
-        a_hash = tx_a[pair].hash
-        observed = supernode.observed_from(sink, a_hash)
-        pair_degraded = False
-        if hardened:
-            # Byzantine-aware verdict (see measure_one_link): gossip
-            # possession must survive the RPC cross-check, and any third
-            # party observed with txA breaks the isolation envelope. Every
-            # pool check runs through the (possibly faulty) measurement
-            # plane; an *unknown* answer degrades the pair instead of
-            # deciding it.
-            rpc_check = rpc_tx_in_pool(network, sink, a_hash)
-            if rpc_check is None:
-                pair_degraded = True
-            rpc_confirmed = _known(rpc_check, True)
-            extra_observers = tuple(
-                sorted(supernode.observers_of(a_hash) - {source, sink})
-            )
-            detected = observed and rpc_confirmed
-            # Suspects: nodes whose demonstrated possession of txA is not
-            # backed by their pool over RPC — a spoofing relay's
-            # fingerprint. Honest third parties that genuinely pooled
-            # txA (eviction fallout) pass this check and are not
-            # accused; their presence still dirties the evidence. Only a
-            # *definite* miss accuses: an unanswerable plane is not
-            # evidence of misbehavior.
-            if observed and rpc_check is False:
-                report.suspect_nodes.add(sink)
-            for observer_id in extra_observers:
-                observer_check = rpc_tx_in_pool(network, observer_id, a_hash)
-                if observer_check is False:
-                    report.suspect_nodes.add(observer_id)
-                elif observer_check is None:
-                    pair_degraded = True
-        else:
-            rpc_confirmed = True
-            extra_observers = ()
-            detected = observed
+        outcome = verdict(network, supernode, source, sink, tx_a[pair].hash, config)
+        degraded = outcome.rpc_degraded
+        # Suspects: nodes whose demonstrated possession of txA is not
+        # backed by their pool over RPC — a spoofing relay's fingerprint.
+        # Honest third parties that genuinely pooled txA (eviction fallout)
+        # pass this check and are not accused; their presence still dirties
+        # the evidence. Only a *definite* miss accuses: an unanswerable
+        # plane is not evidence of misbehavior.
+        if outcome.observed_at is not None and not outcome.rpc_confirmed:
+            report.suspect_nodes.add(sink)
+        for observer_id in outcome.extra_observers:
+            observer_check = rpc_tx_in_pool(network, observer_id, outcome.tx_hash)
+            if observer_check is False:
+                report.suspect_nodes.add(observer_id)
+            degraded |= observer_check is None
         # Setup check per p2: txA must have taken hold on its source
         # (verified RPC-style; gossip cannot confirm M's own sends).
-        setup_check = rpc_tx_in_pool(network, source, a_hash)
-        if setup_check is None:
-            pair_degraded = True
-        outcome = EdgeEvidence(
-            source=source,
-            sink=sink,
-            tx_hash=a_hash,
-            observed_at=supernode.first_observation_time(sink, a_hash),
-            kind=supernode.observation_kind(sink, a_hash) or "",
-            rpc_confirmed=rpc_confirmed,
-            extra_observers=extra_observers,
-            rpc_degraded=pair_degraded,
-            detected=detected,
-            setup_ok=_known(setup_check, True),
+        setup_check = rpc_tx_in_pool(network, source, outcome.tx_hash)
+        report.outcomes.append(
+            replace(
+                outcome,
+                rpc_degraded=degraded or setup_check is None,
+                setup_ok=_known(setup_check, True),
+            )
         )
-        report.outcomes.append(outcome)
-        if detected:
-            report.detected.add(outcome.edge)
-            if hardened:
-                report.evidence[outcome.edge] = outcome
     return report
 
 
@@ -315,9 +283,6 @@ def measure_par_with_repeats(
             wallet,
             source_order_rng=shuffler if round_index > 0 else None,
         )
-        merged.detected |= report.detected
-        for pair_edge, item in report.evidence.items():
-            merged.evidence.setdefault(pair_edge, item)
         merged.suspect_nodes |= report.suspect_nodes
         merged.transactions_sent += report.transactions_sent
         merged.flood_trimmed += report.flood_trimmed

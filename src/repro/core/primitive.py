@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.adaptive import flood_room
 from repro.core.config import MeasurementConfig
 from repro.core.gas_estimator import estimate_y
-from repro.core.results import EdgeEvidence
+from repro.core.results import EdgeEvidence, keep_stronger
 from repro.errors import NotConnectedError, SendTimeoutError
 from repro.eth.account import Wallet
 from repro.eth.network import Network
@@ -275,6 +275,55 @@ def cleanup(
         refresh()
 
 
+def verdict(
+    network: Network,
+    supernode: Supernode,
+    source: str,
+    sink: str,
+    tx_hash: str,
+    config: MeasurementConfig,
+) -> EdgeEvidence:
+    """The one verdict both primitives end in (Section 5.2 step 4, 5.3.1
+    p4): ``source``--``sink`` is an edge iff M observed ``tx_hash``, the
+    pair's txA, back from the sink.
+
+    Hardened (``config.hardened``, Section 6.1), gossip possession must
+    survive an RPC cross-check of the sink's pool — a spoofing relay can
+    forward txA without ever pooling it — and third parties M saw with txA
+    are recorded: on a conforming network the price band keeps that set
+    empty, so any entry marks a broken isolation envelope. A cross-check
+    that comes back *unknown* keeps the gossip verdict and marks it
+    degraded, never a manufactured negative. Unhardened, the gossip
+    verdict stands alone.
+
+    The sink's cross-check is the only RPC call made here; each caller
+    runs its own set-up checks around it, and ``setup_ok`` is left to it.
+    """
+    # Read before the cross-check, which may sleep through retries while
+    # gossip keeps arriving: the verdict is on what M had seen by now.
+    observed_at = supernode.first_observation_time(sink, tx_hash)
+    kind = supernode.observation_kind(sink, tx_hash) or ""
+    rpc_confirmed, extra_observers, degraded = True, (), False
+    if config.hardened:
+        check = rpc_tx_in_pool(network, sink, tx_hash)
+        degraded = check is None
+        rpc_confirmed = _known(check, True)
+        extra_observers = tuple(
+            sorted(supernode.observers_of(tx_hash) - {source, sink})
+        )
+    return EdgeEvidence(
+        source=source,
+        sink=sink,
+        tx_hash=tx_hash,
+        observed_at=observed_at,
+        kind=kind,
+        rpc_confirmed=rpc_confirmed,
+        extra_observers=extra_observers,
+        rpc_degraded=degraded,
+        detected=observed_at is not None and rpc_confirmed,
+    )
+
+
 def measure_one_link(
     network: Network,
     supernode: Supernode,
@@ -360,44 +409,13 @@ def measure_one_link(
     # Short-circuit like the seed's ``or``: only consult txA on B when txB
     # is demonstrably absent.
     b_has_a = b_has_b if b_has_b else rpc_tx_in_pool(network, b_id, tx_a.hash)
-    rpc_degraded = a_has_a is None or b_has_b is None or b_has_a is None
     # Unknown setup answers default to "ok": a sick measurement plane must
     # not convert a live probe into a setup failure.
     setup_a_ok = _known(a_has_a, True)
     setup_b_ok = _known(b_has_b, True) if b_has_b is not False else _known(b_has_a, True)
-    observed = supernode.observed_from(b_id, tx_a.hash)
-    if config.hardened:
-        # Byzantine-aware verdict: possession claimed via gossip must be
-        # backed by the RPC cross-check (a spoofing relay can forward txA
-        # without ever pooling it), and third-party observers of txA are
-        # recorded — on a conforming network the price band keeps that
-        # set empty, so any entry marks a broken isolation envelope.
-        rpc_check = rpc_tx_in_pool(network, b_id, tx_a.hash)
-        if rpc_check is None:
-            rpc_degraded = True
-        # An unconfirmable cross-check keeps the gossip verdict (degraded,
-        # never a manufactured negative).
-        rpc_confirmed = _known(rpc_check, True)
-        extra_observers = tuple(
-            sorted(supernode.observers_of(tx_a.hash) - {a_id, b_id})
-        )
-        extra_times = [
-            t
-            for t in (
-                supernode.first_observation_time(x, tx_a.hash)
-                for x in extra_observers
-            )
-            if t is not None
-        ]
-        extra_observed_at = min(extra_times) if extra_times else None
-        detected = observed and rpc_confirmed
-    else:
-        rpc_confirmed = True
-        extra_observers = ()
-        extra_observed_at = None
-        detected = observed
+    found = verdict(network, supernode, a_id, b_id, tx_a.hash, config)
 
-    if detected:
+    if found.detected:
         outcome = LinkProbeOutcome.CONNECTED
     elif not setup_a_ok:
         outcome = LinkProbeOutcome.SETUP_FAILED_A
@@ -417,12 +435,20 @@ def measure_one_link(
         flood_confirmed=flood_confirmed,
         setup_a_ok=setup_a_ok,
         setup_b_ok=setup_b_ok,
-        observed_at=supernode.first_observation_time(b_id, tx_a.hash),
+        observed_at=found.observed_at,
         measurement_senders=senders,
-        rpc_confirmed=rpc_confirmed,
-        extra_observers=extra_observers,
-        extra_observed_at=extra_observed_at,
-        rpc_degraded=rpc_degraded,
+        rpc_confirmed=found.rpc_confirmed,
+        extra_observers=found.extra_observers,
+        extra_observed_at=min(
+            (
+                supernode.first_observation_time(x, tx_a.hash)
+                for x in found.extra_observers
+            ),
+            default=None,
+        ),
+        rpc_degraded=(
+            found.rpc_degraded or None in (a_has_a, b_has_b, b_has_a)
+        ),
     )
 
 
@@ -442,7 +468,8 @@ def probe_with_repeats(
     ``probe_round(remaining, round_index)`` runs the primitive once on the
     pairs still undetected and returns their records. Positives union
     (Section 6.1 runs each pair three times), the strongest record per
-    pair is returned, and each round ends in one decision:
+    pair is returned (:func:`~repro.core.results.keep_stronger`), and each
+    round ends in one decision:
 
     - a still-undetected pair failed set-up (crashed endpoint, lost
       injection, send timeout) and retry budget is left: wait
@@ -465,15 +492,7 @@ def probe_with_repeats(
         outcomes = probe_round(remaining, rounds)
         rounds += 1
         for outcome in outcomes:
-            key = (outcome.source, outcome.sink)
-            held = best.get(key)
-            # A detection beats anything, and a probe that ran end to end
-            # beats an unreachable/failed one.
-            if held is None or (held.detected, held.setup_ok) < (
-                outcome.detected,
-                outcome.setup_ok,
-            ):
-                best[key] = outcome
+            keep_stronger(best, (outcome.source, outcome.sink), outcome)
         remaining = [
             pair for pair in remaining if not (pair in best and best[pair].detected)
         ]

@@ -38,16 +38,17 @@ CONFIDENCE_QUARANTINED = "quarantined"
 
 @dataclass(frozen=True)
 class EdgeEvidence:
-    """Why one edge was claimed: which tx returned, from whom, when, how.
+    """The verdict on one probed pair, detected or not: which tx was
+    sent, whether it came back, from whom, when, how.
 
     The paper's positives rest on the supernode observing ``txA`` back
     from the probed target; this record pins that observation down so an
-    adversarial false positive can be diagnosed after the fact.
-    ``rpc_confirmed`` is the Section 6.1 cross-check (``txA`` present in
-    the sink's pool when queried); ``extra_observers`` are third-party
-    nodes that also demonstrated possession of ``txA`` — on a conforming
-    network the price band makes that set empty, so any entry marks a
-    broken isolation envelope (and a Byzantine suspect).
+    adversarial false positive — or a miss — can be diagnosed after the
+    fact. ``rpc_confirmed`` is the Section 6.1 cross-check (``txA``
+    present in the sink's pool when queried); ``extra_observers`` are
+    third-party nodes that also demonstrated possession of ``txA`` — on a
+    conforming network the price band makes that set empty, so any entry
+    marks a broken isolation envelope (and a Byzantine suspect).
     """
 
     source: str
@@ -62,15 +63,14 @@ class EdgeEvidence:
     # (degraded measurement plane): the edge stands on gossip alone and
     # is labeled suspect rather than silently trusted.
     rpc_degraded: bool = False
-    # The probe's verdict, for the repeat/retry loop and a round's
-    # diagnostics; a campaign keeps records of detected edges only, so
-    # these are neither serialized nor compared. ``setup_ok`` is False when
-    # the probe never ran end to end (endpoint down, seed or txA never took
-    # hold, injection lost), ``flood_confirmed`` when a serial probe never
-    # saw txC on the sink.
-    detected: bool = field(default=True, compare=False)
-    setup_ok: bool = field(default=True, compare=False)
-    flood_confirmed: bool = field(default=True, compare=False)
+    # The probe's verdict. ``setup_ok`` is False when the probe never ran
+    # end to end (endpoint down, seed or txA never took hold, injection
+    # lost), ``flood_confirmed`` when a serial probe never saw txC on the
+    # sink. A payload without these keys comes from before misses were
+    # kept and holds detected records only, so each reads back True.
+    detected: bool = True
+    setup_ok: bool = True
+    flood_confirmed: bool = True
 
     @property
     def edge(self) -> Edge:
@@ -104,6 +104,9 @@ class EdgeEvidence:
             "extra_observers": list(self.extra_observers),
             "iteration": self.iteration,
             "rpc_degraded": self.rpc_degraded,
+            "detected": self.detected,
+            "setup_ok": self.setup_ok,
+            "flood_confirmed": self.flood_confirmed,
         }
 
     @classmethod
@@ -121,7 +124,19 @@ class EdgeEvidence:
             ),
             iteration=int(payload.get("iteration", -1)),  # type: ignore[arg-type]
             rpc_degraded=bool(payload.get("rpc_degraded", False)),
+            detected=bool(payload.get("detected", True)),
+            setup_ok=bool(payload.get("setup_ok", True)),
+            flood_confirmed=bool(payload.get("flood_confirmed", True)),
         )
+
+
+def keep_stronger(records: Dict, key: object, item: EdgeEvidence) -> None:
+    """File ``item`` under ``key`` unless the record held there is at least
+    as strong: a detection beats anything, and a probe that ran end to end
+    beats one that never did; among equals the first stays."""
+    held = records.get(key)
+    if held is None or (held.detected, held.setup_ok) < (item.detected, item.setup_ok):
+        records[key] = item
 
 
 @dataclass(frozen=True)
@@ -253,8 +268,9 @@ class NetworkMeasurement:
     send_timeouts: int = 0
     skipped_nodes: List[str] = field(default_factory=list)
     failures: List[MeasurementFailure] = field(default_factory=list)
-    # Precision-hardening state (see docs/adversarial.md): per-edge
-    # evidence and confidence labels, edges quarantined by cross-
+    # One record per probed pair, detected or not (the detected ones are
+    # exactly ``edges | quarantined``), and the hardening state (see
+    # docs/adversarial.md): confidence labels, edges quarantined by cross-
     # validation (claimed once but excluded from ``edges``), and nodes
     # whose observed behavior was provably nonconforming.
     evidence: Dict[Edge, EdgeEvidence] = field(default_factory=dict)
@@ -296,15 +312,15 @@ class NetworkMeasurement:
     def absorb(self, report: "ParallelProbeReport", index: int) -> Dict[str, int]:
         """Fold the ``measurePar`` round of schedule item ``index`` in.
 
-        Edges union, the first evidence record per edge wins (stamped with
-        ``index``), counters add, and every adverse event the round
-        survived becomes a failure record. Returns how many events were
-        recorded per failure kind, for the campaign's metrics.
+        Edges union, every probed pair's record joins ``evidence``
+        (stamped with ``index``; :func:`keep_stronger` decides a pair seen
+        twice), counters add, and every adverse event the round survived
+        becomes a failure record. Returns how many events were recorded
+        per failure kind, for the campaign's metrics.
         """
         self.edges |= report.detected
-        for pair_edge, item in report.evidence.items():
-            if pair_edge not in self.evidence:
-                self.evidence[pair_edge] = replace(item, iteration=index)
+        for item in report.outcomes:
+            keep_stronger(self.evidence, item.edge, replace(item, iteration=index))
         self.suspect_nodes |= report.suspect_nodes
         self.transactions_sent += report.transactions_sent
         self.setup_failures += report.setup_failures
@@ -341,7 +357,7 @@ class NetworkMeasurement:
         """
         self.edges |= other.edges
         for pair_edge, item in other.evidence.items():
-            self.evidence.setdefault(pair_edge, item)
+            keep_stronger(self.evidence, pair_edge, item)
         self.suspect_nodes |= other.suspect_nodes
         self.transactions_sent += other.transactions_sent
         self.setup_failures += other.setup_failures

@@ -122,10 +122,18 @@ class TestHonestEquivalence:
         assert set(hardened.edge_confidence.values()) == {CONFIDENCE_HIGH}
         assert not hardened.quarantined
         assert not hardened.suspect_nodes
-        # Evidence is collected only on the hardened path.
-        assert set(hardened.evidence) == hardened.edges
-        assert all(item.clean for item in hardened.evidence.values())
-        assert not unhardened.evidence
+        # Every probed pair keeps a record; the claimed edges are the
+        # detected ones, and only the hardened path cross-checks them.
+        claimed = {e for e, item in hardened.evidence.items() if item.detected}
+        assert claimed == hardened.edges
+        assert all(
+            item.clean for item in hardened.evidence.values() if item.detected
+        )
+        assert set(unhardened.evidence) == set(hardened.evidence)
+        assert all(
+            item.rpc_confirmed and not item.extra_observers
+            for item in unhardened.evidence.values()
+        )
 
 
 class TestAdversarialHardening:

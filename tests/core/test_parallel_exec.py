@@ -1,6 +1,7 @@
 """Sharded campaign execution: determinism, serialization, resume."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -76,13 +77,15 @@ class TestDeterminism:
 
     def test_worker_counts_agree_on_the_whole_payload(self):
         """Shards ship their evidence, so the merged result is hardened
-        like a serial one: every edge is evidenced and labelled, and the
-        full serialized measurement is invariant under the worker count."""
+        like a serial one: every claimed edge is a detected record and
+        labelled, and the full serialized measurement is invariant under
+        the worker count."""
         serial = run_campaign(_spec(), workers=1)
         pooled = run_campaign(_spec(), workers=2)
         assert measurement_to_dict(pooled) == measurement_to_dict(serial)
         assert serial.edges
-        assert set(serial.evidence) == serial.edges
+        detected = {e for e, item in serial.evidence.items() if item.detected}
+        assert detected == serial.edges | serial.quarantined
         assert set(serial.edge_confidence) == serial.edges
 
     def test_rpc_degraded_failures_reported_like_the_serial_path(self):
@@ -320,6 +323,109 @@ class TestCheckpointResume:
         payload["format_version"] = 1
         with pytest.raises(CheckpointError, match="version 1"):
             ParallelCheckpoint.from_dict(payload)
+
+
+LAW_SPECS = {
+    "plain": dict(),
+    "loss_crash_retry": dict(
+        fault_plan=FaultPlan(loss_rate=0.05, crash_rate=0.3), max_retries=1
+    ),
+    "three_shards": dict(n_shards=3),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(LAW_SPECS))
+def law_campaign(request):
+    spec = CampaignSpec(
+        network=NetworkSpec(n_nodes=16, seed=7), **LAW_SPECS[request.param]
+    )
+    return spec, run_campaign(spec, workers=1)
+
+
+class TestOneRecordPerPair:
+    """A measurement keeps one record per probed pair, detected or not; the
+    claimed edges are a filter over the records."""
+
+    def test_records_are_the_scheduled_pairs_of_the_iterations_that_ran(
+        self, law_campaign
+    ):
+        spec, measurement = law_campaign
+        failed = {
+            f.iteration for f in measurement.failures if f.kind == "iteration_error"
+        }
+        scheduled = {
+            edge(a, b)
+            for index, iteration in CampaignReplica(spec).schedule
+            if index not in failed
+            for a, b in iteration.edges
+        }
+        assert set(measurement.evidence) == scheduled
+        assert all(e == r.edge for e, r in measurement.evidence.items())
+        assert any(not r.detected for r in measurement.evidence.values())
+
+    def test_detected_records_are_the_claimed_edges(self, law_campaign):
+        _, measurement = law_campaign
+        detected = {e for e, r in measurement.evidence.items() if r.detected}
+        assert detected == measurement.edges | measurement.quarantined
+
+    def test_setup_failures_count_the_records_that_never_ran(self, law_campaign):
+        spec, measurement = law_campaign
+        never_ran = sum(not r.setup_ok for r in measurement.evidence.values())
+        assert measurement.setup_failures == never_ran
+        # Crashed endpoints leave records of pairs no retry could run.
+        assert (never_ran > 0) == (spec.fault_plan is not None)
+
+    def test_worker_counts_agree_on_every_record(self, law_campaign):
+        spec, measurement = law_campaign
+        assert measurement_to_dict(
+            run_campaign(spec, workers=2)
+        ) == measurement_to_dict(measurement)
+
+
+PARENT_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_nodes8_parent.json"
+
+
+class TestParentFormatCheckpoint:
+    """A checkpoint written before misses kept records (detected records
+    only, no ``detected`` / ``setup_ok`` keys): a finished ``--nodes 8``
+    campaign, ``CampaignSpec(network=NetworkSpec(n_nodes=8, seed=0))``."""
+
+    SPEC = CampaignSpec(network=NetworkSpec(n_nodes=8, seed=0))
+
+    def test_it_loads_with_every_record_detected_and_set_up(self):
+        raw = json.loads(PARENT_CHECKPOINT.read_text())
+        records = [
+            item
+            for shard in raw["completed"].values()
+            for item in shard["measurement"]["evidence"]
+        ]
+        assert records and not any("detected" in item for item in records)
+        checkpoint = ParallelCheckpoint.load(PARENT_CHECKPOINT)
+        loaded = [
+            item
+            for result in checkpoint.completed.values()
+            for item in result.measurement.evidence.values()
+        ]
+        assert len(loaded) == len(records)
+        assert all(item.detected and item.setup_ok for item in loaded)
+
+    def test_re_encoding_writes_the_new_keys(self):
+        payload = ParallelCheckpoint.load(PARENT_CHECKPOINT).to_dict()
+        for shard in payload["completed"].values():
+            for item in shard["measurement"]["evidence"]:
+                assert item["detected"] is True and item["setup_ok"] is True
+                assert item["flood_confirmed"] is True
+
+    def test_resume_from_its_first_shard_finishes_the_campaign(self, tmp_path):
+        checkpoint = ParallelCheckpoint.load(PARENT_CHECKPOINT)
+        assert checkpoint.fingerprint == self.SPEC.fingerprint()
+        checkpoint.completed = {0: checkpoint.completed[0]}
+        path = tmp_path / "cut.json"
+        checkpoint.save(path)
+        resumed = run_campaign(self.SPEC, checkpoint_path=path, resume=True)
+        uninterrupted = run_campaign(self.SPEC)
+        assert resumed.edges == uninterrupted.edges
+        assert resumed.score == uninterrupted.score
 
 
 def _absorbed(*shards):

@@ -175,12 +175,13 @@ class TestCheckpointResume:
             assert canonical(resumed) == canonical(uninterrupted)
             # The checkpoint carries each shard's whole partial, so the
             # hardening pass sees the pre-kill iterations exactly as the
-            # uninterrupted run did: one evidence record and one
-            # confidence label per detected edge.
+            # uninterrupted run did: the claimed edges are the detected
+            # records, each with one confidence label.
             assert any(
                 r.measurement.evidence for r in partial.completed.values()
             )
-            assert set(resumed.evidence) == resumed.edges
+            detected = {e for e, r in resumed.evidence.items() if r.detected}
+            assert detected == resumed.edges | resumed.quarantined
             assert set(resumed.edge_confidence) == resumed.edges
 
             final = ParallelCheckpoint.load(path)
