@@ -40,6 +40,7 @@ Design constraints, in order:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -128,7 +129,9 @@ class FeeMarket:
         self.surge: float = 1.0
         self.occupancy: float = 0.0
         self.updates: int = 0
-        self._last_update: Optional[float] = None
+        # Simulated time of the last recomputation; -inf until the first.
+        # Mempool._offer reads it (and ``floor``) directly.
+        self.last_update: float = -math.inf
         # Bounded (time, floor, surge, occupancy) trail for the post-hoc
         # surge-band check; floors here are *admission* floors.
         self.history: List[Tuple[float, int, float, float]] = []
@@ -163,10 +166,11 @@ class FeeMarket:
 
         Recomputes from the sampled pools at most once per
         ``update_interval``; between updates the last floor holds (a real
-        oracle quotes at a cadence too).
+        oracle quotes at a cadence too). ``Mempool._offer`` inlines this
+        rule, reading ``floor`` while the interval has not lapsed: change
+        both together.
         """
-        last = self._last_update
-        if last is None or now - last >= self.config.update_interval:
+        if now - self.last_update >= self.config.update_interval:
             self._recompute(now)
         return self.floor
 
@@ -256,7 +260,7 @@ class FeeMarket:
         self.floor = floor
         self.quote = int(floor * surge)
         self.updates += 1
-        self._last_update = now
+        self.last_update = now
         history = self.history
         history.append((now, self.floor, surge, occupancy))
         if len(history) > cfg.history_limit:
@@ -272,7 +276,7 @@ class FeeMarket:
             "surge": self.surge,
             "occupancy": self.occupancy,
             "updates": self.updates,
-            "last_update": self._last_update,
+            "last_update": self.last_update,
             "history": list(self.history),
         }
 
@@ -282,7 +286,7 @@ class FeeMarket:
         self.surge = state["surge"]
         self.occupancy = state["occupancy"]
         self.updates = state["updates"]
-        self._last_update = state["last_update"]
+        self.last_update = state["last_update"]
         self.history = list(state["history"])
 
 

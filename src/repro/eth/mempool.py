@@ -83,10 +83,13 @@ class AddOutcome(enum.Enum):
     __hash__ = object.__hash__
 
 
-# Pre-resolved outcome -> stats-key strings: AddOutcome.value goes through
-# enum's DynamicClassAttribute descriptor, far too slow for once-per-add.
-_OUTCOME_KEY = {outcome: outcome.value for outcome in AddOutcome}
+# Outcome by stats key. The admission loop names an offer's outcome by its
+# stats key, a constant, and looks the member up only for an AddResult:
+# on CPython 3.11 reading a member as ``AddOutcome.X`` costs about ten
+# times reading a constant.
+_OUTCOME = {outcome.value: outcome for outcome in AddOutcome}
 _ADMITTED_KEYS = ("admitted_pending", "admitted_future", "replaced")
+_ADMITTED = frozenset(_OUTCOME[key] for key in _ADMITTED_KEYS)
 
 # Shared immutable default for AddResult.evicted/.promoted: results are
 # read-only, and two fresh lists per offered transaction was the second
@@ -144,11 +147,7 @@ class AddResult:
         self.evicted = _NO_TXS if evicted is None else evicted
         self.promoted = _NO_TXS if promoted is None else promoted
         self.is_pending = is_pending
-        admitted = (
-            outcome is AddOutcome.ADMITTED_PENDING
-            or outcome is AddOutcome.ADMITTED_FUTURE
-            or outcome is AddOutcome.REPLACED
-        )
+        admitted = outcome in _ADMITTED
         self.admitted = admitted
         # Admitted *and* executable: only these are forwarded to peers.
         self.propagatable = admitted and is_pending
@@ -422,6 +421,7 @@ class Mempool:
         base_fee = self.base_fee
         enforce_base_fee = self._enforce_base_fee
         market = self.fee_market
+        interval = market.config.update_interval if market is not None else None
         replacement_allowed = self.policy.replacement_allowed
         limit = self._future_limit
         floor = self._eviction_floor
@@ -453,18 +453,25 @@ class Mempool:
                 occupant = run if run is not None and run.nonce == tx_nonce else None
             victim = rejected = None
             if tx_nonce < confirmed:
-                rejected = AddOutcome.REJECTED_STALE_NONCE
+                rejected = "rejected_stale_nonce"
             elif enforce_base_fee and tx.is_underpriced_for_base_fee(base_fee):
-                rejected = AddOutcome.REJECTED_BASE_FEE
+                rejected = "rejected_base_fee"
             # Live fee-market floor (opt-in; see repro.eth.fee_market), on
             # every offer including replacements, like Geth's underpriced
             # check — which is why measurement prices are clamped so that
-            # even txB at (1 - R/2) * Y clears it (min_measurement_y).
-            elif market is not None and bid < market.floor_for(clock()):
-                rejected = AddOutcome.REJECTED_FEE_FLOOR
+            # even txB at (1 - R/2) * Y clears it (min_measurement_y). This
+            # is FeeMarket.floor_for inlined: the cached floor stands until
+            # the update interval lapses, and only the offer where it
+            # lapses asks the oracle.
+            elif market is not None and bid < (
+                market.floor
+                if (now := clock()) - market.last_update < interval
+                else market.floor_for(now)
+            ):
+                rejected = "rejected_fee_floor"
             elif occupant is not None:
                 if not replacement_allowed(occupant.bid_price(base_fee), bid):
-                    rejected = AddOutcome.REJECTED_UNDERPRICED_REPLACEMENT
+                    rejected = "rejected_underpriced_replacement"
             else:
                 # Would tx be executable right after insertion? Walk the
                 # sender's run from the confirmed nonce.
@@ -482,7 +489,7 @@ class Mempool:
                     and limit is not None
                     and (len(run) if long_run else run is not None) >= limit
                 ):
-                    rejected = AddOutcome.REJECTED_FUTURE_LIMIT
+                    rejected = "rejected_future_limit"
                 elif len(by_hash) >= capacity:
                     # A full pool sheds a victim: for an incoming pending
                     # transaction the lowest-priced live future; lacking
@@ -490,6 +497,8 @@ class Mempool:
                     # eviction template), the lowest-priced pending one if
                     # more than P are pending and it bids strictly less.
                     # Dead heap entries are popped; the victim's stays.
+                    # A live entry's key is its transaction's bid, since
+                    # every base-fee change re-keys both heaps.
                     if will_be_pending:
                         while future_heap:
                             head = future_heap[0][2]
@@ -499,18 +508,19 @@ class Mempool:
                             heappop(future_heap)
                     if victim is None and len(pending) > floor:
                         while pending_heap:
-                            head = pending_heap[0][2]
+                            entry = pending_heap[0]
+                            head = entry[2]
                             if head in pending:
-                                if by_hash[head].bid_price(base_fee) < bid:
+                                if entry[0] < bid:
                                     victim = by_hash[head]
                                 break
                             heappop(pending_heap)
                     if victim is None:
-                        rejected = AddOutcome.REJECTED_POOL_FULL
+                        rejected = "rejected_pool_full"
             if rejected is not None:
-                stats[_OUTCOME_KEY[rejected]] += 1
+                stats[rejected] += 1
                 if results is not None:
-                    results.append(AddResult(tx, rejected))
+                    results.append(AddResult(tx, _OUTCOME[rejected]))
                 continue
 
             # From here on only the transactions that move are classified.
@@ -587,16 +597,18 @@ class Mempool:
                     heappush(heap, (bid, self._seq, tx_hash))
                     self._seq += 1
             if occupant is not None:
-                outcome = AddOutcome.REPLACED
+                outcome = "replaced"
             elif is_pending:
-                outcome = AddOutcome.ADMITTED_PENDING
+                outcome = "admitted_pending"
             else:
-                outcome = AddOutcome.ADMITTED_FUTURE
-            stats[_OUTCOME_KEY[outcome]] += 1
+                outcome = "admitted_future"
+            stats[outcome] += 1
             if results is not None:
                 evicted = None if victim is None else [victim]
                 results.append(
-                    AddResult(tx, outcome, occupant, evicted, promoted, is_pending)
+                    AddResult(
+                        tx, _OUTCOME[outcome], occupant, evicted, promoted, is_pending
+                    )
                 )
             if is_pending:
                 if relay is not None:
@@ -708,11 +720,11 @@ class Mempool:
             if self.policy.enforce_base_fee:
                 dropped.extend(self._drop_underpriced(new_base_fee))
             if base_fee_changed:
-                # No heap key is stale: bid_price ignores the base fee in
-                # both transaction classes (a 1559 transaction bids its max
-                # fee). The re-key only renumbers tie-breaks, which moves
-                # victim choice among equal prices, so it stays until the
-                # golden fingerprints are next rotated on purpose.
+                # _offer reads a victim's bid from its heap key, so a bid
+                # that depends on the base fee (a subclass's) needs fresh
+                # keys. The built-in classes' bids ignore it (a 1559
+                # transaction bids its max fee); for them the re-key only
+                # renumbers tie-breaks.
                 self._rebuild_price_heaps()
         return dropped
 
@@ -909,6 +921,11 @@ class Mempool:
         entries = [{entry[2] for entry in heap} for heap in heaps]
         if any(h not in entries[h in pending] for h in by_hash):
             raise MempoolError("live transaction without an eviction-heap entry")
+        base_fee = self.base_fee
+        for price, _, h in (entry for heap in heaps for entry in heap):
+            tx = by_hash.get(h)
+            if tx is not None and price != tx.bid_price(base_fee):
+                raise MempoolError(f"heap key of tx {tx.short_hash()} is not its bid")
         size = 0
         for sender, run in self._by_sender.items():
             if run.__class__ is not dict:

@@ -466,17 +466,18 @@ class Network:
 
         Per entry, in order: resolve the target, count the message, draw
         its latency from the ``"latency"`` stream, consult the fault hooks
-        (loss, then extra delay) and build its heap entry; the engine gets
-        the whole pass in one
-        :meth:`~repro.sim.engine.Simulator.push_entries` call. A pass that
-        raises queues nothing.
+        (loss, then extra delay) if the armed plan can drop or delay a
+        link message, and build its heap entry; the engine gets the whole
+        pass in one :meth:`~repro.sim.engine.Simulator.push_entries` call.
+        A pass that raises queues and counts nothing.
         """
         index = self._index
         fi = index.get(from_id)
         # A sender the network does not know has no links.
         adj = self._adj[fi] if fi is not None else ()
         sender_crashed = fi is not None and self._node_list[fi].crashed
-        by_kind = self.messages_by_kind
+        # Folded into messages_by_kind only once the whole pass is queued.
+        by_kind: Dict[str, int] = {}
         # LatencyModel.__call__ expanded in place (same sample, same
         # positivity guard), and the default uniform model expanded once
         # more — the type check is exact so subclasses still get their own
@@ -487,6 +488,8 @@ class Network:
         deliver_cb = self._deliver_cb
         epoch = self._epoch
         faults = self.faults
+        if faults is not None and not faults.drops_or_delays:
+            faults = None
         sim = self.sim
         now = sim._now
         # Read per pass, never held: snapshot capture and restore replace
@@ -539,6 +542,9 @@ class Network:
                 )
             )
         self.messages_sent += sent
+        totals = self.messages_by_kind
+        for kind, count in by_kind.items():
+            totals[kind] = totals.get(kind, 0) + count
         if heap_entries:
             sim.push_entries(heap_entries)
 

@@ -163,12 +163,14 @@ class Node:
         self.confirmed_nonces: Dict[str, int] = {}
         self.head_number = 0
         # The mempool consults the confirmed nonce once per offered
-        # transaction; handing it the dict's own C-level ``get`` (the pool
-        # normalizes the None default) skips two Python frames per add.
+        # transaction and the clock once per offer and per insertion;
+        # the dict's own C-level ``get`` (the pool normalizes the None
+        # default) and the simulator's frameless clock skip a Python
+        # frame per read.
         self.mempool = Mempool(
             policy=self.config.policy,
             confirmed_nonce=self.confirmed_nonces.get,
-            clock=lambda: self.sim.now,
+            clock=sim.clock,
         )
         self.routing_table: List[str] = []  # inactive neighbours (discovery)
         self.tx_observers: List[TxObserver] = []

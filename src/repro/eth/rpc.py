@@ -451,7 +451,7 @@ class ResilientRpcClient:
             br = self._breakers[node_id] = CircuitBreaker(
                 failure_threshold=self.policy.breaker_threshold,
                 cooldown=self.policy.breaker_cooldown,
-                clock=lambda: self.network.sim.now,
+                clock=self.network.sim.clock,
             )
         return br
 

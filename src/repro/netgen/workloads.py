@@ -149,7 +149,7 @@ def prefill_mempools(
                 passes[key] = (pool.capture_state(), counts)
                 continue
             if class_pass is None:
-                donor = Mempool(pool.policy, clock=lambda: network.sim.now)
+                donor = Mempool(pool.policy, clock=network.sim.clock)
                 donor.base_fee, donor.fee_market = pool.base_fee, pool.fee_market
                 counts = donor.add_batch(txs, stop_when_full=True)
                 class_pass = passes[key] = (donor.capture_state(), counts)

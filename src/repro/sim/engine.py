@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from functools import partial
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
@@ -129,6 +130,9 @@ class Simulator:
 
     def __init__(self, seed: int = 0, trace: bool = False) -> None:
         self._now = 0.0
+        # The clock as a callable that runs no Python frame (a C-level
+        # getattr), for callers that read it per offer or per call.
+        self.clock: Callable[[], float] = partial(getattr, self, "_now")
         # Entries are (time, seq, Event) or (time, seq, callback, args,
         # label) — see Event's docstring.
         self._queue: list[Tuple] = []

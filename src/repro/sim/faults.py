@@ -21,8 +21,9 @@ behind a single seed-driven :class:`FaultPlan`:
 Everything samples from one named RNG stream (``"faults"``) and runs through
 the simulator's event queue, so a (seed, FaultPlan) pair fully determines
 the run: same seed + same plan = byte-identical measurement results. With no
-plan installed the network behaves exactly as before — the fault path is
-consulted but never fires.
+plan installed the network behaves exactly as before, and a plan that
+cannot drop or delay a link message (RPC faults only, say) adds no
+per-message work: the transport never consults its loss and delay hooks.
 
 Typical usage::
 
@@ -362,7 +363,7 @@ class RpcFaultState:
             bucket = self._buckets[node_id] = TokenBucket(
                 self.plan.rate_limit_per_second,
                 self.plan.rate_limit_burst,
-                clock=lambda: self.network.sim.now,
+                clock=self.network.sim.clock,
             )
         if bucket.try_take():
             return None
@@ -476,6 +477,11 @@ class FaultInjector:
         self.crashes = 0
         self.churn_events = 0
         self._active = True
+        # Whether the plan can drop or delay a link message, read once:
+        # Network._transmit consults the per-message hooks only if so.
+        self.drops_or_delays = bool(plan.loss_rate or plan.extra_delay_mean) or any(
+            o.loss_rate or o.extra_delay_mean for o in plan.link_overrides.values()
+        )
         self.rpc: Optional[RpcFaultState] = (
             RpcFaultState(self, plan.rpc)
             if plan.rpc is not None and plan.rpc.enabled
@@ -487,7 +493,7 @@ class FaultInjector:
             self._schedule_next_crash()
 
     # ------------------------------------------------------------------
-    # Per-delivery hooks (called by Network.send)
+    # Per-delivery hooks (called by Network._transmit if drops_or_delays)
     # ------------------------------------------------------------------
     def should_drop(self, from_id: str, to_id: str) -> bool:
         """Sample the loss coin for one delivery on link from--to."""

@@ -18,12 +18,21 @@ module's docstring:
   price rule; an incoming future transaction may only displace the
   lowest-priced pending one, and only while more than ``P`` are pending
   and its own price is higher;
-- EIP-1559 mode: offers and stored transactions below the base fee go.
+- EIP-1559 mode: offers and stored transactions below the base fee go;
+- **fee floor**: an offer that passes the nonce and base-fee checks and
+  bids below the live floor is refused, replacements included. The floor
+  is a scripted function of time, sampled at the first such offer and
+  again at the first one ``interval`` or more after the last sample; in
+  between the last sample stands (a rate-limited oracle).
+
+The clock is read where a pool reads it: at the floor check and once per
+admission (the expiry stamp). A clock that moves on at every read
+therefore moves in step for both pools, and an interval can lapse in the
+middle of a batch.
 
 The rules do not order *equal-priced* eviction candidates, so neither
 does this pool: callers offer distinct prices (the real pool's tie-break
-is pinned by ``test_mempool_admission.py`` instead). The live fee-market
-floor is out of scope.
+is pinned by ``test_mempool_admission.py`` instead).
 """
 
 from __future__ import annotations
@@ -41,12 +50,27 @@ Offer = Tuple[AddOutcome, List[Transaction], List[Transaction], bool]
 
 class ReferencePool:
     def __init__(
-        self, policy: MempoolPolicy, confirmed_nonce: Callable[[str], int]
+        self,
+        policy: MempoolPolicy,
+        confirmed_nonce: Callable[[str], int],
+        clock: Callable[[], float] = lambda: 0.0,
+        floor: Optional[Callable[[float], int]] = None,
+        interval: float = 1.0,
     ) -> None:
         self.policy = policy
         self.confirmed_nonce = confirmed_nonce
+        self.clock = clock
+        self.floor = floor  # None: no live floor
+        self.interval = interval
+        self.sampled: Optional[Tuple[float, int]] = None  # (time, floor)
         self.base_fee = 0
         self.txs: List[Transaction] = []
+
+    def _live_floor(self) -> int:
+        now = self.clock()
+        if self.sampled is None or now - self.sampled[0] >= self.interval:
+            self.sampled = (now, self.floor(now))
+        return self.sampled[1]
 
     # -- classes, recomputed from scratch on every call ------------------
     def _in_run(self, tx: Transaction, txs: List[Transaction]) -> bool:
@@ -77,6 +101,8 @@ class ReferencePool:
             return AddOutcome.REJECTED_STALE_NONCE, [], [], False
         if policy.enforce_base_fee and tx.is_underpriced_for_base_fee(self.base_fee):
             return AddOutcome.REJECTED_BASE_FEE, [], [], False
+        if self.floor is not None and self._price(tx) < self._live_floor():
+            return AddOutcome.REJECTED_FEE_FLOOR, [], [], False
 
         pending_before = self.pending()
         occupant = next(
@@ -89,6 +115,7 @@ class ReferencePool:
                 return AddOutcome.REJECTED_UNDERPRICED_REPLACEMENT, [], [], False
             self.txs.remove(occupant)
             self.txs.append(tx)
+            self.clock()  # the expiry stamp
             promoted = self._promoted(pending_before, tx)
             return AddOutcome.REPLACED, [], promoted, self._in_run(tx, self.txs)
 
@@ -115,6 +142,7 @@ class ReferencePool:
             evicted.append(victim)
 
         self.txs.append(tx)
+        self.clock()  # the expiry stamp
         promoted = self._promoted(pending_before, tx)
         is_pending = self._in_run(tx, self.txs)
         outcome = (

@@ -76,6 +76,32 @@ class TestAdmissionFloor:
         tx = factory.transfer(wallet.fresh_account(), gas_price=gwei(1.0))
         assert pool.add(tx).admitted
 
+    def test_the_oracle_is_asked_only_where_its_interval_lapses(
+        self, monkeypatch, wallet
+    ):
+        """Between recomputes the pool reads the cached floor; the offer
+        at which ``update_interval`` has lapsed asks ``floor_for``."""
+        asked = []
+        floor_for = FeeMarket.floor_for
+
+        def spy(market, now):
+            asked.append(now)
+            return floor_for(market, now)
+
+        monkeypatch.setattr(FeeMarket, "floor_for", spy)
+        market = FeeMarket(FeeMarketConfig(min_floor=gwei(1.0)))
+        clock = [0.0]
+        pool = Mempool(policy=GETH.scaled(64), clock=lambda: clock[0])
+        pool.fee_market = market
+        factory = TransactionFactory()
+        for now, price in [(0.0, 2.0), (0.5, 0.5), (0.99, 2.0), (1.0, 0.5),
+                           (1.5, 2.0), (2.5, 2.0)]:
+            clock[0] = now
+            pool.add(factory.transfer(wallet.fresh_account(), gas_price=gwei(price)))
+        assert asked == [0.0, 1.0, 2.5]
+        assert market.updates == 3
+        assert pool.stats["rejected_fee_floor"] == 2
+
     def test_no_market_means_seed_path(self, wallet):
         pool = Mempool(policy=GETH.scaled(64))
         factory = TransactionFactory()

@@ -16,6 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import pytest
+
+from repro.errors import MempoolError
 from repro.eth.mempool import AddOutcome, Mempool
 from repro.eth.network import Network
 from repro.eth.node import _ANNOUNCE_PRUNE_THRESHOLD, KnownTxCache, NodeConfig
@@ -90,6 +93,23 @@ class TestBaseFeeHeapRebuild:
         assert pool.add(a).is_pending
         pool.apply_block([], new_base_fee=0)  # no change: nothing rebuilt
         assert a.hash in pool
+
+    def test_check_invariants_catches_a_stale_heap_key(self):
+        """The admission loop reads a victim's bid from its heap key, so
+        a key that is not its transaction's bid must not pass unseen."""
+        pool = self.make_pool()
+        a = tip_capped("0xa", gas_price=100, tip_cap=2)
+        assert pool.add(a).is_pending
+        pool.check_invariants()
+        pool.base_fee = 30  # a base-fee change that skips the re-key
+        with pytest.raises(MempoolError, match="heap key"):
+            pool.check_invariants()
+        pool.apply_block([], new_base_fee=40)  # a change re-keys
+        pool.check_invariants()
+        price, seq, tx_hash = pool._pending_heap[0]
+        pool._pending_heap[0] = (price + 1, seq, tx_hash)  # forced stale
+        with pytest.raises(MempoolError, match="heap key"):
+            pool.check_invariants()
 
 
 class TestKnownTxCacheBound:

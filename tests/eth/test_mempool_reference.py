@@ -7,16 +7,21 @@ and mined blocks (confirmed nonces advance, the base fee moves) and
 compares, after every step, the outcome, the evicted and promoted
 transactions, and the pending and future sets — for the five client
 presets of Table 3 and the EIP-1559 policy, scaled to pools small enough
-to stay full.
+to stay full. With a drawn live fee floor the clock moves on at every
+read, so the floor's update interval lapses between offers and in the
+middle of packets and batches.
 
 Prices are distinct by construction: the rules leave the choice among
 equal-priced eviction candidates open (see ``reference_pool.py``).
 """
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.eth.fee_market import FeeMarket, FeeMarketConfig
 from repro.eth.mempool import Mempool
 from repro.eth.policies import ALETH, BESU, GETH, NETHERMIND, PARITY, MempoolPolicy
 from repro.eth.transaction import DynamicFeeTransaction, Transaction
@@ -51,6 +56,7 @@ steps = st.lists(
         st.tuples(
             st.just("batch"), st.lists(offer, min_size=1, max_size=6), st.booleans()
         ),
+        st.tuples(st.just("packet"), st.lists(offer, min_size=1, max_size=6)),
         st.tuples(
             st.just("block"),
             st.lists(st.sampled_from(SENDERS), max_size=3, unique=True),
@@ -62,6 +68,35 @@ steps = st.lists(
 )
 
 
+# A live floor: (clock steps, cycled one per read; floor levels, one per
+# whole second of the clock, cycled). None: no fee market.
+INTERVAL = 1.0
+live_floor = st.one_of(
+    st.none(),
+    st.tuples(
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=5),
+        st.lists(st.integers(min_value=0, max_value=25), min_size=1, max_size=4),
+    ),
+)
+
+
+class ScriptedMarket(FeeMarket):
+    """The real oracle's rate limit around a scripted floor."""
+
+    def __init__(self, script) -> None:
+        super().__init__(FeeMarketConfig(min_floor=0, update_interval=INTERVAL))
+        self.script = script
+
+    def _recompute(self, now: float) -> None:
+        self.floor = self.script(now)
+        self.last_update = now
+
+
+def stepped_clock(steps):
+    """A clock that moves on by the next of ``steps`` at every read."""
+    return itertools.accumulate(itertools.cycle(steps), initial=0.0).__next__
+
+
 def hashes(txs):
     return sorted(tx.hash for tx in txs)
 
@@ -69,11 +104,26 @@ def hashes(txs):
 class LockStep:
     """Both pools behind one confirmed-nonce table, compared after each op."""
 
-    def __init__(self, policy: MempoolPolicy) -> None:
+    def __init__(self, policy: MempoolPolicy, floor=None) -> None:
         self.policy = policy
         self.confirmed = {}
-        self.pool = Mempool(policy, confirmed_nonce=self._confirmed)
-        self.reference = ReferencePool(policy, confirmed_nonce=self._confirmed)
+        steps, levels = floor or ([0.0], None)
+
+        def script(now: float) -> int:
+            return levels[int(now) % len(levels)] * PRICE_STEP
+
+        self.pool = Mempool(
+            policy, confirmed_nonce=self._confirmed, clock=stepped_clock(steps)
+        )
+        self.reference = ReferencePool(
+            policy,
+            confirmed_nonce=self._confirmed,
+            clock=stepped_clock(steps),
+            floor=script if levels else None,
+            interval=INTERVAL,
+        )
+        if levels:
+            self.pool.fee_market = ScriptedMarket(script)
         self.serial = 0
 
     def _confirmed(self, sender: str) -> int:
@@ -102,7 +152,9 @@ class LockStep:
         self.add(self.build(*spec))
 
     def add(self, tx: Transaction) -> None:
-        result = self.pool.add(tx)
+        self.check(self.pool.add(tx), tx)
+
+    def check(self, result, tx: Transaction) -> None:
         outcome, evicted, promoted, is_pending = self.reference.add(tx)
         assert result.outcome is outcome
         assert hashes(result.evicted) == hashes(evicted)
@@ -119,6 +171,14 @@ class LockStep:
         assert self.pool.add_batch(
             txs, stop_when_full=stop_when_full
         ) == self.reference.add_batch(txs, stop_when_full=stop_when_full)
+
+    def packet(self, offers) -> None:
+        """A ``Transactions`` packet: one pass of the admission loop."""
+        txs = [self.build(*spec) for spec in offers]
+        results = []
+        self.pool._offer(txs, results=results)
+        for result, tx in zip(results, txs, strict=True):
+            self.check(result, tx)
 
     def block(self, senders, base_fee_level) -> None:
         """Mine each sender's next executable transaction; one that holds
@@ -149,10 +209,10 @@ class LockStep:
 
 
 @pytest.mark.parametrize("policy", POLICIES, ids=POLICY_IDS)
-@given(ops=steps)
+@given(ops=steps, floor=live_floor)
 @property_settings(50)
-def test_mempool_matches_reference_in_lock_step(policy: MempoolPolicy, ops):
-    run = LockStep(policy)
+def test_mempool_matches_reference_in_lock_step(policy: MempoolPolicy, ops, floor):
+    run = LockStep(policy, floor)
     for kind, *args in ops:
         getattr(run, kind)(*args)
         run.compare()

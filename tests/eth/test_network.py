@@ -8,7 +8,7 @@ from repro.errors import (
     NotConnectedError,
     UnknownNodeError,
 )
-from repro.eth.messages import Transactions
+from repro.eth.messages import Status, Transactions
 from repro.eth.network import Network, fully_connect
 from repro.eth.node import NodeConfig
 from repro.eth.policies import GETH
@@ -87,6 +87,25 @@ class TestTransport:
         tx = factory.transfer(wallet.fresh_account(), gas_price=gwei(1))
         line_network.send("n0", "n1", Transactions(txs=(tx,)))
         assert line_network.messages_by_kind["Transactions"] == 1
+
+    def test_a_pass_that_raises_counts_no_message(self):
+        """``send_batch`` raises at its first unknown target; the entries
+        before it were never queued, so they are not counted by kind
+        either."""
+        network = Network(seed=0)
+        for name in ("a", "b"):
+            network.create_node(name)
+        network.connect("a", "b")
+        assert network.messages_by_kind == {"Status": 2}
+        assert network.messages_sent == 2
+        status = Status(client_version="probe")
+        with pytest.raises(UnknownNodeError):
+            network.send_batch("a", [("b", status), ("c", status)])
+        network.create_node("c")
+        with pytest.raises(NotConnectedError):
+            network.send_batch("a", [("b", status), ("c", status)])
+        assert network.messages_by_kind == {"Status": 2}
+        assert network.messages_sent == 2
 
     def test_handshake_exchanges_client_versions(self, line_network):
         line_network.run(2.0)

@@ -160,6 +160,6 @@ class TestFloorAwareEstimators:
         observer = network.node("n1")
         # A market floor pinned above the inclusion floor closes the band.
         network.fee_market.floor = network.chain.base_fee + gwei(50.0)
-        network.fee_market._last_update = network.sim.now + 10**6
+        network.fee_market.last_update = network.sim.now + 10**6
         with pytest.raises(MeasurementError):
             choose_adaptive_y(network.chain, observer)

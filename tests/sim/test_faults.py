@@ -1,7 +1,10 @@
 """The fault-injection layer: plans, determinism, churn, crash/restart."""
 
+import hashlib
+
 import pytest
 
+from repro.core.campaign import TopoShot
 from repro.errors import FaultPlanError, SendTimeoutError
 from repro.eth.network import Network
 from repro.eth.node import NodeConfig
@@ -9,7 +12,10 @@ from repro.eth.policies import GETH
 from repro.eth.supernode import Supernode
 from repro.eth.transaction import TransactionFactory, gwei
 from repro.eth.account import Wallet
-from repro.sim.faults import FaultInjector, FaultPlan, LinkFaults
+from repro.netgen.ethereum import quick_network
+from repro.netgen.workloads import prefill_mempools
+from repro.sim.faults import FaultInjector, FaultPlan, LinkFaults, RpcFaultPlan
+from repro.sim.tracing import Tracer
 
 
 def pair_network(seed=11):
@@ -121,6 +127,93 @@ class TestMessageLoss:
         assert tx.hash not in slow.node("b").mempool  # still in flight
         slow.run(60.0)
         assert tx.hash in slow.node("b").mempool  # ... but never lost
+
+
+def spy_on_link_hooks(monkeypatch):
+    """Count the injector's per-message hook calls (behaviour unchanged)."""
+    calls = {"should_drop": 0, "extra_delay": 0}
+    for name in calls:
+        hook = getattr(FaultInjector, name)
+
+        def spy(self, from_id, to_id, hook=hook, name=name):
+            calls[name] += 1
+            return hook(self, from_id, to_id)
+
+        monkeypatch.setattr(FaultInjector, name, spy)
+    return calls
+
+
+def hooked_campaign(plan):
+    network = quick_network(n_nodes=8, seed=21)
+    prefill_mempools(network)
+    faults = network.install_faults(plan)
+    queued = network.messages_sent
+    TopoShot.attach(network).measure_network()
+    return network, faults, network.messages_sent - queued
+
+
+class TestLinkHooks:
+    """The loss and delay hooks run per message only where they can fire."""
+
+    def test_a_plan_with_clean_links_never_consults_them(self, monkeypatch):
+        calls = spy_on_link_hooks(monkeypatch)
+        _, faults, sent = hooked_campaign(FaultPlan(rpc=RpcFaultPlan.uniform(0.2)))
+        assert not faults.drops_or_delays
+        assert sent > 0
+        assert calls == {"should_drop": 0, "extra_delay": 0}
+
+    def test_a_lossy_plan_consults_them_once_per_message(self, monkeypatch):
+        calls = spy_on_link_hooks(monkeypatch)
+        plan = FaultPlan(loss_rate=0.05, extra_delay_mean=0.01)
+        _, faults, sent = hooked_campaign(plan)
+        assert faults.messages_dropped > 0
+        assert calls["should_drop"] == sent
+        assert calls["extra_delay"] == sent - faults.messages_dropped
+
+    def test_zero_rate_overrides_leave_links_clean(self):
+        plan = FaultPlan(link_overrides={frozenset(("a", "b")): LinkFaults()})
+        assert not FaultInjector(pair_network(), plan).drops_or_delays
+        plan = FaultPlan(
+            link_overrides={frozenset(("a", "b")): LinkFaults(extra_delay_mean=0.1)}
+        )
+        assert FaultInjector(pair_network(), plan).drops_or_delays
+
+    def test_lossy_links_draw_as_recorded(self):
+        """5 % loss, an extra delay and one override: the drops, the fault
+        log and the engine trace are the recorded ones, so no loss coin and
+        no delay draw moved."""
+        network = quick_network(n_nodes=20, seed=5)
+        link = frozenset(min(sorted(link) for link in network.links()))
+        plan = FaultPlan(
+            loss_rate=0.05,
+            extra_delay_mean=0.05,
+            link_overrides={link: LinkFaults(loss_rate=0.5, extra_delay_mean=0.2)},
+        )
+        faults = network.install_faults(plan)
+        network.sim.tracer = Tracer()
+        wallet = Wallet("lossy")
+        factory = TransactionFactory()
+        ids = network.measurable_node_ids()
+        for index in range(12):
+            network.node(ids[index % len(ids)]).submit_transaction(
+                factory.transfer(wallet.fresh_account(), gas_price=gwei(2.0) + index)
+            )
+        network.settle()
+
+        def digest(lines):
+            return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+        events = [f"{e.time:.9f}|{e.kind}|{e.detail}" for e in faults.events]
+        trace = [f"{r.time:.9f}|{r.kind}|{r.detail}" for r in network.sim.tracer]
+        assert faults.messages_dropped == 138
+        assert network.messages_sent == 3115
+        assert len(trace) == 3262
+        assert digest(events) == (
+            "4537fb1f1d9496c10c0db028beb918f73a9fd2944c84e12e3922be5bf263a945"
+        )
+        assert digest(trace) == (
+            "f5409beaa960ff1385f11e8ef50cada80ab56cafd2e6a0bb6ea2c0b1259b621f"
+        )
 
 
 class TestChurn:
