@@ -26,10 +26,6 @@ class DegreeDistribution:
         return max(self.histogram) if self.histogram else 0
 
     @property
-    def min_degree(self) -> int:
-        return min(self.histogram) if self.histogram else 0
-
-    @property
     def average(self) -> float:
         if not self.histogram:
             return 0.0

@@ -604,7 +604,8 @@ def run_campaign(
     shards on the copy it inherited, likewise resetting via restore.
     The merged measurement is bit-identical for every ``workers`` value,
     and so is what the observers receive: ``obs`` the merged metrics and
-    the shards' event records replayed in shard order, ``invariants`` (a
+    the shards' event records replayed in shard order (each shard's
+    overwritten records counted in ``obs.events.dropped``), ``invariants`` (a
     fresh, uninstalled checker) every shard's report, absorbed in shard
     order; both then watch the cross-validation pass live. A shard resumed
     from a checkpoint written without an observer contributes nothing.
@@ -718,8 +719,12 @@ def run_campaign(
     if collect_obs and obs_snapshots:
         for snapshot in obs_snapshots:
             obs.metrics.absorb(snapshot.get("metrics", ()))
-            for record in snapshot.get("events", {}).get("records", ()):
+            events = snapshot.get("events", {})
+            for record in events.get("records", ()):
                 obs.emit(*record)
+            # What the shard's ring overwrote counts as overwritten here:
+            # a merged log never reads complete when a shard's was not.
+            obs.events.recorded += events.get("dropped", 0)
         # Distinct-edge count is a cross-shard fact, so the driver sets it
         # after the merge rather than trusting any shard's gauge.
         obs.metrics.gauge(wiring.CAMPAIGN_EDGES).set(len(measurement.edges))

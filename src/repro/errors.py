@@ -127,16 +127,8 @@ class UnsupportedClientError(MeasurementError):
     """
 
 
-class PreprocessError(MeasurementError):
-    """The pre-processing phase failed or rejected a target node."""
-
-
 class CheckpointError(MeasurementError):
     """A campaign checkpoint could not be read, or does not match the run."""
-
-
-class NonInterferenceViolation(MeasurementError):
-    """Conditions V1/V2 of the non-interference extension failed to hold."""
 
 
 class AnalysisError(ReproError):

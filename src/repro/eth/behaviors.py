@@ -237,15 +237,9 @@ class BehaviorSet:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def kind_of(self, node_id: str) -> Optional[str]:
-        return self.assignments.get(node_id)
-
     def conforming_policy(self, node_id: str) -> Optional[MempoolPolicy]:
         """The policy this node *claims* to run (pre-install original)."""
         return self.original_policies.get(node_id)
-
-    def nodes_of_kind(self, kind: str) -> List[str]:
-        return sorted(n for n, k in self.assignments.items() if k == kind)
 
     def signature(self) -> Tuple[Tuple[str, str], ...]:
         """Stable identity of the installed assignment, for snapshots."""

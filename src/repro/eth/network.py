@@ -439,7 +439,7 @@ class Network:
 
         The message can still die en route: a lossy link may drop it at
         send time, and a link or endpoint that disappears while it is in
-        flight drops it at delivery time (with a ``drop`` trace record).
+        flight drops it at delivery time (with a ``drop`` event record).
 
         A batch of one. It enters :meth:`_transmit` directly, not through
         :meth:`send_batch`: that public name is the flush hand-off, and a
@@ -522,13 +522,12 @@ class Network:
                 )
             if faults is not None:
                 if faults.should_drop(from_id, to_id):
-                    # The injector already traced this as fault:loss.
-                    self._drop(from_id, to_id, msg, "loss", trace=False)
+                    self._drop(from_id, to_id, msg, "loss")
                     continue
                 delay += faults.extra_delay(from_id, to_id)
             # Deliveries are never cancelled, so the fire-and-forget entry
             # shape (no Event allocation) is safe. The label tuple is built
-            # unconditionally — a tracer/profiler may attach after this
+            # unconditionally — a profiler or event log may attach after this
             # message is queued but before it delivers — and the engine
             # formats it to "kind:from->to" only when someone is observing
             # (see Simulator._observed).
@@ -579,21 +578,10 @@ class Network:
             return
         target.handle_message(from_id, msg)
 
-    def _drop(
-        self,
-        from_id: str,
-        to_id: str,
-        msg: Message,
-        reason: str,
-        trace: bool = True,
-    ) -> None:
+    def _drop(self, from_id: str, to_id: str, msg: Message, reason: str) -> None:
         """Account for a message that never reached its target."""
         self.messages_dropped += 1
         self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
-        if trace and self.sim.tracer is not None:
-            self.sim.tracer.record(
-                self.sim.now, "drop", f"{msg.kind}:{from_id}->{to_id} ({reason})"
-            )
         obs = self.obs
         if obs.enabled:
             obs.emit(self.sim.now, "drop", reason, from_id, to_id, msg.kind)

@@ -86,11 +86,6 @@ class Transaction:
         """Legacy transactions are droppable when price < base fee (post-1559)."""
         return self.gas_price < base_fee
 
-    @property
-    def max_cost_wei(self) -> int:
-        """Worst-case cost: gas_limit * price + value."""
-        return self.gas_limit * self.gas_price + self.value
-
     def fee_paid_wei(self, gas_used: Optional[int] = None, base_fee: int = 0) -> int:
         """Fee paid when included, defaulting to intrinsic gas usage."""
         used = INTRINSIC_GAS if gas_used is None else gas_used

@@ -1,18 +1,14 @@
-"""Ring-buffered structured event log.
+"""Ring-buffered structured event log: the one record of what a run did.
 
-The :class:`~repro.sim.tracing.Tracer` keeps an append-only list of
-``TraceRecord`` dataclasses whose ``detail`` field is a pre-formatted
-string — fine for tests that narrate one scenario, costly for long
-campaigns (every record allocates a dataclass, the buffer only grows, and
-call sites pay string formatting whether anyone reads the trace or not).
-
-:class:`EventLog` is the operator-facing alternative:
+The engine (one ``event`` per executed callback, when attached with
+``log_events=True``), the transport (``drop``), the fault injector
+(``fault``) and the campaign, monitor and service layers all append here:
 
 - records are **plain tuples** ``(time, kind, *fields)`` — no string
   formatting at the recording site, fields stay typed until export;
 - the buffer is a **ring**: beyond ``capacity`` the *oldest* records are
-  overwritten (an operator wants the most recent window; the Tracer's
-  drop-newest policy suits deterministic tests that replay from t=0);
+  overwritten (an operator wants the most recent window; a test that
+  needs the whole story sizes the log and asserts ``dropped == 0``);
 - ``recorded`` counts every append ever made, so the overwritten share is
   always visible (``dropped``).
 """

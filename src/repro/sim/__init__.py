@@ -2,7 +2,7 @@
 
 The engine is intentionally small and dependency-free: a priority queue of
 timestamped events, a monotonically advancing clock, named seeded RNG streams,
-latency models for network links, periodic processes and a structured tracer.
+latency models for network links and periodic processes.
 
 Everything in :mod:`repro.eth` and :mod:`repro.core` is driven through this
 engine, which makes every experiment reproducible bit-for-bit from a seed.
@@ -18,7 +18,6 @@ from repro.sim.latency import (
 )
 from repro.sim.process import PeriodicProcess
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import TraceRecord, Tracer
 
 __all__ = [
     "ConstantLatency",
@@ -29,7 +28,5 @@ __all__ = [
     "PeriodicProcess",
     "RngRegistry",
     "Simulator",
-    "TraceRecord",
-    "Tracer",
     "UniformLatency",
 ]

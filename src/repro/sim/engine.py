@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.errors import ScheduleInPastError, SimulationError
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import EngineProfiler, Tracer
+from repro.sim.tracing import EngineProfiler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import EventLog, Observability
@@ -59,7 +59,7 @@ class Event:
     A ``label`` may be either a string or a *lazy* 3-tuple ``(kind,
     from_id, to_id)``; the engine formats the tuple as
     ``f"{kind}:{from_id}->{to_id}"`` only at the instant an attached
-    tracer/profiler/event log observes it. The transport queues roughly
+    profiler or event log observes it. The transport queues roughly
     one labelled entry per simulated message, so skipping the f-string in
     the (default) unobserved case is a measurable share of campaign time.
     """
@@ -123,12 +123,12 @@ class Simulator:
     seed:
         Master seed for the :class:`~repro.sim.rng.RngRegistry`. Every
         stochastic component derives its own named stream from this seed.
-    trace:
-        If true, keep a :class:`~repro.sim.tracing.Tracer` recording every
-        executed event (useful in tests, costly in large runs).
+
+    Two sinks observe execution: a profiler (:meth:`attach_profiler`) and
+    an event log (:meth:`attach_observability` with ``log_events=True``).
     """
 
-    def __init__(self, seed: int = 0, trace: bool = False) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
         # The clock as a callable that runs no Python frame (a C-level
         # getattr), for callers that read it per offer or per call.
@@ -141,7 +141,6 @@ class Simulator:
         self._non_daemon_pending = 0
         self.rng = RngRegistry(seed)
         self.seed = seed
-        self.tracer: Optional[Tracer] = Tracer() if trace else None
         self.profiler: Optional[EngineProfiler] = None
         self.event_log: Optional["EventLog"] = None
 
@@ -165,18 +164,14 @@ class Simulator:
 
     @property
     def wants_labels(self) -> bool:
-        """Whether event labels are observable (tracer, profiler or event
-        log attached).
+        """Whether event labels are observable (profiler or event log
+        attached).
 
         Hot callers use this to skip building label strings nobody reads:
         with ~1 message per event, the f-string per send is a measurable
-        share of the un-traced hot path.
+        share of the unobserved hot path.
         """
-        return (
-            self.tracer is not None
-            or self.profiler is not None
-            or self.event_log is not None
-        )
+        return self.profiler is not None or self.event_log is not None
 
     # ------------------------------------------------------------------
     # Profiling
@@ -212,8 +207,9 @@ class Simulator:
         counters into ``obs.metrics`` (read only at export time, zero
         per-event cost).  With ``log_events=True`` the engine additionally
         appends one ``(time, "event", label)`` tuple per executed event to
-        ``obs.events`` — the ring-buffered analogue of ``trace=True``,
-        bounded by the log's capacity instead of growing without limit.
+        ``obs.events``, bounded by the log's capacity. With the network's
+        fault and drop records in the same bundle, that log is the whole
+        story of a run.
         """
         from repro.obs import Observability
         from repro.obs.wiring import instrument_simulator
@@ -334,13 +330,10 @@ class Simulator:
 
         The one place a label is read: transport entries carry a lazy
         ``(kind, from, to)`` tuple, formatted here — byte-identical to the
-        eager f-string — and fed to the tracer, the event log and the
-        profiler alike.
+        eager f-string — and fed to the event log and the profiler alike.
         """
         if label.__class__ is tuple:
             label = "%s:%s->%s" % label
-        if self.tracer is not None:
-            self.tracer.record(when, "event", label)
         if self.event_log is not None:
             self.event_log.append(when, "event", label)
         profiler = self.profiler
@@ -363,7 +356,7 @@ class Simulator:
         events up to ``until`` like any other event.
         """
         # This is the hottest loop in the repo; it is deliberately flat,
-        # with the common path (plain event, no tracer/profiler, no bound)
+        # with the common path (plain event, no profiler/event log, no bound)
         # touching only local names and C-level tuple/heap operations.
         # ``executed`` stays local and is folded into ``self._executed``
         # once on the way out (every exit path runs the finally) instead

@@ -36,7 +36,7 @@ Typical usage::
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
 
 from repro.errors import FaultPlanError
 from repro.obs import wiring
@@ -304,18 +304,6 @@ class FaultPlan(_FieldCodec):
         return self.loss_rate, self.extra_delay_mean
 
 
-@dataclass(frozen=True)
-class FaultEvent:
-    """One fault that actually fired (for diagnostics and tests)."""
-
-    time: float
-    # "loss" | "churn_down" | "churn_up" | "crash" | "restart" | "send_timeout"
-    # | "rpc_timeout" | "rpc_error" | "rpc_rate_limit" | "rpc_stale"
-    # | "rpc_truncate" | "rpc_flap_down" | "rpc_flap_up"
-    kind: str
-    detail: str
-
-
 class RpcFaultState:
     """Runtime state of an :class:`RpcFaultPlan` (owned by the injector).
 
@@ -471,7 +459,6 @@ class FaultInjector:
         self.network = network
         self.plan = plan
         self._rng = network.sim.rng.stream("faults")
-        self.events: List[FaultEvent] = []
         self.messages_dropped = 0
         self.send_timeouts = 0
         self.crashes = 0
@@ -611,14 +598,17 @@ class FaultInjector:
             self.rpc.stop()
 
     def _log(self, kind: str, detail: str) -> None:
-        now = self.network.sim.now
-        self.events.append(FaultEvent(now, kind, detail))
-        tracer = self.network.sim.tracer
-        if tracer is not None:
-            tracer.record(now, f"fault:{kind}", detail)
+        """Record one fired fault: a ``(time, "fault", kind, detail)``
+        event plus the ``FAULTS_FIRED`` counter, in the network's bundle.
+
+        ``kind`` is ``loss``, ``churn_down``, ``churn_up``, ``crash``,
+        ``restart``, ``send_timeout``, ``rpc_timeout``, ``rpc_error``,
+        ``rpc_rate_limit``, ``rpc_stale``, ``rpc_truncate``,
+        ``rpc_flap_down`` or ``rpc_flap_up``.
+        """
         obs = self.network.obs
         if obs.enabled:
-            obs.emit(now, "fault", kind, detail)
+            obs.emit(self.network.sim.now, "fault", kind, detail)
             obs.metrics.counter(wiring.FAULTS_FIRED, labels={"kind": kind}).inc()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

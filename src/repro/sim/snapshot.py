@@ -19,7 +19,7 @@ observed value — a net no-op for the live run, as long as nobody holds a
 reference to the old counter across a capture or restore (the transport
 reads ``sim._seq`` once per pass).
 
-The tracer, profiler, and event log are deliberately *not* part of the
+The profiler and the event log are deliberately *not* part of the
 snapshot: they are observers of execution, not inputs to it, and resetting
 them would silently discard operator-requested diagnostics.
 """

@@ -1,71 +1,16 @@
-"""Structured tracing for simulations.
+"""Wall-clock profiling for simulations.
 
-The tracer collects ``(time, kind, detail)`` records. Tests use it to assert
-fine-grained propagation behaviour (e.g. "node B never forwarded txO"), and
-the examples use it to narrate what the measurement did.
-
-The tracer's ``detail`` is a pre-formatted string and a bounded tracer
-drops the *newest* records once full — both right for deterministic tests
-that replay from t=0 and read the head of the story. For operator-facing
-telemetry (typed fields, keep the most *recent* window) use
-:class:`repro.obs.EventLog` instead; see ``docs/observability.md``.
-
-:class:`EngineProfiler` is the wall-clock sibling: attach one with
-``sim.attach_profiler()`` and read ``profiler.report()`` after a run to see
-whether a campaign is bound by transaction pushes, announcements, flush
-batching, or fault machinery.
+:class:`EngineProfiler` aggregates callback cost per event-label category:
+attach one with ``sim.attach_profiler()`` and read ``profiler.report()``
+after a run to see whether a campaign is bound by transaction pushes,
+announcements, flush batching, or fault machinery. What a simulation *did*
+is recorded in one place, the :class:`repro.obs.EventLog` (see
+``docs/observability.md``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One trace line: simulation time, a record kind, and free-form detail."""
-
-    time: float
-    kind: str
-    detail: str
-
-    def __str__(self) -> str:
-        return f"[{self.time:10.4f}] {self.kind:<14} {self.detail}"
-
-
-class Tracer:
-    """Append-only trace buffer with simple filtering helpers."""
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        self.records: List[TraceRecord] = []
-        self.capacity = capacity
-        self.dropped = 0
-
-    def record(self, time: float, kind: str, detail: str) -> None:
-        """Append a record; beyond ``capacity``, drop and count."""
-        if self.capacity is not None and len(self.records) >= self.capacity:
-            self.dropped += 1
-            return
-        self.records.append(TraceRecord(time, kind, detail))
-
-    def filter(self, kind: Optional[str] = None, contains: str = "") -> List[TraceRecord]:
-        """Records matching a kind and/or a substring of the detail."""
-        return [
-            r
-            for r in self.records
-            if (kind is None or r.kind == kind) and contains in r.detail
-        ]
-
-    def clear(self) -> None:
-        self.records.clear()
-        self.dropped = 0
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
+from typing import Dict, Optional
 
 
 class EngineProfiler:

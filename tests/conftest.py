@@ -15,6 +15,7 @@ from repro.eth.supernode import Supernode
 from repro.eth.transaction import TransactionFactory, gwei
 from repro.netgen.ethereum import quick_network
 from repro.netgen.workloads import prefill_mempools
+from repro.obs import EventLog, Observability
 from repro.sim.engine import Simulator
 
 # `pytest --hypothesis-profile ci`: ten times the examples, derandomized so
@@ -105,3 +106,33 @@ def pairs_of(graph, connected: bool, limit: int = 10):
             if len(out) >= limit:
                 break
     return out
+
+
+def record_everything(network: Network) -> Observability:
+    """One bundle recording the whole story of ``network`` from now on:
+    every executed engine event, every fired fault and every drop."""
+    obs = Observability()
+    network.install_observability(obs)
+    network.sim.attach_observability(obs, log_events=True)
+    return obs
+
+
+def trace_lines(log: EventLog) -> list:
+    """The engine, fault and drop records as ``time|kind|detail`` lines.
+
+    ``event`` renders as ``event|label``, ``fault`` as
+    ``fault:<kind>|detail`` and ``drop`` as ``drop|Kind:a->b (reason)``.
+    A lost message is told once, by its ``fault:loss`` line, so ``loss``
+    drops are skipped. The log must hold the whole story.
+    """
+    assert log.dropped == 0, f"the log overwrote {log.dropped} records"
+    lines = []
+    for time, kind, *fields in log:
+        if kind == "event":
+            lines.append(f"{time:.9f}|event|{fields[0]}")
+        elif kind == "fault":
+            lines.append(f"{time:.9f}|fault:{fields[0]}|{fields[1]}")
+        elif kind == "drop" and fields[0] != "loss":
+            reason, from_id, to_id, msg_kind = fields
+            lines.append(f"{time:.9f}|drop|{msg_kind}:{from_id}->{to_id} ({reason})")
+    return lines

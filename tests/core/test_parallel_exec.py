@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import parallel_exec
 from repro.core.parallel_exec import (
     CampaignReplica,
     CampaignSpec,
@@ -25,7 +26,7 @@ from repro.core.results import (
 from repro.errors import CheckpointError, MeasurementError
 from repro.io import measurement_to_dict
 from repro.netgen.ethereum import NetworkSpec
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Observability
 from repro.sim.faults import FaultPlan, LinkFaults, RpcFaultPlan
 from repro.sim.rng import spawn_seed
 from tests.sim.test_faults_rpc import BYZANTINE_MIX, FULL_ZOO
@@ -494,6 +495,31 @@ class TestObsMerge:
         assert by_name["h"]["min"] == 1.0
         assert by_name["h"]["max"] == 4.0
         assert by_name["h"]["p50"] is None  # reservoirs are not mergeable
+
+    def test_a_merged_log_counts_what_its_shards_overwrote(self, monkeypatch):
+        """Shard rings too small for their story: the merged log retains
+        only their tails, and its ``dropped`` says how much is missing."""
+        shard_logs = []
+
+        def small_bundle():
+            bundle = Observability(event_capacity=8)
+            shard_logs.append(bundle.events)
+            return bundle
+
+        monkeypatch.setattr(parallel_exec, "Observability", small_bundle)
+        obs = Observability()
+        run_campaign(
+            _spec(
+                network=NetworkSpec(n_nodes=12, seed=7),
+                n_shards=2,
+                fault_plan=FaultPlan(loss_rate=0.05),
+            ),
+            obs=obs,
+        )
+        assert len(shard_logs) == 2
+        overwritten = sum(log.dropped for log in shard_logs)
+        assert overwritten > 0
+        assert obs.events.dropped == overwritten
 
     @given(st.lists(_SHARD, max_size=4))
     def test_one_by_one_equals_concatenation(self, shards):

@@ -9,6 +9,7 @@ from repro.eth.node import NodeConfig
 from repro.eth.policies import GETH
 from repro.eth.supernode import Supernode
 from repro.eth.transaction import gwei
+from tests.conftest import record_everything, trace_lines
 
 
 @pytest.fixture
@@ -41,7 +42,8 @@ class TestChurn:
     def test_in_flight_drop_emits_trace_record(self, wallet, factory):
         from repro.sim.engine import Simulator
 
-        network = Network(sim=Simulator(seed=44, trace=True))
+        network = Network(sim=Simulator(seed=44))
+        obs = record_everything(network)
         config = NodeConfig(policy=GETH.scaled(64))
         network.create_node("a", config)
         network.create_node("b", config)
@@ -51,9 +53,9 @@ class TestChurn:
         network.send("a", "b", Transactions(txs=(tx,)))
         network.disconnect("a", "b")
         network.run(5.0)
-        drops = network.sim.tracer.filter(kind="drop")
+        drops = [line for line in trace_lines(obs.events) if "|drop|" in line]
         assert len(drops) == 1
-        assert "link_vanished" in drops[0].detail
+        assert drops[0].endswith("(link_vanished)")
 
     def test_queued_broadcast_to_removed_peer_is_dropped(
         self, pair_network, wallet, factory

@@ -7,7 +7,8 @@ tests pin SHA-256 fingerprints of
 
 - the edge set a full TopoShot campaign measures on a 24-node network, and
 - the complete event trace of a 25-transaction propagation run on a
-  40-node network (time, kind and label of every executed event).
+  40-node network (time, kind and label of every executed event), read
+  from the run's event log.
 
 Any change to event ordering, RNG draw sequence, latency sampling, relay
 policy or trace labelling shows up here as a digest mismatch. If you
@@ -29,7 +30,7 @@ from repro.core.campaign import TopoShot
 from repro.eth.account import Wallet
 from repro.eth.transaction import TransactionFactory, gwei
 from repro.netgen.ethereum import quick_network
-from repro.sim.tracing import Tracer
+from tests.conftest import record_everything, trace_lines
 
 EDGE_DIGEST = "fe2ce0906b22c34574950815ffbfa79c1a72e2c6d162e096b44f57f2f491a703"
 N_EDGES = 184
@@ -51,7 +52,7 @@ def campaign_edge_fingerprint(n_nodes: int = 24, seed: int = 7):
 def propagation_trace_fingerprint(n_nodes: int = 40, seed: int = 3, txs: int = 25):
     """Digest of every executed event of a traced propagation scenario."""
     network = quick_network(n_nodes=n_nodes, seed=seed)
-    network.sim.tracer = Tracer()
+    obs = record_everything(network)
     wallet = Wallet("golden")
     factory = TransactionFactory()
     ids = network.measurable_node_ids()
@@ -60,12 +61,9 @@ def propagation_trace_fingerprint(n_nodes: int = 40, seed: int = 3, txs: int = 2
             factory.transfer(wallet.fresh_account(), gas_price=gwei(2.0) + index)
         )
     network.settle()
-    lines = "\n".join(
-        f"{record.time:.9f}|{record.kind}|{record.detail}"
-        for record in network.sim.tracer
-    )
-    digest = hashlib.sha256(lines.encode("utf-8")).hexdigest()
-    return digest, len(network.sim.tracer)
+    lines = trace_lines(obs.events)
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    return digest, len(lines)
 
 
 class TestGoldenFingerprints:

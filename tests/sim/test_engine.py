@@ -8,7 +8,7 @@ from repro.eth.network import Network, fully_connect
 from repro.eth.transaction import TransactionFactory, gwei
 from repro.sim.engine import Simulator
 from repro.sim.snapshot import capture_simulator, restore_simulator
-from repro.sim.tracing import EngineProfiler, Tracer
+from repro.sim.tracing import EngineProfiler
 
 
 class TestScheduling:
@@ -187,10 +187,11 @@ class TestDeterminism:
         assert a != b
 
     def test_tracer_records_when_enabled(self):
-        sim = Simulator(seed=0, trace=True)
+        sim = Simulator(seed=0)
+        obs = sim.attach_observability(log_events=True)
         sim.schedule(1.0, lambda: None, label="hello")
         sim.run()
-        assert len(sim.tracer.filter(kind="event", contains="hello")) == 1
+        assert obs.events.filter("event") == [(1.0, "event", "hello")]
 
 
 class TestScheduleAtDaemon:
@@ -273,7 +274,7 @@ class TestEngineProfiler:
 
 
 class TestObservedDispatch:
-    """step() and run() feed the three sinks through one routine."""
+    """step() and run() feed both sinks through one routine."""
 
     @staticmethod
     def _observe(drive):
@@ -283,7 +284,6 @@ class TestObservedDispatch:
             network.create_node(name)
         fully_connect(network, "abcde")
         sim = network.sim
-        sim.tracer = Tracer()
         obs = sim.attach_observability(log_events=True)
         profiler = sim.attach_profiler(EngineProfiler())
         for index, name in enumerate("ace"):
@@ -294,7 +294,6 @@ class TestObservedDispatch:
         sim.schedule(0.01, lambda: None, "never:fires").cancel()
         drive(sim)
         return (
-            [(r.time, r.kind, r.detail) for r in sim.tracer],
             obs.events.records(),
             profiler.counts,
             sim.executed_events,
@@ -309,11 +308,12 @@ class TestObservedDispatch:
         by_step = self._observe(stepped)
         by_run = self._observe(Simulator.run)
         assert by_step == by_run
-        records, logged, counts, executed, _ = by_run
-        # Every sink saw every executed event, with the same formatted label
+        logged, counts, executed, _ = by_run
+        # Both sinks saw every executed event, with the same formatted label
         # (transport tuples, flush strings and the unlabeled event alike).
-        assert len(records) == len(logged) == sum(counts.values()) == executed
-        assert [(t, k, d) for t, k, d in logged] == records
+        assert len(logged) == sum(counts.values()) == executed
+        assert {label.partition(":")[0] or EngineProfiler.UNLABELED
+                for _, _, label in logged} == set(counts)
         assert {"Transactions", "flush", "Status", EngineProfiler.UNLABELED} <= set(
             counts
         )
@@ -365,11 +365,11 @@ class TestScheduleCall:
         assert order == ["a", "b"]
 
     def test_traced_and_profiled_like_events(self, sim):
-        sim.tracer = Tracer()
+        obs = sim.attach_observability(log_events=True)
         profiler = sim.attach_profiler()
         push_call(sim, 1.0, lambda: None, "deliver:a->b")
         sim.run()
-        assert [r.detail for r in sim.tracer] == ["deliver:a->b"]
+        assert obs.events.records() == [(1.0, "event", "deliver:a->b")]
         assert profiler.as_dict()["deliver"]["events"] == 1
 
     def test_cancelled_event_then_call_entry_runs(self, sim):

@@ -14,8 +14,9 @@ from repro.eth.transaction import TransactionFactory, gwei
 from repro.eth.account import Wallet
 from repro.netgen.ethereum import quick_network
 from repro.netgen.workloads import prefill_mempools
+from repro.obs import NULL, Observability
 from repro.sim.faults import FaultInjector, FaultPlan, LinkFaults, RpcFaultPlan
-from repro.sim.tracing import Tracer
+from tests.conftest import record_everything, trace_lines
 
 
 def pair_network(seed=11):
@@ -94,6 +95,7 @@ class TestMessageLoss:
             wallet = Wallet("loss-det")
             factory = TransactionFactory()
             network = pair_network(seed=seed)
+            obs = record_everything(network)
             network.install_faults(FaultPlan(loss_rate=0.5))
             # Spaced submissions so each push is its own message (the
             # broadcast loop batches same-instant submissions into one).
@@ -102,10 +104,7 @@ class TestMessageLoss:
                 network.run(1.0)
             network.run(10.0)
             return (
-                [
-                    (event.time, event.kind, event.detail)
-                    for event in network.faults.events
-                ],
+                obs.events.filter("fault"),
                 sorted(
                     tx.hash
                     for tx in network.node("b").mempool.all_transactions()
@@ -143,12 +142,13 @@ def spy_on_link_hooks(monkeypatch):
     return calls
 
 
-def hooked_campaign(plan):
+def hooked_campaign(plan, obs=NULL):
     network = quick_network(n_nodes=8, seed=21)
     prefill_mempools(network)
+    network.install_observability(obs)  # before the first fault can fire
     faults = network.install_faults(plan)
     queued = network.messages_sent
-    TopoShot.attach(network).measure_network()
+    TopoShot.attach(network, obs=obs).measure_network()
     return network, faults, network.messages_sent - queued
 
 
@@ -190,7 +190,7 @@ class TestLinkHooks:
             link_overrides={link: LinkFaults(loss_rate=0.5, extra_delay_mean=0.2)},
         )
         faults = network.install_faults(plan)
-        network.sim.tracer = Tracer()
+        obs = record_everything(network)
         wallet = Wallet("lossy")
         factory = TransactionFactory()
         ids = network.measurable_node_ids()
@@ -203,8 +203,11 @@ class TestLinkHooks:
         def digest(lines):
             return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
-        events = [f"{e.time:.9f}|{e.kind}|{e.detail}" for e in faults.events]
-        trace = [f"{r.time:.9f}|{r.kind}|{r.detail}" for r in network.sim.tracer]
+        events = [
+            f"{time:.9f}|{kind}|{detail}"
+            for time, _, kind, detail in obs.events.filter("fault")
+        ]
+        trace = trace_lines(obs.events)
         assert faults.messages_dropped == 138
         assert network.messages_sent == 3115
         assert len(trace) == 3262
@@ -216,16 +219,62 @@ class TestLinkHooks:
         )
 
 
+def fault_kinds(obs):
+    """The kinds of the fault records, in firing order."""
+    assert obs.events.dropped == 0
+    return [kind for _, _, kind, _ in obs.events.filter("fault")]
+
+
+class TestTheLogIsComplete:
+    """The event log is the one record of a fired fault: each fault the
+    injector counts has exactly one ``fault`` record."""
+
+    def test_every_lost_message_is_recorded_once(self):
+        obs = Observability()
+        plan = FaultPlan(loss_rate=0.05, extra_delay_mean=0.01)
+        _, faults, _ = hooked_campaign(plan, obs)
+        assert faults.messages_dropped > 0
+        assert fault_kinds(obs).count("loss") == faults.messages_dropped
+        loss_drops = [r for r in obs.events.filter("drop") if r[2] == "loss"]
+        assert len(loss_drops) == faults.messages_dropped
+
+    def test_every_rpc_fault_is_recorded_once(self):
+        obs = Observability()
+        # Flaps and a tight rate limit on top, and one pool dump per
+        # target after the campaign, so that every kind fires.
+        rpc_plan = RpcFaultPlan.uniform(
+            0.2, flap_rate=0.5, rate_limit_per_second=2.0, rate_limit_burst=2
+        )
+        network, faults, _ = hooked_campaign(FaultPlan(rpc=rpc_plan), obs)
+        client = network.rpc_client()
+        for node_id in network.measurable_node_ids():
+            client.pool_snapshot(node_id)
+        network.run(30.0)
+        kinds = fault_kinds(obs)
+        rpc = faults.rpc
+        counters = {
+            "rpc_timeout": rpc.timeouts,
+            "rpc_error": rpc.transient_errors,
+            "rpc_rate_limit": rpc.rate_limited,
+            "rpc_stale": rpc.stale_served,
+            "rpc_truncate": rpc.truncated,
+            "rpc_flap_down": rpc.flaps,
+        }
+        assert all(counters.values())
+        assert {kind: kinds.count(kind) for kind in counters} == counters
+
+
 class TestChurn:
     def test_churn_takes_links_down_and_back_up(self):
         network = pair_network(seed=21)
+        obs = record_everything(network)
         network.install_faults(
             FaultPlan(churn_rate=0.5, churn_downtime=2.0)
         )
         network.run(30.0)
         injector = network.faults
         assert injector.churn_events > 0
-        kinds = [event.kind for event in injector.events]
+        kinds = fault_kinds(obs)
         assert "churn_down" in kinds
         assert "churn_up" in kinds
         # Disarm and let the last pending downtime elapse: the heal still
@@ -237,11 +286,15 @@ class TestChurn:
     def test_supernode_links_are_spared_by_default(self):
         network = pair_network(seed=22)
         supernode = Supernode.join(network)
+        obs = record_everything(network)
         network.install_faults(FaultPlan(churn_rate=1.0, churn_downtime=1.0))
         network.run(30.0)
-        for event in network.faults.events:
-            if event.kind == "churn_down":
-                assert supernode.id not in event.detail
+        assert obs.events.dropped == 0
+        downs = [detail for _, _, kind, detail in obs.events.filter("fault")
+                 if kind == "churn_down"]
+        assert downs
+        for detail in downs:
+            assert supernode.id not in detail
 
     def test_fault_daemons_do_not_block_settle(self):
         network = pair_network(seed=23)
@@ -252,14 +305,13 @@ class TestChurn:
 
     def test_stop_disarms_the_injector(self):
         network = pair_network(seed=24)
-        injector = network.install_faults(FaultPlan(churn_rate=5.0))
+        obs = record_everything(network)
+        network.install_faults(FaultPlan(churn_rate=5.0))
         network.run(5.0)
-        events_before = len(injector.events)
+        events_before = len(fault_kinds(obs))
         network.clear_faults()
         network.run(20.0)
-        down_events = sum(
-            1 for e in injector.events[events_before:] if e.kind == "churn_down"
-        )
+        down_events = fault_kinds(obs)[events_before:].count("churn_down")
         assert down_events == 0  # no new faults after stop()
         assert network.are_connected("a", "b")  # ... but heals still ran
 
@@ -302,11 +354,12 @@ class TestCrashRestart:
 
     def test_crash_process_fires_and_recovers(self):
         network = pair_network(seed=28)
+        obs = record_everything(network)
         network.install_faults(FaultPlan(crash_rate=0.5, crash_downtime=2.0))
         network.run(40.0)
         injector = network.faults
         assert injector.crashes > 0
-        kinds = [event.kind for event in injector.events]
+        kinds = fault_kinds(obs)
         assert "crash" in kinds and "restart" in kinds
         # Disarm and let the last downtime elapse: everyone comes back.
         network.clear_faults()

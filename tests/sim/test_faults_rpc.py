@@ -20,6 +20,7 @@ from repro.eth.transaction import TransactionFactory, gwei
 from repro.io import measurement_to_dict
 from repro.netgen.ethereum import quick_network
 from repro.netgen.workloads import prefill_mempools
+from repro.obs import Observability
 from repro.sim.faults import FaultPlan, RpcFaultPlan
 
 # Wire faults + adversarial peers + a degraded measurement plane: the
@@ -165,6 +166,7 @@ class TestFaultComposition:
             wallet = Wallet("rpc-stream-independence")
             factory = TransactionFactory()
             network = quick_network(n_nodes=14, seed=94)
+            obs = network.install_observability(Observability())
             network.install_faults(FaultPlan(**plan))
             node_ids = sorted(nid for nid in network.nodes)
             # Fixed gossip workload: spaced submissions so each push is
@@ -180,10 +182,11 @@ class TestFaultComposition:
                 for node_id in node_ids[:6]:
                     client.pool_snapshot(node_id)
                 network.run(30.0)
+            assert obs.events.dropped == 0
             return [
-                (event.time, event.kind, event.detail)
-                for event in network.faults.events
-                if not event.kind.startswith("rpc_")
+                (time, kind, detail)
+                for time, _, kind, detail in obs.events.filter("fault")
+                if not kind.startswith("rpc_")
             ]
 
         with_rpc = wire_events(FULL_ZOO)
