@@ -16,6 +16,7 @@ import pytest
 from benchmarks.harness import emit, run_once
 from repro.core.config import MeasurementConfig
 from repro.core.primitive import measure_one_link
+from repro.eth.account import Wallet
 from repro.eth.miner import Miner
 from repro.eth.network import Network
 from repro.eth.node import NodeConfig
@@ -54,11 +55,14 @@ def run_both():
     ):
         network, supernode = build(with_background)
         config = MeasurementConfig(gas_price_y=gwei(1.0))
-        report = measure_one_link(network, supernode, "n0", "n1", config)
+        wallet = Wallet("ablation-background")
+        record = measure_one_link(network, supernode, "n0", "n1", config, wallet)
+        # The probe's first account is its seed: txC, txB and txA all
+        # spend its nonce 0, so one of them was mined iff it advanced.
+        seed = next(iter(wallet))
         results[label] = (
-            report.connected,
-            network.chain.is_included(report.tx_c_hash)
-            or network.chain.is_included(report.tx_a_hash),
+            record.detected,
+            network.chain.confirmed_nonce(seed.address) > 0,
         )
     return results
 

@@ -48,7 +48,7 @@ def measure_with_base_fee(base_fee: int):
     supernode.clear_observations()
     network.forget_known_transactions()
     non_link = measure_one_link(network, supernode, "n0", "n2", config)
-    return true_link.connected, non_link.connected
+    return true_link.detected, non_link.detected
 
 
 def sweep():

@@ -255,7 +255,7 @@ def bench_surge() -> dict:
         replace_bump=config_m.replace_bump,
     )
     monitor.start(network.sim.now)
-    report = measure_one_link(network, supernode, "n1", "n2", config_m)
+    record = measure_one_link(network, supernode, "n1", "n2", config_m)
     monitor.stop(network.sim.now)
     network.run(60.0 - network.sim.now)
 
@@ -267,7 +267,7 @@ def bench_surge() -> dict:
     return {
         "y0_gwei": round(y0 / 1e9, 3),
         "surge": network.fee_market.surge,
-        "detected": report.connected,
+        "detected": record.detected,
         "v1_v2_verified": conditions.non_interfering,
         "surge_band_admissible": band.admissible_throughout,
         "surge_band_samples": band.samples_checked,

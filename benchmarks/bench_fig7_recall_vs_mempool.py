@@ -46,7 +46,7 @@ def recall_for_capacity(capacity: int, seed: int) -> bool:
     config = MeasurementConfig.for_policy(base).with_future_count(Z).with_gas_price(
         gwei(0.5)
     )
-    return measure_one_link(network, supernode, "a", "b", config).connected
+    return measure_one_link(network, supernode, "a", "b", config).detected
 
 
 def sweep():

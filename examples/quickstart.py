@@ -51,10 +51,10 @@ def main() -> None:
 
     # A single link can also be probed with the serial primitive:
     a, b = measurement.node_ids[0], measurement.node_ids[1]
-    link = shot.measure_link(a, b)
+    connected = any(record.detected for record in shot.measure_link(a, b))
     print(
         f"\nserial probe {a} -- {b}: "
-        f"{'connected' if link.connected else 'not connected'} "
+        f"{'connected' if connected else 'not connected'} "
         f"(ground truth: {truth.has_edge(a, b)})"
     )
 

@@ -30,8 +30,8 @@ Quickstart::
 
 from repro.core.campaign import TopoShot
 from repro.core.config import MeasurementConfig
-from repro.core.primitive import LinkProbeOutcome, measure_one_link
-from repro.core.results import LinkResult, NetworkMeasurement
+from repro.core.primitive import measure_one_link
+from repro.core.results import EdgeEvidence, NetworkMeasurement
 from repro.eth.network import Network
 from repro.eth.policies import (
     ALETH,
@@ -50,9 +50,8 @@ __all__ = [
     "ALETH",
     "BESU",
     "CLIENT_POLICIES",
+    "EdgeEvidence",
     "GETH",
-    "LinkProbeOutcome",
-    "LinkResult",
     "MeasurementConfig",
     "MempoolPolicy",
     "NETHERMIND",

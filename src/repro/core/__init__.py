@@ -13,17 +13,15 @@
 from repro.core.campaign import TopoShot
 from repro.core.config import MeasurementConfig
 from repro.core.parallel import ParallelProbeReport, measure_par
-from repro.core.primitive import LinkProbeOutcome, ProbeReport, measure_one_link
-from repro.core.results import LinkResult, NetworkMeasurement, ValidationScore
+from repro.core.primitive import measure_one_link
+from repro.core.results import EdgeEvidence, NetworkMeasurement, ValidationScore
 from repro.core.schedule import ScheduleIteration, build_schedule
 
 __all__ = [
-    "LinkProbeOutcome",
-    "LinkResult",
+    "EdgeEvidence",
     "MeasurementConfig",
     "NetworkMeasurement",
     "ParallelProbeReport",
-    "ProbeReport",
     "ScheduleIteration",
     "TopoShot",
     "ValidationScore",

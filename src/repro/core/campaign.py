@@ -25,8 +25,9 @@ are not defined to be bit-identical to each other.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.config import MeasurementConfig
 from repro.core.parallel import ParallelProbeReport, measure_par_with_repeats
@@ -36,10 +37,11 @@ from repro.core.preprocess import (
     preprocess_targets,
 )
 from repro.core.primitive import (
-    ProbeReport,
     cleanup,
+    confirmed_direct,
     measure_link_with_repeats,
     measure_one_link,
+    probe_wallet,
 )
 from repro.core.results import (
     CONFIDENCE_CROSS_VALIDATED,
@@ -47,7 +49,7 @@ from repro.core.results import (
     CONFIDENCE_QUARANTINED,
     CONFIDENCE_SUSPECT,
     Edge,
-    LinkResult,
+    EdgeEvidence,
     NetworkMeasurement,
 )
 from repro.core.schedule import ScheduleIteration, build_schedule
@@ -57,6 +59,7 @@ from repro.eth.network import Network
 from repro.eth.supernode import Supernode
 from repro.obs import NULL, Observability, wiring
 
+T = TypeVar("T")
 ProgressCallback = Callable[[int, int, ScheduleIteration, ParallelProbeReport], None]
 
 # One ``measurePar`` round: (schedule index, the round — cut to the wanted
@@ -210,30 +213,37 @@ class TopoShot:
     # ------------------------------------------------------------------
     # Single links (serial primitive)
     # ------------------------------------------------------------------
-    def measure_link(self, a: str, b: str) -> LinkResult:
-        """Measure one undirected link with the serial primitive,
-        ``config.repeats`` times, reporting the union of positives."""
+    def measure_link(self, a: str, b: str) -> List[EdgeEvidence]:
+        """Measure one undirected link with the serial primitive and
+        return every round's record: up to ``config.repeats`` rounds, plus
+        set-up retries, stopping at the first detection — so the link is
+        detected iff the last record is."""
         self.pin_ambient()
-        reports: List[ProbeReport] = measure_link_with_repeats(
-            self.network,
-            self.supernode,
-            a,
-            b,
-            self._config_for_iteration([(a, b)]),
-            self.wallet,
-            refresh=self.restore_ambient,
+        return self._serial_probe(
+            lambda wallet: measure_link_with_repeats(
+                self.network,
+                self.supernode,
+                a,
+                b,
+                self._config_for_iteration([(a, b)]),
+                wallet,
+                refresh=self.restore_ambient,
+            )
         )
-        for report in reports:
-            self.measurement_senders.extend(report.measurement_senders)
-        positives = sum(1 for r in reports if r.connected)
-        return LinkResult(
-            a=a,
-            b=b,
-            connected=positives > 0,
-            attempts=len(reports),
-            positive_attempts=positives,
-            details=list(reports),
+
+    def _serial_probe(self, probe: Callable[[Wallet], T]) -> T:
+        """Run ``probe`` on the wallet serial probes mint from — the
+        session's once it holds accounts, else a new
+        :func:`~repro.core.primitive.probe_wallet` (an empty session wallet
+        stands for none) — and record the seed and flood accounts it
+        minted as measurement senders."""
+        wallet = self.wallet or probe_wallet(self.network)
+        minted = len(wallet)
+        result = probe(wallet)
+        self.measurement_senders.extend(
+            account.address for account in islice(wallet, minted, None)
         )
+        return result
 
     # ------------------------------------------------------------------
     # Target selection
@@ -474,7 +484,7 @@ class TopoShot:
         least ``config.cross_validate_k`` probes confirm direct
         adjacency (positive, RPC-confirmed, and the sink won the timing
         race against every third-party observer — see
-        :attr:`repro.core.primitive.ProbeReport.confirmed_direct`).
+        :func:`repro.core.primitive.confirmed_direct`).
         Unconfirmed suspects are removed from ``edges`` and recorded in
         ``quarantined``; without a cross-validation budget they stay but
         are labelled ``suspect``. All other edges are ``high``.
@@ -537,7 +547,7 @@ class TopoShot:
         measurement plane) says nothing about the edge either way, so it
         does not consume the cross-validation budget — up to
         ``config.cross_validate`` such probes are retried for free
-        before degraded reports start counting like ordinary ones
+        before degraded records start counting like ordinary ones
         (bounding the loop when the plane stays sick)."""
         needed = self.config.cross_validate_k
         clean_positives = 0
@@ -549,23 +559,32 @@ class TopoShot:
                 break  # can no longer reach k
             cleanup(self.network, self.supernode, self.restore_ambient)
             try:
-                report = measure_one_link(
-                    self.network,
-                    self.supernode,
-                    a,
-                    b,
-                    self._config_for_iteration([(a, b)]),
-                    self.wallet,
+                record = self._serial_probe(
+                    lambda wallet: measure_one_link(
+                        self.network,
+                        self.supernode,
+                        a,
+                        b,
+                        self._config_for_iteration([(a, b)]),
+                        wallet,
+                    )
                 )
             except MeasurementError:
                 attempts += 1
                 continue
-            self.measurement_senders.extend(report.measurement_senders)
-            if report.rpc_degraded and degraded_allowance > 0:
+            # Read at once: no sim time has passed since the verdict.
+            extra_observed_at = min(
+                (
+                    self.supernode.first_observation_time(x, record.tx_hash)
+                    for x in record.extra_observers
+                ),
+                default=None,
+            )
+            if record.rpc_degraded and degraded_allowance > 0:
                 degraded_allowance -= 1
                 continue  # a sick plane is not evidence; re-probe for free
             attempts += 1
-            if report.confirmed_direct:
+            if confirmed_direct(record, extra_observed_at):
                 clean_positives += 1
                 if clean_positives >= needed:
                     return True

@@ -98,7 +98,7 @@ class MeasurementConfig:
         least ``cross_validate_k`` probes confirm direct adjacency
         (RPC-confirmed positive whose sink demonstrated possession to
         the supernode no later than any third party — see
-        ``ProbeReport.confirmed_direct``); edges failing the bar move
+        ``repro.core.primitive.confirmed_direct``); edges failing the bar move
         to the measurement's quarantine set. 0 (default) disables the
         extra probes — suspects are kept but downgraded to ``suspect``
         confidence.

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import MeasurementConfig
 from repro.core.gas_estimator import estimate_y
-from repro.core.primitive import cleanup, inject, measure_one_link
+from repro.core.primitive import cleanup, inject, measure_one_link, probe_wallet
 from repro.errors import RpcError, RpcUnavailableError
 from repro.eth.account import Wallet
 from repro.eth.network import Network
@@ -202,7 +202,6 @@ def calibrate_future_count(
             "calibration requires a known-true link between the target and "
             "the locally controlled node"
         )
-    wallet = wallet or Wallet("calibrate")
     for z in sorted(z_values):
         attempt = measure_one_link(
             network,
@@ -210,9 +209,9 @@ def calibrate_future_count(
             target_id,
             local_peer_id,
             config.with_future_count(z),
-            wallet,
+            wallet or probe_wallet(network),
         )
         cleanup(network, supernode)
-        if attempt.connected:
+        if attempt.detected:
             return z
     return None

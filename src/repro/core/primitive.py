@@ -21,9 +21,8 @@ and only B — replaces and forwards it.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import replace
 from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -51,105 +50,28 @@ def _known(value: Optional[bool], default: bool) -> bool:
     return default if value is None else value
 
 
-class LinkProbeOutcome(enum.Enum):
-    """Diagnosis of one serial probe."""
+def confirmed_direct(record: EdgeEvidence, extra_observed_at: Optional[float]) -> bool:
+    """The cross-validation verdict for one probe, given the earliest time
+    any of ``record.extra_observers`` demonstrated possession of txA.
 
-    CONNECTED = "connected"
-    NOT_CONNECTED = "not_connected"
-    SETUP_FAILED_A = "setup_failed_a"  # txA never took hold on node A
-    SETUP_FAILED_B = "setup_failed_b"  # txB never took hold on node B
-    SETUP_FAILED_SEND = "setup_failed_send"  # an injection never left M
-
-
-SETUP_FAILURES = (
-    LinkProbeOutcome.SETUP_FAILED_A,
-    LinkProbeOutcome.SETUP_FAILED_B,
-    LinkProbeOutcome.SETUP_FAILED_SEND,
-)
-
-
-@dataclass
-class ProbeReport:
-    """Everything observed while probing one directed pair A -> B."""
-
-    a: str
-    b: str
-    outcome: LinkProbeOutcome
-    y: int
-    tx_c_hash: str
-    tx_a_hash: str
-    tx_b_hash: str
-    flood_confirmed: bool
-    setup_a_ok: bool
-    setup_b_ok: bool
-    observed_at: Optional[float] = None
-    measurement_senders: List[str] = field(default_factory=list)
-    # Hardened-verdict evidence (meaningful when config.hardened):
-    # rpc_confirmed is the Section 6.1 cross-check (txA in the sink's
-    # pool); extra_observers are third parties that demonstrated
-    # possession of txA — empty on any conforming network — and
-    # extra_observed_at is the earliest time any of them did.
-    rpc_confirmed: bool = True
-    extra_observers: Tuple[str, ...] = ()
-    extra_observed_at: Optional[float] = None
-    # True when any pool check behind this verdict came back *unknown*
-    # (exhausted retries, open breaker on the measurement plane): the
-    # verdict stands, but it is degraded — suspect, worth a re-probe.
-    rpc_degraded: bool = False
-
-    @property
-    def connected(self) -> bool:
-        return self.outcome is LinkProbeOutcome.CONNECTED
-
-    @property
-    def setup_failed(self) -> bool:
-        return self.outcome in SETUP_FAILURES
-
-    @property
-    def evidence(self) -> EdgeEvidence:
-        """This probe as the per-pair record every probe shares."""
-        return EdgeEvidence(
-            source=self.a,
-            sink=self.b,
-            tx_hash=self.tx_a_hash,
-            observed_at=self.observed_at,
-            rpc_confirmed=self.rpc_confirmed,
-            extra_observers=self.extra_observers,
-            rpc_degraded=self.rpc_degraded,
-            detected=self.connected,
-            setup_ok=not self.setup_failed,
-            flood_confirmed=self.flood_confirmed,
-        )
-
-    @property
-    def clean(self) -> bool:
-        """A positive with an intact isolation envelope (see
-        :attr:`EdgeEvidence.clean`)."""
-        return self.connected and self.evidence.clean
-
-    @property
-    def confirmed_direct(self) -> bool:
-        """The cross-validation verdict for one probe.
-
-        A clean positive proves direct adjacency outright. With the
-        envelope broken (third parties also showed ``txA``), the timing
-        race decides: one-way delays are strictly positive, so a sink
-        that received ``txA`` *through* a third party demonstrates
-        possession to the supernode only after that party does. A sink
-        whose possession arrives no later than every third party's
-        therefore cannot sit behind a relay chain. Per-message latency
-        noise makes one race fallible both ways; the campaign amplifies
-        it k-of-n (see ``MeasurementConfig.cross_validate``).
-        """
-        if not (self.connected and self.rpc_confirmed):
-            return False
-        if not self.extra_observers:
-            return True
-        return (
-            self.observed_at is not None
-            and self.extra_observed_at is not None
-            and self.observed_at <= self.extra_observed_at
-        )
+    A clean positive proves direct adjacency outright. With the envelope
+    broken (third parties also showed ``txA``), the timing race decides:
+    one-way delays are strictly positive, so a sink that received ``txA``
+    *through* a third party demonstrates possession to the supernode only
+    after that party does. A sink whose possession arrives no later than
+    every third party's therefore cannot sit behind a relay chain.
+    Per-message latency noise makes one race fallible both ways; the
+    campaign amplifies it k-of-n (see ``MeasurementConfig.cross_validate``).
+    """
+    if not (record.detected and record.rpc_confirmed):
+        return False
+    if not record.extra_observers:
+        return True
+    return (
+        record.observed_at is not None
+        and extra_observed_at is not None
+        and record.observed_at <= extra_observed_at
+    )
 
 
 def build_future_flood(
@@ -324,6 +246,12 @@ def verdict(
     )
 
 
+def probe_wallet(network: Network) -> Wallet:
+    """A new wallet for one serial probe, named by the sim time it starts
+    at: what :func:`measure_one_link` mints from when handed none."""
+    return Wallet(f"toposhot-{network.sim.now:.3f}")
+
+
 def measure_one_link(
     network: Network,
     supernode: Supernode,
@@ -331,47 +259,41 @@ def measure_one_link(
     b_id: str,
     config: Optional[MeasurementConfig] = None,
     wallet: Optional[Wallet] = None,
-) -> ProbeReport:
-    """Run one serial ``measureOneLink(A, B, X, Y, Z, R, U)`` probe.
+) -> EdgeEvidence:
+    """Run one serial ``measureOneLink(A, B, X, Y, Z, R, U)`` probe and
+    return its record: the :func:`verdict` plus the serial set-up checks.
 
     The call advances the shared simulation by roughly
     ``X + settle + propagation`` seconds and leaves flood transactions in
     the targets' pools (as the real tool does; they are future transactions
-    and cost nothing, Section 5.2.2).
+    and cost nothing, Section 5.2.2). It mints its seed and flood accounts
+    from ``wallet``, empty or not, or from a :func:`probe_wallet`.
     """
     if a_id == b_id:
         raise ValueError("cannot measure a node against itself")
     if a_id in network.supernode_ids or b_id in network.supernode_ids:
         raise ValueError("measurement infrastructure cannot be a target")
     config = config or MeasurementConfig()
-    wallet = wallet or Wallet(f"toposhot-{network.sim.now:.3f}")
+    wallet = wallet if wallet is not None else probe_wallet(network)
     factory = TransactionFactory()
 
     y = estimate_y(supernode, config)
-    senders: List[str] = []
 
-    def send_failed(tx_c_hash: str, tx_a_hash: str = "", tx_b_hash: str = "",
-                    flood_confirmed: bool = False) -> ProbeReport:
+    def send_failed(tx_a_hash: str = "", flood_confirmed: bool = False) -> EdgeEvidence:
         # The injection itself died (timeout, churned supernode link): wait
         # out the timeout budget and fail the setup — never the link.
         network.run(config.send_timeout)
-        return ProbeReport(
-            a=a_id,
-            b=b_id,
-            outcome=LinkProbeOutcome.SETUP_FAILED_SEND,
-            y=y,
-            tx_c_hash=tx_c_hash,
-            tx_a_hash=tx_a_hash,
-            tx_b_hash=tx_b_hash,
+        return EdgeEvidence(
+            source=a_id,
+            sink=b_id,
+            tx_hash=tx_a_hash,
+            detected=False,
+            setup_ok=False,
             flood_confirmed=flood_confirmed,
-            setup_a_ok=False,
-            setup_b_ok=False,
-            measurement_senders=senders,
         )
 
     # Step 1: plant txC on A; it floods to everyone, including B.
     seed_account = wallet.fresh_account(prefix="seed")
-    senders.append(seed_account.address)
     tx_c = factory.transfer(seed_account, gas_price=config.price_c(y))
     if network.invariants is not None:
         # Arm the TopoShot isolation invariant: this txC may only ever be
@@ -379,25 +301,22 @@ def measure_one_link(
         # property must hold for the rest of the run, not just the probe).
         network.invariants.guard_isolation(tx_c.hash, frozenset((a_id, b_id)))
     if not inject(supernode, a_id, [tx_c]):
-        return send_failed(tx_c.hash)
+        return send_failed()
     network.run(config.flood_wait)
     flood_confirmed = supernode.observed_from(b_id, tx_c.hash)
 
     # Step 2: evict txC on B and slot txB in its place.
     flood_b = build_future_flood(wallet, factory, config, y)
-    senders.extend({tx.sender for tx in flood_b})
     tx_b = rebid(factory, tx_c, config.price_b(y))
     if not inject(supernode, b_id, [tx_b], flood=flood_b):
-        return send_failed(tx_c.hash, tx_b_hash=tx_b.hash,
-                           flood_confirmed=flood_confirmed)
+        return send_failed(flood_confirmed=flood_confirmed)
     network.run(config.settle_wait)
 
     # Step 3: evict txC on A and slot txA in its place. The paper re-uses
     # the same future set {txO1..txOZ} for both targets.
     tx_a = rebid(factory, tx_c, config.price_a(y))
     if not inject(supernode, a_id, [tx_a], flood=flood_b):
-        return send_failed(tx_c.hash, tx_a_hash=tx_a.hash, tx_b_hash=tx_b.hash,
-                           flood_confirmed=flood_confirmed)
+        return send_failed(tx_a.hash, flood_confirmed)
     network.run(config.propagation_wait)
 
     # Step 4: did B demonstrably possess txA? Setup diagnostics use the
@@ -414,41 +333,11 @@ def measure_one_link(
     setup_a_ok = _known(a_has_a, True)
     setup_b_ok = _known(b_has_b, True) if b_has_b is not False else _known(b_has_a, True)
     found = verdict(network, supernode, a_id, b_id, tx_a.hash, config)
-
-    if found.detected:
-        outcome = LinkProbeOutcome.CONNECTED
-    elif not setup_a_ok:
-        outcome = LinkProbeOutcome.SETUP_FAILED_A
-    elif not setup_b_ok:
-        outcome = LinkProbeOutcome.SETUP_FAILED_B
-    else:
-        outcome = LinkProbeOutcome.NOT_CONNECTED
-
-    return ProbeReport(
-        a=a_id,
-        b=b_id,
-        outcome=outcome,
-        y=y,
-        tx_c_hash=tx_c.hash,
-        tx_a_hash=tx_a.hash,
-        tx_b_hash=tx_b.hash,
+    return replace(
+        found,
+        setup_ok=found.detected or (setup_a_ok and setup_b_ok),
         flood_confirmed=flood_confirmed,
-        setup_a_ok=setup_a_ok,
-        setup_b_ok=setup_b_ok,
-        observed_at=found.observed_at,
-        measurement_senders=senders,
-        rpc_confirmed=found.rpc_confirmed,
-        extra_observers=found.extra_observers,
-        extra_observed_at=min(
-            (
-                supernode.first_observation_time(x, tx_a.hash)
-                for x in found.extra_observers
-            ),
-            default=None,
-        ),
-        rpc_degraded=(
-            found.rpc_degraded or None in (a_has_a, b_has_b, b_has_a)
-        ),
+        rpc_degraded=found.rpc_degraded or None in (a_has_a, b_has_b, b_has_a),
     )
 
 
@@ -521,19 +410,19 @@ def measure_link_with_repeats(
     config: Optional[MeasurementConfig] = None,
     wallet: Optional[Wallet] = None,
     refresh: Optional[Callable[[], None]] = None,
-) -> List[ProbeReport]:
+) -> List[EdgeEvidence]:
     """:func:`probe_with_repeats` over the one pair ``(a_id, b_id)`` with
-    the serial primitive; returns every round's report. An undetected pair
+    the serial primitive; returns every round's record. An undetected pair
     leaves through a trailing :func:`cleanup`, so back-to-back calls start
     from a clean slate."""
     config = config or MeasurementConfig()
-    reports: List[ProbeReport] = []
+    records: List[EdgeEvidence] = []
 
     def probe_round(remaining: List[Pair], round_index: int) -> List[EdgeEvidence]:
-        reports.append(measure_one_link(network, supernode, a_id, b_id, config, wallet))
-        return [reports[-1].evidence]
+        records.append(measure_one_link(network, supernode, a_id, b_id, config, wallet))
+        return records[-1:]
 
     probe_with_repeats(network, supernode, [(a_id, b_id)], config, probe_round, refresh)
-    if not reports[-1].connected:
+    if not records[-1].detected:
         cleanup(network, supernode, refresh)
-    return reports
+    return records

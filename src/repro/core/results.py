@@ -196,22 +196,6 @@ def score_edges(measured: Iterable[Edge], truth: Iterable[Edge]) -> ValidationSc
     )
 
 
-@dataclass
-class LinkResult:
-    """Outcome of measuring one candidate link, over one or more repeats."""
-
-    a: str
-    b: str
-    connected: bool
-    attempts: int = 1
-    positive_attempts: int = 0
-    details: List[object] = field(default_factory=list)
-
-    @property
-    def edge(self) -> Edge:
-        return edge(self.a, self.b)
-
-
 @dataclass(frozen=True)
 class MeasurementFailure:
     """One adverse event the campaign survived instead of aborting on.
@@ -405,10 +389,3 @@ class NetworkMeasurement:
             )
         return "\n".join(lines)
 
-
-def union_results(results: Iterable[Set[Edge]]) -> Set[Edge]:
-    """Union of repeated measurements (the paper's passive recall fix)."""
-    merged: Set[Edge] = set()
-    for result in results:
-        merged |= result
-    return merged

@@ -64,8 +64,9 @@ class SendTimeoutError(NetworkError):
     """A supernode-side injection timed out before reaching the target.
 
     Models the RPC/DevP2P send timeouts the real tool hits against live
-    peers; the measurement stack converts it into a ``SETUP_FAILED_SEND``
-    probe outcome and retries with backoff rather than aborting.
+    peers; the measurement stack converts it into a failed set-up
+    (``EdgeEvidence.setup_ok`` false) and retries with backoff rather than
+    aborting.
     """
 
     def __init__(self, peer_id: str, detail: str = "") -> None:

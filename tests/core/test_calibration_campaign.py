@@ -158,9 +158,9 @@ class TestOnePerProbeConfig:
 
     def test_measure_link_honours_the_z_override(self):
         shot = self.shot()
-        assert not shot.measure_link(self.PEER, self.BIG).connected
+        assert not any(r.detected for r in shot.measure_link(self.PEER, self.BIG))
         shot.set_z_override(self.BIG, 281)
-        assert shot.measure_link(self.PEER, self.BIG).connected
+        assert shot.measure_link(self.PEER, self.BIG)[-1].detected
 
     def test_no_override_no_adaptive_flood_is_the_session_config(self):
         shot = self.shot()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.campaign import TopoShot
-from repro.core.results import edge
+from repro.core.results import EdgeEvidence, edge
 from repro.errors import MeasurementError
 from repro.eth.network import Network
 from repro.eth.node import NodeConfig
@@ -50,17 +50,58 @@ class TestMeasureLink:
         shot = TopoShot.attach(campaign_network)
         (a, b), = pairs_of(truth, connected=True, limit=1)
         (x, y), = pairs_of(truth, connected=False, limit=1)
-        assert shot.measure_link(a, b).connected
-        assert not shot.measure_link(x, y).connected
+        assert shot.measure_link(a, b)[-1].detected
+        assert not any(record.detected for record in shot.measure_link(x, y))
 
     def test_link_result_counts_attempts(self, campaign_network):
         truth = campaign_network.ground_truth_graph()
         shot = TopoShot.attach(campaign_network)
         shot.config = shot.config.with_repeats(2)
         (x, y), = pairs_of(truth, connected=False, limit=1)
-        result = shot.measure_link(x, y)
-        assert result.attempts == 2
-        assert result.positive_attempts == 0
+        records = shot.measure_link(x, y)
+        assert len(records) == 2
+        assert not any(record.detected for record in records)
+
+    def test_measurement_senders_are_the_accounts_serial_probes_mint(
+        self, campaign_network, monkeypatch
+    ):
+        """``measure_link`` and cross-validation record as senders exactly
+        the seed and flood accounts their probes minted, in mint order."""
+        import repro.core.campaign as campaign
+        import repro.core.primitive as primitive
+
+        serial, wallets = primitive.measure_one_link, []
+
+        def counted(network, supernode, a, b, config, wallet):
+            wallets.append(wallet)
+            return serial(network, supernode, a, b, config, wallet)
+
+        def minted():
+            distinct = list({id(w): w for w in wallets}.values())
+            return [account.address for w in distinct for account in w]
+
+        monkeypatch.setattr(primitive, "measure_one_link", counted)
+        monkeypatch.setattr(campaign, "measure_one_link", counted)
+        truth = campaign_network.ground_truth_graph()
+        shot = TopoShot.attach(campaign_network)
+        shot.config = shot.config.with_repeats(2).with_cross_validation(2)
+        (x, y), = pairs_of(truth, connected=False, limit=1)
+        shot.measure_link(x, y)
+        assert len(wallets) == 2
+        assert shot.measurement_senders == minted()
+
+        # A cross-validation pass: a suspect claim on a non-edge is
+        # re-probed twice and quarantined.
+        measurement, _ = shot.open([x, y], preprocess=False)
+        claimed = EdgeEvidence(source=x, sink=y, tx_hash="0xa", extra_observers=("z",))
+        measurement.edges.add(claimed.edge)
+        measurement.evidence[claimed.edge] = claimed
+        shot.close(measurement, validate=False)
+        assert measurement.quarantined == {claimed.edge}
+        assert len(wallets) == 4
+        assert shot.measurement_senders == minted()
+        per_probe = 1 + shot.config.flood_accounts  # a seed and its flood
+        assert len(set(shot.measurement_senders)) == 4 * per_probe
 
 
 class TestMeasureNetwork:

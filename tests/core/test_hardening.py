@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.campaign import TopoShot
 from repro.core.config import MeasurementConfig
-from repro.core.primitive import LinkProbeOutcome, ProbeReport
+from repro.core.primitive import confirmed_direct
 from repro.core.results import (
     CONFIDENCE_CROSS_VALIDATED,
     CONFIDENCE_HIGH,
@@ -32,21 +32,9 @@ ADVERSARIAL_MIX = BehaviorMix(
 
 
 def probe(**overrides):
-    defaults = dict(
-        a="a",
-        b="b",
-        outcome=LinkProbeOutcome.CONNECTED,
-        y=1,
-        tx_c_hash="0xc",
-        tx_a_hash="0xa",
-        tx_b_hash="0xb",
-        flood_confirmed=True,
-        setup_a_ok=True,
-        setup_b_ok=True,
-        observed_at=10.0,
-    )
+    defaults = dict(source="a", sink="b", tx_hash="0xa", observed_at=10.0)
     defaults.update(overrides)
-    return ProbeReport(**defaults)
+    return EdgeEvidence(**defaults)
 
 
 def measure(n_nodes, seed, frac, hardened, cross_validate=0):
@@ -83,33 +71,28 @@ class TestConfig:
 
 class TestProbeVerdicts:
     def test_clean_positive_is_confirmed_outright(self):
-        report = probe()
-        assert report.clean
-        assert report.confirmed_direct
+        record = probe()
+        assert record.clean
+        assert confirmed_direct(record, None)
 
     def test_rpc_failure_kills_the_verdict(self):
-        report = probe(rpc_confirmed=False)
-        assert not report.clean
-        assert not report.confirmed_direct
+        record = probe(rpc_confirmed=False)
+        assert not record.clean
+        assert not confirmed_direct(record, None)
 
     def test_negative_is_never_confirmed(self):
-        report = probe(outcome=LinkProbeOutcome.NOT_CONNECTED)
-        assert not report.confirmed_direct
+        record = probe(detected=False)
+        assert not confirmed_direct(record, None)
 
     def test_extra_observers_break_clean_but_race_can_confirm(self):
-        winner = probe(
-            extra_observers=("x",), extra_observed_at=11.0, observed_at=10.0
-        )
-        assert not winner.clean
-        assert winner.confirmed_direct  # sink demonstrated first
-        loser = probe(
-            extra_observers=("x",), extra_observed_at=9.0, observed_at=10.0
-        )
-        assert not loser.confirmed_direct  # a third party beat the sink
+        record = probe(extra_observers=("x",), observed_at=10.0)
+        assert not record.clean
+        assert confirmed_direct(record, 11.0)  # sink demonstrated first
+        assert not confirmed_direct(record, 9.0)  # a third party beat the sink
 
     def test_race_needs_both_timestamps(self):
-        report = probe(extra_observers=("x",), extra_observed_at=None)
-        assert not report.confirmed_direct
+        record = probe(extra_observers=("x",))
+        assert not confirmed_direct(record, None)
 
 
 class TestHonestEquivalence:

@@ -11,12 +11,12 @@ import pytest
 from repro.core.config import MeasurementConfig
 from repro.core.gas_estimator import estimate_y
 from repro.core.primitive import (
-    LinkProbeOutcome,
     build_future_flood,
     measure_link_with_repeats,
     measure_one_link,
     rebid,
 )
+from repro.core.results import EdgeEvidence
 from repro.eth.account import Wallet
 from repro.eth.network import Network
 from repro.eth.node import NodeConfig
@@ -31,8 +31,8 @@ class TestDetection:
     def test_true_links_detected(self, measured_network):
         network, supernode, truth = measured_network
         for a, b in pairs_of(truth, connected=True, limit=5):
-            report = measure_one_link(network, supernode, a, b)
-            assert report.connected, (a, b, report.outcome)
+            record = measure_one_link(network, supernode, a, b)
+            assert record.detected, (a, b, record)
             supernode.clear_observations()
             network.forget_known_transactions()
 
@@ -40,19 +40,19 @@ class TestDetection:
         """The 100% precision guarantee."""
         network, supernode, truth = measured_network
         for a, b in pairs_of(truth, connected=False, limit=5):
-            report = measure_one_link(network, supernode, a, b)
-            assert not report.connected, (a, b)
-            assert report.outcome is LinkProbeOutcome.NOT_CONNECTED
+            record = measure_one_link(network, supernode, a, b)
+            assert not record.detected, (a, b)
+            assert record.setup_ok
             supernode.clear_observations()
             network.forget_known_transactions()
 
     def test_detection_is_direction_symmetric(self, measured_network):
         network, supernode, truth = measured_network
         (a, b), = pairs_of(truth, connected=True, limit=1)
-        assert measure_one_link(network, supernode, a, b).connected
+        assert measure_one_link(network, supernode, a, b).detected
         supernode.clear_observations()
         network.forget_known_transactions()
-        assert measure_one_link(network, supernode, b, a).connected
+        assert measure_one_link(network, supernode, b, a).detected
 
     def test_self_measurement_rejected(self, measured_network):
         network, supernode, _ = measured_network
@@ -67,17 +67,43 @@ class TestDetection:
             measure_one_link(network, supernode, "testnet-0001", supernode.id)
 
 
+class SentSpy:
+    """Records every batch M sends: txC is the first batch, txB the last
+    transaction of the second (the flood for B comes ahead of it), txA the
+    last of the third."""
+
+    def __init__(self, supernode, monkeypatch):
+        self.batches = []
+        send = supernode.send_transactions
+
+        def spy(peer_id, txs):
+            self.batches.append(list(txs))
+            return send(peer_id, txs)
+
+        monkeypatch.setattr(supernode, "send_transactions", spy)
+
+    @property
+    def tx_c(self):
+        (tx_c,) = self.batches[0]
+        return tx_c.hash
+
+    @property
+    def tx_b(self):
+        return self.batches[1][-1].hash
+
+
 class TestProtocolStates:
     """Step-by-step invariants from the correctness analysis (5.2.1)."""
 
-    def test_txc_floods_and_gets_evicted_on_targets(self, measured_network):
+    def test_txc_floods_and_gets_evicted_on_targets(self, measured_network, monkeypatch):
         network, supernode, truth = measured_network
         (a, b), = pairs_of(truth, connected=True, limit=1)
-        report = measure_one_link(network, supernode, a, b)
-        assert report.flood_confirmed  # txC reached B before Step 2
+        sent = SentSpy(supernode, monkeypatch)
+        record = measure_one_link(network, supernode, a, b)
+        assert record.flood_confirmed  # txC reached B before Step 2
         # After the run, txC must be gone from both targets...
-        assert report.tx_c_hash not in network.node(a).mempool
-        assert report.tx_c_hash not in network.node(b).mempool
+        assert sent.tx_c not in network.node(a).mempool
+        assert sent.tx_c not in network.node(b).mempool
         # ...but still present on some third-party node C.
         others = [
             nid
@@ -85,34 +111,50 @@ class TestProtocolStates:
             if nid not in (a, b)
         ]
         assert any(
-            report.tx_c_hash in network.node(nid).mempool for nid in others
+            sent.tx_c in network.node(nid).mempool for nid in others
         )
 
-    def test_txa_replaces_txb_on_connected_sink(self, measured_network):
+    def test_sent_transactions_are_the_probe(self, measured_network, monkeypatch):
+        """The spy reads what the primitive sent: txA is the record's
+        hash and the last of the third batch; all three share txC's
+        sender and nonce."""
         network, supernode, truth = measured_network
         (a, b), = pairs_of(truth, connected=True, limit=1)
-        report = measure_one_link(network, supernode, a, b)
-        sink_pool = network.node(b).mempool
-        assert report.tx_a_hash in sink_pool
-        assert report.tx_b_hash not in sink_pool
+        sent = SentSpy(supernode, monkeypatch)
+        record = measure_one_link(network, supernode, a, b)
+        assert len(sent.batches) == 3
+        tx_c, tx_b, tx_a = (batch[-1] for batch in sent.batches)
+        assert tx_a.hash == record.tx_hash
+        assert len({(tx.sender, tx.nonce) for tx in (tx_c, tx_b, tx_a)}) == 1
+        assert tx_b.gas_price < tx_c.gas_price < tx_a.gas_price
 
-    def test_txb_survives_on_unconnected_sink(self, measured_network):
+    def test_txa_replaces_txb_on_connected_sink(self, measured_network, monkeypatch):
+        network, supernode, truth = measured_network
+        (a, b), = pairs_of(truth, connected=True, limit=1)
+        sent = SentSpy(supernode, monkeypatch)
+        record = measure_one_link(network, supernode, a, b)
+        sink_pool = network.node(b).mempool
+        assert record.tx_hash in sink_pool
+        assert sent.tx_b not in sink_pool
+
+    def test_txb_survives_on_unconnected_sink(self, measured_network, monkeypatch):
         network, supernode, truth = measured_network
         (a, b), = pairs_of(truth, connected=False, limit=1)
-        report = measure_one_link(network, supernode, a, b)
+        sent = SentSpy(supernode, monkeypatch)
+        record = measure_one_link(network, supernode, a, b)
         sink_pool = network.node(b).mempool
-        assert report.tx_b_hash in sink_pool
-        assert report.tx_a_hash not in sink_pool
+        assert sent.tx_b in sink_pool
+        assert record.tx_hash not in sink_pool
 
     def test_txa_never_lands_on_third_parties(self, measured_network):
         """Isolation: txA exists only on A (and B when connected)."""
         network, supernode, truth = measured_network
         (a, b), = pairs_of(truth, connected=True, limit=1)
-        report = measure_one_link(network, supernode, a, b)
+        record = measure_one_link(network, supernode, a, b)
         for nid in network.measurable_node_ids():
             if nid in (a, b):
                 continue
-            assert report.tx_a_hash not in network.node(nid).mempool, nid
+            assert record.tx_hash not in network.node(nid).mempool, nid
 
     def test_flood_futures_never_propagate(self, measured_network):
         network, supernode, truth = measured_network
@@ -150,13 +192,15 @@ class TestFailureModes:
         supernode = Supernode.join(network)
         return network, supernode
 
-    def test_oversized_mempool_causes_false_negative(self):
+    def test_oversized_mempool_causes_false_negative(self, monkeypatch):
         """Custom L >> Z: the flood cannot evict txC (Figure 7's cliff)."""
         network, supernode = self._two_node_net(GETH.scaled(128).with_capacity(512))
         config = MeasurementConfig.for_policy(GETH.scaled(128))
-        report = measure_one_link(network, supernode, "a", "b", config)
-        assert not report.connected
-        assert report.outcome is LinkProbeOutcome.SETUP_FAILED_B
+        sent = SentSpy(supernode, monkeypatch)
+        record = measure_one_link(network, supernode, "a", "b", config)
+        assert not record.detected
+        assert not record.setup_ok
+        assert sent.tx_b not in network.node("b").mempool  # B's set-up failed
 
     def test_larger_flood_recovers_the_link(self):
         """...and a big enough Z recovers it (the Fig 4a mechanism)."""
@@ -164,15 +208,13 @@ class TestFailureModes:
         config = MeasurementConfig.for_policy(GETH.scaled(128)).with_future_count(
             700
         )
-        report = measure_one_link(network, supernode, "a", "b", config)
-        assert report.connected
+        assert measure_one_link(network, supernode, "a", "b", config).detected
 
     def test_custom_replacement_bump_causes_false_negative(self):
         """Custom R=25%: txA's 10.5% bump cannot replace txB on the sink."""
         network, supernode = self._two_node_net(GETH.scaled(128).with_bump(0.25))
         config = MeasurementConfig.for_policy(GETH.scaled(128))
-        report = measure_one_link(network, supernode, "a", "b", config)
-        assert not report.connected
+        assert not measure_one_link(network, supernode, "a", "b", config).detected
 
     def test_non_relaying_source_causes_false_negative(self):
         network = Network(seed=22)
@@ -187,8 +229,7 @@ class TestFailureModes:
         network.connect("b", "c")
         prefill_mempools(network, median_price=gwei(1.0))
         supernode = Supernode.join(network)
-        report = measure_one_link(network, supernode, "a", "b")
-        assert not report.connected
+        assert not measure_one_link(network, supernode, "a", "b").detected
 
 
 class TestRepeats:
@@ -198,8 +239,8 @@ class TestRepeats:
         config = MeasurementConfig.for_policy(
             network.node(a).config.policy
         ).with_repeats(3)
-        reports = measure_link_with_repeats(network, supernode, a, b, config)
-        assert len(reports) == 1  # first attempt already positive
+        records = measure_link_with_repeats(network, supernode, a, b, config)
+        assert len(records) == 1  # first attempt already positive
 
     def test_repeats_exhaust_on_negative(self, measured_network):
         network, supernode, truth = measured_network
@@ -208,11 +249,11 @@ class TestRepeats:
             network.node(a).config.policy
         ).with_repeats(3)
         refreshes = []
-        reports = measure_link_with_repeats(
+        records = measure_link_with_repeats(
             network, supernode, a, b, config, refresh=lambda: refreshes.append(1)
         )
-        assert len(reports) == 3
-        assert not any(r.connected for r in reports)
+        assert len(records) == 3
+        assert not any(r.detected for r in records)
         assert len(refreshes) == 3
 
 
@@ -236,13 +277,11 @@ class TestRetryBackoff:
         clock after three retries is float-identical to accumulating the
         wait by repeated multiplication (what the loop used to spell)."""
         import repro.core.primitive as primitive
-        from repro.core.primitive import ProbeReport
 
         network, supernode, _ = measured_network
-        failed = ProbeReport(
-            a="a", b="b", outcome=LinkProbeOutcome.SETUP_FAILED_A, y=1,
-            tx_c_hash="", tx_a_hash="", tx_b_hash="",
-            flood_confirmed=False, setup_a_ok=False, setup_b_ok=True,
+        failed = EdgeEvidence(
+            source="a", sink="b", tx_hash="",
+            detected=False, setup_ok=False, flood_confirmed=False,
         )
         monkeypatch.setattr(
             primitive, "measure_one_link", lambda *args, **kwargs: failed
@@ -252,8 +291,8 @@ class TestRetryBackoff:
         for _ in range(3):
             expected += wait
             wait *= factor
-        reports = measure_link_with_repeats(network, supernode, "a", "b", config)
-        assert len(reports) == 4  # three retried setups + the one repeat
+        records = measure_link_with_repeats(network, supernode, "a", "b", config)
+        assert len(records) == 4  # three retried setups + the one repeat
         assert network.sim.now == expected
 
 
@@ -264,22 +303,14 @@ class TestOneLoopAtKOne:
 
     @staticmethod
     def scripted(script):
-        """ProbeReports for a script of ``fail`` (set-up failure) /
+        """Records for a script of ``fail`` (set-up failure) /
         ``weak`` (txC never confirmed on the sink) / ``no`` / ``yes``."""
-        from repro.core.primitive import ProbeReport
-
-        outcome = {
-            "fail": LinkProbeOutcome.SETUP_FAILED_SEND,
-            "weak": LinkProbeOutcome.NOT_CONNECTED,
-            "no": LinkProbeOutcome.NOT_CONNECTED,
-            "yes": LinkProbeOutcome.CONNECTED,
-        }
         return [
-            ProbeReport(
-                a="a", b="b", outcome=outcome[step], y=1,
-                tx_c_hash="", tx_a_hash="", tx_b_hash="",
+            EdgeEvidence(
+                source="a", sink="b", tx_hash="",
+                detected=step == "yes",
+                setup_ok=step != "fail",
                 flood_confirmed=step != "weak",
-                setup_a_ok=step != "fail", setup_b_ok=step != "fail",
             )
             for step in script
         ]
@@ -310,21 +341,21 @@ class TestOneLoopAtKOne:
             pending = self.scripted(script)
             rounds, refreshes = [], []
 
-            def next_report(*args, **kwargs):
+            def next_record(*args, **kwargs):
                 rounds.append(network.sim.now)
                 return pending.pop(0)
 
-            drive(network, supernode, next_report, lambda: refreshes.append(network.sim.now))
+            drive(network, supernode, next_record, lambda: refreshes.append(network.sim.now))
             assert not pending  # the whole script was consumed, no more
             return rounds, refreshes, network.sim.now
 
-        def serial(network, supernode, next_report, refresh):
-            monkeypatch.setattr(primitive, "measure_one_link", next_report)
+        def serial(network, supernode, next_record, refresh):
+            monkeypatch.setattr(primitive, "measure_one_link", next_record)
             measure_link_with_repeats(network, supernode, "a", "b", config, refresh=refresh)
 
-        def one_pair(network, supernode, next_report, refresh):
+        def one_pair(network, supernode, next_record, refresh):
             def stub(*args, **kwargs):
-                record = next_report().evidence
+                record = next_record()
                 return parallel.ParallelProbeReport(edges_probed=1, outcomes=[record])
 
             monkeypatch.setattr(parallel, "measure_par", stub)

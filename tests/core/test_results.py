@@ -8,7 +8,6 @@ from repro.core.results import (
     ValidationScore,
     edge,
     score_edges,
-    union_results,
 )
 
 
@@ -99,16 +98,6 @@ class TestNetworkMeasurement:
         assert "setup failures" not in m.summary()
         m.setup_failures = 2
         assert "setup failures : 2" in m.summary()
-
-
-class TestUnion:
-    def test_union_of_repeats(self):
-        r1 = {edge("a", "b")}
-        r2 = {edge("b", "c")}
-        assert union_results([r1, r2]) == {edge("a", "b"), edge("b", "c")}
-
-    def test_union_of_nothing(self):
-        assert union_results([]) == set()
 
 
 class TestOffendingEdgeLists:

@@ -6,10 +6,12 @@ always leave M, whose supernode reports a scripted set of observers for
 every transaction, and whose RPC plane answers a scripted list of calls in
 order — a call to any other node than the script's next one fails the
 test, so reordering a caller's checks is caught, not just a changed
-answer. The two callers must agree on the verdict fields; the parallel
-caller alone turns a definite RPC miss into a suspect.
+answer. The two callers must return the same record, field for field but
+the transaction hash; the parallel caller alone turns a definite RPC miss
+into a suspect.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -41,7 +43,9 @@ class ScriptedRpc:
 
 
 class FakeSupernode:
-    """Observations by peer, the same for every transaction."""
+    """Observations by peer, the same for every transaction M probes with;
+    the serial seed txC, the one transaction ``observed_from`` is asked
+    about, flooded to every peer."""
 
     peer_ids = ["entry", "spare"]
 
@@ -49,7 +53,7 @@ class FakeSupernode:
         self.seen = seen
 
     def observed_from(self, peer, tx_hash):
-        return peer in self.seen
+        return True
 
     def first_observation_time(self, peer, tx_hash):
         return self.seen.get(peer)
@@ -83,9 +87,17 @@ class FakeNetwork:
 
 
 @pytest.fixture(autouse=True)
-def free_sends(monkeypatch):
-    monkeypatch.setattr(primitive, "inject", lambda *a, **k: True)
-    monkeypatch.setattr(parallel, "inject", lambda *a, **k: True)
+def sent(monkeypatch):
+    """Every injection leaves M; the batches sent, in order."""
+    batches = []
+
+    def inject(supernode, peer_id, batch, *args, **kwargs):
+        batches.append(list(batch))
+        return True
+
+    monkeypatch.setattr(primitive, "inject", inject)
+    monkeypatch.setattr(parallel, "inject", inject)
+    return batches
 
 
 CONFIG = MeasurementConfig(gas_price_y=gwei(1.0), future_count=8)
@@ -134,7 +146,7 @@ class TestOneVerdict:
         if hardened:
             script.append((SINK, rpc))
         client = ScriptedRpc(script)
-        report = measure_one_link(
+        record = measure_one_link(
             FakeNetwork(client),
             world(observed, third),
             SOURCE,
@@ -143,7 +155,7 @@ class TestOneVerdict:
             Wallet("serial"),
         )
         assert not client.script
-        return report, client.calls
+        return record, client.calls
 
     def par(self, hardened, observed, rpc, third):
         # The sink's cross-check, each third party, then the source's
@@ -167,13 +179,15 @@ class TestOneVerdict:
         serial, _ = self.serial(hardened, observed, rpc, third)
         report, _ = self.par(hardened, observed, rpc, third)
         (outcome,) = report.outcomes
-        assert fields(serial.evidence) == fields(outcome) == expected
-        assert serial.connected == outcome.detected
-        assert outcome.setup_ok and outcome.kind == ("push" if observed else "")
+        assert fields(serial) == expected
+        assert replace(serial, tx_hash="") == replace(outcome, tx_hash="")
+        assert serial.setup_ok and serial.flood_confirmed
+        assert serial.kind == ("push" if observed else "")
 
-    def test_serial_call_sequence(self, hardened, observed, rpc, third, expected):
-        report, calls = self.serial(hardened, observed, rpc, third)
-        tx_a, tx_b = report.tx_a_hash, report.tx_b_hash
+    def test_serial_call_sequence(self, sent, hardened, observed, rpc, third, expected):
+        record, calls = self.serial(hardened, observed, rpc, third)
+        # M's second injection plants txB.
+        tx_a, tx_b = record.tx_hash, sent[1][-1].hash
         assert calls == [(SOURCE, tx_a), (SINK, tx_b)] + (
             [(SINK, tx_a)] if hardened else []
         )

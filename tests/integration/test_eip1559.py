@@ -37,13 +37,11 @@ def fee_market_network(seed=71, base_fee=gwei(0.5)):
 class TestToposhotUnder1559:
     def test_true_link_detected_when_y_above_base_fee(self):
         network, supernode = fee_market_network()
-        report = measure_one_link(network, supernode, "n0", "n1")
-        assert report.connected
+        assert measure_one_link(network, supernode, "n0", "n1").detected
 
     def test_non_link_not_detected(self):
         network, supernode = fee_market_network()
-        report = measure_one_link(network, supernode, "n0", "n2")
-        assert not report.connected
+        assert not measure_one_link(network, supernode, "n0", "n2").detected
 
     def test_measurement_fails_closed_when_y_below_base_fee(self):
         """A mis-estimated Y below the base fee gets every measurement
@@ -51,6 +49,8 @@ class TestToposhotUnder1559:
         answer."""
         network, supernode = fee_market_network(base_fee=gwei(2.0))
         config = MeasurementConfig(gas_price_y=gwei(1.0))
-        report = measure_one_link(network, supernode, "n0", "n1", config)
-        assert not report.connected
-        assert not report.setup_a_ok
+        record = measure_one_link(network, supernode, "n0", "n1", config)
+        assert not record.detected
+        assert not record.setup_ok
+        assert record.tx_hash  # txA was sent to A...
+        assert record.tx_hash not in network.node("n0").mempool  # ...and never took

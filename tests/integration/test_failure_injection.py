@@ -7,7 +7,7 @@ the tool degrades the way the paper predicts — never with false positives.
 
 from repro.core.campaign import TopoShot
 from repro.core.config import MeasurementConfig
-from repro.core.primitive import LinkProbeOutcome, measure_one_link
+from repro.core.primitive import measure_one_link
 from repro.eth.miner import Miner
 from repro.eth.network import Network
 from repro.eth.node import NodeConfig
@@ -41,8 +41,7 @@ class TestEmptyPools:
         config = MeasurementConfig.for_policy(
             GETH.scaled(128), gas_price_y=gwei(1.0)
         )
-        report = measure_one_link(network, supernode, "a", "b", config)
-        assert report.connected
+        assert measure_one_link(network, supernode, "a", "b", config).detected
 
     def test_undersized_flood_on_empty_pool_fails_closed(self):
         """...but a flood smaller than the pool's free space never fills
@@ -53,19 +52,15 @@ class TestEmptyPools:
         config = MeasurementConfig.for_policy(
             GETH.scaled(128), gas_price_y=gwei(1.0)
         ).with_future_count(32)
-        report = measure_one_link(network, supernode, "a", "b", config)
-        assert not report.connected
-        assert report.outcome in (
-            LinkProbeOutcome.SETUP_FAILED_A,
-            LinkProbeOutcome.SETUP_FAILED_B,
-        )
+        record = measure_one_link(network, supernode, "a", "b", config)
+        assert not record.detected
+        assert not record.setup_ok
 
     def test_background_fill_restores_measurement(self):
         network = triangle()
         prefill_mempools(network, median_price=gwei(1.0))
         supernode = Supernode.join(network)
-        report = measure_one_link(network, supernode, "a", "b")
-        assert report.connected
+        assert measure_one_link(network, supernode, "a", "b").detected
 
 
 class TestMinedSeed:
@@ -81,8 +76,8 @@ class TestMinedSeed:
                       poisson=False)
         miner.start(initial_delay=2.0)
         config = MeasurementConfig.for_policy(GETH.scaled(128))
-        report = measure_one_link(network, supernode, "a", "b", config)
-        assert not report.connected  # fails closed
+        record = measure_one_link(network, supernode, "a", "b", config)
+        assert not record.detected  # fails closed
 
     def test_price_floor_miner_leaves_txc_alone(self):
         """With block space scarce (full blocks above Y), measurement
@@ -102,8 +97,7 @@ class TestMinedSeed:
         config = MeasurementConfig.for_policy(
             GETH.scaled(256), gas_price_y=gwei(1.0)
         )
-        report = measure_one_link(network, supernode, "a", "b", config)
-        assert report.connected
+        assert measure_one_link(network, supernode, "a", "b", config).detected
 
 
 class TestHostileNetworks:
@@ -183,5 +177,4 @@ class TestChurnDuringMeasurement:
         network.sim.schedule(
             config.flood_wait + 0.5, lambda: network.disconnect("a", "b")
         )
-        report = measure_one_link(network, supernode, "a", "b", config)
-        assert not report.connected
+        assert not measure_one_link(network, supernode, "a", "b", config).detected

@@ -7,6 +7,7 @@ measurement."""
 from repro.core.config import MeasurementConfig
 from repro.core.noninterference import check_conditions, compare_worlds
 from repro.core.primitive import measure_one_link
+from repro.eth.account import Wallet
 from repro.eth.chain import Chain
 from repro.eth.miner import Miner
 from repro.eth.network import Network
@@ -47,9 +48,9 @@ def build_world(measure: bool, seed: int = 55):
         config_m = MeasurementConfig.for_policy(
             GETH.scaled(256), gas_price_y=gwei(1.0)
         )
-        report = measure_one_link(network, supernode, "n1", "n2", config_m)
-        senders.update(report.measurement_senders)
-        assert report.connected
+        wallet = Wallet("measurement")
+        assert measure_one_link(network, supernode, "n1", "n2", config_m, wallet).detected
+        senders.update(account.address for account in wallet)
     network.run(60.0 - network.sim.now)
     return network, senders
 

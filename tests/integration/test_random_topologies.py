@@ -35,11 +35,11 @@ class TestPrimitivePrecisionSweep:
         pairs = list(itertools.combinations(sorted(truth.nodes()), 2))
         true_pair = next(p for p in pairs if truth.has_edge(*p))
         non_pair = next((p for p in pairs if not truth.has_edge(*p)), None)
-        assert measure_one_link(network, supernode, *true_pair).connected
+        assert measure_one_link(network, supernode, *true_pair).detected
         if non_pair is not None:
             supernode.clear_observations()
             network.forget_known_transactions()
-            assert not measure_one_link(network, supernode, *non_pair).connected
+            assert not measure_one_link(network, supernode, *non_pair).detected
 
 
 class TestPropagationVariants:

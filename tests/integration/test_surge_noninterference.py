@@ -21,6 +21,7 @@ from repro.core.noninterference import (
 )
 from repro.core.primitive import measure_one_link
 from repro.errors import MeasurementError
+from repro.eth.account import Wallet
 from repro.eth.chain import Chain
 from repro.eth.fee_market import FeeMarket, FeeMarketConfig, min_measurement_y
 from repro.eth.miner import Miner
@@ -74,11 +75,12 @@ def build_world(measure: bool, seed: int = 77):
             replace_bump=config_m.replace_bump,
         )
         monitor.start(network.sim.now)
-        report = measure_one_link(network, supernode, "n1", "n2", config_m)
+        wallet = Wallet("measurement")
+        record = measure_one_link(network, supernode, "n1", "n2", config_m, wallet)
         monitor.stop(network.sim.now)
         window = (monitor._t1, monitor._t2)
-        senders.update(report.measurement_senders)
-        assert report.connected
+        senders.update(account.address for account in wallet)
+        assert record.detected
         build_world.monitor = monitor  # stashed for the verify tests
     network.run(60.0 - network.sim.now)
     return network, senders, y0, window
