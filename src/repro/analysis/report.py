@@ -33,27 +33,6 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_measurement_diff(
-    measured: "set[frozenset]",
-    truth: "set[frozenset]",
-    limit: int = 20,
-) -> str:
-    """List false negatives/positives between a measured edge set and the
-    ground truth — the debugging view behind every precision/recall score."""
-    missed = sorted(tuple(sorted(e)) for e in truth - measured)
-    phantom = sorted(tuple(sorted(e)) for e in measured - truth)
-    lines = [
-        f"true={len(truth)} measured={len(measured)} "
-        f"missed={len(missed)} phantom={len(phantom)}"
-    ]
-    for label, edges in (("MISSED", missed), ("PHANTOM", phantom)):
-        for a, b in edges[:limit]:
-            lines.append(f"  {label:<8} {a} -- {b}")
-        if len(edges) > limit:
-            lines.append(f"  {label:<8} ... and {len(edges) - limit} more")
-    return "\n".join(lines)
-
-
 def render_comparison(
     table: Dict[str, Dict[str, float]], title: str = ""
 ) -> str:

@@ -36,8 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from repro.errors import RpcUnavailableError
 from repro.eth.network import Network
-from repro.eth.rpc import RpcServer, RpcUnavailableError
+from repro.eth.rpc import RpcServer
 from repro.eth.supernode import Supernode
 
 

@@ -8,8 +8,6 @@ before every measurement study and obtain Y dynamically."
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.config import MeasurementConfig
 from repro.eth.node import Node
 
@@ -54,34 +52,3 @@ def clamp_y_to_fee_floor(
 
     floor = market.floor_for(node.sim.now)
     return max(y, min_measurement_y(floor, config.replace_bump))
-
-
-def mempool_occupancy(node: Node) -> float:
-    """Fraction of the node's pool currently occupied.
-
-    TopoShot requires full mempools on the measured nodes ("this condition
-    holds quite commonly in Ethereum mainnet ... 99% of the time"); callers
-    use this to decide whether background transactions are needed first.
-    """
-    capacity = node.config.policy.capacity
-    if capacity <= 0:
-        return 0.0
-    return min(1.0, len(node.mempool) / capacity)
-
-
-def needs_background_workload(node: Node, threshold: float = 0.9) -> bool:
-    """True when the pool is too empty for reliable measurement (§6.2.1)."""
-    return mempool_occupancy(node) < threshold
-
-
-def pending_rank_of_price(node: Node, price: int) -> Optional[int]:
-    """How many pending transactions bid strictly below ``price``.
-
-    This is the number of evictions needed before a transaction priced at
-    ``price`` becomes the eviction victim — the quantity that links Z to
-    recall in Figure 4a / Figure 7.
-    """
-    prices = node.mempool.pending_prices()
-    if not prices:
-        return None
-    return sum(1 for p in prices if p < price)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.eth.account import Wallet
 from repro.eth.mempool import AddOutcome, Mempool
@@ -199,8 +199,3 @@ def profile_client(policy: MempoolPolicy) -> ClientProfile:
         eviction_floor=floor,
         capacity=capacity,
     )
-
-
-def profile_table(policies: Sequence[MempoolPolicy]) -> List[ClientProfile]:
-    """Profile several clients (the Table 3 reproduction)."""
-    return [profile_client(policy) for policy in policies]

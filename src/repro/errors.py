@@ -270,22 +270,14 @@ class RpcUnavailableError(RpcError):
     code = "rpc_unavailable"
 
 
-class RpcMethodNotFoundError(RpcError, KeyError):
-    """The endpoint does not implement the requested method.
-
-    Subclasses :class:`KeyError` for backward compatibility with callers
-    that caught the bare ``KeyError`` :meth:`RpcServer.call` used to
-    raise; new code should catch this type (or :class:`RpcError`).
-    """
+class RpcMethodNotFoundError(RpcError):
+    """The endpoint does not implement the requested method."""
 
     code = "rpc_method_not_found"
 
     def __init__(self, method: str) -> None:
         super().__init__(f"unknown RPC method {method!r}")
         self.method = method
-
-    def __str__(self) -> str:  # KeyError would repr() the message
-        return self.args[0]
 
 
 class RpcTimeoutError(RpcError):

@@ -2,14 +2,14 @@
 
 The paper's live campaigns (Sections 6-7) ran against peers that do not
 follow the reference client's transaction-propagation contract: the R=0
-replacement flaw ``attacks/deter.py`` reports, censoring or lazy relays,
-and stale clients running pre-1.9.11 policy tables. TxProbe documents how
-such "invisible" peers corrupt topology inference, and DEthna claims
-robustness against exactly this noise. This module makes those peers
-reproducible: a :class:`BehaviorMix` assigns one misbehavior *kind* to a
-seed-determined subset of nodes, so ``(seed, mix)`` fully determines a
-run, composing with :class:`~repro.sim.faults.FaultPlan` (network
-weather) and with ``capture_state``/``restore_state`` snapshots.
+equal-price replacement flaw (EXPERIMENTS.md caveat 3), censoring or lazy
+relays, and stale clients running pre-1.9.11 policy tables. TxProbe
+documents how such "invisible" peers corrupt topology inference, and
+DEthna claims robustness against exactly this noise. This module makes
+those peers reproducible: a :class:`BehaviorMix` assigns one misbehavior
+*kind* to a seed-determined subset of nodes, so ``(seed, mix)`` fully
+determines a run, composing with :class:`~repro.sim.faults.FaultPlan`
+(network weather) and with ``capture_state``/``restore_state`` snapshots.
 
 Behavior catalog (one kind per node):
 
@@ -27,7 +27,7 @@ Behavior catalog (one kind per node):
     precision killer: it re-propagates ``txA`` past the price band and
     strips ``txC`` eviction shields off honest neighbours.
 ``nonconforming_replacer``
-    Runs with R=0 (the ``attacks/deter.py`` flaw): any equal-or-better
+    Runs with R=0 (the equal-price replacement flaw): any equal-or-better
     price replaces, so ``txA`` replaces ``txC`` on a node that was never
     probed — breaking TopoShot's isolation invariant.
 ``duplicate_spammer``
@@ -369,7 +369,7 @@ class BehaviorSet:
 
     # -- nonconforming replacer ----------------------------------------
     def _install_nonconforming_replacer(self, node: Node) -> None:
-        # The attacks/deter.py flaw: R=0, so an equal price replaces.
+        # The R=0 flaw (EXPERIMENTS.md caveat 3): an equal price replaces.
         flawed = node.mempool.policy.with_bump(0.0)
         node.mempool.set_policy(flawed)
         node.config = replace(node.config, policy=flawed)

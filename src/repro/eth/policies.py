@@ -182,12 +182,3 @@ CLIENT_POLICIES: Dict[str, MempoolPolicy] = {
 for _policy in CLIENT_POLICIES.values():
     _INTERNED.setdefault(_policy, _policy)
 del _policy
-
-
-def policy_by_name(name: str) -> MempoolPolicy:
-    """Look up a preset by client name (case-insensitive)."""
-    key = name.lower()
-    if key not in CLIENT_POLICIES:
-        known = ", ".join(sorted(CLIENT_POLICIES))
-        raise KeyError(f"unknown client {name!r}; known clients: {known}")
-    return CLIENT_POLICIES[key]

@@ -65,9 +65,6 @@ __all__ = [
     "RAW_POLICY",
     "rpc_faults_active",
     "rpc_tx_in_pool",
-    # Historical home of these errors; re-exported for import compatibility.
-    "RpcUnavailableError",
-    "RpcMethodNotFoundError",
 ]
 
 SNAPSHOT_OK = "ok"
@@ -100,9 +97,8 @@ class RpcServer:
         """Invoke ``method`` with ``params``.
 
         Raises :class:`~repro.errors.RpcUnavailableError` when the node has
-        RPC disabled, and :class:`~repro.errors.RpcMethodNotFoundError`
-        (a ``KeyError`` subclass, for backward compatibility) for unknown
-        methods.
+        RPC disabled, and :class:`~repro.errors.RpcMethodNotFoundError` for
+        unknown methods.
         """
         if not self.node.config.responds_to_rpc:
             raise RpcUnavailableError(f"node {self.node.id} has RPC disabled")

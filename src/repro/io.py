@@ -3,12 +3,11 @@
 A measurement tool is only useful if its output survives the run: this
 module serializes :class:`~repro.core.results.NetworkMeasurement` to JSON
 (round-trippable) and exports measured graphs in formats downstream
-tooling understands (edge list, GraphML, adjacency JSON, degree CSV).
+tooling understands (edge list, GraphML, adjacency JSON).
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from pathlib import Path
@@ -274,15 +273,4 @@ def export_graph(graph: nx.Graph, path: PathLike, fmt: str = "edgelist") -> Path
         target.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     else:
         raise ValueError(f"unknown export format {fmt!r}")
-    return target
-
-
-def export_degree_csv(graph: nx.Graph, path: PathLike) -> Path:
-    """Write ``node,degree`` rows (for external plotting of Figures 6/8/9)."""
-    target = Path(path)
-    with target.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["node", "degree"])
-        for node in sorted(graph.nodes()):
-            writer.writerow([node, graph.degree(node)])
     return target

@@ -81,31 +81,3 @@ def average_degree(graph: nx.Graph) -> float:
 def degree_sequence(graph: nx.Graph) -> List[int]:
     """Sorted (descending) degree sequence."""
     return sorted((degree for _, degree in graph.degree()), reverse=True)
-
-
-def matched_baselines(
-    graph: nx.Graph, seed: int = 0
-) -> dict[str, nx.Graph]:
-    """The ER/CM/BA trio matched to ``graph`` as the paper matches them."""
-    n = graph.number_of_nodes()
-    m = graph.number_of_edges()
-    return {
-        "ER": er_graph(n, m, seed=seed),
-        "CM": configuration_model_graph(degree_sequence(graph), seed=seed),
-        "BA": ba_graph(n, average_degree(graph), seed=seed),
-    }
-
-
-def ensure_connected(graph: nx.Graph, rng) -> int:
-    """Bridge disconnected components with random edges; returns the number
-    of edges added. Mutates ``graph`` in place."""
-    import networkx as nx
-
-    components = [sorted(c) for c in nx.connected_components(graph)]
-    added = 0
-    for previous, current in zip(components, components[1:]):
-        a = rng.choice(previous)
-        b = rng.choice(current)
-        graph.add_edge(a, b)
-        added += 1
-    return added

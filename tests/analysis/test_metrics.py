@@ -181,25 +181,6 @@ class TestDegrees:
             degree_distribution(nx.Graph())
 
 
-class TestMeasurementDiff:
-    def test_diff_lists_both_error_kinds(self):
-        from repro.analysis.report import render_measurement_diff
-
-        truth = {frozenset(("a", "b")), frozenset(("b", "c"))}
-        measured = {frozenset(("a", "b")), frozenset(("a", "c"))}
-        text = render_measurement_diff(measured, truth)
-        assert "missed=1" in text and "phantom=1" in text
-        assert "MISSED   b -- c" in text
-        assert "PHANTOM  a -- c" in text
-
-    def test_diff_truncates_long_lists(self):
-        from repro.analysis.report import render_measurement_diff
-
-        truth = {frozenset((f"n{i}", f"m{i}")) for i in range(30)}
-        text = render_measurement_diff(set(), truth, limit=5)
-        assert "and 25 more" in text
-
-
 class TestReport:
     def test_render_table_alignment(self):
         rows = [{"a": 1, "b": "xx"}, {"a": 22, "b": "y"}]

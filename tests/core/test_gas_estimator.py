@@ -1,12 +1,7 @@
 """Tests for Y estimation (Section 5.2.1)."""
 
 from repro.core.config import MeasurementConfig
-from repro.core.gas_estimator import (
-    estimate_y,
-    mempool_occupancy,
-    needs_background_workload,
-    pending_rank_of_price,
-)
+from repro.core.gas_estimator import estimate_y
 from repro.eth.node import Node, NodeConfig
 from repro.eth.policies import GETH
 from repro.eth.transaction import Transaction, gwei
@@ -40,30 +35,3 @@ class TestEstimateY:
         node = node_with_prices([])
         config = MeasurementConfig(default_gas_price_y=gwei(2.0))
         assert estimate_y(node, config) == gwei(2.0)
-
-
-class TestOccupancy:
-    def test_occupancy_fraction(self):
-        node = node_with_prices([100] * 16)
-        assert mempool_occupancy(node) == 16 / 64
-
-    def test_needs_background_workload_on_empty_testnet(self):
-        """The under-loaded Ropsten situation of Section 6.2.1."""
-        node = node_with_prices([100] * 4)
-        assert needs_background_workload(node)
-
-    def test_full_pool_needs_nothing(self):
-        node = node_with_prices([100] * 64)
-        assert not needs_background_workload(node)
-
-
-class TestPendingRank:
-    def test_rank_counts_cheaper_pending(self):
-        node = node_with_prices([100, 200, 300, 400])
-        assert pending_rank_of_price(node, 250) == 2
-        assert pending_rank_of_price(node, 100) == 0
-        assert pending_rank_of_price(node, 10**9) == 4
-
-    def test_rank_of_empty_pool_is_none(self):
-        node = node_with_prices([])
-        assert pending_rank_of_price(node, 100) is None

@@ -8,7 +8,6 @@ import pytest
 from repro.core.results import NetworkMeasurement, ValidationScore, edge
 from repro.io import (
     SerializationError,
-    export_degree_csv,
     export_graph,
     load_measurement,
     measurement_to_dict,
@@ -150,13 +149,6 @@ class TestGraphExport:
     def test_unknown_format(self, graph, tmp_path):
         with pytest.raises(ValueError):
             export_graph(graph, tmp_path / "g.x", fmt="dot")
-
-    def test_degree_csv(self, graph, tmp_path):
-        path = export_degree_csv(graph, tmp_path / "deg.csv")
-        rows = path.read_text().splitlines()
-        assert rows[0] == "node,degree"
-        assert "a,1" in rows
-        assert "b,2" in rows
 
 
 class TestHardenedRoundTrip:

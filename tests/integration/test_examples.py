@@ -48,24 +48,11 @@ class TestExamples:
         assert "modularity below every random baseline" in out
         assert "Communities" in out
 
-    def test_propagation_qos(self, capsys):
-        run_example("propagation_qos.py")
-        out = capsys.readouterr().out
-        assert "Use case 5" in out
-        assert "fastest relay" in out
-
     def test_security_audit(self, capsys):
         run_example("security_audit.py")
         out = capsys.readouterr().out
         assert "Use case 1" in out
         assert "fingerprintable" in out
-
-    def test_attack_playbook(self, capsys):
-        run_example("attack_playbook.py")
-        out = capsys.readouterr().out
-        assert "topology knowledge decisive: True" in out
-        assert "DETER" in out
-        assert "CORRECT" in out
 
     def test_topology_monitoring(self, capsys):
         run_example("topology_monitoring.py")

@@ -1,6 +1,5 @@
 """Tests for random-graph baselines."""
 
-import random
 
 import networkx as nx
 import pytest
@@ -11,9 +10,7 @@ from repro.netgen.topology import (
     ba_graph,
     configuration_model_graph,
     degree_sequence,
-    ensure_connected,
     er_graph,
-    matched_baselines,
 )
 
 
@@ -73,17 +70,3 @@ class TestHelpers:
     def test_average_degree_formula(self):
         graph = nx.path_graph(4)  # 3 edges, 4 nodes
         assert average_degree(graph) == 1.5
-
-    def test_matched_baselines_dimensions(self):
-        measured = er_graph(40, 100, seed=7)
-        baselines = matched_baselines(measured, seed=7)
-        assert set(baselines) == {"ER", "CM", "BA"}
-        for graph in baselines.values():
-            assert graph.number_of_nodes() == 40
-
-    def test_ensure_connected(self):
-        graph = nx.Graph()
-        graph.add_edges_from([(0, 1), (2, 3), (4, 5)])
-        added = ensure_connected(graph, random.Random(1))
-        assert added == 2
-        assert nx.is_connected(graph)

@@ -7,6 +7,7 @@ without the measurement logic or the job service on the import path.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -257,16 +258,16 @@ def _import_time_imports(tree: ast.AST):
 
 
 def test_graph_library_only_where_graphs_are_drawn():
-    """Outside ``analysis/`` and ``attacks/``, ``networkx`` is imported only
-    inside the functions that draw a graph (or for type checking), and
-    nothing imports ``repro.analysis`` / ``repro.attacks`` at module level:
-    measuring, serving and benchmarking never load a graph library."""
+    """Outside ``analysis/``, ``networkx`` is imported only inside the
+    functions that draw a graph (or for type checking), and nothing imports
+    ``repro.analysis`` at module level: measuring, serving and benchmarking
+    never load a graph library."""
     root = Path(repro.__file__).parent
-    graph_side = ("networkx", "repro.analysis", "repro.attacks")
+    graph_side = ("networkx", "repro.analysis")
     offenders = []
     for path in sorted(root.rglob("*.py")):
         where = path.relative_to(root)
-        if where.parts[0] in ("analysis", "attacks"):
+        if where.parts[0] == "analysis":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for lineno, module in _import_time_imports(tree):
@@ -323,3 +324,61 @@ def test_measurement_path_never_loads_networkx():
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+# Public names that only tests call, kept on purpose.
+_UNCALLED_BY_DESIGN = {
+    "verify_schedule_coverage": "the oracle the schedule tests hold schedules to",
+    "fully_connect": "a fixture: the eth, sim and core tests wire cliques with it",
+}
+
+
+def _reexport_lines(tree: ast.Module):
+    """Lines of a package ``__init__`` that only re-export: imports and
+    ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+        ):
+            yield from range(node.lineno, node.end_lineno + 1)
+
+
+def _uncalled_public_names(repo: Path):
+    """Public top-level functions and classes under ``src/repro`` whose name
+    appears nowhere in ``src/`` (besides its own ``def``/``class`` line and
+    ``__init__`` re-exports), ``benchmarks/`` or ``examples/``."""
+    src = repo / "src" / "repro"
+    definitions = {}
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and not node.name.startswith("_"):
+                definitions.setdefault(node.name, set()).add((path, node.lineno))
+    named = set()
+    for root in (src, repo / "benchmarks", repo / "examples"):
+        for path in sorted(root.rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            skip = set()
+            if path.name == "__init__.py":
+                skip = set(_reexport_lines(ast.parse(text)))
+            for lineno, line in enumerate(text.splitlines(), 1):
+                if lineno in skip:
+                    continue
+                for word in re.findall(r"\w+", line):
+                    if word in definitions and (path, lineno) not in definitions[word]:
+                        named.add(word)
+    return sorted(set(definitions) - named)
+
+
+def test_every_public_name_has_a_caller():
+    """A public function or class that only tests reach is surface nothing
+    runs: delete it with its tests, or allow-list it with a reason. The scan
+    reads words, not a call graph (a mention in another docstring counts),
+    so it is a tripwire for names nothing reaches, not proof of use."""
+    uncalled = _uncalled_public_names(Path(repro.__file__).parents[2])
+    stale = sorted(set(_UNCALLED_BY_DESIGN) - set(uncalled))
+    assert not stale, f"allow-listed names that now have callers: {stale}"
+    flagged = [name for name in uncalled if name not in _UNCALLED_BY_DESIGN]
+    assert not flagged, f"public names with no caller outside tests: {flagged}"
