@@ -3,19 +3,17 @@
 The wire-fault benchmark (bench_robustness_faults) degrades the network
 *under measurement*; this one degrades the measurer's own view of it —
 the JSON-RPC plane the paper's campaigns ran over (throttled public
-endpoints, slow txpool dumps, flapping connections, Section 6). An
+endpoints, timed-out calls, flapping connections, Section 6). An
 :class:`~repro.sim.faults.RpcFaultPlan` makes every call attempt time
-out or error with probability ``rate`` and serves snapshot reads stale
-or truncated at the same rate; the sweep then measures the same seeded
-network twice per point:
+out or error with probability ``rate``; the sweep then measures the
+same seeded network twice per point:
 
 * **hardened**: the :class:`~repro.eth.rpc.ResilientRpcClient` defaults —
-  per-method deadlines, retry with deterministic jitter, hedged snapshot
-  reads, circuit breaking, response validation, and degraded-mode
-  inference (an unanswerable cross-check downgrades the probe instead of
+  per-method deadlines, retry with deterministic jitter, hedged reads,
+  circuit breaking, and degraded-mode inference (an unanswerable cross-check downgrades the probe instead of
   reading as a negative);
 * **raw**: :data:`~repro.eth.rpc.RAW_POLICY` — one attempt, no
-  validation, and every plane failure silently read as "tx not in pool",
+  retries, and every plane failure silently read as "tx not in pool",
   which is what a naive client does and exactly how false negatives (and
   dropped targets) creep into a live campaign.
 
@@ -136,9 +134,9 @@ def format_table(rows):
         )
     lines.append("")
     lines.append(
-        "raw = single attempt, no validation, failures read as negatives "
+        "raw = single attempt, no retries, failures read as negatives "
         "(and unresponsive-looking targets dropped); hardened = deadlines "
-        "+ jittered retries + hedged snapshot reads + degraded-mode "
+        "+ jittered retries + hedged reads + degraded-mode "
         "inference — plane failures become suspect labels, never false "
         "negatives"
     )

@@ -32,19 +32,6 @@ class DegreeDistribution:
         total = sum(degree * count for degree, count in self.histogram.items())
         return total / self.n_nodes
 
-    def share_with_degree(self, degree: int) -> float:
-        """Fraction of nodes with exactly this degree (Figure 6's "4% of
-        nodes have degree 10" style of statement)."""
-        if self.n_nodes == 0:
-            return 0.0
-        return self.histogram.get(degree, 0) / self.n_nodes
-
-    def share_at_most(self, degree: int) -> float:
-        if self.n_nodes == 0:
-            return 0.0
-        covered = sum(c for d, c in self.histogram.items() if d <= degree)
-        return covered / self.n_nodes
-
     def nodes_in_range(self, low: int, high: int) -> int:
         """Count of nodes with degree in ``[low, high]`` (the Goerli
         large-degree table)."""

@@ -58,11 +58,6 @@ class NodeCensus:
             return "unknown"
         return max(self.client_families.items(), key=lambda kv: kv[1])[0]
 
-    def family_share(self, family: str) -> float:
-        if self.network_size == 0:
-            return 0.0
-        return self.client_families.get(family, 0) / self.network_size
-
     def summary(self) -> str:
         mix = ", ".join(
             f"{family} {count}"

@@ -141,8 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="retry budget for failed/ambiguous probes")
     faults.add_argument(
         "--rpc-fault-rate", type=float, default=0.0, metavar="RATE",
-        help="unreliable RPC plane: per-call timeout/error probability plus "
-             "stale/truncated snapshots at the same rate (see docs/rpc.md)")
+        help="unreliable RPC plane: per-call failure probability, split "
+             "evenly between timeouts and transient errors (see docs/rpc.md)")
     faults.add_argument(
         "--rpc-rate-limit", type=float, default=0.0, metavar="PER_SEC",
         help="token-bucket RPC rate limit per endpoint (0 disables)")

@@ -364,25 +364,6 @@ class TopologyMonitor:
             )
         return report
 
-    def run_continuous(
-        self,
-        rounds: int,
-        max_pairs: Optional[int] = None,
-        **snapshot_kwargs: object,
-    ) -> List[ChurnReport]:
-        """A continuous run: one full base snapshot, then ``rounds`` delta
-        rounds with ``between_rounds`` (the world changing) in between."""
-        if rounds <= 0:
-            raise MeasurementError("rounds must be positive")
-        if not self.snapshots:
-            self.take_snapshot(**snapshot_kwargs)
-        reports: List[ChurnReport] = []
-        for _ in range(rounds):
-            if self.between_rounds is not None:
-                self.between_rounds()
-            reports.append(self.delta_round(max_pairs=max_pairs))
-        return reports
-
     def run_rounds(self, rounds: int, **measure_kwargs: object) -> List[TopologySnapshot]:
         """Take ``rounds`` snapshots, invoking ``between_rounds`` between."""
         if rounds <= 0:

@@ -29,9 +29,8 @@ later one on a snapshot restore: the post-setup snapshot, a new RPC client,
 then the re-seed.
 
 :mod:`repro.sim.snapshot` guarantees the restored network is bit-identical
-to the pristine one; the resilient RPC client's breakers, health scores,
-pacing and plausibility baselines live outside that snapshot, so the reset
-replaces it — a shard never inherits another shard's view of the
+to the pristine one; the resilient RPC client's breakers, health scores
+and pacing live outside that snapshot, so the reset replaces it — a shard never inherits another shard's view of the
 measurement plane. A shard therefore pays O(state restore), never
 O(network build), wherever it runs.
 

@@ -357,13 +357,6 @@ class NetworkMeasurement:
         self.score = score_edges(self.edges, truth)
         return self.score
 
-    def degree_histogram(self) -> Dict[int, int]:
-        """Node-degree histogram of the measured graph (Figures 6/8/9)."""
-        histogram: Dict[int, int] = {}
-        for _, degree in self.graph.degree():
-            histogram[degree] = histogram.get(degree, 0) + 1
-        return dict(sorted(histogram.items()))
-
     def summary(self) -> str:
         lines = [
             f"nodes measured : {len(self.node_ids)}",

@@ -127,10 +127,6 @@ class BehaviorMix:
     def enabled(self) -> bool:
         return any(getattr(self, kind) > 0.0 for kind in BEHAVIOR_KINDS)
 
-    @property
-    def total_fraction(self) -> float:
-        return sum(getattr(self, kind) for kind in BEHAVIOR_KINDS)
-
     @classmethod
     def uniform(cls, fraction: float, **knobs: object) -> "BehaviorMix":
         """Spread ``fraction`` of the population evenly over all kinds."""

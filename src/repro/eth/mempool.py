@@ -258,9 +258,6 @@ class Mempool:
     def is_pending(self, tx_hash: str) -> bool:
         return tx_hash in self._pending
 
-    def is_future(self, tx_hash: str) -> bool:
-        return tx_hash in self._by_hash and tx_hash not in self._pending
-
     def pending_transactions(self) -> List[Transaction]:
         """All executable transactions, in pool (arrival) order."""
         pending = self._pending
@@ -270,9 +267,6 @@ class Mempool:
         """All non-executable transactions, in pool (arrival) order."""
         pending = self._pending
         return [tx for h, tx in self._by_hash.items() if h not in pending]
-
-    def all_transactions(self) -> List[Transaction]:
-        return list(self._by_hash.values())
 
     def sender_transaction(self, sender: str, nonce: int) -> Optional[Transaction]:
         """The stored transaction occupying (sender, nonce), if any."""

@@ -317,12 +317,6 @@ class Network:
                 node.mempool.fee_market = market
         return market
 
-    def clear_fee_market(self) -> None:
-        """Detach the fee market; admission reverts to the seed path."""
-        self.fee_market = None
-        for node in self._node_list:
-            node.mempool.fee_market = None
-
     # ------------------------------------------------------------------
     # Byzantine behaviors (repro.eth.behaviors)
     # ------------------------------------------------------------------
@@ -426,10 +420,6 @@ class Network:
         self.obs = obs
         wiring.instrument_network(obs, self, per_node=per_node)
         return obs
-
-    def clear_observability(self) -> None:
-        """Detach the bundle; push sites go back to the free NULL sink."""
-        self.obs = NULL
 
     # ------------------------------------------------------------------
     # Transport

@@ -807,10 +807,6 @@ class Node:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def expire_transactions(self) -> List[Transaction]:
-        """Drop transactions older than the policy expiry (Geth's 3 h)."""
-        return self.mempool.evict_expired(self.sim.now)
-
     def _send(self, to_id: str, msg: Message) -> None:
         network = self.network
         if network is None:

@@ -19,13 +19,12 @@ Three layers:
     One node's listener as seen over an *unreliable* transport. When the
     network's fault plan carries an :class:`~repro.sim.faults.RpcFaultPlan`
     it injects seed-driven call timeouts, transient errors, token-bucket
-    rate limits, stale/truncated txpool snapshots and connection flaps;
-    with no RPC fault plan it is a zero-cost passthrough to the server.
+    rate limits and connection flaps; with no RPC fault plan it is a
+    zero-cost passthrough to the server.
 :class:`ResilientRpcClient`
     The measurer's side: per-method deadlines, retry with deterministic
-    jitter, hedged reads for snapshot-critical queries, per-endpoint
-    circuit breaking + health scoring (the PR 6 breaker), client-side
-    rate-limit compliance, and snapshot plausibility validation. Its
+    jitter, hedged reads, per-endpoint circuit breaking + health scoring
+    (the PR 6 breaker) and client-side rate-limit compliance. Its
     tri-state helpers (``True`` / ``False`` / ``None`` = *unknown*) are
     what lets the inference stack degrade to ``suspect`` instead of
     recording false negatives when the plane misbehaves.
@@ -60,18 +59,11 @@ __all__ = [
     "RpcEndpoint",
     "RpcClientPolicy",
     "ResilientRpcClient",
-    "PoolSnapshot",
     "HARDENED_POLICY",
     "RAW_POLICY",
     "rpc_faults_active",
     "rpc_tx_in_pool",
 ]
-
-SNAPSHOT_OK = "ok"
-SNAPSHOT_STALE = "stale"
-SNAPSHOT_TRUNCATED = "truncated"
-SNAPSHOT_FAILED = "failed"
-
 
 class RpcServer:
     """Dispatches RPC method calls against one node."""
@@ -173,12 +165,6 @@ def rpc_faults_active(network: "Network") -> bool:
     return injector is not None and injector.rpc is not None
 
 
-#: Methods whose responses come from the (possibly lagged) snapshot bundle:
-#: a caching proxy serves pool state and head number from one consistent
-#: but stale view, which is exactly what the plausibility checks look for.
-_BUNDLE_METHODS = frozenset({"txpool_status", "txpool_content", "eth_blockNumber"})
-
-
 class RpcEndpoint:
     """One node's RPC listener as seen over an unreliable transport.
 
@@ -186,8 +172,7 @@ class RpcEndpoint:
     pure passthrough to :class:`RpcServer` — no RNG draws, no simulated
     time, byte-identical to the seed behavior. With one installed, every
     call runs the fault gauntlet in a fixed order: connection flap (no
-    draw), token bucket (no draw), one transport draw (timeout/error),
-    then per-snapshot staleness and truncation draws.
+    draw), token bucket (no draw), one transport draw (timeout/error).
     """
 
     def __init__(self, network: "Network", node_id: str) -> None:
@@ -221,43 +206,7 @@ class RpcEndpoint:
             raise RpcTransientError(
                 f"RPC {method} to {self.node_id} failed transiently"
             )
-        if method in _BUNDLE_METHODS:
-            return self._bundled(method, faults)
         return self._server.call(method, *params)
-
-    def _bundled(self, method: str, faults: "RpcFaultState") -> Any:
-        fresh = {
-            "status": self._server.call("txpool_status"),
-            "content": self._server.call("txpool_content"),
-            "head": self._server.call("eth_blockNumber"),
-        }
-        bundle = faults.lagged_bundle(self.node_id, fresh)
-        if method == "eth_blockNumber":
-            return bundle["head"]
-        if method == "txpool_status":
-            return dict(bundle["status"])
-        content = {
-            "pending": {k: list(v) for k, v in bundle["content"]["pending"].items()},
-            "queued": {k: list(v) for k, v in bundle["content"]["queued"].items()},
-        }
-        if faults.should_truncate(self.node_id):
-            keep = faults.plan.truncate_keep_fraction
-            content["pending"] = _truncate_groups(content["pending"], keep)
-            content["queued"] = _truncate_groups(content["queued"], keep)
-        return content
-
-
-def _truncate_groups(
-    groups: Dict[str, List[str]], keep_fraction: float
-) -> Dict[str, List[str]]:
-    """Drop the tail page of a sender-grouped dump (insertion order)."""
-    keep = int(len(groups) * keep_fraction)
-    truncated: Dict[str, List[str]] = {}
-    for index, (sender, hashes) in enumerate(groups.items()):
-        if index >= keep:
-            break
-        truncated[sender] = hashes
-    return truncated
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +230,7 @@ class RpcClientPolicy:
         seeded from ``(endpoint, method, attempt)`` — same seed, same
         waits, bit-identical reruns.
     hedge_methods / hedge_delay:
-        Snapshot-critical reads race a hedged second request after
+        Pool and head reads race a hedged second request after
         ``hedge_delay`` instead of waiting out the full deadline, so a
         timeout costs ``hedge_delay`` rather than ``deadline``.
     breaker_threshold / breaker_cooldown:
@@ -293,12 +242,6 @@ class RpcClientPolicy:
         ``min_health`` land on skip lists and lose candidate priority.
     comply_with_rate_limits:
         Honor 429 ``retry_after`` hints (wait, never hammer).
-    validate_snapshots / min_pool_shrink_fraction:
-        Plausibility checks on pool snapshots: content-vs-status count
-        mismatch flags truncation, a head number behind the last known or
-        a pending count collapsing below ``min_pool_shrink_fraction`` of
-        the last trusted value flags staleness; flagged reads are retried
-        once (hedged) before being surfaced.
     failure_means_negative:
         The *unhardened* stance: an unanswerable lookup is reported as
         ``False`` (the silent false negative this PR exists to kill)
@@ -326,8 +269,6 @@ class RpcClientPolicy:
     health_alpha: float = 0.3
     min_health: float = 0.2
     comply_with_rate_limits: bool = True
-    validate_snapshots: bool = True
-    min_pool_shrink_fraction: float = 0.5
     failure_means_negative: bool = False
 
     def __post_init__(self) -> None:
@@ -361,40 +302,14 @@ class RpcClientPolicy:
 HARDENED_POLICY = RpcClientPolicy()
 
 #: The seed's implicit stance, made explicit for A/B benchmarks: one
-#: attempt, no hedging, no validation, and a failed lookup silently
-#: becomes a negative.
+#: attempt, no hedging, and a failed lookup silently becomes a negative.
 RAW_POLICY = RpcClientPolicy(
     max_attempts=1,
     hedge_methods=(),
     comply_with_rate_limits=False,
-    validate_snapshots=False,
     failure_means_negative=True,
     breaker_threshold=1_000_000_000,
 )
-
-
-@dataclass
-class PoolSnapshot:
-    """A validated txpool view with its plausibility verdict attached."""
-
-    node_id: str
-    taken_at: float
-    status: Dict[str, int]
-    content: Dict[str, Dict[str, List[str]]]
-    head: int
-    verdict: str = SNAPSHOT_OK
-    hedged: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict == SNAPSHOT_OK
-
-    @property
-    def pending_count(self) -> int:
-        return int(self.status.get("pending", 0))
-
-    def content_pending_count(self) -> int:
-        return sum(len(v) for v in self.content.get("pending", {}).values())
 
 
 class ResilientRpcClient:
@@ -416,8 +331,6 @@ class ResilientRpcClient:
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._health: Dict[str, float] = {}
         self._next_allowed: Dict[str, float] = {}
-        self._last_head: Dict[str, int] = {}
-        self._last_pending: Dict[str, int] = {}
         # Counters (exported as toposhot_rpc_* — see repro.obs.wiring).
         self.calls_total = 0
         self.attempts_total = 0
@@ -427,7 +340,6 @@ class ResilientRpcClient:
         self.breaker_rejections_total = 0
         self.exhausted_total = 0
         self.degraded_lookups_total = 0
-        self.snapshot_verdicts: Dict[str, int] = {}
 
     # -- plumbing ------------------------------------------------------
     @property
@@ -604,68 +516,9 @@ class ResilientRpcClient:
             self.degraded_lookups_total += 1
             return None
 
-    def _record_verdict(self, verdict: str) -> None:
-        self.snapshot_verdicts[verdict] = self.snapshot_verdicts.get(verdict, 0) + 1
-
-    def pool_snapshot(self, node_id: str) -> PoolSnapshot:
-        """Fetch and validate one txpool view.
-
-        A flagged (stale/truncated) read is refetched once — the hedged
-        second opinion — before the verdict is surfaced; only ``ok``
-        snapshots update the per-endpoint plausibility baselines.
-        """
-        snapshot = self._fetch_snapshot(node_id)
-        if (
-            self.policy.validate_snapshots
-            and not snapshot.ok
-            and snapshot.verdict != SNAPSHOT_FAILED
-        ):
-            retry = self._fetch_snapshot(node_id)
-            retry.hedged = True
-            if retry.ok or retry.verdict == snapshot.verdict:
-                snapshot = retry
-        if snapshot.ok:
-            self._last_head[node_id] = snapshot.head
-            self._last_pending[node_id] = snapshot.pending_count
-        self._record_verdict(snapshot.verdict)
-        return snapshot
-
-    def _fetch_snapshot(self, node_id: str) -> PoolSnapshot:
-        now = self.network.sim.now
-        try:
-            head = self.call(node_id, "eth_blockNumber")
-            status = self.call(node_id, "txpool_status")
-            content = self.call(node_id, "txpool_content")
-        except RpcError:
-            self.degraded_lookups_total += 1
-            return PoolSnapshot(
-                node_id, now, {}, {"pending": {}, "queued": {}}, -1, SNAPSHOT_FAILED
-            )
-        snapshot = PoolSnapshot(node_id, now, status, content, head)
-        if self.policy.validate_snapshots:
-            snapshot.verdict = self._validate(node_id, snapshot)
-        return snapshot
-
-    def _validate(self, node_id: str, snapshot: PoolSnapshot) -> str:
-        content_count = snapshot.content_pending_count()
-        if content_count < snapshot.pending_count:
-            return SNAPSHOT_TRUNCATED
-        last_head = self._last_head.get(node_id)
-        if last_head is not None and snapshot.head < last_head:
-            return SNAPSHOT_STALE
-        last_pending = self._last_pending.get(node_id)
-        if (
-            last_pending is not None
-            and last_pending > 0
-            and snapshot.pending_count
-            < self.policy.min_pool_shrink_fraction * last_pending
-        ):
-            return SNAPSHOT_STALE
-        return SNAPSHOT_OK
-
     def counters(self) -> Dict[str, int]:
         """Flat counter view (the toposhot_rpc_* metric payload)."""
-        payload = {
+        return {
             "calls": self.calls_total,
             "attempts": self.attempts_total,
             "retries": self.retries_total,
@@ -675,9 +528,6 @@ class ResilientRpcClient:
             "exhausted": self.exhausted_total,
             "degraded_lookups": self.degraded_lookups_total,
         }
-        for verdict, count in sorted(self.snapshot_verdicts.items()):
-            payload[f"snapshots_{verdict}"] = count
-        return payload
 
 
 # ----------------------------------------------------------------------

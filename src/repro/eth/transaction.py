@@ -211,21 +211,3 @@ class TransactionFactory:
             gas_price=gas_price,
             gas_limit=self.default_gas_limit,
         )
-
-    def dynamic_transfer(
-        self,
-        account: Account,
-        max_fee: int,
-        priority_fee: int,
-        nonce: Optional[int] = None,
-    ) -> DynamicFeeTransaction:
-        """An EIP-1559 transfer (Appendix E experiments)."""
-        used_nonce = account.allocate_nonce() if nonce is None else nonce
-        return DynamicFeeTransaction(
-            sender=account.address,
-            nonce=used_nonce,
-            gas_price=max_fee,
-            gas_limit=self.default_gas_limit,
-            max_fee=max_fee,
-            priority_fee=priority_fee,
-        )

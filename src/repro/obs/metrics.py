@@ -103,9 +103,6 @@ class Gauge:
     def inc(self, amount: Number = 1) -> None:
         self.value += amount
 
-    def dec(self, amount: Number = 1) -> None:
-        self.value -= amount
-
     def sample(self) -> Dict[str, object]:
         return {
             "name": self.name,

@@ -130,11 +130,6 @@ RPC_DEGRADED_LOOKUPS = _counter(
     "toposhot_rpc_degraded_lookups_total",
     "Pool lookups that returned unknown (degraded plane)",
 )
-RPC_SNAPSHOT_VERDICTS = _counter(
-    "toposhot_rpc_snapshot_verdicts_total",
-    "Snapshot validation verdicts, by verdict",
-    "verdict",
-)
 RPC_ENDPOINT_HEALTH = _gauge(
     "toposhot_rpc_endpoint_health",
     "EMA health score per RPC endpoint (1 = healthy)",
@@ -463,8 +458,6 @@ def instrument_network(
                 put(RPC_FAULTS_INJECTED, rpc_faults.timeouts, kind="timeout")
                 put(RPC_FAULTS_INJECTED, rpc_faults.transient_errors, kind="error")
                 put(RPC_FAULTS_INJECTED, rpc_faults.rate_limited, kind="rate_limit")
-                put(RPC_FAULTS_INJECTED, rpc_faults.stale_served, kind="stale")
-                put(RPC_FAULTS_INJECTED, rpc_faults.truncated, kind="truncate")
                 put(RPC_FAULTS_INJECTED, rpc_faults.flaps, kind="flap")
 
         # Resilient RPC client counters (only materialized once someone
@@ -480,8 +473,6 @@ def instrument_network(
             put(RPC_BREAKER_REJECTIONS, client.breaker_rejections_total)
             put(RPC_EXHAUSTED, client.exhausted_total)
             put(RPC_DEGRADED_LOOKUPS, client.degraded_lookups_total)
-            for verdict, count in client.snapshot_verdicts.items():
-                put(RPC_SNAPSHOT_VERDICTS, count, verdict=verdict)
             for node_id, score in client.health_report().items():
                 put(RPC_ENDPOINT_HEALTH, score, node=node_id)
 

@@ -192,9 +192,6 @@ class Simulator:
         self.profiler = profiler
         return profiler
 
-    def detach_profiler(self) -> None:
-        self.profiler = None
-
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
@@ -220,10 +217,6 @@ class Simulator:
         if log_events and obs.enabled:
             self.event_log = obs.events
         return obs
-
-    def detach_observability(self) -> None:
-        """Stop feeding the event log (registered collectors stay)."""
-        self.event_log = None
 
     # ------------------------------------------------------------------
     # Scheduling

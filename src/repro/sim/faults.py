@@ -16,14 +16,18 @@ behind a single seed-driven :class:`FaultPlan`:
   per-peer known-transaction state are wiped (a rebooted Geth with the
   transaction journal disabled, the paper's testnet configuration);
 - **send timeouts** — the supernode's direct injections fail with a
-  probability, surfacing as :class:`~repro.errors.SendTimeoutError`.
+  probability, surfacing as :class:`~repro.errors.SendTimeoutError`;
+- **RPC-plane faults** — the measurer's own JSON-RPC calls time out, fail
+  transiently, hit a rate limit or find the listener flapped away
+  (:class:`RpcFaultPlan`, drawn from its own ``"rpc"`` stream).
 
-Everything samples from one named RNG stream (``"faults"``) and runs through
-the simulator's event queue, so a (seed, FaultPlan) pair fully determines
-the run: same seed + same plan = byte-identical measurement results. With no
-plan installed the network behaves exactly as before, and a plan that
-cannot drop or delay a link message (RPC faults only, say) adds no
-per-message work: the transport never consults its loss and delay hooks.
+The wire faults sample from one named RNG stream (``"faults"``), and
+everything runs through the simulator's event queue, so a (seed, FaultPlan)
+pair fully determines the run: same seed + same plan = byte-identical
+measurement results. With no plan installed the network behaves exactly as
+before, and a plan that cannot drop or delay a link message (RPC faults
+only, say) adds no per-message work: the transport never consults its loss
+and delay hooks.
 
 Typical usage::
 
@@ -87,7 +91,7 @@ class RpcFaultPlan(_FieldCodec):
 
     The wire faults above degrade the network under measurement; this plan
     degrades the measurer's view of it — the throttled public endpoints,
-    slow txpool dumps and flapping connections a live deployment fights
+    timed-out calls and flapping connections a live deployment fights
     (Section 6). Installed as the ``rpc`` field of a :class:`FaultPlan`,
     consulted by :class:`repro.eth.rpc.RpcEndpoint` on every call, and
     sampled from its own named RNG stream (``"rpc"``) so composing it with
@@ -108,18 +112,6 @@ class RpcFaultPlan(_FieldCodec):
         horizon as ``retry_after``. 0 disables rate limiting.
     rate_limit_burst:
         Bucket capacity (maximum burst of back-to-back calls).
-    stale_rate:
-        Probability a ``txpool_*`` snapshot read is served from a lagged
-        copy instead of live state (a caching proxy / slow follower).
-    stale_lag:
-        How long (seconds) a lagged copy is kept before it is refreshed —
-        the worst-case age of a stale snapshot.
-    truncate_rate:
-        Probability a ``txpool_content`` response loses its tail page
-        (the endpoint cut the dump short); ``txpool_status`` still reports
-        the full counts, which is exactly how the client detects it.
-    truncate_keep_fraction:
-        Fraction of pending/queued sender groups kept by a truncated dump.
     flap_rate:
         Expected connection flaps per simulated second (Poisson). Each
         flap takes one random RPC-serving target's listener down for
@@ -132,18 +124,12 @@ class RpcFaultPlan(_FieldCodec):
     error_rate: float = 0.0
     rate_limit_per_second: float = 0.0
     rate_limit_burst: int = 8
-    stale_rate: float = 0.0
-    stale_lag: float = 5.0
-    truncate_rate: float = 0.0
-    truncate_keep_fraction: float = 0.5
     flap_rate: float = 0.0
     flap_downtime: float = 3.0
 
     def __post_init__(self) -> None:
         _check_probability("timeout_rate", self.timeout_rate)
         _check_probability("error_rate", self.error_rate)
-        _check_probability("stale_rate", self.stale_rate)
-        _check_probability("truncate_rate", self.truncate_rate)
         if self.timeout_rate + self.error_rate > 1.0:
             raise FaultPlanError(
                 "timeout_rate + error_rate must not exceed 1, got "
@@ -154,13 +140,6 @@ class RpcFaultPlan(_FieldCodec):
         if self.rate_limit_per_second > 0 and self.rate_limit_burst < 1:
             raise FaultPlanError(
                 f"rate_limit_burst must be >= 1, got {self.rate_limit_burst}"
-            )
-        if self.stale_lag <= 0:
-            raise FaultPlanError(f"stale_lag must be positive, got {self.stale_lag}")
-        if not 0.0 < self.truncate_keep_fraction < 1.0:
-            raise FaultPlanError(
-                "truncate_keep_fraction must be in (0, 1), got "
-                f"{self.truncate_keep_fraction}"
             )
         if self.flap_downtime <= 0:
             raise FaultPlanError(
@@ -174,24 +153,18 @@ class RpcFaultPlan(_FieldCodec):
             self.timeout_rate
             or self.error_rate
             or self.rate_limit_per_second
-            or self.stale_rate
-            or self.truncate_rate
             or self.flap_rate
         )
 
     @classmethod
     def uniform(cls, rate: float, **overrides: object) -> "RpcFaultPlan":
         """A plan where every call fails in transport with probability
-        ``rate`` (split evenly between timeouts and transient errors) and
-        every snapshot read is additionally served stale or truncated with
-        probability ``rate`` each. The benchmark's "X% per-call fault
-        rate" knob."""
+        ``rate``, split evenly between timeouts and transient errors. The
+        benchmark's "X% per-call fault rate" knob."""
         _check_probability("rate", rate)
         params: dict = {
             "timeout_rate": rate / 2.0,
             "error_rate": rate / 2.0,
-            "stale_rate": rate,
-            "truncate_rate": rate,
         }
         params.update(overrides)  # type: ignore[arg-type]
         return cls(**params)  # type: ignore[arg-type]
@@ -233,7 +206,7 @@ class FaultPlan(_FieldCodec):
         (raises :class:`~repro.errors.SendTimeoutError`) instead of sending.
     rpc:
         Optional :class:`RpcFaultPlan` degrading the measurement plane
-        itself (call timeouts, rate limits, stale snapshots, connection
+        itself (call timeouts, transient errors, rate limits, connection
         flaps). Samples from its own ``"rpc"`` RNG stream, so it composes
         with the wire faults above without perturbing their sequences.
     """
@@ -310,8 +283,8 @@ class RpcFaultState:
     Consulted by :class:`repro.eth.rpc.RpcEndpoint` on every call. All
     randomness comes from the ``"rpc"`` stream; the draw order per call is
     fixed (flap check — no draw; token bucket — no draw; one transport
-    draw; then per-snapshot stale/truncate draws), so a (seed, plan, call
-    sequence) triple fully determines the faults that fire.
+    draw), so a (seed, plan, call sequence) triple fully determines the
+    faults that fire.
     """
 
     def __init__(self, injector: "FaultInjector", plan: RpcFaultPlan) -> None:
@@ -322,13 +295,9 @@ class RpcFaultState:
         self._active = True
         self._buckets: Dict[str, TokenBucket] = {}
         self._down_until: Dict[str, float] = {}
-        # node -> (captured_at, bundle) lagged snapshot copy
-        self._stale_cache: Dict[str, Tuple[float, dict]] = {}
         self.timeouts = 0
         self.transient_errors = 0
         self.rate_limited = 0
-        self.stale_served = 0
-        self.truncated = 0
         self.flaps = 0
         if plan.flap_rate > 0:
             self._schedule_next_flap()
@@ -378,36 +347,6 @@ class RpcFaultState:
             self.injector._log("rpc_error", node_id)
             return "error"
         return None
-
-    def lagged_bundle(self, node_id: str, fresh: dict) -> dict:
-        """Maybe serve a snapshot bundle from the lagged copy.
-
-        The cached copy refreshes once it is ``stale_lag`` old, so a stale
-        read is at most that far behind live state. One draw when
-        ``stale_rate`` is armed, none otherwise.
-        """
-        now = self.network.sim.now
-        cached = self._stale_cache.get(node_id)
-        if cached is None or now - cached[0] >= self.plan.stale_lag:
-            cached = (now, fresh)
-            self._stale_cache[node_id] = cached
-        if self.plan.stale_rate <= 0.0 or self._rng.random() >= self.plan.stale_rate:
-            return fresh
-        if cached[0] < now:
-            self.stale_served += 1
-            self.injector._log("rpc_stale", f"{node_id}@{cached[0]:g}")
-            return cached[1]
-        return fresh
-
-    def should_truncate(self, node_id: str) -> bool:
-        """One draw deciding whether a ``txpool_content`` dump loses its
-        tail page. None when ``truncate_rate`` is zero."""
-        rate = self.plan.truncate_rate
-        if rate <= 0.0 or self._rng.random() >= rate:
-            return False
-        self.truncated += 1
-        self.injector._log("rpc_truncate", node_id)
-        return True
 
     # -- connection flaps (Poisson over RPC-serving targets) -----------
     def _schedule_next_flap(self) -> None:
@@ -603,8 +542,7 @@ class FaultInjector:
 
         ``kind`` is ``loss``, ``churn_down``, ``churn_up``, ``crash``,
         ``restart``, ``send_timeout``, ``rpc_timeout``, ``rpc_error``,
-        ``rpc_rate_limit``, ``rpc_stale``, ``rpc_truncate``,
-        ``rpc_flap_down`` or ``rpc_flap_up``.
+        ``rpc_rate_limit``, ``rpc_flap_down`` or ``rpc_flap_up``.
         """
         obs = self.network.obs
         if obs.enabled:

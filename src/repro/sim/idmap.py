@@ -48,18 +48,8 @@ class IdMap:
             self.names.append(name)
         return idx
 
-    def index_of(self, name: str) -> int:
-        """The index of an already-interned ``name`` (KeyError if absent)."""
-        return self.index[name]
-
     def get(self, name: str, default: int = -1) -> int:
         return self.index.get(name, default)
-
-    def name_of(self, index: int) -> str:
-        """The string for ``index`` (IndexError if out of range)."""
-        if index < 0:
-            raise IndexError(f"negative node index {index}")
-        return self.names[index]
 
     def __len__(self) -> int:
         return len(self.names)

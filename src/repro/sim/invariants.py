@@ -176,9 +176,6 @@ class InvariantChecker:
         (the probed pair) breaks the primitive's isolation argument."""
         self._guards[tx_c_hash] = allowed
 
-    def clear_guards(self) -> None:
-        self._guards.clear()
-
     # ------------------------------------------------------------------
     # Lifecycle (driven by Network.install_invariants / clear_invariants)
     # ------------------------------------------------------------------

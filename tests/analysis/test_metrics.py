@@ -158,13 +158,6 @@ class TestDegrees:
         assert dist.max_degree == 4
         assert dist.average == pytest.approx(8 / 5)
 
-    def test_shares(self):
-        graph = nx.star_graph(4)
-        dist = degree_distribution(graph)
-        assert dist.share_with_degree(1) == 0.8
-        assert dist.share_at_most(1) == 0.8
-        assert dist.share_at_most(4) == 1.0
-
     def test_range_and_buckets(self):
         graph = nx.complete_graph(6)  # all degree 5
         dist = degree_distribution(graph)

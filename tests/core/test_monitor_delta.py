@@ -267,27 +267,6 @@ class TestStreamingAndAccounting:
         assert savings["universe_pairs"] == 2 * universe
         assert savings["probed_pairs"] == 0
 
-    def test_run_continuous(self):
-        network = quick_network(n_nodes=12, seed=33)
-        prefill_mempools(network)
-        shot = TopoShot.attach(network)
-        shot.config = shot.config.with_repeats(2)
-        monitor = TopologyMonitor(
-            shot,
-            between_rounds=lambda: [
-                monitor.note_churn_hint(node_id)
-                for e in (
-                    lambda pair: pair[0] | pair[1]
-                )(rewire_random_links(network, 0.1))
-                for node_id in e
-            ],
-        )
-        reports = monitor.run_continuous(rounds=2)
-        assert len(reports) == 2
-        # Base snapshot + two delta snapshots.
-        assert len(monitor.snapshots) == 3
-        assert monitor.probe_savings["delta_rounds"] == 2
-
     def test_delta_rounds_append_lightweight_snapshots(self):
         network, _, monitor = build_monitor()
         base = monitor.take_snapshot()

@@ -81,11 +81,6 @@ class TestNetworkMeasurement:
         assert m.score is score
         assert score.recall == 1.0
 
-    def test_degree_histogram(self):
-        m = NetworkMeasurement(node_ids=["a", "b", "c"])
-        m.add_edges({edge("a", "b"), edge("a", "c")})
-        assert m.degree_histogram() == {1: 2, 2: 1}
-
     def test_duration(self):
         m = NetworkMeasurement(node_ids=[], sim_time_start=5.0, sim_time_end=65.0)
         assert m.duration == 60.0

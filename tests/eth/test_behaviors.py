@@ -48,7 +48,7 @@ class TestBehaviorMix:
 
     def test_uniform_spreads_evenly(self):
         mix = BehaviorMix.uniform(0.6)
-        assert mix.total_fraction == pytest.approx(0.6)
+        assert sum(getattr(mix, k) for k in BEHAVIOR_KINDS) == pytest.approx(0.6)
         shares = {getattr(mix, kind) for kind in BEHAVIOR_KINDS}
         assert len(shares) == 1  # all kinds get the same share
 

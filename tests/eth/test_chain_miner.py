@@ -8,7 +8,13 @@ from repro.eth.miner import Miner
 from repro.eth.network import Network
 from repro.eth.node import NodeConfig
 from repro.eth.policies import GETH
-from repro.eth.transaction import INTRINSIC_GAS, Transaction, TransactionFactory, gwei
+from repro.eth.transaction import (
+    INTRINSIC_GAS,
+    DynamicFeeTransaction,
+    Transaction,
+    TransactionFactory,
+    gwei,
+)
 
 
 @pytest.fixture
@@ -179,6 +185,17 @@ class TestMiner:
         assert network.chain.height == 5
 
 
+def dyn_tx(wallet, max_fee, priority_fee):
+    """An EIP-1559 transfer from a fresh account."""
+    return DynamicFeeTransaction(
+        sender=wallet.fresh_account().address,
+        nonce=0,
+        gas_price=max_fee,
+        max_fee=max_fee,
+        priority_fee=priority_fee,
+    )
+
+
 class TestMiner1559:
     def test_miner_orders_by_effective_price_under_base_fee(self, wallet):
         """With a base fee active, a capped-max-fee transaction pays less
@@ -194,15 +211,10 @@ class TestMiner1559:
         policy = GETH.scaled(64).with_base_fee_enforcement()
         node = network.create_node("m", NodeConfig(policy=policy))
         node.mempool.base_fee = gwei(1.0)
-        factory = TransactionFactory()
         # Big max fee, tiny tip: effective = base + 0.01 = 1.01 gwei.
-        low_tip = factory.dynamic_transfer(
-            wallet.fresh_account(), max_fee=gwei(5.0), priority_fee=gwei(0.01)
-        )
+        low_tip = dyn_tx(wallet, max_fee=gwei(5.0), priority_fee=gwei(0.01))
         # Smaller max fee, fat tip: effective = base + 1.0 = 2.0 gwei.
-        high_tip = factory.dynamic_transfer(
-            wallet.fresh_account(), max_fee=gwei(2.0), priority_fee=gwei(1.0)
-        )
+        high_tip = dyn_tx(wallet, max_fee=gwei(2.0), priority_fee=gwei(1.0))
         node.submit_transaction(low_tip)
         node.submit_transaction(high_tip)
         miner = Miner(node, network.chain)
@@ -220,9 +232,7 @@ class TestMiner1559:
         policy = GETH.scaled(64).with_base_fee_enforcement()
         node = network.create_node("m", NodeConfig(policy=policy))
         # Pool admitted it earlier at a lower base fee...
-        cheap = TransactionFactory().dynamic_transfer(
-            wallet.fresh_account(), max_fee=gwei(1.0), priority_fee=gwei(0.5)
-        )
+        cheap = dyn_tx(wallet, max_fee=gwei(1.0), priority_fee=gwei(0.5))
         node.mempool.add(cheap)
         # ...but the current base fee exceeds its max fee: not minable.
         block = Miner(node, network.chain).mine_block()

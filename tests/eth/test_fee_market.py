@@ -239,16 +239,6 @@ class TestNetworkWiring:
                 assert node.mempool.fee_market is network.fee_market
         assert supernode.mempool.fee_market is None
 
-    def test_clear_detaches(self):
-        network = quick_network(6, seed=9)
-        network.install_fee_market()
-        network.clear_fee_market()
-        assert network.fee_market is None
-        assert all(
-            network.node(nid).mempool.fee_market is None
-            for nid in network.node_ids
-        )
-
     def test_snapshot_round_trip(self):
         network = quick_network(8, seed=13)
         network.install_fee_market()

@@ -36,7 +36,7 @@ class TestBasicAdmission:
         result = pool.add(tx)
         assert result.outcome is AddOutcome.ADMITTED_FUTURE
         assert not result.propagatable
-        assert pool.is_future(tx.hash)
+        assert tx.hash in pool and not pool.is_pending(tx.hash)
 
     def test_duplicate_rejected(self, pool, wallet, factory):
         tx = factory.transfer(wallet.fresh_account(), gas_price=gwei(1))

@@ -96,7 +96,7 @@ class TestScanFallbacks:
         # The tail became executable and must be propagated; the
         # transaction itself is reported by the outcome, not as promoted.
         assert [t.hash for t in result.promoted] == [t.hash for t in tail]
-        assert pool.is_future(beyond.hash)
+        assert beyond.hash in pool and not pool.is_pending(beyond.hash)
         assert scans == ["0xa"]
         pool.check_invariants()
 
@@ -110,7 +110,7 @@ class TestScanFallbacks:
         result = pool.add(probe)
         assert result.outcome is AddOutcome.ADMITTED_FUTURE
         assert [t.hash for t in result.evicted] == [head.hash]
-        assert all(pool.is_future(t.hash) for t in successors)
+        assert all(t.hash in pool and not pool.is_pending(t.hash) for t in successors)
         assert pool.pending_count == 1
         assert scans == ["0xa"]
         pool.check_invariants()
@@ -137,8 +137,9 @@ class TestScanFallbacks:
         assert [t.hash for t in result.evicted] == [head.hash]
         assert result.outcome is AddOutcome.ADMITTED_FUTURE
         assert not result.propagatable
-        assert pool.is_future(incoming.hash)
-        assert pool.is_future(pool.sender_transaction("0xa", 1).hash)
+        assert incoming.hash in pool and not pool.is_pending(incoming.hash)
+        demoted = pool.sender_transaction("0xa", 1)
+        assert demoted.hash in pool and not pool.is_pending(demoted.hash)
         assert scans == ["0xa", "0xa"]  # tail demotion, then the incoming tx
         pool.check_invariants()
 
@@ -150,7 +151,7 @@ class TestScanFallbacks:
         result = pool.add(incoming)
         assert [t.hash for t in result.evicted] == [only.hash]
         assert result.outcome is AddOutcome.ADMITTED_FUTURE
-        assert pool.is_future(incoming.hash)
+        assert incoming.hash in pool and not pool.is_pending(incoming.hash)
         assert scans == ["0xa"]
         pool.check_invariants()
 

@@ -100,7 +100,7 @@ def test_no_stale_nonces_survive(ops, confirmed):
         result = pool.add(build_tx(sender, nonce, price))
         if nonce < confirmed:
             assert result.outcome is AddOutcome.REJECTED_STALE_NONCE
-    for tx in pool.all_transactions():
+    for tx in pool.pending_transactions() + pool.future_transactions():
         assert tx.nonce >= confirmed
 
 

@@ -108,9 +108,9 @@ class TestExpiryMaintenance:
         node.submit_transaction(tx)
         pair_network.run(5.0)
         # Not yet expired.
-        assert node.expire_transactions() == []
+        assert node.mempool.evict_expired(node.sim.now) == []
         # Force the clock past the policy expiry.
         node.sim.schedule(node.config.policy.expiry_seconds + 10, lambda: None)
         node.sim.run()
-        dropped = node.expire_transactions()
+        dropped = node.mempool.evict_expired(node.sim.now)
         assert tx.hash in {t.hash for t in dropped}

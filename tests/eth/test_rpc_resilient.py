@@ -20,9 +20,6 @@ from repro.eth.policies import GETH
 from repro.eth.rpc import (
     HARDENED_POLICY,
     RAW_POLICY,
-    SNAPSHOT_FAILED,
-    SNAPSHOT_OK,
-    SNAPSHOT_TRUNCATED,
     ResilientRpcClient,
     RpcClientPolicy,
     RpcEndpoint,
@@ -173,29 +170,6 @@ class TestEndpointFaults:
             RpcEndpoint(network, "quiet").call("web3_clientVersion")
         assert network.faults.rpc.timeouts == 0  # no draw burned
 
-    def test_truncated_content_keeps_full_status(self):
-        plan = RpcFaultPlan(truncate_rate=1.0, truncate_keep_fraction=0.5)
-        network = pair_network(rpc_plan=plan)
-        for _ in range(4):
-            submit_transfer(network, "a")
-        endpoint = RpcEndpoint(network, "a")
-        status = endpoint.call("txpool_status")
-        content = endpoint.call("txpool_content")
-        dumped = sum(len(v) for v in content["pending"].values())
-        assert status["pending"] == 4
-        assert dumped < status["pending"]  # the client's detection signal
-        assert network.faults.rpc.truncated >= 1
-
-    def test_stale_bundle_serves_lagged_copy(self):
-        plan = RpcFaultPlan(stale_rate=1.0, stale_lag=10.0)
-        network = pair_network(rpc_plan=plan)
-        endpoint = RpcEndpoint(network, "a")
-        assert endpoint.call("txpool_status")["pending"] == 0  # seeds the cache
-        submit_transfer(network, "a")
-        network.run(1.0)  # cache now strictly older than live state
-        assert endpoint.call("txpool_status")["pending"] == 0  # lagged view
-        assert network.faults.rpc.stale_served >= 1
-
 
 class TestResilientClient:
     def test_policy_validation(self):
@@ -320,42 +294,6 @@ class TestResilientClient:
 
         assert trace(21) == trace(21)
         assert trace(21) != trace(22)  # the faults actually depend on the seed
-
-
-class TestSnapshotValidation:
-    def test_ok_snapshot(self):
-        network = pair_network(rpc_plan=RpcFaultPlan(error_rate=0.0))
-        submit_transfer(network, "a")
-        snapshot = network.rpc_client().pool_snapshot("a")
-        assert snapshot.verdict == SNAPSHOT_OK
-        assert snapshot.pending_count == 1
-
-    def test_truncated_snapshot_detected(self):
-        plan = RpcFaultPlan(truncate_rate=1.0, truncate_keep_fraction=0.5)
-        network = pair_network(rpc_plan=plan)
-        for _ in range(4):
-            submit_transfer(network, "a")
-        snapshot = network.rpc_client().pool_snapshot("a")
-        assert snapshot.verdict == SNAPSHOT_TRUNCATED
-        assert snapshot.content_pending_count() < snapshot.pending_count
-
-    def test_failed_snapshot_when_plane_dead(self):
-        network = pair_network(rpc_plan=RpcFaultPlan(error_rate=1.0))
-        client = ResilientRpcClient(
-            network, RpcClientPolicy(max_attempts=1, breaker_threshold=100)
-        )
-        snapshot = client.pool_snapshot("a")
-        assert snapshot.verdict == SNAPSHOT_FAILED
-        assert not snapshot.ok
-
-    def test_raw_policy_swallows_truncation(self):
-        plan = RpcFaultPlan(truncate_rate=1.0, truncate_keep_fraction=0.5)
-        network = pair_network(rpc_plan=plan)
-        for _ in range(4):
-            submit_transfer(network, "a")
-        raw = ResilientRpcClient(network, RAW_POLICY)
-        snapshot = raw.pool_snapshot("a")
-        assert snapshot.verdict == SNAPSHOT_OK  # no validation: trusts the lie
 
 
 class TestNetworkAccessor:

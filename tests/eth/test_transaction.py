@@ -130,13 +130,6 @@ class TestFactory:
         future = factory.future(account, gas_price=100, nonce_gap=1000, index=3)
         assert future.nonce == 1003
 
-    def test_dynamic_transfer(self, factory):
-        account = Account("frank")
-        tx = factory.dynamic_transfer(account, max_fee=gwei(2), priority_fee=gwei(1))
-        assert isinstance(tx, DynamicFeeTransaction)
-        assert tx.nonce == 0
-
-
 class TestWallet:
     def test_accounts_are_cached_by_label(self):
         wallet = Wallet("w")

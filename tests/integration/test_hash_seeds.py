@@ -8,8 +8,7 @@ order included:
 
 - the pool's tie-break numbers after a block and an expiry re-file several
   senders (they decide which of two equal-priced transactions is evicted);
-- a truncated ``txpool_content`` dump (its sender groups, hence which
-  groups survive truncation);
+- a ``txpool_content`` dump (the order of its sender groups);
 - the Modularity statistic (Louvain follows graph insertion order).
 """
 
@@ -32,7 +31,6 @@ from repro.eth.node import NodeConfig
 from repro.eth.policies import GETH
 from repro.eth.rpc import RpcEndpoint
 from repro.eth.transaction import Transaction, TransactionFactory, gwei
-from repro.sim.faults import FaultPlan, RpcFaultPlan
 
 SENDERS = [f"0xseed{i}" for i in range(8)]
 
@@ -66,14 +64,11 @@ def pool_after_a_block_and_an_expiry():
     }
 
 
-def truncated_txpool_dump():
+def txpool_dump():
     """Eight senders with a pending and a future transaction each, dumped
-    through an endpoint that always drops the tail half of the groups."""
+    through the node's endpoint."""
     network = Network(seed=11)
     network.create_node("a", NodeConfig(policy=GETH.scaled(64)))
-    network.install_faults(
-        FaultPlan(rpc=RpcFaultPlan(truncate_rate=1.0, truncate_keep_fraction=0.5))
-    )
     wallet, factory = Wallet("hash-seeds"), TransactionFactory()
     for _ in SENDERS:
         account = wallet.fresh_account()
@@ -97,7 +92,7 @@ SCENARIOS = {
     scenario.__name__: scenario
     for scenario in (
         pool_after_a_block_and_an_expiry,
-        truncated_txpool_dump,
+        txpool_dump,
         modularity_of_a_fixed_measurement,
     )
 }
@@ -133,9 +128,10 @@ def test_result_does_not_follow_the_hash_seed(scenario):
 
 
 def test_the_scenarios_are_not_vacuous():
-    """Several senders are re-filed, groups are cut, communities exist."""
+    """Several senders are re-filed, every sender has a group in both halves
+    of the dump, communities exist."""
     state = pool_after_a_block_and_an_expiry()
     assert state["seq"] == 4 * len(SENDERS) and not state["pending"]
-    content = truncated_txpool_dump()
-    assert len(content["pending"]) == len(content["queued"]) == len(SENDERS) // 2
+    content = txpool_dump()
+    assert len(content["pending"]) == len(content["queued"]) == len(SENDERS)
     assert 0.2 < modularity_of_a_fixed_measurement() < 0.5

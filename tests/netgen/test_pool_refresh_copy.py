@@ -622,8 +622,9 @@ def test_mutating_a_copied_pool_never_reaches_donor_or_sibling():
     before = exact_state(donor), exact_state(sibling)
 
     factory, wallet = TransactionFactory(), Wallet("mutator")
-    victim = min(copied.all_transactions(), key=lambda tx: tx.gas_price)
-    bumped = factory.replacement(copied.all_transactions()[3], 0.5)
+    resident = list(copied.capture_state()["by_hash"].values())
+    victim = min(resident, key=lambda tx: tx.gas_price)
+    bumped = factory.replacement(resident[3], 0.5)
     assert copied.add(bumped).replaced is not None
     flood = wallet.fresh_account()
     for index in range(4):  # futures into a full pool evict pending ones

@@ -32,9 +32,9 @@ class TestPrefill:
         for node_id in network.measurable_node_ids()[1:]:
             pool = network.node(node_id).mempool
             if len(pool) == len(first):
-                assert {t.hash for t in pool.all_transactions()} == {
-                    t.hash for t in first.all_transactions()
-                }
+                assert set(pool.capture_state()["by_hash"]) == set(
+                    first.capture_state()["by_hash"]
+                )
 
     def test_all_prefilled_are_pending(self):
         network = quick_network(n_nodes=5, seed=3)
@@ -60,7 +60,7 @@ class TestPrefill:
         old = prefill_mempools(network)
         new = refresh_mempools(network)
         pool = network.node(network.measurable_node_ids()[0]).mempool
-        hashes = {t.hash for t in pool.all_transactions()}
+        hashes = set(pool.capture_state()["by_hash"])
         assert hashes.isdisjoint({t.hash for t in old})
         assert hashes <= {t.hash for t in new}
 

@@ -48,12 +48,12 @@ class TestGauge:
         gauge = Gauge("g")
         gauge.set(10)
         gauge.inc(2)
-        gauge.dec(5)
+        gauge.inc(-5)
         assert gauge.value == 7
 
     def test_can_go_negative(self):
         gauge = Gauge("g")
-        gauge.dec(3)
+        gauge.inc(-3)
         assert gauge.value == -3
 
 

@@ -63,8 +63,6 @@ class TestSimulatorWiring:
         kinds = {record[1] for record in obs.events}
         assert "event" in kinds
         assert sim.event_log is obs.events
-        sim.detach_observability()
-        assert sim.event_log is None
 
     def test_attach_disabled_bundle_keeps_log_off(self):
         sim = Simulator()
@@ -83,13 +81,6 @@ class TestNetworkWiring:
         samples = {s["name"]: s for s in obs.metrics.snapshot()}
         assert samples[wiring.NODES]["value"] == len(network.nodes)
         assert samples[wiring.LINKS]["value"] == network.link_count
-
-    def test_clear_restores_null(self):
-        network = quick_network(n_nodes=6, seed=12)
-        network.install_observability(Observability())
-        assert network.obs.enabled
-        network.clear_observability()
-        assert network.obs is NULL
 
     def test_per_node_series(self):
         network = quick_network(n_nodes=5, seed=13)

@@ -254,6 +254,13 @@ MALFORMED_CAMPAIGNS = {
             behaviors={"censor": 0.7, "spoof_relay": 0.7}
         )
     },
+    "a retired rpc fault knob": {
+        "campaign": _campaign_payload(
+            fault_plan={
+                "rpc": {"timeout_rate": 0.1, "stale_rate": 0.2},
+            }
+        )
+    },
     "no campaign at all": {"workers": 1},
     "workers not a number": {"campaign": _campaign_payload(), "workers": "many"},
 }

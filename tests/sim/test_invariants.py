@@ -180,7 +180,6 @@ class TestViolationDetection:
         }
         assert "n0" in offenders or "n2" in offenders
         assert "n1" not in offenders
-        checker.clear_guards()
 
 
 class TestStrictMode:

@@ -73,4 +73,4 @@ def test_interning_stable_across_capture_restore_at_20k(scale_network):
     for index in range(0, N_NODES, 1999):
         name = names[index]
         assert network.node(name).index == index
-        assert network.ids.index_of(name) == index
+        assert network.ids.index[name] == index

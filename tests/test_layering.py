@@ -326,57 +326,79 @@ def test_measurement_path_never_loads_networkx():
     assert done.returncode == 0, done.stderr
 
 
-# Public names that only tests call, kept on purpose.
+# Public names (``Class.method`` for methods and properties) that only tests
+# call, kept on purpose.
 _UNCALLED_BY_DESIGN = {
     "verify_schedule_coverage": "the oracle the schedule tests hold schedules to",
     "fully_connect": "a fixture: the eth, sim and core tests wire cliques with it",
+    "TopoShot.calibrate_target": "the calibration stage (ROADMAP item 3) will call it",
+    "IdMap.check_bijection": "the oracle the idmap property tests check the table against",
+    "Mempool.sender_transaction": (
+        "the reference-pool and property tests look up a (sender, nonce) slot"
+    ),
+    "Mempool.evict_expired": (
+        "Geth's lifetime rule e: no run reaches it, the expiry and hash-seed tests do"
+    ),
+    "Histogram.reservoir_size": "test_reservoir_is_bounded reads the memory bound",
+    "NetworkMeasurement.failed_nodes": "the executed snippet in docs/faults.md calls it",
 }
 
 
-def _reexport_lines(tree: ast.Module):
-    """Lines of a package ``__init__`` that only re-export: imports and
-    ``__all__``."""
+def _skipped_lines(tree: ast.Module, is_init: bool):
+    """Lines that only list names: ``__all__`` in any module, and the
+    re-export imports of a package ``__init__``."""
     for node in tree.body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+        if (is_init and isinstance(node, (ast.Import, ast.ImportFrom))) or (
             isinstance(node, ast.Assign)
             and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
         ):
             yield from range(node.lineno, node.end_lineno + 1)
 
 
+def _public(nodes, kinds):
+    return [n for n in nodes if isinstance(n, kinds) and not n.name.startswith("_")]
+
+
 def _uncalled_public_names(repo: Path):
-    """Public top-level functions and classes under ``src/repro`` whose name
-    appears nowhere in ``src/`` (besides its own ``def``/``class`` line and
-    ``__init__`` re-exports), ``benchmarks/`` or ``examples/``."""
+    """Public top-level functions and classes under ``src/repro``, and the
+    public methods and properties of those classes (as ``Class.method``),
+    whose name appears nowhere in ``src/`` (besides a ``def``/``class`` line
+    of that name and the lines ``_skipped_lines`` drops), ``benchmarks/`` or
+    ``examples/``."""
     src = repo / "src" / "repro"
-    definitions = {}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    definitions, keys = {}, {}
     for path in sorted(src.rglob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ) and not node.name.startswith("_"):
-                definitions.setdefault(node.name, set()).add((path, node.lineno))
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        for node in _public(module.body, (*functions, ast.ClassDef)):
+            members = [(node, node.name)]
+            if isinstance(node, ast.ClassDef):
+                members += [
+                    (m, f"{node.name}.{m.name}") for m in _public(node.body, functions)
+                ]
+            for member, key in members:
+                definitions.setdefault(member.name, set()).add((path, member.lineno))
+                keys.setdefault(member.name, set()).add(key)
     named = set()
     for root in (src, repo / "benchmarks", repo / "examples"):
         for path in sorted(root.rglob("*.py")):
             text = path.read_text(encoding="utf-8")
-            skip = set()
-            if path.name == "__init__.py":
-                skip = set(_reexport_lines(ast.parse(text)))
+            skip = set(_skipped_lines(ast.parse(text), path.name == "__init__.py"))
             for lineno, line in enumerate(text.splitlines(), 1):
                 if lineno in skip:
                     continue
                 for word in re.findall(r"\w+", line):
                     if word in definitions and (path, lineno) not in definitions[word]:
                         named.add(word)
-    return sorted(set(definitions) - named)
+    return sorted(key for word in set(keys) - named for key in keys[word])
 
 
 def test_every_public_name_has_a_caller():
-    """A public function or class that only tests reach is surface nothing
-    runs: delete it with its tests, or allow-list it with a reason. The scan
-    reads words, not a call graph (a mention in another docstring counts),
-    so it is a tripwire for names nothing reaches, not proof of use."""
+    """A public function, class, method or property that only tests reach is
+    surface nothing runs: delete it with its tests, or allow-list it with a
+    reason. The scan reads words, not a call graph (a mention in another
+    docstring counts), so it is a tripwire for names nothing reaches, not
+    proof of use."""
     uncalled = _uncalled_public_names(Path(repro.__file__).parents[2])
     stale = sorted(set(_UNCALLED_BY_DESIGN) - set(uncalled))
     assert not stale, f"allow-listed names that now have callers: {stale}"
