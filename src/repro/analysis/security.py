@@ -17,7 +17,7 @@ This module turns a measured graph into those assessments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 import networkx as nx
 

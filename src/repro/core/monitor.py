@@ -28,9 +28,9 @@ Two modes:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Dict, IO, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, IO, List, Optional, Set, Tuple
 
 from repro.core.campaign import TopoShot
 from repro.core.results import Edge, NetworkMeasurement, edge

@@ -52,10 +52,9 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import BehaviorPlanError
-from repro.eth.mempool import Mempool
 from repro.eth.messages import GetPooledTransactions, Message, PooledTransactions, Transactions
 from repro.eth.node import KnownTxCache, Node
 from repro.eth.policies import MempoolPolicy

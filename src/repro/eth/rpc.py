@@ -70,20 +70,10 @@ class RpcServer:
 
     def __init__(self, node: Node) -> None:
         self.node = node
-        self._methods = {
-            "web3_clientVersion": self._client_version,
-            "eth_getTransactionByHash": self._get_transaction,
-            "eth_blockNumber": self._block_number,
-            "eth_sendRawTransaction": self._send_raw_transaction,
-            "txpool_status": self._txpool_status,
-            "txpool_content": self._txpool_content,
-            "admin_peers": self._admin_peers,
-            "admin_nodeInfo": self._node_info,
-        }
 
     @property
     def methods(self) -> List[str]:
-        return sorted(self._methods)
+        return sorted(self._METHODS)
 
     def call(self, method: str, *params: Any) -> Any:
         """Invoke ``method`` with ``params``.
@@ -94,9 +84,10 @@ class RpcServer:
         """
         if not self.node.config.responds_to_rpc:
             raise RpcUnavailableError(f"node {self.node.id} has RPC disabled")
-        if method not in self._methods:
+        handler = self._METHODS.get(method)
+        if handler is None:
             raise RpcMethodNotFoundError(method)
-        return self._methods[method](*params)
+        return handler(self, *params)
 
     # ------------------------------------------------------------------
     # Methods
@@ -154,6 +145,19 @@ class RpcServer:
             "maxPeers": self.node.config.max_peers,
             "activePeers": self.node.degree,
         }
+
+    # Name -> plain function, shared by every server: a per-instance table
+    # of bound methods would make each server a reference cycle.
+    _METHODS = {
+        "web3_clientVersion": _client_version,
+        "eth_getTransactionByHash": _get_transaction,
+        "eth_blockNumber": _block_number,
+        "eth_sendRawTransaction": _send_raw_transaction,
+        "txpool_status": _txpool_status,
+        "txpool_content": _txpool_content,
+        "admin_peers": _admin_peers,
+        "admin_nodeInfo": _node_info,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -433,6 +437,10 @@ class ResilientRpcClient:
             self._sleep(self._next_allowed.get(node_id, 0.0) - self.network.sim.now)
 
         deadline = policy.deadline_for(method)
+        # ``last`` outlives its except clause, so it is kept without its
+        # traceback: the traceback holds this frame, which holds ``last``,
+        # and that cycle would keep every caller's frame (floods and all)
+        # alive until the cyclic collector next runs.
         last: Optional[RpcError] = None
         attempt = 0
         while attempt < policy.max_attempts:
@@ -445,7 +453,7 @@ class ResilientRpcClient:
                 breaker.release_probe()
                 raise
             except RpcRateLimitedError as exc:
-                last = exc
+                last = exc.with_traceback(None)
                 self.rate_limited_total += 1
                 # Throttling is endpoint *health*, not sickness: comply,
                 # don't trip the breaker.
@@ -456,7 +464,7 @@ class ResilientRpcClient:
                     self._sleep(exc.retry_after)
                 continue
             except RpcTimeoutError as exc:
-                last = exc
+                last = exc.with_traceback(None)
                 breaker.record_failure()
                 self._bump_health(node_id, 0.0)
                 if method in policy.hedge_methods and policy.hedge_delay < deadline:
@@ -467,7 +475,7 @@ class ResilientRpcClient:
                     continue
                 self._sleep(deadline)
             except (RpcTransientError, RpcConnectionError) as exc:
-                last = exc
+                last = exc.with_traceback(None)
                 breaker.record_failure()
                 self._bump_health(node_id, 0.0)
             else:

@@ -19,10 +19,19 @@ For operator-facing metrics and a bounded structured event log, attach a
 The runtime invariant checker (:mod:`repro.sim.invariants`) rides the same
 zero-cost attach pattern one layer up, on the network's pre-bound delivery
 callback — an engine without it installed executes byte-identical code.
+
+:meth:`Simulator.run` pauses Python's cyclic garbage collector for the
+length of the run. No campaign creates cyclic garbage, inside a run or
+between runs: reference counting frees everything it drops
+(``tests/sim/test_no_cyclic_garbage.py`` is the law). So the collector's
+walks over the world and the heap of in-flight messages find nothing and
+are pure cost. The pause is process-wide: another thread that allocates
+during a run gets no automatic collection until the run ends.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 from functools import partial
@@ -347,6 +356,11 @@ class Simulator:
         remain queued — otherwise a recurring fault-injection process would
         keep ``settle()`` from ever returning. A bounded run executes daemon
         events up to ``until`` like any other event.
+
+        The cyclic garbage collector is off while the run lasts (see the
+        module docstring). A run that finds it on turns it off and turns it
+        back on at every exit, a raising callback included; a nested run,
+        or one whose caller turned it off, finds it off and leaves it so.
         """
         # This is the hottest loop in the repo; it is deliberately flat,
         # with the common path (plain event, no profiler/event log, no bound)
@@ -358,6 +372,9 @@ class Simulator:
         heappop = heapq.heappop
         observed = self.wants_labels
         executed = 0
+        paused = gc.isenabled()
+        if paused:
+            gc.disable()
         try:
             while queue:
                 if max_events is not None and executed >= max_events:
@@ -415,6 +432,8 @@ class Simulator:
                 self._now = max(self._now, until)
         finally:
             self._executed += executed
+            if paused:
+                gc.enable()
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> None:
         """Run the simulation for ``duration`` seconds of simulated time."""

@@ -277,6 +277,20 @@ class FaultPlan(_FieldCodec):
         return self.loss_rate, self.extra_delay_mean
 
 
+def _log_fault(network: "Network", kind: str, detail: str) -> None:
+    """Record one fired fault: a ``(time, "fault", kind, detail)`` event
+    plus the ``FAULTS_FIRED`` counter, in the network's bundle.
+
+    ``kind`` is ``loss``, ``churn_down``, ``churn_up``, ``crash``,
+    ``restart``, ``send_timeout``, ``rpc_timeout``, ``rpc_error``,
+    ``rpc_rate_limit``, ``rpc_flap_down`` or ``rpc_flap_up``.
+    """
+    obs = network.obs
+    if obs.enabled:
+        obs.emit(network.sim.now, "fault", kind, detail)
+        obs.metrics.counter(wiring.FAULTS_FIRED, labels={"kind": kind}).inc()
+
+
 class RpcFaultState:
     """Runtime state of an :class:`RpcFaultPlan` (owned by the injector).
 
@@ -287,9 +301,10 @@ class RpcFaultState:
     faults that fire.
     """
 
-    def __init__(self, injector: "FaultInjector", plan: RpcFaultPlan) -> None:
-        self.injector = injector
-        self.network = injector.network
+    def __init__(self, network: "Network", plan: RpcFaultPlan) -> None:
+        # No reference back to the injector: it holds this state, so a
+        # back-reference would make every discarded injector a cycle.
+        self.network = network
         self.plan = plan
         self._rng = self.network.sim.rng.stream("rpc")
         self._active = True
@@ -325,7 +340,7 @@ class RpcFaultState:
         if bucket.try_take():
             return None
         self.rate_limited += 1
-        self.injector._log("rpc_rate_limit", node_id)
+        _log_fault(self.network, "rpc_rate_limit", node_id)
         return bucket.retry_after()
 
     def transport_fault(self, node_id: str) -> Optional[str]:
@@ -340,11 +355,11 @@ class RpcFaultState:
         sample = self._rng.random()
         if sample < timeout:
             self.timeouts += 1
-            self.injector._log("rpc_timeout", node_id)
+            _log_fault(self.network, "rpc_timeout", node_id)
             return "timeout"
         if sample < timeout + error:
             self.transient_errors += 1
-            self.injector._log("rpc_error", node_id)
+            _log_fault(self.network, "rpc_error", node_id)
             return "error"
         return None
 
@@ -369,10 +384,10 @@ class RpcFaultState:
             victim = self._rng.choice(victims)
             self._down_until[victim] = now + self.plan.flap_downtime
             self.flaps += 1
-            self.injector._log("rpc_flap_down", victim)
+            _log_fault(self.network, "rpc_flap_down", victim)
             self.network.sim.schedule(
                 self.plan.flap_downtime,
-                lambda: self.injector._log("rpc_flap_up", victim),
+                lambda: _log_fault(self.network, "rpc_flap_up", victim),
                 label=f"fault:rpc_flap_up:{victim}",
                 daemon=True,
             )
@@ -409,7 +424,7 @@ class FaultInjector:
             o.loss_rate or o.extra_delay_mean for o in plan.link_overrides.values()
         )
         self.rpc: Optional[RpcFaultState] = (
-            RpcFaultState(self, plan.rpc)
+            RpcFaultState(network, plan.rpc)
             if plan.rpc is not None and plan.rpc.enabled
             else None
         )
@@ -429,7 +444,7 @@ class FaultInjector:
         if self._rng.random() >= loss:
             return False
         self.messages_dropped += 1
-        self._log("loss", f"{from_id}->{to_id}")
+        _log_fault(self.network, "loss", f"{from_id}->{to_id}")
         return True
 
     def extra_delay(self, from_id: str, to_id: str) -> float:
@@ -445,7 +460,7 @@ class FaultInjector:
         if rate <= 0.0 or self._rng.random() >= rate:
             return False
         self.send_timeouts += 1
-        self._log("send_timeout", peer_id)
+        _log_fault(self.network, "send_timeout", peer_id)
         return True
 
     # ------------------------------------------------------------------
@@ -465,7 +480,7 @@ class FaultInjector:
             a, b = sorted(link)
             self.network.disconnect(a, b)
             self.churn_events += 1
-            self._log("churn_down", f"{a}--{b}")
+            _log_fault(self.network, "churn_down", f"{a}--{b}")
             self.network.sim.schedule(
                 self.plan.churn_downtime,
                 lambda: self._reconnect(a, b),
@@ -489,7 +504,7 @@ class FaultInjector:
         # the network in the broken state it created.
         if a in self.network and b in self.network and not self.network.are_connected(a, b):
             self.network.connect(a, b, force=True)
-            self._log("churn_up", f"{a}--{b}")
+            _log_fault(self.network, "churn_up", f"{a}--{b}")
 
     # ------------------------------------------------------------------
     # Crash/restart (Poisson process over non-supernode nodes)
@@ -511,7 +526,7 @@ class FaultInjector:
             victim = self._rng.choice(sorted(victims))
             self.network.node(victim).crash()
             self.crashes += 1
-            self._log("crash", victim)
+            _log_fault(self.network, "crash", victim)
             self.network.sim.schedule(
                 self.plan.crash_downtime,
                 lambda: self._restart(victim),
@@ -524,7 +539,7 @@ class FaultInjector:
         # Heals run even after stop(), like _reconnect.
         if node_id in self.network:
             self.network.node(node_id).restart()
-            self._log("restart", node_id)
+            _log_fault(self.network, "restart", node_id)
 
     # ------------------------------------------------------------------
     # Lifecycle / bookkeeping
@@ -535,19 +550,6 @@ class FaultInjector:
         self._active = False
         if self.rpc is not None:
             self.rpc.stop()
-
-    def _log(self, kind: str, detail: str) -> None:
-        """Record one fired fault: a ``(time, "fault", kind, detail)``
-        event plus the ``FAULTS_FIRED`` counter, in the network's bundle.
-
-        ``kind`` is ``loss``, ``churn_down``, ``churn_up``, ``crash``,
-        ``restart``, ``send_timeout``, ``rpc_timeout``, ``rpc_error``,
-        ``rpc_rate_limit``, ``rpc_flap_down`` or ``rpc_flap_up``.
-        """
-        obs = self.network.obs
-        if obs.enabled:
-            obs.emit(self.network.sim.now, "fault", kind, detail)
-            obs.metrics.counter(wiring.FAULTS_FIRED, labels={"kind": kind}).inc()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

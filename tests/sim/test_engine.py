@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine."""
 
+import gc
+
 import pytest
 
 from repro.errors import ScheduleInPastError, SimulationError
@@ -379,3 +381,116 @@ class TestScheduleCall:
         handle.cancel()
         sim.run()
         assert order == ["call"]
+
+
+@pytest.fixture
+def collector_on():
+    """Start with the cyclic collector on and leave it as it was found."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.fixture
+def collector_off():
+    """Start with the cyclic collector off and leave it as it was found."""
+    was = gc.isenabled()
+    gc.disable()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPause:
+    """``run`` keeps the cyclic collector off while callbacks run and hands
+    it back as it found it on every exit; ``step`` never touches it."""
+
+    def _seen(self, sim, delay=1.0):
+        """What ``gc.isenabled()`` reads inside a callback ``delay`` from now."""
+        seen = []
+        sim.schedule(delay, lambda: seen.append(gc.isenabled()))
+        return seen
+
+    def test_drained_run(self, sim, collector_on):
+        seen = self._seen(sim)
+        sim.run()
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_run_until(self, sim, collector_on):
+        seen = self._seen(sim)
+        self._seen(sim, delay=5.0)
+        sim.run(until=2.0)
+        assert seen == [False] and sim.pending_events == 1
+        assert gc.isenabled()
+
+    def test_max_events(self, sim, collector_on):
+        for _ in range(3):
+            sim.schedule(1.0, lambda: None)
+        sim.run(max_events=1)
+        assert sim.executed_events == 1
+        assert gc.isenabled()
+
+    def test_raising_callback(self, sim, collector_on):
+        def boom():
+            assert not gc.isenabled()
+            raise RuntimeError("boom")
+
+        sim.schedule(1.0, boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert gc.isenabled()
+
+    def test_nested_run_leaves_it_to_the_outer_run(self, sim, collector_on):
+        inner = Simulator(seed=1)
+        after_inner = []
+        inner_seen = self._seen(inner)
+
+        def drive_inner():
+            inner.run()
+            after_inner.append(gc.isenabled())
+
+        sim.schedule(1.0, drive_inner)
+        sim.run()
+        assert inner_seen == [False]
+        assert after_inner == [False]
+        assert gc.isenabled()
+
+    def test_nested_run_on_the_same_simulator(self, sim, collector_on):
+        after_inner = []
+
+        def drive_inner():
+            sim.run(until=sim.now + 1.0)
+            after_inner.append(gc.isenabled())
+
+        sim.schedule(1.0, drive_inner)
+        sim.schedule(1.5, lambda: None)
+        sim.run()
+        assert after_inner == [False]
+        assert gc.isenabled()
+
+    def test_caller_who_turned_it_off_keeps_it_off(self, sim, collector_off):
+        seen = self._seen(sim)
+        sim.run()
+        assert seen == [False]
+        assert not gc.isenabled()
+
+    def test_caller_who_turned_it_off_keeps_it_off_after_a_raise(
+        self, sim, collector_off
+    ):
+        sim.schedule(1.0, lambda: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            sim.run()
+        assert not gc.isenabled()
+
+    def test_step_never_toggles_it(self, sim, collector_on):
+        seen = self._seen(sim)
+        push_call(sim, 2.0, lambda: seen.append(gc.isenabled()))
+        assert sim.step() and sim.step()
+        assert seen == [True, True]
+        assert gc.isenabled()
+        gc.disable()
+        seen_off = self._seen(sim)
+        assert sim.step()
+        assert seen_off == [False]
+        assert not gc.isenabled()

@@ -241,6 +241,24 @@ def test_one_fork_pool():
     assert constructors == [src / "core" / "parallel_exec.py"]
 
 
+def test_only_the_event_loop_touches_the_collector():
+    """``Simulator.run`` is the one place under ``src/`` that pauses the
+    cyclic garbage collector (tests/sim/test_no_cyclic_garbage.py is why
+    that is safe); nothing else imports ``gc``."""
+    src = Path(repro.__file__).parent
+    importers = [
+        path.relative_to(src).as_posix()
+        for path in sorted(src.rglob("*.py"))
+        if any(
+            module == "gc" or module.startswith("gc.")
+            for _, module in _imported_modules(
+                ast.parse(path.read_text(encoding="utf-8"), str(path))
+            )
+        )
+    ]
+    assert importers == ["sim/engine.py"]
+
+
 def _import_time_imports(tree: ast.AST):
     """The imports that run when the module is imported: everything outside
     function bodies and ``if TYPE_CHECKING:`` blocks."""
