@@ -72,10 +72,9 @@ from repro.eth.transaction import TransactionFactory, gwei
 
 @dataclass
 class DethnaReport:
-    """Outcome of a DEthna measurement: votes, edges, and probe cost."""
+    """Outcome of a DEthna measurement: edges and probe cost."""
 
     predicted: Set[Edge] = field(default_factory=set)
-    votes: Dict[Edge, int] = field(default_factory=dict)
     marks_sent: int = 0
     rounds: int = 0
     send_failures: int = 0
@@ -179,7 +178,6 @@ def run_dethna(
         if refresh_between_rounds and round_index + 1 < rounds:
             refresh_mempools(network, median_price=ambient)
 
-    report.votes = votes
     report.predicted = {e for e, count in votes.items() if count >= min_votes}
     if validate:
         report.score_vs_active = score_edges(

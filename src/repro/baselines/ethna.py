@@ -66,8 +66,6 @@ class EthnaReport:
 
     degree_estimates: Dict[str, int] = field(default_factory=dict)
     true_degrees: Dict[str, int] = field(default_factory=dict)
-    push_counts: Dict[str, int] = field(default_factory=dict)
-    announce_counts: Dict[str, int] = field(default_factory=dict)
     observed_txs: int = 0
     skipped_low_sample: int = 0
 
@@ -172,8 +170,6 @@ def run_ethna(
     for peer in targets:
         p = pushes.get(peer, 0)
         a = announces.get(peer, 0)
-        report.push_counts[peer] = p
-        report.announce_counts[peer] = a
         if p + a < min_samples:
             report.skipped_low_sample += 1
             continue

@@ -52,7 +52,6 @@ class TimingInference:
     """Result of the timing heuristic."""
 
     predicted: Set[Edge] = field(default_factory=set)
-    scores: Dict[Edge, float] = field(default_factory=dict)
     probes: int = 0
     score_vs_active: Optional[ValidationScore] = None
 
@@ -118,7 +117,6 @@ def timing_inference(
         supernode.clear_observations()
         network.forget_known_transactions()
 
-    result.scores = votes
     result.predicted = {e for e, score in votes.items() if score >= min_votes}
     truth = network.ground_truth_edges(among=targets if subset else None)
     result.score_vs_active = score_edges(result.predicted, truth)

@@ -46,7 +46,7 @@ Config knobs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 from repro.core.results import Edge, ValidationScore, edge, score_edges
 from repro.eth.account import Wallet
@@ -62,7 +62,6 @@ class TxProbeReport:
     a: str
     b: str
     positive: bool
-    marker_hash: str
 
 
 def txprobe_measure_link(
@@ -102,7 +101,6 @@ def txprobe_measure_link(
         a=a_id,
         b=b_id,
         positive=supernode.observed_from(b_id, marker.hash),
-        marker_hash=marker.hash,
     )
 
 
@@ -110,7 +108,6 @@ def txprobe_measure_link(
 class TxProbeSurvey:
     """Scored outcome of probing many pairs."""
 
-    reports: List[TxProbeReport] = field(default_factory=list)
     detected: Set[Edge] = field(default_factory=set)
     score: Optional[ValidationScore] = None
 
@@ -129,7 +126,6 @@ def txprobe_survey(
         report = txprobe_measure_link(
             network, supernode, a, b, wallet=wallet, blocking=blocking, wait=wait
         )
-        survey.reports.append(report)
         if report.positive:
             survey.detected.add(edge(a, b))
         supernode.clear_observations()

@@ -103,7 +103,6 @@ class SurgeBandReport:
     tx_b_price: int
     samples_checked: int
     admissible_throughout: bool
-    violating_samples: Tuple[float, ...] = field(default_factory=tuple)
     peak_floor: int = 0
     peak_surge: float = 1.0
 
@@ -134,19 +133,13 @@ def check_surge_band(
     """
     tx_b = int(y0 * (1.0 - 0.5 * replace_bump))
     trajectory = market.floor_trajectory(t1, t2)
-    violations = tuple(
-        sample_time
-        for sample_time, floor, _surge, _occ in trajectory
-        if tx_b < floor
-    )
     return SurgeBandReport(
         t1=t1,
         t2=t2,
         y0=y0,
         tx_b_price=tx_b,
         samples_checked=len(trajectory),
-        admissible_throughout=not violations,
-        violating_samples=violations,
+        admissible_throughout=all(tx_b >= floor for _, floor, _, _ in trajectory),
         peak_floor=max((f for _, f, _, _ in trajectory), default=0),
         peak_surge=max((s for _, _, s, _ in trajectory), default=1.0),
     )

@@ -59,7 +59,6 @@ class ParallelProbeReport:
     """Result of one ``measurePar`` call: one record per probed pair in
     ``outcomes``, detected or not, plus the round's tallies."""
 
-    edges_probed: int
     outcomes: List[EdgeEvidence] = field(default_factory=list)
     y: int = 0
     seed_senders: List[str] = field(default_factory=list)
@@ -107,7 +106,7 @@ def measure_par(
     interference window and their union improves recall.
     """
     if not pairs:
-        return ParallelProbeReport(edges_probed=0)
+        return ParallelProbeReport()
     config = config or MeasurementConfig()
     if len(pairs) > config.mempool_slots_budget:
         raise MeasurementError(
@@ -119,7 +118,7 @@ def measure_par(
     wallet = wallet or Wallet(f"toposhot-par-{network.sim.now:.3f}")
     factory = TransactionFactory()
 
-    report = ParallelProbeReport(edges_probed=len(pairs))
+    report = ParallelProbeReport()
 
     # Graceful degradation: endpoints that are down right now cannot be
     # probed this round. Their pairs are reported as setup failures (never
@@ -270,7 +269,7 @@ def measure_par_with_repeats(
     """
     config = config or MeasurementConfig()
     shuffler = network.sim.rng.stream("parallel-shuffle")
-    merged = ParallelProbeReport(edges_probed=len(pairs))
+    merged = ParallelProbeReport()
 
     def probe_round(
         remaining: List[Tuple[str, str]], round_index: int

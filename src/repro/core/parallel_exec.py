@@ -73,7 +73,7 @@ from repro.sim.rng import spawn_seed
 
 PathLike = Union[str, Path]
 
-PARALLEL_CHECKPOINT_VERSION = 2
+PARALLEL_CHECKPOINT_VERSION = 3
 
 # Default shard-plan granularity: enough slices to keep a typical pool busy
 # without shrinking slices below the per-shard reset cost. Deliberately NOT

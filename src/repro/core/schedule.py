@@ -31,7 +31,6 @@ class ScheduleIteration:
     """One ``measurePar`` call: disjoint source/sink sets and the edges
     (source, sink) to probe."""
 
-    round_index: int
     sources: Tuple[str, ...]
     sinks: Tuple[str, ...]
     edges: Tuple[Tuple[str, str], ...]
@@ -107,7 +106,7 @@ def build_schedule(
     for start, group in zip(range(group_size, len(ids), group_size), groups):
         rest = ids[start:]
         iterations.append(
-            ScheduleIteration(1, tuple(group), tuple(rest), _cross_edges(group, rest))
+            ScheduleIteration(tuple(group), tuple(rest), _cross_edges(group, rest))
         )
 
     # Round 2: recursive halving inside every group, all groups at once.
@@ -125,7 +124,7 @@ def build_schedule(
             edges.extend(_cross_edges(first, second))
             next_active.extend(part for part in (first, second) if len(part) >= 2)
         iterations.append(
-            ScheduleIteration(2, tuple(sources), tuple(sinks), tuple(edges))
+            ScheduleIteration(tuple(sources), tuple(sinks), tuple(edges))
         )
         active = next_active
 

@@ -26,13 +26,13 @@ class Account:
 
     ``next_nonce`` tracks the nonce the *owner* will use for its next
     transaction; the chain's confirmed nonce is tracked separately by
-    :class:`repro.eth.chain.Chain`.
+    :class:`repro.eth.chain.Chain`. Balances are not modelled: every
+    account can pay for anything (no overdrafts).
     """
 
     label: str
     address: str = field(default="")
     next_nonce: int = 0
-    balance_wei: int = 10**24  # effectively unlimited; overdrafts not modeled
 
     def __post_init__(self) -> None:
         if not self.address:

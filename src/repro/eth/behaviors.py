@@ -223,7 +223,6 @@ class BehaviorSet:
         self.original_policies: Dict[str, MempoolPolicy] = {}
         self.counts: Dict[str, int] = {}
         self.events: List[BehaviorEvent] = []
-        self.total_actions = 0
         # kind -> node -> bounded cache of already-acted-on tx hashes.
         self._runtime_caches: Dict[str, KnownTxCache] = {}
         self._saved: Dict[str, Dict[str, object]] = {}
@@ -248,7 +247,6 @@ class BehaviorSet:
 
     def _note(self, kind: str, node_id: str, detail: str) -> None:
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        self.total_actions += 1
         if len(self.events) < MAX_BEHAVIOR_EVENTS:
             self.events.append(
                 BehaviorEvent(self.network.sim.now, kind, node_id, detail)
@@ -280,7 +278,6 @@ class BehaviorSet:
         self.assignments[node.id] = kind
         self.original_policies[node.id] = saved["policy"]  # type: ignore[assignment]
         self._saved[node.id] = saved
-        node.behavior = kind
 
     def uninstall_all(self) -> None:
         """Restore every patched node to its pre-install shape."""
@@ -294,7 +291,6 @@ class BehaviorSet:
                 node.__dict__.pop("broadcast_transaction", None)
             else:  # pragma: no cover - nested wrap, not produced here
                 node.broadcast_transaction = saved["broadcast"]  # type: ignore[assignment]
-            node.behavior = None
         self.assignments.clear()
         self.original_policies.clear()
         self._saved.clear()
@@ -430,7 +426,6 @@ class BehaviorSet:
                 for key, cache in self._runtime_caches.items()
             },
             "counts": dict(self.counts),
-            "total_actions": self.total_actions,
             "n_events": len(self.events),
         }
 
@@ -439,7 +434,6 @@ class BehaviorSet:
             cache.clear()
             cache.update(state["caches"].get(key, {}))  # type: ignore[union-attr]
         self.counts = dict(state["counts"])  # type: ignore[arg-type]
-        self.total_actions = state["total_actions"]  # type: ignore[assignment]
         del self.events[state["n_events"] :]  # type: ignore[misc]
 
 

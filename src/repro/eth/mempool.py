@@ -46,8 +46,8 @@ its heap entry, a fresh pending one that extends its sender's run joins
 the pending set, a replacement inherits its occupant's class, and an
 evicted transaction re-classifies nobody unless it was pending with a
 queued successor. Only where a run can really move (a filled gap promotes
-the queued tail, an evicted pending transaction demotes it, a block, a
-base-fee drop or an expiry removes transactions) does
+the queued tail, an evicted pending transaction demotes it, a block or a
+base-fee drop removes transactions) does
 :meth:`Mempool._rebalance_sender` rescan the sender's whole queue.
 """
 
@@ -174,8 +174,8 @@ class Mempool:
         Callable mapping a sender address to its confirmed chain nonce;
         defaults to "0 for everyone", which suits standalone unit tests.
     clock:
-        Callable returning the current time, used to timestamp admissions
-        for expiry handling. Defaults to a constant 0.
+        Callable returning the current time; the fee market's floor
+        refresh reads it. Defaults to a constant 0.
     """
 
     def __init__(
@@ -200,7 +200,6 @@ class Mempool:
         self._by_hash: Dict[str, Transaction] = {}
         self._by_sender: Dict[str, Run] = {}
         self._pending: Set[str] = set()  # future: in _by_hash, not in here
-        self._added_at: Dict[str, float] = {}
         self._seq = 0  # next tie-break number
         # Lazy min-heaps keyed by (price, seq); entries are validated on pop.
         self._pending_heap: List[Tuple[int, int, str]] = []
@@ -408,7 +407,6 @@ class Mempool:
         by_hash = self._by_hash
         by_sender = self._by_sender
         pending = self._pending
-        added_at = self._added_at
         stats = self.stats
         confirmed_nonce = self._confirmed_nonce
         clock = self._clock
@@ -551,7 +549,6 @@ class Mempool:
                     if len(victim_run) == 1:  # back to the survivor
                         by_sender[victim_sender] = next(iter(victim_run.values()))
                 pending.discard(victim_hash)
-                added_at.pop(victim_hash, None)
                 stats["evictions"] += 1
                 # A pending victim with a queued successor demotes its
                 # tail; any other leaves every class as it was.
@@ -573,7 +570,6 @@ class Mempool:
                 run[tx_nonce] = tx
             else:  # a second nonce: the run becomes a dict, occupant first
                 by_sender[sender] = {run.nonce: run, tx_nonce: tx}
-            added_at[tx_hash] = clock()
             promoted = None
             if rescan:
                 promoted = [
@@ -627,7 +623,6 @@ class Mempool:
             if len(run) == 1:  # back to the survivor, in the sender's slot
                 by_sender[sender] = next(iter(run.values()))
         self._pending.discard(tx_hash)
-        self._added_at.pop(tx_hash, None)
         return tx
 
     def _place(self, tx_hash: str, bid: int, pending: bool) -> None:
@@ -648,8 +643,8 @@ class Mempool:
 
         Needed only where a whole run can move: a filled gap, an evicted
         pending transaction with queued successors, an eviction inside the
-        incoming sender's own queue, and removals by block, base fee or
-        expiry. Every other admission files its one transaction with
+        incoming sender's own queue, and removals by block or base fee.
+        Every other admission files its one transaction with
         :meth:`_place`. Transactions that change class are re-filed in
         run order, which fixes their tie-break sequence numbers; a
         resident transaction not yet filed counts as future here, so the
@@ -773,18 +768,10 @@ class Mempool:
         self._by_hash.clear()
         self._by_sender.clear()
         self._pending.clear()
-        self._added_at.clear()
         self._pending_heap.clear()
         self._future_heap.clear()
         self._seq = 0
         return dropped
-
-    def evict_expired(self, now: float) -> List[Transaction]:
-        """Drop transactions older than the policy expiry ``e`` (3h in Geth)."""
-        cutoff = now - self.policy.expiry_seconds
-        return self._drop(
-            [self._by_hash[h] for h, added in self._added_at.items() if added < cutoff]
-        )
 
     # ------------------------------------------------------------------
     # Snapshot/reset (see repro.sim.snapshot)
@@ -804,7 +791,6 @@ class Mempool:
             "by_sender": _copy_runs(self._by_sender, long_runs),
             "long_runs": long_runs,
             "pending": set(self._pending),
-            "added_at": dict(self._added_at),
             "seq": self._seq,
             "pending_heap": list(self._pending_heap),
             "future_heap": list(self._future_heap),
@@ -877,7 +863,6 @@ class Mempool:
         self._by_hash.update(islice(by_hash.items(), room))
         self._by_sender.update(islice(image["by_sender"].items(), room))
         self._pending.update(hashes)
-        self._added_at.update(dict.fromkeys(hashes, self._clock()))
         self.stats["admitted_pending"] += len(hashes)
         self._rebuild_price_heaps()
         return {"admitted_pending": len(hashes)}
@@ -885,7 +870,7 @@ class Mempool:
     def _copy_containers(self, state: Dict[str, object]) -> None:
         """Replace this pool's content with copies of a capture's containers.
 
-        Six C-level copies that share what is immutable: transactions
+        Five C-level copies that share what is immutable: transactions
         (a sender's only one is its whole run) and heap entries. The rest
         is copied, never adopted: one capture is handed to many pools
         (every shard/sweep restore, every sibling of a refresh donor), and
@@ -896,7 +881,6 @@ class Mempool:
         self._by_hash = dict(state["by_hash"])
         self._by_sender = _copy_runs(state["by_sender"], state["long_runs"])
         self._pending = set(state["pending"])
-        self._added_at = dict(state["added_at"])
         self._seq = state["seq"]
         self._pending_heap = list(state["pending_heap"])
         self._future_heap = list(state["future_heap"])

@@ -77,9 +77,10 @@ class Status(Message):
 
 @dataclass(frozen=True)
 class FindNode(Message):
-    """RLPx discovery query for routing-table entries (inactive neighbours)."""
+    """RLPx discovery query for routing-table entries (inactive neighbours).
 
-    target: str = ""
+    It names no lookup target: the queried node answers with its whole
+    table."""
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,6 @@ class Miner:
         self.node = node
         self.chain = chain
         self.min_gas_price = min_gas_price
-        self.blocks_mined: List[Block] = []
         self._process = PeriodicProcess(
             node.sim,
             interval=block_interval,
@@ -90,7 +89,6 @@ class Miner:
         """Seal the next block and gossip it to the network."""
         txs = self.build_block_transactions()
         block = self.chain.append(self.node.id, self.node.sim.now, txs)
-        self.blocks_mined.append(block)
         # The miner learns its own block locally, then gossips it.
         self.node.receive_block(None, block)
         return block

@@ -135,10 +135,8 @@ class PeerState:
     masks (query it through :meth:`Node.knows`).
     """
 
-    peer_id: str
     slot: int = 0
     known_blocks: Set[str] = field(default_factory=set)
-    connected_at: float = 0.0
 
 
 # How many `_announce_requested` entries may pile up before a flush takes
@@ -163,10 +161,9 @@ class Node:
         self.confirmed_nonces: Dict[str, int] = {}
         self.head_number = 0
         # The mempool consults the confirmed nonce once per offered
-        # transaction and the clock once per offer and per insertion;
-        # the dict's own C-level ``get`` (the pool normalizes the None
-        # default) and the simulator's frameless clock skip a Python
-        # frame per read.
+        # transaction and the clock at its fee-floor checks; the dict's
+        # own C-level ``get`` (the pool normalizes the None default) and
+        # the simulator's frameless clock skip a Python frame per read.
         self.mempool = Mempool(
             policy=self.config.policy,
             confirmed_nonce=self.confirmed_nonces.get,
@@ -178,8 +175,6 @@ class Node:
 
         self.crashed = False
         self.crash_count = 0
-        # Installed misbehavior kind, if any (see repro.eth.behaviors).
-        self.behavior: Optional[str] = None
         self._rng = sim.rng.stream(f"node:{node_id}")
         self._getrandbits = self._rng.getrandbits
         # Dense index of this node in its network's id-interning table
@@ -275,11 +270,7 @@ class Node:
             else:
                 slot = self._next_slot
                 self._next_slot += 1
-            self.peers[peer_id] = PeerState(
-                peer_id=peer_id,
-                slot=slot,
-                connected_at=self.sim.now,
-            )
+            self.peers[peer_id] = PeerState(slot=slot)
             bit = 1 << slot
             self._peer_list.append((peer_id, bit))
             self._peer_shifted[peer_id] = bit << _GEN_BITS
@@ -433,11 +424,7 @@ class Node:
             "confirmed_nonces": dict(self.confirmed_nonces),
             "mempool": self.mempool.capture_state(),
             "peers": {
-                peer_id: (
-                    state.slot,
-                    set(state.known_blocks),
-                    state.connected_at,
-                )
+                peer_id: (state.slot, set(state.known_blocks))
                 for peer_id, state in self.peers.items()
             },
             "known": dict(self._known),
@@ -467,15 +454,8 @@ class Node:
         self.confirmed_nonces.update(state["confirmed_nonces"])
         self.mempool.restore_state(state["mempool"])
         self.peers = {
-            peer_id: PeerState(
-                peer_id=peer_id,
-                slot=slot,
-                known_blocks=set(known_blocks),
-                connected_at=connected_at,
-            )
-            for peer_id, (slot, known_blocks, connected_at) in state[
-                "peers"
-            ].items()
+            peer_id: PeerState(slot=slot, known_blocks=set(known_blocks))
+            for peer_id, (slot, known_blocks) in state["peers"].items()
         }
         self._known = dict(state["known"])
         self._known_gen = state["known_gen"]

@@ -28,8 +28,6 @@ class MempoolPolicy:
     """Admission/replacement/eviction parameters of one client's mempool.
 
     ``future_limit_per_account`` of ``None`` means unlimited (Besu).
-    ``expiry_seconds`` is the unconfirmed-transaction lifetime ``e`` used by
-    the non-interference analysis (3 hours for Geth).
     """
 
     name: str
@@ -37,8 +35,6 @@ class MempoolPolicy:
     future_limit_per_account: Optional[int]  # U; None = unlimited
     eviction_pending_floor: int  # P
     capacity: int  # L
-    deployment_share: float = 0.0  # fraction of mainnet nodes (Table 3 col. 2)
-    expiry_seconds: float = 3 * 3600.0  # e
     enforce_base_fee: bool = False  # EIP-1559 mode (Appendix E)
 
     def __post_init__(self) -> None:
@@ -127,14 +123,13 @@ def intern_policy(policy: MempoolPolicy) -> MempoolPolicy:
     return _INTERNED.setdefault(policy, policy)
 
 
-# Table 3 of the paper, verbatim. Deployment shares are the second column.
+# Table 3 of the paper: the R/U/P/L columns.
 GETH = MempoolPolicy(
     name="geth",
     replace_bump=0.10,
     future_limit_per_account=4096,
     eviction_pending_floor=0,
     capacity=5120,
-    deployment_share=0.8324,
 )
 
 PARITY = MempoolPolicy(
@@ -143,7 +138,6 @@ PARITY = MempoolPolicy(
     future_limit_per_account=81,
     eviction_pending_floor=2000,
     capacity=8192,
-    deployment_share=0.1457,
 )
 
 NETHERMIND = MempoolPolicy(
@@ -152,7 +146,6 @@ NETHERMIND = MempoolPolicy(
     future_limit_per_account=17,
     eviction_pending_floor=0,
     capacity=2048,
-    deployment_share=0.0153,
 )
 
 BESU = MempoolPolicy(
@@ -161,7 +154,6 @@ BESU = MempoolPolicy(
     future_limit_per_account=None,
     eviction_pending_floor=0,
     capacity=4096,
-    deployment_share=0.0052,
 )
 
 ALETH = MempoolPolicy(
@@ -170,7 +162,6 @@ ALETH = MempoolPolicy(
     future_limit_per_account=1,
     eviction_pending_floor=0,
     capacity=2048,
-    deployment_share=0.0,
 )
 
 CLIENT_POLICIES: Dict[str, MempoolPolicy] = {

@@ -20,7 +20,7 @@ blames for imperfect recall (Section 6.1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set
 
 from repro.eth.discovery import RoutingTable, build_routing_tables
@@ -66,7 +66,6 @@ class NetworkSpec:
     # (near-linear — the >=50k unlock) with a *different* seed-deterministic
     # draw sequence; "auto" picks fast at FAST_WIRING_THRESHOLD nodes.
     wiring: str = "auto"
-    extra_config: Dict[str, object] = field(default_factory=dict)
 
     def node_id(self, index: int) -> str:
         return f"{self.name}-{index:04d}"
@@ -96,15 +95,13 @@ def _scaled_policy(base: MempoolPolicy, spec: NetworkSpec) -> MempoolPolicy:
 
 
 def generate_network(spec: NetworkSpec) -> Network:
-    """Build a network per ``spec``; the spec is stored as ``network.spec``."""
+    """Build a network per ``spec``."""
     network = Network(
         latency=spec.latency or UniformLatency(0.02, 0.12), seed=spec.seed
     )
     rng = network.sim.rng.stream("netgen")
     if spec.latency is None and spec.region_mix:
-        regions = _assign_regions(spec, rng)
-        network.latency = GeoLatency(regions)
-        network.node_regions = regions  # type: ignore[attr-defined]
+        network.latency = GeoLatency(_assign_regions(spec, rng))
 
     geth = _scaled_policy(GETH, spec)
     parity = _scaled_policy(PARITY, spec)
@@ -145,7 +142,6 @@ def generate_network(spec: NetworkSpec) -> Network:
         network.create_node(node_id, config)
 
     _wire_active_links(network, node_ids, hub_ids, spec, rng)
-    network.spec = spec  # type: ignore[attr-defined]
     return network
 
 

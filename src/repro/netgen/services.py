@@ -143,7 +143,6 @@ def mainnet_like(spec: Optional[MainnetSpec] = None) -> Tuple[Network, ServiceDi
         )[0]
 
     _wire_services(network, directory, rng)
-    network.service_directory = directory  # type: ignore[attr-defined]
     return network, directory
 
 

@@ -52,10 +52,9 @@ class TenantQuota:
 
 
 class _TenantBuckets:
-    __slots__ = ("quota", "jobs", "node_seconds")
+    __slots__ = ("jobs", "node_seconds")
 
     def __init__(self, quota: TenantQuota, clock: Clock) -> None:
-        self.quota = quota
         self.jobs = TokenBucket(quota.jobs_per_second, quota.job_burst, clock)
         self.node_seconds = TokenBucket(
             quota.node_seconds_per_second, quota.node_seconds_burst, clock

@@ -49,10 +49,17 @@ class TestGoldenTopology:
         assert edges[0] & truth  # finds real edges, not noise
 
     def test_every_vote_needs_min_votes(self):
-        network, supernode = build(seed=7, n=10, outbound_dials=3)
-        report = run_dethna(network, supernode, rounds=6, min_votes=3)
-        for claimed in report.predicted:
-            assert report.votes[claimed] >= 3
+        """The threshold filters one vote count: a stricter one claims a
+        subset of a looser one, and one no pair can reach (a pair gets at
+        most two votes a round, one per endpoint's mark) claims nothing."""
+        claimed = {
+            min_votes: run_dethna(
+                *build(seed=7, n=10, outbound_dials=3), rounds=6, min_votes=min_votes
+            ).predicted
+            for min_votes in (1, 3, 13)
+        }
+        assert claimed[1] and claimed[3] <= claimed[1]
+        assert claimed[13] == set()
 
 
 class TestMarkEconomics:

@@ -424,7 +424,7 @@ class TestResumeErrors:
         ckpt = tmp_path / "c.json"
         ckpt.write_text("{not json")
         assert "cannot read checkpoint" in self._resume(ckpt, capsys)
-        ckpt.write_text('{"format_version": 2, "n_shards": 4}')
+        ckpt.write_text('{"format_version": 3, "n_shards": 4}')
         assert "malformed parallel checkpoint" in self._resume(ckpt, capsys)
 
     def test_version_1(self, tmp_path, capsys):

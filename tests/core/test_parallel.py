@@ -53,7 +53,7 @@ class TestMeasurePar:
     def test_empty_pairs_is_noop(self, measured_network):
         network, supernode, _ = measured_network
         report = measure_par(network, supernode, [], config_for(network))
-        assert report.edges_probed == 0
+        assert report.outcomes == [] and report.transactions_sent == 0
         assert report.detected == set()
 
     def test_overlapping_sources_and_sinks_rejected(self, measured_network):
@@ -155,7 +155,6 @@ def scripted_rounds(monkeypatch, **fields):
     def stub(network, supernode, pairs, *args, **kwargs):
         rounds.append(network.sim.now)
         return ParallelProbeReport(
-            edges_probed=len(pairs),
             outcomes=[
                 EdgeEvidence(source=a, sink=b, tx_hash="", detected=False, **fields)
                 for a, b in pairs

@@ -319,11 +319,14 @@ class TestCheckpointResume:
             ParallelCheckpoint.from_dict(payload)
 
     def test_version_1_checkpoint_refused(self):
+        """Format 2 is refused too: its fingerprint covered the retired
+        ``NetworkSpec.extra_config``, so no campaign of today matches it."""
         payload = ParallelCheckpoint(fingerprint="f" * 64, n_shards=2).to_dict()
-        assert payload["format_version"] == 2
-        payload["format_version"] = 1
-        with pytest.raises(CheckpointError, match="version 1"):
-            ParallelCheckpoint.from_dict(payload)
+        assert payload["format_version"] == 3
+        for version in (1, 2):
+            payload["format_version"] = version
+            with pytest.raises(CheckpointError, match=f"version {version}"):
+                ParallelCheckpoint.from_dict(payload)
 
 
 LAW_SPECS = {
@@ -389,9 +392,28 @@ PARENT_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_nodes8_parent.j
 class TestParentFormatCheckpoint:
     """A checkpoint written before misses kept records (detected records
     only, no ``detected`` / ``setup_ok`` keys): a finished ``--nodes 8``
-    campaign, ``CampaignSpec(network=NetworkSpec(n_nodes=8, seed=0))``."""
+    campaign, ``CampaignSpec(network=NetworkSpec(n_nodes=8, seed=0))``.
+    Its header is format 2, whose fingerprint covered the retired
+    ``NetworkSpec.extra_config``; the records are read under today's."""
 
     SPEC = CampaignSpec(network=NetworkSpec(n_nodes=8, seed=0))
+
+    def _checkpoint(self) -> ParallelCheckpoint:
+        raw = json.loads(PARENT_CHECKPOINT.read_text())
+        raw["format_version"] = parallel_exec.PARALLEL_CHECKPOINT_VERSION
+        raw["fingerprint"] = self.SPEC.fingerprint()
+        return ParallelCheckpoint.from_dict(raw)
+
+    def test_its_format_2_header_is_refused(self):
+        with pytest.raises(CheckpointError, match="version 2"):
+            ParallelCheckpoint.load(PARENT_CHECKPOINT)
+
+    def test_only_the_retired_knob_moved_the_fingerprint(self):
+        payload = self.SPEC.to_dict()
+        payload["network"]["extra_config"] = {}
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        raw = json.loads(PARENT_CHECKPOINT.read_text())
+        assert parallel_exec._hash_blake2b(canonical) == raw["fingerprint"]
 
     def test_it_loads_with_every_record_detected_and_set_up(self):
         raw = json.loads(PARENT_CHECKPOINT.read_text())
@@ -401,25 +423,23 @@ class TestParentFormatCheckpoint:
             for item in shard["measurement"]["evidence"]
         ]
         assert records and not any("detected" in item for item in records)
-        checkpoint = ParallelCheckpoint.load(PARENT_CHECKPOINT)
         loaded = [
             item
-            for result in checkpoint.completed.values()
+            for result in self._checkpoint().completed.values()
             for item in result.measurement.evidence.values()
         ]
         assert len(loaded) == len(records)
         assert all(item.detected and item.setup_ok for item in loaded)
 
     def test_re_encoding_writes_the_new_keys(self):
-        payload = ParallelCheckpoint.load(PARENT_CHECKPOINT).to_dict()
+        payload = self._checkpoint().to_dict()
         for shard in payload["completed"].values():
             for item in shard["measurement"]["evidence"]:
                 assert item["detected"] is True and item["setup_ok"] is True
                 assert item["flood_confirmed"] is True
 
     def test_resume_from_its_first_shard_finishes_the_campaign(self, tmp_path):
-        checkpoint = ParallelCheckpoint.load(PARENT_CHECKPOINT)
-        assert checkpoint.fingerprint == self.SPEC.fingerprint()
+        checkpoint = self._checkpoint()
         checkpoint.completed = {0: checkpoint.completed[0]}
         path = tmp_path / "cut.json"
         checkpoint.save(path)

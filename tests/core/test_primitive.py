@@ -356,7 +356,7 @@ class TestOneLoopAtKOne:
         def one_pair(network, supernode, next_record, refresh):
             def stub(*args, **kwargs):
                 record = next_record()
-                return parallel.ParallelProbeReport(edges_probed=1, outcomes=[record])
+                return parallel.ParallelProbeReport(outcomes=[record])
 
             monkeypatch.setattr(parallel, "measure_par", stub)
             parallel.measure_par_with_repeats(

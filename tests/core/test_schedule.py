@@ -29,10 +29,13 @@ class TestCoverage:
     def test_paper_example_n8_k3(self):
         """Figure 3b: N=8, K=3 gives two round-1 and two round-2 iterations."""
         schedule = build_schedule(ids(8), 3)
-        round1 = [it for it in schedule if it.round_index == 1]
-        round2 = [it for it in schedule if it.round_index == 2]
-        assert len(round1) == 2
+        round1, round2 = schedule[:2], schedule[2:]
         assert len(round2) == 2
+        # Round 1 is one whole group against every later node; round 2
+        # halves inside the groups, so it pairs nothing across them.
+        assert [it.sources for it in round1] == [("n0", "n1", "n2"), ("n3", "n4", "n5")]
+        assert round2[0].sources == ("n0", "n3", "n6")
+        assert round2[0].sinks == ("n1", "n2", "n4", "n5", "n7")
         # First iteration: group {n0,n1,n2} vs the other five -> 15 edges.
         assert round1[0].edge_count == 15
         assert round1[1].edge_count == 6
@@ -78,7 +81,6 @@ class TestValidation:
     def test_overlapping_iteration_rejected(self):
         with pytest.raises(MeasurementError):
             ScheduleIteration(
-                round_index=1,
                 sources=("a", "b"),
                 sinks=("b", "c"),
                 edges=(("a", "b"),),
@@ -97,7 +99,7 @@ class TestBudget:
         first = build_schedule(ids(10), 3)[0]
         rounds = build_schedule(ids(10), 3, budget=8)[:3]
         assert [r.edge_count for r in rounds] == [8, 8, 5]
-        assert all(r.sources == first.sources and r.round_index == 1 for r in rounds)
+        assert all(r.sources == first.sources for r in rounds)
         assert rounds[0].sinks == ("n3", "n4", "n5")
         assert rounds[0].edges[:4] == (
             ("n0", "n3"), ("n1", "n3"), ("n2", "n3"), ("n0", "n4"),
@@ -182,7 +184,6 @@ def test_schedule_covers_all_pairs_property(n, k, budget, data):
         chunks = [next(rounds) for _ in range(0, len(sink_major), budget)]
         assert [e for chunk in chunks for e in chunk.edges] == sink_major
         for chunk in chunks:
-            assert chunk.round_index == iteration.round_index
             assert set(chunk.sources) == {a for a, _ in chunk.edges}
             assert set(chunk.sinks) == {b for _, b in chunk.edges}
     assert next(rounds, None) is None

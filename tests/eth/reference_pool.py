@@ -25,10 +25,9 @@ module's docstring:
   again at the first one ``interval`` or more after the last sample; in
   between the last sample stands (a rate-limited oracle).
 
-The clock is read where a pool reads it: at the floor check and once per
-admission (the expiry stamp). A clock that moves on at every read
-therefore moves in step for both pools, and an interval can lapse in the
-middle of a batch.
+The clock is read where a pool reads it: at the floor check. A clock that
+moves on at every read therefore moves in step for both pools, and an
+interval can lapse in the middle of a batch.
 
 The rules do not order *equal-priced* eviction candidates, so neither
 does this pool: callers offer distinct prices (the real pool's tie-break
@@ -115,7 +114,6 @@ class ReferencePool:
                 return AddOutcome.REJECTED_UNDERPRICED_REPLACEMENT, [], [], False
             self.txs.remove(occupant)
             self.txs.append(tx)
-            self.clock()  # the expiry stamp
             promoted = self._promoted(pending_before, tx)
             return AddOutcome.REPLACED, [], promoted, self._in_run(tx, self.txs)
 
@@ -142,7 +140,6 @@ class ReferencePool:
             evicted.append(victim)
 
         self.txs.append(tx)
-        self.clock()  # the expiry stamp
         promoted = self._promoted(pending_before, tx)
         is_pending = self._in_run(tx, self.txs)
         outcome = (

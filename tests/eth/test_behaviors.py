@@ -122,9 +122,9 @@ class TestInstallLifecycle:
         behavior_set = BehaviorSet(network, BehaviorMix())
         for kind in BEHAVIOR_KINDS:
             behavior_set.install_on(node, kind=kind)
-            assert node.behavior == kind
+            assert behavior_set.assignments == {node.id: kind}
             behavior_set.uninstall_all()
-            assert node.behavior is None
+            assert behavior_set.assignments == {}
             assert node._dispatch == original_dispatch
             assert node.mempool.policy is original_policy
             assert node.config is original_config

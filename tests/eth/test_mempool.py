@@ -299,25 +299,6 @@ class TestBlockApplication:
         assert pool.is_pending(tx1.hash)
 
 
-class TestExpiry:
-    def test_old_transactions_expire(self, wallet, factory, small_policy):
-        clock = {"now": 0.0}
-        pool = Mempool(small_policy, clock=lambda: clock["now"])
-        tx = factory.transfer(wallet.fresh_account(), gas_price=gwei(1))
-        pool.add(tx)
-        clock["now"] = small_policy.expiry_seconds + 1
-        dropped = pool.evict_expired(clock["now"])
-        assert [t.hash for t in dropped] == [tx.hash]
-
-    def test_fresh_transactions_survive(self, wallet, factory, small_policy):
-        clock = {"now": 0.0}
-        pool = Mempool(small_policy, clock=lambda: clock["now"])
-        tx = factory.transfer(wallet.fresh_account(), gas_price=gwei(1))
-        pool.add(tx)
-        assert pool.evict_expired(100.0) == []
-        assert tx.hash in pool
-
-
 class TestQueries:
     def test_median_pending_price(self, wallet, small_policy):
         pool = Mempool(small_policy)

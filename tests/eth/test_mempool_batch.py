@@ -243,7 +243,7 @@ def law_tx(sender: int, nonce: int, price: int, tip) -> Transaction:
 
 def law_pool(policy: MempoolPolicy, confirmed, with_market: bool) -> Mempool:
     ticks = itertools.count()
-    # A clock that ticks on every read: expiry stamps record where it is read.
+    # A clock that ticks on every read.
     pool = Mempool(policy, confirmed_nonce=confirmed.get, clock=lambda: next(ticks))
     pool.base_fee = 45
     if with_market:
@@ -262,8 +262,7 @@ def full_state(pool: Mempool):
     state["by_sender"] = [
         (s, list(run.items()) if isinstance(run, dict) else run) for s, run in runs
     ]
-    for key in ("by_hash", "added_at"):
-        state[key] = list(state[key].items())
+    state["by_hash"] = list(state["by_hash"].items())
     state["pending"] = sorted(state["pending"])
     market = pool.fee_market
     return state, None if market is None else market.capture_state()

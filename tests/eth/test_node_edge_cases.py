@@ -99,18 +99,3 @@ class TestSupernodeEdgeCases:
         assert pair_network.are_connected("m1", "m2")
         assert first.degree == 4
         assert pair_network.ground_truth_graph().number_of_nodes() == 3
-
-
-class TestExpiryMaintenance:
-    def test_expire_transactions_on_node(self, pair_network, wallet, factory):
-        node = pair_network.node("a")
-        tx = factory.transfer(wallet.fresh_account(), gas_price=gwei(1))
-        node.submit_transaction(tx)
-        pair_network.run(5.0)
-        # Not yet expired.
-        assert node.mempool.evict_expired(node.sim.now) == []
-        # Force the clock past the policy expiry.
-        node.sim.schedule(node.config.policy.expiry_seconds + 10, lambda: None)
-        node.sim.run()
-        dropped = node.mempool.evict_expired(node.sim.now)
-        assert tx.hash in {t.hash for t in dropped}

@@ -5,7 +5,6 @@ import pytest
 from repro.eth.policies import (
     ALETH,
     BESU,
-    CLIENT_POLICIES,
     GETH,
     NETHERMIND,
     PARITY,
@@ -42,13 +41,6 @@ class TestTable3Values:
         assert ALETH.replace_bump == 0.0
         assert ALETH.future_limit_per_account == 1
         assert ALETH.capacity == 2048
-
-    def test_deployment_shares_roughly_sum_to_one(self):
-        total = sum(p.deployment_share for p in CLIENT_POLICIES.values())
-        assert 0.99 <= total <= 1.01
-
-    def test_geth_dominates_deployment(self):
-        assert GETH.deployment_share > 0.8
 
 
 class TestMeasurability:

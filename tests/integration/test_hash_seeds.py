@@ -6,8 +6,8 @@ process unless ``PYTHONHASHSEED`` is pinned. Each scenario below runs in two
 subprocesses under different hash seeds and must print the same JSON, key
 order included:
 
-- the pool's tie-break numbers after a block and an expiry re-file several
-  senders (they decide which of two equal-priced transactions is evicted);
+- the pool's tie-break numbers after a block re-files several senders
+  (they decide which of two equal-priced transactions is evicted);
 - a ``txpool_content`` dump (the order of its sender groups);
 - the Modularity statistic (Louvain follows graph insertion order).
 """
@@ -35,24 +35,18 @@ from repro.eth.transaction import Transaction, TransactionFactory, gwei
 SENDERS = [f"0xseed{i}" for i in range(8)]
 
 
-def pool_after_a_block_and_an_expiry():
+def pool_after_a_block():
     """Every sender holds a nonce-1 future; a block confirms their nonce 0
-    (promoting all eight at one price), then their nonce 2 arrives and
-    their nonce 1 expires (demoting all eight)."""
-    confirmed, now = {}, [0.0]
-    policy = GETH.scaled(64)
-    pool = Mempool(
-        policy, confirmed_nonce=lambda s: confirmed.get(s, 0), clock=lambda: now[0]
-    )
+    (promoting all eight at one price), then their nonce 2 arrives."""
+    confirmed = {}
+    pool = Mempool(GETH.scaled(64), confirmed_nonce=lambda s: confirmed.get(s, 0))
     price = gwei(1.0)
     for sender in SENDERS:
         assert pool.add(Transaction(sender=sender, nonce=1, gas_price=price)).admitted
     confirmed.update((sender, 1) for sender in SENDERS)
     pool.apply_block([Transaction(sender=s, nonce=0, gas_price=price) for s in SENDERS])
-    now[0] = 100.0
     for sender in SENDERS:
         assert pool.add(Transaction(sender=sender, nonce=2, gas_price=price)).admitted
-    assert len(pool.evict_expired(policy.expiry_seconds + 50.0)) == len(SENDERS)
     pool.check_invariants()
     state = pool.capture_state()
     return {
@@ -91,7 +85,7 @@ def modularity_of_a_fixed_measurement():
 SCENARIOS = {
     scenario.__name__: scenario
     for scenario in (
-        pool_after_a_block_and_an_expiry,
+        pool_after_a_block,
         txpool_dump,
         modularity_of_a_fixed_measurement,
     )
@@ -130,8 +124,10 @@ def test_result_does_not_follow_the_hash_seed(scenario):
 def test_the_scenarios_are_not_vacuous():
     """Several senders are re-filed, every sender has a group in both halves
     of the dump, communities exist."""
-    state = pool_after_a_block_and_an_expiry()
-    assert state["seq"] == 4 * len(SENDERS) and not state["pending"]
+    state = pool_after_a_block()
+    # Two offers per sender draw 16 numbers; the block's re-filing drew 8.
+    assert state["seq"] == 3 * len(SENDERS)
+    assert len(state["pending"]) == 2 * len(SENDERS)
     content = txpool_dump()
     assert len(content["pending"]) == len(content["queued"]) == len(SENDERS)
     assert 0.2 < modularity_of_a_fixed_measurement() < 0.5

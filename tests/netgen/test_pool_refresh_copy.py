@@ -77,7 +77,6 @@ def exact(capture: Dict[str, object]) -> Dict[str, object]:
         (sender, list(run.items()) if isinstance(run, dict) else run)
         for sender, run in state["by_sender"].items()
     ]
-    state["added_at"] = list(state["added_at"].items())
     return state
 
 
@@ -614,7 +613,7 @@ def test_mutating_a_copied_pool_never_reaches_donor_or_sibling():
     refresh_mempools(network)
     donor, copied, sibling = pools(network)
     for name in (
-        "_by_hash", "_by_sender", "_pending", "_added_at",
+        "_by_hash", "_by_sender", "_pending",
         "_pending_heap", "_future_heap", "stats",
     ):
         containers = [getattr(pool, name) for pool in (donor, copied, sibling)]

@@ -261,6 +261,11 @@ MALFORMED_CAMPAIGNS = {
             }
         )
     },
+    "a retired network knob": {
+        "campaign": _campaign_payload(
+            network={**_campaign_payload()["network"], "extra_config": {}}
+        )
+    },
     "no campaign at all": {"workers": 1},
     "workers not a number": {"campaign": _campaign_payload(), "workers": "many"},
 }

@@ -62,9 +62,7 @@ class TestNetgenRegions:
             )
         )
         assert isinstance(network.latency, GeoLatency)
-        assert set(network.node_regions) == set(
-            network.measurable_node_ids()
-        )
+        assert set(network.latency.regions) == set(network.measurable_node_ids())
 
     def test_explicit_latency_wins_over_region_mix(self):
         from repro.sim.latency import ConstantLatency

@@ -130,15 +130,15 @@ class TestAdversarialComposition:
         network, shot = self._build_byzantine()
         state = shot.snapshot_state()
         first = shot.measure_network(preprocess=False)
-        actions_first = network.behaviors.total_actions
+        actions_first = sum(network.behaviors.counts.values())
 
         shot.restore_state(state)
-        assert network.behaviors.total_actions < actions_first or actions_first == 0
+        assert sum(network.behaviors.counts.values()) < actions_first or actions_first == 0
         second = shot.measure_network(preprocess=False)
 
         assert second.edges == first.edges
         assert str(second.score) == str(first.score)
-        assert network.behaviors.total_actions == actions_first
+        assert sum(network.behaviors.counts.values()) == actions_first
         assert network.behaviors.counts  # the adversary actually acted
 
     def test_restore_rejects_cleared_behaviors(self):

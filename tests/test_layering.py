@@ -354,9 +354,6 @@ _UNCALLED_BY_DESIGN = {
     "Mempool.sender_transaction": (
         "the reference-pool and property tests look up a (sender, nonce) slot"
     ),
-    "Mempool.evict_expired": (
-        "Geth's lifetime rule e: no run reaches it, the expiry and hash-seed tests do"
-    ),
     "Histogram.reservoir_size": "test_reservoir_is_bounded reads the memory bound",
     "NetworkMeasurement.failed_nodes": "the executed snippet in docs/faults.md calls it",
 }
@@ -422,3 +419,241 @@ def test_every_public_name_has_a_caller():
     assert not stale, f"allow-listed names that now have callers: {stale}"
     flagged = [name for name in uncalled if name not in _UNCALLED_BY_DESIGN]
     assert not flagged, f"public names with no caller outside tests: {flagged}"
+
+
+# State (``Class.field`` for a field or a ``self`` attribute, ``owner.attr``
+# for an attribute stored on another object) that nothing under ``src/``,
+# ``benchmarks/`` or ``examples/`` reads, kept on purpose.
+_UNREAD_BY_DESIGN = {
+    "prctl.argtypes": "ctypes reads it to convert prctl's arguments",
+    "prctl.restype": "ctypes reads it to convert prctl's return value",
+}
+
+# A snapshot's capture and restore copy state; they do not use it.
+_COPIERS = {"capture_state", "restore_state", "_copy_containers"}
+
+
+def _exception_classes(classes) -> set:
+    """Names of the classes under ``src/repro`` that derive from an
+    exception, here or in the standard library."""
+    found, grew = set(), True
+    while grew:
+        grew = False
+        for cls in classes:
+            bases = {_named(base) or "" for base in cls.bases}
+            if cls.name not in found and any(
+                b in found or b.endswith(("Error", "Exception")) for b in bases
+            ):
+                found.add(cls.name)
+                grew = True
+    return found
+
+
+def _attribute_stores(tree: ast.AST):
+    """``(class, attr, line)`` for every ``self.attr = ...`` in a method
+    (``class`` is the method's class) and ``(None, "owner.attr", line)``
+    for every other attribute store."""
+    stack = [(tree, None, None)]
+    while stack:
+        node, cls, me = stack.pop()
+        if isinstance(node, ast.ClassDef):
+            cls, me = node.name, None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and me is None:
+            args = node.args.posonlyargs + node.args.args
+            me = args[0].arg if cls is not None and args else ""
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if isinstance(node.value, ast.Name) and node.value.id == me:
+                yield cls, node.attr, node.lineno
+            else:
+                yield None, f"{ast.unparse(node.value)}.{node.attr}", node.lineno
+        stack.extend((child, cls, me) for child in ast.iter_child_nodes(node))
+
+
+# Methods that put into or take out of a container: a call of one reads
+# nothing the program uses.
+_FILLERS = {
+    "add", "append", "appendleft", "clear", "discard", "extend", "insert",
+    "pop", "popitem", "remove", "setdefault", "update",
+}
+
+
+def _writes_through(tree: ast.AST):
+    """The ``obj.attr`` loads that only write into the container they
+    name: ``obj.attr[k] = v`` (or ``+=``, ``del``) and ``obj.attr.append(v)``
+    and the like."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            yield node.value
+        elif isinstance(node, ast.Call) and _named(node.func) in _FILLERS:
+            yield getattr(node.func, "value", None)
+
+
+def _reads(tree: ast.AST):
+    """Every attribute name loaded, and every string constant, outside the
+    copiers, the name lists (``__slots__``, ``__all__``) and the loads
+    that only write into a container."""
+    writes = {id(node) for node in _writes_through(tree)}
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+            node.name in _COPIERS
+        ):
+            continue
+        if isinstance(node, ast.Assign) and any(
+            _named(target) in ("__slots__", "__all__") for target in node.targets
+        ):
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if id(node) not in writes:
+                yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _declarations(cls: ast.ClassDef):
+    """Names ``cls`` declares in its body: annotated and assigned class
+    attributes (dataclass fields among them), ``__slots__`` entries,
+    methods and properties."""
+    for item in cls.body:
+        if isinstance(item, ast.AnnAssign):
+            yield _named(item.target)
+        elif isinstance(item, ast.Assign):
+            for target in item.targets:
+                yield _named(target)
+                if _named(target) == "__slots__":
+                    for c in ast.walk(item.value):
+                        if isinstance(c, ast.Constant):
+                            yield c.value
+        elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield item.name
+
+
+def _dataclass_fields(cls: ast.ClassDef):
+    if any(
+        _named(dec.func if isinstance(dec, ast.Call) else dec) == "dataclass"
+        for dec in cls.decorator_list
+    ):
+        for item in cls.body:
+            if isinstance(item, ast.AnnAssign) and "ClassVar" not in ast.unparse(
+                item.annotation
+            ):
+                yield _named(item.target), item.lineno
+
+
+def _unread_state(repo: Path):
+    """State under ``src/repro`` nothing reads, as ``{key: "path:line"}``:
+    dataclass fields and ``self`` attributes (``Class.name``; exception
+    classes aside) whose name nothing loads, and attributes stored on
+    another object (``owner.name``) that no class declares, or that
+    nothing loads."""
+    src = repo / "src" / "repro"
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for root in (src, repo / "benchmarks", repo / "examples")
+        for path in sorted(root.rglob("*.py"))
+    }
+    read = {name for tree in trees.values() for name in _reads(tree)}
+    ours = {path: trees[path] for path in trees if src in path.parents}
+    classes = [
+        (path, node)
+        for path, tree in ours.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    ]
+    exceptions = _exception_classes([cls for _, cls in classes])
+    declared = {name for _, cls in classes for name in _declarations(cls)}
+    state, foreign = {}, {}
+    for path, cls in classes:
+        for name, lineno in _dataclass_fields(cls):
+            state.setdefault((cls.name, name), (path, lineno))
+    for path, tree in ours.items():
+        for cls, attr, lineno in _attribute_stores(tree):
+            if cls is None:
+                foreign.setdefault(attr, (path, lineno))
+            else:
+                declared.add(attr)
+                state.setdefault((cls, attr), (path, lineno))
+    unread = {
+        f"{cls}.{attr}": where
+        for (cls, attr), where in state.items()
+        if cls not in exceptions and attr not in read
+    }
+    for key, where in foreign.items():
+        attr = key.rsplit(".", 1)[1]
+        if attr not in declared or attr not in read:
+            unread[key] = where
+    return {
+        key: f"{path.relative_to(repo).as_posix()}:{lineno}"
+        for key, (path, lineno) in sorted(unread.items())
+    }
+
+
+def test_every_field_has_a_reader():
+    """State nothing reads is work every write pays for and every snapshot
+    copies: delete it, or allow-list it with a reason. A read is an
+    attribute load of the name, or a string constant equal to it (so
+    ``getattr(obj, name)`` over a list of names counts), anywhere in
+    ``src/``, ``benchmarks/`` or ``examples/`` outside the snapshot
+    copiers. A dict built by ``asdict`` reads nothing; a ``to_dict`` reads
+    what it names, and every ``to_dict`` under ``src/`` leaves the process
+    (a result file, a job response, the journal or a checkpoint). Like the
+    caller law it matches names, not types: a tripwire, not a proof."""
+    unread = _unread_state(Path(repro.__file__).parents[2])
+    stale = sorted(set(_UNREAD_BY_DESIGN) - set(unread))
+    assert not stale, f"allow-listed state that is now read: {stale}"
+    flagged = [
+        f"{key} ({where})" for key, where in unread.items() if key not in _UNREAD_BY_DESIGN
+    ]
+    assert not flagged, "state nothing reads:\n" + "\n".join(flagged)
+
+
+def _module_imports(tree: ast.Module):
+    """``(name bound, line)`` for every import outside function and class
+    bodies (``if TYPE_CHECKING:`` and ``try`` blocks included)."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+        elif not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _names_used(tree: ast.Module):
+    """Every name the module loads, in code or in a quoted annotation."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            yield from (n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+
+
+def test_every_import_is_used():
+    """A module-level import outside a package ``__init__`` (which
+    re-exports) is used in its module: a dead import is a dependency and
+    an import-time cost nobody asked for."""
+    src = Path(repro.__file__).parent
+    unused = []
+    for path in sorted(src.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = set(_names_used(tree))
+        unused += [
+            f"{path.relative_to(src)}:{lineno} {name}"
+            for name, lineno in _module_imports(tree)
+            if name not in used
+        ]
+    assert not unused, "unused imports:\n" + "\n".join(sorted(unused))
