@@ -87,13 +87,14 @@ FULL_SCENARIOS = (
 # container copies; a sender's only transaction is its whole run), so 20k
 # pools refill in about a second even when the copy first has to free what
 # a measurement left in them, and the paper's Ropsten — 588 nodes, Geth's
-# real 5120 slots — holds about 410 MiB prefilled. A pool that goes back to
-# building one dict per resident sender, whether by copy or by admission,
-# trips the ceilings.
+# real 5120 slots — holds about 190 MiB prefilled, since a pool files only
+# its rare futures in a hash set. A pool that goes back to building one
+# dict per resident sender, or a set of its pending hashes, whether by copy
+# or by admission, trips the ceilings.
 REFRESH_20K_CEILING_S = 2.0
 REFRESH_20K_RSS_CEILING_MB = 1600.0
 PAPER_SCALE = {"n_nodes": 588, "mempool_capacity": 5120}
-PAPER_SCALE_RSS_CEILING_MB = 600.0
+PAPER_SCALE_RSS_CEILING_MB = 320.0
 
 SMOKE_SCENARIO = {"name": "smoke-300", "n_nodes": 300, "txs": 40, "seed": 11}
 

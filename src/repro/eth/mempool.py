@@ -38,17 +38,18 @@ an :class:`AddResult` is built only where somebody reads one.
 Bookkeeping. Each resident transaction is filed once: by hash, and in its
 sender's run — the transaction itself while it is the sender's only one
 (at most one transaction per (sender, nonce) makes it a complete run), a
-``{nonce: tx}`` dict of two or more otherwise. The pending set is the only
-class container; *future* is whatever is resident and not pending.
-Admission classifies only the transaction that moved, in O(1) of its
-sender's queue length: a fresh future transaction needs no filing beyond
-its heap entry, a fresh pending one that extends its sender's run joins
-the pending set, a replacement inherits its occupant's class, and an
-evicted transaction re-classifies nobody unless it was pending with a
-queued successor. Only where a run can really move (a filled gap promotes
-the queued tail, an evicted pending transaction demotes it, a block or a
-base-fee drop removes transactions) does
-:meth:`Mempool._rebalance_sender` rescan the sender's whole queue.
+``{nonce: tx}`` dict of two or more otherwise. The future set is the only
+class container, for futures are the rare class (floods make them) and
+Geth too keeps its queue apart; *pending* is whatever is resident and not
+future. Admission classifies only the transaction that moved, in O(1) of
+its sender's queue length: a fresh pending transaction needs no filing
+beyond its heap entry, a fresh future one joins the future set, a
+replacement inherits its occupant's class, and an evicted transaction
+re-classifies nobody unless it was pending with a queued successor. Only
+where a run can really move (a filled gap promotes the queued tail, an
+evicted pending transaction demotes it, a block or a base-fee drop
+removes transactions) does :meth:`Mempool._rebalance_sender` rescan the
+sender's whole queue.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ class Mempool:
 
         self._by_hash: Dict[str, Transaction] = {}
         self._by_sender: Dict[str, Run] = {}
-        self._pending: Set[str] = set()  # future: in _by_hash, not in here
+        self._future: Set[str] = set()  # pending: in _by_hash, not in here
         self._seq = 0  # next tie-break number
         # Lazy min-heaps keyed by (price, seq); entries are validated on pop.
         self._pending_heap: List[Tuple[int, int, str]] = []
@@ -240,11 +241,11 @@ class Mempool:
 
     @property
     def pending_count(self) -> int:
-        return len(self._pending)
+        return len(self._by_hash) - len(self._future)
 
     @property
     def future_count(self) -> int:
-        return len(self._by_hash) - len(self._pending)
+        return len(self._future)
 
     @property
     def is_full(self) -> bool:
@@ -255,17 +256,17 @@ class Mempool:
         return max(0, self._capacity - len(self._by_hash))
 
     def is_pending(self, tx_hash: str) -> bool:
-        return tx_hash in self._pending
+        return tx_hash in self._by_hash and tx_hash not in self._future
 
     def pending_transactions(self) -> List[Transaction]:
         """All executable transactions, in pool (arrival) order."""
-        pending = self._pending
-        return [tx for h, tx in self._by_hash.items() if h in pending]
+        future = self._future
+        return [tx for h, tx in self._by_hash.items() if h not in future]
 
     def future_transactions(self) -> List[Transaction]:
         """All non-executable transactions, in pool (arrival) order."""
-        pending = self._pending
-        return [tx for h, tx in self._by_hash.items() if h not in pending]
+        future = self._future
+        return [tx for h, tx in self._by_hash.items() if h in future]
 
     def sender_transaction(self, sender: str, nonce: int) -> Optional[Transaction]:
         """The stored transaction occupying (sender, nonce), if any."""
@@ -276,7 +277,10 @@ class Mempool:
 
     def pending_prices(self) -> List[int]:
         """Bid prices of all pending transactions (unsorted)."""
-        return [self._by_hash[h].bid_price(self.base_fee) for h in self._pending]
+        base_fee, future = self.base_fee, self._future
+        return [
+            tx.bid_price(base_fee) for h, tx in self._by_hash.items() if h not in future
+        ]
 
     def median_pending_price(self) -> Optional[int]:
         """Median bid price over pending transactions (Y estimation, §5.2.1)."""
@@ -294,7 +298,7 @@ class Mempool:
         Within one sender the nonce order is preserved, since a later nonce
         cannot be mined before an earlier one.
         """
-        txs = [self._by_hash[h] for h in self._pending]
+        txs = self.pending_transactions()
         txs.sort(key=lambda tx: (-tx.effective_price(self.base_fee), tx.sender, tx.nonce))
         # Stable fix-up: enforce per-sender nonce order.
         seen_nonce: Dict[str, int] = {}
@@ -406,7 +410,7 @@ class Mempool:
         """
         by_hash = self._by_hash
         by_sender = self._by_sender
-        pending = self._pending
+        future = self._future
         stats = self.stats
         confirmed_nonce = self._confirmed_nonce
         clock = self._clock
@@ -494,15 +498,15 @@ class Mempool:
                     if will_be_pending:
                         while future_heap:
                             head = future_heap[0][2]
-                            if head in by_hash and head not in pending:
+                            if head in future:
                                 victim = by_hash[head]
                                 break
                             heappop(future_heap)
-                    if victim is None and len(pending) > floor:
+                    if victim is None and len(by_hash) - len(future) > floor:
                         while pending_heap:
                             entry = pending_heap[0]
                             head = entry[2]
-                            if head in pending:
+                            if head in by_hash and head not in future:
                                 if entry[0] < bid:
                                     victim = by_hash[head]
                                 break
@@ -524,7 +528,7 @@ class Mempool:
             if occupant is not None:
                 # Same (sender, nonce): the sender's run is unchanged and
                 # the replacement inherits its occupant's class.
-                is_pending = occupant.hash in pending
+                is_pending = occupant.hash not in future
                 self._remove(occupant.hash)
                 run = by_sender.get(sender)
             else:
@@ -539,7 +543,7 @@ class Mempool:
                 victim_hash = victim.hash
                 victim_sender = victim.sender
                 victim_nonce = victim.nonce
-                victim_was_pending = victim_hash in pending
+                victim_was_pending = victim_hash not in future
                 del by_hash[victim_hash]
                 victim_run = by_sender[victim_sender]
                 if victim_run.__class__ is not dict:
@@ -548,7 +552,7 @@ class Mempool:
                     del victim_run[victim_nonce]
                     if len(victim_run) == 1:  # back to the survivor
                         by_sender[victim_sender] = next(iter(victim_run.values()))
-                pending.discard(victim_hash)
+                future.discard(victim_hash)
                 stats["evictions"] += 1
                 # A pending victim with a queued successor demotes its
                 # tail; any other leaves every class as it was.
@@ -572,16 +576,19 @@ class Mempool:
                 by_sender[sender] = {run.nonce: run, tx_nonce: tx}
             promoted = None
             if rescan:
+                # tx meets the scan as a resident future with no heap entry
+                # yet; the scan files it only if it promotes it.
+                future.add(tx_hash)
                 promoted = [
                     p for p in self._rebalance_sender(sender) if p.hash != tx_hash
                 ]
-                is_pending = tx_hash in pending
-            # The scan files whatever it promotes; it took tx, not yet
-            # filed, for a resident future and left it alone, so filing tx
-            # now as the run's last draws the number the scan would have.
+                is_pending = tx_hash not in future
+            # The scan files whatever it promotes and leaves a future alone,
+            # so filing tx now as the run's last draws the number the scan
+            # would have.
             if not (rescan and is_pending):
-                if is_pending:
-                    pending.add(tx_hash)
+                if not is_pending:
+                    future.add(tx_hash)
                 if not deferred:  # add_batch's fast path re-keys at its end
                     heap = pending_heap if is_pending else future_heap
                     heappush(heap, (bid, self._seq, tx_hash))
@@ -622,15 +629,16 @@ class Mempool:
             del run[tx.nonce]
             if len(run) == 1:  # back to the survivor, in the sender's slot
                 by_sender[sender] = next(iter(run.values()))
-        self._pending.discard(tx_hash)
+        self._future.discard(tx_hash)
         return tx
 
     def _place(self, tx_hash: str, bid: int, pending: bool) -> None:
         """File one transaction under its class and its eviction heap."""
         if pending:
-            self._pending.add(tx_hash)
+            self._future.discard(tx_hash)
             heap = self._pending_heap
         else:
+            self._future.add(tx_hash)
             heap = self._future_heap
         # Inside add_batch the heaps are rebuilt wholesale at the end, so
         # per-transaction pushes (and their sequence draws) are skipped.
@@ -665,16 +673,14 @@ class Mempool:
                 end += 1
         elif run.nonce == confirmed:
             end += 1
-        pending = self._pending
+        future = self._future
         for tx in _run_txs(run):
             tx_hash = tx.hash
             should_be_pending = confirmed <= tx.nonce < end
-            if (tx_hash in pending) is should_be_pending:
+            if (tx_hash not in future) is should_be_pending:
                 continue
             if should_be_pending:
                 promoted.append(tx)
-            else:
-                pending.discard(tx_hash)
             self._place(tx_hash, tx.bid_price(self.base_fee), should_be_pending)
         return promoted
 
@@ -730,7 +736,7 @@ class Mempool:
     def _rebuild_price_heaps(self) -> None:
         """Re-key both eviction heaps under the current ``base_fee``.
 
-        Iterates ``_by_hash`` (insertion-ordered) rather than the pending
+        Iterates ``_by_hash`` (insertion-ordered) rather than the future
         hash *set* so that re-assigned tie-breaker sequence numbers — and
         therefore victim selection among equal-priced transactions — stay
         identical across processes.
@@ -738,13 +744,13 @@ class Mempool:
         base_fee = self.base_fee
         pending_entries: List[Tuple[int, int, str]] = []
         future_entries: List[Tuple[int, int, str]] = []
-        pending = self._pending
+        future = self._future
         for seq, (tx_hash, tx) in enumerate(self._by_hash.items(), self._seq):
             entry = (tx.bid_price(base_fee), seq, tx_hash)
-            if tx_hash in pending:
-                pending_entries.append(entry)
-            else:
+            if tx_hash in future:
                 future_entries.append(entry)
+            else:
+                pending_entries.append(entry)
         self._seq += len(self._by_hash)
         heapq.heapify(pending_entries)
         heapq.heapify(future_entries)
@@ -767,7 +773,7 @@ class Mempool:
         dropped = len(self._by_hash)
         self._by_hash.clear()
         self._by_sender.clear()
-        self._pending.clear()
+        self._future.clear()
         self._pending_heap.clear()
         self._future_heap.clear()
         self._seq = 0
@@ -790,7 +796,7 @@ class Mempool:
             "by_hash": dict(self._by_hash),
             "by_sender": _copy_runs(self._by_sender, long_runs),
             "long_runs": long_runs,
-            "pending": set(self._pending),
+            "future": set(self._future),
             "seq": self._seq,
             "pending_heap": list(self._pending_heap),
             "future_heap": list(self._future_heap),
@@ -856,16 +862,14 @@ class Mempool:
             or not self._by_sender.keys().isdisjoint(image["by_sender"])
         ):
             return None
-        room = self.free_slots
-        hashes = list(islice(by_hash, room))
-        if not hashes:
+        room = min(self.free_slots, len(by_hash))
+        if not room:
             return {}
         self._by_hash.update(islice(by_hash.items(), room))
         self._by_sender.update(islice(image["by_sender"].items(), room))
-        self._pending.update(hashes)
-        self.stats["admitted_pending"] += len(hashes)
+        self.stats["admitted_pending"] += room
         self._rebuild_price_heaps()
-        return {"admitted_pending": len(hashes)}
+        return {"admitted_pending": room}
 
     def _copy_containers(self, state: Dict[str, object]) -> None:
         """Replace this pool's content with copies of a capture's containers.
@@ -880,7 +884,7 @@ class Mempool:
         """
         self._by_hash = dict(state["by_hash"])
         self._by_sender = _copy_runs(state["by_sender"], state["long_runs"])
-        self._pending = set(state["pending"])
+        self._future = set(state["future"])
         self._seq = state["seq"]
         self._pending_heap = list(state["pending_heap"])
         self._future_heap = list(state["future_heap"])
@@ -890,14 +894,14 @@ class Mempool:
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Raise :class:`MempoolError` if internal state is inconsistent."""
-        by_hash, pending = self._by_hash, self._pending
+        by_hash, future = self._by_hash, self._future
         if len(by_hash) > self.policy.capacity:
             raise MempoolError("pool exceeds capacity L")
-        if not pending <= by_hash.keys():
-            raise MempoolError("pending transaction not resident")
-        heaps = self._future_heap, self._pending_heap  # indexed by "is pending"
+        if not future <= by_hash.keys():
+            raise MempoolError("future transaction not resident")
+        heaps = self._pending_heap, self._future_heap  # indexed by "is future"
         entries = [{entry[2] for entry in heap} for heap in heaps]
-        if any(h not in entries[h in pending] for h in by_hash):
+        if any(h not in entries[h in future] for h in by_hash):
             raise MempoolError("live transaction without an eviction-heap entry")
         base_fee = self.base_fee
         for price, _, h in (entry for heap in heaps for entry in heap):
@@ -916,19 +920,19 @@ class Mempool:
             confirmed = self._confirmed_nonce(sender) or 0
             end = confirmed
             while end in nonces:
-                if nonces[end].hash not in pending:
+                if nonces[end].hash in future:
                     raise MempoolError(
                         f"tx {nonces[end].short_hash()} in pending run but "
-                        "not marked pending"
+                        "marked future"
                     )
                 end += 1
             for nonce, tx in nonces.items():
                 filed = (sender, nonce) == (tx.sender, tx.nonce)
                 if not filed or by_hash.get(tx.hash) is not tx:
                     raise MempoolError(f"tx {tx.short_hash()} misfiled by sender")
-                if nonce >= end and tx.hash in pending:
+                if nonce >= end and tx.hash not in future:
                     raise MempoolError(
-                        f"tx {tx.short_hash()} beyond pending run but marked pending"
+                        f"tx {tx.short_hash()} beyond pending run but not marked future"
                     )
                 if nonce < confirmed:
                     raise MempoolError("stale nonce retained")

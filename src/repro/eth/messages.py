@@ -64,15 +64,13 @@ class NewBlock(Message):
 
 @dataclass(frozen=True)
 class Status(Message):
-    """Handshake data: client version string and network id.
+    """Handshake data: the client version string.
 
     The paper's mainnet study matches ``web3_clientVersion`` strings against
     handshake versions to map service frontends to backend nodes (§6.3).
     """
 
     client_version: str
-    network_id: int = 1
-    head_number: int = 0
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ chains; see ``docs/performance.md``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
@@ -115,30 +115,6 @@ class NodeConfig:
     known_tx_limit: Optional[int] = 32768
 
 
-# Generation stamp width of the known-tx table (low bits of each value).
-# 32 bits of generation wrap after 4G forget cycles — far beyond any
-# campaign — and leave the whole upper int to the per-peer bit mask.
-_GEN_MASK = 0xFFFFFFFF
-_GEN_BITS = 32
-
-# Size above which a generation bump also clears the table outright
-# instead of leaving dead (stale-generation) entries to be overwritten
-# lazily. Bounds the table's memory between measurement iterations.
-_FORGET_COMPACT_THRESHOLD = 4096
-
-
-@dataclass(slots=True)
-class PeerState:
-    """Per-peer bookkeeping.
-
-    ``slot`` is the peer's bit position in the node's known-tx table
-    masks (query it through :meth:`Node.knows`).
-    """
-
-    slot: int = 0
-    known_blocks: Set[str] = field(default_factory=set)
-
-
 # How many `_announce_requested` entries may pile up before a flush takes
 # the time to sweep out the expired ones.
 _ANNOUNCE_PRUNE_THRESHOLD = 512
@@ -157,7 +133,8 @@ class Node:
         self.sim = sim
         self.config = config or NodeConfig()
         self.network: Optional["Network"] = None
-        self.peers: Dict[str, PeerState] = {}
+        # Peer id -> slot: the peer's bit position in the known tables.
+        self.peers: Dict[str, int] = {}
         self.confirmed_nonces: Dict[str, int] = {}
         self.head_number = 0
         # The mempool consults the confirmed nonce once per offered
@@ -186,26 +163,24 @@ class Node:
         self._flush_label = f"flush:{node_id}"
         self._announce_requested: Dict[str, float] = {}  # hash -> hold expiry
         self._seen_blocks: Set[str] = set()
-        # Generation-stamped known-tx table (struct-of-arrays layout): one
-        # dict ``hash -> (mask << 32) | generation`` instead of a bounded
-        # dict per peer. Bit i of ``mask`` means "the peer occupying slot i
-        # knows this hash"; entries whose generation differs from
-        # ``_known_gen`` are dead (forget_known_transactions bumps the
-        # generation in O(1) rather than clearing anything). Slots are
-        # assigned on add_peer and recycled through ``_free_slots`` after
-        # remove_peer sweeps the departing bit out of the live entries.
+        # Known tables (struct-of-arrays layout): one dict ``hash -> mask``
+        # per node instead of a bounded set per peer, for transactions and
+        # for blocks. Bit i of ``mask`` means "the peer occupying slot i
+        # knows this hash". Slots are assigned on add_peer and recycled
+        # through ``_free_slots`` after remove_peer sweeps the departing
+        # bit out of both tables.
         self._known: Dict[str, int] = {}
-        self._known_gen = 0
+        self._known_blocks: Dict[str, int] = {}
         self._free_slots: List[int] = []
         self._next_slot = 0
         # Broadcast-path caches. `_peer_list` pairs each peer id with its
         # slot bit in peer-dict insertion order, so the per-transaction
         # unaware scan is one dict lookup plus an int AND per peer.
-        # `_peer_shifted` maps peer id -> (bit << 32) for inbound marking;
+        # `_peer_bits` maps peer id -> bit for inbound marking;
         # `_all_bits` ORs every current peer's bit (broadcast early-exit).
         # `_push_fanout` is Geth's ceil(sqrt(peer_count)).
         self._peer_list: List[Tuple[str, int]] = []
-        self._peer_shifted: Dict[str, int] = {}
+        self._peer_bits: Dict[str, int] = {}
         self._all_bits = 0
         self._push_fanout = 1
         # Per-type message handler table, consulted by handle_message and
@@ -251,12 +226,8 @@ class Node:
         preserved either way: it feeds the broadcast fan-out shuffle and
         is part of determinism, not cosmetics.
         """
-        self._peer_list = [
-            (peer_id, 1 << state.slot) for peer_id, state in self.peers.items()
-        ]
-        self._peer_shifted = {
-            peer_id: bit << _GEN_BITS for peer_id, bit in self._peer_list
-        }
+        self._peer_list = [(peer_id, 1 << slot) for peer_id, slot in self.peers.items()]
+        self._peer_bits = dict(self._peer_list)
         all_bits = 0
         for _, bit in self._peer_list:
             all_bits |= bit
@@ -270,35 +241,28 @@ class Node:
             else:
                 slot = self._next_slot
                 self._next_slot += 1
-            self.peers[peer_id] = PeerState(slot=slot)
+            self.peers[peer_id] = slot
             bit = 1 << slot
             self._peer_list.append((peer_id, bit))
-            self._peer_shifted[peer_id] = bit << _GEN_BITS
+            self._peer_bits[peer_id] = bit
             self._all_bits |= bit
             self._push_fanout = max(1, math.ceil(math.sqrt(len(self.peers))))
             if self.network is not None:
                 # DevP2P handshake: exchange Status with the new peer.
-                self._send(
-                    peer_id,
-                    Status(
-                        client_version=self.config.client_version,
-                        network_id=self.config.network_id,
-                        head_number=self.head_number,
-                    ),
-                )
+                self._send(peer_id, Status(client_version=self.config.client_version))
 
     def remove_peer(self, peer_id: str) -> None:
-        state = self.peers.pop(peer_id, None)
-        if state is not None:
-            # Sweep the departing peer's bit out of the table so the slot
+        slot = self.peers.pop(peer_id, None)
+        if slot is not None:
+            # Sweep the departing peer's bit out of both tables so the slot
             # can be recycled without leaking "knows" bits to its next
             # occupant. Disconnects are cold; the sweep is O(table).
-            shifted = 1 << (state.slot + _GEN_BITS)
-            known = self._known
-            for tx_hash, value in known.items():
-                if value & shifted:
-                    known[tx_hash] = value & ~shifted
-            self._free_slots.append(state.slot)
+            bit = 1 << slot
+            for known in (self._known, self._known_blocks):
+                for key, value in known.items():
+                    if value & bit:
+                        known[key] = value & ~bit
+            self._free_slots.append(slot)
             self._refresh_peer_caches()
         self._push_queue.pop(peer_id, None)
         self._announce_queue.pop(peer_id, None)
@@ -314,15 +278,8 @@ class Node:
 
     def knows(self, peer_id: str, tx_hash: str) -> bool:
         """Does this node believe ``peer_id`` already has ``tx_hash``?"""
-        shifted = self._peer_shifted.get(peer_id)
-        if shifted is None:
-            return False
-        value = self._known.get(tx_hash)
-        return (
-            value is not None
-            and (value & _GEN_MASK) == self._known_gen
-            and bool(value & shifted)
-        )
+        bit = self._peer_bits.get(peer_id)
+        return bit is not None and bool(self._known.get(tx_hash, 0) & bit)
 
     def _prune_known(self) -> None:
         """FIFO-prune the known-tx table down to ``known_tx_limit``.
@@ -337,15 +294,14 @@ class Node:
             del known[next(iter(known))]
 
     def _mark_known(self, peer_id: str, tx_hash: str) -> None:
-        shifted = self._peer_shifted.get(peer_id)
-        if shifted is not None:
+        bit = self._peer_bits.get(peer_id)
+        if bit is not None:
             known = self._known
-            gen = self._known_gen
             value = known.get(tx_hash)
-            if value is not None and (value & _GEN_MASK) == gen:
-                known[tx_hash] = value | shifted
+            if value is not None:
+                known[tx_hash] = value | bit
             else:
-                known[tx_hash] = shifted | gen
+                known[tx_hash] = bit
                 limit = self._known_tx_limit
                 if limit is not None and len(known) > limit:
                     self._prune_known()
@@ -353,13 +309,10 @@ class Node:
     def forget_known_transactions(self) -> None:
         """Drop all known-tx state (between measurement iterations).
 
-        O(1): bumping the generation stamp invalidates every live entry at
-        once. Tables that grew past the compaction threshold are cleared
-        outright so dead entries cannot accumulate across iterations.
+        The table is cleared, so ``known_tx_limit`` bounds live entries
+        only, like Geth's per-peer FIFO.
         """
-        self._known_gen = (self._known_gen + 1) & _GEN_MASK
-        if len(self._known) >= _FORGET_COMPACT_THRESHOLD:
-            self._known.clear()
+        self._known.clear()
         self._announce_requested.clear()
 
     # ------------------------------------------------------------------
@@ -423,12 +376,9 @@ class Node:
             "head_number": self.head_number,
             "confirmed_nonces": dict(self.confirmed_nonces),
             "mempool": self.mempool.capture_state(),
-            "peers": {
-                peer_id: (state.slot, set(state.known_blocks))
-                for peer_id, state in self.peers.items()
-            },
+            "peers": dict(self.peers),
             "known": dict(self._known),
-            "known_gen": self._known_gen,
+            "known_blocks": dict(self._known_blocks),
             "free_slots": list(self._free_slots),
             "next_slot": self._next_slot,
             "peer_versions": dict(self.peer_versions),
@@ -453,12 +403,9 @@ class Node:
         self.confirmed_nonces.clear()
         self.confirmed_nonces.update(state["confirmed_nonces"])
         self.mempool.restore_state(state["mempool"])
-        self.peers = {
-            peer_id: PeerState(slot=slot, known_blocks=set(known_blocks))
-            for peer_id, (slot, known_blocks) in state["peers"].items()
-        }
+        self.peers = dict(state["peers"])
         self._known = dict(state["known"])
-        self._known_gen = state["known_gen"]
+        self._known_blocks = dict(state["known_blocks"])
         self._free_slots = list(state["free_slots"])
         self._next_slot = state["next_slot"]
         self.peer_versions = dict(state["peer_versions"])
@@ -502,7 +449,7 @@ class Node:
                 receive(from_id, tx)
             return
         mark = None
-        if from_id in self._peer_shifted:
+        if from_id in self._peer_bits:
             mark = partial(self._mark_known, from_id)
         relay = relay_future = None
         if self._relays_transactions:
@@ -595,18 +542,13 @@ class Node:
         """Queue ``tx`` toward every peer not known to have it."""
         tx_hash = tx.hash
         known = self._known
-        gen = self._known_gen
         all_bits = self._all_bits
         value = known.get(tx_hash)
-        if value is not None and (value & _GEN_MASK) == gen:
-            mask = value >> _GEN_BITS
-            if mask & all_bits == all_bits:
-                # Every current peer already knows the hash (remove_peer
-                # sweeps departing bits, so mask ⊆ all_bits for live peers).
-                return
-        else:
-            value = None
-            mask = 0
+        if value is not None and value & all_bits == all_bits:
+            # Every current peer already knows the hash (remove_peer
+            # sweeps departing bits, so mask ⊆ all_bits for live peers).
+            return
+        mask = value or 0
         unaware = [item for item in self._peer_list if not mask & item[1]]
         if not unaware:
             return
@@ -640,12 +582,12 @@ class Node:
         # span the whole unaware set, so the entry's mask becomes all
         # current peers' bits.
         if value is None:
-            known[tx_hash] = (all_bits << _GEN_BITS) | gen
+            known[tx_hash] = all_bits
             limit = self._known_tx_limit
             if limit is not None and len(known) > limit:
                 self._prune_known()
         else:
-            known[tx_hash] = value | (all_bits << _GEN_BITS)
+            known[tx_hash] = value | all_bits
         if push_targets:
             push_queue = self._push_queue
             for peer_id, _bit in push_targets:
@@ -708,9 +650,9 @@ class Node:
     def _handle_announcement(
         self, from_id: str, msg: NewPooledTransactionHashes
     ) -> None:
-        # A sender that is not a peer has no bit to set: shifted == 0 and
+        # A sender that is not a peer has no bit to set: bit == 0 and
         # nothing is written.
-        shifted = self._peer_shifted.get(from_id, 0)
+        bit = self._peer_bits.get(from_id, 0)
         wanted: List[str] = []
         now = self.sim.now
         hold = self._announce_hold
@@ -721,15 +663,14 @@ class Node:
         pool_txs = self.mempool._by_hash
         known = self._known
         known_get = known.get
-        gen = self._known_gen
         inserted = False
         for tx_hash in msg.hashes:
-            if shifted:
+            if bit:
                 value = known_get(tx_hash)
-                if value is not None and (value & _GEN_MASK) == gen:
-                    known[tx_hash] = value | shifted
+                if value is not None:
+                    known[tx_hash] = value | bit
                 else:
-                    known[tx_hash] = shifted | gen
+                    known[tx_hash] = bit
                     inserted = True
             if tx_hash in pool_txs:
                 continue
@@ -760,13 +701,14 @@ class Node:
     # ------------------------------------------------------------------
     def receive_block(self, from_id: Optional[str], block: Block) -> None:
         """Process a gossiped (or locally mined) block."""
-        if from_id is not None:
-            state = self.peers.get(from_id)
-            if state is not None:
-                state.known_blocks.add(block.hash)
-        if block.hash in self._seen_blocks:
+        block_hash = block.hash
+        known_blocks = self._known_blocks
+        bit = self._peer_bits.get(from_id)
+        if bit is not None:
+            known_blocks[block_hash] = known_blocks.get(block_hash, 0) | bit
+        if block_hash in self._seen_blocks:
             return
-        self._seen_blocks.add(block.hash)
+        self._seen_blocks.add(block_hash)
         if block.number > self.head_number:
             self.head_number = block.number
         for tx in block.txs:
@@ -779,10 +721,11 @@ class Node:
         for observer in self.block_observers:
             observer(from_id or "", block)
         # Eager block gossip to peers that have not seen it.
-        for peer_id, state in self.peers.items():
-            if block.hash not in state.known_blocks:
-                state.known_blocks.add(block.hash)
+        mask = known_blocks.get(block_hash, 0)
+        for peer_id, bit in self._peer_list:
+            if not mask & bit:
                 self._send(peer_id, NewBlock(block=block))
+        known_blocks[block_hash] = mask | self._all_bits
 
     # ------------------------------------------------------------------
     # Maintenance

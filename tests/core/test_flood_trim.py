@@ -59,8 +59,8 @@ def live_heaps(state: Dict[str, object]) -> Dict[str, object]:
     left-overs. Each resident's latest entry is what its admission filed."""
     resident = {tx_hash for tx_hash, _ in state["by_hash"]}
     classes = (
-        ("pending_heap", state["pending"]),
-        ("future_heap", resident - state["pending"]),
+        ("pending_heap", resident - state["future"]),
+        ("future_heap", state["future"]),
     )
     for heap, live in classes:
         latest: Dict[str, tuple] = {}

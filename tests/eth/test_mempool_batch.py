@@ -45,7 +45,7 @@ def build_tx(sender: str, nonce: int, price: int) -> Transaction:
 def canonical_state(pool: Mempool):
     return (
         sorted(pool._by_hash),
-        sorted(pool._pending),
+        sorted(pool._future),
         sorted(tx.hash for tx in pool.future_transactions()),
         {
             sender: sorted(run) if isinstance(run, dict) else [run.nonce]
@@ -263,7 +263,7 @@ def full_state(pool: Mempool):
         (s, list(run.items()) if isinstance(run, dict) else run) for s, run in runs
     ]
     state["by_hash"] = list(state["by_hash"].items())
-    state["pending"] = sorted(state["pending"])
+    state["future"] = sorted(state["future"])
     market = pool.fee_market
     return state, None if market is None else market.capture_state()
 

@@ -151,8 +151,8 @@ def _sole_tx_under_another_sender(pool: Mempool) -> None:
     pool._by_sender[SENDERS[0]] = pool._by_sender[SENDERS[1]]
 
 
-def _pending_not_resident(pool: Mempool) -> None:
-    pool._pending.add(build_tx(SENDERS[3], 0, 1).hash)
+def _future_not_resident(pool: Mempool) -> None:
+    pool._future.add(build_tx(SENDERS[3], 0, 1).hash)
 
 
 def _heap_entry_of_the_wrong_class(pool: Mempool) -> None:
@@ -169,7 +169,7 @@ def _heap_entry_of_the_wrong_class(pool: Mempool) -> None:
         (_lost_heap_entries, "eviction-heap entry"),
         (_one_entry_dict_run, "dict run of 1"),
         (_sole_tx_under_another_sender, "misfiled"),
-        (_pending_not_resident, "not resident"),
+        (_future_not_resident, "not resident"),
         (_heap_entry_of_the_wrong_class, "eviction-heap entry"),
     ],
     ids=[
@@ -179,7 +179,7 @@ def _heap_entry_of_the_wrong_class(pool: Mempool) -> None:
         "lost-heap-entries",
         "one-entry-dict-run",
         "sole-tx-under-another-sender",
-        "pending-not-resident",
+        "future-not-resident",
         "heap-entry-of-the-wrong-class",
     ],
 )

@@ -51,7 +51,7 @@ def pool_after_a_block():
     state = pool.capture_state()
     return {
         "by_hash": list(state["by_hash"]),
-        "pending": sorted(state["pending"]),
+        "future": sorted(state["future"]),
         "pending_heap": state["pending_heap"],
         "future_heap": state["future_heap"],
         "seq": state["seq"],
@@ -127,7 +127,7 @@ def test_the_scenarios_are_not_vacuous():
     state = pool_after_a_block()
     # Two offers per sender draw 16 numbers; the block's re-filing drew 8.
     assert state["seq"] == 3 * len(SENDERS)
-    assert len(state["pending"]) == 2 * len(SENDERS)
+    assert len(state["by_hash"]) == 2 * len(SENDERS) and not state["future"]
     content = txpool_dump()
     assert len(content["pending"]) == len(content["queued"]) == len(SENDERS)
     assert 0.2 < modularity_of_a_fixed_measurement() < 0.5

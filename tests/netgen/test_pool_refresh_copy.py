@@ -613,7 +613,7 @@ def test_mutating_a_copied_pool_never_reaches_donor_or_sibling():
     refresh_mempools(network)
     donor, copied, sibling = pools(network)
     for name in (
-        "_by_hash", "_by_sender", "_pending",
+        "_by_hash", "_by_sender", "_future",
         "_pending_heap", "_future_heap", "stats",
     ):
         containers = [getattr(pool, name) for pool in (donor, copied, sibling)]

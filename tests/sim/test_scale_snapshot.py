@@ -1,7 +1,7 @@
 """Snapshot/restore round-trip at mainnet scale (20k nodes).
 
 The struct-of-arrays refactor moved the hot state into integer-indexed
-arrays and a generation-stamped known-tx table; this test pins the
+arrays and a slot-mask known-tx table; this test pins the
 snapshot contract at a size where those representations actually matter:
 capture a quiescent 20k-node world, perturb it with real traffic, restore,
 and require the re-captured snapshot to be *deeply equal* to the original
