@@ -5,13 +5,19 @@ raise :class:`ServiceClientError` carrying the HTTP status and the typed
 error payload (``type``, ``detail``, ``retry_after``), so callers handle
 load-shedding programmatically::
 
+    from repro.core.parallel_exec import CampaignSpec
+    from repro.netgen.ethereum import NetworkSpec
+
+    campaign = CampaignSpec(network=NetworkSpec(n_nodes=16, seed=9))
     client = ServiceClient.from_state_dir("service-state")
     try:
-        job = client.submit(tenant="alice", kind="synthetic",
-                            params={"steps": 3})
+        job = client.submit(tenant="alice", kind="measure",
+                            params={"campaign": campaign.to_dict()})
     except ServiceClientError as exc:
         if exc.error_type in ("quota_exceeded", "queue_full"):
             time.sleep(exc.retry_after or 1.0)   # typed 429: back off
+    else:
+        record = client.wait(job["spec"]["job_id"])  # held, not polled
 """
 
 from __future__ import annotations
@@ -143,15 +149,29 @@ class ServiceClient:
     def wait(
         self, job_id: str, timeout: float = 60.0, poll: float = 0.05
     ) -> dict:
-        """Poll until the job reaches a terminal state (or raise on timeout)."""
+        """Return the job's record once it is terminal; raise
+        :class:`ServiceError` at ``timeout`` (within one round trip).
+
+        Each ask is a held ``GET /v1/jobs/{id}?wait=S``: the server answers
+        when the job's terminal state is journaled, so the record comes
+        back without a polling delay. ``S`` is at most half the socket
+        ``self.timeout``, so a hold never outlives the connection. ``poll``
+        is only the pause before asking again after a hold ends without a
+        terminal state: the hold expired, the service is draining, or an
+        older server ignored ``?wait``.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            record = self.job(job_id)
+            hold = min(max(deadline - time.monotonic(), 0.0), self.timeout / 2)
+            record = self._request(
+                "GET", f"/v1/jobs/{job_id}?wait={hold:.3f}"
+            )["job"]
             if record["state"] in TERMINAL_STATES:
                 return record
-            if time.monotonic() >= deadline:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 raise ServiceError(
                     f"job {job_id} still {record['state']!r} after "
                     f"{timeout:.1f}s"
                 )
-            time.sleep(poll)
+            time.sleep(min(poll, remaining))

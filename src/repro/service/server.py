@@ -19,12 +19,17 @@ API (all JSON; content-type headers are accepted but not required)::
     POST /v1/jobs              submit    -> 202 {"job": ...}
     GET  /v1/jobs              list      -> 200 {"jobs": [...summaries]}
     GET  /v1/jobs/{id}         inspect   -> 200 {"job": ...}
+    GET  /v1/jobs/{id}?wait=S  hold      -> 200 {"job": ...} once the job's
+                                            terminal state is journaled, or
+                                            after S seconds, or at drain
     POST /v1/jobs/{id}/cancel  cancel    -> 202 {"job": ...}
     GET  /v1/metrics           stats     -> 200 {"service": ..., "obs": ...}
     GET  /v1/healthz           liveness  -> 200 {"status": "ok"|"draining"}
 
 Typed failures map to HTTP-ish statuses via ``ServiceError.http_status``
 (429 quota/queue sheds with ``retry_after`` hints, 503 while draining).
+A ``wait`` that is negative, not finite or not a number is a 400 and
+holds nothing; ``wait=0`` (or no ``wait``) answers at once.
 The HTTP layer is a deliberately minimal hand-rolled parser over
 ``asyncio.start_server`` — the service binds loopback for a single
 operator, not the open internet, and the repository admits no new
@@ -34,12 +39,15 @@ dependencies.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import math
 import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
+from urllib.parse import parse_qs
 
 from repro.core.parallel_exec import WorkerPool
 from repro.errors import (
@@ -173,6 +181,11 @@ class MeasurementService:
         self._appends_at_compact = 0
         self._running: Dict[str, int] = {}  # tenant -> executing jobs
         self._tasks: Set[asyncio.Task] = set()
+        # job_id -> set when the job's terminal state is journaled (loop
+        # thread only); held GETs wait on it.
+        self._finished: Dict[str, asyncio.Event] = {}
+        # Connection tasks of held GETs: shutdown lets them finish answering.
+        self._holding: Set[asyncio.Task] = set()
         self._slots = 0
         self._wake: Optional[asyncio.Event] = None
         self._stopping = False
@@ -256,12 +269,15 @@ class MeasurementService:
 
     def request_shutdown(self) -> None:
         """Signal-handler entry: begin the graceful drain (every dispatched
-        job gets a ``drain`` stop file)."""
+        job gets a ``drain`` stop file, every held GET is answered)."""
         if not self._stopping:
             self._stopping = True
             for record in self.records.values():
                 if record.state in (ADMITTED, RUNNING):
                     self.supervisor.request_stop(record.job_id, "drain")
+            for event in self._finished.values():
+                event.set()
+            self._finished.clear()
             if self._wake is not None:
                 self._wake.set()
 
@@ -280,6 +296,9 @@ class MeasurementService:
             self._journal(record)
         if self._server is not None:
             self._server.close()
+            # Released by request_shutdown: they are only writing now.
+            if self._holding:
+                await asyncio.gather(*self._holding, return_exceptions=True)
             await self._server.wait_closed()
         if self.journal is not None:
             self.journal.close()
@@ -442,8 +461,17 @@ class MeasurementService:
             self._enforce_retention()
 
     def _journal(self, record: JobRecord) -> None:
+        """Append the record's state; a terminal one wakes its held GETs.
+
+        Every terminal transition reaches this line on the loop thread
+        (the supervisor thread only sets ``record.state``), which is what
+        makes setting an ``asyncio.Event`` here safe."""
         if self.journal is not None:
             self.journal.append(record)
+        if record.terminal:
+            event = self._finished.pop(record.job_id, None)
+            if event is not None:
+                event.set()
 
     def _enforce_retention(self) -> None:
         """Bound memory and disk over a long service lifetime.
@@ -611,10 +639,11 @@ class MeasurementService:
                 raise BadRequest(f"request body is not JSON: {exc}") from exc
         else:
             body = {}
-        return self._route(method, path, body)
+        return await self._route(method, path, body)
 
-    def _route(self, method: str, path: str, body: dict) -> Tuple[int, dict]:
-        segments = [s for s in path.split("?")[0].split("/") if s]
+    async def _route(self, method: str, path: str, body: dict) -> Tuple[int, dict]:
+        route, _, query = path.partition("?")
+        segments = [s for s in route.split("/") if s]
         if segments[:1] != ["v1"]:
             return 404, {"error": {"type": "not_found", "detail": path}}
         tail = segments[1:]
@@ -649,13 +678,49 @@ class MeasurementService:
             if len(tail) == 3 and tail[2] == "cancel" and method == "POST":
                 return 202, {"job": self.cancel(job_id).to_dict()}
             if len(tail) == 2 and method == "GET":
+                hold = _hold_seconds(query)
                 record = self.records.get(job_id)
                 if record is None:
                     return 404, {
                         "error": {"type": "not_found", "detail": job_id}
                     }
+                if hold > 0:
+                    await self._hold(record, hold)
                 return 200, {"job": record.to_dict()}
         return 404, {"error": {"type": "not_found", "detail": path}}
+
+    async def _hold(self, record: JobRecord, seconds: float) -> None:
+        """Return once ``record``'s terminal state is journaled, ``seconds``
+        pass, or the service drains — whichever is first.
+
+        A record already terminal (the supervisor thread publishes the
+        state before the loop journals it) and a draining service do not
+        hold at all."""
+        if record.terminal or self._stopping:
+            return
+        event = self._finished.setdefault(record.job_id, asyncio.Event())
+        task = asyncio.current_task()
+        self._holding.add(task)
+        task.add_done_callback(self._holding.discard)
+        with contextlib.suppress(asyncio.TimeoutError):
+            await asyncio.wait_for(event.wait(), seconds)
+
+
+def _hold_seconds(query: str) -> float:
+    """The ``wait`` query parameter in seconds (0 when absent)."""
+    values = parse_qs(query, keep_blank_values=True).get("wait")
+    if not values:
+        return 0.0
+    try:
+        seconds = float(values[-1])
+    except ValueError:
+        seconds = math.nan
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise BadRequest(
+            "wait must be a finite number of seconds >= 0, "
+            f"got {values[-1][:32]!r}"
+        )
+    return seconds
 
 
 def run_service(

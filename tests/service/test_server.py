@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.errors import ServiceError
 from repro.service import (
     MeasurementService,
     ServiceClient,
@@ -1037,5 +1038,208 @@ class TestDeadlines:
                 assert record["result"]["confidence"] == "partial"
                 assert 0 < record["result"]["completed_steps"] < 1000
                 assert record["error"]["type"] == "job_timeout"
+
+        asyncio.run(main())
+
+
+async def _raw_get(client, path: str) -> bytes:
+    """One GET on its own connection; the whole response, head and body."""
+    reader, writer = await asyncio.open_connection(client.host, client.port)
+    writer.write(f"GET {path} HTTP/1.1\r\n\r\n".encode("ascii"))
+    await writer.drain()
+    try:
+        return await asyncio.wait_for(reader.read(), timeout=30)
+    finally:
+        writer.close()
+
+
+#: A synthetic job that runs for ~4 s unless stopped (0.02 s steps).
+SLOW = {"steps": 200, "step_duration": 0.02}
+
+
+class TestHeldWait:
+    """``GET /v1/jobs/{id}?wait=S`` answers when the job's terminal state
+    is journaled, and ``ServiceClient.wait`` asks that way instead of
+    polling."""
+
+    def test_wait_returns_at_the_finish_not_after_poll(self, tmp_path):
+        async def main():
+            async with service(tmp_path) as (_svc, client):
+                job = await asyncio.to_thread(
+                    submit_sync, client, tenant="a",
+                    params={"steps": 2, "step_duration": 0.1},
+                )
+                record = await asyncio.to_thread(
+                    client.wait, job["spec"]["job_id"], 20, 5.0
+                )
+                returned_at = time.time()
+                assert record["state"] == "done"
+                # A poll of 5 s would land seconds after the finish.
+                assert returned_at - record["finished_at"] < 1.0
+
+        asyncio.run(main())
+
+    def test_a_hold_on_a_running_or_queued_job_expires_with_its_record(
+        self, tmp_path
+    ):
+        async def main():
+            async with service(tmp_path, max_concurrent=1) as (_svc, client):
+                running = await asyncio.to_thread(
+                    submit_sync, client, tenant="a", params=SLOW
+                )
+                queued = await asyncio.to_thread(submit_sync, client, tenant="a")
+                await asyncio.sleep(0.2)
+                for job, states in (
+                    (running, ("admitted", "running")),
+                    (queued, ("queued",)),
+                ):
+                    start = time.perf_counter()
+                    reply = await asyncio.to_thread(
+                        client._request, "GET",
+                        f"/v1/jobs/{job['spec']['job_id']}?wait=0.2",
+                    )
+                    assert reply["job"]["state"] in states
+                    assert 0.18 <= time.perf_counter() - start < 2.0
+
+        asyncio.run(main())
+
+    def test_wait_raises_at_its_timeout_not_after_poll(self, tmp_path):
+        async def main():
+            async with service(tmp_path) as (_svc, client):
+                job = await asyncio.to_thread(
+                    submit_sync, client, tenant="a", params=SLOW
+                )
+                start = time.perf_counter()
+                with pytest.raises(ServiceError, match="still"):
+                    await asyncio.to_thread(
+                        client.wait, job["spec"]["job_id"], 0.5, 5.0
+                    )
+                # The deadline plus one loopback round trip (a poll of 5 s
+                # would overshoot it by seconds).
+                assert time.perf_counter() - start < 0.5 + 1.0
+
+        asyncio.run(main())
+
+    def test_an_unknown_id_is_a_404_at_once(self, tmp_path):
+        async def main():
+            async with service(tmp_path) as (_svc, client):
+                start = time.perf_counter()
+                with pytest.raises(ServiceClientError) as excinfo:
+                    await asyncio.to_thread(
+                        client._request, "GET", "/v1/jobs/missing-id?wait=10"
+                    )
+                assert excinfo.value.status == 404
+                assert time.perf_counter() - start < 1.0
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "soon", ""])
+    def test_a_malformed_wait_is_a_typed_400_and_holds_nothing(
+        self, tmp_path, value
+    ):
+        async def main():
+            async with service(tmp_path) as (_svc, client):
+                job = await asyncio.to_thread(
+                    submit_sync, client, tenant="a", params=SLOW
+                )
+                start = time.perf_counter()
+                with pytest.raises(ServiceClientError) as excinfo:
+                    await asyncio.to_thread(
+                        client._request, "GET",
+                        f"/v1/jobs/{job['spec']['job_id']}?wait={value}",
+                    )
+                assert excinfo.value.status == 400
+                assert excinfo.value.error_type == "bad_request"
+                assert time.perf_counter() - start < 1.0
+                assert await asyncio.to_thread(client.healthz) == {"status": "ok"}
+
+        asyncio.run(main())
+
+    def test_cancelling_a_queued_job_releases_its_waiter(self, tmp_path):
+        async def main():
+            async with service(tmp_path, max_concurrent=1) as (_svc, client):
+                await asyncio.to_thread(
+                    submit_sync, client, tenant="a", params=SLOW
+                )
+                queued = await asyncio.to_thread(submit_sync, client, tenant="a")
+                job_id = queued["spec"]["job_id"]
+                waiter = asyncio.create_task(
+                    asyncio.to_thread(client.wait, job_id, 20, 5.0)
+                )
+                await asyncio.sleep(0.3)
+                assert not waiter.done()
+                start = time.perf_counter()
+                await asyncio.to_thread(client.cancel, job_id)
+                record = await waiter
+                assert record["state"] == "cancelled"
+                assert time.perf_counter() - start < 2.0
+
+        asyncio.run(main())
+
+    def test_request_shutdown_answers_a_held_request_and_shutdown_is_bounded(
+        self, tmp_path
+    ):
+        async def main():
+            async with service(tmp_path) as (svc, client):
+                job = await asyncio.to_thread(
+                    submit_sync, client, tenant="a", params=SLOW
+                )
+                held = asyncio.create_task(
+                    asyncio.to_thread(
+                        client._request, "GET",
+                        f"/v1/jobs/{job['spec']['job_id']}?wait=20",
+                    )
+                )
+                await asyncio.sleep(0.3)
+                assert not held.done()
+                svc.request_shutdown()
+                reply = await asyncio.wait_for(held, timeout=3.0)
+                assert reply["job"]["state"] in ("admitted", "running")
+                await asyncio.wait_for(svc.shutdown(), timeout=10.0)
+                assert not svc._holding
+
+        asyncio.run(main())
+
+    def test_shutdown_answers_a_held_request_before_it_returns(self, tmp_path):
+        async def main():
+            async with service(tmp_path) as (svc, client):
+                # No running job: shutdown has nothing else to wait for.
+                svc._slots = 0
+                job = await asyncio.to_thread(submit_sync, client, tenant="a")
+                path = f"/v1/jobs/{job['spec']['job_id']}?wait=20"
+                held = asyncio.create_task(_raw_get(client, path))
+                await asyncio.sleep(0.3)
+                assert not held.done()
+                await asyncio.wait_for(svc.shutdown(), timeout=10.0)
+                # The held handler finished answering before shutdown
+                # returned: nothing is left for the loop's teardown to cancel.
+                assert not svc._holding
+                response = await asyncio.wait_for(held, timeout=3.0)
+                assert response.startswith(b"HTTP/1.1 200 OK\r\n")
+                body = json.loads(response.split(b"\r\n\r\n", 1)[1])
+                assert body["job"]["state"] == "queued"
+
+        asyncio.run(main())
+
+    def test_a_get_without_wait_answers_as_before(self, tmp_path):
+        async def main():
+            async with service(tmp_path) as (svc, client):
+                svc._slots = 0  # freeze dispatch: the job stays queued
+                job = await asyncio.to_thread(submit_sync, client, tenant="a")
+                job_id = job["spec"]["job_id"]
+                body = json.dumps(
+                    {"job": svc.records[job_id].to_dict()}, sort_keys=True
+                ).encode("utf-8")
+                expected = (
+                    b"HTTP/1.1 200 OK\r\n"
+                    b"Content-Type: application/json\r\n"
+                    + f"Content-Length: {len(body)}\r\n".encode("ascii")
+                    + b"Connection: close\r\n\r\n"
+                    + body
+                )
+                for path in (f"/v1/jobs/{job_id}", f"/v1/jobs/{job_id}?wait=0"):
+                    start = time.perf_counter()
+                    assert await _raw_get(client, path) == expected
+                    assert time.perf_counter() - start < 1.0
 
         asyncio.run(main())
