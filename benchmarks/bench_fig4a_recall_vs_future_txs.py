@@ -22,7 +22,6 @@ SPEC = NetworkSpec(
     seed=5,
     mempool_capacity=256,
     fraction_custom_capacity=0.20,
-    custom_capacity_factor=2.2,
     fraction_custom_bump=0.04,
     fraction_non_relaying=0.04,
 )

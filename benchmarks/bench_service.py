@@ -3,16 +3,16 @@ typed load shedding, crash recovery, and real cores.
 
 Five phases, all against a real service instance on a loopback socket:
 
-1. **Uncontended baseline** — N simulated clients (threads, one tenant
-   each) submit synthetic jobs and wait for results; reports jobs/s and
-   the p50/p99 submit-to-result latency.
+1. **Uncontended baseline** — the honest phase's clients (threads, one
+   tenant each) submit the honest phase's synthetic jobs with no flood
+   and wait for results; reports jobs/s and the p50/p99
+   submit-to-result latency.
 2. **Overload with an abusive tenant** — hammer threads submit far over
    quota in a tight retry loop while honest tenants keep their modest
    rate.  Gates: the abuse is shed with *typed* rejections (429
    ``quota_exceeded``/``queue_full``), every honest job completes, and
-   the honest-tenant p99 stays within ``MAX_P99_RATIO``x of the baseline
-   (with a small absolute floor so sub-100ms baselines don't turn
-   scheduler noise into failures).
+   the honest-tenant p99 stays within ``MAX_P99_RATIO``x of the same
+   clients' uncontended p99: what the flood costs them, nothing else.
 3. **Fairness** — both tenants share one saturated executor; reports the
    honest completion share versus the flood.
 4. **Crash recovery** — the service is killed without ceremony mid-queue;
@@ -69,15 +69,15 @@ from repro.service import (
 JSON_PATH = RESULTS_DIR / "BENCH_service.json"
 
 # Gates (see docs/service.md).
-MAX_P99_RATIO = 2.0     # honest p99 under abuse vs uncontended baseline
-P99_FLOOR_S = 0.75      # absolute floor: ratios on tiny baselines are noise
+# Honest p99 under abuse vs the same clients uncontended. Committed
+# readings (results/service*.txt): full 138 ms vs 57 ms, 2.4x, so the full
+# run fails this gate (bound 114 ms); smoke 25 ms vs 21 ms, 1.19x (bound 42 ms).
+MAX_P99_RATIO = 2.0
 MAX_RECOVERY_S = 30.0   # restart -> every journaled job terminal
 MIN_CONCURRENCY_SPEEDUP = 1.4  # 2 worker processes vs 1, given two cores
 
 SMOKE_SCENARIO = {
     "name": "smoke",
-    "baseline_clients": 8,
-    "baseline_jobs_each": 3,
     "honest_clients": 4,
     "honest_jobs_each": 3,
     "abusive_threads": 3,
@@ -88,8 +88,6 @@ SMOKE_SCENARIO = {
 }
 FULL_SCENARIO = {
     "name": "full",
-    "baseline_clients": 200,
-    "baseline_jobs_each": 2,
     "honest_clients": 20,
     "honest_jobs_each": 5,
     "abusive_threads": 8,
@@ -208,7 +206,7 @@ def bench_baseline(state_dir, scenario) -> dict:
     try:
         def client_worker(index: int, out: list) -> None:
             client = ServiceClient.from_state_dir(state_dir)
-            for _ in range(scenario["baseline_jobs_each"]):
+            for _ in range(scenario["honest_jobs_each"]):
                 start = perf_counter()
                 job = client.submit(
                     tenant=f"client-{index}", kind="synthetic",
@@ -221,16 +219,16 @@ def bench_baseline(state_dir, scenario) -> dict:
         wall_start = perf_counter()
         latencies = [
             latency
-            for out in _run_clients(scenario["baseline_clients"], client_worker)
+            for out in _run_clients(scenario["honest_clients"], client_worker)
             for latency in out
         ]
         wall = perf_counter() - wall_start
     finally:
         harness.stop("graceful")
-    total = scenario["baseline_clients"] * scenario["baseline_jobs_each"]
+    total = scenario["honest_clients"] * scenario["honest_jobs_each"]
     assert len(latencies) == total
     return {
-        "clients": scenario["baseline_clients"],
+        "clients": scenario["honest_clients"],
         "jobs": total,
         "wall_s": round(wall, 3),
         "jobs_per_second": round(total / wall, 2),
@@ -453,7 +451,6 @@ def write_results(sections: dict, kind: str) -> dict:
         "cpu_count": os.cpu_count(),
         "gates": {
             "max_p99_ratio": MAX_P99_RATIO,
-            "p99_floor_s": P99_FLOOR_S,
             "max_recovery_s": MAX_RECOVERY_S,
             "min_concurrency_speedup": MIN_CONCURRENCY_SPEEDUP,
         },
@@ -503,11 +500,9 @@ def check_gates(sections: dict) -> None:
         f"abuse produced untyped errors: {overload['abusive']}"
     )
     honest_p99 = overload["honest"]["p99_s"]
-    bound = max(MAX_P99_RATIO * baseline["p99_s"], P99_FLOOR_S)
-    assert honest_p99 <= bound, (
+    assert honest_p99 <= MAX_P99_RATIO * baseline["p99_s"], (
         f"honest-tenant p99 {honest_p99:.3f}s exceeds "
-        f"{MAX_P99_RATIO}x baseline ({baseline['p99_s']:.3f}s, "
-        f"floor {P99_FLOOR_S}s)"
+        f"{MAX_P99_RATIO}x its uncontended p99 ({baseline['p99_s']:.3f}s)"
     )
     assert recovery["recovered"] == recovery["queued_at_crash"]
     assert recovery["recovery_s"] <= MAX_RECOVERY_S
@@ -551,7 +546,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     scenario = SMOKE_SCENARIO if args.smoke else FULL_SCENARIO
     print(
-        f"[service] load test: {scenario['baseline_clients']} baseline "
+        f"[service] load test: {scenario['honest_clients']} honest "
         f"clients, {scenario['abusive_threads']} abuse threads, "
         f"{scenario['recovery_queued']} jobs through a crash"
     )

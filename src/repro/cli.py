@@ -43,6 +43,11 @@ PRESETS = {
     "goerli": goerli_like,
 }
 
+#: ``monitor --workload``: offered tx/s unless ``--workload-rate`` says
+#: otherwise, and how long the workload runs between delta rounds.
+WORKLOAD_RATE = 10000.0
+LOAD_WINDOW = 10.0
+
 
 def _add_fault_flags(group) -> None:
     group.add_argument("--loss", type=float, default=0.0, metavar="RATE",
@@ -66,7 +71,7 @@ def _add_byzantine_flags(group) -> None:
     )
 
 
-def _add_obs_flags(group, trace: bool = True) -> None:
+def _add_obs_flags(group) -> None:
     group.add_argument(
         "--metrics-out", type=str, default=None, metavar="FILE",
         help="write campaign metrics here; format from the suffix "
@@ -77,13 +82,13 @@ def _add_obs_flags(group, trace: bool = True) -> None:
         default=None,
         help="override the metrics format inferred from --metrics-out",
     )
-    if trace:
-        group.add_argument(
-            "--trace-out", type=str, default=None, metavar="FILE",
-            help="write the structured event log here as JSON-lines",
-        )
-    else:
-        group.set_defaults(trace_out=None)
+
+
+def _add_trace_flag(group) -> None:
+    group.add_argument(
+        "--trace-out", type=str, default=None, metavar="FILE",
+        help="write the structured event log here as JSON-lines",
+    )
 
 
 def _make_obs(args: argparse.Namespace) -> Optional[Observability]:
@@ -124,11 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
     measure.add_argument("--seed", type=int, default=0)
     measure.add_argument("--repeats", type=int, default=1,
                          help="measurements per link (union of positives)")
-    measure.add_argument("--group-size", type=int, default=None,
-                         help="override the schedule group size K")
     measure.add_argument("--analyze", action="store_true",
                          help="print Table 4-style analysis of the result")
-    measure.add_argument("--no-preprocess", action="store_true")
     measure.add_argument("--output", type=str, default=None,
                          help="write the measurement to this JSON file")
     measure.add_argument("--export-graph", type=str, default=None,
@@ -190,6 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "observability", "export metrics and a structured event trace"
     )
     _add_obs_flags(observability)
+    _add_trace_flag(observability)
 
     arena = sub.add_parser(
         "arena",
@@ -214,12 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of: toposhot,txprobe,timing,findnode,"
              "census,dethna,ethna (default: all seven)",
     )
-    arena.add_argument("--toposhot-repeats", type=int, default=1)
-    arena.add_argument(
-        "--toposhot-cross-validate", type=int, default=3, metavar="N",
-        help="1-of-N timing-race re-probes for suspect TopoShot edges "
-             "(0 disables; default 3)",
-    )
     arena.add_argument("--dethna-rounds", type=int, default=12)
     arena.add_argument("--ethna-txs", type=int, default=60)
     arena.add_argument("--timing-probes", type=int, default=3)
@@ -239,7 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
     arena_obs = arena.add_argument_group(
         "observability", "export per-protocol arena metrics"
     )
-    _add_obs_flags(arena_obs, trace=False)
+    _add_obs_flags(arena_obs)
+    arena.set_defaults(trace_out=None)
 
     monitor = sub.add_parser(
         "monitor",
@@ -279,12 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
              "inflow evicts the future-transaction floods, Section 6.2.1)",
     )
     monitor.add_argument(
-        "--workload-rate", type=float, default=10000.0, metavar="TXS",
-        help="offered tx/s for --workload",
-    )
-    monitor.add_argument(
-        "--load-window", type=float, default=10.0, metavar="SECONDS",
-        help="how long the workload runs between delta rounds",
+        "--workload-rate", type=float, default=None, metavar="TXS",
+        help=f"offered tx/s for --workload (default {WORKLOAD_RATE:.0f})",
     )
     monitor.add_argument(
         "--stream-out", type=str, default=None, metavar="FILE",
@@ -295,6 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "observability", "export monitor metrics and an event trace"
     )
     _add_obs_flags(monitor_obs)
+    _add_trace_flag(monitor_obs)
 
     sub.add_parser("profile", help="Table 3: profile the five clients")
 
@@ -319,34 +314,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cost.add_argument("--nodes", type=int, default=8000)
     cost.add_argument("--eth-price", type=float, default=2700.0)
-    cost.add_argument(
-        "--per-pair", type=float, default=PAPER_COST_PER_PAIR_ETHER,
-        help="Ether cost per measured pair (paper: 7.1e-4)",
-    )
 
     serve = sub.add_parser(
         "serve",
         help="run the resilient measurement service (see docs/service.md)",
     )
-    serve.add_argument("--host", type=str, default="127.0.0.1")
+    # Unset flags (None) leave the --config file's value, or the
+    # ServiceConfig default, in place.
+    serve.add_argument("--host", type=str, default=None,
+                       help="bind address (default 127.0.0.1)")
     serve.add_argument(
-        "--port", type=int, default=0,
-        help="0 binds an ephemeral port; the actual endpoint is written to "
-             "STATE_DIR/endpoint.json either way",
+        "--port", type=int, default=None,
+        help="0 (the default) binds an ephemeral port; the actual endpoint "
+             "is written to STATE_DIR/endpoint.json either way",
     )
     serve.add_argument(
-        "--state-dir", type=str, default="service-state", metavar="DIR",
-        help="journal, checkpoints and endpoint file live here",
+        "--state-dir", type=str, default=None, metavar="DIR",
+        help="journal, checkpoints and endpoint file live here "
+             "(default service-state)",
     )
-    serve.add_argument("--max-concurrent", type=int, default=2,
-                       help="worker processes (jobs running at once)")
+    serve.add_argument("--max-concurrent", type=int, default=None,
+                       help="worker processes, i.e. jobs running at once "
+                            "(default 2)")
     serve.add_argument(
         "--config", type=str, default=None, metavar="FILE",
-        help="JSON ServiceConfig overriding the flags (quotas, breaker, "
-             "backoff; see docs/service.md)",
+        help="JSON ServiceConfig (quotas, breaker, retention; see "
+             "docs/service.md); the flags above win over its keys",
     )
-    serve.add_argument("--no-fsync", action="store_true",
-                       help="skip journal fsyncs (tests only; crash-unsafe)")
     serve.add_argument("--obs", action="store_true",
                        help="enable observability (adds obs to /v1/metrics)")
 
@@ -358,25 +352,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="find the service via DIR/endpoint.json",
     )
     submit.add_argument("--tenant", type=str, required=True)
-    submit.add_argument("--kind", choices=("measure", "synthetic"),
-                        default="measure")
-    submit.add_argument(
-        "--params", type=str, default=None, metavar="JSON",
-        help="kind-specific params as inline JSON (overrides --nodes/...)",
-    )
-    submit.add_argument("--nodes", type=int, default=24,
-                        help="measure: network size")
+    submit.add_argument("--nodes", type=int, default=24, help="network size")
     submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--repeats", type=int, default=1)
     submit.add_argument("--workers", type=int, default=1)
     submit.add_argument("--deadline", type=float, default=None,
                         help="wall-clock seconds before the job times out "
                              "(partial results survive)")
-    submit.add_argument("--max-attempts", type=int, default=3)
     submit.add_argument("--wait", action="store_true",
                         help="block until the job reaches a terminal state")
-    submit.add_argument("--timeout", type=float, default=300.0,
-                        help="--wait limit in seconds")
     return parser
 
 
@@ -416,8 +400,6 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     )
     campaign = CampaignSpec(
         network=network_spec,
-        preprocess=not args.no_preprocess,
-        group_size=args.group_size,
         repeats=args.repeats,
         max_retries=args.max_retries or None,
         fault_plan=plan if plan.enabled else None,
@@ -524,8 +506,6 @@ def _cmd_arena(args: argparse.Namespace) -> int:
             crash_rate=args.crash_rate,
             byzantine_spec=args.byzantine_mix,
             byzantine_frac=args.byzantine_frac,
-            toposhot_repeats=args.toposhot_repeats,
-            toposhot_cross_validate=args.toposhot_cross_validate,
             timing_probes=args.timing_probes,
             dethna_rounds=args.dethna_rounds,
             ethna_txs=args.ethna_txs,
@@ -555,6 +535,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.core.monitor import TopologyMonitor, rewire_random_links
     from repro.netgen.workloads import BatchedWorkload
 
+    if args.workload_rate is not None and not args.workload:
+        print("--workload-rate requires --workload", file=sys.stderr)
+        return 2
     network = quick_network(n_nodes=args.nodes, seed=args.seed)
     if args.fee_market:
         network.install_fee_market()
@@ -567,14 +550,15 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
     workload = None
     if args.workload:
+        rate = WORKLOAD_RATE if args.workload_rate is None else args.workload_rate
         workload = BatchedWorkload(
-            network, SHAPES[args.workload](rate_per_second=args.workload_rate)
+            network, SHAPES[args.workload](rate_per_second=rate)
         )
         if obs is not None:
             wiring.instrument_workload(obs, workload)
         print(
-            f"workload: {args.workload} at {args.workload_rate:.0f} tx/s "
-            f"for {args.load_window:.0f}s between rounds "
+            f"workload: {args.workload} at {rate:.0f} tx/s "
+            f"for {LOAD_WINDOW:.0f}s between rounds "
             "(batched, O(ticks) engine cost)"
         )
 
@@ -594,7 +578,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
                 # themselves run in inflow lulls — concurrent pending
                 # inflow would evict the future floods (Section 6.2.1).
                 workload.start()
-                network.sim.run(until=network.sim.now + args.load_window)
+                network.sim.run(until=network.sim.now + LOAD_WINDOW)
                 workload.stop()
                 # Drain the workload's leftovers back to ambient before
                 # probing, or the stale Y turns the round into mass false
@@ -702,17 +686,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs import NULL
     from repro.service import ServiceConfig, run_service
 
+    payload = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            config = ServiceConfig.from_dict(json.load(handle))
-    else:
-        config = ServiceConfig(
-            host=args.host,
-            port=args.port,
-            state_dir=args.state_dir,
-            max_concurrent=args.max_concurrent,
-            journal_fsync=not args.no_fsync,
-        )
+            payload = json.load(handle)
+    flags = ("host", "port", "state_dir", "max_concurrent")
+    payload.update(
+        (name, getattr(args, name)) for name in flags if getattr(args, name) is not None
+    )
+    config = ServiceConfig.from_dict(payload)
     obs = Observability() if args.obs else NULL
     print(
         f"measurement service starting (state dir: {config.state_dir}; "
@@ -726,33 +708,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     import json
 
+    from repro.core.parallel_exec import CampaignSpec
     from repro.errors import ServiceError
+    from repro.netgen.ethereum import NetworkSpec
     from repro.service import ServiceClient
 
-    if args.params:
-        params = json.loads(args.params)
-    elif args.kind == "measure":
-        from repro.core.parallel_exec import CampaignSpec
-        from repro.netgen.ethereum import NetworkSpec
-
-        campaign = CampaignSpec(
-            network=NetworkSpec(n_nodes=args.nodes, seed=args.seed),
-            repeats=args.repeats,
-        )
-        params = {"campaign": campaign.to_dict(), "workers": args.workers}
-    else:
-        params = {"steps": 1}
+    campaign = CampaignSpec(
+        network=NetworkSpec(n_nodes=args.nodes, seed=args.seed),
+        repeats=args.repeats,
+    )
+    params = {"campaign": campaign.to_dict(), "workers": args.workers}
     try:
         client = ServiceClient.from_state_dir(args.state_dir)
-        job = client.submit(
-            tenant=args.tenant,
-            kind=args.kind,
-            params=params,
-            deadline=args.deadline,
-            max_attempts=args.max_attempts,
-        )
+        job = client.submit(tenant=args.tenant, params=params, deadline=args.deadline)
         if args.wait:
-            job = client.wait(job["spec"]["job_id"], timeout=args.timeout)
+            # A job always ends: done, failed, cancelled or past its deadline.
+            job = client.wait(job["spec"]["job_id"], timeout=float("inf"))
     except ServiceError as exc:
         print(f"submit failed: {exc}", file=sys.stderr)
         return 1
@@ -763,7 +734,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 def _cmd_estimate_cost(args: argparse.Namespace) -> int:
     estimate = MainnetEstimate(
         n_nodes=args.nodes,
-        cost_per_pair_ether=args.per_pair,
+        cost_per_pair_ether=PAPER_COST_PER_PAIR_ETHER,
         eth_price_usd=args.eth_price,
     )
     print(estimate.summary())

@@ -73,7 +73,7 @@ from repro.sim.rng import spawn_seed
 
 PathLike = Union[str, Path]
 
-PARALLEL_CHECKPOINT_VERSION = 3
+PARALLEL_CHECKPOINT_VERSION = 4
 
 # Default shard-plan granularity: enough slices to keep a typical pool busy
 # without shrinking slices below the per-shard reset cost. Deliberately NOT
@@ -100,8 +100,8 @@ class CampaignSpec:
     Pure data with a JSON round trip: a service job or an arena protocol
     receives (a serialized form of) this spec and builds the same world
     from it. :func:`build_world` turns ``network``,
-    ``prefill``, ``rpc_raw``, ``behaviors`` and ``supernode_id`` into a
-    network with a joined supernode; :meth:`measurement_config` applies
+    ``prefill``, ``rpc_raw`` and ``behaviors`` into a network with a
+    joined supernode; :meth:`measurement_config` applies
     ``repeats``/``max_retries``/``future_count``/``cross_validate``; a
     :class:`CampaignReplica` then pre-processes (if ``preprocess``),
     drains the event queue and snapshots. ``max_retries``
@@ -123,7 +123,6 @@ class CampaignSpec:
     fault_plan: Optional[FaultPlan] = None
     validate: bool = True
     n_shards: Optional[int] = None
-    supernode_id: str = "supernode-M"
     behaviors: Optional[BehaviorMix] = None
     rpc_raw: bool = False
     cross_validate: Optional[int] = None
@@ -197,7 +196,7 @@ def build_world(spec: CampaignSpec) -> Tuple[Network, Supernode]:
     _fresh_rpc_client(network, spec)
     if spec.behaviors is not None and spec.behaviors.enabled:
         network.install_behaviors(spec.behaviors)
-    return network, Supernode.join(network, node_id=spec.supernode_id)
+    return network, Supernode.join(network)
 
 
 def _fresh_rpc_client(network: Network, spec: CampaignSpec) -> None:

@@ -43,10 +43,8 @@ class NetworkSpec:
     routing_table_capacity: int = 96
     parity_fraction: float = 0.0
     nethermind_fraction: float = 0.0
-    fraction_custom_capacity: float = 0.0
-    custom_capacity_factor: float = 2.2
-    fraction_custom_bump: float = 0.0
-    custom_bump: float = 0.25
+    fraction_custom_capacity: float = 0.0  # pools CUSTOM_CAPACITY_FACTOR x L
+    fraction_custom_bump: float = 0.0  # replacement bump CUSTOM_BUMP
     fraction_future_forwarders: float = 0.0
     fraction_future_echoers: float = 0.0  # Rinkeby's bounce-back quirk
     fraction_non_relaying: float = 0.0
@@ -54,7 +52,6 @@ class NetworkSpec:
     n_hubs: int = 0  # globally connected nodes (Goerli's 700-degree nodes)
     push_to_all: bool = False
     announce_only: bool = False  # Bitcoin-style propagation (baselines)
-    broadcast_interval: float = 0.02
     latency: Optional[LatencyModel] = None
     # Optional geographic structure: region name -> node share. When set
     # (and no explicit latency model is given), nodes are pinned to regions
@@ -70,6 +67,11 @@ class NetworkSpec:
     def node_id(self, index: int) -> str:
         return f"{self.name}-{index:04d}"
 
+
+#: A custom-capacity node's pool is this many times its client's L; a
+#: custom-bump node replaces at this bump instead of its client's R.
+CUSTOM_CAPACITY_FACTOR = 2.2
+CUSTOM_BUMP = 0.25
 
 #: Node count at which wiring="auto" switches to the fast generator. All
 #: golden/fingerprinted topologies (24/40/1k nodes) stay on legacy wiring.
@@ -123,16 +125,15 @@ def generate_network(spec: NetworkSpec) -> Network:
             version = f"Geth/v1.9.{index}-stable"
         if rng.random() < spec.fraction_custom_capacity:
             policy = policy.with_capacity(
-                int(policy.capacity * spec.custom_capacity_factor)
+                int(policy.capacity * CUSTOM_CAPACITY_FACTOR)
             )
         if rng.random() < spec.fraction_custom_bump:
-            policy = policy.with_bump(spec.custom_bump)
+            policy = policy.with_bump(CUSTOM_BUMP)
         config = NodeConfig(
             policy=policy,
             max_peers=None if node_id in hub_ids else spec.max_peers,
             push_to_all=spec.push_to_all,
             announce_only=spec.announce_only,
-            broadcast_interval=spec.broadcast_interval,
             relays_transactions=rng.random() >= spec.fraction_non_relaying,
             forwards_future=rng.random() < spec.fraction_future_forwarders,
             echoes_future_to_sender=rng.random() < spec.fraction_future_echoers,

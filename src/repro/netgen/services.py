@@ -113,7 +113,6 @@ def mainnet_like(spec: Optional[MainnetSpec] = None) -> Tuple[Network, ServiceDi
         max_peers=spec.base.max_peers,
         outbound_dials=spec.base.outbound_dials,
         routing_table_capacity=spec.base.routing_table_capacity,
-        broadcast_interval=spec.base.broadcast_interval,
         latency=spec.base.latency,
     )
     network = generate_network(base)

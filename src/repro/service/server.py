@@ -103,7 +103,6 @@ class ServiceConfig:
     breaker_failure_threshold: int = 5
     breaker_cooldown: float = 5.0
     backoff_base: float = 0.2
-    backoff_factor: float = 2.0
     backoff_max: float = 30.0
     journal_fsync: bool = True
     #: Terminal records kept in memory per tenant; older ones are evicted
@@ -169,7 +168,6 @@ class MeasurementService:
             breaker=self.breaker,
             clock=self.clock,
             backoff_base=self.config.backoff_base,
-            backoff_factor=self.config.backoff_factor,
             backoff_max=self.config.backoff_max,
         )
         self.journal: Optional[JobJournal] = None

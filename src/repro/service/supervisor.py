@@ -284,6 +284,10 @@ JOB_KINDS: Dict[str, tuple] = {
 # ----------------------------------------------------------------------
 # Supervisor
 # ----------------------------------------------------------------------
+#: Each retry's backoff is this many times the one before (up to the cap).
+BACKOFF_FACTOR = 2.0
+
+
 class JobSupervisor:
     """Runs one job's attempt loop to a terminal state (thread context),
     each attempt on ``executor``.
@@ -302,7 +306,6 @@ class JobSupervisor:
         clock: Clock = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         backoff_base: float = 0.2,
-        backoff_factor: float = 2.0,
         backoff_max: float = 30.0,
         jitter_frac: float = 0.25,
     ) -> None:
@@ -313,7 +316,6 @@ class JobSupervisor:
         self.clock = clock
         self.sleep = sleep
         self.backoff_base = float(backoff_base)
-        self.backoff_factor = float(backoff_factor)
         self.backoff_max = float(backoff_max)
         self.jitter_frac = float(jitter_frac)
         self.retries_total = 0
@@ -323,7 +325,7 @@ class JobSupervisor:
         deterministic per-(job, attempt) jitter."""
         return backoff_delay(
             self.backoff_base,
-            self.backoff_factor,
+            BACKOFF_FACTOR,
             self.backoff_max,
             self.jitter_frac,
             attempt,

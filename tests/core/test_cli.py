@@ -105,6 +105,25 @@ class TestMeasure:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    def test_preset_is_the_campaign_network(self, monkeypatch, capsys):
+        """``--preset`` swaps the generic network for the testnet's shape
+        (the campaign is stopped before it runs: a preset world is large)."""
+        from repro.core import parallel_exec
+        from repro.errors import MeasurementError
+        from repro.netgen.ethereum import goerli_like
+
+        specs = []
+
+        def stop(spec, **_):
+            specs.append(spec)
+            raise MeasurementError("stopped")
+
+        monkeypatch.setattr(parallel_exec, "run_campaign", stop)
+        assert main(["measure", "--preset", "goerli", "--seed", "4"]) == 2
+        assert specs == [
+            parallel_exec.CampaignSpec(network=goerli_like(seed=4), repeats=1)
+        ]
+
 
 class TestOneAssemblyOrder:
     def test_cli_is_flags_to_spec_to_run_campaign(self, capsys, tmp_path):
@@ -120,29 +139,38 @@ class TestOneAssemblyOrder:
         from repro.sim.faults import FaultPlan, RpcFaultPlan
 
         out_json = tmp_path / "m.json"
+        metrics = tmp_path / "m.csv"
         assert (
             main(
                 [
                     "measure", "--nodes", "12", "--seed", "3", "--repeats", "2",
                     "--loss", "0.02", "--rpc-fault-rate", "0.2",
+                    "--rpc-rate-limit", "25", "--rpc-flap-rate", "0.005",
+                    "--rpc-raw-client", "--shards", "3",
                     "--byzantine-frac", "0.2", "--cross-validate", "2",
                     "--max-retries", "1",
                     "--output", str(out_json),
+                    "--metrics-out", str(metrics), "--metrics-format", "jsonl",
                 ]
             )
             == 0
         )
+        rpc = RpcFaultPlan.uniform(0.2, rate_limit_per_second=25, flap_rate=0.005)
         spec = CampaignSpec(
             network=NetworkSpec(n_nodes=12, seed=3),
             repeats=2,
             max_retries=1,
-            fault_plan=FaultPlan(loss_rate=0.02, rpc=RpcFaultPlan.uniform(0.2)),
+            fault_plan=FaultPlan(loss_rate=0.02, rpc=rpc),
+            n_shards=3,
             behaviors=BehaviorMix.uniform(0.2),
+            rpc_raw=True,
             cross_validate=2,
         )
         assert json.loads(out_json.read_text()) == measurement_to_dict(
             run_campaign(spec)
         )
+        # The format flag wins over the ``.csv`` suffix.
+        assert all(json.loads(line) for line in metrics.read_text().splitlines())
 
 
 class TestMeasureAdversarial:
@@ -326,6 +354,114 @@ class TestOneExecutor:
         assert resumed == reference
 
 
+class TestArena:
+    @pytest.mark.parametrize(
+        "mix", [["--byzantine-mix", "censor:0.1"], ["--byzantine-frac", "0.1"]],
+        ids=["mix", "frac"],
+    )
+    def test_flags_reach_the_scorecard_spec(self, mix, tmp_path, capsys):
+        import json
+
+        from repro.core.arena import ArenaSpec
+
+        out, metrics = tmp_path / "arena.json", tmp_path / "arena.metrics"
+        argv = [
+            "arena", "--nodes", "10", "--seed", "3", "--targets", "6",
+            "--outbound-dials", "4", "--protocols", "toposhot",
+            "--loss", "0.01", "--churn", "0.01", "--crash-rate", "0.001",
+            "--dethna-rounds", "6", "--ethna-txs", "30", "--timing-probes", "2",
+            "--output", str(out),
+            "--metrics-out", str(metrics), "--metrics-format", "prometheus",
+        ]
+        assert main(argv + mix) == 0
+        spec = ArenaSpec(
+            n_nodes=10, seed=3, n_targets=6, outbound_dials=4,
+            protocols=("toposhot",), loss_rate=0.01, churn_rate=0.01,
+            crash_rate=0.001, timing_probes=2, dethna_rounds=6, ethna_txs=30,
+            byzantine_spec="censor:0.1" if mix[0] == "--byzantine-mix" else None,
+            byzantine_frac=0.1 if mix[0] == "--byzantine-frac" else None,
+        )
+        assert json.loads(out.read_text())["spec"] == spec.to_dict()
+        assert metrics.read_text().startswith("# HELP ")
+
+
+class TestMonitor:
+    def test_flags_reach_the_rounds(self, tmp_path, capsys):
+        paths = {name: tmp_path / name for name in ("rounds.jsonl", "m.prom", "t")}
+        argv = [
+            "monitor", "--nodes", "10", "--seed", "3", "--targets", "6",
+            "--rounds", "1", "--churn", "0.2", "--fee-market",
+            "--workload", "steady", "--workload-rate", "500",
+            "--stream-out", str(paths["rounds.jsonl"]),
+            "--metrics-out", str(paths["m.prom"]), "--metrics-format", "csv",
+            "--trace-out", str(paths["t"]),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "workload: steady at 500 tx/s" in out
+        assert "edges among 6 targets" in out
+        assert "fee market: floor=" in out
+        assert len(paths["rounds.jsonl"].read_text().splitlines()) == 1
+        assert paths["m.prom"].read_text().startswith("name,")
+        assert paths["t"].read_text()
+
+    def test_stale_edges_are_reprobed_up_to_the_pair_budget(self, tmp_path, capsys):
+        """No churn, so only ``--staleness-ttl`` makes candidates; the
+        round probes ``--max-pairs`` of them."""
+        import json
+
+        stream = tmp_path / "rounds.jsonl"
+        argv = [
+            "monitor", "--nodes", "10", "--seed", "3", "--rounds", "1",
+            "--max-pairs", "3", "--stream-out", str(stream),
+        ]
+        for ttl, probed in (["--staleness-ttl", "1"], 3), ([], 0):
+            assert main(argv + ttl) == 0
+            assert json.loads(stream.read_text())["probed_pairs"] == probed
+
+    def test_workload_rate_without_a_workload_is_refused(self, capsys):
+        assert main(["monitor", "--nodes", "10", "--workload-rate", "500"]) == 2
+        assert capsys.readouterr().err == "--workload-rate requires --workload\n"
+
+
+class TestServe:
+    def test_typed_flags_win_over_the_config_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``--config`` fills what no flag sets; a typed flag is never
+        dropped for a file key."""
+        import json
+
+        import repro.service
+
+        runs = []
+        monkeypatch.setattr(
+            repro.service, "run_service", lambda config, obs: runs.append((config, obs))
+        )
+        path = tmp_path / "service.json"
+        path.write_text(json.dumps({
+            "host": "0.0.0.0", "port": 8545, "state_dir": str(tmp_path / "file"),
+            "max_concurrent": 1, "journal_fsync": False,
+            "default_quota": {"weight": 2},
+        }))
+        flags = [
+            "--host", "127.0.0.1", "--port", "0",
+            "--state-dir", str(tmp_path / "flag"), "--max-concurrent", "3",
+        ]
+        assert main(["serve", "--config", str(path), "--obs"] + flags) == 0
+        assert main(["serve", "--config", str(path)]) == 0
+        (typed, obs), (filed, no_obs) = runs
+        assert (typed.host, typed.port, typed.state_dir, typed.max_concurrent) == (
+            "127.0.0.1", 0, str(tmp_path / "flag"), 3
+        )
+        assert (filed.host, filed.port, filed.state_dir, filed.max_concurrent) == (
+            "0.0.0.0", 8545, str(tmp_path / "file"), 1
+        )
+        for config in (typed, filed):
+            assert not config.journal_fsync and config.default_quota.weight == 2
+        assert obs.enabled and not no_obs.enabled
+
+
 CAMPAIGN_COMMANDS = pytest.mark.parametrize(
     "command",
     [
@@ -424,7 +560,7 @@ class TestResumeErrors:
         ckpt = tmp_path / "c.json"
         ckpt.write_text("{not json")
         assert "cannot read checkpoint" in self._resume(ckpt, capsys)
-        ckpt.write_text('{"format_version": 3, "n_shards": 4}')
+        ckpt.write_text('{"format_version": 4, "n_shards": 4}')
         assert "malformed parallel checkpoint" in self._resume(ckpt, capsys)
 
     def test_version_1(self, tmp_path, capsys):

@@ -319,11 +319,13 @@ class TestCheckpointResume:
             ParallelCheckpoint.from_dict(payload)
 
     def test_version_1_checkpoint_refused(self):
-        """Format 2 is refused too: its fingerprint covered the retired
-        ``NetworkSpec.extra_config``, so no campaign of today matches it."""
+        """Formats 2 and 3 are refused too: their fingerprints covered
+        retired spec fields (``NetworkSpec.extra_config``; then
+        ``CampaignSpec.supernode_id`` and three ``NetworkSpec`` constants),
+        so no campaign of today matches them."""
         payload = ParallelCheckpoint(fingerprint="f" * 64, n_shards=2).to_dict()
-        assert payload["format_version"] == 3
-        for version in (1, 2):
+        assert payload["format_version"] == 4
+        for version in (1, 2, 3):
             payload["format_version"] = version
             with pytest.raises(CheckpointError, match=f"version {version}"):
                 ParallelCheckpoint.from_dict(payload)
@@ -394,7 +396,8 @@ class TestParentFormatCheckpoint:
     only, no ``detected`` / ``setup_ok`` keys): a finished ``--nodes 8``
     campaign, ``CampaignSpec(network=NetworkSpec(n_nodes=8, seed=0))``.
     Its header is format 2, whose fingerprint covered the retired
-    ``NetworkSpec.extra_config``; the records are read under today's."""
+    ``NetworkSpec.extra_config`` and the fields format 4 retired; the
+    records are read under today's."""
 
     SPEC = CampaignSpec(network=NetworkSpec(n_nodes=8, seed=0))
 
@@ -410,7 +413,13 @@ class TestParentFormatCheckpoint:
 
     def test_only_the_retired_knob_moved_the_fingerprint(self):
         payload = self.SPEC.to_dict()
-        payload["network"]["extra_config"] = {}
+        payload["supernode_id"] = "supernode-M"
+        payload["network"].update(
+            extra_config={},
+            custom_capacity_factor=2.2,
+            custom_bump=0.25,
+            broadcast_interval=0.02,
+        )
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         raw = json.loads(PARENT_CHECKPOINT.read_text())
         assert parallel_exec._hash_blake2b(canonical) == raw["fingerprint"]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.eth.network import Network
 from repro.netgen.ethereum import (
+    CUSTOM_BUMP,
     NetworkSpec,
     _bridge_components,
     generate_network,
@@ -31,6 +32,21 @@ class TestGeneration:
         edges_a = set(quick_network(25, seed=9).ground_truth_graph().edges())
         edges_b = set(quick_network(25, seed=9).ground_truth_graph().edges())
         assert edges_a == edges_b
+
+    def test_wiring_names_the_generator(self):
+        """``fast`` draws its links in another order than ``legacy`` (and
+        ``auto`` picks legacy below the threshold); both wire a connected
+        overlay."""
+        links = {}
+        for wiring in ("legacy", "fast", "auto"):
+            graph = generate_network(
+                NetworkSpec(n_nodes=60, seed=2, wiring=wiring)
+            ).ground_truth_graph()
+            assert nx.is_connected(graph)
+            links[wiring] = set(map(frozenset, graph.edges()))
+        assert links["auto"] == links["legacy"] != links["fast"]
+        with pytest.raises(ValueError, match="unknown wiring"):
+            generate_network(NetworkSpec(n_nodes=8, wiring="sparse"))
 
     def test_different_seeds_differ(self):
         edges_a = set(quick_network(25, seed=1).ground_truth_graph().edges())
@@ -75,6 +91,7 @@ class TestHeterogeneity:
             n_nodes=200,
             seed=7,
             fraction_custom_capacity=0.2,
+            fraction_custom_bump=0.2,
             fraction_non_relaying=0.2,
             fraction_future_forwarders=0.2,
             fraction_future_echoers=0.2,
@@ -84,6 +101,7 @@ class TestHeterogeneity:
         network = generate_network(spec)
         nodes = [network.node(nid) for nid in network.measurable_node_ids()]
         customs = sum(1 for n in nodes if n.config.policy.capacity > 256)
+        bumps = sum(1 for n in nodes if n.config.policy.replace_bump == CUSTOM_BUMP)
         silents = sum(1 for n in nodes if not n.config.relays_transactions)
         forwarders = sum(1 for n in nodes if n.config.forwards_future)
         echoers = sum(1 for n in nodes if n.config.echoes_future_to_sender)
@@ -91,13 +109,14 @@ class TestHeterogeneity:
         parity = sum(
             1 for n in nodes if n.config.client_version.startswith("OpenEthereum")
         )
-        for count in (customs, silents, forwarders, echoers, no_rpc, parity):
+        for count in (customs, bumps, silents, forwarders, echoers, no_rpc, parity):
             assert 15 <= count <= 70  # ~20% of 200, loose binomial bounds
 
     def test_hubs_have_high_degree(self):
-        spec = goerli_like(seed=8)
+        spec = goerli_like(seed=8, n_hubs=3)
         network = generate_network(spec)
-        hubs = [spec.node_id(i) for i in range(spec.n_hubs)]
+        hubs = [spec.node_id(i) for i in range(3)]
+        assert all(network.node(h).config.max_peers is None for h in hubs)
         graph = network.ground_truth_graph()
         hub_degrees = [graph.degree(h) for h in hubs]
         others = [

@@ -12,6 +12,7 @@ import contextlib
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cli import main as cli_main
 from repro.errors import ServiceError
 from repro.service import (
     MeasurementService,
@@ -266,6 +268,14 @@ MALFORMED_CAMPAIGNS = {
         "campaign": _campaign_payload(
             network={**_campaign_payload()["network"], "extra_config": {}}
         )
+    },
+    "a retired network constant": {
+        "campaign": _campaign_payload(
+            network={**_campaign_payload()["network"], "custom_bump": 0.25}
+        )
+    },
+    "a retired campaign constant": {
+        "campaign": _campaign_payload(supernode_id="supernode-M")
     },
     "no campaign at all": {"workers": 1},
     "workers not a number": {"campaign": _campaign_payload(), "workers": "many"},
@@ -715,21 +725,32 @@ class TestCrashRecovery:
 
 
 def _serve(state_dir) -> subprocess.Popen:
-    """``cli serve`` as its own process, found through its endpoint file."""
+    """``cli serve`` as its own process, found through its endpoint file.
+    Its config file turns journal fsyncs off and asks for one worker; the
+    typed ``--max-concurrent 2`` wins over that (the pool has two)."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     )}
+    config = Path(state_dir) / "serve.json"
+    config.write_text(json.dumps({"journal_fsync": False, "max_concurrent": 1}))
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve",
-         "--state-dir", str(state_dir), "--no-fsync"],
+        [sys.executable, "-m", "repro.cli", "serve", "--config", str(config),
+         "--state-dir", str(state_dir), "--host", "127.0.0.1",
+         "--port", str(port), "--max-concurrent", "2"],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
+    endpoint = Path(state_dir) / "endpoint.json"
     deadline = time.monotonic() + 60
-    while not (Path(state_dir) / "endpoint.json").exists():
+    while not endpoint.exists():
         assert process.poll() is None, "cli serve exited"
         assert time.monotonic() < deadline, "cli serve never bound"
         time.sleep(0.02)
+    bound = json.loads(endpoint.read_text())
+    assert (bound["host"], bound["port"]) == ("127.0.0.1", port)
     return process
 
 
@@ -868,6 +889,31 @@ def test_sigkilled_cli_serve_leaves_no_shard_worker_of_its_jobs(tmp_path):
         for pid in family:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
+
+
+def test_cli_submit_flags_reach_the_job(tmp_path, capsys):
+    """``submit`` builds the measure job its flags describe, finds the
+    service through ``--state-dir`` and, with ``--wait``, prints the
+    terminal record."""
+    from repro.core.parallel_exec import CampaignSpec
+    from repro.netgen.ethereum import NetworkSpec
+
+    argv = [
+        "submit", "--state-dir", str(tmp_path), "--tenant", "alice",
+        "--nodes", "8", "--seed", "3", "--repeats", "2", "--workers", "2",
+        "--deadline", "120", "--wait",
+    ]
+
+    async def main():
+        async with service(tmp_path):
+            return await asyncio.to_thread(cli_main, argv)
+
+    assert asyncio.run(main()) == 0
+    job = json.loads(capsys.readouterr().out)
+    assert job["state"] == "done"
+    assert job["spec"]["tenant"] == "alice" and job["spec"]["deadline"] == 120
+    campaign = CampaignSpec(network=NetworkSpec(n_nodes=8, seed=3), repeats=2)
+    assert job["spec"]["params"] == {"campaign": campaign.to_dict(), "workers": 2}
 
 
 class TestDispatchBookkeeping:

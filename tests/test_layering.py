@@ -657,3 +657,256 @@ def test_every_import_is_used():
             if name not in used
         ]
     assert not unused, "unused imports:\n" + "\n".join(sorted(unused))
+
+
+# Options (``command --flag`` for a CLI flag, ``Class.field`` for a field a
+# payload or ``serve --config`` file can set) that no test runs or sets,
+# kept on purpose.
+_UNRUN_BY_DESIGN = {}
+
+# The dataclasses a job payload or a ``serve --config`` file sets, by module.
+_SETTABLE_SPECS = {
+    "core/parallel_exec.py": "CampaignSpec",
+    "netgen/ethereum.py": "NetworkSpec",
+    "service/server.py": "ServiceConfig",
+    "service/limiter.py": "TenantQuota",
+}
+
+
+def _long_flags(call: ast.Call):
+    return [
+        arg.value
+        for arg in call.args
+        if isinstance(arg, ast.Constant) and str(arg.value).startswith("--")
+    ]
+
+
+def _parser_pairs(source: str):
+    """``command --flag`` for every long flag the parser in ``source`` adds:
+    on a subparser (``x = sub.add_parser("command")``), on one of its
+    argument groups, or in a helper a subparser or group is passed to."""
+    tree = ast.parse(source)
+    helpers = {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            params = {a.arg for a in fn.args.args}
+            helpers[fn.name] = [
+                flag
+                for call in ast.walk(fn)
+                if isinstance(call, ast.Call)
+                and _named(call.func) == "add_argument"
+                and _named(call.func.value) in params
+                for flag in _long_flags(call)
+            ]
+    owner = {}
+    assigns = sorted(
+        (n for n in ast.walk(tree) if isinstance(n, ast.Assign)),
+        key=lambda n: n.lineno,
+    )
+    for node in assigns:
+        call, target = node.value, _named(node.targets[0])
+        if not isinstance(call, ast.Call) or not isinstance(call.func, ast.Attribute):
+            continue
+        if call.func.attr == "add_parser" and isinstance(call.args[0], ast.Constant):
+            owner[target] = call.args[0].value
+        elif call.func.attr == "add_argument_group" and _named(call.func.value) in owner:
+            owner[target] = owner[_named(call.func.value)]
+    pairs = set()
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        if _named(call.func) == "add_argument" and isinstance(
+            call.func, ast.Attribute
+        ) and _named(call.func.value) in owner:
+            command = owner[_named(call.func.value)]
+            pairs.update(f"{command} {flag}" for flag in _long_flags(call))
+        elif isinstance(call.func, ast.Name) and call.func.id in helpers:
+            for arg in call.args:
+                if _named(arg) in owner:
+                    pairs.update(
+                        f"{owner[_named(arg)]} {flag}" for flag in helpers[call.func.id]
+                    )
+    return pairs
+
+
+def _spec_fields(sources):
+    """``Class.field`` for every field of the dataclasses ``sources`` maps
+    (class name -> module source) to."""
+    for name, source in sources.items():
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef) and cls.name == name:
+                yield from (f"{name}.{f}" for f, _ in _dataclass_fields(cls))
+
+
+def _definitions(body):
+    """Name -> node for the functions, classes and assigned names of a
+    module or class body."""
+    found = {}
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                found[_named(target)] = node
+    return found
+
+
+def _test_runs(source: str):
+    """For each test function in ``source``: whether it runs the CLI
+    (uses ``main`` imported from ``repro.cli``, or names ``repro.cli`` for
+    ``python -m``) and the string constants it names. A test names what
+    its body and decorators hold, and what the module-level and class-level
+    helpers and constants it refers to hold, transitively."""
+    tree = ast.parse(source)
+    mains = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "repro.cli"
+        for alias in node.names
+        if alias.name == "main"
+    }
+    module = _definitions(tree.body)
+    tests = [(fn, {}) for fn in tree.body]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            tests += [(fn, _definitions(cls.body)) for fn in cls.body]
+    for fn, members in tests:
+        if not (
+            isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and fn.name.startswith("test")
+        ):
+            continue
+        strings, runs, seen, stack = set(), False, {id(fn)}, [fn]
+        while stack:
+            for node in ast.walk(stack.pop()):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    strings.add(node.value)
+                elif isinstance(node, ast.Name) and node.id in mains:
+                    runs = True
+                refers = (
+                    members.get(node.attr) if isinstance(node, ast.Attribute)
+                    else module.get(node.id) if isinstance(node, ast.Name)
+                    else None
+                )
+                if refers is not None and id(refers) not in seen:
+                    seen.add(id(refers))
+                    stack.append(refers)
+        yield runs or "repro.cli" in strings, strings
+
+
+def _set_names(source: str):
+    """Every keyword argument name and every string dict key in ``source``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif isinstance(node, ast.Dict):
+            yield from (
+                k.value for k in node.keys
+                if isinstance(k, ast.Constant) and isinstance(k.value, str)
+            )
+
+
+def _settable_options(parser_source: str, spec_sources):
+    """Every option a user types or a payload sets: ``command --flag`` and
+    ``Class.field``."""
+    return sorted(_parser_pairs(parser_source)) + sorted(_spec_fields(spec_sources))
+
+
+def _option_law(parser_source, spec_sources, test_sources, allowed):
+    """``(unrun, stale)``: the options no test runs or sets that ``allowed``
+    does not list, and the ``allowed`` entries that some test does run or
+    set, or that are no option at all. A flag is run by a test function
+    that runs the CLI and names both its command and the flag; a field is
+    set by a keyword argument or a dict key of its name in any test."""
+    pairs = _parser_pairs(parser_source)
+    runs = [
+        strings for source in test_sources for ran, strings in _test_runs(source) if ran
+    ]
+    unrun = {
+        pair for pair in pairs if not any(set(pair.split(" ")) <= s for s in runs)
+    }
+    set_anywhere = {name for source in test_sources for name in _set_names(source)}
+    unrun.update(
+        key for key in _spec_fields(spec_sources)
+        if key.split(".", 1)[1] not in set_anywhere
+    )
+    return sorted(unrun - set(allowed)), sorted(set(allowed) - unrun)
+
+
+def _repo_options(repo: Path):
+    """The option law's inputs for this repository: the CLI's source, the
+    sources of the settable dataclasses, and every test module's source."""
+    src = repo / "src" / "repro"
+    return (
+        (src / "cli.py").read_text(encoding="utf-8"),
+        {
+            name: (src / module).read_text(encoding="utf-8")
+            for module, name in _SETTABLE_SPECS.items()
+        },
+        [p.read_text(encoding="utf-8") for p in sorted((repo / "tests").rglob("*.py"))],
+    )
+
+
+def test_every_option_has_a_run():
+    """An option no test runs is an option nobody knows composes: every
+    (command, flag) pair ``cli.py`` adds is named by a test that runs that
+    command, and every field of the settable dataclasses is set by some
+    test. Delete an option whose only value in use is its default, or
+    allow-list it with a reason. Like the caller law it matches names (a test naming the
+    command and the flag), not parsed argv: a tripwire, not a proof."""
+    repo = Path(repro.__file__).parents[2]
+    unrun, stale = _option_law(*_repo_options(repo), _UNRUN_BY_DESIGN)
+    assert not stale, f"allow-listed options that now have a run: {stale}"
+    assert not unrun, f"options no test runs or sets: {unrun}"
+
+
+_TINY_CLI = '''
+def _add_seed(group):
+    group.add_argument("--seed", type=int, default=0)
+
+
+def _build_parser():
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers(dest="command")
+    run = sub.add_parser("run")
+    _add_seed(run)
+    extra = run.add_argument_group("extra")
+    extra.add_argument("--never", action="store_true")
+    sub.add_parser("other")
+'''
+
+_TINY_SPEC = '''
+@dataclass
+class Spec:
+    size: int = 1
+    unset: int = 0
+'''
+
+_TINY_TESTS = '''
+from repro.cli import main
+
+ARGV = ["run", "--seed", "1"]
+
+
+def test_run_seeds():
+    assert main(ARGV) == 0
+    assert Spec(size=2).size == 2
+
+
+def test_other_names_never_but_runs_no_run():
+    assert main(["other", "--never"]) == 2
+'''
+
+
+def test_the_option_law_reports_what_no_test_runs_and_stale_entries():
+    """A flag named only by a test that runs another command is unrun (the
+    match is per test function), so is a field no test sets; an
+    allow-listed option that a test does run is stale."""
+    unrun, stale = _option_law(
+        _TINY_CLI, {"Spec": _TINY_SPEC}, [_TINY_TESTS], {"run --seed": "a reason"}
+    )
+    assert unrun == ["Spec.unset", "run --never"]
+    assert stale == ["run --seed"]
+    assert _settable_options(_TINY_CLI, {"Spec": _TINY_SPEC}) == [
+        "run --never", "run --seed", "Spec.size", "Spec.unset",
+    ]
