@@ -16,7 +16,12 @@ import math
 import pytest
 
 from benchmarks.harness import emit, run_once
-from repro.core.config import MeasurementConfig
+from repro.core.config import (
+    FLOOD_WAIT,
+    PROPAGATION_WAIT,
+    SETTLE_WAIT,
+    MeasurementConfig,
+)
 from repro.core.gas_estimator import estimate_y
 from repro.core.primitive import build_future_flood, rebid
 from repro.core.results import edge, score_edges
@@ -45,14 +50,14 @@ def probe_with_bump(bump: float, pairs, seed=19):
         y = estimate_y(supernode, config)
         tx_c = factory.transfer(wallet.fresh_account(), y)
         supernode.send_transactions(a, [tx_c])
-        network.run(config.flood_wait)
+        network.run(FLOOD_WAIT)
         flood = build_future_flood(wallet, factory, config.with_future_count(128), y)
         tx_b = rebid(factory, tx_c, config.price_b(y))
         supernode.send_transactions(b, [*flood, tx_b])
-        network.run(config.settle_wait)
+        network.run(SETTLE_WAIT)
         tx_a = rebid(factory, tx_c, int(math.ceil(y * (1.0 + bump))))
         supernode.send_transactions(a, [*flood, tx_a])
-        network.run(config.propagation_wait)
+        network.run(PROPAGATION_WAIT)
         if supernode.observed_from(b, tx_a.hash):
             detected.add(edge(a, b))
     return detected

@@ -71,7 +71,7 @@ JSON_PATH = RESULTS_DIR / "BENCH_service.json"
 # Gates (see docs/service.md).
 # Honest p99 under abuse vs the same clients uncontended. Committed
 # readings (results/service*.txt): full 138 ms vs 57 ms, 2.4x, so the full
-# run fails this gate (bound 114 ms); smoke 25 ms vs 21 ms, 1.19x (bound 42 ms).
+# run fails this gate (bound 114 ms); smoke 32 ms vs 27 ms, 1.21x (bound 54 ms).
 MAX_P99_RATIO = 2.0
 MAX_RECOVERY_S = 30.0   # restart -> every journaled job terminal
 MIN_CONCURRENCY_SPEEDUP = 1.4  # 2 worker processes vs 1, given two cores
@@ -83,8 +83,10 @@ SMOKE_SCENARIO = {
     "abusive_threads": 3,
     "recovery_queued": 6,
     "max_concurrent": 4,
-    "concurrency_jobs": 8,
-    "concurrency_nodes": 20,
+    # The full run's concurrency leg: a leg of ~2 s on one worker is too
+    # short for the speed-up gate to hold on a shared 2-core host.
+    "concurrency_jobs": 24,
+    "concurrency_nodes": 24,
 }
 FULL_SCENARIO = {
     "name": "full",

@@ -170,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="install the runtime invariant checker and report violations",
     )
     adversarial.add_argument(
-        "--cross-validate", type=int, default=None, metavar="N",
+        "--cross-validate", type=int, default=0, metavar="N",
         help="re-probe suspect edges up to N times; quarantine unconfirmed ones",
     )
     parallel = measure.add_argument_group(
@@ -401,7 +401,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     campaign = CampaignSpec(
         network=network_spec,
         repeats=args.repeats,
-        max_retries=args.max_retries or None,
+        max_retries=args.max_retries,
         fault_plan=plan if plan.enabled else None,
         n_shards=args.shards,
         behaviors=mix,

@@ -75,6 +75,9 @@ MEASURES: Dict[str, str] = {
 
 ARENA_FORMAT_VERSION = 1
 
+#: TopoShot's 1-of-n re-probes of each suspect edge in the arena.
+TOPOSHOT_CROSS_VALIDATE = 3
+
 
 @dataclass(frozen=True)
 class ArenaSpec:
@@ -96,9 +99,6 @@ class ArenaSpec:
     crash_rate: float = 0.0
     byzantine_spec: Optional[str] = None  # BehaviorMix.from_spec() string
     byzantine_frac: Optional[float] = None
-    toposhot_repeats: int = 1
-    toposhot_cross_validate: int = 3  # k=1-of-n re-probes for suspect edges
-    txprobe_wait: float = 3.0
     timing_probes: int = 3
     dethna_rounds: int = 12
     ethna_txs: int = 60
@@ -133,8 +133,7 @@ class ArenaSpec:
             behaviors=BehaviorMix.from_flags(
                 self.byzantine_spec, self.byzantine_frac
             ),
-            repeats=self.toposhot_repeats,
-            cross_validate=self.toposhot_cross_validate,
+            cross_validate=TOPOSHOT_CROSS_VALIDATE,
         )
 
     def to_dict(self) -> Dict[str, object]:
@@ -327,7 +326,7 @@ def _run_txprobe(network, supernode, targets, spec):
         for i in range(len(targets))
         for j in range(i + 1, len(targets))
     ]
-    survey = txprobe_survey(network, supernode, pairs, wait=spec.txprobe_wait)
+    survey = txprobe_survey(network, supernode, pairs)
     extras = {"pairs_probed": len(pairs)}
     return set(survey.detected), len(pairs), extras
 

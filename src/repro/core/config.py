@@ -1,8 +1,11 @@
 """Measurement configuration.
 
-Maps one-to-one onto the knobs of the paper's primitive
-``measureOneLink(A, B, X, Y, Z, R, U)`` plus the parallel-schedule and
-timing parameters of Sections 5.3 and 6.
+Of the paper's primitive ``measureOneLink(A, B, X, Y, Z, R, U)``, the
+knobs that vary per target client (Y, Z, R, U) are fields of
+:class:`MeasurementConfig`, with the repeat, retry, slot-budget and
+hardening settings of Sections 5.3 and 6. X and the other waits of the
+primitive are fixed values, so they are the module constants below
+(``FLOOD_WAIT`` is X).
 """
 
 from __future__ import annotations
@@ -14,7 +17,43 @@ from typing import Optional
 from repro.errors import MeasurementError, UnsupportedClientError
 from repro.eth.policies import GETH, MempoolPolicy
 from repro.eth.transaction import gwei
-from repro.resilience import backoff_delay
+
+#: ``X``: seconds to wait after planting ``txC`` so it floods the whole
+#: network (the paper calibrates X = 10 s; simulated networks flood
+#: faster, but the wait stays conservative).
+FLOOD_WAIT = 10.0
+#: Pause between Steps 2 and 3 of the serial primitive.
+SETTLE_WAIT = 2.0
+#: Pause before Step 4's check, covering the A->B hop.
+PROPAGATION_WAIT = 5.0
+#: Parallel p1: wait after seeding all txC transactions.
+SEED_WAIT = 3.0
+#: Seconds between consecutive per-node configuration packets in the
+#: parallel primitive. The paper's source-first ordering leaves a race
+#: window (txA broadcasts can reach still-unconfigured sinks); the gap
+#: times how fast the window closes, which is what makes recall fall for
+#: large groups (Figure 4b).
+PARALLEL_SEND_GAP = 0.005
+#: Nonce distance guaranteeing flood transactions stay future.
+FUTURE_NONCE_GAP = 1_000_000
+#: Ambient median price when a run neither sets ``Y`` nor finds a pending
+#: transaction to estimate it from.
+DEFAULT_GAS_PRICE_Y = gwei(1.0)
+#: Simulated seconds to wait before the first probe retry; each further
+#: retry doubles the wait (exponential backoff, so a crashed target has
+#: time to come back).
+RETRY_BACKOFF = 1.0
+RETRY_BACKOFF_FACTOR = 2.0
+#: Simulated seconds burned when an injection attempt times out (the
+#: supernode waits out its RPC deadline before giving up).
+SEND_TIMEOUT = 2.0
+
+
+def retry_delay(attempt: int) -> float:
+    """Simulated seconds to wait before probe retry ``attempt``
+    (1-based): the uncapped, unjittered geometric ``RETRY_BACKOFF *
+    RETRY_BACKOFF_FACTOR**(n-1)``. Never a wall-clock sleep."""
+    return RETRY_BACKOFF * RETRY_BACKOFF_FACTOR ** (attempt - 1)
 
 
 @dataclass(frozen=True)
@@ -23,10 +62,6 @@ class MeasurementConfig:
 
     Attributes
     ----------
-    flood_wait:
-        ``X``: seconds to wait after planting ``txC`` so it floods the whole
-        network (the paper calibrates X = 10 s; our simulated networks
-        flood faster, but the default stays conservative).
     gas_price_y:
         ``Y`` in wei/gas, or ``None`` to estimate the median pending price
         from the measurement node's own mempool before each run (§5.2.1).
@@ -42,18 +77,6 @@ class MeasurementConfig:
         ``U``: future transactions are spread over ``ceil(Z/U)`` accounts.
         ``None`` (unlimited) uses a single account, like the paper does for
         Besu and (almost) Geth.
-    settle_wait:
-        Pause between Steps 2 and 3 of the serial primitive.
-    propagation_wait:
-        Pause before Step 4's check, covering the A->B hop.
-    seed_wait:
-        Parallel p1: wait after seeding all txC transactions.
-    parallel_send_gap:
-        Seconds between consecutive per-node configuration packets in the
-        parallel primitive. The paper's source-first ordering leaves a race
-        window (txA broadcasts can reach still-unconfigured sinks); the gap
-        times how fast the window closes, which is what makes recall fall
-        for large groups (Figure 4b).
     repeats:
         Measurements per link; the union of positives is reported (§5.2.3's
         passive recall improvement, 3 in the paper's validation).
@@ -63,25 +86,15 @@ class MeasurementConfig:
         links and ``measurePar`` rounds alike) grants when a still-
         undetected pair reports a *setup failure* (the injection never
         took hold — crashed target, lost packets, send timeout) or an
-        ambiguous verdict. Retries do not consume repeats; 0 (default)
-        restores the seed behaviour exactly. Probe retries only: a crashed
-        shard worker is not retried (its shard runs in the driver).
-    retry_backoff:
-        Simulated seconds to wait before the first retry; each further
-        retry multiplies the wait by ``retry_backoff_factor`` (exponential
-        backoff, so a crashed target has time to come back).
-    retry_backoff_factor:
-        Growth factor of the retry wait (>= 1).
-    send_timeout:
-        Simulated seconds burned when an injection attempt times out
-        (the supernode waits out its RPC deadline before giving up).
+        ambiguous verdict, after :func:`retry_delay`. Retries do not
+        consume repeats; 0 (default) restores the seed behaviour exactly.
+        Probe retries only: a crashed shard worker is not retried (its
+        shard runs again in the campaign's own process).
     mempool_slots_budget:
         Max mempool slots the measurement may occupy on targets; the paper
         bounds interference with 2000 of 5120 slots and derives the group
         size ``K = budget / N`` from it (§5.3.2). The schedule emits no
         ``measurePar`` round with more edges than this.
-    future_nonce_gap:
-        Nonce distance guaranteeing flood transactions stay future.
     hardened:
         Byzantine-aware verdicts (default on): a positive additionally
         requires the RPC cross-check (``txA`` actually present in the
@@ -92,41 +105,26 @@ class MeasurementConfig:
         bit-identical to the unhardened pipeline; disable only to
         demonstrate the degradation (``bench_robustness_adversarial``).
     cross_validate:
-        ``n`` of the k-of-n cross-validation for *suspect* edges (those
+        ``n`` of the 1-of-n cross-validation for *suspect* edges (those
         whose evidence shows a broken isolation envelope): each suspect
-        is re-probed serially up to ``n`` times and kept only if at
-        least ``cross_validate_k`` probes confirm direct adjacency
-        (RPC-confirmed positive whose sink demonstrated possession to
-        the supernode no later than any third party — see
-        ``repro.core.primitive.confirmed_direct``); edges failing the bar move
-        to the measurement's quarantine set. 0 (default) disables the
-        extra probes — suspects are kept but downgraded to ``suspect``
-        confidence.
-    cross_validate_k:
-        Confirming probes required to keep a suspect edge (``k``,
-        default 1 — see ``with_cross_validation``).
+        is re-probed serially up to ``n`` times and kept as soon as one
+        probe confirms direct adjacency (RPC-confirmed positive whose
+        sink demonstrated possession to the supernode no later than any
+        third party — see ``repro.core.primitive.confirmed_direct``);
+        edges no probe confirms move to the measurement's quarantine set.
+        0 (default) disables the extra probes — suspects are kept but
+        downgraded to ``suspect`` confidence.
     """
 
-    flood_wait: float = 10.0
     gas_price_y: Optional[int] = None
-    default_gas_price_y: int = gwei(1.0)
     future_count: int = GETH.capacity
     replace_bump: float = GETH.replace_bump
     future_per_account: Optional[int] = GETH.future_limit_per_account
-    settle_wait: float = 2.0
-    propagation_wait: float = 5.0
-    seed_wait: float = 3.0
-    parallel_send_gap: float = 0.005
     repeats: int = 1
     max_retries: int = 0
-    retry_backoff: float = 1.0
-    retry_backoff_factor: float = 2.0
-    send_timeout: float = 2.0
     mempool_slots_budget: int = 2000
-    future_nonce_gap: int = 1_000_000
     hardened: bool = True
     cross_validate: int = 0
-    cross_validate_k: int = 1
 
     def __post_init__(self) -> None:
         if self.replace_bump <= 0:
@@ -144,32 +142,10 @@ class MeasurementConfig:
             raise MeasurementError(
                 f"max_retries must be >= 0 (0 disables retries), got {self.max_retries}"
             )
-        if self.retry_backoff < 0:
-            raise MeasurementError(
-                f"retry_backoff must be a non-negative wait in seconds, got "
-                f"{self.retry_backoff}"
-            )
         if self.cross_validate < 0:
             raise MeasurementError(
                 f"cross_validate must be >= 0 (0 disables), got "
                 f"{self.cross_validate}"
-            )
-        if self.cross_validate_k < 1 or (
-            self.cross_validate and self.cross_validate_k > self.cross_validate
-        ):
-            raise MeasurementError(
-                f"cross_validate_k must satisfy 1 <= k <= n, got "
-                f"k={self.cross_validate_k} n={self.cross_validate}"
-            )
-        if self.retry_backoff_factor < 1.0:
-            raise MeasurementError(
-                f"retry_backoff_factor must be >= 1 (backoff never shrinks), got "
-                f"{self.retry_backoff_factor}"
-            )
-        if self.send_timeout < 0:
-            raise MeasurementError(
-                f"send_timeout must be a non-negative wait in seconds, got "
-                f"{self.send_timeout}"
             )
 
     # ------------------------------------------------------------------
@@ -237,47 +213,16 @@ class MeasurementConfig:
     def with_repeats(self, repeats: int) -> "MeasurementConfig":
         return replace(self, repeats=repeats)
 
-    def with_retries(
-        self,
-        max_retries: int,
-        backoff: Optional[float] = None,
-        factor: Optional[float] = None,
-    ) -> "MeasurementConfig":
+    def with_retries(self, max_retries: int) -> "MeasurementConfig":
         """Copy with retry-with-backoff enabled for setup failures."""
-        updates: dict = {"max_retries": max_retries}
-        if backoff is not None:
-            updates["retry_backoff"] = backoff
-        if factor is not None:
-            updates["retry_backoff_factor"] = factor
-        return replace(self, **updates)
-
-    def retry_delay(self, attempt: int) -> float:
-        """Simulated seconds to wait before probe retry ``attempt``
-        (1-based): the uncapped, unjittered geometric ``retry_backoff *
-        retry_backoff_factor**(n-1)``. Never a wall-clock sleep."""
-        return backoff_delay(
-            self.retry_backoff, self.retry_backoff_factor, math.inf, 0.0, attempt, ""
-        )
+        return replace(self, max_retries=max_retries)
 
     def with_hardening(self, enabled: bool) -> "MeasurementConfig":
         return replace(self, hardened=enabled)
 
-    def with_cross_validation(
-        self, n: int, k: Optional[int] = None
-    ) -> "MeasurementConfig":
-        """Copy with k-of-n cross-validation of suspect edges enabled.
-
-        ``k`` defaults to 1: a genuine edge only has to win the timing
-        race once in ``n`` probes (the race is biased against it — the
-        sink must beat *every* third-party observer, and each probe
-        redraws per-message latencies), while a relay-chain false
-        positive must get lucky at least once against strictly positive
-        one-way delays. Raising ``k`` buys more precision at a steep
-        recall cost under heavy Byzantine presence.
-        """
-        if k is None:
-            k = 1
-        return replace(self, cross_validate=n, cross_validate_k=k)
+    def with_cross_validation(self, n: int) -> "MeasurementConfig":
+        """Copy with 1-of-``n`` cross-validation of suspect edges enabled."""
+        return replace(self, cross_validate=n)
 
     def with_gas_price(self, y: Optional[int]) -> "MeasurementConfig":
         return replace(self, gas_price_y=y)

@@ -8,7 +8,7 @@ before every measurement study and obtain Y dynamically."
 
 from __future__ import annotations
 
-from repro.core.config import MeasurementConfig
+from repro.core.config import DEFAULT_GAS_PRICE_Y, MeasurementConfig
 from repro.eth.node import Node
 
 
@@ -17,7 +17,7 @@ def estimate_y(measurement_node: Node, config: MeasurementConfig) -> int:
 
     Order of precedence: an explicit ``config.gas_price_y``; the median
     pending gas price observed in the measurement node's own mempool; and
-    finally ``config.default_gas_price_y`` on an empty pool (the
+    finally ``DEFAULT_GAS_PRICE_Y`` on an empty pool (the
     "underwhelmed testnet" situation of Section 6.2.1, where background
     transactions must be injected before measuring).
 
@@ -32,7 +32,7 @@ def estimate_y(measurement_node: Node, config: MeasurementConfig) -> int:
     if median is not None and median > 0:
         y = median
     else:
-        y = config.default_gas_price_y
+        y = DEFAULT_GAS_PRICE_Y
     return clamp_y_to_fee_floor(measurement_node, config, y)
 
 

@@ -35,7 +35,12 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.config import MeasurementConfig
+from repro.core.config import (
+    PARALLEL_SEND_GAP,
+    PROPAGATION_WAIT,
+    SEED_WAIT,
+    MeasurementConfig,
+)
 from repro.core.gas_estimator import estimate_y
 from repro.core.primitive import (
     _known,
@@ -176,7 +181,7 @@ def measure_par(
     entry_peers = peer_ids[::step][: max(1, min(3, len(peer_ids) - 1))]
     for peer_id in entry_peers:
         inject(supernode, peer_id, seed_batch, report)
-    network.run(config.seed_wait)
+    network.run(SEED_WAIT)
 
     # Isolation precondition: a txC that failed to take hold anywhere (e.g.
     # pools had no below-Y headroom left) cannot shield its edge, so the
@@ -196,7 +201,7 @@ def measure_par(
     report.flood_senders.extend({tx.sender for tx in flood})
 
     # p2: configure sources, spaced by the send gap.
-    gap = config.parallel_send_gap
+    gap = PARALLEL_SEND_GAP
     for index, source in enumerate(sources):
         own = [tx_a[pair] for pair in active if pair[0] == source]
         others = [tx_c[pair] for pair in active if pair[0] != source]
@@ -218,7 +223,7 @@ def measure_par(
             label=f"p3:{sink}",
         )
 
-    network.run((offset + len(sinks)) * gap + config.propagation_wait)
+    network.run((offset + len(sinks)) * gap + PROPAGATION_WAIT)
 
     # p4: detection, by the one verdict (repro.core.primitive.verdict).
     for pair in active:

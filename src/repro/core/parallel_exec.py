@@ -73,7 +73,7 @@ from repro.sim.rng import spawn_seed
 
 PathLike = Union[str, Path]
 
-PARALLEL_CHECKPOINT_VERSION = 4
+PARALLEL_CHECKPOINT_VERSION = 5
 
 # Default shard-plan granularity: enough slices to keep a typical pool busy
 # without shrinking slices below the per-shard reset cost. Deliberately NOT
@@ -117,15 +117,15 @@ class CampaignSpec:
     prefill: bool = True
     preprocess: bool = True
     group_size: Optional[int] = None
-    repeats: Optional[int] = None
-    max_retries: Optional[int] = None
+    repeats: int = 1
+    max_retries: int = 0
     future_count: Optional[int] = None
     fault_plan: Optional[FaultPlan] = None
     validate: bool = True
     n_shards: Optional[int] = None
     behaviors: Optional[BehaviorMix] = None
     rpc_raw: bool = False
-    cross_validate: Optional[int] = None
+    cross_validate: int = 0
 
     def __post_init__(self) -> None:
         # Specs arrive from service clients: refuse overrides no
@@ -137,14 +137,19 @@ class CampaignSpec:
         return self.network.seed
 
     def measurement_config(self, base: MeasurementConfig) -> MeasurementConfig:
-        """``base`` with every override this spec carries applied (override
-        fields are named after the config fields they set)."""
-        overrides = {
-            name: getattr(self, name)
-            for name in ("repeats", "max_retries", "future_count", "cross_validate")
-            if getattr(self, name) is not None
-        }
-        return replace(base, **overrides)
+        """``base`` with this spec's repeat, retry and cross-validation
+        budgets, and its Z when it sets one (``None`` keeps the target
+        policy's L)."""
+        overrides = {}
+        if self.future_count is not None:
+            overrides["future_count"] = self.future_count
+        return replace(
+            base,
+            repeats=self.repeats,
+            max_retries=self.max_retries,
+            cross_validate=self.cross_validate,
+            **overrides,
+        )
 
     def to_dict(self) -> dict:
         """JSON form, derived from the dataclass fields so a field added

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import MeasurementConfig
+from repro.core.config import FUTURE_NONCE_GAP, MeasurementConfig
 from repro.core.gas_estimator import estimate_y
 from repro.core.primitive import cleanup, inject, measure_one_link, probe_wallet
 from repro.errors import RpcError, RpcUnavailableError
@@ -162,7 +162,7 @@ def detect_future_forwarders(
         probe = factory.future(
             wallet.fresh_account(prefix="fwdprobe"),
             gas_price=config.price_future(y),
-            nonce_gap=config.future_nonce_gap,
+            nonce_gap=FUTURE_NONCE_GAP,
         )
         if inject(supernode, node_id, [probe]):
             probes[node_id] = probe.hash

@@ -27,7 +27,15 @@ from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.adaptive import flood_room
-from repro.core.config import MeasurementConfig
+from repro.core.config import (
+    FLOOD_WAIT,
+    FUTURE_NONCE_GAP,
+    PROPAGATION_WAIT,
+    SEND_TIMEOUT,
+    SETTLE_WAIT,
+    MeasurementConfig,
+    retry_delay,
+)
 from repro.core.gas_estimator import estimate_y
 from repro.core.results import EdgeEvidence, keep_stronger
 from repro.errors import NotConnectedError, SendTimeoutError
@@ -61,7 +69,7 @@ def confirmed_direct(record: EdgeEvidence, extra_observed_at: Optional[float]) -
     after that party does. A sink whose possession arrives no later than
     every third party's therefore cannot sit behind a relay chain.
     Per-message latency noise makes one race fallible both ways; the
-    campaign amplifies it k-of-n (see ``MeasurementConfig.cross_validate``).
+    campaign amplifies it 1-of-n (see ``MeasurementConfig.cross_validate``).
     """
     if not (record.detected and record.rpc_confirmed):
         return False
@@ -94,7 +102,7 @@ def build_future_flood(
                 factory.future(
                     account,
                     gas_price=price,
-                    nonce_gap=config.future_nonce_gap,
+                    nonce_gap=FUTURE_NONCE_GAP,
                     index=index,
                 )
             )
@@ -282,7 +290,7 @@ def measure_one_link(
     def send_failed(tx_a_hash: str = "", flood_confirmed: bool = False) -> EdgeEvidence:
         # The injection itself died (timeout, churned supernode link): wait
         # out the timeout budget and fail the setup — never the link.
-        network.run(config.send_timeout)
+        network.run(SEND_TIMEOUT)
         return EdgeEvidence(
             source=a_id,
             sink=b_id,
@@ -302,7 +310,7 @@ def measure_one_link(
         network.invariants.guard_isolation(tx_c.hash, frozenset((a_id, b_id)))
     if not inject(supernode, a_id, [tx_c]):
         return send_failed()
-    network.run(config.flood_wait)
+    network.run(FLOOD_WAIT)
     flood_confirmed = supernode.observed_from(b_id, tx_c.hash)
 
     # Step 2: evict txC on B and slot txB in its place.
@@ -310,14 +318,14 @@ def measure_one_link(
     tx_b = rebid(factory, tx_c, config.price_b(y))
     if not inject(supernode, b_id, [tx_b], flood=flood_b):
         return send_failed(flood_confirmed=flood_confirmed)
-    network.run(config.settle_wait)
+    network.run(SETTLE_WAIT)
 
     # Step 3: evict txC on A and slot txA in its place. The paper re-uses
     # the same future set {txO1..txOZ} for both targets.
     tx_a = rebid(factory, tx_c, config.price_a(y))
     if not inject(supernode, a_id, [tx_a], flood=flood_b):
         return send_failed(tx_a.hash, flood_confirmed)
-    network.run(config.propagation_wait)
+    network.run(PROPAGATION_WAIT)
 
     # Step 4: did B demonstrably possess txA? Setup diagnostics use the
     # eth_getTransactionByHash validation of Section 6.1 (a node never
@@ -362,7 +370,7 @@ def probe_with_repeats(
 
     - a still-undetected pair failed set-up (crashed endpoint, lost
       injection, send timeout) and retry budget is left: wait
-      ``config.retry_delay(n)`` (time for a restart, a reconnect) and go
+      ``retry_delay(n)`` (time for a restart, a reconnect) and go
       again without consuming a repeat;
     - else one came back ambiguous and budget is left: go again at once;
     - else consume a repeat.
@@ -391,7 +399,7 @@ def probe_with_repeats(
         if retries_left > 0 and not all(outcome.setup_ok for outcome in missed):
             retries_left -= 1
             setup_retries += 1
-            network.run(config.retry_delay(setup_retries))
+            network.run(retry_delay(setup_retries))
         elif retries_left > 0 and any(outcome.ambiguous for outcome in missed):
             retries_left -= 1
         else:

@@ -51,6 +51,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.eth.node import Node
 
 
+#: Fraction of the watermark a transaction must bid to be *buffered* at
+#: all. Strictly below 1.0 leaves headroom so steady-state refill traffic
+#: drawn from the same price distribution keeps clearing the floor (no
+#: ratchet).
+ADMISSION_DISCOUNT = 0.9
+#: Pool fill fraction above which surge pricing engages.
+TARGET_OCCUPANCY = 0.8
+#: Multiplier applied to the *quote* (not the admission floor) when
+#: sampled pools are at 100% occupancy; surge ramps linearly from 1.0 at
+#: ``TARGET_OCCUPANCY``.
+MAX_SURGE = 4.0
+#: Retained ``(time, floor, surge, occupancy)`` samples for post-hoc
+#: surge-band verification
+#: (:func:`repro.core.noninterference.check_surge_band`).
+HISTORY_LIMIT = 4096
+
+
 @dataclass(frozen=True)
 class FeeMarketConfig:
     """Knobs of the live fee market (see ``docs/workloads.md``).
@@ -63,49 +80,22 @@ class FeeMarketConfig:
         The pool-watermark percentile the dynamic floor tracks — the same
         "living on borrowed time" quantile as
         :func:`repro.core.adaptive.pool_waterline`.
-    admission_discount:
-        Fraction of the watermark a transaction must bid to be *buffered*
-        at all. Strictly below 1.0 leaves headroom so steady-state refill
-        traffic drawn from the same price distribution keeps clearing the
-        floor (no ratchet); 1.0 means "beat the watermark exactly".
-    target_occupancy:
-        Pool fill fraction above which surge pricing engages.
-    max_surge:
-        Multiplier applied to the *quote* (not the admission floor) when
-        sampled pools are at 100% occupancy; surge ramps linearly from 1.0
-        at ``target_occupancy``.
     update_interval:
         Minimum simulated seconds between floor recomputations (the lazy
         pull cadence).
-    history_limit:
-        Bounded count of retained ``(time, floor, surge, occupancy)``
-        samples for post-hoc surge-band verification
-        (:func:`repro.core.noninterference.check_surge_band`).
     """
 
     min_floor: int = 10**8  # 0.1 gwei
     floor_percentile: float = 0.1
-    admission_discount: float = 0.9
-    target_occupancy: float = 0.8
-    max_surge: float = 4.0
     update_interval: float = 1.0
-    history_limit: int = 4096
 
     def __post_init__(self) -> None:
         if self.min_floor < 0:
             raise MempoolError("min_floor must be non-negative")
         if not 0 <= self.floor_percentile < 1:
             raise MempoolError("floor_percentile must be in [0, 1)")
-        if not 0 < self.admission_discount <= 1:
-            raise MempoolError("admission_discount must be in (0, 1]")
-        if not 0 < self.target_occupancy < 1:
-            raise MempoolError("target_occupancy must be in (0, 1)")
-        if self.max_surge < 1.0:
-            raise MempoolError("max_surge must be >= 1.0")
         if self.update_interval <= 0:
             raise MempoolError("update_interval must be positive")
-        if self.history_limit < 1:
-            raise MempoolError("history_limit must be >= 1")
 
 
 class FeeMarket:
@@ -240,19 +230,17 @@ class FeeMarket:
         if watermarks:
             watermarks.sort()
             watermark = watermarks[len(watermarks) // 2]
-            floor = max(cfg.min_floor, int(watermark * cfg.admission_discount))
+            floor = max(cfg.min_floor, int(watermark * ADMISSION_DISCOUNT))
         else:
             floor = cfg.min_floor
         # Surge multiplier: 1.0 up to the target occupancy, then a linear
-        # ramp to max_surge at 100%. Surge prices the *quote*, never the
+        # ramp to MAX_SURGE at 100%. Surge prices the *quote*, never the
         # admission floor — see the module docstring for the ratchet this
         # avoids.
-        if occupancy > cfg.target_occupancy:
-            span = 1.0 - cfg.target_occupancy
-            surge = 1.0 + (occupancy - cfg.target_occupancy) / span * (
-                cfg.max_surge - 1.0
-            )
-            surge = min(cfg.max_surge, surge)
+        if occupancy > TARGET_OCCUPANCY:
+            span = 1.0 - TARGET_OCCUPANCY
+            surge = 1.0 + (occupancy - TARGET_OCCUPANCY) / span * (MAX_SURGE - 1.0)
+            surge = min(MAX_SURGE, surge)
         else:
             surge = 1.0
         self.occupancy = occupancy
@@ -263,8 +251,8 @@ class FeeMarket:
         self.last_update = now
         history = self.history
         history.append((now, self.floor, surge, occupancy))
-        if len(history) > cfg.history_limit:
-            del history[: len(history) - cfg.history_limit]
+        if len(history) > HISTORY_LIMIT:
+            del history[: len(history) - HISTORY_LIMIT]
 
     # ------------------------------------------------------------------
     # Snapshot/reset (see repro.eth.network.Network.snapshot)

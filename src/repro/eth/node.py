@@ -8,7 +8,7 @@ Models exactly the behaviours TopoShot's correctness argument depends on
   and announced by hash to the rest;
 - **announcement protocol**: a peer receiving an announcement requests the
   transaction unless it already has it or requested it within the last
-  ``announce_hold`` seconds (5 s in Geth);
+  ``ANNOUNCE_HOLD`` seconds (5 s in Geth);
 - **future transactions are buffered but never forwarded** (the non-default
   ``forwards_future`` flag models the misbehaving testnet nodes the paper's
   pre-processing phase filters out);
@@ -16,7 +16,7 @@ Models exactly the behaviours TopoShot's correctness argument depends on
   back to the peer it came from, bounded like Geth's 32k known-tx cache so
   memory stays flat over long campaigns;
 - **batched broadcast**: outgoing pushes are flushed every
-  ``broadcast_interval`` seconds in one ``Transactions`` packet per peer,
+  ``BROADCAST_INTERVAL`` seconds in one ``Transactions`` packet per peer,
   like Geth's broadcast loop.
 
 Blocks are forwarded eagerly; on arrival a node advances its confirmed
@@ -89,6 +89,15 @@ class KnownTxCache(dict):
         return dropped
 
 
+#: Seconds a requested announcement is held: a node does not request an
+#: announced transaction again within this long (5 s in Geth).
+ANNOUNCE_HOLD = 5.0
+#: Seconds between flushes of the batched broadcast loop.
+BROADCAST_INTERVAL = 0.02
+#: The network id every simulated node reports (``admin_nodeInfo``).
+NETWORK_ID = 1
+
+
 @dataclass(frozen=True)
 class NodeConfig:
     """Behavioural knobs of one node.
@@ -103,15 +112,11 @@ class NodeConfig:
     max_peers: Optional[int] = 50
     push_to_all: bool = False
     announce_only: bool = False  # Bitcoin-style: no direct pushes at all
-    announce_enabled: bool = True
-    announce_hold: float = 5.0
-    broadcast_interval: float = 0.02
     relays_transactions: bool = True
     forwards_future: bool = False
     echoes_future_to_sender: bool = False  # Rinkeby quirk (Appendix D)
     responds_to_rpc: bool = True
     client_version: str = "Geth/v1.9.25-stable"
-    network_id: int = 1
     known_tx_limit: Optional[int] = 32768
 
 
@@ -200,8 +205,6 @@ class Node:
         # Immutable-config hot-path caches (NodeConfig is frozen).
         config = self.config
         self._known_tx_limit = config.known_tx_limit
-        self._announce_hold = config.announce_hold
-        self._broadcast_interval = config.broadcast_interval
         self._relays_transactions = config.relays_transactions
         self._forwards_future = config.forwards_future
         self._echoes_future = config.echoes_future_to_sender
@@ -558,7 +561,7 @@ class Node:
             # first, bodies on request, never unsolicited pushes.
             push_targets: List[Tuple[str, int]] = []
             announce_targets = unaware
-        elif config.push_to_all or not config.announce_enabled:
+        elif config.push_to_all:
             push_targets = unaware
             announce_targets = []
         else:
@@ -606,9 +609,7 @@ class Node:
                     bucket.append(tx_hash)
         if not self._flush_scheduled:
             self._flush_scheduled = True
-            self.sim.schedule(
-                self._broadcast_interval, self._flush, self._flush_label
-            )
+            self.sim.schedule(BROADCAST_INTERVAL, self._flush, self._flush_label)
 
     def _flush(self) -> None:
         self._flush_scheduled = False
@@ -655,7 +656,7 @@ class Node:
         bit = self._peer_bits.get(from_id, 0)
         wanted: List[str] = []
         now = self.sim.now
-        hold = self._announce_hold
+        hold = ANNOUNCE_HOLD
         requested = self._announce_requested
         requested_get = requested.get
         # Membership against the mempool's primary hash index directly:

@@ -32,7 +32,7 @@ Three layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import (
@@ -46,7 +46,7 @@ from repro.errors import (
     RpcTransientError,
     RpcUnavailableError,
 )
-from repro.eth.node import Node
+from repro.eth.node import NETWORK_ID, Node
 from repro.eth.transaction import Transaction
 from repro.resilience import CircuitBreaker, backoff_delay
 
@@ -141,7 +141,7 @@ class RpcServer:
         return {
             "id": self.node.id,
             "client": self.node.config.client_version,
-            "network": self.node.config.network_id,
+            "network": NETWORK_ID,
             "maxPeers": self.node.config.max_peers,
             "activePeers": self.node.degree,
         }
@@ -216,62 +216,63 @@ class RpcEndpoint:
 # ----------------------------------------------------------------------
 # Resilient client
 # ----------------------------------------------------------------------
+#: Per-attempt deadline in simulated seconds; a timed-out attempt burns
+#: this much waiting. ``txpool_content`` dumps are slow and get longer.
+DEADLINE = 2.0
+METHOD_DEADLINES: Mapping[str, float] = {"txpool_content": 5.0}
+#: Exponential backoff between attempts, ``min(BACKOFF_MAX, BACKOFF_BASE *
+#: BACKOFF_FACTOR**(n-1))`` stretched by up to ``JITTER_FRAC``, the jitter
+#: seeded from ``(endpoint, method, attempt)`` — same seed, same waits,
+#: bit-identical reruns.
+BACKOFF_BASE = 0.25
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 4.0
+JITTER_FRAC = 0.5
+#: A hedged read races a second request after this long instead of
+#: waiting out the full deadline, so a timeout costs ``HEDGE_DELAY`` (it
+#: sits below every deadline) rather than the deadline.
+HEDGE_DELAY = 0.5
+#: Seconds an endpoint's open circuit breaker skips it.
+BREAKER_COOLDOWN = 30.0
+#: EMA weight of the per-endpoint health score (1 = perfect); endpoints
+#: under ``MIN_HEALTH`` land on skip lists and lose candidate priority.
+HEALTH_ALPHA = 0.3
+MIN_HEALTH = 0.2
+
+
 @dataclass(frozen=True)
 class RpcClientPolicy:
-    """Every knob of the hardened client, in one validated bundle.
+    """The stance of the hardened client: what :data:`HARDENED_POLICY` and
+    :data:`RAW_POLICY` set apart. Deadlines, backoff, hedge delay, breaker
+    cooldown and health scoring are the module constants above.
 
     Attributes
     ----------
     max_attempts:
         Total tries per logical call (first attempt + retries).
-    deadline:
-        Default per-attempt deadline in simulated seconds; a timed-out
-        attempt burns this much waiting.
-    method_deadlines:
-        Per-method overrides (``txpool_content`` dumps are slow).
-    backoff_base / backoff_factor / backoff_max / jitter_frac:
-        Exponential backoff between attempts, with deterministic jitter
-        seeded from ``(endpoint, method, attempt)`` — same seed, same
-        waits, bit-identical reruns.
-    hedge_methods / hedge_delay:
+    hedge_methods:
         Pool and head reads race a hedged second request after
-        ``hedge_delay`` instead of waiting out the full deadline, so a
-        timeout costs ``hedge_delay`` rather than ``deadline``.
-    breaker_threshold / breaker_cooldown:
-        Per-endpoint circuit breaker (the PR 6 three-state machine run on
-        simulated time): after ``breaker_threshold`` consecutive
-        failures the endpoint is skipped for ``breaker_cooldown`` seconds.
-    health_alpha / min_health:
-        EMA health score per endpoint (1 = perfect); endpoints under
-        ``min_health`` land on skip lists and lose candidate priority.
+        ``HEDGE_DELAY`` instead of waiting out the full deadline.
+    breaker_threshold:
+        Per-endpoint circuit breaker (:class:`repro.resilience.CircuitBreaker`
+        run on simulated time): after ``breaker_threshold`` consecutive
+        failures the endpoint is skipped for ``BREAKER_COOLDOWN`` seconds.
     comply_with_rate_limits:
         Honor 429 ``retry_after`` hints (wait, never hammer).
     failure_means_negative:
         The *unhardened* stance: an unanswerable lookup is reported as
-        ``False`` (the silent false negative this PR exists to kill)
+        ``False`` (the silent false negative the hardened client avoids)
         instead of ``None`` (unknown → degrade to suspect).
     """
 
     max_attempts: int = 4
-    deadline: float = 2.0
-    method_deadlines: Mapping[str, float] = field(
-        default_factory=lambda: {"txpool_content": 5.0}
-    )
-    backoff_base: float = 0.25
-    backoff_factor: float = 2.0
-    backoff_max: float = 4.0
-    jitter_frac: float = 0.5
     hedge_methods: Tuple[str, ...] = (
         "txpool_status",
         "txpool_content",
         "eth_blockNumber",
         "eth_getTransactionByHash",
     )
-    hedge_delay: float = 0.5
     breaker_threshold: int = 5
-    breaker_cooldown: float = 30.0
-    health_alpha: float = 0.3
-    min_health: float = 0.2
     comply_with_rate_limits: bool = True
     failure_means_negative: bool = False
 
@@ -282,24 +283,6 @@ class RpcClientPolicy:
             raise MeasurementError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.deadline <= 0:
-            raise MeasurementError(f"deadline must be positive, got {self.deadline}")
-        for name in ("backoff_base", "backoff_factor", "backoff_max", "hedge_delay"):
-            if getattr(self, name) <= 0:
-                raise MeasurementError(
-                    f"{name} must be positive, got {getattr(self, name)}"
-                )
-        if not 0.0 <= self.jitter_frac <= 1.0:
-            raise MeasurementError(
-                f"jitter_frac must be in [0, 1], got {self.jitter_frac}"
-            )
-        if not 0.0 < self.health_alpha <= 1.0:
-            raise MeasurementError(
-                f"health_alpha must be in (0, 1], got {self.health_alpha}"
-            )
-
-    def deadline_for(self, method: str) -> float:
-        return self.method_deadlines.get(method, self.deadline)
 
 
 #: The default stance: measure *through* the weather.
@@ -362,7 +345,7 @@ class ResilientRpcClient:
         if br is None:
             br = self._breakers[node_id] = CircuitBreaker(
                 failure_threshold=self.policy.breaker_threshold,
-                cooldown=self.policy.breaker_cooldown,
+                cooldown=BREAKER_COOLDOWN,
                 clock=self.network.sim.clock,
             )
         return br
@@ -378,7 +361,7 @@ class ResilientRpcClient:
         pre-processing skip lists and candidate de-prioritization."""
         flagged = set()
         for nid, score in self._health.items():
-            if score < self.policy.min_health:
+            if score < MIN_HEALTH:
                 flagged.add(nid)
         for nid, br in self._breakers.items():
             if br.state != CircuitBreaker.CLOSED:
@@ -386,21 +369,19 @@ class ResilientRpcClient:
         return sorted(flagged)
 
     def _bump_health(self, node_id: str, outcome: float) -> None:
-        alpha = self.policy.health_alpha
         prev = self._health.get(node_id, 1.0)
-        self._health[node_id] = (1.0 - alpha) * prev + alpha * outcome
+        self._health[node_id] = (1.0 - HEALTH_ALPHA) * prev + HEALTH_ALPHA * outcome
 
     def _sleep(self, delay: float) -> None:
         if delay > 0:
             self.network.run(delay)
 
     def _backoff_delay(self, node_id: str, method: str, attempt: int) -> float:
-        p = self.policy
         return backoff_delay(
-            p.backoff_base,
-            p.backoff_factor,
-            p.backoff_max,
-            p.jitter_frac,
+            BACKOFF_BASE,
+            BACKOFF_FACTOR,
+            BACKOFF_MAX,
+            JITTER_FRAC,
             attempt,
             f"{node_id}:{method}:{attempt}",
         )
@@ -436,7 +417,7 @@ class ResilientRpcClient:
         if policy.comply_with_rate_limits:
             self._sleep(self._next_allowed.get(node_id, 0.0) - self.network.sim.now)
 
-        deadline = policy.deadline_for(method)
+        deadline = METHOD_DEADLINES.get(method, DEADLINE)
         # ``last`` outlives its except clause, so it is kept without its
         # traceback: the traceback holds this frame, which holds ``last``,
         # and that cycle would keep every caller's frame (floods and all)
@@ -467,11 +448,11 @@ class ResilientRpcClient:
                 last = exc.with_traceback(None)
                 breaker.record_failure()
                 self._bump_health(node_id, 0.0)
-                if method in policy.hedge_methods and policy.hedge_delay < deadline:
+                if method in policy.hedge_methods:
                     # The hedged twin was already in flight: we only paid
                     # the hedge delay, and the next attempt goes now.
                     self.hedges_total += 1
-                    self._sleep(policy.hedge_delay)
+                    self._sleep(HEDGE_DELAY)
                     continue
                 self._sleep(deadline)
             except (RpcTransientError, RpcConnectionError) as exc:

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError
 from repro.eth.network import Network
+from repro.eth.node import NodeConfig
 from repro.netgen.ethereum import NetworkSpec, generate_network
 
 # Paper-reported backend-node counts, and the scaled counts we simulate.
@@ -39,7 +40,7 @@ PAPER_SERVICE_COUNTS: Dict[str, int] = {
     "SrvM6": 1,
 }
 
-DEFAULT_SCALED_COUNTS: Dict[str, int] = {
+SCALED_SERVICE_COUNTS: Dict[str, int] = {
     "SrvR1": 5,
     "SrvR2": 1,
     "SrvM1": 5,
@@ -50,22 +51,20 @@ DEFAULT_SCALED_COUNTS: Dict[str, int] = {
     "SrvM6": 1,
 }
 
+#: Pool size of the scaled mainnet's regular nodes.
+MAINNET_CAPACITY = 192
+
 RELAY_SERVICES = ("SrvR1", "SrvR2")
 POOL_SERVICES = ("SrvM1", "SrvM2", "SrvM3", "SrvM4", "SrvM5", "SrvM6")
 
 
 @dataclass(frozen=True)
 class MainnetSpec:
-    """Scaled mainnet: regular nodes plus service backends."""
+    """Scaled mainnet: regular nodes plus the service backends of
+    :data:`SCALED_SERVICE_COUNTS`."""
 
     n_regular: int = 70
     seed: int = 0
-    service_counts: Dict[str, int] = field(
-        default_factory=lambda: dict(DEFAULT_SCALED_COUNTS)
-    )
-    base: NetworkSpec = field(
-        default_factory=lambda: NetworkSpec(name="mainnet", mempool_capacity=192)
-    )
 
 
 @dataclass
@@ -108,18 +107,14 @@ def mainnet_like(spec: Optional[MainnetSpec] = None) -> Tuple[Network, ServiceDi
     base = NetworkSpec(
         n_nodes=spec.n_regular,
         seed=spec.seed,
-        name=spec.base.name,
-        mempool_capacity=spec.base.mempool_capacity,
-        max_peers=spec.base.max_peers,
-        outbound_dials=spec.base.outbound_dials,
-        routing_table_capacity=spec.base.routing_table_capacity,
-        latency=spec.base.latency,
+        name="mainnet",
+        mempool_capacity=MAINNET_CAPACITY,
     )
     network = generate_network(base)
     rng = network.sim.rng.stream("mainnet-services")
 
     directory = ServiceDirectory()
-    for service, count in spec.service_counts.items():
+    for service, count in SCALED_SERVICE_COUNTS.items():
         ids: List[str] = []
         for index in range(count):
             node_id = f"{service.lower()}-{index}"
@@ -127,11 +122,10 @@ def mainnet_like(spec: Optional[MainnetSpec] = None) -> Tuple[Network, ServiceDi
             config = network.node(base.node_id(0)).config
             node = network.create_node(
                 node_id,
-                config.__class__(
+                NodeConfig(
                     policy=config.policy,
                     max_peers=None,  # services accept many peers
                     push_to_all=config.push_to_all,
-                    broadcast_interval=config.broadcast_interval,
                     client_version=version,
                 ),
             )

@@ -235,7 +235,7 @@ def node_seconds_cost(spec: JobSpec) -> float:
     """
     if spec.kind == KIND_MEASURE:
         campaign, _ = measure_params(spec)
-        return float(max(1, campaign.network.n_nodes) * (campaign.repeats or 1))
+        return float(max(1, campaign.network.n_nodes) * campaign.repeats)
     if spec.kind == KIND_SYNTHETIC:
         return float(max(1, int(spec.params.get("steps", 1))))
     return 1.0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.campaign import TopoShot
+from repro.core.config import FUTURE_NONCE_GAP
 from repro.eth.network import Network
 from repro.eth.node import NodeConfig
 from repro.eth.policies import GETH
@@ -189,7 +190,7 @@ class TestOnePerProbeConfig:
 
             def recording_send(peer_id, txs):
                 futures = [
-                    tx for tx in txs if tx.nonce >= shot.config.future_nonce_gap
+                    tx for tx in txs if tx.nonce >= FUTURE_NONCE_GAP
                 ]
                 if futures:
                     room = flood_room(network.node(peer_id), futures[0].gas_price)

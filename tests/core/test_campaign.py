@@ -358,7 +358,7 @@ class TestCheckpointRoundTrip:
 
         original = self._checkpoint()
         payload = json.loads(json.dumps(original.to_dict()))  # through JSON
-        assert payload["format_version"] == PARALLEL_CHECKPOINT_VERSION == 4
+        assert payload["format_version"] == PARALLEL_CHECKPOINT_VERSION == 5
         # Observer payloads ride only when an observer ran.
         assert "invariants" in payload["completed"]["0"]
         assert "invariants" not in payload["completed"]["2"]

@@ -120,9 +120,7 @@ class TestMeasure:
 
         monkeypatch.setattr(parallel_exec, "run_campaign", stop)
         assert main(["measure", "--preset", "goerli", "--seed", "4"]) == 2
-        assert specs == [
-            parallel_exec.CampaignSpec(network=goerli_like(seed=4), repeats=1)
-        ]
+        assert specs == [parallel_exec.CampaignSpec(network=goerli_like(seed=4))]
 
 
 class TestOneAssemblyOrder:
@@ -556,11 +554,26 @@ class TestResumeErrors:
             ckpt, capsys, extra=["--repeats", "2"]
         )
 
+    def test_a_library_checkpoint_resumes_from_the_cli(self, tmp_path, capsys):
+        """The library's default campaign and the CLI's flag defaults are one
+        ``CampaignSpec``: a checkpoint ``run_campaign`` writes is the same
+        campaign for ``measure --resume``."""
+        from repro.core.parallel_exec import CampaignSpec, run_campaign
+        from repro.netgen.ethereum import NetworkSpec
+
+        ckpt = tmp_path / "c.json"
+        run_campaign(
+            CampaignSpec(network=NetworkSpec(n_nodes=10, seed=3)),
+            checkpoint_path=ckpt,
+        )
+        assert main(self.BASE + ["--checkpoint", str(ckpt), "--resume"]) == 0
+        assert "cannot resume" not in capsys.readouterr().err
+
     def test_malformed(self, tmp_path, capsys):
         ckpt = tmp_path / "c.json"
         ckpt.write_text("{not json")
         assert "cannot read checkpoint" in self._resume(ckpt, capsys)
-        ckpt.write_text('{"format_version": 4, "n_shards": 4}')
+        ckpt.write_text('{"format_version": 5, "n_shards": 4}')
         assert "malformed parallel checkpoint" in self._resume(ckpt, capsys)
 
     def test_version_1(self, tmp_path, capsys):

@@ -1,8 +1,16 @@
 """Tests for MeasurementConfig price bands and derived parameters."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.config import MeasurementConfig
+from repro.core.config import (
+    RETRY_BACKOFF,
+    RETRY_BACKOFF_FACTOR,
+    SEND_TIMEOUT,
+    MeasurementConfig,
+    retry_delay,
+)
 from repro.errors import MeasurementError, UnsupportedClientError
 from repro.eth.policies import ALETH, BESU, GETH, NETHERMIND, PARITY
 
@@ -114,30 +122,39 @@ class TestRetryFields:
     def test_defaults_disable_retries(self):
         config = MeasurementConfig()
         assert config.max_retries == 0
-        assert config.retry_backoff_factor >= 1.0
+        assert RETRY_BACKOFF_FACTOR >= 1.0
 
     def test_with_retries_builder(self):
-        config = MeasurementConfig().with_retries(3, backoff=0.5, factor=3.0)
+        config = MeasurementConfig().with_retries(3)
         assert config.max_retries == 3
-        assert config.retry_backoff == 0.5
-        assert config.retry_backoff_factor == 3.0
+        assert [retry_delay(n) for n in (1, 2, 3)] == [
+            RETRY_BACKOFF,
+            RETRY_BACKOFF * RETRY_BACKOFF_FACTOR,
+            RETRY_BACKOFF * RETRY_BACKOFF_FACTOR**2,
+        ]
 
     def test_with_retries_keeps_other_backoff_fields(self):
         config = MeasurementConfig().with_retries(2)
-        assert config.retry_backoff == MeasurementConfig().retry_backoff
+        assert replace(config, max_retries=0) == MeasurementConfig()
 
     def test_negative_max_retries_rejected(self):
         with pytest.raises(MeasurementError, match="max_retries"):
             MeasurementConfig(max_retries=-1)
 
+    # The backoff and the send timeout are constants now: each holds the
+    # range its retired field was validated to, and the retired keyword
+    # is refused rather than ignored.
     def test_negative_backoff_rejected(self):
-        with pytest.raises(MeasurementError, match="retry_backoff"):
+        assert RETRY_BACKOFF >= 0
+        with pytest.raises(TypeError, match="retry_backoff"):
             MeasurementConfig(retry_backoff=-0.1)
 
     def test_shrinking_backoff_factor_rejected(self):
-        with pytest.raises(MeasurementError, match="retry_backoff_factor"):
+        assert RETRY_BACKOFF_FACTOR >= 1.0
+        with pytest.raises(TypeError, match="retry_backoff_factor"):
             MeasurementConfig(retry_backoff_factor=0.5)
 
     def test_negative_send_timeout_rejected(self):
-        with pytest.raises(MeasurementError, match="send_timeout"):
+        assert SEND_TIMEOUT >= 0
+        with pytest.raises(TypeError, match="send_timeout"):
             MeasurementConfig(send_timeout=-1.0)

@@ -1,10 +1,10 @@
 """Tests for Y estimation (Section 5.2.1)."""
 
-from repro.core.config import MeasurementConfig
+from repro.core.config import DEFAULT_GAS_PRICE_Y, MeasurementConfig
 from repro.core.gas_estimator import estimate_y
 from repro.eth.node import Node, NodeConfig
 from repro.eth.policies import GETH
-from repro.eth.transaction import Transaction, gwei
+from repro.eth.transaction import Transaction
 from repro.sim.engine import Simulator
 
 
@@ -33,5 +33,4 @@ class TestEstimateY:
 
     def test_empty_pool_falls_back_to_default(self):
         node = node_with_prices([])
-        config = MeasurementConfig(default_gas_price_y=gwei(2.0))
-        assert estimate_y(node, config) == gwei(2.0)
+        assert estimate_y(node, MeasurementConfig()) == DEFAULT_GAS_PRICE_Y

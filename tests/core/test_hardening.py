@@ -56,17 +56,49 @@ class TestConfig:
         assert MeasurementConfig().cross_validate == 0
 
     def test_with_cross_validation_defaults_k_to_one(self):
+        """k is one (``TestCrossValidationLoop``): the builder takes ``n``
+        alone."""
         config = MeasurementConfig().with_cross_validation(3)
         assert config.cross_validate == 3
-        assert config.cross_validate_k == 1
+        with pytest.raises(TypeError):
+            MeasurementConfig().with_cross_validation(3, 2)
 
     def test_invalid_cross_validation_refused(self):
         with pytest.raises(MeasurementError):
             MeasurementConfig(cross_validate=-1)
-        with pytest.raises(MeasurementError):
+        with pytest.raises(TypeError, match="cross_validate_k"):
             MeasurementConfig(cross_validate=2, cross_validate_k=3)
-        with pytest.raises(MeasurementError):
-            MeasurementConfig(cross_validate_k=0)
+
+
+class TestCrossValidationLoop:
+    """1-of-n: the first probe that confirms direct adjacency keeps a
+    suspect edge; ``n`` probes that never do quarantine it."""
+
+    @pytest.mark.parametrize(
+        "script,kept,probes",
+        [
+            (("no", "yes", "yes"), True, 2),
+            (("no", "no", "no"), False, 3),
+            (("sick", "no", "no", "no"), False, 4),  # a sick plane re-probes free
+        ],
+    )
+    def test_the_first_confirming_probe_keeps_the_edge(
+        self, monkeypatch, script, kept, probes
+    ):
+        import repro.core.campaign as campaign
+
+        shot = TopoShot.attach(quick_network(n_nodes=6, seed=1))
+        shot.config = shot.config.with_cross_validation(3)
+        records = [
+            probe(
+                detected=True, rpc_confirmed=step == "yes", rpc_degraded=step == "sick"
+            )
+            for step in script
+        ]
+        monkeypatch.setattr(campaign, "cleanup", lambda *args: None)
+        monkeypatch.setattr(campaign, "measure_one_link", lambda *args: records.pop(0))
+        assert shot._cross_validate_edge("a", "b") is kept
+        assert len(script) - len(records) == probes
 
 
 class TestProbeVerdicts:

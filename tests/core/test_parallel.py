@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.campaign import TopoShot
-from repro.core.config import MeasurementConfig
+from repro.core.config import RETRY_BACKOFF, RETRY_BACKOFF_FACTOR, MeasurementConfig
 from repro.core.parallel import measure_par, measure_par_with_repeats
 from repro.core.results import edge
 from repro.core.schedule import build_schedule
@@ -171,17 +171,13 @@ class TestRetryBackoff:
 
     PAIRS = [("a", "b"), ("a", "c")]
 
-    @pytest.mark.parametrize("backoff,factor", [(1.0, 2.0), (0.5, 3.0)])
+    @pytest.mark.parametrize("backoff,factor", [(RETRY_BACKOFF, RETRY_BACKOFF_FACTOR)])
     def test_setup_failures_wait_out_the_geometric_schedule(
         self, measured_network, monkeypatch, backoff, factor
     ):
         network, supernode, _ = measured_network
         rounds = scripted_rounds(monkeypatch, setup_ok=False)
-        config = (
-            MeasurementConfig()
-            .with_repeats(2)
-            .with_retries(3, backoff=backoff, factor=factor)
-        )
+        config = MeasurementConfig().with_repeats(2).with_retries(3)
         expected, wait = network.sim.now, backoff
         for _ in range(3):
             expected += wait
@@ -196,7 +192,7 @@ class TestRetryBackoff:
     ):
         network, supernode, _ = measured_network
         rounds = scripted_rounds(monkeypatch, rpc_degraded=True)
-        config = MeasurementConfig().with_repeats(2).with_retries(3, backoff=5.0)
+        config = MeasurementConfig().with_repeats(2).with_retries(3)
         measure_par_with_repeats(network, supernode, self.PAIRS, config)
         assert len(rounds) == 3 + 2
         assert set(rounds) == {network.sim.now}  # the clock never moved

@@ -319,13 +319,14 @@ class TestCheckpointResume:
             ParallelCheckpoint.from_dict(payload)
 
     def test_version_1_checkpoint_refused(self):
-        """Formats 2 and 3 are refused too: their fingerprints covered
+        """Formats 2 to 4 are refused too: their fingerprints covered
         retired spec fields (``NetworkSpec.extra_config``; then
-        ``CampaignSpec.supernode_id`` and three ``NetworkSpec`` constants),
-        so no campaign of today matches them."""
+        ``CampaignSpec.supernode_id`` and three ``NetworkSpec`` constants)
+        or ``None`` repeat/retry/cross-validation budgets, so no campaign
+        of today matches them."""
         payload = ParallelCheckpoint(fingerprint="f" * 64, n_shards=2).to_dict()
-        assert payload["format_version"] == 4
-        for version in (1, 2, 3):
+        assert payload["format_version"] == 5
+        for version in (1, 2, 3, 4):
             payload["format_version"] = version
             with pytest.raises(CheckpointError, match=f"version {version}"):
                 ParallelCheckpoint.from_dict(payload)
@@ -396,8 +397,9 @@ class TestParentFormatCheckpoint:
     only, no ``detected`` / ``setup_ok`` keys): a finished ``--nodes 8``
     campaign, ``CampaignSpec(network=NetworkSpec(n_nodes=8, seed=0))``.
     Its header is format 2, whose fingerprint covered the retired
-    ``NetworkSpec.extra_config`` and the fields format 4 retired; the
-    records are read under today's."""
+    ``NetworkSpec.extra_config``, the fields format 4 retired and the
+    ``None`` budgets format 5 made integers; the records are read under
+    today's."""
 
     SPEC = CampaignSpec(network=NetworkSpec(n_nodes=8, seed=0))
 
@@ -414,6 +416,7 @@ class TestParentFormatCheckpoint:
     def test_only_the_retired_knob_moved_the_fingerprint(self):
         payload = self.SPEC.to_dict()
         payload["supernode_id"] = "supernode-M"
+        payload.update(repeats=None, max_retries=None, cross_validate=None)
         payload["network"].update(
             extra_config={},
             custom_capacity_factor=2.2,

@@ -8,7 +8,7 @@ known failure modes (larger pools, custom bumps, silent nodes).
 
 import pytest
 
-from repro.core.config import MeasurementConfig
+from repro.core.config import RETRY_BACKOFF, RETRY_BACKOFF_FACTOR, MeasurementConfig
 from repro.core.gas_estimator import estimate_y
 from repro.core.primitive import (
     build_future_flood,
@@ -268,14 +268,14 @@ class TestRebid:
 
 
 class TestRetryBackoff:
-    @pytest.mark.parametrize("backoff,factor", [(1.0, 2.0), (0.5, 3.0)])
+    @pytest.mark.parametrize("backoff,factor", [(RETRY_BACKOFF, RETRY_BACKOFF_FACTOR)])
     def test_setup_retry_waits_are_the_geometric_schedule(
         self, measured_network, monkeypatch, backoff, factor
     ):
-        """The setup-failure retry loop waits ``backoff * factor**k`` via
-        ``resilience.backoff_delay``; for the factors in use the simulated
-        clock after three retries is float-identical to accumulating the
-        wait by repeated multiplication (what the loop used to spell)."""
+        """The setup-failure retry loop waits ``RETRY_BACKOFF *
+        RETRY_BACKOFF_FACTOR**k`` (``core.config.retry_delay``); the
+        simulated clock after three retries is float-identical to
+        accumulating the wait by repeated multiplication."""
         import repro.core.primitive as primitive
 
         network, supernode, _ = measured_network
@@ -286,7 +286,7 @@ class TestRetryBackoff:
         monkeypatch.setattr(
             primitive, "measure_one_link", lambda *args, **kwargs: failed
         )
-        config = MeasurementConfig().with_retries(3, backoff=backoff, factor=factor)
+        config = MeasurementConfig().with_retries(3)
         expected, wait = network.sim.now, backoff
         for _ in range(3):
             expected += wait
@@ -334,7 +334,7 @@ class TestOneLoopAtKOne:
         import repro.core.parallel as parallel
         import repro.core.primitive as primitive
 
-        config = MeasurementConfig().with_repeats(2).with_retries(2, backoff=1.5)
+        config = MeasurementConfig().with_repeats(2).with_retries(2)
 
         def run(drive):
             network, supernode = self.world()

@@ -4,12 +4,31 @@ split, mempool admission wiring, and snapshot round-trips."""
 import pytest
 
 from repro.errors import MempoolError
-from repro.eth.fee_market import FeeMarket, FeeMarketConfig, min_measurement_y
+from repro.eth.fee_market import (
+    ADMISSION_DISCOUNT,
+    HISTORY_LIMIT,
+    MAX_SURGE,
+    TARGET_OCCUPANCY,
+    FeeMarket,
+    FeeMarketConfig,
+    min_measurement_y,
+)
 from repro.eth.mempool import AddOutcome, Mempool
 from repro.eth.policies import GETH
 from repro.eth.transaction import TransactionFactory, gwei
 from repro.netgen.ethereum import quick_network
 from repro.netgen.workloads import prefill_mempools
+
+
+# Knobs that became constants of ``eth/fee_market.py``: each constant holds
+# the range the knob was validated to, and a config naming the knob is
+# refused rather than ignored.
+RETIRED_KNOBS = {
+    "admission_discount": 0 < ADMISSION_DISCOUNT <= 1,
+    "target_occupancy": 0 < TARGET_OCCUPANCY < 1,
+    "max_surge": MAX_SURGE >= 1.0,
+    "history_limit": HISTORY_LIMIT >= 1,
+}
 
 
 class TestConfigValidation:
@@ -29,13 +48,15 @@ class TestConfigValidation:
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):
-        with pytest.raises(MempoolError):
+        (knob,) = kwargs
+        assert RETIRED_KNOBS.get(knob, True)
+        with pytest.raises(TypeError if knob in RETIRED_KNOBS else MempoolError):
             FeeMarketConfig(**kwargs)
 
     def test_defaults_valid(self):
         config = FeeMarketConfig()
         assert config.min_floor > 0
-        assert config.max_surge >= 1.0
+        assert MAX_SURGE >= 1.0
 
 
 class TestMinMeasurementY:
@@ -128,7 +149,7 @@ class TestDynamicFloorAndSurge:
         # Full pools around gwei(1): the discounted low-percentile
         # watermark sits well above the configured minimum.
         assert floor > market.config.min_floor
-        assert market.occupancy > market.config.target_occupancy
+        assert market.occupancy > TARGET_OCCUPANCY
 
     def test_surge_prices_the_quote_not_the_floor(self):
         network = self._market_network()
@@ -136,7 +157,7 @@ class TestDynamicFloorAndSurge:
         now = network.sim.now + market.config.update_interval
         floor = market.floor_for(now)
         quote = market.quote_for(now)
-        assert market.surge == pytest.approx(market.config.max_surge)
+        assert market.surge == pytest.approx(MAX_SURGE)
         assert quote == int(floor * market.surge)
         assert quote > floor
 
@@ -182,13 +203,15 @@ class TestDynamicFloorAndSurge:
 
     def test_history_bounded_and_trajectory_filtered(self):
         network = quick_network(6, seed=3)
-        market = FeeMarket(FeeMarketConfig(history_limit=5, update_interval=1.0))
+        market = FeeMarket(FeeMarketConfig(update_interval=1.0))
         network.install_fee_market(market)
-        for step in range(12):
+        for step in range(HISTORY_LIMIT + 7):
             market.floor_for(float(step))
-        assert len(market.history) == 5
-        window = market.floor_trajectory(9.0, 10.0)
-        assert [entry[0] for entry in window] == [9.0, 10.0]
+        assert len(market.history) == HISTORY_LIMIT
+        assert market.history[0][0] == 7.0
+        last = float(HISTORY_LIMIT + 6)
+        window = market.floor_trajectory(last - 2.0, last - 1.0)
+        assert [entry[0] for entry in window] == [last - 2.0, last - 1.0]
 
     def test_determinism(self):
         def trajectory():

@@ -4,7 +4,7 @@ non-forwarding, known-tx de-duplication."""
 
 from repro.eth.messages import NewPooledTransactionHashes, Transactions
 from repro.eth.network import Network
-from repro.eth.node import NodeConfig
+from repro.eth.node import ANNOUNCE_HOLD, NodeConfig
 from repro.eth.policies import GETH
 from repro.eth.transaction import Transaction, gwei
 
@@ -89,7 +89,7 @@ class TestPushPropagation:
 
 class TestKnownTxTracking:
     def test_no_push_back_to_origin(self, wallet, factory):
-        network = make_chain_network(2, push_to_all=True, announce_enabled=False)
+        network = make_chain_network(2, push_to_all=True)
         sender, receiver = network.node("n0"), network.node("n1")
         tx = factory.transfer(wallet.fresh_account(), gas_price=gwei(1))
         sender.submit_transaction(tx)
@@ -138,7 +138,7 @@ class TestAnnouncements:
 
     def test_hold_expires_and_allows_rerequest(self, wallet, factory):
         network = Network(seed=5)
-        config = NodeConfig(policy=GETH.scaled(64), announce_hold=5.0)
+        config = NodeConfig(policy=GETH.scaled(64))
         for name in ("target", "x", "y"):
             network.create_node(name, config)
         network.connect("target", "x")
@@ -146,7 +146,7 @@ class TestAnnouncements:
         tx = factory.transfer(wallet.fresh_account(), gas_price=gwei(1))
         target = network.node("target")
         target.handle_message("x", NewPooledTransactionHashes(hashes=(tx.hash,)))
-        network.run(6.0)  # hold expired, body never arrived
+        network.run(ANNOUNCE_HOLD + 1.0)  # hold expired, body never arrived
         target.handle_message("y", NewPooledTransactionHashes(hashes=(tx.hash,)))
         network.run(1.0)
         assert network.messages_by_kind.get("GetPooledTransactions", 0) == 2
@@ -179,7 +179,7 @@ class TestAnnouncements:
 
 class TestBatching:
     def test_pushes_are_batched_per_peer(self, wallet, factory):
-        network = make_chain_network(2, push_to_all=True, announce_enabled=False)
+        network = make_chain_network(2, push_to_all=True)
         txs = [
             factory.transfer(wallet.fresh_account(), gas_price=gwei(1))
             for _ in range(10)

@@ -6,7 +6,7 @@ the tool degrades the way the paper predicts — never with false positives.
 
 
 from repro.core.campaign import TopoShot
-from repro.core.config import MeasurementConfig
+from repro.core.config import FLOOD_WAIT, MeasurementConfig
 from repro.core.primitive import measure_one_link
 from repro.eth.miner import Miner
 from repro.eth.network import Network
@@ -175,6 +175,6 @@ class TestChurnDuringMeasurement:
         config = MeasurementConfig.for_policy(GETH.scaled(128))
         # Disconnect right after the flood wait.
         network.sim.schedule(
-            config.flood_wait + 0.5, lambda: network.disconnect("a", "b")
+            FLOOD_WAIT + 0.5, lambda: network.disconnect("a", "b")
         )
         assert not measure_one_link(network, supernode, "a", "b", config).detected

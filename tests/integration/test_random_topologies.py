@@ -67,7 +67,7 @@ class TestPropagationVariants:
         network = build(303, announce_only=False, n_nodes=12)
         for node_id in network.measurable_node_ids():
             node = network.node(node_id)
-            object.__setattr__(node.config, "announce_enabled", False)
+            object.__setattr__(node.config, "push_to_all", True)
         shot = TopoShot.attach(network)
         measurement = shot.measure_network()
         assert measurement.score.precision == 1.0

@@ -23,7 +23,12 @@ from repro.core.primitive import measure_one_link
 from repro.errors import MeasurementError
 from repro.eth.account import Wallet
 from repro.eth.chain import Chain
-from repro.eth.fee_market import FeeMarket, FeeMarketConfig, min_measurement_y
+from repro.eth.fee_market import (
+    TARGET_OCCUPANCY,
+    FeeMarket,
+    FeeMarketConfig,
+    min_measurement_y,
+)
 from repro.eth.miner import Miner
 from repro.eth.network import Network
 from repro.eth.node import NodeConfig
@@ -91,7 +96,7 @@ class TestSurgeWorld:
         network, _, y0, _ = build_world(measure=True)
         market = network.fee_market
         # Full pools: surge pricing is engaged for the quote the whole run.
-        assert market.occupancy > market.config.target_occupancy
+        assert market.occupancy > TARGET_OCCUPANCY
         assert market.surge > 1.0
         # The floor-aware estimate keeps the cheapest probe admissible.
         floor = market.floor

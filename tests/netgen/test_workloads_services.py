@@ -5,7 +5,7 @@ import pytest
 from repro.eth.transaction import gwei
 from repro.netgen.ethereum import quick_network
 from repro.netgen.services import (
-    DEFAULT_SCALED_COUNTS,
+    SCALED_SERVICE_COUNTS,
     MainnetSpec,
     PAPER_SERVICE_COUNTS,
     discover_critical_nodes,
@@ -103,8 +103,8 @@ class TestMainnetServices:
         as in Section 6.3's discovery results."""
         assert PAPER_SERVICE_COUNTS["SrvM1"] == 59
         assert PAPER_SERVICE_COUNTS["SrvR1"] == 48
-        assert DEFAULT_SCALED_COUNTS["SrvR2"] == 1
-        assert DEFAULT_SCALED_COUNTS["SrvM6"] == 1
+        assert SCALED_SERVICE_COUNTS["SrvR2"] == 1
+        assert SCALED_SERVICE_COUNTS["SrvM6"] == 1
 
     def test_directory_and_wiring_bias(self):
         network, directory = mainnet_like(MainnetSpec(n_regular=30, seed=1))

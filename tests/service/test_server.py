@@ -277,6 +277,7 @@ MALFORMED_CAMPAIGNS = {
     "a retired campaign constant": {
         "campaign": _campaign_payload(supernode_id="supernode-M")
     },
+    "a null repeat budget": {"campaign": _campaign_payload(repeats=None)},
     "no campaign at all": {"workers": 1},
     "workers not a number": {"campaign": _campaign_payload(), "workers": "many"},
 }
@@ -1013,6 +1014,23 @@ class TestDispatchBookkeeping:
         assert record.attempts == 0
         assert queued == 0
         assert not (tmp_path / "job-a-bounced.stop").exists()
+
+    def test_the_pool_breaker_reopens_after_the_configured_cooldown(self, tmp_path):
+        """``breaker_cooldown`` is the wall-clock wait of the worker-pool
+        breaker between tripping and letting a probe job through."""
+        svc = MeasurementService(
+            ServiceConfig(
+                state_dir=tmp_path,
+                journal_fsync=False,
+                breaker_failure_threshold=1,
+                breaker_cooldown=0.05,
+            )
+        )
+        svc.breaker.record_failure()
+        assert svc.breaker.state == "open"
+        time.sleep(0.1)
+        assert svc.breaker.state == "half_open"
+        assert svc.breaker.allow()
 
     def test_a_stale_stop_file_is_removed_when_the_job_is_popped(self, tmp_path):
         """A dead incarnation's cancel is not this run's."""

@@ -81,15 +81,23 @@ def test_probe_layer_has_one_injection_and_one_repeat_budget():
     function (``primitive.inject``) and the repeat/retry budget is spent in
     exactly one (``primitive.probe_with_repeats``): every probe — serial,
     ``measurePar`` round, cross-validation, calibration, pre-processing —
-    goes through those two and the one ``cleanup``."""
+    goes through those two and the one ``cleanup``. Handing the budget on
+    unchanged (``repeats=spec.repeats``) spends nothing."""
     root = Path(repro.__file__).parent / "core"
     catchers, spenders, cleaners = [], [], []
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        handed_on = {
+            id(node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.keyword) and node.arg == "repeats"
+            and _named(node.value) == "repeats"
+        }
         for name, func in _functions(tree):
             where = f"{path.stem}.{name}"
             for node in ast.walk(func):
-                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                if id(node) in handed_on:
+                    continue
+                elif isinstance(node, ast.ExceptHandler) and node.type is not None:
                     caught = {
                         n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)
                     }
@@ -794,16 +802,24 @@ def _test_runs(source: str):
         yield runs or "repro.cli" in strings, strings
 
 
-def _set_names(source: str):
-    """Every keyword argument name and every string dict key in ``source``."""
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.keyword) and node.arg:
-            yield node.arg
+def _settings(tree: ast.AST):
+    """``(node, name, value)`` for every keyword argument in ``tree``
+    (``node`` is its call or class statement) and every string dict key
+    (``node`` is the dict)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Call, ast.ClassDef)):
+            yield from ((node, k.arg, k.value) for k in node.keywords if k.arg)
         elif isinstance(node, ast.Dict):
             yield from (
-                k.value for k in node.keys
+                (node, k.value, value)
+                for k, value in zip(node.keys, node.values)
                 if isinstance(k, ast.Constant) and isinstance(k.value, str)
             )
+
+
+def _set_names(source: str):
+    """Every keyword argument name and every string dict key in ``source``."""
+    return (name for _, name, _ in _settings(ast.parse(source)))
 
 
 def _settable_options(parser_source: str, spec_sources):
@@ -910,3 +926,248 @@ def test_the_option_law_reports_what_no_test_runs_and_stale_entries():
     assert _settable_options(_TINY_CLI, {"Spec": _TINY_SPEC}) == [
         "run --never", "run --seed", "Spec.size", "Spec.unset",
     ]
+
+
+# Knobs (``Class.field``) of the program's own config objects that nothing
+# outside tests sets, kept because the test each reason names needs a
+# second value to reach a behaviour at all.
+_ONE_VALUE_BY_DESIGN = {
+    "NodeConfig.known_tx_limit": (
+        "tests/eth/test_hot_path_regressions.py::TestKnownTxCacheBound::"
+        "test_node_bounds_per_peer_cache prunes the FIFO table below 32 768"
+    ),
+    "FeeMarketConfig.min_floor": (
+        "tests/eth/test_mempool_batch.py::"
+        "test_a_batch_past_the_fill_point_is_one_add_per_offer needs a floor "
+        "below the 45 wei base fee"
+    ),
+    "FeeMarketConfig.floor_percentile": (
+        "tests/eth/test_mempool_batch.py::"
+        "test_a_batch_past_the_fill_point_is_one_add_per_offer tracks the "
+        "median of a pool of a few dozen"
+    ),
+}
+
+# The config objects the program builds for itself, by module.
+_KNOB_CLASSES = {
+    "core/config.py": "MeasurementConfig",
+    "eth/rpc.py": "RpcClientPolicy",
+    "eth/node.py": "NodeConfig",
+    "eth/policies.py": "MempoolPolicy",
+    "eth/fee_market.py": "FeeMarketConfig",
+    "core/arena.py": "ArenaSpec",
+    "netgen/services.py": "MainnetSpec",
+}
+
+
+def _setters(cls: ast.ClassDef, fields):
+    """``{method: (positional params, {field: what sets it})}`` for the
+    methods of ``cls``. A ``replace``/``cls``/class call keyword or a dict
+    key of a field's name sets the field from the parameters its value
+    names; a value that names nothing (a constant) sets it on every call
+    (``None`` stands for that)."""
+    found = {}
+    for fn in cls.body:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+        if not any(_named(d) == "staticmethod" for d in fn.decorator_list):
+            positional = positional[1:]
+        params = set(positional) | {a.arg for a in fn.args.kwonlyargs}
+        sets = {}
+        for node, name, value in _settings(fn):
+            if name in fields and (
+                isinstance(node, ast.Dict)
+                or isinstance(node, ast.Call)
+                and _named(node.func) in ("replace", "cls", cls.name)
+            ):
+                names = {n.id for n in ast.walk(value) if isinstance(n, ast.Name)}
+                sets.setdefault(name, set()).update(names & params or {None} - names)
+        found[fn.name] = (positional, sets)
+    return found
+
+
+def _calls(tree: ast.AST):
+    """``(call, classes, notes)`` for every call in ``tree``: the names of
+    the classes whose bodies hold it, and the annotations (as source) of
+    the parameters of the functions that hold it."""
+    stack = [(tree, frozenset(), {})]
+    while stack:
+        node, classes, notes = stack.pop()
+        if isinstance(node, ast.ClassDef):
+            classes = classes | {node.name}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            notes = {
+                **notes,
+                **{a.arg: ast.unparse(a.annotation) for a in args if a.annotation},
+            }
+        elif isinstance(node, ast.Call):
+            yield node, classes, notes
+        stack.extend((child, classes, notes) for child in ast.iter_child_nodes(node))
+
+
+def _copies(keyword: ast.keyword, name: str, notes) -> bool:
+    """Whether ``keyword`` copies its field from another ``name`` object:
+    its value reads the same field off an object that no annotation types
+    as something else (``seed=args.seed`` with ``args: Namespace`` is a
+    setting, ``push_to_all=config.push_to_all`` a copy)."""
+    value = keyword.value
+    if not (isinstance(value, ast.Attribute) and value.attr == keyword.arg):
+        return False
+    note = notes.get(value.value.id) if isinstance(value.value, ast.Name) else None
+    return note is None or name in note
+
+
+def _knobs_set(call: ast.Call, notes, name: str, fields, methods, classmethods):
+    """The fields of class ``name`` that ``call`` sets: its keywords (and,
+    for the class itself, its positional arguments) when it calls the
+    class, one of its classmethods or ``replace``, less copies; and the
+    fields a method of the class it calls sets, from a parameter it
+    passes or on every call."""
+    callee = _named(call.func)
+    owner = _named(call.func.value) if isinstance(call.func, ast.Attribute) else None
+    knobs = set()
+    if callee in (name, "replace") or (owner == name and callee in classmethods):
+        knobs.update(
+            k.arg for k in call.keywords
+            if k.arg in fields and not _copies(k, name, notes)
+        )
+    if callee == name:
+        given = next(
+            (i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+            len(call.args),
+        )
+        knobs.update(fields[:given])
+    if isinstance(call.func, ast.Attribute) and callee in methods:
+        positional, sets = methods[callee]
+        passed = {None, *positional[: len(call.args)], *(k.arg for k in call.keywords)}
+        knobs.update(field for field, by in sets.items() if by & passed)
+    return knobs
+
+
+def _knob_law(class_sources, program_sources, allowed):
+    """``(unset, stale)``: the fields of the config classes (class name ->
+    module source) that no program source sets from outside the class's
+    own body, less ``allowed``; and the ``allowed`` entries that are set,
+    or that are no field at all."""
+    classes = {}
+    for name, source in class_sources.items():
+        fields = [key.split(".", 1)[1] for key in _spec_fields({name: source})]
+        cls = next(
+            node for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and node.name == name
+        )
+        classmethods = {
+            fn.name for fn in cls.body
+            if isinstance(fn, ast.FunctionDef)
+            and any(_named(d) == "classmethod" for d in fn.decorator_list)
+        }
+        classes[name] = (fields, _setters(cls, fields), classmethods)
+    knobs = set()
+    for source in program_sources:
+        for call, inside, notes in _calls(ast.parse(source)):
+            for name, knob_class in classes.items():
+                if name not in inside:
+                    knobs.update(
+                        f"{name}.{field}"
+                        for field in _knobs_set(call, notes, name, *knob_class)
+                    )
+    unset = set(_spec_fields(class_sources)) - knobs
+    return sorted(unset - set(allowed)), sorted(set(allowed) - unset)
+
+
+def _repo_knobs(repo: Path):
+    """The knob law's inputs for this repository: the config classes'
+    sources, and every module under ``src/`` and ``benchmarks/``."""
+    src = repo / "src" / "repro"
+    return (
+        {
+            name: (src / module).read_text(encoding="utf-8")
+            for module, name in _KNOB_CLASSES.items()
+        },
+        [
+            path.read_text(encoding="utf-8")
+            for root in (src, repo / "benchmarks")
+            for path in sorted(root.rglob("*.py"))
+        ],
+    )
+
+
+def test_every_knob_has_a_second_value():
+    """A config field only ever at its default is a constant with a
+    validation branch, a docstring and a test-only path: every field of the
+    program's own config objects is set by code under ``src/`` or
+    ``benchmarks/`` outside the class's own body (tests and examples do
+    not count). Set = a keyword or positional argument to the class or a
+    keyword to one of its classmethods or to ``replace``, or a call of one
+    of its methods that passes the parameter the method sets the field
+    from; a copy ``field=other.field`` sets nothing. Like the option law it
+    matches names, not types: a tripwire, not a proof."""
+    repo = Path(repro.__file__).parents[2]
+    unset, stale = _knob_law(*_repo_knobs(repo), _ONE_VALUE_BY_DESIGN)
+    assert not stale, f"allow-listed knobs that now have a second value: {stale}"
+    assert not unset, f"knobs only ever at one value: {unset}"
+    for knob, reason in _ONE_VALUE_BY_DESIGN.items():
+        path, *names = reason.split(" ", 1)[0].split("::")
+        test = repo / path
+        assert names and test.is_file() and f"def {names[-1]}(" in test.read_text(
+            encoding="utf-8"
+        ), f"{knob}: the reason names no test: {reason!r}"
+
+
+_TINY_KNOBS = '''
+@dataclass(frozen=True)
+class Knobs:
+    size: int = 1
+    scale: float = 1.0
+    loud: bool = False
+    seed: int = 0
+    tested: int = 0
+    wrapped: int = 0
+    deadline: float = 2.0
+    copied: bool = False
+
+    def with_scale(self, scale):
+        return replace(self, scale=scale)
+
+    def with_wrapped(self, wrapped):
+        return replace(self, wrapped=wrapped)
+
+    def louder(self):
+        return replace(self, loud=True)
+
+    def grown(self):
+        return Knobs(size=self.size + 1, tested=self.tested)
+'''
+
+_TINY_PROGRAM = '''
+DEFAULT = Knobs(size=2)
+
+
+def run(config, client, args: Namespace):
+    client.submit(deadline=3.0)
+    louder = config.with_scale(0.5).louder()
+    return Knobs(copied=config.copied, seed=args.seed), louder
+'''
+
+_TINY_KNOB_TESTS = '''
+def test_knobs():
+    assert Knobs(tested=3).with_wrapped(4).wrapped == 4
+'''
+
+
+def test_the_knob_law_reports_one_value_knobs_and_stale_entries():
+    """Set only by a test, only through a method that only tests call, only
+    as another callee's keyword of the same name, or only by copying
+    itself: each is a one-value knob. An allow-listed knob that the
+    program does set is stale. The class's own body sets nothing."""
+    unset, stale = _knob_law(
+        {"Knobs": _TINY_KNOBS}, [_TINY_KNOBS, _TINY_PROGRAM], {"Knobs.size": "a reason"}
+    )
+    assert unset == ["Knobs.copied", "Knobs.deadline", "Knobs.tested", "Knobs.wrapped"]
+    assert stale == ["Knobs.size"]
+    unset, _ = _knob_law(
+        {"Knobs": _TINY_KNOBS}, [_TINY_KNOBS, _TINY_PROGRAM, _TINY_KNOB_TESTS], {}
+    )
+    assert unset == ["Knobs.copied", "Knobs.deadline"]
